@@ -5,8 +5,9 @@ Subcommands:
   derive    report the equation-of-motion structure of a scenario
   check     run verification suites and emit a pass/fail report
 
-Exit codes: 0 success, 1 scenario file rejected, 2 runtime failure during
-derivation or integration, 3 a check suite asserted and failed.
+Exit codes: 0 success, 1 scenario file rejected (including a closure mass on
+a system that is regular at the probe), 2 runtime failure during derivation
+or integration, 3 a check suite asserted and failed.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .lagrangian import (
     DegenerateWithoutClosure,
     MechState,
     SingularMass,
+    UnneededClosureMass,
     derive_eom,
 )
 from .sampling import DEFAULT_SEED
@@ -151,6 +153,9 @@ def main(argv: list[str] | None = None) -> int:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(report)
         return 0 if all(r.passed for r in results) else 3
+    except UnneededClosureMass as exc:
+        print(f"error: {ScenarioError('closure_mass', str(exc))}", file=sys.stderr)
+        return 1
     except RUNTIME_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -17,7 +17,7 @@ quadrature re-plan n themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -25,8 +25,10 @@ from .lagrangian import (
     DEGENERATE,
     EomSystem,
     MechState,
-    _accel_arrays,
+    _accel,
     _closure_velocity,
+    _dot,
+    _solve_scalar,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -104,10 +106,14 @@ class Trajectory:
     def final_state(self) -> MechState:
         return self.state(self.n_samples - 1)
 
+    def samples(self) -> Iterator[tuple[float, list[float], list[float]]]:
+        """(t, q, qd) of each sample in plain floats, one sample at a time."""
+        for k in range(self.n_samples):
+            yield float(self.t[k]), self.q[k].tolist(), self.qd[k].tolist()
 
-def _check_finite(y: np.ndarray, t: float) -> None:
-    bad = ~np.isfinite(y)
-    if bad.any() or np.abs(y).max() > BLOWUP_LIMIT:
+
+def _check_finite(y: Sequence[float], t: float) -> None:
+    if not all(abs(v) <= BLOWUP_LIMIT for v in y):  # also false for nan
         raise StepBlowUp(f"state magnitude exceeded {BLOWUP_LIMIT:g} at t={t!r}")
 
 
@@ -119,82 +125,135 @@ def _grid(cfg: IntegratorConfig) -> tuple[np.ndarray, float, int]:
     return t, dt, n
 
 
+def _columns(n_rows: int, dim: int) -> tuple[np.ndarray, ...]:
+    """Empty q, qd, p (n_rows x dim) and el_residual columns, filled per sample."""
+    return (*(np.empty((n_rows, dim)) for _ in range(3)), np.empty(n_rows))
+
+
+def _el_residual(vals, qd: Sequence[float], qdd: Sequence[float]) -> float:
+    """max_a |g_a - (A qdd + (df/dq) qd + df/dt)_a| from the map values."""
+    _, g, A, f_q, f_t = vals
+    return max(
+        abs(g[a] - _dot(A[a], qdd) - _dot(f_q[a], qd) - f_t[a]) for a in range(len(g))
+    )
+
+
 def integrate(eom: EomSystem, init: MechState, cfg: IntegratorConfig) -> Trajectory:
     """RK4 trajectory of a regular (second-order) or degenerate (closure) system."""
     if len(init.q) != eom.dim:
         raise ValueError(f"init has {len(init.q)} coordinates, expected {eom.dim}")
     if eom.classification == DEGENERATE:
         return _integrate_closure(eom, init, cfg)
+    if eom.dim == 1:
+        return _integrate_regular_scalar(eom, init, cfg)
     return _integrate_regular(eom, init, cfg)
+
+
+def _integrate_regular_scalar(
+    eom: EomSystem, init: MechState, cfg: IntegratorConfig
+) -> Trajectory:
+    """One coordinate on plain floats: one kernel call per RK4 stage."""
+    t_grid, dt, n = _grid(cfg)
+    kernel = eom.maps.kernel
+    h2, h6 = dt / 2, dt / 6
+
+    def accel(t: float, q: float, qd: float) -> float:
+        _, g, a, f_q, f_t = kernel(t, q, qd)
+        # 0.0 + x: the sign of a zero product as in a one-term dot product
+        return _solve_scalar(a, g - (0.0 + f_q * qd) - f_t)
+
+    q, qd = init.q[0], init.qd[0]
+    q_out, qd_out, p_out, res_out = _columns(n + 1, 1)
+    for k in range(n + 1):
+        t = float(t_grid[k])
+        _check_finite((q, qd), t)
+        # stage 1 also gives the sample's momentum and residual
+        f, g, a, f_q, f_t = kernel(t, q, qd)
+        a1 = _solve_scalar(a, g - (0.0 + f_q * qd) - f_t)
+        q_out[k], qd_out[k], p_out[k] = q, qd, f
+        res_out[k] = abs(g - a * a1 - f_q * qd - f_t)
+        if k < n:
+            v2 = qd + h2 * a1
+            a2 = accel(t + h2, q + h2 * qd, v2)
+            v3 = qd + h2 * a2
+            a3 = accel(t + h2, q + h2 * v2, v3)
+            v4 = qd + dt * a3
+            a4 = accel(t + dt, q + dt * v3, v4)
+            q = q + h6 * (qd + 2 * v2 + 2 * v3 + v4)
+            qd = qd + h6 * (a1 + 2 * a2 + 2 * a3 + a4)
+    return Trajectory(SECOND_ORDER, dt, t_grid, q_out, qd_out, p_out, res_out)
+
+
+def _rk4(
+    stage: Callable[[float, list[float], list[float]], list[float]],
+    t: float,
+    y: list[float],
+    dt: float,
+    k1: list[float],
+) -> list[float]:
+    """One RK4 step of a list state from its first-stage slope k1.
+
+    `stage(t, y, k)` is the slope at (t, y); k, the previous stage's slope,
+    seeds the closure's Newton solve.
+    """
+    h2 = dt / 2
+    k2 = stage(t + h2, [a + h2 * b for a, b in zip(y, k1)], k1)
+    k3 = stage(t + h2, [a + h2 * b for a, b in zip(y, k2)], k2)
+    k4 = stage(t + dt, [a + dt * b for a, b in zip(y, k3)], k3)
+    h6 = dt / 6
+    return [
+        a + h6 * (b1 + 2 * b2 + 2 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
+    ]
 
 
 def _integrate_regular(
     eom: EomSystem, init: MechState, cfg: IntegratorConfig
 ) -> Trajectory:
-    n_dim = eom.dim
     t_grid, dt, n = _grid(cfg)
     maps = eom.maps
+    n_dim = eom.dim
 
-    def deriv(t: float, y: np.ndarray) -> np.ndarray:
+    def deriv(t: float, y: list[float], _) -> list[float]:
         q, qd = y[:n_dim], y[n_dim:]
-        return np.concatenate((qd, _accel_arrays(eom, t, q, qd)))
+        return qd + _accel(maps, t, q, qd)[0]
 
-    q_out = np.empty((n + 1, n_dim))
-    qd_out = np.empty((n + 1, n_dim))
-    p_out = np.empty((n + 1, n_dim))
-    res_out = np.empty(n + 1)
-    y = np.concatenate((np.array(init.q), np.array(init.qd)))
-
+    y = [*init.q, *init.qd]
+    q_out, qd_out, p_out, res_out = _columns(n + 1, n_dim)
     for k in range(n + 1):
-        t = t_grid[k]
+        t = float(t_grid[k])
         _check_finite(y, t)
         q, qd = y[:n_dim], y[n_dim:]
-        q_out[k], qd_out[k] = q, qd
-        p_out[k] = maps.f_vec(t, q, qd)
-        qdd = _accel_arrays(eom, t, q, qd)
-        res_out[k] = np.abs(
-            maps.g_vec(t, q, qd)
-            - maps.A_mat(t, q, qd) @ qdd
-            - maps.fq_mat(t, q, qd) @ qd
-            - maps.ft_vec(t, q, qd)
-        ).max()
+        qdd, vals = _accel(maps, t, q, qd)
+        q_out[k], qd_out[k], p_out[k] = q, qd, vals[0]
+        res_out[k] = _el_residual(vals, qd, qdd)
         if k < n:
-            y = _rk4_step(deriv, t, y, dt)
+            y = _rk4(deriv, t, y, dt, qd + qdd)
     return Trajectory(SECOND_ORDER, dt, t_grid, q_out, qd_out, p_out, res_out)
 
 
 def _integrate_closure(
     eom: EomSystem, init: MechState, cfg: IntegratorConfig
 ) -> Trajectory:
-    n_dim = eom.dim
     t_grid, dt, n = _grid(cfg)
     maps = eom.maps
-    mass = np.array(eom.closure_mass)
-    guess = np.array(init.qd)
+    mass = eom.closure_mass
 
-    def vel(t: float, q: np.ndarray, g0: np.ndarray) -> np.ndarray:
-        return _closure_velocity(maps, mass, t, q, g0)
+    def vel(t: float, q: list[float], guess: list[float]) -> list[float]:
+        return _closure_velocity(maps, mass, t, q, guess)
 
-    q_out = np.empty((n + 1, n_dim))
-    qd_out = np.empty((n + 1, n_dim))
-    p_out = np.empty((n + 1, n_dim))
-    res_out = np.empty(n + 1)
-    q = np.array(init.q)
-
+    q = list(init.q)
+    guess = list(init.qd)
+    q_out, qd_out, p_out, res_out = _columns(n + 1, eom.dim)
     for k in range(n + 1):
-        t = t_grid[k]
+        t = float(t_grid[k])
         _check_finite(q, t)
         qd = vel(t, q, guess)
         guess = qd
-        q_out[k], qd_out[k] = q, qd
-        p_out[k] = maps.f_vec(t, q, qd)
-        res_out[k] = np.abs(p_out[k] - mass * qd).max()
+        p = maps(t, q, qd)[0]
+        q_out[k], qd_out[k], p_out[k] = q, qd, p
+        res_out[k] = max(abs(pa - m * v) for pa, m, v in zip(p, mass, qd))
         if k < n:
-            k1 = qd
-            k2 = vel(t + dt / 2, q + dt / 2 * k1, k1)
-            k3 = vel(t + dt / 2, q + dt / 2 * k2, k2)
-            k4 = vel(t + dt, q + dt * k3, k3)
-            q = q + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            q = _rk4(vel, t, q, dt, qd)
     return Trajectory(CLOSURE, dt, t_grid, q_out, qd_out, p_out, res_out)
 
 
@@ -207,41 +266,26 @@ def integrate_hamiltonian(
     the CSV schema is identical across flow kinds.
     """
     t_grid, dt, n = _grid(cfg)
+    h2, h6 = dt / 2, dt / 6
     guess = 0.0  # Newton guess threaded from the last inversion
-
-    def deriv(t: float, y: np.ndarray) -> np.ndarray:
-        return np.array(field.flow(t, y[0], y[1], guess))
-
-    q_out = np.empty((n + 1, 1))
-    qd_out = np.empty((n + 1, 1))
-    p_out = np.empty((n + 1, 1))
-    res_out = np.empty(n + 1)
-    y = np.array([init.q, init.p])
-
+    q, p = init.q, init.p
+    q_out, qd_out, p_out, res_out = _columns(n + 1, 1)
     for k in range(n + 1):
-        t = t_grid[k]
-        _check_finite(y, t)
-        q, p = y
-        qd = field.invert(t, q, p, guess)
+        t = float(t_grid[k])
+        _check_finite((q, p), t)
+        qd, r = field._invert(t, q, p, guess)
         guess = qd
-        q_out[k, 0], qd_out[k, 0], p_out[k, 0] = q, qd, p
-        res_out[k] = abs(p - field.momentum(t, q, qd))
+        q_out[k], qd_out[k], p_out[k] = q, qd, p
+        res_out[k] = abs(r)  # |p - f(q, qd, t)|
         if k < n:
-            y = _rk4_step(deriv, t, y, dt)
+            # stage 1 is at the sample itself, where qd is already inverted
+            k1q, k1p = field._flow_at(t, q, p, qd)
+            k2q, k2p = field.flow(t + h2, q + h2 * k1q, p + h2 * k1p, guess)
+            k3q, k3p = field.flow(t + h2, q + h2 * k2q, p + h2 * k2p, guess)
+            k4q, k4p = field.flow(t + dt, q + dt * k3q, p + dt * k3p, guess)
+            q = q + h6 * (k1q + 2 * k2q + 2 * k3q + k4q)
+            p = p + h6 * (k1p + 2 * k2p + 2 * k3p + k4p)
     return Trajectory(HAMILTONIAN, dt, t_grid, q_out, qd_out, p_out, res_out)
-
-
-def _rk4_step(
-    deriv: Callable[[float, np.ndarray], np.ndarray],
-    t: float,
-    y: np.ndarray,
-    dt: float,
-) -> np.ndarray:
-    k1 = deriv(t, y)
-    k2 = deriv(t + dt / 2, y + dt / 2 * k1)
-    k3 = deriv(t + dt / 2, y + dt / 2 * k2)
-    k4 = deriv(t + dt, y + dt * k3)
-    return y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def sampled_path(
@@ -259,30 +303,27 @@ def sampled_path(
     t_grid, dt, n = _grid(cfg)
     n_dim = eom.dim
     maps = eom.maps
-    q_out = np.empty((n + 1, n_dim))
-    qd_out = np.empty((n + 1, n_dim))
-    p_out = np.empty((n + 1, n_dim))
-    res_out = np.empty(n + 1)
+    mass = eom.closure_mass
     delta = 1e-6 * max(1.0, abs(dt) * n)
+
+    def path(fn: Callable[[float], Sequence[float]], t: float) -> list[float]:
+        return np.array(fn(t), dtype=float).reshape(n_dim).tolist()
+
+    q_out, qd_out, p_out, res_out = _columns(n + 1, n_dim)
     for k in range(n + 1):
-        t = t_grid[k]
-        q = np.array(q_fn(t), dtype=float).reshape(n_dim)
-        qd = np.array(qd_fn(t), dtype=float).reshape(n_dim)
-        q_out[k], qd_out[k] = q, qd
-        p_out[k] = maps.f_vec(t, q, qd)
+        t = float(t_grid[k])
+        q, qd = path(q_fn, t), path(qd_fn, t)
+        vals = maps(t, q, qd)
+        p = vals[0]
         if eom.classification == DEGENERATE:
-            res_out[k] = np.abs(p_out[k] - np.array(eom.closure_mass) * qd).max()
+            res = max(abs(pa - m * v) for pa, m, v in zip(p, mass, qd))
         else:
-            qdd = (
-                np.array(qd_fn(t + delta), dtype=float)
-                - np.array(qd_fn(t - delta), dtype=float)
-            ).reshape(n_dim) / (2 * delta)
-            res_out[k] = np.abs(
-                maps.g_vec(t, q, qd)
-                - maps.A_mat(t, q, qd) @ qdd
-                - maps.fq_mat(t, q, qd) @ qd
-                - maps.ft_vec(t, q, qd)
-            ).max()
+            qdd = [
+                (a - b) / (2 * delta)
+                for a, b in zip(path(qd_fn, t + delta), path(qd_fn, t - delta))
+            ]
+            res = _el_residual(vals, qd, qdd)
+        q_out[k], qd_out[k], p_out[k], res_out[k] = q, qd, p, res
     return Trajectory(SECOND_ORDER, dt, t_grid, q_out, qd_out, p_out, res_out)
 
 

@@ -49,7 +49,7 @@ from .lagrangian import (
     MechState,
     SingularMass,
     derive_eom,
-    _accel_arrays,
+    _accel,
 )
 
 EQUIVALENT = "equivalent"
@@ -160,18 +160,19 @@ def eom_equivalent(
     lagr = pair.first
     n = pair.dim
     args = ("t",) + lagr.coords + lagr.vels
-    cc = lambda e: compile_expr(e, args, lagr.params)  # noqa: E731
 
     f_exprs = [ff.expr for ff in pair.f_functions]
     w0 = Const(lagr.omega0)
-    # residual pieces: c_ab qdd_b + d_ab qd_b + e_a - dLq_a + w0 dMqd_a
-    c = [[cc(diff(f_exprs[a], lagr.vels[b])) for b in range(n)] for a in range(n)]
-    d = [[cc(diff(f_exprs[a], lagr.coords[b])) for b in range(n)] for a in range(n)]
-    e = [cc(diff(f_exprs[a], "t")) for a in range(n)]
+    # residual pieces: c_ab qdd_b + d_ab qd_b + e_a - dLq_a + w0 dMqd_a, as
+    # one kernel returning c (n*n), d (n*n), e (n) and the tail (n)
+    c = [diff(f_exprs[a], lagr.vels[b]) for a in range(n) for b in range(n)]
+    d = [diff(f_exprs[a], lagr.coords[b]) for a in range(n) for b in range(n)]
+    e = [diff(f_exprs[a], "t") for a in range(n)]
     tail = [
-        cc(simplify(w0 * diff(pair.delta_M, lagr.vels[a]) - diff(pair.delta_L, lagr.coords[a])))
+        simplify(w0 * diff(pair.delta_M, lagr.vels[a]) - diff(pair.delta_L, lagr.coords[a]))
         for a in range(n)
     ]
+    pieces = compile_expr(tuple(c + d + e + tail), args, lagr.params, real=True)
 
     eom1 = _regular_or_none(pair.first, samples[0])
     eom2 = _regular_or_none(pair.second, samples[0])
@@ -182,12 +183,12 @@ def eom_equivalent(
     cross_max: float | None = None
 
     for s in samples:
-        point = (s.t, *s.q, *s.qd)
+        v = pieces(s.t, *s.q, *s.qd)
         qd = np.array(s.qd)
-        c_mat = np.array([[c[a][b](*point).real for b in range(n)] for a in range(n)])
-        d_mat = np.array([[d[a][b](*point).real for b in range(n)] for a in range(n)])
-        e_vec = np.array([e[a](*point).real for a in range(n)])
-        tail_vec = np.array([tail[a](*point).real for a in range(n)])
+        c_mat = np.array(v[: n * n]).reshape(n, n)
+        d_mat = np.array(v[n * n : 2 * n * n]).reshape(n, n)
+        e_vec = np.array(v[2 * n * n : 2 * n * n + n])
+        tail_vec = np.array(v[2 * n * n + n :])
 
         needs_accel = np.abs(c_mat).max() > 1e-14 * max(1.0, np.abs(d_mat).max())
         if needs_accel:
@@ -195,7 +196,7 @@ def eom_equivalent(
                 n_skipped += 1
                 continue
             try:
-                qdd = _accel_arrays(eom1, s.t, np.array(s.q), qd)
+                qdd = np.array(_accel(eom1.maps, s.t, s.q, s.qd)[0])
             except SingularMass:
                 n_skipped += 1
                 continue
@@ -204,18 +205,18 @@ def eom_equivalent(
             accel_term = np.zeros(n)
 
         residual = accel_term + d_mat @ qd + e_vec + tail_vec
-        pieces = [accel_term, d_mat @ qd, e_vec, tail_vec]
-        scale = max(scale, *(float(np.abs(p).max(initial=0.0)) for p in pieces))
+        pieces_seen = [accel_term, d_mat @ qd, e_vec, tail_vec]
+        scale = max(scale, *(float(np.abs(p).max(initial=0.0)) for p in pieces_seen))
         max_residual = max(max_residual, float(np.abs(residual).max()))
 
         if eom1 is not None and eom2 is not None and eom1.is_regular and eom2.is_regular:
             try:
-                a1 = _accel_arrays(eom1, s.t, np.array(s.q), qd)
-                a2 = _accel_arrays(eom2, s.t, np.array(s.q), qd)
+                a1 = _accel(eom1.maps, s.t, s.q, s.qd)[0]
+                a2 = _accel(eom2.maps, s.t, s.q, s.qd)[0]
             except SingularMass:
                 pass
             else:
-                gap = float(np.abs(a1 - a2).max())
+                gap = max(abs(x - y) for x, y in zip(a1, a2))
                 cross_max = gap if cross_max is None else max(cross_max, gap)
 
     if n_skipped > SKIP_FRACTION_LIMIT * len(samples):
@@ -271,10 +272,9 @@ def integrability_residual(
         diff(diff(phi, "q"), "q") + w0sq * diff(diff(phi, "qd"), "qd")
     )
     args = ("t", "q", "qd")
-    lhs_fn = compile_expr(lhs, args, ffn.params)
-    rhs_fn = compile_expr(rhs, args, ffn.params)
+    sides = compile_expr((lhs, rhs), args, ffn.params)
     worst = 0.0
     for s in samples:
-        point = (s.t, s.q[0], s.qd[0])
-        worst = max(worst, abs(lhs_fn(*point) - rhs_fn(*point)))
+        lhs_val, rhs_val = sides(s.t, s.q[0], s.qd[0])
+        worst = max(worst, abs(lhs_val - rhs_val))
     return worst

@@ -584,55 +584,167 @@ def im_part(e: Expr) -> Expr:
 # --- compiled fast path ---------------------------------------------------
 
 
-def _codegen(e: Expr, args: frozenset[str], consts: Mapping[str, complex]) -> str:
+def _not_real(values: tuple[complex, ...], state: Mapping[str, float]) -> None:
+    k, v = next((k, v) for k, v in enumerate(values) if v.imag)
+    where = ", ".join(f"{name}={x!r}" for name, x in state.items())
+    raise DomainError(f"real map {k} took the complex value {v!r} at {where}")
+
+
+def _parts(e: Expr) -> tuple[str, tuple[Expr, ...]]:
+    """What sets a node apart from others of its type, and its children."""
     if isinstance(e, Const):
-        v = e.value
-        return repr(v.real) if v.imag == 0 else repr(v)
+        return repr(e.value), ()  # unlike ==, keeps the sign of a zero apart
     if isinstance(e, Sym):
-        if e.name in args:
-            return e.name
-        if e.name in consts:
-            v = complex(consts[e.name])
-            return repr(v.real) if v.imag == 0 else repr(v)
-        raise UnboundSymbol(e.name)
-    if isinstance(e, Neg):
-        return f"(-{_codegen(e.arg, args, consts)})"
+        return e.name, ()
     if isinstance(e, BinOp):
-        l = _codegen(e.left, args, consts)
-        r = _codegen(e.right, args, consts)
-        if e.op == "/":
-            return f"_h_div({l}, {r})"
-        if e.op == "^":
-            return f"_h_pow({l}, {r})"
-        return f"({l} {e.op} {r})"
-    if isinstance(e, Call):
-        return f"_h_call({e.fn!r}, ({_codegen(e.arg, args, consts)}))"
-    raise TypeError(f"not an Expr node: {e!r}")
+        return e.op, (e.left, e.right)
+    return getattr(e, "fn", ""), (e.arg,)  # Neg or Call
+
+
+def _codegen(
+    trees: tuple[Expr, ...],
+    args: tuple[str, ...],
+    consts: Mapping[str, complex],
+    bare: bool,
+    real: bool,
+) -> tuple[str, dict[str, complex]]:
+    """Source of one function computing every tree, and the names it reads.
+
+    The function returns the tuple of the trees' values, or with `bare` the
+    value of the only tree; with `real`, their real parts once every
+    imaginary part is checked to be zero.
+
+    A subtree occurring more than once across `trees` is computed once into
+    a local; everything else stays inline. Real finite literals are written
+    out; complex and non-finite ones are bound by name, so each keeps its
+    exact value (the text of a complex literal can lose the sign of a zero).
+    """
+    # Hash-cons the trees: `canon` maps each node object to the first node
+    # seen with the same structure. Keys hold the children's canonical ids,
+    # so each node costs O(1) instead of a hash over its whole subtree.
+    table: dict[tuple, Expr] = {}
+    canon: dict[int, Expr] = {}
+
+    def intern(e: Expr) -> Expr:
+        c = canon.get(id(e))
+        if c is None:
+            label, children = _parts(e)
+            key = (type(e), label, *(id(intern(x)) for x in children))
+            c = canon[id(e)] = table.setdefault(key, e)
+        return c
+
+    uses: dict[int, int] = {}
+
+    def count(e: Expr) -> None:
+        seen = uses.get(id(e), 0)
+        uses[id(e)] = seen + 1
+        if not seen:  # a repeat is computed once, so its children are not reused
+            for child in _parts(e)[1]:
+                count(intern(child))
+
+    trees = tuple(intern(tree) for tree in trees)
+    for tree in trees:
+        count(tree)
+
+    arg_set = frozenset(args)
+    bound: dict[str, complex] = {}
+    names: dict[int, str] = {}
+    lines: list[str] = []
+
+    def literal(v: complex) -> str:
+        if v.imag == 0 and cmath.isfinite(v):
+            return repr(v.real)
+        name = f"_k{len(bound)}"
+        bound[name] = v if v.imag else v.real
+        return name
+
+    def emit(e: Expr) -> str:
+        if id(e) in names:
+            return names[id(e)]
+        if isinstance(e, Const):
+            return literal(e.value)
+        if isinstance(e, Sym):
+            if e.name in arg_set:
+                return e.name
+            if e.name in consts:
+                return literal(complex(consts[e.name]))
+            raise UnboundSymbol(e.name)
+        if isinstance(e, Neg):
+            src = f"(-{emit(intern(e.arg))})"
+        elif isinstance(e, BinOp):
+            l, r = emit(intern(e.left)), emit(intern(e.right))
+            if e.op == "/":
+                src = f"_h_div({l}, {r})"
+            elif e.op == "^":
+                src = f"_h_pow({l}, {r})"
+            else:
+                src = f"({l} {e.op} {r})"
+        elif isinstance(e, Call):
+            src = f"_h_call({e.fn!r}, ({emit(intern(e.arg))}))"
+        else:
+            raise TypeError(f"not an Expr node: {e!r}")
+        if uses[id(e)] == 1:
+            return src
+        name = names[id(e)] = f"_v{len(names)}"
+        lines.append(f"    {name} = {src}")
+        return name
+
+    outs = [emit(tree) for tree in trees]
+    if real:
+        for k, src in enumerate(outs):
+            lines.append(f"    _o{k} = {src}")
+        outs = [f"_o{k}" for k in range(len(outs))]
+        state = ", ".join(f"{a!r}: {a}" for a in args)
+        lines.append(f"    if {' or '.join(o + '.imag' for o in outs)}:")
+        lines.append(f"        _h_not_real(({', '.join(outs)},), {{{state}}})")
+        outs = [o + ".real" for o in outs]
+    lines.append(f"    return {outs[0] if bare else '(' + ', '.join(outs) + ',)'}")
+    return f"def _f({', '.join(args)}):\n" + "\n".join(lines) + "\n", bound
 
 
 @lru_cache(maxsize=None)
-def _compile(e: Expr, args: tuple[str, ...], const_items: tuple[tuple[str, complex], ...]):
-    body = _codegen(e, frozenset(args), dict(const_items))
-    src = f"def _f({', '.join(args)}):\n    return {body}\n"
+def _compile(
+    trees: tuple[Expr, ...],
+    args: tuple[str, ...],
+    const_items: tuple[tuple[str, complex], ...],
+    bare: bool,
+    real: bool,
+):
+    src, bound = _codegen(trees, args, dict(const_items), bare, real)
     ns = {
         "__builtins__": {},
         "_h_div": _domain_div,
         "_h_pow": _domain_pow,
         "_h_call": _apply_call,
+        "_h_not_real": _not_real,
+        **bound,
     }
     exec(src, ns)  # noqa: S102 - source is generated from a validated tree
     return ns["_f"]
 
 
 def compile_expr(
-    e: Expr, args: tuple[str, ...], consts: Mapping[str, float] | None = None
+    e: Expr | tuple[Expr, ...],
+    args: tuple[str, ...],
+    consts: Mapping[str, float] | None = None,
+    *,
+    real: bool = False,
 ) -> Callable[..., complex]:
-    """Compile to a positional-argument closure; semantics match `evaluate`.
+    """Compile to a positional-argument function; semantics match `evaluate`.
 
     Symbols listed in `args` become positional parameters; symbols in
     `consts` are folded in as literals. Any other free symbol raises
     UnboundSymbol at compile time. Domain guards are shared with the tree
     walker, so error behavior is identical.
+
+    Given a tuple of trees, the function returns all their values as a
+    tuple and computes each subtree the trees share only once; every value
+    is bitwise the one `evaluate` gives. A single tree is the 1-tuple case
+    whose function returns the bare value.
+
+    With `real`, the trees are real maps: the function returns float real
+    parts and raises DomainError when a value has a nonzero imaginary part.
     """
     items = tuple(sorted((k, complex(v)) for k, v in (consts or {}).items()))
-    return _compile(e, tuple(args), items)
+    bare = not isinstance(e, tuple)
+    return _compile((e,) if bare else e, tuple(args), items, bare, real)

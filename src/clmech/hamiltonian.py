@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .exprcore import compile_expr, diff
+from .exprcore import compile_expr, diff, evaluate
 from .lagrangian import ComplexLagrangian, EomSystem, MechState
 
 NEWTON_TOL = 1e-12
@@ -84,34 +84,33 @@ class HamiltonianField:
             )
         if self.kappa0 == 0 or not math.isfinite(self.kappa0):
             raise ValueError("kappa0 must be a nonzero finite real")
-        args = ("t", "q", "qd")
-        cc = lambda e: compile_expr(e, args, self.lagr.params)  # noqa: E731
         L, M = self.lagr.L_expr, self.lagr.M_expr
-        compiled = {
-            "f": cc(self.eom.f[0]),
-            "f_q": cc(self.eom.f_q[0][0]),
-            "f_qd": cc(self.eom.A[0][0]),
-            "g": cc(self.eom.g[0]),
-            "L": cc(L),
-            "L_q": cc(diff(L, "q")),
-            "L_qd": cc(diff(L, "qd")),
-            "M_q": cc(diff(M, "q")),
-            "M_qd": cc(diff(M, "qd")),
-        }
-        object.__setattr__(self, "_c", compiled)
+        f_qd = self.eom.A[0][0]
+        args = ("t", "q", "qd")
+        params = self.lagr.params
+        # (f, df/dqd) for the Newton inversion; the partials for the gradients
+        newton = compile_expr((self.eom.f[0], f_qd), args, params, real=True)
+        partials = (self.eom.f_q[0][0], f_qd)
+        partials += tuple(diff(e, x) for e in (L, M) for x in ("q", "qd"))
+        object.__setattr__(self, "_newton", newton)
+        object.__setattr__(self, "_grads", compile_expr(partials, args, params, real=True))
 
     def momentum(self, t: float, q: float, qd: float) -> float:
-        return self._c["f"](t, q, qd).real
+        return self._newton(t, q, qd)[0]
 
     def invert(self, t: float, q: float, p: float, guess: float = 0.0) -> float:
         """Solve p = f(q, qd, t) for qd by damped Newton from `guess`."""
-        c = self._c
+        return self._invert(t, q, p, guess)[0]
+
+    def _invert(self, t: float, q: float, p: float, guess: float) -> tuple[float, float]:
+        """(qd, f(q, qd, t) - p) at the converged qd."""
+        newton = self._newton
         qd = float(guess)
-        r = c["f"](t, q, qd).real - p
+        f, slope = newton(t, q, qd)
+        r = f - p
         for _ in range(NEWTON_MAX_ITER):
             if abs(r) <= NEWTON_TOL * (1.0 + abs(p)):
-                return qd
-            slope = c["f_qd"](t, q, qd).real
+                return qd, r
             if slope == 0.0:
                 raise InversionFailure(
                     f"df/dqd vanished at qd={qd!r} (t={t!r}, q={q!r})"
@@ -120,9 +119,10 @@ class HamiltonianField:
             lam = 1.0
             for _ in range(25):
                 trial = qd - lam * step
-                r_trial = c["f"](t, q, trial).real - p
+                f, slope_trial = newton(t, q, trial)
+                r_trial = f - p
                 if abs(r_trial) < abs(r):
-                    qd, r = trial, r_trial
+                    qd, r, slope = trial, r_trial, slope_trial
                     break
                 lam *= 0.5
             else:
@@ -133,51 +133,62 @@ class HamiltonianField:
             f"no convergence after {NEWTON_MAX_ITER} iterations, residual {r!r}"
         )
 
-    def _partials(self, t: float, q: float, qd: float) -> tuple[float, float]:
-        """(dqd/dq, dqd/dp) from the implicit-function theorem."""
-        slope = self._c["f_qd"](t, q, qd).real
+    def _derivatives(self, t: float, q: float, qd: float) -> list[float]:
+        """[dqd/dq, dqd/dp, dL/dq, dL/dqd, dM/dq, dM/dqd]; the first two from
+        the implicit-function theorem."""
+        f_q, slope, *rest = self._grads(t, q, qd)
         if slope == 0.0:
             raise DegenerateJacobian(f"df/dqd = 0 at (t={t!r}, q={q!r}, qd={qd!r})")
-        return -self._c["f_q"](t, q, qd).real / slope, 1.0 / slope
+        return [-f_q / slope, 1.0 / slope, *rest]
+
+    def _partials(self, t: float, q: float, qd: float) -> tuple[float, float]:
+        """(dqd/dq, dqd/dp) from the implicit-function theorem."""
+        qd_q, qd_p = self._derivatives(t, q, qd)[:2]
+        return qd_q, qd_p
 
     def hamiltonian(self, t: float, q: float, p: float, guess: float = 0.0) -> float:
         qd = self.invert(t, q, p, guess)
-        return p * qd - self._c["L"](t, q, qd).real
+        at = {**self.lagr.params, "t": t, "q": q, "qd": qd}
+        return p * qd - evaluate(self.lagr.L_expr, at).real
+
+    def _gradients(
+        self, t: float, q: float, p: float, qd: float
+    ) -> tuple[float, float, float, float]:
+        """(dH/dq, dH/dp, dK/dq, dK/dp) at an already-inverted qd."""
+        qd_q, qd_p, l_q, l_qd, m_q, m_qd = self._derivatives(t, q, qd)
+        slack = p - l_qd
+        dh_q = -l_q + slack * qd_q
+        dh_p = qd + slack * qd_p
+        w0 = self.lagr.omega0
+        k0 = self.kappa0
+        mm_q = m_q + m_qd * qd_q  # d/dq of M(q, qd(q,p,t), t)
+        mm_p = m_qd * qd_p
+        dk_q = (qd_p * mm_q - qd_q * mm_p) / (k0 * w0)
+        dk_p = k0 * (-(qd_q / w0) * mm_q + ((w0 + qd_q**2 / w0) / qd_p) * mm_p)
+        return dh_q, dh_p, dk_q, dk_p
 
     def h_gradients(
         self, t: float, q: float, p: float, qd: float
     ) -> tuple[float, float]:
         """(dH/dq, dH/dp) at an already-inverted qd."""
-        c = self._c
-        qd_q, qd_p = self._partials(t, q, qd)
-        slack = p - c["L_qd"](t, q, qd).real
-        dh_q = -c["L_q"](t, q, qd).real + slack * qd_q
-        dh_p = qd + slack * qd_p
+        dh_q, dh_p, _, _ = self._gradients(t, q, p, qd)
         return dh_q, dh_p
 
     def k_gradients(
         self, t: float, q: float, p: float, qd: float
     ) -> tuple[float, float]:
         """(dK/dq, dK/dp) at an already-inverted qd."""
-        c = self._c
-        w0 = self.lagr.omega0
-        k0 = self.kappa0
-        qd_q, qd_p = self._partials(t, q, qd)
-        m_q = c["M_q"](t, q, qd).real
-        m_qd = c["M_qd"](t, q, qd).real
-        mm_q = m_q + m_qd * qd_q  # d/dq of M(q, qd(q,p,t), t)
-        mm_p = m_qd * qd_p
-        dk_q = (qd_p * mm_q - qd_q * mm_p) / (k0 * w0)
-        dk_p = k0 * (-(qd_q / w0) * mm_q + ((w0 + qd_q**2 / w0) / qd_p) * mm_p)
+        _, _, dk_q, dk_p = self._gradients(t, q, p, qd)
         return dk_q, dk_p
 
     def flow(
         self, t: float, q: float, p: float, guess: float = 0.0
     ) -> tuple[float, float]:
         """(qd_flow, pd_flow) from the two-generator equations of motion."""
-        qd = self.invert(t, q, p, guess)
-        dh_q, dh_p = self.h_gradients(t, q, p, qd)
-        dk_q, dk_p = self.k_gradients(t, q, p, qd)
+        return self._flow_at(t, q, p, self.invert(t, q, p, guess))
+
+    def _flow_at(self, t: float, q: float, p: float, qd: float) -> tuple[float, float]:
+        dh_q, dh_p, dk_q, dk_p = self._gradients(t, q, p, qd)
         return dh_p - self.kappa0 * dk_q, -dh_q - dk_p / self.kappa0
 
 

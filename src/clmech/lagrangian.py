@@ -23,12 +23,13 @@ import re
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .exprcore import (
     Const,
+    DomainError,
     Expr,
     compile_expr,
     diff,
@@ -59,6 +60,10 @@ class ClosureInconsistent(Exception):
 
 class UndeclaredSymbol(Exception):
     """The Lagrangian references a symbol that is neither state nor parameter."""
+
+
+class UnneededClosureMass(ValueError):
+    """A closure mass was given for a system that is regular at the probe."""
 
 
 class ClosureConsistencyWarning(UserWarning):
@@ -163,38 +168,34 @@ class ComplexLagrangian:
 
 
 class _Maps:
-    """Compiled positional closures for the derived maps; args are (t, *q, *qd)."""
+    """The derived maps as one kernel over the arguments (t, *q, *qd).
 
-    def __init__(self, lagr: ComplexLagrangian, f, g, A, f_q, f_t) -> None:
-        args = ("t",) + lagr.coords + lagr.vels
-        cc = lambda e: compile_expr(e, args, lagr.params)  # noqa: E731
-        self.f = [cc(e) for e in f]
-        self.g = [cc(e) for e in g]
-        self.A = [[cc(e) for e in row] for row in A]
-        self.f_q = [[cc(e) for e in row] for row in f_q]
-        self.f_t = [cc(e) for e in f_t]
+    The kernel returns f (n), g (n), A (n*n, row-major), f_q (n*n) and f_t (n)
+    as one flat tuple of floats, computing shared subexpressions once. The
+    maps are Re/Im parts of the Lagrangian's derivatives, so inside the
+    domain their imaginary parts are exactly zero (conjugate trees evaluate
+    to bitwise conjugates); the kernel raises DomainError on a nonzero one,
+    e.g. from sqrt of a negative coordinate. It is compiled on first use, so
+    a derive that only classifies never compiles it.
+    """
 
-    @staticmethod
-    def _real(v) -> float:
-        # f, g, A are real-valued by construction (Re/Im parts of the
-        # Lagrangian's derivatives); the imaginary component is exactly zero
-        # because conjugate trees evaluate to bitwise conjugates.
-        return float(v.real)
+    def __init__(self, lagr: ComplexLagrangian, trees: tuple[Expr, ...]) -> None:
+        self.dim = lagr.dim
+        self._source = (trees, ("t",) + lagr.coords + lagr.vels, lagr.params)
+        self._kernel = None
 
-    def f_vec(self, t, q, qd) -> np.ndarray:
-        return np.array([self._real(fn(t, *q, *qd)) for fn in self.f])
+    @property
+    def kernel(self) -> Callable[..., tuple[float, ...]]:
+        if self._kernel is None:
+            self._kernel = compile_expr(*self._source, real=True)
+        return self._kernel
 
-    def g_vec(self, t, q, qd) -> np.ndarray:
-        return np.array([self._real(fn(t, *q, *qd)) for fn in self.g])
-
-    def A_mat(self, t, q, qd) -> np.ndarray:
-        return np.array([[self._real(fn(t, *q, *qd)) for fn in row] for row in self.A])
-
-    def fq_mat(self, t, q, qd) -> np.ndarray:
-        return np.array([[self._real(fn(t, *q, *qd)) for fn in row] for row in self.f_q])
-
-    def ft_vec(self, t, q, qd) -> np.ndarray:
-        return np.array([self._real(fn(t, *q, *qd)) for fn in self.f_t])
+    def __call__(self, t: float, q: Sequence[float], qd: Sequence[float]):
+        """(f, g, A, f_q, f_t) at (t, q, qd); matrices as tuples of rows."""
+        v = self.kernel(t, *q, *qd)
+        n = self.dim
+        rows = lambda at: [v[at + a * n : at + (a + 1) * n] for a in range(n)]  # noqa: E731
+        return v[:n], v[n : 2 * n], rows(2 * n), rows(2 * n + n * n), v[-n:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,80 +223,111 @@ class EomSystem:
         return self.classification == REGULAR
 
 
-def solve_linear(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _dot(row: Sequence[float], x: Sequence[float]) -> float:
+    return sum(r * v for r, v in zip(row, x))
+
+
+def _eliminate(a: list[list[float]], x: list[float]) -> tuple[list[tuple[float, float]], float]:
+    """Forward elimination with partial pivoting, in place on `a` and `x`.
+
+    Returns each step's pivot with the entry scale its row had before
+    elimination, and the determinant taken from the pivots. Stops after an
+    exactly zero pivot, where the determinant is 0.
+    """
+    n = len(a)
+    scale = [max(map(abs, row), default=0.0) for row in a]
+    pivots = []
+    det = 1.0
+    for k in range(n):
+        piv = max(range(k, n), key=lambda i: abs(a[i][k]))
+        pivot = a[piv][k]
+        pivots.append((pivot, scale[piv]))
+        if pivot == 0.0:
+            return pivots, 0.0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            x[k], x[piv] = x[piv], x[k]
+            scale[k], scale[piv] = scale[piv], scale[k]
+            det = -det
+        det *= pivot
+        top = a[k]
+        for j in range(k + 1, n):
+            row = a[j]
+            m = row[k] / pivot
+            if m != 0.0:
+                for i in range(k, n):
+                    row[i] -= m * top[i]
+                x[j] -= m * x[k]
+    return pivots, det
+
+
+def solve_linear(A: Sequence[Sequence[float]], b: Sequence[float]) -> list[float]:
     """Gaussian elimination with partial pivoting.
 
     Raises SingularMass when a pivot falls below 1e-13 times the pivot row's
-    entry scale: the matrix is (or has drifted) singular.
+    entry scale (the matrix is, or has drifted, singular), or when the
+    solution misses the system by more than 1e-10 relative.
     """
-    a0 = np.array(A, dtype=float)
-    b0 = np.array(b, dtype=float)
-    a = a0.copy()
-    x = b0.copy()
-    n = x.shape[0]
-    scale = np.abs(a).max(axis=1)
-    for k in range(n):
-        piv = k + int(np.argmax(np.abs(a[k:, k])))
-        row_scale = scale[piv]
-        if row_scale == 0.0 or abs(a[piv, k]) <= 1e-13 * row_scale:
+    if len(b) == 1:
+        return [_solve_scalar(float(A[0][0]), float(b[0]))]
+    a0 = [[float(v) for v in row] for row in A]
+    b0 = [float(v) for v in b]
+    a = [row[:] for row in a0]
+    x = b0[:]
+    pivots, _ = _eliminate(a, x)
+    for pivot, row_scale in pivots:
+        if row_scale == 0.0 or abs(pivot) <= 1e-13 * row_scale:
             raise SingularMass(
-                f"pivot {a[piv, k]!r} below 1e-13 of row scale {row_scale!r}"
+                f"pivot {pivot!r} below 1e-13 of row scale {row_scale!r}"
             )
-        if piv != k:
-            a[[k, piv]] = a[[piv, k]]
-            x[[k, piv]] = x[[piv, k]]
-            scale[[k, piv]] = scale[[piv, k]]
-        for j in range(k + 1, n):
-            m = a[j, k] / a[k, k]
-            if m != 0.0:
-                a[j, k:] -= m * a[k, k:]
-                x[j] -= m * x[k]
-    out = np.empty(n)
+    n = len(x)
+    out = [0.0] * n
     for k in range(n - 1, -1, -1):
-        out[k] = (x[k] - a[k, k + 1 :] @ out[k + 1 :]) / a[k, k]
-    residual = np.abs(a0 @ out - b0).max() if n else 0.0
-    if residual > 1e-10 * (1.0 + np.abs(b0).max(initial=0.0)):
+        out[k] = (x[k] - _dot(a[k][k + 1 :], out[k + 1 :])) / a[k][k]
+    residual = max((abs(_dot(row, out) - bk) for row, bk in zip(a0, b0)), default=0.0)
+    if residual > 1e-10 * (1.0 + max(map(abs, b0), default=0.0)):
         raise SingularMass(f"solve residual {residual!r} exceeds contract bound")
     return out
 
 
-def _det(A: np.ndarray) -> float:
-    a = np.array(A, dtype=float)
-    n = a.shape[0]
-    det = 1.0
-    for k in range(n):
-        piv = k + int(np.argmax(np.abs(a[k:, k])))
-        if a[piv, k] == 0.0:
-            return 0.0
-        if piv != k:
-            a[[k, piv]] = a[[piv, k]]
-            det = -det
-        det *= a[k, k]
-        for j in range(k + 1, n):
-            m = a[j, k] / a[k, k]
-            if m != 0.0:
-                a[j, k:] -= m * a[k, k:]
-    return det
+def _solve_scalar(a: float, b: float) -> float:
+    """solve_linear for a 1x1 system, with both of its SingularMass checks;
+    bitwise what the elimination gives."""
+    row_scale = abs(a)
+    if row_scale == 0.0 or abs(a) <= 1e-13 * row_scale:
+        raise SingularMass(f"pivot {a!r} below 1e-13 of row scale {row_scale!r}")
+    x = b / a
+    residual = abs(a * x - b)
+    if residual > 1e-10 * (1.0 + abs(b)):
+        raise SingularMass(f"solve residual {residual!r} exceeds contract bound")
+    return x
 
 
 def _closure_velocity(
     maps: _Maps,
-    mass: np.ndarray,
+    mass: Sequence[float],
     t: float,
     q: Sequence[float],
     guess: Sequence[float],
     tol: float = 1e-12,
     max_iter: int = 50,
-) -> np.ndarray:
+) -> list[float]:
     """Solve f(q, qd, t) = mass * qd for qd by damped Newton iteration."""
-    qd = np.array(guess, dtype=float)
-    m = np.asarray(mass, dtype=float)
-    r = maps.f_vec(t, q, qd) - m * qd
-    norm = np.abs(r).max()
+    n = len(mass)
+    kernel = maps.kernel
+
+    def at(v: list[float]):
+        """The residual f - mass*v and the row-major A at v."""
+        vals = kernel(t, *q, *v)
+        return [vals[a] - mass[a] * v[a] for a in range(n)], vals[2 * n : n * (n + 2)]
+
+    qd = [float(v) for v in guess]
+    r, A = at(qd)
+    norm = max(map(abs, r))
     for _ in range(max_iter):
-        if norm <= tol * (1.0 + np.abs(m * qd).max()):
+        if norm <= tol * (1.0 + max(abs(m * v) for m, v in zip(mass, qd))):
             return qd
-        jac = maps.A_mat(t, q, qd) - np.diag(m)
+        jac = [[A[a * n + b] - (mass[a] if a == b else 0.0) for b in range(n)] for a in range(n)]
         try:
             step = solve_linear(jac, r)
         except SingularMass as err:
@@ -304,11 +336,11 @@ def _closure_velocity(
             ) from err
         lam = 1.0
         for _ in range(25):
-            trial = qd - lam * step
-            r_trial = maps.f_vec(t, q, trial) - m * trial
-            norm_trial = np.abs(r_trial).max()
+            trial = [v - lam * d for v, d in zip(qd, step)]
+            r_trial, A_trial = at(trial)
+            norm_trial = max(map(abs, r_trial))
             if norm_trial < norm:
-                qd, r, norm = trial, r_trial, norm_trial
+                qd, r, A, norm = trial, r_trial, A_trial, norm_trial
                 break
             lam *= 0.5
         else:
@@ -321,7 +353,7 @@ def _closure_velocity(
 
 
 def _closure_consistency(
-    maps: _Maps, mass: np.ndarray, probe: MechState
+    maps: _Maps, mass: Sequence[float], probe: MechState
 ) -> float:
     """Relative residual of m*qdd = g along the closure flow at the probe.
 
@@ -329,14 +361,17 @@ def _closure_consistency(
     latter must agree with the force map for the first-order flow to satisfy
     the Euler-Lagrange compatibility condition.
     """
-    q = np.array(probe.q)
-    qd = _closure_velocity(maps, mass, probe.t, q, probe.qd)
-    delta = 1e-6 * (1.0 + np.abs(qd).max())
-    qd_plus = _closure_velocity(maps, mass, probe.t + delta, q + delta * qd, qd)
-    qd_minus = _closure_velocity(maps, mass, probe.t - delta, q - delta * qd, qd)
-    qdd = (qd_plus - qd_minus) / (2.0 * delta)
-    g = maps.g_vec(probe.t, q, qd)
-    return float(np.abs(mass * qdd - g).max() / max(1.0, np.abs(g).max()))
+    t, q = probe.t, probe.q
+    qd = _closure_velocity(maps, mass, t, q, probe.qd)
+    delta = 1e-6 * (1.0 + max(map(abs, qd)))
+    q_plus = [x + delta * v for x, v in zip(q, qd)]
+    q_minus = [x - delta * v for x, v in zip(q, qd)]
+    qd_plus = _closure_velocity(maps, mass, t + delta, q_plus, qd)
+    qd_minus = _closure_velocity(maps, mass, t - delta, q_minus, qd)
+    qdd = [(a - b) / (2.0 * delta) for a, b in zip(qd_plus, qd_minus)]
+    g = maps(t, q, qd)[1]
+    worst = max(abs(m * a - b) for m, a, b in zip(mass, qdd, g))
+    return worst / max(1.0, max(map(abs, g)))
 
 
 def derive_eom(
@@ -369,15 +404,22 @@ def derive_eom(
     A = tuple(tuple(diff(f[a], vels[b]) for b in range(n)) for a in range(n))
     f_q = tuple(tuple(diff(f[a], coords[b]) for b in range(n)) for a in range(n))
     f_t = tuple(diff(f[a], "t") for a in range(n))
-    maps = _Maps(lagr, f, g, A, f_q, f_t)
+    maps = _Maps(lagr, f + g + sum(A, ()) + sum(f_q, ()) + f_t)
 
-    a_probe = maps.A_mat(probe.t, probe.q, probe.qd)
-    scale = float(np.abs(a_probe).max(initial=0.0))
-    regular = scale > 0.0 and abs(_det(a_probe)) > eps_reg * scale
+    at_probe = lagr.bindings(probe)
+    a_probe = [[evaluate(e, at_probe) for e in row] for row in A]
+    if any(v.imag for row in a_probe for v in row):
+        raise DomainError(f"mass matrix {a_probe!r} is not real at the probe")
+    a_probe = [[v.real for v in row] for row in a_probe]
+    scale = max((abs(v) for row in a_probe for v in row), default=0.0)
+    _, det = _eliminate(a_probe, [0.0] * n)
+    regular = scale > 0.0 and abs(det) > eps_reg * scale
 
     if regular:
         if closure_mass is not None:
-            raise ValueError("closure_mass supplied but the system is regular")
+            raise UnneededClosureMass(
+                "closure mass supplied but the system is regular at the probe"
+            )
         return EomSystem(
             lagrangian=lagr,
             f=f,
@@ -401,7 +443,7 @@ def derive_eom(
         raise ValueError(f"closure_mass has length {len(mass)}, expected {n}")
     if any(m == 0.0 or not math.isfinite(m) for m in mass):
         raise ValueError("closure_mass entries must be nonzero finite reals")
-    consistency = _closure_consistency(maps, np.array(mass), probe)
+    consistency = _closure_consistency(maps, mass, probe)
     if consistency > 1e-9:
         warnings.warn(
             f"closure flow violates d(f)/dt = g by {consistency:.3g} relative "
@@ -427,25 +469,27 @@ def derive_eom(
 
 def momentum(eom: EomSystem, s: MechState) -> np.ndarray:
     """p_a = f_a(q, qd, t); the classical dL/dqd when M vanishes."""
-    return eom.maps.f_vec(s.t, s.q, s.qd)
+    return np.array(eom.maps.kernel(s.t, *s.q, *s.qd)[: eom.dim])
 
 
 def force(eom: EomSystem, s: MechState) -> np.ndarray:
     """pd_a = g_a(q, qd, t); the classical dL/dq when M vanishes."""
-    return eom.maps.g_vec(s.t, s.q, s.qd)
+    return np.array(eom.maps.kernel(s.t, *s.q, *s.qd)[eom.dim : 2 * eom.dim])
 
 
 def accel(eom: EomSystem, s: MechState) -> np.ndarray:
     """qdd solving A qdd = g - (df/dq) qd - df/dt by partial-pivot elimination."""
     if not eom.is_regular:
         raise ValueError("accel requires a regular system; this one is degenerate")
-    return _accel_arrays(eom, s.t, np.array(s.q), np.array(s.qd))
+    return np.array(_accel(eom.maps, s.t, s.q, s.qd)[0])
 
 
-def _accel_arrays(eom: EomSystem, t: float, q, qd) -> np.ndarray:
-    maps = eom.maps
-    rhs = maps.g_vec(t, q, qd) - maps.fq_mat(t, q, qd) @ qd - maps.ft_vec(t, q, qd)
-    return solve_linear(maps.A_mat(t, q, qd), rhs)
+def _accel(maps: _Maps, t: float, q: Sequence[float], qd: Sequence[float]):
+    """(qdd, (f, g, A, f_q, f_t)): the acceleration and the map values it used."""
+    vals = maps(t, q, qd)
+    _, g, A, f_q, f_t = vals
+    rhs = [g[a] - _dot(f_q[a], qd) - f_t[a] for a in range(len(g))]
+    return solve_linear(A, rhs), vals
 
 
 def closure_velocity(eom: EomSystem, t: float, q, guess=None) -> np.ndarray:
@@ -454,7 +498,7 @@ def closure_velocity(eom: EomSystem, t: float, q, guess=None) -> np.ndarray:
         raise ValueError("closure_velocity requires a degenerate system with a mass")
     if guess is None:
         guess = eom.probe.qd
-    return _closure_velocity(eom.maps, np.array(eom.closure_mass), t, q, guess)
+    return np.array(_closure_velocity(eom.maps, eom.closure_mass, t, q, guess))
 
 
 def wirtinger(lagr: ComplexLagrangian, s: MechState, a: int = 0) -> complex:

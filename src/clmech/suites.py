@@ -238,8 +238,8 @@ def noether_suite(sc: Scenario, seed: int = DEFAULT_SEED) -> SuiteResult:
     dq = (1.0,) * sc.dim
     series = charge_series(eom, traj, dq)
     g_max = 0.0
-    for k in range(traj.n_samples):
-        g_max = max(g_max, float(np.abs(eom.maps.g_vec(traj.t[k], traj.q[k], traj.qd[k])).max()))
+    for t, q, qd in traj.samples():
+        g_max = max(g_max, *map(abs, eom.maps(t, q, qd)[1]))
     drift = float(np.abs(series - series[0]).max())
     scale = max(1.0, abs(float(series[0])))
     lines = [
@@ -370,23 +370,18 @@ def geometry_suite(sc: Scenario, seed: int = DEFAULT_SEED) -> SuiteResult:
 
     if lagr.M_expr == Const(0.0):
         args = ("t",) + lagr.coords + lagr.vels
-        lq = [
-            compile_expr(diff(lagr.L_expr, lagr.coords[a]), args, lagr.params)
-            for a in range(sc.dim)
-        ]
-        lqd = [
-            compile_expr(diff(lagr.L_expr, lagr.vels[a]), args, lagr.params)
-            for a in range(sc.dim)
-        ]
+        # dL/dq_a then dL/dqd_a, one kernel
+        grads = tuple(diff(lagr.L_expr, x) for x in lagr.coords + lagr.vels)
+        gradient = compile_expr(grads, args, lagr.params)
         collapse = 0.0
         for s in states:
             lt = lie_theta(lagr, eom, s)
-            point = (s.t, *s.q, *s.qd)
+            dl = gradient(s.t, *s.q, *s.qd)
             for a in range(sc.dim):
                 collapse = max(
                     collapse,
-                    abs(lt.dq[a] - lq[a](*point).real),
-                    abs(lt.dqd[a] - lqd[a](*point).real),
+                    abs(lt.dq[a] - dl[a].real),
+                    abs(lt.dqd[a] - dl[sc.dim + a].real),
                 )
         lines.append(
             CheckLine(

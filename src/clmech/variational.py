@@ -64,12 +64,7 @@ def action(lagr: ComplexLagrangian, traj: Trajectory) -> complex:
     h = _uniform_h(traj)
     args = ("t",) + lagr.coords + lagr.vels
     fn = compile_expr(lagr.expr, args, lagr.params)
-    vals = np.array(
-        [
-            complex(fn(traj.t[k], *traj.q[k], *traj.qd[k]))
-            for k in range(traj.n_samples)
-        ]
-    )
+    vals = np.array([complex(fn(t, *q, *qd)) for t, q, qd in traj.samples()])
     return _simpson(vals, h)
 
 
@@ -105,20 +100,32 @@ class VariationField:
 
 
 def _bracket_maps(lagr: ComplexLagrangian):
-    """Compiled (gR, fR, gI, fI) coefficient closures per coordinate."""
+    """One kernel returning the coefficients gR, fR, gI, fI, n of each, in that order."""
     L, M = lagr.L_expr, lagr.M_expr
     w0 = Const(lagr.omega0)
     inv_w0 = Const(1.0 / lagr.omega0)
-    args = ("t",) + lagr.coords + lagr.vels
-    cc = lambda e: compile_expr(e, args, lagr.params)  # noqa: E731
-    g_r, f_r, g_i, f_i = [], [], [], []
-    for a in range(lagr.dim):
-        cq, cv = lagr.coords[a], lagr.vels[a]
-        g_r.append(cc(diff(L, cq) - w0 * diff(M, cv)))
-        f_r.append(cc(diff(L, cv) + inv_w0 * diff(M, cq)))
-        g_i.append(cc(diff(M, cq) + w0 * diff(L, cv)))
-        f_i.append(cc(diff(M, cv) - inv_w0 * diff(L, cq)))
-    return g_r, f_r, g_i, f_i
+    cq, cv = lagr.coords, lagr.vels
+    n = lagr.dim
+    trees = (
+        [diff(L, cq[a]) - w0 * diff(M, cv[a]) for a in range(n)]
+        + [diff(L, cv[a]) + inv_w0 * diff(M, cq[a]) for a in range(n)]
+        + [diff(M, cq[a]) + w0 * diff(L, cv[a]) for a in range(n)]
+        + [diff(M, cv[a]) - inv_w0 * diff(L, cq[a]) for a in range(n)]
+    )
+    return compile_expr(tuple(trees), ("t",) + cq + cv, lagr.params)
+
+
+def _expanded(
+    coeffs: Sequence[complex], dq: Sequence[float], dqd: Sequence[float]
+) -> complex:
+    """Re and Im dLagr from the bracket coefficients at one state."""
+    n = len(dq)
+    re_acc = 0.0
+    im_acc = 0.0
+    for a in range(n):
+        re_acc += (coeffs[a] * dq[a] + coeffs[n + a] * dqd[a]).real
+        im_acc += (coeffs[2 * n + a] * dq[a] + coeffs[3 * n + a] * dqd[a]).real
+    return complex(re_acc, im_acc)
 
 
 def first_variation(
@@ -130,20 +137,15 @@ def first_variation(
     otherwise; the caller fits the log-log slope over a ladder of amplitudes.
     """
     h = _uniform_h(traj)
-    g_r, f_r, g_i, f_i = _bracket_maps(lagr)
+    brackets = _bracket_maps(lagr)
     eps = var.amplitude
+    n = lagr.dim
     vals = np.empty(traj.n_samples, dtype=complex)
-    for k in range(traj.n_samples):
-        t = traj.t[k]
+    for k, (t, q, qd) in enumerate(traj.samples()):
         dq = eps * var.eta(t)
         dqd = eps * var.eta_dot(t)
-        point = (t, *(traj.q[k] + dq), *(traj.qd[k] + dqd))
-        re_acc = 0.0
-        im_acc = 0.0
-        for a in range(lagr.dim):
-            re_acc += (g_r[a](*point) * dq + f_r[a](*point) * dqd).real
-            im_acc += (g_i[a](*point) * dq + f_i[a](*point) * dqd).real
-        vals[k] = complex(re_acc, im_acc)
+        coeffs = brackets(t, *(x + dq for x in q), *(v + dqd for v in qd))
+        vals[k] = _expanded(coeffs, (dq,) * n, (dqd,) * n)
     return _simpson(vals, h)
 
 
@@ -151,14 +153,7 @@ def expanded_integrand(
     lagr: ComplexLagrangian, s: MechState, dq: Sequence[float], dqd: Sequence[float]
 ) -> complex:
     """The component-expansion dLagr at a single state, for identity checks."""
-    g_r, f_r, g_i, f_i = _bracket_maps(lagr)
-    point = (s.t, *s.q, *s.qd)
-    re_acc = 0.0
-    im_acc = 0.0
-    for a in range(lagr.dim):
-        re_acc += (g_r[a](*point) * dq[a] + f_r[a](*point) * dqd[a]).real
-        im_acc += (g_i[a](*point) * dq[a] + f_i[a](*point) * dqd[a]).real
-    return complex(re_acc, im_acc)
+    return _expanded(_bracket_maps(lagr)(s.t, *s.q, *s.qd), dq, dqd)
 
 
 def real_inner(z: Sequence[complex], v: Sequence[complex]) -> float:

@@ -10,8 +10,8 @@ from clmech.dynamics import (
     sampled_path,
     to_csv,
 )
-from clmech.exprcore import parse
-from clmech.lagrangian import ComplexLagrangian, MechState, derive_eom
+from clmech.exprcore import DomainError, parse
+from clmech.lagrangian import ComplexLagrangian, MechState, derive_eom, force
 
 PROBE = MechState(0.0, (1.0,), (1.0,))
 
@@ -187,3 +187,16 @@ class TestCsv:
         eom = derive_eom(lagr, MechState(0.0, (1.0, 0.0), (0.0, 1.0)))
         traj = integrate(eom, MechState(0.0, (1.0, 0.0), (0.0, 1.0)), IntegratorConfig(0.1, 0.0, 0.5))
         assert to_csv(traj).splitlines()[0] == "t,q_1,q_2,qd_1,qd_2,p_1,p_2,el_residual"
+
+
+class TestDomain:
+    def test_complex_force_fails_loudly(self):
+        # g = 0.5/sqrt(q) is imaginary at q = -1; its real part must not be
+        # taken as a zero force
+        lagr = ComplexLagrangian(parse("0.5*qd^2 + sqrt(q)"), 1.0)
+        start = MechState(0.0, (-1.0,), (0.0,))
+        eom = derive_eom(lagr, start)
+        with pytest.raises(DomainError):
+            force(eom, start)
+        with pytest.raises(DomainError):
+            integrate(eom, start, IntegratorConfig(0.01, 0.0, 1.0))

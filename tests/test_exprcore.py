@@ -1,5 +1,8 @@
 import cmath
+import functools
 import math
+import struct
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,7 @@ from clmech.exprcore import (
     Sym,
     UnboundSymbol,
     UnknownFunction,
+    _codegen,
     compile_expr,
     conj_expr,
     diff,
@@ -215,3 +219,59 @@ class TestCompile:
         e = parse("cos(q)*qd + t^2 - i*q")
         fn = compile_expr(e, ("t", "q", "qd"), {})
         assert fn(t, q, qd) == evaluate(e, {"t": t, "q": q, "qd": qd})
+
+
+def _bits(z: complex) -> bytes:
+    z = complex(z)
+    return struct.pack("<dd", z.real, z.imag)
+
+
+@functools.lru_cache(maxsize=None)
+def _bundled_systems():
+    """(params, derived map trees, real-map kernel) per bundled scenario."""
+    from clmech.corpus import bundled_corpus
+    from clmech.lagrangian import derive_eom
+
+    out = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for sc in bundled_corpus():
+            lagr = sc.build_lagrangian()
+            eom = derive_eom(lagr, sc.probe_state(), closure_mass=sc.closure_mass)
+            trees = eom.f + eom.g + sum(eom.A, ()) + sum(eom.f_q, ()) + eom.f_t
+            out.append((lagr.params, trees, eom.maps.kernel))
+    return out
+
+
+class TestFusedKernel:
+    def test_shared_subtrees_are_computed_once(self):
+        e = parse("sin(q*qd)^2 + cos(q*qd)")
+        trees = (e, diff(e, "q"))
+        src, _ = _codegen(trees, ("q", "qd"), {}, False, False)
+        assert src.count("_h_call('sin'") == 1
+        assert src.count("_h_call('cos'") == 1
+        assert src.count("(q * qd)") == 1
+        b = {"q": 0.3, "qd": -1.2}
+        fn = compile_expr(trees, ("q", "qd"))
+        assert fn(0.3, -1.2) == tuple(evaluate(tree, b) for tree in trees)
+
+    def test_real_kernel_rejects_an_imaginary_part(self):
+        fn = compile_expr((parse("sqrt(q)"),), ("q",), real=True)
+        assert fn(4.0) == (2.0,)
+        with pytest.raises(DomainError, match="q=-1.0"):
+            fn(-1.0)
+
+    def test_signed_zero_constants_are_kept_apart(self):
+        # Const(0.0) == Const(-0.0), but q*0.0 and q*-0.0 differ at q = -1
+        e = Sym("q") * Const(0.0) + Sym("q") * Const(-0.0)
+        assert _bits(compile_expr(e, ("q",))(-1.0)) == _bits(evaluate(e, {"q": -1.0}))
+
+    @given(finite, finite, finite)
+    @settings(max_examples=60)
+    def test_bundled_maps_match_evaluate_bitwise(self, t, q, qd):
+        for params, trees, kernel in _bundled_systems():
+            b = {**params, "t": t, "q": q, "qd": qd}
+            expected = [evaluate(tree, b) for tree in trees]
+            fused = compile_expr(trees, ("t", "q", "qd"), params)(t, q, qd)
+            assert [_bits(v) for v in fused] == [_bits(v) for v in expected]
+            assert [_bits(v) for v in kernel(t, q, qd)] == [_bits(v.real) for v in expected]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clmech.corpus import bundled_corpus
 from clmech.exprcore import parse
 from clmech.lagrangian import (
     ClosureConsistencyWarning,
@@ -14,6 +15,7 @@ from clmech.lagrangian import (
     MechState,
     SingularMass,
     UndeclaredSymbol,
+    _eliminate,
     accel,
     closure_velocity,
     coordinate_names,
@@ -212,3 +214,58 @@ class TestComplexPhase:
         # dL/dw = (L_qd - (i/w0) L_q)/sqrt(2) with L_qd = m qd, L_q = -k q
         expect = (2.0 * -1.5 - 1j * (-3.0 * 0.5)) / math.sqrt(2)
         assert wirtinger(OSC, s) == pytest.approx(expect)
+
+
+class TestElimination:
+    # classifications recorded before the determinant moved into the elimination
+    BUNDLED = {
+        "classical_oscillator": "regular",
+        "damped_oscillator": "regular",
+        "damped_oscillator_literal": "degenerate",
+        "free_particle": "regular",
+        "gauge_pair_imaginary": "degenerate",
+        "gauge_pair_oscillator": "regular",
+        "imaginary_ho": "regular",
+        "inverted_oscillator": "degenerate",
+    }
+
+    def test_bundled_classification_unchanged(self):
+        seen = {}
+        for sc in bundled_corpus():
+            eom = derive_eom(sc.build_lagrangian(), sc.probe_state(), closure_mass=sc.closure_mass)
+            seen[sc.name] = eom.classification
+        assert seen == self.BUNDLED
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[1.0, 2.0], [2.0, 4.0]],
+            [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]],
+        ],
+    )
+    def test_singular_matrices(self, matrix):
+        n = len(matrix)
+        _, det = _eliminate([row[:] for row in matrix], [0.0] * n)
+        scale = max(abs(v) for row in matrix for v in row)
+        assert abs(det) <= 1e-10 * scale  # what derive_eom reads as degenerate
+        with pytest.raises(SingularMass):
+            solve_linear(matrix, [1.0] * n)
+
+    @pytest.mark.parametrize(
+        "expr,dim",
+        [
+            ("0.5*(qd1 + qd2)^2 - 0.5*q1^2", 2),
+            ("0.5*(qd1 + qd2)^2 + 0.5*(qd2 + qd3)^2 - 0.5*q1^2", 3),
+        ],
+    )
+    def test_singular_mass_matrix_is_degenerate(self, expr, dim):
+        lagr = ComplexLagrangian(parse(expr), 1.0, dim=dim)
+        with pytest.raises(DegenerateWithoutClosure):
+            derive_eom(lagr, MechState(0.0, (0.5,) * dim, (1.0,) * dim))
+
+    @given(st.lists(finite, min_size=9, max_size=9))
+    @settings(max_examples=50)
+    def test_determinant_from_pivots(self, entries):
+        matrix = [entries[0:3], entries[3:6], entries[6:9]]
+        _, det = _eliminate([row[:] for row in matrix], [0.0] * 3)
+        assert det == pytest.approx(np.linalg.det(np.array(matrix)), rel=1e-9, abs=1e-9)

@@ -1,5 +1,7 @@
 import copy
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -152,6 +154,11 @@ class TestCliSimulate:
         assert code == 1
         assert "extra" in capsys.readouterr().err
 
+    def test_complex_force_exits_2(self, scenario_file, capsys):
+        raw = variant(lagrangian="0.5*qd^2 + sqrt(q)", params={}, initial={"q": [-1.0], "qd": [0.0]})
+        assert main(["simulate", scenario_file(raw)]) == 2
+        assert "DomainError" in capsys.readouterr().err
+
     def test_runtime_error_exits_2(self, scenario_file, capsys):
         raw = variant(lagrangian="0.5*i*(m*qd^2 - k*q^2)")  # degenerate, no closure
         assert main(["simulate", scenario_file(raw)]) == 2
@@ -214,3 +221,36 @@ class TestCliCheck:
         first = capsys.readouterr().out
         main(["check", "all", src])
         assert capsys.readouterr().out == first
+
+
+class TestCliContract:
+    @pytest.mark.parametrize("argv", [["derive"], ["simulate"], ["check", "all"]])
+    def test_closure_mass_on_regular_scenario_exits_1(self, argv, scenario_file, capsys):
+        raw = corpus_scenario("classical_oscillator").to_dict()
+        raw["closure_mass"] = [1.0]
+        assert main([*argv, scenario_file(raw)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "closure_mass" in err
+
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+# SHA-256 of `clmech simulate` output for the bundled scenario files, recorded
+# from the per-map evaluation that preceded the fused kernel
+SIMULATE_SHA256 = {
+    "classical_oscillator": "1a426a974af2a88cd105c8baa6772fedc009f71879fb3554df3e307a2c8bcf6d",
+    "damped_oscillator": "1b29878c9e82dd1a003e47b5ec0abf1a9025dfba78547df1f57dd16b5bcdf5ab",
+    "damped_oscillator_literal": "24341af795e91013d384c9810c70a53734121e32dffb3d793624fe20773c9bfc",
+    "free_particle": "8e409d914e7047216cb01a39222aebe0bb93d938ac7b478ea487585fd7ac960b",
+    "gauge_pair_imaginary": "e63c8157753904dc14d5135fd198b6136023c9f968def44dee10952e03dcdc5b",
+    "gauge_pair_oscillator": "059fbad4a6e94752d0b7dd88164148fb3742a7bd95439a86901ca97cdfe72e05",
+    "imaginary_ho": "fffe1c22f243b64acbac07883b12e9289df2f49bbe1ad2b9d8aa86ab61cd419c",
+    "inverted_oscillator": "68a42c2a2a8d8ba924afeb8955e8262f725a53d4a9d11eb9647dc638bad4fecd",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATE_SHA256))
+def test_simulate_csv_bytes_unchanged(name, tmp_path):
+    out = tmp_path / f"{name}.csv"
+    assert main(["simulate", str(SCENARIOS / f"{name}.json"), "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SIMULATE_SHA256[name]
