@@ -17,10 +17,11 @@ quadrature re-plan n themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
+from .exprcore import lane_blocks
 from .lagrangian import (
     DEGENERATE,
     EomSystem,
@@ -106,10 +107,10 @@ class Trajectory:
     def final_state(self) -> MechState:
         return self.state(self.n_samples - 1)
 
-    def samples(self) -> Iterator[tuple[float, list[float], list[float]]]:
-        """(t, q, qd) of each sample in plain floats, one sample at a time."""
-        for k in range(self.n_samples):
-            yield float(self.t[k]), self.q[k].tolist(), self.qd[k].tolist()
+    def columns(self, lanes: slice) -> tuple[np.ndarray, ...]:
+        """t, q_1..q_n and qd_1..qd_n over the samples in `lanes`: the
+        arguments of an array map kernel, one sample per lane."""
+        return (self.t[lanes], *self.q[lanes].T, *self.qd[lanes].T)
 
 
 def _check_finite(y: Sequence[float], t: float) -> None:
@@ -130,12 +131,16 @@ def _columns(n_rows: int, dim: int) -> tuple[np.ndarray, ...]:
     return (*(np.empty((n_rows, dim)) for _ in range(3)), np.empty(n_rows))
 
 
-def _el_residual(vals, qd: Sequence[float], qdd: Sequence[float]) -> float:
-    """max_a |g_a - (A qdd + (df/dq) qd + df/dt)_a| from the map values."""
+def _el_terms(vals, qd: Sequence, qdd: Sequence) -> list:
+    """|g_a - (A qdd + (df/dq) qd + df/dt)_a| for each a from the map values,
+    at one sample or lane-wise; the EL residual is their maximum."""
     _, g, A, f_q, f_t = vals
-    return max(
-        abs(g[a] - _dot(A[a], qdd) - _dot(f_q[a], qd) - f_t[a]) for a in range(len(g))
-    )
+    return [abs(g[a] - _dot(A[a], qdd) - _dot(f_q[a], qd) - f_t[a]) for a in range(len(g))]
+
+
+def _closure_terms(p: Sequence, mass: Sequence[float], qd: Sequence) -> list:
+    """|p_a - m_a qd_a| for each a; the closure residual is their maximum."""
+    return [abs(pa - m * v) for pa, m, v in zip(p, mass, qd)]
 
 
 def integrate(eom: EomSystem, init: MechState, cfg: IntegratorConfig) -> Trajectory:
@@ -225,7 +230,7 @@ def _integrate_regular(
         q, qd = y[:n_dim], y[n_dim:]
         qdd, vals = _accel(maps, t, q, qd)
         q_out[k], qd_out[k], p_out[k] = q, qd, vals[0]
-        res_out[k] = _el_residual(vals, qd, qdd)
+        res_out[k] = max(_el_terms(vals, qd, qdd))
         if k < n:
             y = _rk4(deriv, t, y, dt, qd + qdd)
     return Trajectory(SECOND_ORDER, dt, t_grid, q_out, qd_out, p_out, res_out)
@@ -251,7 +256,7 @@ def _integrate_closure(
         guess = qd
         p = maps(t, q, qd)[0]
         q_out[k], qd_out[k], p_out[k] = q, qd, p
-        res_out[k] = max(abs(pa - m * v) for pa, m, v in zip(p, mass, qd))
+        res_out[k] = max(_closure_terms(p, mass, qd))
         if k < n:
             q = _rk4(vel, t, q, dt, qd)
     return Trajectory(CLOSURE, dt, t_grid, q_out, qd_out, p_out, res_out)
@@ -302,28 +307,30 @@ def sampled_path(
     """
     t_grid, dt, n = _grid(cfg)
     n_dim = eom.dim
-    maps = eom.maps
-    mass = eom.closure_mass
     delta = 1e-6 * max(1.0, abs(dt) * n)
 
-    def path(fn: Callable[[float], Sequence[float]], t: float) -> list[float]:
-        return np.array(fn(t), dtype=float).reshape(n_dim).tolist()
+    def path(fn: Callable[[float], Sequence[float]], shift: float = 0.0) -> np.ndarray:
+        """fn at each grid time moved by `shift`, one row per sample."""
+        out = np.empty((n + 1, n_dim))
+        for k in range(n + 1):
+            t = float(t_grid[k])
+            out[k] = fn(t + shift if shift else t)
+        return out
 
-    q_out, qd_out, p_out, res_out = _columns(n + 1, n_dim)
-    for k in range(n + 1):
-        t = float(t_grid[k])
-        q, qd = path(q_fn, t), path(qd_fn, t)
-        vals = maps(t, q, qd)
-        p = vals[0]
-        if eom.classification == DEGENERATE:
-            res = max(abs(pa - m * v) for pa, m, v in zip(p, mass, qd))
+    q_out, qd_out = path(q_fn), path(qd_fn)
+    p_out, res_out = np.empty((n + 1, n_dim)), np.empty(n + 1)
+    degenerate = eom.classification == DEGENERATE
+    if not degenerate:
+        qdd_out = (path(qd_fn, delta) - path(qd_fn, -delta)) / (2 * delta)
+    for lanes in lane_blocks(n + 1):
+        qd = list(qd_out[lanes].T)
+        vals = eom.maps.split(eom.maps.lanes(t_grid[lanes], *q_out[lanes].T, *qd))
+        p_out[lanes] = np.transpose(vals[0])
+        if degenerate:
+            terms = _closure_terms(vals[0], eom.closure_mass, qd)
         else:
-            qdd = [
-                (a - b) / (2 * delta)
-                for a, b in zip(path(qd_fn, t + delta), path(qd_fn, t - delta))
-            ]
-            res = _el_residual(vals, qd, qdd)
-        q_out[k], qd_out[k], p_out[k], res_out[k] = q, qd, p, res
+            terms = _el_terms(vals, qd, list(qdd_out[lanes].T))
+        res_out[lanes] = np.max(terms, axis=0)
     return Trajectory(SECOND_ORDER, dt, t_grid, q_out, qd_out, p_out, res_out)
 
 

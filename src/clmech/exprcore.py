@@ -24,10 +24,13 @@ expressions are safe to share across threads.
 from __future__ import annotations
 
 import cmath
+import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
+
+import numpy as np
 
 FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt", "tanh")
 IMAGINARY_UNIT = "i"
@@ -702,6 +705,140 @@ def _codegen(
     return f"def _f({', '.join(args)}):\n" + "\n".join(lines) + "\n", bound
 
 
+# --- array kernels ---------------------------------------------------------
+
+LANE_BLOCK = 2048
+
+
+def lane_blocks(n: int) -> Iterator[slice]:
+    """Consecutive slices of at most LANE_BLOCK lanes covering range(n).
+
+    Array-kernel callers evaluate in these blocks into preallocated columns,
+    so their temporaries stay the same size whatever the sample count.
+    """
+    return (slice(k, min(k + LANE_BLOCK, n)) for k in range(0, n, LANE_BLOCK))
+
+
+class _LaneError(Exception):
+    """A domain failure at lane `lane` of an array kernel."""
+
+    def __init__(self, lane: int, message: str) -> None:
+        super().__init__(message)
+        self.lane = lane
+        self.message = message
+
+
+def _lane_error(mask, message: str) -> _LaneError:
+    """The failure at the first lane set in `mask`; lane 0 when it is 0-d."""
+    return _LaneError(int(np.flatnonzero(mask)[0]), message)
+
+
+def _lanes_div(a, b):
+    zero = b == 0
+    if np.any(zero):
+        raise _lane_error(zero, "division by zero")
+    return a / b
+
+
+# Python's own `**` lane by lane: numpy squares by multiplication and its
+# SIMD pow rounds differently from libm's pow, which the scalar helper calls.
+_py_pow = np.frompyfunc(operator.pow, 2, 1)
+
+
+def _lanes_pow(a, b):
+    # Python's complex power raises for zero to a complex power as well
+    zero = (a == 0) & ((np.real(b) < 0) | (np.imag(b) != 0))
+    if np.any(zero):
+        raise _lane_error(zero, "zero raised to a negative power")
+    out = _py_pow(a, b)
+    # a negative float base with a fractional exponent gives a complex in
+    # its own lanes only; the array takes the common type
+    return np.array(out.tolist()) if isinstance(out, np.ndarray) else out
+
+
+_UFUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "tanh": np.tanh, "ln": np.log}
+
+
+def _lanes_call(fn: str, z):
+    z = np.asarray(z)
+    if fn == "ln":
+        bad = (z.imag == 0) & (z.real <= 0)
+        if np.any(bad):
+            raise _lane_error(bad, "ln of nonpositive real")
+    elif fn == "sqrt":
+        if np.iscomplexobj(z):
+            return np.sqrt(z)
+        root = np.sqrt(np.abs(z))
+        # cmath.sqrt(-x) is 0.0 + sqrt(x)*1j, complex in those lanes only
+        return np.where(z < 0, root * 1j, root) if np.any(z < 0) else root
+    out = _UFUNCS[fn](z)
+    # cmath raises where a finite argument overflows (exp, sin and cos)
+    if not np.all(np.isfinite(out) | ~np.isfinite(z)):
+        raise OverflowError("math range error")
+    return out
+
+
+def _first_failure(run: Callable, cols: list[np.ndarray], err: _LaneError) -> _LaneError:
+    """An operation late in the code may fail at an earlier lane than one
+    before it: rerun the lanes before the failing one until they pass."""
+    while err.lane:
+        try:
+            run([c[: err.lane] if c.ndim else c for c in cols])
+            break
+        except _LaneError as earlier:
+            err = earlier
+    return err
+
+
+def _lane_kernel(fn: Callable, args: tuple[str, ...], bare: bool, real: bool):
+    """Wrap generated array code: lane shape, real guard, lane-named errors."""
+
+    def run(cols: list[np.ndarray]):
+        shape = np.broadcast_shapes(*(c.shape for c in cols))
+        vals = fn(*cols)
+        vals = [
+            np.asarray(v) if np.shape(v) == shape else np.full(shape, v)
+            for v in ((vals,) if bare else vals)
+        ]
+        if real:
+            # (first lane with an imaginary part, map) for each map that has one
+            bad = [
+                (int(lanes[0]), k)
+                for k, v in enumerate(vals)
+                if np.iscomplexobj(v) and (lanes := np.flatnonzero(v.imag)).size
+            ]
+            if bad:
+                lane, k = min(bad)
+                value = complex(vals[k].flat[lane])
+                raise _LaneError(lane, f"real map {k} took the complex value {value!r}")
+            vals = [np.real(v) for v in vals]
+        return vals[0] if bare else tuple(vals)
+
+    def kernel(*cols):
+        cols = [np.asarray(c, dtype=float) for c in cols]
+        with np.errstate(all="ignore"):  # IEEE results, as Python floats give
+            try:
+                return run(cols)
+            except _LaneError as err:
+                failure = _first_failure(run, cols, err)
+        where = ", ".join(
+            f"{name}={float(c[failure.lane] if c.ndim else c)!r}"
+            for name, c in zip(args, cols)
+        )
+        raise DomainError(f"{failure.message} at {where}")
+
+    return kernel
+
+
+_SCALAR_HELPERS = {
+    "_h_div": _domain_div,
+    "_h_pow": _domain_pow,
+    "_h_call": _apply_call,
+    "_h_not_real": _not_real,
+}
+_LANE_HELPERS = {"_h_div": _lanes_div, "_h_pow": _lanes_pow, "_h_call": _lanes_call}
+
+
 @lru_cache(maxsize=None)
 def _compile(
     trees: tuple[Expr, ...],
@@ -709,18 +846,14 @@ def _compile(
     const_items: tuple[tuple[str, complex], ...],
     bare: bool,
     real: bool,
+    vectorized: bool,
 ):
-    src, bound = _codegen(trees, args, dict(const_items), bare, real)
-    ns = {
-        "__builtins__": {},
-        "_h_div": _domain_div,
-        "_h_pow": _domain_pow,
-        "_h_call": _apply_call,
-        "_h_not_real": _not_real,
-        **bound,
-    }
+    # the array wrapper does the real guard, so the source never holds it
+    src, bound = _codegen(trees, args, dict(const_items), bare, real and not vectorized)
+    helpers = _LANE_HELPERS if vectorized else _SCALAR_HELPERS
+    ns = {"__builtins__": {}, **helpers, **bound}
     exec(src, ns)  # noqa: S102 - source is generated from a validated tree
-    return ns["_f"]
+    return _lane_kernel(ns["_f"], args, bare, real) if vectorized else ns["_f"]
 
 
 def compile_expr(
@@ -729,6 +862,7 @@ def compile_expr(
     consts: Mapping[str, float] | None = None,
     *,
     real: bool = False,
+    vectorized: bool = False,
 ) -> Callable[..., complex]:
     """Compile to a positional-argument function; semantics match `evaluate`.
 
@@ -744,7 +878,16 @@ def compile_expr(
 
     With `real`, the trees are real maps: the function returns float real
     parts and raises DomainError when a value has a nonzero imaginary part.
+
+    With `vectorized`, the same generated source runs over equal-length
+    float64 arrays, one sample per lane, and every value is an array of the
+    lane shape (constants are broadcast). Lane k is the scalar function's
+    value at sample k, bitwise for real `+ - * /` and `sqrt` and for every
+    `^`; numpy's `exp`, `tanh` and `ln`, and its complex multiply, divide
+    and square root, differ from libm's and cmath's by a few ulp. It raises
+    DomainError exactly where some lane's scalar call would, naming the
+    first such lane and its arguments.
     """
     items = tuple(sorted((k, complex(v)) for k, v in (consts or {}).items()))
     bare = not isinstance(e, tuple)
-    return _compile((e,) if bare else e, tuple(args), items, bare, real)
+    return _compile((e,) if bare else e, tuple(args), items, bare, real, vectorized)

@@ -177,25 +177,32 @@ class _Maps:
     to bitwise conjugates); the kernel raises DomainError on a nonzero one,
     e.g. from sqrt of a negative coordinate. It is compiled on first use, so
     a derive that only classifies never compiles it.
+
+    `lanes` is the same kernel over arrays of samples (`compile_expr`'s
+    `vectorized` mode), for passes over whole trajectories.
     """
 
     def __init__(self, lagr: ComplexLagrangian, trees: tuple[Expr, ...]) -> None:
         self.dim = lagr.dim
         self._source = (trees, ("t",) + lagr.coords + lagr.vels, lagr.params)
-        self._kernel = None
 
-    @property
+    @cached_property
     def kernel(self) -> Callable[..., tuple[float, ...]]:
-        if self._kernel is None:
-            self._kernel = compile_expr(*self._source, real=True)
-        return self._kernel
+        return compile_expr(*self._source, real=True)
 
-    def __call__(self, t: float, q: Sequence[float], qd: Sequence[float]):
-        """(f, g, A, f_q, f_t) at (t, q, qd); matrices as tuples of rows."""
-        v = self.kernel(t, *q, *qd)
+    @cached_property
+    def lanes(self) -> Callable[..., tuple[np.ndarray, ...]]:
+        return compile_expr(*self._source, real=True, vectorized=True)
+
+    def split(self, v: Sequence):
+        """(f, g, A, f_q, f_t) from the kernel's flat values; matrices as rows."""
         n = self.dim
         rows = lambda at: [v[at + a * n : at + (a + 1) * n] for a in range(n)]  # noqa: E731
         return v[:n], v[n : 2 * n], rows(2 * n), rows(2 * n + n * n), v[-n:]
+
+    def __call__(self, t: float, q: Sequence[float], qd: Sequence[float]):
+        """(f, g, A, f_q, f_t) at (t, q, qd); matrices as tuples of rows."""
+        return self.split(self.kernel(t, *q, *qd))
 
 
 @dataclass(frozen=True, eq=False)

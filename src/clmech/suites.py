@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .equivalence import (
     gauge_add,
     integrability_residual,
 )
-from .exprcore import Call, Const, Sym, compile_expr, diff, parse
+from .exprcore import Call, Const, Sym, compile_expr, diff, lane_blocks, parse
 from .geometry import lie_theta, lie_theta_cartan, rhs_pairing_form
 from .hamiltonian import HamiltonianField, PhaseState, mixed_partial_diagnostic
 from .lagrangian import (
@@ -112,21 +113,42 @@ class SuiteResult:
         return max(vals) if vals else 0.0
 
 
-def _setup(sc: Scenario) -> tuple[ComplexLagrangian, EomSystem, tuple[str, ...]]:
-    lagr = sc.build_lagrangian()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        eom = derive_eom(lagr, sc.probe_state(), closure_mass=sc.closure_mass)
-    notes = tuple(str(w.message) for w in caught)
-    return lagr, eom, notes
+class RunContext:
+    """What the suites share on one scenario: one derive, one initial state
+    and one trajectory per distinct integration grid.
 
+    The derive's warnings become notes, attached to every suite's result.
+    """
 
-def _initial_state(sc: Scenario, lagr: ComplexLagrangian, eom: EomSystem) -> MechState:
-    if sc.initial_qd is not None:
-        return MechState(sc.t_start, sc.initial_q, sc.initial_qd)
-    field_ = HamiltonianField(lagr, eom)
-    qd = field_.invert(sc.t_start, sc.initial_q[0], sc.initial_p[0])
-    return MechState(sc.t_start, sc.initial_q, (qd,))
+    def __init__(self, sc: Scenario) -> None:
+        self.sc = sc
+        self._trajectories: dict[tuple[float, int, float], Trajectory] = {}
+
+    @cached_property
+    def derived(self) -> tuple[ComplexLagrangian, EomSystem, tuple[str, ...]]:
+        """The Lagrangian, its derived system and the derive's warnings."""
+        sc = self.sc
+        lagr = sc.build_lagrangian()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            eom = derive_eom(lagr, sc.probe_state(), closure_mass=sc.closure_mass)
+        return lagr, eom, tuple(str(w.message) for w in caught)
+
+    @cached_property
+    def initial(self) -> MechState:
+        sc = self.sc
+        lagr, eom, _ = self.derived
+        if sc.initial_qd is not None:
+            return MechState(sc.t_start, sc.initial_q, sc.initial_qd)
+        qd = HamiltonianField(lagr, eom).invert(sc.t_start, sc.initial_q[0], sc.initial_p[0])
+        return MechState(sc.t_start, sc.initial_q, (qd,))
+
+    def trajectory(self, cfg: IntegratorConfig) -> Trajectory:
+        """The integrated flow from the initial state over `cfg`'s grid."""
+        key = (cfg.t_start, cfg.n_steps, cfg.dt)
+        if key not in self._trajectories:
+            self._trajectories[key] = integrate(self.derived[1], self.initial, cfg)
+        return self._trajectories[key]
 
 
 def even_step_config(sc: Scenario) -> IntegratorConfig:
@@ -138,12 +160,18 @@ def even_step_config(sc: Scenario) -> IntegratorConfig:
     return IntegratorConfig(h=span / n, t_start=sc.t_start, t_end=sc.t_end)
 
 
-def variation_suite(sc: Scenario, seed: int = DEFAULT_SEED) -> SuiteResult:
-    """Stationarity of Re S on solutions; sensitivity on a non-solution path."""
-    lagr, eom, notes = _setup(sc)
-    init = _initial_state(sc, lagr, eom)
+def variation_suite(
+    sc: Scenario, seed: int = DEFAULT_SEED, run: RunContext | None = None
+) -> SuiteResult:
+    """Stationarity of Re S on solutions; sensitivity on a non-solution path.
+
+    Nothing is sampled, so `seed` is ignored. `run` shares the derive and
+    the trajectories with other suites on the same scenario.
+    """
+    run = run or RunContext(sc)
+    lagr, eom, notes = run.derived
     cfg = even_step_config(sc)
-    traj = integrate(eom, init, cfg)
+    traj = run.trajectory(cfg)
     s_val = action(lagr, traj)
     floor = STATIONARY_FLOOR_RTOL * (1.0 + abs(s_val))
     lines: list[CheckLine] = [
@@ -194,13 +222,11 @@ def variation_suite(sc: Scenario, seed: int = DEFAULT_SEED) -> SuiteResult:
         )
 
     # deliberately non-stationary path: q = q0 + (t - t0)^2
-    q0 = np.array(sc.initial_q)
+    def q_fn(t: float) -> list[float]:
+        return [x + (t - sc.t_start) ** 2 for x in sc.initial_q]
 
-    def q_fn(t: float):
-        return q0 + (t - sc.t_start) ** 2
-
-    def qd_fn(t: float):
-        return np.full(sc.dim, 2.0 * (t - sc.t_start))
+    def qd_fn(t: float) -> list[float]:
+        return [2.0 * (t - sc.t_start)] * sc.dim
 
     control = sampled_path(eom, q_fn, qd_fn, cfg)
     ctl_vals = ladder(control, mode=1)
@@ -229,17 +255,22 @@ def variation_suite(sc: Scenario, seed: int = DEFAULT_SEED) -> SuiteResult:
     return SuiteResult("variation", sc.name, tuple(lines), notes)
 
 
-def noether_suite(sc: Scenario, seed: int = DEFAULT_SEED) -> SuiteResult:
-    """Charge conservation iff the force map vanishes along the run."""
-    lagr, eom, notes = _setup(sc)
-    init = _initial_state(sc, lagr, eom)
-    cfg = IntegratorConfig(sc.h, sc.t_start, sc.t_end)
-    traj = integrate(eom, init, cfg)
+def noether_suite(
+    sc: Scenario, seed: int = DEFAULT_SEED, run: RunContext | None = None
+) -> SuiteResult:
+    """Charge conservation iff the force map vanishes along the run.
+
+    Nothing is sampled, so `seed` is ignored; `run` as for variation_suite.
+    """
+    run = run or RunContext(sc)
+    _, eom, notes = run.derived
+    traj = run.trajectory(IntegratorConfig(sc.h, sc.t_start, sc.t_end))
     dq = (1.0,) * sc.dim
     series = charge_series(eom, traj, dq)
     g_max = 0.0
-    for t, q, qd in traj.samples():
-        g_max = max(g_max, *map(abs, eom.maps(t, q, qd)[1]))
+    for lanes in lane_blocks(traj.n_samples):
+        g = eom.maps.lanes(*traj.columns(lanes))[sc.dim : 2 * sc.dim]
+        g_max = max(g_max, *(float(np.abs(x).max()) for x in g))
     drift = float(np.abs(series - series[0]).max())
     scale = max(1.0, abs(float(series[0])))
     lines = [
@@ -278,9 +309,11 @@ def noether_suite(sc: Scenario, seed: int = DEFAULT_SEED) -> SuiteResult:
     return SuiteResult("noether", sc.name, tuple(lines), notes)
 
 
-def equivalence_suite(sc: Scenario, seed: int = DEFAULT_SEED) -> SuiteResult:
+def equivalence_suite(
+    sc: Scenario, seed: int = DEFAULT_SEED, run: RunContext | None = None
+) -> SuiteResult:
     """Gauge pairs must read equivalent; genuine changes must not."""
-    lagr, _, notes = _setup(sc)
+    lagr, _, notes = (run or RunContext(sc)).derived
     samples = sample_states(sc.dim, 256, seed)
     q_sym = Sym(lagr.coords[0])
     lines: list[CheckLine] = []
@@ -348,9 +381,11 @@ def equivalence_suite(sc: Scenario, seed: int = DEFAULT_SEED) -> SuiteResult:
     return SuiteResult("equivalence", sc.name, tuple(lines), notes)
 
 
-def geometry_suite(sc: Scenario, seed: int = DEFAULT_SEED) -> SuiteResult:
+def geometry_suite(
+    sc: Scenario, seed: int = DEFAULT_SEED, run: RunContext | None = None
+) -> SuiteResult:
     """Lie derivative of Theta equals the pairing form; classical collapse."""
-    lagr, eom, notes = _setup(sc)
+    lagr, eom, notes = (run or RunContext(sc)).derived
     states = sample_states(sc.dim, 100, seed)
     worst = 0.0
     for s in states:
@@ -414,13 +449,19 @@ def geometry_suite(sc: Scenario, seed: int = DEFAULT_SEED) -> SuiteResult:
     return SuiteResult("geometry", sc.name, tuple(lines), notes)
 
 
-def hamiltonian_suite(sc: Scenario, seed: int = DEFAULT_SEED) -> SuiteResult:
-    """Phase-space flow against the Lagrangian flow; kappa0 invariance."""
-    lagr, eom, notes = _setup(sc)
-    init = _initial_state(sc, lagr, eom)
+def hamiltonian_suite(
+    sc: Scenario, seed: int = DEFAULT_SEED, run: RunContext | None = None
+) -> SuiteResult:
+    """Phase-space flow against the Lagrangian flow; kappa0 invariance.
+
+    Nothing is sampled, so `seed` is ignored; `run` as for variation_suite.
+    """
+    run = run or RunContext(sc)
+    lagr, eom, notes = run.derived
+    init = run.initial
     field_ = HamiltonianField(lagr, eom, kappa0=sc.kappa0)
     cfg = IntegratorConfig(sc.h, sc.t_start, sc.t_end)
-    traj_l = integrate(eom, init, cfg)
+    traj_l = run.trajectory(cfg)
     p0 = sc.initial_p[0] if sc.initial_p is not None else float(momentum(eom, init)[0])
     traj_h = integrate_hamiltonian(field_, PhaseState(sc.t_start, init.q[0], p0), cfg)
     agreement = float(np.abs(traj_l.q[:, 0] - traj_h.q[:, 0]).max())
@@ -505,7 +546,9 @@ SUITE_FUNCTIONS = {
 def run_suites(
     sc: Scenario, names: tuple[str, ...], seed: int = DEFAULT_SEED
 ) -> list[SuiteResult]:
-    return [SUITE_FUNCTIONS[name](sc, seed) for name in names]
+    """The named suites in order, sharing one RunContext."""
+    run = RunContext(sc)
+    return [SUITE_FUNCTIONS[name](sc, seed, run) for name in names]
 
 
 def format_report(results: list[SuiteResult], seed: int) -> str:

@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dynamics import Trajectory
-from .exprcore import Const, Expr, compile_expr, diff
+from .exprcore import Const, compile_expr, diff, lane_blocks
 from .lagrangian import ComplexLagrangian, EomSystem, MechState, momentum
 
 
@@ -63,8 +63,10 @@ def action(lagr: ComplexLagrangian, traj: Trajectory) -> complex:
     """S = integral of the complex Lagrangian along the trajectory (Simpson)."""
     h = _uniform_h(traj)
     args = ("t",) + lagr.coords + lagr.vels
-    fn = compile_expr(lagr.expr, args, lagr.params)
-    vals = np.array([complex(fn(t, *q, *qd)) for t, q, qd in traj.samples()])
+    fn = compile_expr(lagr.expr, args, lagr.params, vectorized=True)
+    vals = np.empty(traj.n_samples, dtype=complex)
+    for lanes in lane_blocks(traj.n_samples):
+        vals[lanes] = fn(*traj.columns(lanes))
     return _simpson(vals, h)
 
 
@@ -87,19 +89,19 @@ class VariationField:
         if self.mode < 1:
             raise ValueError("mode must be a positive integer")
 
-    def eta(self, t: float) -> float:
+    def eta(self, t):
+        """eta at a time, or lane-wise at an array of times."""
         s = (t - self.t_start) / (self.t_end - self.t_start)
-        if s <= 0.0 or s >= 1.0:
-            return 0.0
-        return math.sin(self.mode * math.pi * s)
+        inside = np.sin(self.mode * math.pi * s)
+        return np.where((s <= 0.0) | (s >= 1.0), 0.0, inside)[()]
 
-    def eta_dot(self, t: float) -> float:
+    def eta_dot(self, t):
         s = (t - self.t_start) / (self.t_end - self.t_start)
         rate = self.mode * math.pi / (self.t_end - self.t_start)
-        return rate * math.cos(self.mode * math.pi * s)
+        return rate * np.cos(self.mode * math.pi * s)
 
 
-def _bracket_maps(lagr: ComplexLagrangian):
+def _bracket_maps(lagr: ComplexLagrangian, vectorized: bool = False):
     """One kernel returning the coefficients gR, fR, gI, fI, n of each, in that order."""
     L, M = lagr.L_expr, lagr.M_expr
     w0 = Const(lagr.omega0)
@@ -112,20 +114,18 @@ def _bracket_maps(lagr: ComplexLagrangian):
         + [diff(M, cq[a]) + w0 * diff(L, cv[a]) for a in range(n)]
         + [diff(M, cv[a]) - inv_w0 * diff(L, cq[a]) for a in range(n)]
     )
-    return compile_expr(tuple(trees), ("t",) + cq + cv, lagr.params)
+    return compile_expr(tuple(trees), ("t",) + cq + cv, lagr.params, vectorized=vectorized)
 
 
-def _expanded(
-    coeffs: Sequence[complex], dq: Sequence[float], dqd: Sequence[float]
-) -> complex:
-    """Re and Im dLagr from the bracket coefficients at one state."""
+def _expanded(coeffs: Sequence, dq: Sequence, dqd: Sequence) -> tuple:
+    """Re and Im dLagr from the bracket coefficients, at one state or lane-wise."""
     n = len(dq)
     re_acc = 0.0
     im_acc = 0.0
     for a in range(n):
         re_acc += (coeffs[a] * dq[a] + coeffs[n + a] * dqd[a]).real
         im_acc += (coeffs[2 * n + a] * dq[a] + coeffs[3 * n + a] * dqd[a]).real
-    return complex(re_acc, im_acc)
+    return re_acc, im_acc
 
 
 def first_variation(
@@ -137,15 +137,16 @@ def first_variation(
     otherwise; the caller fits the log-log slope over a ladder of amplitudes.
     """
     h = _uniform_h(traj)
-    brackets = _bracket_maps(lagr)
+    brackets = _bracket_maps(lagr, vectorized=True)
     eps = var.amplitude
     n = lagr.dim
     vals = np.empty(traj.n_samples, dtype=complex)
-    for k, (t, q, qd) in enumerate(traj.samples()):
+    for lanes in lane_blocks(traj.n_samples):
+        t = traj.t[lanes]
         dq = eps * var.eta(t)
         dqd = eps * var.eta_dot(t)
-        coeffs = brackets(t, *(x + dq for x in q), *(v + dqd for v in qd))
-        vals[k] = _expanded(coeffs, (dq,) * n, (dqd,) * n)
+        coeffs = brackets(t, *(x + dq for x in traj.q[lanes].T), *(v + dqd for v in traj.qd[lanes].T))
+        vals.real[lanes], vals.imag[lanes] = _expanded(coeffs, (dq,) * n, (dqd,) * n)
     return _simpson(vals, h)
 
 
@@ -153,7 +154,7 @@ def expanded_integrand(
     lagr: ComplexLagrangian, s: MechState, dq: Sequence[float], dqd: Sequence[float]
 ) -> complex:
     """The component-expansion dLagr at a single state, for identity checks."""
-    return _expanded(_bracket_maps(lagr)(s.t, *s.q, *s.qd), dq, dqd)
+    return complex(*_expanded(_bracket_maps(lagr)(s.t, *s.q, *s.qd), dq, dqd))
 
 
 def real_inner(z: Sequence[complex], v: Sequence[complex]) -> float:
@@ -190,10 +191,11 @@ def noether_charge(eom: EomSystem, s: MechState, dq: DqField) -> float:
 
 def charge_series(eom: EomSystem, traj: Trajectory, dq: DqField) -> np.ndarray:
     """Gamma at every trajectory sample, using the recorded momenta."""
+    if not callable(dq):
+        return traj.p @ _dq_at(dq, None, None, eom.dim)
     out = np.empty(traj.n_samples)
     for k in range(traj.n_samples):
-        vec = _dq_at(dq, traj.q[k], traj.t[k], eom.dim)
-        out[k] = traj.p[k] @ vec
+        out[k] = traj.p[k] @ _dq_at(dq, traj.q[k], traj.t[k], eom.dim)
     return out
 
 

@@ -4,11 +4,14 @@ import math
 import struct
 import warnings
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from clmech.corpus import bundled_corpus
 from clmech.exprcore import (
+    BinOp,
     Call,
     Const,
     DomainError,
@@ -28,6 +31,8 @@ from clmech.exprcore import (
     simplify,
     to_source,
 )
+from clmech.lagrangian import derive_eom
+from clmech.variational import _bracket_maps
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False)
 
@@ -229,9 +234,6 @@ def _bits(z: complex) -> bytes:
 @functools.lru_cache(maxsize=None)
 def _bundled_systems():
     """(params, derived map trees, real-map kernel) per bundled scenario."""
-    from clmech.corpus import bundled_corpus
-    from clmech.lagrangian import derive_eom
-
     out = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -275,3 +277,147 @@ class TestFusedKernel:
             fused = compile_expr(trees, ("t", "q", "qd"), params)(t, q, qd)
             assert [_bits(v) for v in fused] == [_bits(v) for v in expected]
             assert [_bits(v) for v in kernel(t, q, qd)] == [_bits(v.real) for v in expected]
+
+
+@functools.lru_cache(maxsize=None)
+def _bundled_kernels():
+    """(name, scalar kernel, array kernel) for each bundled scenario's real
+    maps, variation brackets and Lagrangian."""
+
+    out = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for sc in bundled_corpus():
+            lagr = sc.build_lagrangian()
+            eom = derive_eom(lagr, sc.probe_state(), closure_mass=sc.closure_mass)
+            args = ("t",) + lagr.coords + lagr.vels
+            out += [
+                (f"{sc.name} maps", eom.maps.kernel, eom.maps.lanes),
+                (f"{sc.name} brackets", _bracket_maps(lagr), _bracket_maps(lagr, vectorized=True)),
+                (
+                    f"{sc.name} lagrangian",
+                    compile_expr((lagr.expr,), args, lagr.params),
+                    compile_expr((lagr.expr,), args, lagr.params, vectorized=True),
+                ),
+            ]
+    return out
+
+
+def _ulps(a: complex, b: complex) -> float:
+    """|a - b| in ulps of the larger magnitude (normwise for complex values)."""
+    a, b = complex(a), complex(b)
+    return 0.0 if a == b else abs(a - b) / math.ulp(max(abs(a), abs(b)))
+
+
+STATES = st.lists(st.tuples(finite, finite, finite), min_size=1, max_size=40)
+
+
+def _lanes(samples):
+    return [np.array(column) for column in zip(*samples)]
+
+
+def _where(samples, k: int) -> str:
+    return ", ".join(f"{n}={x!r}" for n, x in zip(("t", "q", "qd"), samples[k]))
+
+
+def _first_scalar_failure(fn, samples):
+    """(lane, message) of the first sample whose scalar call raises DomainError."""
+    for k, sample in enumerate(samples):
+        try:
+            fn(*sample)
+        except DomainError as err:
+            return k, str(err)
+    return None
+
+
+VARIABLES = st.sampled_from([Sym("t"), Sym("q"), Sym("qd")])
+
+
+def _positive_tree_extend(sub):
+    """Trees whose every value is positive, so no step cancels: ln only of
+    2 + x and exp only of tanh(x), which also keeps exp from overflowing."""
+    return st.one_of(
+        st.builds(BinOp, st.sampled_from("+*/"), sub, sub),
+        st.builds(lambda x, c: BinOp("^", x, Const(c)), sub, st.sampled_from([-1.0, 0.5, 1.5, 2.0])),
+        st.builds(lambda x: Call("sqrt", x), sub),
+        st.builds(lambda x: Call("tanh", x), sub),
+        st.builds(lambda x: Call("ln", BinOp("+", Const(2.0), x)), sub),
+        st.builds(lambda x: Call("exp", Call("tanh", x)), sub),
+    )
+
+
+POSITIVE_TREES = st.recursive(
+    VARIABLES | st.floats(0.5, 2.0).map(Const), _positive_tree_extend, max_leaves=6
+)
+POSITIVE_STATES = st.lists(
+    st.tuples(*[st.floats(0.25, 3.0)] * 3), min_size=1, max_size=20
+)
+# few distinct values, zero and negatives among them, so that divisions by
+# zero, logarithms of nonpositive reals and complex square roots all occur
+SMALL = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0])
+DOMAIN_TREES = st.recursive(
+    VARIABLES | SMALL.map(Const),
+    lambda sub: st.builds(BinOp, st.sampled_from("+-*/^"), sub, sub)
+    | st.builds(Call, st.sampled_from(["sqrt", "ln"]), sub),
+    max_leaves=6,
+)
+
+
+class TestArrayKernel:
+    @given(STATES)
+    @settings(max_examples=60, deadline=None)
+    def test_bundled_lanes_match_the_scalar_kernel_bitwise(self, samples):
+        for name, scalar, array in _bundled_kernels():
+            got = array(*_lanes(samples))
+            for k, sample in enumerate(samples):
+                want = scalar(*sample)
+                assert [_bits(v[k]) for v in got] == [_bits(v) for v in want], (name, k)
+
+    @given(POSITIVE_TREES, POSITIVE_STATES)
+    @settings(max_examples=300, deadline=None)
+    def test_generated_trees_agree_within_8_ulp(self, tree, samples):
+        # numpy's tanh differs from libm's by up to 3 ulp and its log from
+        # cmath's by up to 2, and an exponent or a product adds them up
+        args = ("t", "q", "qd")
+        scalar = compile_expr(tree, args)
+        got = np.broadcast_to(compile_expr(tree, args, vectorized=True)(*_lanes(samples)), len(samples))
+        for k, sample in enumerate(samples):
+            assert _ulps(got[k], scalar(*sample)) <= 8, (to_source(tree), sample)
+
+    @given(DOMAIN_TREES, st.lists(st.tuples(SMALL, SMALL, SMALL), min_size=1, max_size=12), st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_raises_exactly_where_a_lane_raises(self, tree, samples, real):
+        args = ("t", "q", "qd")
+        try:
+            failure = _first_scalar_failure(compile_expr((tree,), args, real=real), samples)
+        except OverflowError:
+            assume(False)
+        array = compile_expr((tree,), args, real=real, vectorized=True)
+        if failure is None:
+            array(*_lanes(samples))  # raises nothing
+            return
+        k, message = failure
+        with pytest.raises(DomainError) as caught:
+            array(*_lanes(samples))
+        text = str(caught.value)
+        # the first failing lane, named by its arguments, and the scalar
+        # kernel's reason (the complex value itself may differ by an ulp)
+        assert text.endswith(" at " + _where(samples, k)), (text, k)
+        assert text.split(" took ")[0].split(" at ")[0] == message.split(" took ")[0].split(" at ")[0]
+
+    def test_constant_outputs_broadcast_to_the_lanes(self):
+        fn = compile_expr((Sym("q"), Const(2.0), Const(1j)), ("q",), vectorized=True)
+        q, two, unit = fn(np.array([1.0, 3.0, 5.0]))
+        assert two.tolist() == [2.0, 2.0, 2.0] and unit.tolist() == [1j, 1j, 1j]
+
+    def test_negative_base_goes_complex_in_its_own_lanes(self):
+        fn = compile_expr(parse("q^0.5"), ("q",), vectorized=True)
+        got = fn(np.array([4.0, -4.0, 9.0]))
+        assert got.tolist() == [compile_expr(parse("q^0.5"), ("q",))(x) for x in (4.0, -4.0, 9.0)]
+        assert got.imag.tolist() == [0.0, 2.0, 0.0]
+
+    def test_error_names_the_first_lane_in_sample_order(self):
+        # ln fails at lane 2 and the division, computed first, at lane 3
+        fn = compile_expr(parse("1/(q - 3) + ln(q)"), ("t", "q"), vectorized=True)
+        with pytest.raises(DomainError, match=r"^ln of nonpositive real at t=2.0, q=-1.0$"):
+            fn(np.arange(5.0), np.array([1.0, 2.0, -1.0, 3.0, 4.0]))

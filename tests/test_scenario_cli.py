@@ -3,11 +3,15 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from clmech.cli import main
 from clmech.corpus import CORPUS_DICTS, bundled_corpus, corpus_scenario
+from clmech.dynamics import integrate
+from clmech.lagrangian import MechState, derive_eom
 from clmech.scenario import Scenario, ScenarioError
+from clmech.suites import even_step_config
 
 BASE = {
     "schema_version": 1,
@@ -233,6 +237,24 @@ class TestCliContract:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "closure_mass" in err
 
+    def test_trajectory_leaving_the_lagrangian_domain_exits_2(self, scenario_file, capsys):
+        # the maps (m*qd and -k/q) never evaluate ln, so the run crosses
+        # q = 0; the action along the trajectory must stop there
+        raw = variant(
+            lagrangian="0.5*m*qd^2 - k*ln(q)",
+            initial={"q": [1.0], "qd": [-3.0]},
+            checks=["variation"],
+        )
+        assert main(["check", "all", scenario_file(raw)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: DomainError: ln of nonpositive real at t=")
+        assert err.count("\n") == 1
+        sc = Scenario.from_dict(raw)
+        eom = derive_eom(sc.build_lagrangian(), sc.probe_state())
+        traj = integrate(eom, MechState(0.0, (1.0,), (-3.0,)), even_step_config(sc))
+        k = int(np.flatnonzero(traj.q[:, 0] <= 0.0)[0])
+        assert f" at t={float(traj.t[k])!r}, q={float(traj.q[k, 0])!r}, " in err
+
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 # SHA-256 of `clmech simulate` output for the bundled scenario files, recorded
@@ -254,3 +276,26 @@ def test_simulate_csv_bytes_unchanged(name, tmp_path):
     out = tmp_path / f"{name}.csv"
     assert main(["simulate", str(SCENARIOS / f"{name}.json"), "-o", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SIMULATE_SHA256[name]
+
+
+# SHA-256 of `clmech check all --seed 1` reports for the bundled scenario
+# files, recorded from the per-sample scalar passes that preceded the array
+# kernel and the shared run context
+CHECK_SHA256 = {
+    "classical_oscillator": "fd4dc465c3e731c9f6b29f9d5a06be3ffea5211abfbf2cfcc3f460b087c43944",
+    "damped_oscillator": "a6c4c33bc7ecb6ab8d0a92478785f302d84b04075c353984ab4179fec69e9853",
+    "damped_oscillator_literal": "0e498a8a6a13671d7307bf13e01a6dc0a8df83446274dc4f4c2346aba188c1de",
+    "free_particle": "406f12bf2c706182d201efbf06fd08c697a092f0fafcbd813d5bb6bf9828d8ec",
+    "gauge_pair_imaginary": "b83a92f7c6a47120635e492ca26e892d090aed85127666415fd8e98831b30678",
+    "gauge_pair_oscillator": "115b545f88fa412384ab11ca23713fbc44fce204baad87eac5fd1b5ff090d7b3",
+    "imaginary_ho": "2cd676b77badab6cdb5151fb1edb642790ac9b4e83934557b9a50c3d3fb3dd92",
+    "inverted_oscillator": "7ed3f238f16e151a44e9179ecbede07fbe7fc8b6960f7646ee77c5da2e6f88bf",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_SHA256))
+def test_check_report_bytes_unchanged(name, tmp_path, capsys):
+    out = tmp_path / f"{name}.txt"
+    argv = ["check", "all", str(SCENARIOS / f"{name}.json"), "--seed", "1", "-o", str(out)]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CHECK_SHA256[name]

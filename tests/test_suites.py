@@ -1,5 +1,9 @@
+from pathlib import Path
+
 import pytest
 
+from clmech import suites
+from clmech.cli import main
 from clmech.corpus import bundled_corpus, corpus_scenario
 from clmech.sampling import DEFAULT_SEED
 from clmech.suites import (
@@ -111,3 +115,47 @@ class TestReport:
         res = run_suites(Scenario.from_dict(raw), ("noether",))
         assert not res[0].passed
         assert "RESULT fail" in format_report(res, DEFAULT_SEED)
+
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+class TestRunContext:
+    @staticmethod
+    def _calls(monkeypatch, name: str) -> list:
+        """Record the arguments of each call to clmech.suites.<name>."""
+        calls = []
+        original = getattr(suites, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(suites, name, counted)
+        return calls
+
+    def test_check_all_derives_once_and_shares_one_grid(self, monkeypatch, capsys):
+        derives = self._calls(monkeypatch, "derive_eom")
+        integrations = self._calls(monkeypatch, "integrate")
+        assert main(["check", "all", str(SCENARIOS / "damped_oscillator.json")]) == 0
+        assert len(derives) == 1
+        # variation, noether and hamiltonian all run on the 10 000-step grid
+        assert [cfg.n_steps for _, _, cfg in integrations] == [10_000]
+        out = capsys.readouterr().out
+        for suite in ("variation", "noether", "geometry", "hamiltonian"):
+            assert f"## suite {suite} on scenario damped_oscillator" in out
+
+    def test_each_distinct_grid_is_integrated_once(self, monkeypatch, capsys):
+        integrations = self._calls(monkeypatch, "integrate")
+        assert main(["check", "all", str(SCENARIOS / "imaginary_ho.json")]) == 0
+        # 6 283 steps is odd, so Simpson's variation suite takes 6 284
+        assert sorted(cfg.n_steps for _, _, cfg in integrations) == [6283, 6284]
+
+    def test_derive_warning_is_a_note_of_every_suite(self, monkeypatch):
+        derives = self._calls(monkeypatch, "derive_eom")
+        sc = corpus_scenario("damped_oscillator_literal")
+        results = run_suites(sc, sc.checks)
+        assert len(derives) == 1
+        assert [res.suite for res in results] == ["noether", "geometry"]
+        for res in results:
+            assert any("closure flow violates" in note for note in res.notes)
