@@ -11,10 +11,10 @@ from clmech.corpus import bundled_corpus
 OUT = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 
-def main() -> None:
-    OUT.mkdir(exist_ok=True)
+def main(out: pathlib.Path = OUT) -> None:
+    out.mkdir(exist_ok=True)
     for sc in bundled_corpus():
-        path = OUT / f"{sc.name}.json"
+        path = out / f"{sc.name}.json"
         path.write_text(json.dumps(sc.to_dict(), indent=2) + "\n", encoding="utf-8")
         print(f"wrote {path}")
 

@@ -24,18 +24,20 @@ import numpy as np
 from .exprcore import lane_blocks
 from .lagrangian import (
     DEGENERATE,
+    ClosureInconsistent,
     EomSystem,
     MechState,
     _accel,
-    _closure_velocity,
     _dot,
     _solve_scalar,
+    _solve_velocity,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
     from .hamiltonian import HamiltonianField, PhaseState
 
 BLOWUP_LIMIT = 1e12
+MAX_STEPS = 10_000_000
 
 SECOND_ORDER = "second-order"
 CLOSURE = "closure"
@@ -48,7 +50,7 @@ class StepBlowUp(Exception):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Fixed-step RK4 plan over [t_start, t_end].
+    """Fixed-step RK4 plan over [t_start, t_end], at most MAX_STEPS steps.
 
     t_end < t_start integrates backward (the step is negated internally).
     """
@@ -56,18 +58,14 @@ class IntegratorConfig:
     h: float
     t_start: float
     t_end: float
-    max_steps: int = 10_000_000
-    method: str = "rk4"
 
     def __post_init__(self) -> None:
-        if self.method != "rk4":
-            raise ValueError(f"unsupported method '{self.method}'")
         if not self.h > 0:
             raise ValueError("h must be positive")
         if self.t_end == self.t_start:
             raise ValueError("t_end must differ from t_start")
-        if abs(self.t_end - self.t_start) / self.h > self.max_steps:
-            raise ValueError("plan exceeds max_steps")
+        if abs(self.t_end - self.t_start) / self.h > MAX_STEPS:
+            raise ValueError(f"plan exceeds {MAX_STEPS} steps")
 
     @property
     def n_steps(self) -> int:
@@ -242,9 +240,14 @@ def _integrate_closure(
     t_grid, dt, n = _grid(cfg)
     maps = eom.maps
     mass = eom.closure_mass
+    zero = (0.0,) * eom.dim
+
+    def solve(t: float, q: list[float], guess: list[float]) -> tuple[list[float], list[float]]:
+        """qd with f = mass*qd, and p = f there."""
+        return _solve_velocity(maps, t, q, zero, mass, guess, ClosureInconsistent)
 
     def vel(t: float, q: list[float], guess: list[float]) -> list[float]:
-        return _closure_velocity(maps, mass, t, q, guess)
+        return solve(t, q, guess)[0]
 
     q = list(init.q)
     guess = list(init.qd)
@@ -252,9 +255,8 @@ def _integrate_closure(
     for k in range(n + 1):
         t = float(t_grid[k])
         _check_finite(q, t)
-        qd = vel(t, q, guess)
+        qd, p = solve(t, q, guess)
         guess = qd
-        p = maps(t, q, qd)[0]
         q_out[k], qd_out[k], p_out[k] = q, qd, p
         res_out[k] = max(_closure_terms(p, mass, qd))
         if k < n:
@@ -278,10 +280,10 @@ def integrate_hamiltonian(
     for k in range(n + 1):
         t = float(t_grid[k])
         _check_finite((q, p), t)
-        qd, r = field._invert(t, q, p, guess)
+        qd, f = field._invert(t, q, p, guess)
         guess = qd
         q_out[k], qd_out[k], p_out[k] = q, qd, p
-        res_out[k] = abs(r)  # |p - f(q, qd, t)|
+        res_out[k] = abs(f - p)
         if k < n:
             # stage 1 is at the sample itself, where qd is already inverted
             k1q, k1p = field._flow_at(t, q, p, qd)

@@ -191,16 +191,17 @@ def eom_equivalent(
         tail_vec = np.array(v[2 * n * n + n :])
 
         needs_accel = np.abs(c_mat).max() > 1e-14 * max(1.0, np.abs(d_mat).max())
+        a1 = None  # the first system's acceleration, once computed
         if needs_accel:
             if eom1 is None or not eom1.is_regular:
                 n_skipped += 1
                 continue
             try:
-                qdd = np.array(_accel(eom1.maps, s.t, s.q, s.qd)[0])
+                a1 = _accel(eom1.maps, s.t, s.q, s.qd)[0]
             except SingularMass:
                 n_skipped += 1
                 continue
-            accel_term = c_mat @ qdd
+            accel_term = c_mat @ np.array(a1)
         else:
             accel_term = np.zeros(n)
 
@@ -211,7 +212,8 @@ def eom_equivalent(
 
         if eom1 is not None and eom2 is not None and eom1.is_regular and eom2.is_regular:
             try:
-                a1 = _accel(eom1.maps, s.t, s.q, s.qd)[0]
+                if a1 is None:
+                    a1 = _accel(eom1.maps, s.t, s.q, s.qd)[0]
                 a2 = _accel(eom2.maps, s.t, s.q, s.qd)[0]
             except SingularMass:
                 pass

@@ -294,6 +294,8 @@ def _domain_pow(a: complex, b: complex) -> complex:
         return a**b
     except ZeroDivisionError:
         raise DomainError("zero raised to a negative power") from None
+    except OverflowError:
+        raise DomainError("power overflowed") from None
     except ValueError:
         # negative real base with fractional exponent: principal complex branch
         return complex(a) ** complex(b)
@@ -305,22 +307,18 @@ def _domain_div(a: complex, b: complex) -> complex:
     return a / b
 
 
+_CMATH = dict(sin=cmath.sin, cos=cmath.cos, exp=cmath.exp, tanh=cmath.tanh, sqrt=cmath.sqrt, ln=cmath.log)
+
+
 def _apply_call(fn: str, z: complex) -> complex:
-    if fn == "sin":
-        return cmath.sin(z)
-    if fn == "cos":
-        return cmath.cos(z)
-    if fn == "exp":
-        return cmath.exp(z)
-    if fn == "tanh":
-        return cmath.tanh(z)
-    if fn == "sqrt":
-        return cmath.sqrt(z)
-    if fn == "ln":
-        if z.imag == 0 and z.real <= 0:
-            raise DomainError("ln of nonpositive real")
-        return cmath.log(z)
-    raise UnknownFunction(fn)
+    if fn not in _CMATH:
+        raise UnknownFunction(fn)
+    if fn == "ln" and z.imag == 0 and z.real <= 0:
+        raise DomainError("ln of nonpositive real")
+    try:
+        return _CMATH[fn](z)
+    except OverflowError:
+        raise DomainError(f"{fn} overflowed") from None
 
 
 def evaluate(e: Expr, bindings: Bindings) -> complex:
@@ -745,12 +743,24 @@ def _lanes_div(a, b):
 _py_pow = np.frompyfunc(operator.pow, 2, 1)
 
 
+def _overflowing_lane(a, b) -> int:
+    """The first lane whose Python power overflows."""
+    for lane, (x, y) in enumerate(np.broadcast(a, b)):
+        try:
+            x.item() ** y.item()
+        except OverflowError:
+            return lane
+
+
 def _lanes_pow(a, b):
     # Python's complex power raises for zero to a complex power as well
     zero = (a == 0) & ((np.real(b) < 0) | (np.imag(b) != 0))
     if np.any(zero):
         raise _lane_error(zero, "zero raised to a negative power")
-    out = _py_pow(a, b)
+    try:
+        out = _py_pow(a, b)
+    except OverflowError:
+        raise _LaneError(_overflowing_lane(a, b), "power overflowed") from None
     # a negative float base with a fractional exponent gives a complex in
     # its own lanes only; the array takes the common type
     return np.array(out.tolist()) if isinstance(out, np.ndarray) else out
@@ -773,8 +783,9 @@ def _lanes_call(fn: str, z):
         return np.where(z < 0, root * 1j, root) if np.any(z < 0) else root
     out = _UFUNCS[fn](z)
     # cmath raises where a finite argument overflows (exp, sin and cos)
-    if not np.all(np.isfinite(out) | ~np.isfinite(z)):
-        raise OverflowError("math range error")
+    overflow = ~np.isfinite(out) & np.isfinite(z)
+    if np.any(overflow):
+        raise _lane_error(overflow, f"{fn} overflowed")
     return out
 
 

@@ -35,10 +35,7 @@ import math
 from dataclasses import dataclass, field
 
 from .exprcore import compile_expr, diff, evaluate
-from .lagrangian import ComplexLagrangian, EomSystem, MechState
-
-NEWTON_TOL = 1e-12
-NEWTON_MAX_ITER = 50
+from .lagrangian import ComplexLagrangian, EomSystem, MechState, _solve_velocity_scalar
 
 
 class InversionFailure(Exception):
@@ -71,7 +68,8 @@ class PhaseState:
 
 @dataclass(frozen=True, eq=False)
 class HamiltonianField:
-    """Compiled phase-space field for a regular single-coordinate system."""
+    """Compiled phase-space field for a regular single-coordinate system;
+    it inverts p = f with the derived maps' Newton (closure mass 0)."""
 
     lagr: ComplexLagrangian
     eom: EomSystem
@@ -85,66 +83,31 @@ class HamiltonianField:
         if self.kappa0 == 0 or not math.isfinite(self.kappa0):
             raise ValueError("kappa0 must be a nonzero finite real")
         L, M = self.lagr.L_expr, self.lagr.M_expr
-        f_qd = self.eom.A[0][0]
-        args = ("t", "q", "qd")
-        params = self.lagr.params
-        # (f, df/dqd) for the Newton inversion; the partials for the gradients
-        newton = compile_expr((self.eom.f[0], f_qd), args, params, real=True)
-        partials = (self.eom.f_q[0][0], f_qd)
+        partials = (self.eom.f_q[0][0], self.eom.A[0][0])
         partials += tuple(diff(e, x) for e in (L, M) for x in ("q", "qd"))
-        object.__setattr__(self, "_newton", newton)
-        object.__setattr__(self, "_grads", compile_expr(partials, args, params, real=True))
+        grads = compile_expr(partials, ("t", "q", "qd"), self.lagr.params, real=True)
+        object.__setattr__(self, "_grads", grads)
+        object.__setattr__(self, "_newton", self.eom.maps.newton)  # (f, df/dqd)
 
     def momentum(self, t: float, q: float, qd: float) -> float:
         return self._newton(t, q, qd)[0]
 
     def invert(self, t: float, q: float, p: float, guess: float = 0.0) -> float:
         """Solve p = f(q, qd, t) for qd by damped Newton from `guess`."""
-        return self._invert(t, q, p, guess)[0]
+        # not through `_invert`: this runs at every RK4 stage of the flow
+        return _solve_velocity_scalar(self._newton, t, q, p, 0.0, float(guess), InversionFailure)[0]
 
     def _invert(self, t: float, q: float, p: float, guess: float) -> tuple[float, float]:
-        """(qd, f(q, qd, t) - p) at the converged qd."""
-        newton = self._newton
-        qd = float(guess)
-        f, slope = newton(t, q, qd)
-        r = f - p
-        for _ in range(NEWTON_MAX_ITER):
-            if abs(r) <= NEWTON_TOL * (1.0 + abs(p)):
-                return qd, r
-            if slope == 0.0:
-                raise InversionFailure(
-                    f"df/dqd vanished at qd={qd!r} (t={t!r}, q={q!r})"
-                )
-            step = r / slope
-            lam = 1.0
-            for _ in range(25):
-                trial = qd - lam * step
-                f, slope_trial = newton(t, q, trial)
-                r_trial = f - p
-                if abs(r_trial) < abs(r):
-                    qd, r, slope = trial, r_trial, slope_trial
-                    break
-                lam *= 0.5
-            else:
-                raise InversionFailure(
-                    f"Newton stalled at residual {r!r} (t={t!r}, q={q!r}, p={p!r})"
-                )
-        raise InversionFailure(
-            f"no convergence after {NEWTON_MAX_ITER} iterations, residual {r!r}"
-        )
+        """(qd, f(q, qd, t)) at the converged qd."""
+        return _solve_velocity_scalar(self._newton, t, q, p, 0.0, float(guess), InversionFailure)
 
-    def _derivatives(self, t: float, q: float, qd: float) -> list[float]:
-        """[dqd/dq, dqd/dp, dL/dq, dL/dqd, dM/dq, dM/dqd]; the first two from
+    def _derivatives(self, t: float, q: float, qd: float) -> tuple[float, ...]:
+        """(dqd/dq, dqd/dp, dL/dq, dL/dqd, dM/dq, dM/dqd); the first two from
         the implicit-function theorem."""
-        f_q, slope, *rest = self._grads(t, q, qd)
+        f_q, slope, l_q, l_qd, m_q, m_qd = self._grads(t, q, qd)
         if slope == 0.0:
             raise DegenerateJacobian(f"df/dqd = 0 at (t={t!r}, q={q!r}, qd={qd!r})")
-        return [-f_q / slope, 1.0 / slope, *rest]
-
-    def _partials(self, t: float, q: float, qd: float) -> tuple[float, float]:
-        """(dqd/dq, dqd/dp) from the implicit-function theorem."""
-        qd_q, qd_p = self._derivatives(t, q, qd)[:2]
-        return qd_q, qd_p
+        return -f_q / slope, 1.0 / slope, l_q, l_qd, m_q, m_qd
 
     def hamiltonian(self, t: float, q: float, p: float, guess: float = 0.0) -> float:
         qd = self.invert(t, q, p, guess)

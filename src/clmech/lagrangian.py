@@ -13,7 +13,9 @@ A_ab = df_a/dqd_b; if A is invertible the system is second-order (regular),
 with qdd solving A qdd = g - (df/dq) qd - df/dt. If A is singular the system
 is closed to first order by the point-particle identification f = m_c * qd,
 solved for qd by damped Newton iteration (closure mass m_c is user-supplied
-per coordinate; its sign selects the branch of the flow).
+per coordinate; its sign selects the branch of the flow). The same Newton,
+with m_c = 0 and a given p, inverts the momentum map for the phase-space
+form (`hamiltonian`).
 """
 
 from __future__ import annotations
@@ -42,6 +44,10 @@ from .exprcore import (
 
 REGULAR = "regular"
 DEGENERATE = "degenerate"
+
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 50
+NEWTON_HALVINGS = 25
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -154,6 +160,11 @@ class ComplexLagrangian:
     def M_expr(self) -> Expr:
         return im_part(self.expr)
 
+    @cached_property
+    def maps(self) -> _Maps:
+        """The derived maps f, g, A, f_q, f_t and their kernels."""
+        return _Maps(self)
+
     def bindings(self, s: MechState) -> dict[str, float]:
         b = dict(self.params)
         b["t"] = s.t
@@ -168,31 +179,57 @@ class ComplexLagrangian:
 
 
 class _Maps:
-    """The derived maps as one kernel over the arguments (t, *q, *qd).
+    """The derived maps of a Lagrangian, as trees and as compiled kernels.
 
-    The kernel returns f (n), g (n), A (n*n, row-major), f_q (n*n) and f_t (n)
-    as one flat tuple of floats, computing shared subexpressions once. The
-    maps are Re/Im parts of the Lagrangian's derivatives, so inside the
-    domain their imaginary parts are exactly zero (conjugate trees evaluate
-    to bitwise conjugates); the kernel raises DomainError on a nonzero one,
-    e.g. from sqrt of a negative coordinate. It is compiled on first use, so
-    a derive that only classifies never compiles it.
+        f_a = dL/dqd_a + (1/omega0) dM/dq_a     g_a = dL/dq_a - omega0 dM/dqd_a
+        A_ab = df_a/dqd_b    f_q[a][b] = df_a/dq_b    f_t[a] = df_a/dt
 
-    `lanes` is the same kernel over arrays of samples (`compile_expr`'s
-    `vectorized` mode), for passes over whole trajectories.
+    Each kernel takes the arguments (t, *q, *qd) and returns its maps as one
+    flat tuple of floats (matrices row-major), computing shared
+    subexpressions once: `kernel` returns (f, g, A, f_q, f_t) and `newton`
+    (f, A), all the velocity solve needs. The maps are Re/Im parts of the
+    Lagrangian's derivatives, so inside the domain their imaginary parts are
+    exactly zero (conjugate trees evaluate to bitwise conjugates); a kernel
+    raises DomainError on a nonzero one, e.g. from sqrt of a negative
+    coordinate. Kernels are compiled on first use, so a derive that only
+    classifies never compiles one.
+
+    `lanes` is `kernel` over arrays of samples (`compile_expr`'s `vectorized`
+    mode), for passes over whole trajectories.
     """
 
-    def __init__(self, lagr: ComplexLagrangian, trees: tuple[Expr, ...]) -> None:
-        self.dim = lagr.dim
-        self._source = (trees, ("t",) + lagr.coords + lagr.vels, lagr.params)
+    def __init__(self, lagr: ComplexLagrangian) -> None:
+        n = lagr.dim
+        L, M = lagr.L_expr, lagr.M_expr
+        inv_w0, w0 = Const(1.0 / lagr.omega0), Const(lagr.omega0)
+        coords, vels = lagr.coords, lagr.vels
+        self.dim = n
+        self.f = tuple(simplify(diff(L, vels[a]) + inv_w0 * diff(M, coords[a])) for a in range(n))
+        self.g = tuple(simplify(diff(L, coords[a]) - w0 * diff(M, vels[a])) for a in range(n))
+        self.A = tuple(tuple(diff(self.f[a], vels[b]) for b in range(n)) for a in range(n))
+        self.f_q = tuple(tuple(diff(self.f[a], coords[b]) for b in range(n)) for a in range(n))
+        self.f_t = tuple(diff(self.f[a], "t") for a in range(n))
+        self._args = ("t",) + coords + vels
+        self._params = lagr.params
+
+    def _compile(self, trees: tuple[Expr, ...], vectorized: bool = False) -> Callable:
+        return compile_expr(trees, self._args, self._params, real=True, vectorized=vectorized)
+
+    @property
+    def _all(self) -> tuple[Expr, ...]:
+        return self.f + self.g + sum(self.A, ()) + sum(self.f_q, ()) + self.f_t
 
     @cached_property
     def kernel(self) -> Callable[..., tuple[float, ...]]:
-        return compile_expr(*self._source, real=True)
+        return self._compile(self._all)
 
     @cached_property
     def lanes(self) -> Callable[..., tuple[np.ndarray, ...]]:
-        return compile_expr(*self._source, real=True, vectorized=True)
+        return self._compile(self._all, vectorized=True)
+
+    @cached_property
+    def newton(self) -> Callable[..., tuple[float, ...]]:
+        return self._compile(self.f + sum(self.A, ()))
 
     def split(self, v: Sequence):
         """(f, g, A, f_q, f_t) from the kernel's flat values; matrices as rows."""
@@ -310,73 +347,112 @@ def _solve_scalar(a: float, b: float) -> float:
     return x
 
 
-def _closure_velocity(
-    maps: _Maps,
-    mass: Sequence[float],
-    t: float,
-    q: Sequence[float],
-    guess: Sequence[float],
-    tol: float = 1e-12,
-    max_iter: int = 50,
-) -> list[float]:
-    """Solve f(q, qd, t) = mass * qd for qd by damped Newton iteration."""
-    n = len(mass)
-    kernel = maps.kernel
+def _solve_velocity(
+    maps: _Maps, t: float, q: Sequence, p: Sequence, mass: Sequence, guess: Sequence, error: type
+) -> tuple[list[float], list[float]]:
+    """(qd, f(t, q, qd)) with f(t, q, qd) = p + mass*qd, by damped Newton.
+
+    The closure is p = 0; the inversion of the momentum map is mass = 0.
+    From `guess`, each step solves (A - diag(mass)) d = f - p - mass*qd and
+    halves d until the residual's max-norm falls (at most NEWTON_HALVINGS
+    times); the solve has converged when that norm is at most NEWTON_TOL
+    times 1 + max|p + mass*qd|. A singular Jacobian, a stalled line search
+    or NEWTON_MAX_ITER steps without convergence raise `error`. One
+    coordinate runs `_solve_velocity_scalar` on floats.
+    """
+    if maps.dim == 1:
+        qd, f = _solve_velocity_scalar(maps.newton, t, q[0], p[0], mass[0], float(guess[0]), error)
+        return [qd], [f]
+    n = maps.dim
+    newton = maps.newton
 
     def at(v: list[float]):
-        """The residual f - mass*v and the row-major A at v."""
-        vals = kernel(t, *q, *v)
-        return [vals[a] - mass[a] * v[a] for a in range(n)], vals[2 * n : n * (n + 2)]
+        """f, the residual f - p - mass*v and the row-major A at v."""
+        vals = newton(t, *q, *v)
+        return vals[:n], [vals[a] - (p[a] + mass[a] * v[a]) for a in range(n)], vals[n:]
 
     qd = [float(v) for v in guess]
-    r, A = at(qd)
+    f, r, A = at(qd)
     norm = max(map(abs, r))
-    for _ in range(max_iter):
-        if norm <= tol * (1.0 + max(abs(m * v) for m, v in zip(mass, qd))):
-            return qd
+    for _ in range(NEWTON_MAX_ITER):
+        if norm <= NEWTON_TOL * (1.0 + max(abs(pa + m * v) for pa, m, v in zip(p, mass, qd))):
+            return qd, list(f)
         jac = [[A[a * n + b] - (mass[a] if a == b else 0.0) for b in range(n)] for a in range(n)]
         try:
             step = solve_linear(jac, r)
         except SingularMass as err:
-            raise ClosureInconsistent(
-                f"Newton Jacobian singular at t={t!r}: {err}"
-            ) from err
+            raise error(f"Newton Jacobian singular at t={t!r}: {err}") from err
         lam = 1.0
-        for _ in range(25):
+        for _ in range(NEWTON_HALVINGS):
             trial = [v - lam * d for v, d in zip(qd, step)]
-            r_trial, A_trial = at(trial)
+            f_trial, r_trial, A_trial = at(trial)
             norm_trial = max(map(abs, r_trial))
             if norm_trial < norm:
-                qd, r, A, norm = trial, r_trial, A_trial, norm_trial
+                qd, f, r, A, norm = trial, f_trial, r_trial, A_trial, norm_trial
                 break
             lam *= 0.5
         else:
-            raise ClosureInconsistent(
-                f"Newton stalled at residual {norm!r} (t={t!r}, q={list(q)!r})"
-            )
-    raise ClosureInconsistent(
-        f"no convergence after {max_iter} iterations, residual {norm!r}"
-    )
+            raise error(f"Newton stalled at residual {norm!r} (t={t!r}, q={list(q)!r}, p={list(p)!r})")
+    raise error(f"no convergence after {NEWTON_MAX_ITER} iterations, residual {norm!r}")
+
+
+def _solve_velocity_scalar(
+    newton: Callable, t: float, q: float, p: float, m: float, qd: float, error: type
+) -> tuple[float, float]:
+    """`_solve_velocity` at one coordinate on plain floats, from the guess qd;
+    `newton` is the (f, A) kernel. The iterates are the list loop's."""
+    f, a = newton(t, q, qd)
+    goal = p + m * qd
+    r = f - goal
+    for _ in range(NEWTON_MAX_ITER):
+        if abs(r) <= NEWTON_TOL * (1.0 + abs(goal)):
+            return qd, f
+        slope = a - m
+        if slope == 0.0:  # the pivot test of solve_linear at one coordinate
+            raise error(f"Newton Jacobian singular at t={t!r}: df/dqd - m vanished at qd={qd!r}")
+        step = r / slope
+        lam = 1.0
+        for _ in range(NEWTON_HALVINGS):
+            trial = qd - lam * step
+            f_trial, a_trial = newton(t, q, trial)
+            goal_trial = p + m * trial
+            r_trial = f_trial - goal_trial
+            if abs(r_trial) < abs(r):
+                qd, f, a, r, goal = trial, f_trial, a_trial, r_trial, goal_trial
+                break
+            lam *= 0.5
+        else:
+            raise error(f"Newton stalled at residual {abs(r)!r} (t={t!r}, q={q!r}, p={p!r})")
+    raise error(f"no convergence after {NEWTON_MAX_ITER} iterations, residual {abs(r)!r}")
 
 
 def _closure_consistency(
-    maps: _Maps, mass: Sequence[float], probe: MechState
+    lagr: ComplexLagrangian, mass: Sequence[float], probe: MechState
 ) -> float:
     """Relative residual of m*qdd = g along the closure flow at the probe.
 
     The closure u = m*wd implies both p = m*qd (solved) and pd = m*qdd; the
     latter must agree with the force map for the first-order flow to satisfy
-    the Euler-Lagrange compatibility condition.
+    the Euler-Lagrange compatibility condition. The force map is read once,
+    through the tree evaluator, so only the Newton kernel is compiled.
     """
+    maps = lagr.maps
+    zero = (0.0,) * lagr.dim
+
+    def solve(t: float, q: Sequence[float], guess: Sequence[float]) -> list[float]:
+        return _solve_velocity(maps, t, q, zero, mass, guess, ClosureInconsistent)[0]
+
     t, q = probe.t, probe.q
-    qd = _closure_velocity(maps, mass, t, q, probe.qd)
+    qd = solve(t, q, probe.qd)
     delta = 1e-6 * (1.0 + max(map(abs, qd)))
-    q_plus = [x + delta * v for x, v in zip(q, qd)]
-    q_minus = [x - delta * v for x, v in zip(q, qd)]
-    qd_plus = _closure_velocity(maps, mass, t + delta, q_plus, qd)
-    qd_minus = _closure_velocity(maps, mass, t - delta, q_minus, qd)
+    qd_plus = solve(t + delta, [x + delta * v for x, v in zip(q, qd)], qd)
+    qd_minus = solve(t - delta, [x - delta * v for x, v in zip(q, qd)], qd)
     qdd = [(a - b) / (2.0 * delta) for a, b in zip(qd_plus, qd_minus)]
-    g = maps(t, q, qd)[1]
+    at = lagr.bindings(MechState(t, q, qd))
+    g = [evaluate(e, at) for e in maps.g]
+    if any(v.imag for v in g):
+        raise DomainError(f"force map {g!r} is not real at the probe")
+    g = [v.real for v in g]
     worst = max(abs(m * a - b) for m, a, b in zip(mass, qdd, g))
     return worst / max(1.0, max(map(abs, g)))
 
@@ -387,7 +463,7 @@ def derive_eom(
     closure_mass: Sequence[float] | None = None,
     eps_reg: float = 1e-10,
 ) -> EomSystem:
-    """Build f, g, A symbolically and classify the system at the probe state.
+    """Classify the Lagrangian's derived maps (`lagr.maps`) at the probe state.
 
     Regular iff |det A(probe)| > eps_reg scaled by the largest |A| entry.
     Degenerate systems require a closure mass (any nonzero real per
@@ -398,23 +474,9 @@ def derive_eom(
     n = lagr.dim
     if len(probe.q) != n:
         raise ValueError(f"probe has {len(probe.q)} coordinates, expected {n}")
-    L, M = lagr.L_expr, lagr.M_expr
-    inv_w0 = Const(1.0 / lagr.omega0)
-    w0 = Const(lagr.omega0)
-    coords, vels = lagr.coords, lagr.vels
-    f = tuple(
-        simplify(diff(L, vels[a]) + inv_w0 * diff(M, coords[a])) for a in range(n)
-    )
-    g = tuple(
-        simplify(diff(L, coords[a]) - w0 * diff(M, vels[a])) for a in range(n)
-    )
-    A = tuple(tuple(diff(f[a], vels[b]) for b in range(n)) for a in range(n))
-    f_q = tuple(tuple(diff(f[a], coords[b]) for b in range(n)) for a in range(n))
-    f_t = tuple(diff(f[a], "t") for a in range(n))
-    maps = _Maps(lagr, f + g + sum(A, ()) + sum(f_q, ()) + f_t)
-
+    maps = lagr.maps
     at_probe = lagr.bindings(probe)
-    a_probe = [[evaluate(e, at_probe) for e in row] for row in A]
+    a_probe = [[evaluate(e, at_probe) for e in row] for row in maps.A]
     if any(v.imag for row in a_probe for v in row):
         raise DomainError(f"mass matrix {a_probe!r} is not real at the probe")
     a_probe = [[v.real for v in row] for row in a_probe]
@@ -422,55 +484,32 @@ def derive_eom(
     _, det = _eliminate(a_probe, [0.0] * n)
     regular = scale > 0.0 and abs(det) > eps_reg * scale
 
-    if regular:
-        if closure_mass is not None:
-            raise UnneededClosureMass(
-                "closure mass supplied but the system is regular at the probe"
+    mass = consistency = None
+    if regular and closure_mass is not None:
+        raise UnneededClosureMass("closure mass supplied but the system is regular at the probe")
+    if not regular:
+        if closure_mass is None:
+            raise DegenerateWithoutClosure(
+                "mass matrix is singular at the probe; supply a closure mass"
             )
-        return EomSystem(
-            lagrangian=lagr,
-            f=f,
-            g=g,
-            A=A,
-            f_q=f_q,
-            f_t=f_t,
-            classification=REGULAR,
-            closure_mass=None,
-            probe=probe,
-            closure_consistency=None,
-            maps=maps,
-        )
-
-    if closure_mass is None:
-        raise DegenerateWithoutClosure(
-            "mass matrix is singular at the probe; supply a closure mass"
-        )
-    mass = tuple(float(m) for m in closure_mass)
-    if len(mass) != n:
-        raise ValueError(f"closure_mass has length {len(mass)}, expected {n}")
-    if any(m == 0.0 or not math.isfinite(m) for m in mass):
-        raise ValueError("closure_mass entries must be nonzero finite reals")
-    consistency = _closure_consistency(maps, mass, probe)
-    if consistency > 1e-9:
-        warnings.warn(
-            f"closure flow violates d(f)/dt = g by {consistency:.3g} relative "
-            "(the Lagrangian's parameters do not satisfy the constraint the "
-            "closure imposes)",
-            ClosureConsistencyWarning,
-            stacklevel=2,
-        )
+        mass = tuple(float(m) for m in closure_mass)
+        if len(mass) != n:
+            raise ValueError(f"closure_mass has length {len(mass)}, expected {n}")
+        if any(m == 0.0 or not math.isfinite(m) for m in mass):
+            raise ValueError("closure_mass entries must be nonzero finite reals")
+        consistency = _closure_consistency(lagr, mass, probe)
+        if consistency > 1e-9:
+            warnings.warn(
+                f"closure flow violates d(f)/dt = g by {consistency:.3g} relative "
+                "(the Lagrangian's parameters do not satisfy the constraint the "
+                "closure imposes)",
+                ClosureConsistencyWarning,
+                stacklevel=2,
+            )
     return EomSystem(
-        lagrangian=lagr,
-        f=f,
-        g=g,
-        A=A,
-        f_q=f_q,
-        f_t=f_t,
-        classification=DEGENERATE,
-        closure_mass=mass,
-        probe=probe,
-        closure_consistency=consistency,
-        maps=maps,
+        lagrangian=lagr, f=maps.f, g=maps.g, A=maps.A, f_q=maps.f_q, f_t=maps.f_t,
+        classification=REGULAR if regular else DEGENERATE, closure_mass=mass, probe=probe,
+        closure_consistency=consistency, maps=maps,
     )
 
 
@@ -505,7 +544,9 @@ def closure_velocity(eom: EomSystem, t: float, q, guess=None) -> np.ndarray:
         raise ValueError("closure_velocity requires a degenerate system with a mass")
     if guess is None:
         guess = eom.probe.qd
-    return np.array(_closure_velocity(eom.maps, eom.closure_mass, t, q, guess))
+    zero = (0.0,) * eom.dim
+    qd, _ = _solve_velocity(eom.maps, t, q, zero, eom.closure_mass, guess, ClosureInconsistent)
+    return np.array(qd)
 
 
 def wirtinger(lagr: ComplexLagrangian, s: MechState, a: int = 0) -> complex:

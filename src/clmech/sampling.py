@@ -101,18 +101,3 @@ def sample_states(
         states.append(MechState(t, q, qd))
     return states
 
-
-def sample_bindings(
-    names: tuple[str, ...],
-    n: int,
-    seed: int = DEFAULT_SEED,
-    box: tuple[float, float] = (-2.0, 2.0),
-) -> list[dict[str, float]]:
-    """n Latin-hypercube bindings over the named axes, each in box."""
-    rng = Lcg(seed)
-    unit = latin_hypercube(n, len(names), rng)
-    lo, hi = box
-    return [
-        {name: lo + (hi - lo) * row[k] for k, name in enumerate(names)}
-        for row in unit
-    ]

@@ -495,7 +495,7 @@ def hamiltonian_suite(
                 kappa_worst, abs(fl[0] - flows[0][0]), abs(fl[1] - flows[0][1])
             )
         qd = field_.invert(t, q, p)
-        qd_q, qd_p = field_._partials(t, q, qd)
+        qd_q, qd_p = field_._derivatives(t, q, qd)[:2]
         delta = 1e-6 * (1.0 + abs(q) + abs(p))
         fd_p = (field_.invert(t, q, p + delta, qd) - field_.invert(t, q, p - delta, qd)) / (2 * delta)
         fd_q = (field_.invert(t, q + delta, p, qd) - field_.invert(t, q - delta, p, qd)) / (2 * delta)

@@ -5,12 +5,15 @@ The action is S = integral of eval(Lagr) over a uniformly sampled trajectory
 (eps*eta, eps*etad) is integrated from the component expansion
 
     Re dLagr = (dL/dq - omega0 dM/dqd) dq + (dL/dqd + (1/omega0) dM/dq) dqd
+             = g dq + f dqd
     Im dLagr = (dM/dq + omega0 dL/dqd) dq + (dM/dqd - (1/omega0) dL/dq) dqd
+             = omega0 f dq - (g/omega0) dqd
 
-whose real bracket, integrated by parts, is exactly the generalized
+with f and g the momentum and force maps (`ComplexLagrangian.maps`). The
+real bracket, integrated by parts, is exactly the generalized
 Euler-Lagrange residual times dq: Re dS vanishes to first order on solutions
 (stationarity), so |Re dS| scales as eps^2 there and as eps off solutions.
-The bracket coefficients are evaluated at the perturbed configuration
+The maps are evaluated at the perturbed configuration
 (q + dq, qd + dqd); evaluating them on the base path instead would make the
 first-order quadrature identically zero on solutions and destroy the eps^2
 signature the slope test relies on.
@@ -31,7 +34,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dynamics import Trajectory
-from .exprcore import Const, compile_expr, diff, lane_blocks
+# perfbench's tracer wraps `compile_expr` and `diff` by name in this module,
+# so `diff` stays bound although nothing here calls it
+from .exprcore import compile_expr, diff, lane_blocks  # noqa: F401
 from .lagrangian import ComplexLagrangian, EomSystem, MechState, momentum
 
 
@@ -101,30 +106,13 @@ class VariationField:
         return rate * np.cos(self.mode * math.pi * s)
 
 
-def _bracket_maps(lagr: ComplexLagrangian, vectorized: bool = False):
-    """One kernel returning the coefficients gR, fR, gI, fI, n of each, in that order."""
-    L, M = lagr.L_expr, lagr.M_expr
-    w0 = Const(lagr.omega0)
-    inv_w0 = Const(1.0 / lagr.omega0)
-    cq, cv = lagr.coords, lagr.vels
-    n = lagr.dim
-    trees = (
-        [diff(L, cq[a]) - w0 * diff(M, cv[a]) for a in range(n)]
-        + [diff(L, cv[a]) + inv_w0 * diff(M, cq[a]) for a in range(n)]
-        + [diff(M, cq[a]) + w0 * diff(L, cv[a]) for a in range(n)]
-        + [diff(M, cv[a]) - inv_w0 * diff(L, cq[a]) for a in range(n)]
-    )
-    return compile_expr(tuple(trees), ("t",) + cq + cv, lagr.params, vectorized=vectorized)
-
-
-def _expanded(coeffs: Sequence, dq: Sequence, dqd: Sequence) -> tuple:
-    """Re and Im dLagr from the bracket coefficients, at one state or lane-wise."""
-    n = len(dq)
+def _expanded(w0: float, f: Sequence, g: Sequence, dq: Sequence, dqd: Sequence) -> tuple:
+    """Re and Im dLagr from the maps f and g, at one state or lane-wise."""
     re_acc = 0.0
     im_acc = 0.0
-    for a in range(n):
-        re_acc += (coeffs[a] * dq[a] + coeffs[n + a] * dqd[a]).real
-        im_acc += (coeffs[2 * n + a] * dq[a] + coeffs[3 * n + a] * dqd[a]).real
+    for a in range(len(dq)):
+        re_acc += g[a] * dq[a] + f[a] * dqd[a]
+        im_acc += w0 * f[a] * dq[a] - g[a] / w0 * dqd[a]
     return re_acc, im_acc
 
 
@@ -137,7 +125,7 @@ def first_variation(
     otherwise; the caller fits the log-log slope over a ladder of amplitudes.
     """
     h = _uniform_h(traj)
-    brackets = _bracket_maps(lagr, vectorized=True)
+    maps = lagr.maps
     eps = var.amplitude
     n = lagr.dim
     vals = np.empty(traj.n_samples, dtype=complex)
@@ -145,8 +133,9 @@ def first_variation(
         t = traj.t[lanes]
         dq = eps * var.eta(t)
         dqd = eps * var.eta_dot(t)
-        coeffs = brackets(t, *(x + dq for x in traj.q[lanes].T), *(v + dqd for v in traj.qd[lanes].T))
-        vals.real[lanes], vals.imag[lanes] = _expanded(coeffs, (dq,) * n, (dqd,) * n)
+        moved = maps.lanes(t, *(x + dq for x in traj.q[lanes].T), *(v + dqd for v in traj.qd[lanes].T))
+        f, g = maps.split(moved)[:2]
+        vals.real[lanes], vals.imag[lanes] = _expanded(lagr.omega0, f, g, (dq,) * n, (dqd,) * n)
     return _simpson(vals, h)
 
 
@@ -154,7 +143,8 @@ def expanded_integrand(
     lagr: ComplexLagrangian, s: MechState, dq: Sequence[float], dqd: Sequence[float]
 ) -> complex:
     """The component-expansion dLagr at a single state, for identity checks."""
-    return complex(*_expanded(_bracket_maps(lagr)(s.t, *s.q, *s.qd), dq, dqd))
+    f, g = lagr.maps(s.t, s.q, s.qd)[:2]
+    return complex(*_expanded(lagr.omega0, f, g, dq, dqd))
 
 
 def real_inner(z: Sequence[complex], v: Sequence[complex]) -> float:

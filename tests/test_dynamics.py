@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from clmech.dynamics import (
+    MAX_STEPS,
     IntegratorConfig,
     StepBlowUp,
     integrate,
@@ -30,13 +31,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             IntegratorConfig(0.1, 2.0, 2.0)
 
-    def test_rejects_unknown_method(self):
-        with pytest.raises(ValueError):
-            IntegratorConfig(0.1, 0.0, 1.0, method="euler")
-
     def test_rejects_excessive_step_count(self):
         with pytest.raises(ValueError):
             IntegratorConfig(1e-12, 0.0, 1e3)
+
+    def test_step_bound_is_max_steps(self):
+        # a plan is only checked, never allocated, so the bound costs nothing here
+        assert IntegratorConfig(1.0, 0.0, float(MAX_STEPS)).n_steps == MAX_STEPS
+        with pytest.raises(ValueError, match=f"plan exceeds {MAX_STEPS} steps"):
+            IntegratorConfig(1.0, 0.0, MAX_STEPS + 1.0)
 
     def test_step_snaps_to_span(self):
         cfg = IntegratorConfig(0.3, 0.0, 1.0)

@@ -40,6 +40,25 @@ class TestGauge:
         assert rep.accel_cross_max is not None
         assert rep.accel_cross_max < 1e-9 * rep.scale
 
+    def test_one_acceleration_per_system_and_sample(self, monkeypatch):
+        # doubling the Lagrangian keeps the equations of motion but gives
+        # F = m qd, so the residual needs the first system's acceleration
+        # and the cross-check reuses it
+        import clmech.equivalence as equivalence
+
+        calls = []
+        real_accel = equivalence._accel
+
+        def counting(maps, *args):
+            calls.append(maps)
+            return real_accel(maps, *args)
+
+        monkeypatch.setattr(equivalence, "_accel", counting)
+        double = ComplexLagrangian(parse("m*qd^2 - k*q^2"), 1.0, params={"m": 1.0, "k": 1.0})
+        rep = verdict_of(OSC, double, SAMPLES[:8])
+        assert rep.verdict == EQUIVALENT and rep.accel_cross_max is not None
+        assert len(calls) == 2 * 8
+
     def test_gauge_over_degenerate_base(self):
         rep = verdict_of(IMAG_OSC, gauge_add(IMAG_OSC, Sym("q") * Sym("q")))
         assert rep.verdict == EQUIVALENT

@@ -72,6 +72,12 @@ class TestInversion:
         with pytest.raises(InversionFailure):
             field.invert(0.0, 0.0, 2.0)
 
+    def test_vanishing_slope_fails(self):
+        # f = qd^3/3 is regular at the probe (A = qd^2 = 1) but flat at qd = 0
+        field = make_field("qd^4/12")
+        with pytest.raises(InversionFailure):
+            field.invert(0.0, 0.0, 1.0, guess=0.0)
+
     def test_free_function_alias(self):
         assert invert_velocity(OSC, 0.3, 1.0, 0.0) == OSC.invert(0.0, 0.3, 1.0)
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clmech.corpus import bundled_corpus
+from clmech.dynamics import IntegratorConfig, integrate
 from clmech.exprcore import parse
 from clmech.lagrangian import (
     ClosureConsistencyWarning,
@@ -152,6 +153,16 @@ class TestDegenerate:
             eom = derive_eom(lagr, MechState(0.0, (0.0,), (0.0,)), closure_mass=(1.0,))
             closure_velocity(eom, 0.0, (0.0,))
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_singular_newton_jacobian(self, dim):
+        # f = qd^2/2 and closure mass 1: the Jacobian A - m = qd - 1 vanishes
+        # at the guess qd = 1, where the residual 1/2 - 1 does not
+        expr = " + ".join(f"{v}^3/6" for v in velocity_names(dim))
+        lagr = ComplexLagrangian(parse(expr), 1.0, dim=dim)
+        eom = derive_eom(lagr, MechState(0.0, (0.0,) * dim, (0.0,) * dim), closure_mass=(1.0,) * dim)
+        with pytest.raises(ClosureInconsistent):
+            closure_velocity(eom, 0.0, (0.0,) * dim, guess=(1.0,) + (0.0,) * (dim - 1))
+
     def test_accel_refuses_degenerate(self):
         eom = derive_eom(IMAG_OSC, PROBE, closure_mass=(-1.0,))
         with pytest.raises(ValueError):
@@ -269,3 +280,63 @@ class TestElimination:
         matrix = [entries[0:3], entries[3:6], entries[6:9]]
         _, det = _eliminate([row[:] for row in matrix], [0.0] * 3)
         assert det == pytest.approx(np.linalg.det(np.array(matrix)), rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.filterwarnings("ignore::clmech.lagrangian.ClosureConsistencyWarning")
+class TestClosureNewton:
+    """The closure f(q, qd, t) = m*qd above one coordinate: the list Newton."""
+
+    # f_a = -q_a, so m = -1 gives qd = q and q_a(t) = q_a(0) e^t
+    LINEAR = ComplexLagrangian(parse("0.5*i*(qd1^2 + qd2^2 - q1^2 - q2^2)"), 1.0, dim=2)
+    # f_a = (qd1 + qd2)^3 - q_a: a coupled cubic, so Newton iterates and the
+    # Jacobian 3 s^2 [[1, 1], [1, 1]] + I is a full matrix
+    CUBIC = ComplexLagrangian(
+        parse("0.25*(qd1 + qd2)^4 + 0.5*i*(qd1^2 + qd2^2 - q1^2 - q2^2)"), 1.0, dim=2
+    )
+    START = MechState(0.0, (0.5, -0.25), (0.0, 0.0))
+
+    def test_linear_closure_grows_exponentially(self):
+        eom = derive_eom(self.LINEAR, self.START, closure_mass=(-1.0, -1.0))
+        assert eom.classification == "degenerate"
+        traj = integrate(eom, self.START, IntegratorConfig(1e-3, 0.0, 1.0))
+        assert traj.kind == "closure"
+        np.testing.assert_allclose(traj.q[-1], [0.5 * math.e, -0.25 * math.e], rtol=1e-12)
+        np.testing.assert_allclose(traj.qd, traj.q, rtol=1e-12)
+        np.testing.assert_allclose(traj.p, -traj.q, rtol=1e-12)
+
+    @pytest.mark.parametrize("q,want", [((1.5, 1.5), (0.5, 0.5)), ((2.5, 0.5), (1.5, -0.5))])
+    def test_coupled_cubic_closure(self, q, want):
+        # s = qd1 + qd2 solves s + 2 s^3 = q1 + q2 = 3, so s = 1 and qd_a = q_a - 1
+        eom = derive_eom(self.CUBIC, self.START, closure_mass=(-1.0, -1.0))
+        qd = closure_velocity(eom, 0.0, q, guess=(0.0, 0.0))
+        np.testing.assert_allclose(qd, want, rtol=0, atol=1e-12)
+
+    def test_coupled_cubic_trajectory_keeps_the_closure(self):
+        eom = derive_eom(self.CUBIC, self.START, closure_mass=(-1.0, -1.0))
+        traj = integrate(eom, MechState(0.0, (1.5, 1.5), (0.0, 0.0)), IntegratorConfig(1e-2, 0.0, 0.5))
+        assert float(traj.el_residual.max()) < 1e-11
+        s = traj.qd.sum(axis=1)
+        np.testing.assert_allclose(traj.p, s[:, None] ** 3 - traj.q, atol=1e-11)  # p = f
+        np.testing.assert_allclose(traj.p, -traj.qd, atol=1e-11)  # p = m qd
+
+
+def test_derive_compiles_only_the_newton_kernel(monkeypatch):
+    # a regular derive classifies by the tree evaluator and compiles nothing;
+    # a degenerate one compiles (f, A) for its closure solves, n + n^2 trees
+    import clmech.lagrangian as lagrangian
+
+    compiled = []
+    real_compile = lagrangian.compile_expr
+
+    def counting(trees, *args, **kwargs):
+        compiled.append(len(trees))
+        return real_compile(trees, *args, **kwargs)
+
+    monkeypatch.setattr(lagrangian, "compile_expr", counting)
+    derive_eom(ComplexLagrangian(parse("0.5*qd^2 - 0.5*q^2"), 1.0), PROBE)
+    assert compiled == []
+    for dim in (1, 2, 3):
+        expr = " + ".join(f"0.5*i*({v}^2 - {q}^2)" for q, v in zip(coordinate_names(dim), velocity_names(dim)))
+        lagr = ComplexLagrangian(parse(expr), 1.0, dim=dim)
+        derive_eom(lagr, MechState(0.0, (0.5,) * dim, (0.0,) * dim), closure_mass=(-1.0,) * dim)
+    assert compiled == [1 + 1, 2 + 4, 3 + 9]

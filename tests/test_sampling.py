@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clmech.lagrangian import MechState
-from clmech.sampling import DEFAULT_SEED, Lcg, latin_hypercube, sample_bindings, sample_states
+from clmech.sampling import DEFAULT_SEED, Lcg, latin_hypercube, sample_states
 
 
 class TestLcg:
@@ -84,11 +84,3 @@ class TestSampleStates:
     def test_repeatable(self):
         assert sample_states(1, 5, seed=9) == sample_states(1, 5, seed=9)
 
-
-class TestSampleBindings:
-    def test_names_and_box(self):
-        rows = sample_bindings(("m", "k"), 20, seed=3, box=(0.5, 2.0))
-        assert len(rows) == 20
-        for row in rows:
-            assert set(row) == {"m", "k"}
-            assert all(0.5 <= v <= 2.0 for v in row.values())

@@ -256,6 +256,19 @@ class TestCliContract:
         assert f" at t={float(traj.t[k])!r}, q={float(traj.q[k, 0])!r}, " in err
 
 
+    def test_overflow_exits_2(self, scenario_file, capsys):
+        # the force exp(q) overflows at q = 800
+        raw = variant(lagrangian="0.5*m*qd^2 - exp(q)", initial={"q": [800.0], "qd": [0.0]})
+        assert main(["simulate", scenario_file(raw)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: DomainError: exp overflowed\n"
+
+    def test_derive_keeps_an_overflowing_constant(self, scenario_file, capsys):
+        raw = variant(lagrangian="0.5*m*qd^2 - exp(1000)*q")
+        assert main(["derive", scenario_file(raw)]) == 0
+        assert "force[0]: (-exp(1000.0))" in capsys.readouterr().out.splitlines()
+
+
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 # SHA-256 of `clmech simulate` output for the bundled scenario files, recorded
 # from the per-map evaluation that preceded the fused kernel
