@@ -153,3 +153,38 @@ class TestIntegrability:
         ffn = Ffunction(parse("q^2"), 1.0, 1, {})
         phi = parse("q^4/12")
         assert integrability_residual(ffn, phi, SAMPLES[:100]) < 1e-12
+
+
+COUPLED = {
+    2: "0.5*m*(qd1^2 + qd2^2) - 0.5*k*(q1^2 + q2^2) + i*c*q1*qd2 + 0.1*q1*q2*qd1",
+    3: "0.5*m*(qd1^2 + qd2^2 + qd3^2) + (0.2 + 0.3*i)*q1*q2*q3 - 0.5*k*q3^2*(1 + i*c*qd1)",
+}
+
+
+class TestPinnedReports:
+    """Reports above one coordinate, bit for bit (verdict, max_residual,
+    scale, skips, accel_cross_max as float.hex), for complex coefficients
+    under complex and real gauges."""
+
+    @pytest.mark.parametrize(
+        "dim,gauge,expected",
+        [
+            (2, "(1 + 0.5*i)*q1*q2*t",
+             ("not-equivalent", "0x1.adcf9e7b7b9bdp+1", "0x1.17ec27831a817p+2", 0, "0x1.3269ab2a9e7b4p+2")),
+            (2, "i*c*q1^2 + sin(q2)*t",
+             ("not-equivalent", "0x1.21d35928b7f97p+1", "0x1.ef3da1957d502p+1", 0, "0x1.4760b2f502d76p+0")),
+            (2, "q1*q2*t + sin(q1)",
+             ("equivalent", "0x1.0000000000000p-50", "0x1.48b84b01b11cap+2", 0, "0x1.6000000000000p-51")),
+            (3, "(0.5 - i)*q1*q3 + q2^2*t",
+             ("not-equivalent", "0x1.d56db9417ff06p+1", "0x1.3464e8ede51c6p+3", 0, "0x1.8799dc08fce14p+2")),
+            (3, "i*c*cos(q1)*q2",
+             ("not-equivalent", "0x1.1dc9a455135d9p+0", "0x1.c669b037aa299p+0", 0, "0x1.09f4401cb33e3p+0")),
+            (3, "q1*q2*q3*t + exp(0.1*q2)",
+             ("equivalent", "0x1.0000000000000p-49", "0x1.8dfb59bf82a67p+3", 0, "0x1.2000000000000p-50")),
+        ],
+    )
+    def test_report_bits(self, dim, gauge, expected):
+        base = ComplexLagrangian(parse(COUPLED[dim]), 1.7, dim, {"m": 1.3, "k": 0.7, "c": 0.4})
+        rep = eom_equivalent(LagrangianPair(base, gauge_add(base, parse(gauge))), sample_states(dim, 64, 5))
+        cross = None if rep.accel_cross_max is None else rep.accel_cross_max.hex()
+        assert (rep.verdict, rep.max_residual.hex(), rep.scale.hex(), rep.n_skipped, cross) == expected

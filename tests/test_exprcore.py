@@ -426,6 +426,23 @@ class TestArrayKernel:
         with pytest.raises(DomainError, match=f"^{message}$"):
             compile_expr(parse(src), ("q",))(800.0)
 
+    @pytest.mark.parametrize(
+        "trees,q,message",
+        [
+            (("1/q",), [1.0, 2.0, 0.0, 3.0], "division by zero at t=2.0, q=0.0"),
+            (("q^(-2)",), [1.0, 0.0, 2.0], "zero raised to a negative power at t=1.0, q=0.0"),
+            (("q^q",), [1.0, 2.0, 800.0], "power overflowed at t=2.0, q=800.0"),
+            (("ln(q)",), [1.0, 2.0, -1.0], "ln of nonpositive real at t=2.0, q=-1.0"),
+            (("exp(q)",), [1.0, 800.0, 2.0], "exp overflowed at t=1.0, q=800.0"),
+            (("q", "sqrt(q)"), [4.0, 1.0, -4.0], "real map 1 took the complex value 2j at t=2.0, q=-4.0"),
+        ],
+    )
+    def test_error_message_for_each_failure_kind(self, trees, q, message):
+        fn = compile_expr(tuple(parse(s) for s in trees), ("t", "q"), real=True, vectorized=True)
+        with pytest.raises(DomainError) as caught:
+            fn(np.arange(float(len(q))), np.array(q))
+        assert str(caught.value) == message
+
     def test_error_names_the_first_lane_in_sample_order(self):
         # ln fails at lane 2 and the division, computed first, at lane 3
         fn = compile_expr(parse("1/(q - 3) + ln(q)"), ("t", "q"), vectorized=True)
