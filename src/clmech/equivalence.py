@@ -11,12 +11,15 @@ total time derivative: the pair is equivalent iff
     sum_b (dF_a/dqd_b) qdd_b + sum_b (dF_a/dq_b) qd_b + dF_a/dt
         - d(dL)/dq_a + omega0 d(dM)/dqd_a  =  0
 
-identically, with qdd supplied by the first system's dynamics. Equivalence is
-decided by evaluating this residual at stratified sample states, not by
-symbolic proof. When the qdd coefficient dF_a/dqd_b vanishes at a sample the
-acceleration is not needed there, which keeps pairs over degenerate base
-systems checkable; otherwise samples where the base system cannot produce an
-acceleration are skipped and too many skips yield an inconclusive verdict.
+identically, with qdd supplied by the first system's dynamics. That is the
+generalized Euler-Lagrange law A qdd + f_q qd + f_t - g = 0 of the difference
+Lagrangian, so the residual reads its derived maps (`lagrangian._Maps`), of
+which F is the momentum map. Equivalence is decided by evaluating this
+residual at stratified sample states, not by symbolic proof. When the qdd
+coefficient dF_a/dqd_b vanishes at a sample the acceleration is not needed
+there, which keeps pairs over degenerate base systems checkable; otherwise
+samples where the base system cannot produce an acceleration are skipped and
+too many skips yield an inconclusive verdict.
 
 A time-harmonic scalar F with (d^2/dt^2 + omega0^2) F = (d^2/dq^2 +
 omega0^2 d^2/dqd^2) Phi characterizes the residual families; the module only
@@ -50,6 +53,7 @@ from .lagrangian import (
     SingularMass,
     derive_eom,
     _accel,
+    _Maps,
 )
 
 EQUIVALENT = "equivalent"
@@ -91,23 +95,6 @@ class LagrangianPair:
     @cached_property
     def delta_M(self) -> Expr:
         return simplify(im_part(self.second.expr) - im_part(self.first.expr))
-
-    @cached_property
-    def f_functions(self) -> tuple["Ffunction", ...]:
-        lagr = self.first
-        inv_w0 = Const(1.0 / lagr.omega0)
-        return tuple(
-            Ffunction(
-                expr=simplify(
-                    diff(self.delta_L, lagr.vels[a])
-                    + inv_w0 * diff(self.delta_M, lagr.coords[a])
-                ),
-                omega0=lagr.omega0,
-                dim=lagr.dim,
-                params=dict(lagr.params),
-            )
-            for a in range(lagr.dim)
-        )
 
 
 @dataclass(frozen=True)
@@ -159,20 +146,9 @@ def eom_equivalent(
         raise ValueError("at least one sample state is required")
     lagr = pair.first
     n = pair.dim
-    args = ("t",) + lagr.coords + lagr.vels
-
-    f_exprs = [ff.expr for ff in pair.f_functions]
-    w0 = Const(lagr.omega0)
-    # residual pieces: c_ab qdd_b + d_ab qd_b + e_a - dLq_a + w0 dMqd_a, as
-    # one kernel returning c (n*n), d (n*n), e (n) and the tail (n)
-    c = [diff(f_exprs[a], lagr.vels[b]) for a in range(n) for b in range(n)]
-    d = [diff(f_exprs[a], lagr.coords[b]) for a in range(n) for b in range(n)]
-    e = [diff(f_exprs[a], "t") for a in range(n)]
-    tail = [
-        simplify(w0 * diff(pair.delta_M, lagr.vels[a]) - diff(pair.delta_L, lagr.coords[a]))
-        for a in range(n)
-    ]
-    pieces = compile_expr(tuple(c + d + e + tail), args, lagr.params, real=True)
+    # c = A, d = f_q, e = f_t and tail = -g of the difference, sliced from
+    # the kernel's flat (f, g, A, f_q, f_t)
+    kernel = _Maps(pair.delta_L, pair.delta_M, lagr.omega0, n, lagr.params).kernel
 
     eom1 = _regular_or_none(pair.first, samples[0])
     eom2 = _regular_or_none(pair.second, samples[0])
@@ -183,12 +159,12 @@ def eom_equivalent(
     cross_max: float | None = None
 
     for s in samples:
-        v = pieces(s.t, *s.q, *s.qd)
+        v = kernel(s.t, *s.q, *s.qd)
         qd = np.array(s.qd)
-        c_mat = np.array(v[: n * n]).reshape(n, n)
-        d_mat = np.array(v[n * n : 2 * n * n]).reshape(n, n)
-        e_vec = np.array(v[2 * n * n : 2 * n * n + n])
-        tail_vec = np.array(v[2 * n * n + n :])
+        c_mat = np.array(v[2 * n : 2 * n + n * n]).reshape(n, n)
+        d_mat = np.array(v[2 * n + n * n : 2 * n + 2 * n * n]).reshape(n, n)
+        e_vec = np.array(v[-n:])
+        tail_vec = -np.array(v[n : 2 * n])
 
         needs_accel = np.abs(c_mat).max() > 1e-14 * max(1.0, np.abs(d_mat).max())
         a1 = None  # the first system's acceleration, once computed

@@ -27,7 +27,7 @@ import cmath
 import operator
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
 import numpy as np
@@ -316,9 +316,12 @@ def _apply_call(fn: str, z: complex) -> complex:
     if fn == "ln" and z.imag == 0 and z.real <= 0:
         raise DomainError("ln of nonpositive real")
     try:
-        return _CMATH[fn](z)
+        v = _CMATH[fn](z)
     except OverflowError:
         raise DomainError(f"{fn} overflowed") from None
+    # a real argument keeps a real value, as the array ufuncs give: above
+    # exponent 100, Python's complex power would leave an imaginary part
+    return v.real if isinstance(z, float) and not v.imag else v
 
 
 def evaluate(e: Expr, bindings: Bindings) -> complex:
@@ -585,10 +588,13 @@ def im_part(e: Expr) -> Expr:
 # --- compiled fast path ---------------------------------------------------
 
 
+def _where(state: Mapping[str, float]) -> str:
+    return ", ".join(f"{name}={x!r}" for name, x in state.items())
+
+
 def _not_real(values: tuple[complex, ...], state: Mapping[str, float]) -> None:
     k, v = next((k, v) for k, v in enumerate(values) if v.imag)
-    where = ", ".join(f"{name}={x!r}" for name, x in state.items())
-    raise DomainError(f"real map {k} took the complex value {v!r} at {where}")
+    raise DomainError(f"real map {k} took the complex value {v!r} at {_where(state)}")
 
 
 def _parts(e: Expr) -> tuple[str, tuple[Expr, ...]]:
@@ -717,24 +723,13 @@ def lane_blocks(n: int) -> Iterator[slice]:
     return (slice(k, min(k + LANE_BLOCK, n)) for k in range(0, n, LANE_BLOCK))
 
 
-class _LaneError(Exception):
-    """A domain failure at lane `lane` of an array kernel."""
-
-    def __init__(self, lane: int, message: str) -> None:
-        super().__init__(message)
-        self.lane = lane
-        self.message = message
-
-
-def _lane_error(mask, message: str) -> _LaneError:
-    """The failure at the first lane set in `mask`; lane 0 when it is 0-d."""
-    return _LaneError(int(np.flatnonzero(mask)[0]), message)
+class _LaneFailure(Exception):
+    """Some lane of an array kernel left the domain; the wrapper finds which."""
 
 
 def _lanes_div(a, b):
-    zero = b == 0
-    if np.any(zero):
-        raise _lane_error(zero, "division by zero")
+    if np.any(b == 0):
+        raise _LaneFailure("division by zero")
     return a / b
 
 
@@ -743,24 +738,11 @@ def _lanes_div(a, b):
 _py_pow = np.frompyfunc(operator.pow, 2, 1)
 
 
-def _overflowing_lane(a, b) -> int:
-    """The first lane whose Python power overflows."""
-    for lane, (x, y) in enumerate(np.broadcast(a, b)):
-        try:
-            x.item() ** y.item()
-        except OverflowError:
-            return lane
-
-
 def _lanes_pow(a, b):
     # Python's complex power raises for zero to a complex power as well
-    zero = (a == 0) & ((np.real(b) < 0) | (np.imag(b) != 0))
-    if np.any(zero):
-        raise _lane_error(zero, "zero raised to a negative power")
-    try:
-        out = _py_pow(a, b)
-    except OverflowError:
-        raise _LaneError(_overflowing_lane(a, b), "power overflowed") from None
+    if np.any((a == 0) & ((np.real(b) < 0) | (np.imag(b) != 0))):
+        raise _LaneFailure("zero raised to a negative power")
+    out = _py_pow(a, b)  # its OverflowError signals a failing lane too
     # a negative float base with a fractional exponent gives a complex in
     # its own lanes only; the array takes the common type
     return np.array(out.tolist()) if isinstance(out, np.ndarray) else out
@@ -772,9 +754,8 @@ _UFUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "tanh": np.tanh, "ln": n
 def _lanes_call(fn: str, z):
     z = np.asarray(z)
     if fn == "ln":
-        bad = (z.imag == 0) & (z.real <= 0)
-        if np.any(bad):
-            raise _lane_error(bad, "ln of nonpositive real")
+        if np.any((z.imag == 0) & (z.real <= 0)):
+            raise _LaneFailure("ln of nonpositive real")
     elif fn == "sqrt":
         if np.iscomplexobj(z):
             return np.sqrt(z)
@@ -783,60 +764,48 @@ def _lanes_call(fn: str, z):
         return np.where(z < 0, root * 1j, root) if np.any(z < 0) else root
     out = _UFUNCS[fn](z)
     # cmath raises where a finite argument overflows (exp, sin and cos)
-    overflow = ~np.isfinite(out) & np.isfinite(z)
-    if np.any(overflow):
-        raise _lane_error(overflow, f"{fn} overflowed")
+    if np.any(~np.isfinite(out) & np.isfinite(z)):
+        raise _LaneFailure(f"{fn} overflowed")
     return out
 
 
-def _first_failure(run: Callable, cols: list[np.ndarray], err: _LaneError) -> _LaneError:
-    """An operation late in the code may fail at an earlier lane than one
-    before it: rerun the lanes before the failing one until they pass."""
-    while err.lane:
-        try:
-            run([c[: err.lane] if c.ndim else c for c in cols])
-            break
-        except _LaneError as earlier:
-            err = earlier
-    return err
+def _lane_kernel(fn: Callable, scalar: Callable, args: tuple[str, ...], bare: bool, real: bool):
+    """Wrap generated array code: lane shape, real guard, lane-named errors.
 
-
-def _lane_kernel(fn: Callable, args: tuple[str, ...], bare: bool, real: bool):
-    """Wrap generated array code: lane shape, real guard, lane-named errors."""
-
-    def run(cols: list[np.ndarray]):
-        shape = np.broadcast_shapes(*(c.shape for c in cols))
-        vals = fn(*cols)
-        vals = [
-            np.asarray(v) if np.shape(v) == shape else np.full(shape, v)
-            for v in ((vals,) if bare else vals)
-        ]
-        if real:
-            # (first lane with an imaginary part, map) for each map that has one
-            bad = [
-                (int(lanes[0]), k)
-                for k, v in enumerate(vals)
-                if np.iscomplexobj(v) and (lanes := np.flatnonzero(v.imag)).size
-            ]
-            if bad:
-                lane, k = min(bad)
-                value = complex(vals[k].flat[lane])
-                raise _LaneError(lane, f"real map {k} took the complex value {value!r}")
-            vals = [np.real(v) for v in vals]
-        return vals[0] if bare else tuple(vals)
+    The array code only signals that some lane failed. Then `scalar()`, the
+    scalar kernel of the same trees with `real` off, runs lane by lane, and
+    the first lane whose scalar call fails, or with `real` takes a complex
+    value, names the DomainError.
+    """
 
     def kernel(*cols):
         cols = [np.asarray(c, dtype=float) for c in cols]
-        with np.errstate(all="ignore"):  # IEEE results, as Python floats give
+        shape = np.broadcast_shapes(*(c.shape for c in cols))
+        try:
+            with np.errstate(all="ignore"):  # IEEE results, as Python floats give
+                vals = fn(*cols)
+            vals = [
+                np.asarray(v) if np.shape(v) == shape else np.full(shape, v)
+                for v in ((vals,) if bare else vals)
+            ]
+            if real:
+                if any(np.iscomplexobj(v) and v.imag.any() for v in vals):
+                    raise _LaneFailure("a real map took a complex value")
+                vals = [np.real(v) for v in vals]
+            return vals[0] if bare else tuple(vals)
+        except (_LaneFailure, OverflowError) as signal:
+            message = str(signal)
+        lane = scalar()
+        for point in zip(*(np.broadcast_to(c, shape).ravel().tolist() for c in cols)):
+            state = dict(zip(args, point))
             try:
-                return run(cols)
-            except _LaneError as err:
-                failure = _first_failure(run, cols, err)
-        where = ", ".join(
-            f"{name}={float(c[failure.lane] if c.ndim else c)!r}"
-            for name, c in zip(args, cols)
-        )
-        raise DomainError(f"{failure.message} at {where}")
+                values = lane(*point)
+            except DomainError as err:
+                raise DomainError(f"{err} at {_where(state)}") from None
+            values = (values,) if bare else values
+            if real and any(v.imag for v in values):
+                _not_real(values, state)
+        raise DomainError(message)
 
     return kernel
 
@@ -864,7 +833,10 @@ def _compile(
     helpers = _LANE_HELPERS if vectorized else _SCALAR_HELPERS
     ns = {"__builtins__": {}, **helpers, **bound}
     exec(src, ns)  # noqa: S102 - source is generated from a validated tree
-    return _lane_kernel(ns["_f"], args, bare, real) if vectorized else ns["_f"]
+    if not vectorized:
+        return ns["_f"]
+    scalar = partial(_compile, trees, args, const_items, bare, False, False)
+    return _lane_kernel(ns["_f"], scalar, args, bare, real)
 
 
 def compile_expr(
@@ -897,7 +869,8 @@ def compile_expr(
     `^`; numpy's `exp`, `tanh` and `ln`, and its complex multiply, divide
     and square root, differ from libm's and cmath's by a few ulp. It raises
     DomainError exactly where some lane's scalar call would, naming the
-    first such lane and its arguments.
+    first such lane and its arguments: on a failure in the arrays, the
+    scalar function runs lane by lane and its error is the one raised.
     """
     items = tuple(sorted((k, complex(v)) for k, v in (consts or {}).items()))
     bare = not isinstance(e, tuple)

@@ -32,13 +32,15 @@ from .lagrangian import (
     ComplexLagrangian,
     EomSystem,
     MechState,
-    force,
     momentum,
     wirtinger,
 )
 
 # 6th-order central first-derivative stencil on offsets -3..3, divided by 60*delta
 _STENCIL = (-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0)
+# the stencil's spacing in flow time, and the RK4 steps per spacing
+CARTAN_DELTA = 0.03
+CARTAN_SUBSTEPS = 8
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,8 @@ def theta(lagr: ComplexLagrangian, eom: EomSystem, s: MechState) -> OneForm:
 
 def lie_theta(lagr: ComplexLagrangian, eom: EomSystem, s: MechState) -> OneForm:
     """Closed-form Lie derivative of Theta along the flow: g_a dq^a + f_a dqd^a."""
-    return OneForm(dq=tuple(force(eom, s)), dqd=tuple(momentum(eom, s)), state=s)
+    f, g, *_ = eom.maps(s.t, s.q, s.qd)
+    return OneForm(dq=g, dqd=f, state=s)
 
 
 def rhs_pairing_form(lagr: ComplexLagrangian, s: MechState) -> OneForm:
@@ -81,29 +84,24 @@ def rhs_pairing_form(lagr: ComplexLagrangian, s: MechState) -> OneForm:
     return OneForm(dq=tuple(dq), dqd=tuple(dqd), state=s)
 
 
-def lie_theta_cartan(
-    lagr: ComplexLagrangian,
-    eom: EomSystem,
-    s: MechState,
-    delta: float = 0.03,
-    substeps: int = 8,
-) -> OneForm:
+def lie_theta_cartan(lagr: ComplexLagrangian, eom: EomSystem, s: MechState) -> OneForm:
     """Lie derivative with df/dt taken numerically along integrated flow arcs.
 
-    Seven flow points at t + j*delta (j = -3..3) feed a 6th-order stencil;
-    each arc is reached by RK4 with `substeps` steps per delta of flow time.
-    Stencil truncation is O(delta^6), a few 1e-11 at unit frequencies, and
-    roundoff through the 60*delta divisor stays near 1e-14, so the total sits
-    comfortably inside the 1e-9 cross-check budget for desk-scale parameters.
+    Seven flow points at t + j*delta (j = -3..3, delta = CARTAN_DELTA) feed a
+    6th-order stencil; each arc is reached by RK4 with CARTAN_SUBSTEPS steps
+    per delta of flow time. Stencil truncation is O(delta^6), a few 1e-11 at
+    unit frequencies, and roundoff through the 60*delta divisor stays near
+    1e-14, so the total sits comfortably inside the 1e-9 cross-check budget
+    for desk-scale parameters.
     """
-    n = lagr.dim
+    n, delta = lagr.dim, CARTAN_DELTA
     f_here = momentum(eom, s)
     fdot = np.zeros(n)
     for j, w in zip(range(-3, 4), _STENCIL):
         if w == 0.0:
             continue
         span = j * delta
-        cfg = IntegratorConfig(h=delta / substeps, t_start=s.t, t_end=s.t + span)
+        cfg = IntegratorConfig(h=delta / CARTAN_SUBSTEPS, t_start=s.t, t_end=s.t + span)
         arc = integrate(eom, s, cfg)
         fdot += w * momentum(eom, arc.final_state)
     fdot /= 60.0 * delta

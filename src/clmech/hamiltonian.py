@@ -180,14 +180,14 @@ def flow_field(field: HamiltonianField, s: PhaseState) -> tuple[float, float]:
     return field.flow(s.t, s.q, s.p)
 
 
-def mixed_partial_diagnostic(
-    field: HamiltonianField, q: float, p: float, t: float, delta: float = 1e-5
-) -> float:
-    """|d(dK/dq)/dp - d(dK/dp)/dq| by central differences; reported, not asserted.
+def mixed_partial_diagnostic(field: HamiltonianField, q: float, p: float, t: float) -> float:
+    """|d(dK/dq)/dp - d(dK/dp)/dq| by central differences of step 1e-5;
+    reported, not asserted.
 
     A commuting pair is evidence that a single scalar K generates both
     gradients near (q, p); the construction itself never builds K.
     """
+    delta = 1e-5
     kq_pp = k_gradients(field, q, p + delta, t)[0]
     kq_pm = k_gradients(field, q, p - delta, t)[0]
     kp_qp = k_gradients(field, q + delta, p, t)[1]

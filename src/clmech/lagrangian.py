@@ -163,7 +163,7 @@ class ComplexLagrangian:
     @cached_property
     def maps(self) -> _Maps:
         """The derived maps f, g, A, f_q, f_t and their kernels."""
-        return _Maps(self)
+        return _Maps(self.L_expr, self.M_expr, self.omega0, self.dim, self.params)
 
     def bindings(self, s: MechState) -> dict[str, float]:
         b = dict(self.params)
@@ -179,7 +179,7 @@ class ComplexLagrangian:
 
 
 class _Maps:
-    """The derived maps of a Lagrangian, as trees and as compiled kernels.
+    """The derived maps of L + iM, as trees and as compiled kernels.
 
         f_a = dL/dqd_a + (1/omega0) dM/dq_a     g_a = dL/dq_a - omega0 dM/dqd_a
         A_ab = df_a/dqd_b    f_q[a][b] = df_a/dq_b    f_t[a] = df_a/dt
@@ -195,22 +195,21 @@ class _Maps:
     classifies never compiles one.
 
     `lanes` is `kernel` over arrays of samples (`compile_expr`'s `vectorized`
-    mode), for passes over whole trajectories.
+    mode), for passes over whole trajectories. `equivalence` builds the maps
+    of a pair's difference, whose Euler-Lagrange law is its residual.
     """
 
-    def __init__(self, lagr: ComplexLagrangian) -> None:
-        n = lagr.dim
-        L, M = lagr.L_expr, lagr.M_expr
-        inv_w0, w0 = Const(1.0 / lagr.omega0), Const(lagr.omega0)
-        coords, vels = lagr.coords, lagr.vels
-        self.dim = n
+    def __init__(self, L: Expr, M: Expr, omega0: float, dim: int, params: Mapping) -> None:
+        self.dim = n = dim
+        inv_w0, w0 = Const(1.0 / omega0), Const(omega0)
+        coords, vels = coordinate_names(n), velocity_names(n)
         self.f = tuple(simplify(diff(L, vels[a]) + inv_w0 * diff(M, coords[a])) for a in range(n))
         self.g = tuple(simplify(diff(L, coords[a]) - w0 * diff(M, vels[a])) for a in range(n))
         self.A = tuple(tuple(diff(self.f[a], vels[b]) for b in range(n)) for a in range(n))
         self.f_q = tuple(tuple(diff(self.f[a], coords[b]) for b in range(n)) for a in range(n))
         self.f_t = tuple(diff(self.f[a], "t") for a in range(n))
         self._args = ("t",) + coords + vels
-        self._params = lagr.params
+        self._params = params
 
     def _compile(self, trees: tuple[Expr, ...], vectorized: bool = False) -> Callable:
         return compile_expr(trees, self._args, self._params, real=True, vectorized=vectorized)
@@ -271,29 +270,32 @@ def _dot(row: Sequence[float], x: Sequence[float]) -> float:
     return sum(r * v for r, v in zip(row, x))
 
 
-def _eliminate(a: list[list[float]], x: list[float]) -> tuple[list[tuple[float, float]], float]:
+def _singular(pivot: float, row_scale: float) -> bool:
+    """The one singularity rule, of the solves and of the classification: a
+    pivot at most 1e-13 times the entry scale its row had before elimination.
+    A ratio, so the verdict does not change with the units."""
+    return row_scale == 0.0 or abs(pivot) <= 1e-13 * row_scale
+
+
+def _eliminate(a: list[list[float]], x: list[float]) -> list[tuple[float, float]]:
     """Forward elimination with partial pivoting, in place on `a` and `x`.
 
     Returns each step's pivot with the entry scale its row had before
-    elimination, and the determinant taken from the pivots. Stops after an
-    exactly zero pivot, where the determinant is 0.
+    elimination. Stops after an exactly zero pivot.
     """
     n = len(a)
     scale = [max(map(abs, row), default=0.0) for row in a]
     pivots = []
-    det = 1.0
     for k in range(n):
         piv = max(range(k, n), key=lambda i: abs(a[i][k]))
         pivot = a[piv][k]
         pivots.append((pivot, scale[piv]))
         if pivot == 0.0:
-            return pivots, 0.0
+            return pivots
         if piv != k:
             a[k], a[piv] = a[piv], a[k]
             x[k], x[piv] = x[piv], x[k]
             scale[k], scale[piv] = scale[piv], scale[k]
-            det = -det
-        det *= pivot
         top = a[k]
         for j in range(k + 1, n):
             row = a[j]
@@ -302,15 +304,15 @@ def _eliminate(a: list[list[float]], x: list[float]) -> tuple[list[tuple[float, 
                 for i in range(k, n):
                     row[i] -= m * top[i]
                 x[j] -= m * x[k]
-    return pivots, det
+    return pivots
 
 
 def solve_linear(A: Sequence[Sequence[float]], b: Sequence[float]) -> list[float]:
     """Gaussian elimination with partial pivoting.
 
-    Raises SingularMass when a pivot falls below 1e-13 times the pivot row's
-    entry scale (the matrix is, or has drifted, singular), or when the
-    solution misses the system by more than 1e-10 relative.
+    Raises SingularMass when a pivot is `_singular` (the matrix is, or has
+    drifted, singular), or when the solution misses the system by more than
+    1e-10 relative.
     """
     if len(b) == 1:
         return [_solve_scalar(float(A[0][0]), float(b[0]))]
@@ -318,9 +320,8 @@ def solve_linear(A: Sequence[Sequence[float]], b: Sequence[float]) -> list[float
     b0 = [float(v) for v in b]
     a = [row[:] for row in a0]
     x = b0[:]
-    pivots, _ = _eliminate(a, x)
-    for pivot, row_scale in pivots:
-        if row_scale == 0.0 or abs(pivot) <= 1e-13 * row_scale:
+    for pivot, row_scale in _eliminate(a, x):
+        if _singular(pivot, row_scale):
             raise SingularMass(
                 f"pivot {pivot!r} below 1e-13 of row scale {row_scale!r}"
             )
@@ -338,7 +339,7 @@ def _solve_scalar(a: float, b: float) -> float:
     """solve_linear for a 1x1 system, with both of its SingularMass checks;
     bitwise what the elimination gives."""
     row_scale = abs(a)
-    if row_scale == 0.0 or abs(a) <= 1e-13 * row_scale:
+    if _singular(a, row_scale):
         raise SingularMass(f"pivot {a!r} below 1e-13 of row scale {row_scale!r}")
     x = b / a
     residual = abs(a * x - b)
@@ -461,11 +462,11 @@ def derive_eom(
     lagr: ComplexLagrangian,
     probe: MechState,
     closure_mass: Sequence[float] | None = None,
-    eps_reg: float = 1e-10,
 ) -> EomSystem:
     """Classify the Lagrangian's derived maps (`lagr.maps`) at the probe state.
 
-    Regular iff |det A(probe)| > eps_reg scaled by the largest |A| entry.
+    Regular iff no pivot of the partial-pivot elimination of A(probe) is
+    `_singular`, the test `solve_linear` applies.
     Degenerate systems require a closure mass (any nonzero real per
     coordinate; the sign selects the flow branch) and are checked for
     closure consistency at the probe, warning when m*qdd deviates from the
@@ -480,9 +481,7 @@ def derive_eom(
     if any(v.imag for row in a_probe for v in row):
         raise DomainError(f"mass matrix {a_probe!r} is not real at the probe")
     a_probe = [[v.real for v in row] for row in a_probe]
-    scale = max((abs(v) for row in a_probe for v in row), default=0.0)
-    _, det = _eliminate(a_probe, [0.0] * n)
-    regular = scale > 0.0 and abs(det) > eps_reg * scale
+    regular = not any(_singular(*step) for step in _eliminate(a_probe, [0.0] * n))
 
     mass = consistency = None
     if regular and closure_mass is not None:

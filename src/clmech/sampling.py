@@ -24,6 +24,9 @@ import numpy as np
 from .lagrangian import MechState
 
 DEFAULT_SEED = 0xC0FFEE
+# the ranges of sample_states: t, and every coordinate and velocity
+T_RANGE = (0.0, 2.0)
+BOX = (-2.0, 2.0)
 
 _A = 6364136223846793005
 _C = 1442695040888963407
@@ -78,21 +81,15 @@ def latin_hypercube(n: int, dims: int, rng: Lcg) -> np.ndarray:
     return out
 
 
-def sample_states(
-    dim: int,
-    n: int,
-    seed: int = DEFAULT_SEED,
-    t_range: tuple[float, float] = (0.0, 2.0),
-    box: tuple[float, float] = (-2.0, 2.0),
-) -> list[MechState]:
-    """n Latin-hypercube states: t in t_range, each q_a and qd_a in box.
+def sample_states(dim: int, n: int, seed: int = DEFAULT_SEED) -> list[MechState]:
+    """n Latin-hypercube states: t in T_RANGE, each q_a and qd_a in BOX.
 
     Axis order is (t, q_1..q_dim, qd_1..qd_dim).
     """
     rng = Lcg(seed)
     unit = latin_hypercube(n, 1 + 2 * dim, rng)
-    t0, t1 = t_range
-    lo, hi = box
+    t0, t1 = T_RANGE
+    lo, hi = BOX
     states = []
     for row in unit:
         t = t0 + (t1 - t0) * row[0]

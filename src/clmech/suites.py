@@ -29,7 +29,8 @@ from .equivalence import (
     gauge_add,
     integrability_residual,
 )
-from .exprcore import Call, Const, Sym, compile_expr, diff, lane_blocks, parse
+from .exprcore import Call, Const, Sym, diff, evaluate, lane_blocks, parse
+from .exprcore import compile_expr  # noqa: F401 - unused, but perfbench's tracer wraps it here
 from .geometry import lie_theta, lie_theta_cartan, rhs_pairing_form
 from .hamiltonian import HamiltonianField, PhaseState, mixed_partial_diagnostic
 from .lagrangian import (
@@ -387,9 +388,9 @@ def geometry_suite(
     """Lie derivative of Theta equals the pairing form; classical collapse."""
     lagr, eom, notes = (run or RunContext(sc)).derived
     states = sample_states(sc.dim, 100, seed)
+    lies = [lie_theta(lagr, eom, s) for s in states]
     worst = 0.0
-    for s in states:
-        lt = lie_theta(lagr, eom, s)
+    for s, lt in zip(states, lies):
         pf = rhs_pairing_form(lagr, s)
         for a in range(sc.dim):
             worst = max(worst, abs(lt.dq[a] - pf.dq[a]), abs(lt.dqd[a] - pf.dqd[a]))
@@ -404,20 +405,15 @@ def geometry_suite(
     ]
 
     if lagr.M_expr == Const(0.0):
-        args = ("t",) + lagr.coords + lagr.vels
-        # dL/dq_a then dL/dqd_a, one kernel
-        grads = tuple(diff(lagr.L_expr, x) for x in lagr.coords + lagr.vels)
-        gradient = compile_expr(grads, args, lagr.params)
+        # dL/dq_a then dL/dqd_a through the tree evaluator: compiled, they
+        # would be the very kernel that gave the Lie derivative
+        grads = [diff(lagr.L_expr, x) for x in lagr.coords + lagr.vels]
         collapse = 0.0
-        for s in states:
-            lt = lie_theta(lagr, eom, s)
-            dl = gradient(s.t, *s.q, *s.qd)
+        for s, lt in zip(states, lies):
+            b = lagr.bindings(s)
+            dl = [evaluate(e, b).real for e in grads]
             for a in range(sc.dim):
-                collapse = max(
-                    collapse,
-                    abs(lt.dq[a] - dl[a].real),
-                    abs(lt.dqd[a] - dl[sc.dim + a].real),
-                )
+                collapse = max(collapse, abs(lt.dq[a] - dl[a]), abs(lt.dqd[a] - dl[sc.dim + a]))
         lines.append(
             CheckLine(
                 "geometry.classical-collapse",

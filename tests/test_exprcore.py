@@ -269,6 +269,17 @@ class TestFusedKernel:
         with pytest.raises(DomainError, match="q=-1.0"):
             fn(-1.0)
 
+    @pytest.mark.parametrize("power", [2.0, 101.0, 102.0])
+    def test_a_real_call_stays_real_under_a_high_power(self, power):
+        # a complex sin(q) would go through Python's polar complex power above
+        # exponent 100 and leave an imaginary part of about 1e-22
+        e = BinOp("^", Call("sin", Sym("q")), Const(power))
+        want = evaluate(e, {"q": -1.0})
+        assert isinstance(want, float)
+        assert compile_expr((e,), ("q",), real=True)(-1.0) == (want,)
+        lanes = compile_expr((e,), ("q",), real=True, vectorized=True)(np.array([1.0, -1.0]))
+        assert lanes[0].tolist() == [evaluate(e, {"q": 1.0}), want]
+
     def test_signed_zero_constants_are_kept_apart(self):
         # Const(0.0) == Const(-0.0), but q*0.0 and q*-0.0 differ at q = -1
         e = Sym("q") * Const(0.0) + Sym("q") * Const(-0.0)

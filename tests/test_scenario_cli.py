@@ -163,6 +163,11 @@ class TestCliSimulate:
         assert main(["simulate", scenario_file(raw)]) == 2
         assert "DomainError" in capsys.readouterr().err
 
+    def test_high_power_of_a_call_simulates(self, scenario_file, capsys):
+        raw = variant(lagrangian="0.5*qd^2 - sin(q)^102", params={}, initial={"q": [-1.0], "qd": [0.0]})
+        assert main(["simulate", scenario_file(raw)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 102
+
     def test_runtime_error_exits_2(self, scenario_file, capsys):
         raw = variant(lagrangian="0.5*i*(m*qd^2 - k*q^2)")  # degenerate, no closure
         assert main(["simulate", scenario_file(raw)]) == 2

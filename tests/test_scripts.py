@@ -56,3 +56,19 @@ def test_scenario_files_are_the_exported_corpus(tmp_path):
     assert exported == sorted(p.name for p in (ROOT / "scenarios").iterdir())
     for name in exported:
         assert (tmp_path / name).read_bytes() == (ROOT / "scenarios" / name).read_bytes(), name
+
+
+def test_perfbench_tracer_installs():
+    # the tracer wraps each name in the clmech module that calls it, so a
+    # name that a module stops binding would fail only in a traced bench run
+    path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
+    code = "import spans, workloads\nt = spans.Tracer()\nworkloads.install(t, [])\nt.restore()"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
