@@ -41,9 +41,8 @@ from .exprcore import (
     compile_expr,
     diff,
     free_symbols,
-    im_part,
-    re_part,
     simplify,
+    split,
 )
 from .lagrangian import (
     ComplexLagrangian,
@@ -90,11 +89,11 @@ class LagrangianPair:
 
     @cached_property
     def delta_L(self) -> Expr:
-        return simplify(re_part(self.second.expr) - re_part(self.first.expr))
+        return split(self.second.expr - self.first.expr)[0]
 
     @cached_property
     def delta_M(self) -> Expr:
-        return simplify(im_part(self.second.expr) - im_part(self.first.expr))
+        return split(self.second.expr - self.first.expr)[1]
 
 
 @dataclass(frozen=True)

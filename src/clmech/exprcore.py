@@ -549,10 +549,10 @@ def free_symbols(e: Expr) -> frozenset[str]:
 def conj_expr(e: Expr) -> Expr:
     """Structural conjugate: flips the imaginary part of every constant.
 
-    Since variables are real and the supported calls have real Taylor
-    coefficients, eval(conj_expr(e)) == conj(eval(e)) whenever evaluation
-    stays off the branch cuts of sqrt/ln/^ (negative real axis). Polynomial
-    Lagrangians, which is what the engine derives dynamics from, are exact.
+    Serves only `split`'s fallback. Since variables are real and the
+    supported calls have real Taylor coefficients, eval(conj_expr(e)) ==
+    conj(eval(e)) whenever evaluation stays off the branch cuts of
+    sqrt/ln/^ (negative real axis).
     """
     if isinstance(e, Const):
         return Const(e.value.conjugate())
@@ -567,22 +567,47 @@ def conj_expr(e: Expr) -> Expr:
     raise TypeError(f"not an Expr node: {e!r}")
 
 
-@lru_cache(maxsize=None)
-def re_part(e: Expr) -> Expr:
-    """Real part of `e` as a real-valued Expr: (e + conj e)/2."""
+def _conj_split(e: Expr) -> tuple[Expr, Expr]:
+    """(e + conj e)/2 and (e - conj e)/(2i): `split` of a node it cannot
+    split by structure."""
     c = conj_expr(e)
-    if c == e:  # every constant real: the expression is its own real part
-        return simplify(e)
-    return simplify(BinOp("*", BinOp("+", e, c), Const(0.5)))
+    return simplify((e + c) * Const(0.5)), simplify((e - c) * Const(-0.5j))
 
 
 @lru_cache(maxsize=None)
-def im_part(e: Expr) -> Expr:
-    """Imaginary part of `e` as a real-valued Expr: (e - conj e)/(2i)."""
-    c = conj_expr(e)
-    if c == e:
-        return ZERO
-    return simplify(BinOp("*", BinOp("-", e, c), Const(-0.5j)))
+def split(e: Expr) -> tuple[Expr, Expr]:
+    """(Re e, Im e) as two real-valued trees, built by structure.
+
+    Constants split into their parts and symbols are real. Neg, +, - and *
+    follow complex arithmetic, operation for operation as Python's complex
+    type computes them; `/` by a real denominator divides both parts, and
+    `^` and calls of real arguments are real. A node none of these covers
+    (a complex denominator, a power or call of a complex argument) splits
+    in the conjugate form, `_conj_split`. Both trees are simplified; a real
+    `e` gives simplify(e) and a zero imaginary part.
+    """
+    if isinstance(e, Const):
+        return Const(e.value.real), Const(e.value.imag)
+    if isinstance(e, Sym):
+        return e, ZERO
+    if isinstance(e, Neg):
+        re, im = split(e.arg)
+        return simplify(Neg(re)), simplify(Neg(im))
+    if isinstance(e, Call):
+        re, im = split(e.arg)
+        return (simplify(Call(e.fn, re)), ZERO) if _is_const(im, 0) else _conj_split(e)
+    if not isinstance(e, BinOp):
+        raise TypeError(f"not an Expr node: {e!r}")
+    (a, b), (c, d) = split(e.left), split(e.right)
+    if e.op in "+-":
+        return simplify(BinOp(e.op, a, c)), simplify(BinOp(e.op, b, d))
+    if e.op == "*":
+        return simplify(a * c - b * d), simplify(a * d + b * c)
+    if not _is_const(d, 0) or (e.op == "^" and not _is_const(b, 0)):
+        return _conj_split(e)
+    if e.op == "/":
+        return simplify(a / c), ZERO if _is_const(b, 0) else simplify(b / c)
+    return simplify(BinOp("^", a, c)), ZERO
 
 
 # --- compiled fast path ---------------------------------------------------

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .exprcore import compile_expr, diff, evaluate
+from .exprcore import DomainError, compile_expr, diff, evaluate
 from .lagrangian import ComplexLagrangian, EomSystem, MechState, _solve_velocity_scalar
 
 
@@ -112,7 +112,10 @@ class HamiltonianField:
     def hamiltonian(self, t: float, q: float, p: float, guess: float = 0.0) -> float:
         qd = self.invert(t, q, p, guess)
         at = {**self.lagr.params, "t": t, "q": q, "qd": qd}
-        return p * qd - evaluate(self.lagr.L_expr, at).real
+        L = evaluate(self.lagr.L_expr, at)
+        if L.imag:
+            raise DomainError(f"L took the complex value {L!r} at t={t!r}, q={q!r}, p={p!r}")
+        return p * qd - L.real
 
     def _gradients(
         self, t: float, q: float, p: float, qd: float

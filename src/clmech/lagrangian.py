@@ -37,9 +37,8 @@ from .exprcore import (
     diff,
     evaluate,
     free_symbols,
-    im_part,
-    re_part,
     simplify,
+    split,
 )
 
 REGULAR = "regular"
@@ -154,11 +153,11 @@ class ComplexLagrangian:
 
     @cached_property
     def L_expr(self) -> Expr:
-        return re_part(self.expr)
+        return split(self.expr)[0]
 
     @cached_property
     def M_expr(self) -> Expr:
-        return im_part(self.expr)
+        return split(self.expr)[1]
 
     @cached_property
     def maps(self) -> _Maps:
@@ -187,12 +186,11 @@ class _Maps:
     Each kernel takes the arguments (t, *q, *qd) and returns its maps as one
     flat tuple of floats (matrices row-major), computing shared
     subexpressions once: `kernel` returns (f, g, A, f_q, f_t) and `newton`
-    (f, A), all the velocity solve needs. The maps are Re/Im parts of the
-    Lagrangian's derivatives, so inside the domain their imaginary parts are
-    exactly zero (conjugate trees evaluate to bitwise conjugates); a kernel
-    raises DomainError on a nonzero one, e.g. from sqrt of a negative
-    coordinate. Kernels are compiled on first use, so a derive that only
-    classifies never compiles one.
+    (f, A), all the velocity solve needs. The maps are real trees built from
+    `split`'s L and M; a kernel raises DomainError where a value turns
+    complex all the same, e.g. from sqrt of a negative coordinate. Kernels
+    are compiled on first use, so a derive that only classifies never
+    compiles one.
 
     `lanes` is `kernel` over arrays of samples (`compile_expr`'s `vectorized`
     mode), for passes over whole trajectories. `equivalence` builds the maps

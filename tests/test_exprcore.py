@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clmech import exprcore
 from clmech.corpus import bundled_corpus
 from clmech.exprcore import (
     BinOp,
@@ -20,15 +21,16 @@ from clmech.exprcore import (
     UnboundSymbol,
     UnknownFunction,
     _codegen,
+    _conj_split,
+    _parts,
     compile_expr,
     conj_expr,
     diff,
     evaluate,
     free_symbols,
-    im_part,
     parse,
-    re_part,
     simplify,
+    split,
     to_source,
 )
 from clmech.lagrangian import derive_eom
@@ -38,6 +40,22 @@ finite = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=
 
 def ev(src, **bindings):
     return evaluate(parse(src), bindings)
+
+
+# one complex node each, which `split` can only split in the conjugate form
+FALLBACK_INPUTS = ("exp(i*q)", "1/(1 + i*qd)", "(q + i*qd)^2", "sqrt(1 + i*q)")
+
+# the real terms tests/test_oracle.py multiplies by complex coefficients;
+# qa, qb and va, vb name the coordinates and velocities a term uses
+TERM_TEMPLATES = (
+    "{va}*{vb}",
+    "{qa}*{vb}",
+    "cos({qa})",
+    "exp(-{qa}^2/2)",
+    "ln(1 + {qa}^2)",
+    "sqrt(1 + {va}^2)",
+    "t*{qa}",
+)
 
 
 class TestParse:
@@ -189,18 +207,46 @@ class TestConjugationSplit:
     @given(finite, finite)
     @settings(max_examples=50)
     def test_re_im_reassemble(self, q, qd):
-        e = parse("(1+2*i)*q^2 + i*q*qd")
         b = {"q": q, "qd": qd}
-        z = evaluate(e, b)
-        assert evaluate(re_part(e), b) == pytest.approx(z.real)
-        assert evaluate(im_part(e), b) == pytest.approx(z.imag)
+        # all but the first split a complex node in the conjugate form
+        for src in ("(1+2*i)*q^2 + i*q*qd", *FALLBACK_INPUTS):
+            e = parse(src)
+            z = evaluate(e, b)
+            re, im = split(e)
+            assert evaluate(re, b) == pytest.approx(z.real)
+            assert evaluate(im, b) == pytest.approx(z.imag)
 
     def test_real_expression_has_structurally_zero_imag(self):
-        assert im_part(parse("0.5*m*qd^2 - 0.5*k*q^2")) == Const(0.0)
+        e = parse("0.5*m*qd^2 - 0.5*k*q^2")
+        assert split(e) == (simplify(e), Const(0.0))
 
     def test_split_values_are_real_typed(self):
-        val = evaluate(re_part(parse("i*q*qd")), {"q": 1.0, "qd": 2.0})
+        val = evaluate(split(parse("i*q*qd"))[0], {"q": 1.0, "qd": 2.0})
         assert val.imag == 0.0
+
+    def test_bundled_and_oracle_inputs_need_no_fallback(self, monkeypatch):
+        fallbacks = []
+        monkeypatch.setattr(exprcore, "_conj_split", lambda e: fallbacks.append(e) or _conj_split(e))
+
+        def count(e) -> int:
+            fallbacks.clear()
+            split.cache_clear()  # a cached node would not be split again
+            split(e)
+            return len(fallbacks)
+
+        for src in FALLBACK_INPUTS:
+            assert count(parse(src)) == 1
+        names = dict(qa="q1", qb="q2", va="qd1", vb="qd2")
+        terms = [parse(f"(0.3 + 0.7*i)*({t.format(**names)})") for t in TERM_TEMPLATES]
+        lagrangians = [sc.build_lagrangian() for sc in bundled_corpus()]
+        for e in terms + [lagr.expr for lagr in lagrangians]:
+            assert count(e) == 0
+
+        def constants(e):
+            return [e.value] if isinstance(e, Const) else sum(map(constants, _parts(e)[1]), [])
+
+        for lagr in lagrangians:
+            assert not any(c.imag for c in constants(lagr.L_expr) + constants(lagr.M_expr))
 
 
 class TestCompile:

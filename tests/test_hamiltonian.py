@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from clmech.dynamics import IntegratorConfig, integrate, integrate_hamiltonian
-from clmech.exprcore import parse
+from clmech.exprcore import DomainError, parse
 from clmech.hamiltonian import (
     DegenerateJacobian,
     HamiltonianField,
@@ -101,6 +101,15 @@ class TestHamiltonianValue:
         field = make_field("qd^3/3")
         with pytest.raises(DegenerateJacobian):
             field.h_gradients(0.0, 0.0, 0.0, 0.0)
+
+    def test_complex_lagrangian_value_is_a_domain_error(self):
+        # L = 0.5 qd^2 + sqrt(q) is complex at q = -1; H must not keep its real part
+        field = make_field("0.5*qd^2 + sqrt(q)")
+        assert legendre_H(field, 1.0, 2.0, 0.0) == pytest.approx(1.0)  # 2*2 - (2 + 1)
+        with pytest.raises(DomainError, match=r"L took the complex value .* at t=0.0, q=-1.0, p=2.0"):
+            legendre_H(field, -1.0, 2.0, 0.0)
+        with pytest.raises(DomainError, match="q=-1.0"):
+            field.flow(0.0, -1.0, 2.0)
 
 
 class TestFlow:

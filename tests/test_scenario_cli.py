@@ -193,6 +193,13 @@ class TestCliDerive:
         assert "closure-consistency: 0.09" in out
         assert "warning:" in out
 
+    def test_prints_the_real_maps(self, capsys):
+        # L and M are split by structure, so the maps of m*qd carry no conjugate
+        assert main(["derive", str(SCENARIOS / "damped_oscillator.json")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "momentum[0]: (0.5 * (m * (2.0 * qd)))" in lines
+        assert "mass[0][0]: (0.5 * (m * 2.0))" in lines
+
 
 class TestCliCheck:
     def test_single_suite_passes(self, scenario_file, capsys):
@@ -317,3 +324,24 @@ def test_check_report_bytes_unchanged(name, tmp_path, capsys):
     argv = ["check", "all", str(SCENARIOS / f"{name}.json"), "--seed", "1", "-o", str(out)]
     assert main(argv) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CHECK_SHA256[name]
+
+
+# SHA-256 of `clmech derive` output for the bundled scenario files, recorded
+# from the structural Re/Im split
+DERIVE_SHA256 = {
+    "classical_oscillator": "6cdaf624b6b9a387911bad99ef5e999b8fe7f90362924a0da791f396e56ca455",
+    "damped_oscillator": "f16643ff00fce4b94a0064aad2586c3a65f99285a6f082ca212afa726be41e09",
+    "damped_oscillator_literal": "e432b4b45b19451ffd4a6b35dfa12e6f73abe90c5206377e65775f7b606fb83c",
+    "free_particle": "6c0957c9cca15784720cac57031d62a5c8e71b0364a4bafc1d44817cc1f07d4d",
+    "gauge_pair_imaginary": "4ac1224468110308dadae45c2f1af3fae06232203e3ba317228e89ec5800d6d2",
+    "gauge_pair_oscillator": "2c31193d70f2ae6dce300ba2b51b2b188f94db931e08c74740e46866060ff8dd",
+    "imaginary_ho": "d062592d117c13b045006dea255ec1de0448df39b1f2be9a30707fd497f66b18",
+    "inverted_oscillator": "91e54b201afe723577524f383e80e12ecdb9e8a557a2d93d4ba620f44ab53af3",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DERIVE_SHA256))
+def test_derive_report_bytes_unchanged(name, capsys):
+    assert main(["derive", str(SCENARIOS / f"{name}.json")]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == DERIVE_SHA256[name]
