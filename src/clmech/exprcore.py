@@ -17,8 +17,9 @@ Grammar, loosest to tightest binding::
 Identifiers are ``[A-Za-z_][A-Za-z0-9_]*``; numeric literals are decimal with
 an optional exponent. Supported calls: sin, cos, exp, ln, sqrt, tanh.
 
-All node types are immutable and hashable; every operation here is pure, so
-expressions are safe to share across threads.
+Nodes are immutable and hash-consed: equal trees are one object, so `==`
+and `hash` are identity. A node is interned by one atomic `setdefault`, so
+expressions are safe to build and share across threads.
 """
 
 from __future__ import annotations
@@ -74,9 +75,32 @@ class UnboundSymbol(ExprError):
 Number = Union[int, float, complex]
 
 
-@dataclass(frozen=True)
+_NODES: dict[tuple, "Expr"] = {}
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Expr:
-    """Immutable expression node. Arithmetic operators build trees."""
+    """Immutable expression node. Arithmetic operators build trees.
+
+    Building a node equal in structure to an existing one returns that node,
+    so `==` is identity, O(1) at any depth. A constant is its exact value:
+    Const(0.0) is not Const(-0.0), though the values are equal.
+    """
+
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        if cls is Const:  # repr keeps the sign of a zero apart, unlike ==
+            fields = (complex(fields[0]),)
+            key = (cls, repr(fields[0]))
+        node = _NODES.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            node.__dict__.update(zip(cls.__match_args__, fields))
+            node = _NODES.setdefault(key, node)
+        return node
+
+    def __reduce__(self):  # copies and pickles are rebuilt through the table
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
     def __add__(self, other: "Expr | Number") -> "Expr":
         return BinOp("+", self, as_expr(other))
@@ -115,32 +139,29 @@ class Expr:
         return diff(self, name)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Const(Expr):
     value: complex
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", complex(self.value))
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Sym(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Neg(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class BinOp(Expr):
     op: str  # one of + - * / ^
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Call(Expr):
     fn: str  # one of FUNCTIONS
     arg: Expr
@@ -622,17 +643,6 @@ def _not_real(values: tuple[complex, ...], state: Mapping[str, float]) -> None:
     raise DomainError(f"real map {k} took the complex value {v!r} at {_where(state)}")
 
 
-def _parts(e: Expr) -> tuple[str, tuple[Expr, ...]]:
-    """What sets a node apart from others of its type, and its children."""
-    if isinstance(e, Const):
-        return repr(e.value), ()  # unlike ==, keeps the sign of a zero apart
-    if isinstance(e, Sym):
-        return e.name, ()
-    if isinstance(e, BinOp):
-        return e.op, (e.left, e.right)
-    return getattr(e, "fn", ""), (e.arg,)  # Neg or Call
-
-
 def _codegen(
     trees: tuple[Expr, ...],
     args: tuple[str, ...],
@@ -651,36 +661,22 @@ def _codegen(
     out; complex and non-finite ones are bound by name, so each keeps its
     exact value (the text of a complex literal can lose the sign of a zero).
     """
-    # Hash-cons the trees: `canon` maps each node object to the first node
-    # seen with the same structure. Keys hold the children's canonical ids,
-    # so each node costs O(1) instead of a hash over its whole subtree.
-    table: dict[tuple, Expr] = {}
-    canon: dict[int, Expr] = {}
-
-    def intern(e: Expr) -> Expr:
-        c = canon.get(id(e))
-        if c is None:
-            label, children = _parts(e)
-            key = (type(e), label, *(id(intern(x)) for x in children))
-            c = canon[id(e)] = table.setdefault(key, e)
-        return c
-
-    uses: dict[int, int] = {}
+    uses: dict[Expr, int] = {}
 
     def count(e: Expr) -> None:
-        seen = uses.get(id(e), 0)
-        uses[id(e)] = seen + 1
+        seen = uses.get(e, 0)
+        uses[e] = seen + 1
         if not seen:  # a repeat is computed once, so its children are not reused
-            for child in _parts(e)[1]:
-                count(intern(child))
+            for child in vars(e).values():
+                if isinstance(child, Expr):
+                    count(child)
 
-    trees = tuple(intern(tree) for tree in trees)
     for tree in trees:
         count(tree)
 
     arg_set = frozenset(args)
     bound: dict[str, complex] = {}
-    names: dict[int, str] = {}
+    names: dict[Expr, str] = {}
     lines: list[str] = []
 
     def literal(v: complex) -> str:
@@ -691,8 +687,8 @@ def _codegen(
         return name
 
     def emit(e: Expr) -> str:
-        if id(e) in names:
-            return names[id(e)]
+        if e in names:
+            return names[e]
         if isinstance(e, Const):
             return literal(e.value)
         if isinstance(e, Sym):
@@ -702,9 +698,9 @@ def _codegen(
                 return literal(complex(consts[e.name]))
             raise UnboundSymbol(e.name)
         if isinstance(e, Neg):
-            src = f"(-{emit(intern(e.arg))})"
+            src = f"(-{emit(e.arg)})"
         elif isinstance(e, BinOp):
-            l, r = emit(intern(e.left)), emit(intern(e.right))
+            l, r = emit(e.left), emit(e.right)
             if e.op == "/":
                 src = f"_h_div({l}, {r})"
             elif e.op == "^":
@@ -712,12 +708,12 @@ def _codegen(
             else:
                 src = f"({l} {e.op} {r})"
         elif isinstance(e, Call):
-            src = f"_h_call({e.fn!r}, ({emit(intern(e.arg))}))"
+            src = f"_h_call({e.fn!r}, ({emit(e.arg)}))"
         else:
             raise TypeError(f"not an Expr node: {e!r}")
-        if uses[id(e)] == 1:
+        if uses[e] == 1:
             return src
-        name = names[id(e)] = f"_v{len(names)}"
+        name = names[e] = f"_v{len(names)}"
         lines.append(f"    {name} = {src}")
         return name
 

@@ -67,6 +67,14 @@ class UndeclaredSymbol(Exception):
     """The Lagrangian references a symbol that is neither state nor parameter."""
 
 
+class InvalidParameter(ValueError):
+    """A parameter name is not an identifier, or is i, t or a state name."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        super().__init__(f"invalid or reserved parameter name '{name}'")
+
+
 class UnneededClosureMass(ValueError):
     """A closure mass was given for a system that is regular at the probe."""
 
@@ -133,7 +141,7 @@ class ComplexLagrangian:
         reserved = {"i", "t", *self.coords, *self.vels}
         for name, value in self.params.items():
             if not _IDENT.match(name) or name in reserved:
-                raise ValueError(f"invalid or reserved parameter name '{name}'")
+                raise InvalidParameter(name)
             if not math.isfinite(float(value)):
                 raise ValueError(f"parameter '{name}' must be finite")
         allowed = reserved | set(self.params)

@@ -29,8 +29,9 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .exprcore import ExprError, free_symbols, parse
-from .lagrangian import ComplexLagrangian, MechState, coordinate_names, velocity_names
+from .dynamics import IntegratorConfig
+from .exprcore import ExprError, parse
+from .lagrangian import ComplexLagrangian, InvalidParameter, MechState, UndeclaredSymbol
 
 SCHEMA_VERSION = 1
 SUITE_NAMES = ("variation", "noether", "equivalence", "geometry", "hamiltonian")
@@ -145,12 +146,14 @@ class Scenario:
         integ = raw["integrator"]
         _keys_exactly("integrator", integ, required={"h", "t_start", "t_end"})
         h = _real("integrator.h", integ["h"])
-        if h <= 0:
-            raise ScenarioError("integrator.h", "must be positive")
         t_start = _real("integrator.t_start", integ["t_start"])
         t_end = _real("integrator.t_end", integ["t_end"])
         if t_end <= t_start:
             raise ScenarioError("integrator.t_end", "must exceed t_start")
+        try:  # with t_end > t_start, IntegratorConfig can reject only h: its sign or step count
+            IntegratorConfig(h, t_start, t_end)
+        except ValueError as err:
+            raise ScenarioError("integrator.h", str(err)) from err
 
         closure_mass = None
         if "closure_mass" in raw:
@@ -168,22 +171,13 @@ class Scenario:
         if len(set(checks)) != len(checks):
             raise ScenarioError("checks", "duplicate suite names")
 
-        # the expression must parse and bind entirely to declared symbols
+        # the expression must parse, and the Lagrangian accept its symbols
         try:
-            expr = parse(source)
-        except ExprError as err:
+            ComplexLagrangian(parse(source), omega0, dim, params)
+        except (ExprError, UndeclaredSymbol) as err:
             raise ScenarioError("lagrangian", str(err)) from err
-        allowed = (
-            {"t"}
-            | set(coordinate_names(dim))
-            | set(velocity_names(dim))
-            | set(params)
-        )
-        loose = free_symbols(expr) - allowed
-        if loose:
-            raise ScenarioError(
-                "lagrangian", f"undeclared symbols: {', '.join(sorted(loose))}"
-            )
+        except InvalidParameter as err:
+            raise ScenarioError(f"params.{err.name}", str(err)) from err
 
         return Scenario(
             name=name,

@@ -404,7 +404,7 @@ def geometry_suite(
         )
     ]
 
-    if lagr.M_expr == Const(0.0):
+    if isinstance(lagr.M_expr, Const) and lagr.M_expr.value == 0:  # either sign of zero
         # dL/dq_a then dL/dqd_a through the tree evaluator: compiled, they
         # would be the very kernel that gave the Lie derivative
         grads = [diff(lagr.L_expr, x) for x in lagr.coords + lagr.vels]

@@ -214,7 +214,7 @@ def test_criterion_7_geometry_identity_all_corpus():
             warnings.simplefilter("ignore", ClosureConsistencyWarning)
             eom = derive_eom(lagr, sc.probe_state(), closure_mass=sc.closure_mass)
         states = sample_states(sc.dim, 100)
-        classical = lagr.M_expr == Const(0.0)
+        classical = isinstance(lagr.M_expr, Const) and lagr.M_expr.value == 0
         for s in states:
             lt = lie_theta(lagr, eom, s)
             pf = rhs_pairing_form(lagr, s)

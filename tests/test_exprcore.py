@@ -1,8 +1,12 @@
 import cmath
+import copy
 import functools
 import math
+import pickle
 import struct
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -16,13 +20,13 @@ from clmech.exprcore import (
     Call,
     Const,
     DomainError,
+    Expr,
     ExprSyntaxError,
     Sym,
     UnboundSymbol,
     UnknownFunction,
     _codegen,
     _conj_split,
-    _parts,
     compile_expr,
     conj_expr,
     diff,
@@ -69,7 +73,7 @@ class TestParse:
         assert ev("-2^2") == -4
 
     def test_imaginary_unit(self):
-        assert parse("i") == Const(1j)
+        assert parse("i") is Const(1j)
         assert ev("i*i") == -1
 
     def test_functions(self):
@@ -78,6 +82,19 @@ class TestParse:
 
     def test_whitespace_and_parens(self):
         assert ev(" ( q + 1 ) * 2 ", q=3) == 8
+
+    def test_threads_building_equal_trees_get_one_object(self):
+        # sources no other test parses, so every node is built while 4
+        # threads race to intern it
+        sources = [f"sin(q*{k}.5 + qd)^2 - {k}.25*exp(t)/(1 + q^{k})" for k in range(300)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                trees = list(pool.map(lambda _: [parse(s) for s in sources], range(4), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(a is b for other in trees[1:] for a, b in zip(trees[0], other))
 
     @pytest.mark.parametrize("bad", ["q +", "(q", "q q", "", "1..2", "sin 3", "*q"])
     def test_syntax_errors(self, bad):
@@ -144,6 +161,14 @@ class TestDiff:
         e = parse("q / (1 + q^2)")
         val = evaluate(diff(e, "q"), {"q": 2.0})
         assert val == pytest.approx((1 - 4) / 25)
+        # a tree built apart is the parsed one, and its derivative, derived
+        # afresh, is the first derivative's object
+        first = diff(e, "q")
+        diff.cache_clear()
+        simplify.cache_clear()
+        q = Sym("q")
+        assert q / (1 + q**2) is e
+        assert diff(q / (1 + q**2), "q") is first
 
     def test_other_symbols_are_constants(self):
         assert simplify(diff(parse("m*qd"), "q")) == Const(0.0)
@@ -157,7 +182,11 @@ class TestSimplify:
         assert simplify(q * Const(0.0)) == Const(0.0)
 
     def test_constant_folding(self):
-        assert simplify(parse("2*3 + 4")) == Const(10.0)
+        assert simplify(parse("2*3 + 4")) is Const(10.0)
+        # a constant is its exact value: the sign of a zero tells two apart
+        assert Const(1) is Const(1.0)
+        assert Const(0.0) is not Const(-0.0)
+        assert Const(0.0).value == Const(-0.0).value
 
     @pytest.mark.parametrize("src", ["exp(1000)", "10^400", "(0-10)^401"])
     def test_overflowing_constant_stays_unfolded(self, src):
@@ -180,6 +209,8 @@ class TestSource:
     )
     def test_round_trip(self, src):
         e = parse(src)
+        assert parse(src) is e
+        assert copy.deepcopy(e) is e and pickle.loads(pickle.dumps(e)) is e
         b = {"m": 1.1, "k": 0.7, "a0": 2.0, "q": 0.4, "qd": -1.2, "t": 0.9}
         assert evaluate(parse(to_source(e)), b) == evaluate(e, b)
 
@@ -243,7 +274,8 @@ class TestConjugationSplit:
             assert count(e) == 0
 
         def constants(e):
-            return [e.value] if isinstance(e, Const) else sum(map(constants, _parts(e)[1]), [])
+            children = [x for x in vars(e).values() if isinstance(x, Expr)]
+            return [e.value] if isinstance(e, Const) else sum(map(constants, children), [])
 
         for lagr in lagrangians:
             assert not any(c.imag for c in constants(lagr.L_expr) + constants(lagr.M_expr))

@@ -1,16 +1,40 @@
 import copy
 import hashlib
+import importlib
 import json
+import pkgutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import clmech
 from clmech.cli import main
 from clmech.corpus import CORPUS_DICTS, bundled_corpus, corpus_scenario
-from clmech.dynamics import integrate
-from clmech.lagrangian import MechState, derive_eom
+from clmech.dynamics import StepBlowUp, integrate
+from clmech.equivalence import GaugeDependsOnVelocity
+from clmech.exprcore import (
+    DomainError,
+    ExprError,
+    ExprSyntaxError,
+    UnboundSymbol,
+    UnknownFunction,
+    _LaneFailure,
+)
+from clmech.hamiltonian import DegenerateJacobian, InversionFailure, UnsupportedDimension
+from clmech.lagrangian import (
+    ClosureConsistencyWarning,
+    ClosureInconsistent,
+    DegenerateWithoutClosure,
+    InvalidParameter,
+    MechState,
+    SingularMass,
+    UndeclaredSymbol,
+    UnneededClosureMass,
+    derive_eom,
+)
 from clmech.scenario import Scenario, ScenarioError
+from clmech.variational import BadSampling, LengthMismatch
 from clmech.suites import even_step_config
 
 BASE = {
@@ -76,6 +100,11 @@ class TestSchema:
             lambda r: r["integrator"].update(t_end=0.0),
             lambda r: r["initial"].update(q=[1.0, 2.0]),
             lambda r: r["params"].update(m=True),
+            lambda r: r["params"].update(t=1.0),
+            lambda r: r["params"].update(i=1.0),
+            lambda r: r["params"].update(q=1.0),
+            lambda r: r["params"].update({"m x": 1.0}),
+            lambda r: r["integrator"].update(h=1e-9, t_end=10.0),
         ],
     )
     def test_bad_values_rejected(self, mutate):
@@ -215,6 +244,12 @@ class TestCliCheck:
         assert "## suite geometry" in out
         assert "## suite variation" not in out
 
+    def test_classical_collapse_when_m_is_a_negative_zero(self, scenario_file, capsys):
+        # the Neg of the kinetic term leaves M = Const(-0.0), zero by value
+        raw = variant(lagrangian="-(0.5*m*qd^2) - 0.5*k*q^2", checks=["geometry"])
+        assert main(["check", "geometry", scenario_file(raw)]) == 0
+        assert "[PASS] geometry.classical-collapse value=" in capsys.readouterr().out
+
     def test_detector_failure_exits_3(self, scenario_file, capsys):
         # a horizon this short cannot accumulate the drift the detector demands
         raw = copy.deepcopy(BASE)
@@ -249,6 +284,21 @@ class TestCliContract:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "closure_mass" in err
 
+    @pytest.mark.parametrize("argv", [["derive"], ["simulate"], ["check", "all"]])
+    @pytest.mark.parametrize(
+        "mutate,field",
+        [
+            (lambda r: r["params"].update(t=1.0), "params.t"),
+            (lambda r: r["integrator"].update(h=1e-9, t_end=10.0), "integrator.h"),
+        ],
+    )
+    def test_bad_parameter_name_or_plan_exits_1(self, argv, mutate, field, scenario_file, capsys):
+        raw = copy.deepcopy(BASE)
+        mutate(raw)
+        assert main([*argv, scenario_file(raw)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: scenario field '{field}': ") and err.count("\n") == 1
+
     def test_trajectory_leaving_the_lagrangian_domain_exits_2(self, scenario_file, capsys):
         # the maps (m*qd and -k/q) never evaluate ln, so the run crosses
         # q = 0; the action along the trajectory must stop there
@@ -279,6 +329,99 @@ class TestCliContract:
         raw = variant(lagrangian="0.5*m*qd^2 - exp(1000)*q")
         assert main(["derive", scenario_file(raw)]) == 0
         assert "force[0]: (-exp(1000.0))" in capsys.readouterr().out.splitlines()
+
+
+def _exception_classes() -> set[type]:
+    """Every exception class defined in a clmech module."""
+    found = set()
+    for info in pkgutil.iter_modules(clmech.__path__):
+        module = importlib.import_module(f"clmech.{info.name}")
+        found |= {
+            c
+            for c in vars(module).values()
+            if isinstance(c, type) and issubclass(c, BaseException) and c.__module__ == module.__name__
+        }
+    return found
+
+
+# class -> (subcommand, scenario changes that raise it, exit code, start of
+# the one line on stderr)
+TRIGGERED = {
+    ScenarioError: (["derive"], dict(extra=1), 1, "error: scenario field 'scenario.extra': unknown field"),
+    ExprSyntaxError: (["derive"], dict(lagrangian="0.5*qd^"), 1, "error: scenario field 'lagrangian': syntax error"),
+    UnknownFunction: (["derive"], dict(lagrangian="sinh(q)"), 1, "error: scenario field 'lagrangian': unknown function"),
+    UndeclaredSymbol: (["derive"], dict(lagrangian="0.5*mass*qd^2"), 1, "error: scenario field 'lagrangian': undeclared"),
+    InvalidParameter: (["derive"], dict(params={"t": 1.0}), 1, "error: scenario field 'params.t': invalid or reserved"),
+    UnneededClosureMass: (["derive"], dict(closure_mass=[1.0]), 1, "error: scenario field 'closure_mass': closure mass"),
+    DomainError: (
+        ["simulate"],
+        dict(lagrangian="0.5*qd^2 + sqrt(q)", params={}, initial={"q": [-1.0], "qd": [0.0]}),
+        2,
+        "error: DomainError: ",
+    ),
+    SingularMass: (
+        ["simulate"],
+        dict(lagrangian="0.5*(1 - t)*qd^2", params={}, integrator={"h": 0.01, "t_start": 0.0, "t_end": 2.0}),
+        2,
+        "error: SingularMass: ",
+    ),
+    DegenerateWithoutClosure: (["simulate"], dict(lagrangian="0.5*i*(m*qd^2 - k*q^2)"), 2, "error: DegenerateWithoutClosure: "),
+    ClosureInconsistent: (
+        # f = (q - 1)*qd^2 + q = qd has no root once q(q - 1) > 1/4
+        ["simulate"],
+        dict(lagrangian="(q - 1)*qd^3/3 + q*qd", params={}, initial={"q": [1.0], "qd": [1.0]}, closure_mass=[1.0]),
+        2,
+        "error: ClosureInconsistent: ",
+    ),
+    StepBlowUp: (
+        ["simulate"],
+        dict(lagrangian="0.5*qd^2 + q^3", params={}, integrator={"h": 0.01, "t_start": 0.0, "t_end": 10.0}),
+        2,
+        "error: StepBlowUp: ",
+    ),
+    InversionFailure: (  # p = sin(qd) has no root at p = 2
+        ["simulate"],
+        dict(lagrangian="-cos(qd)", params={}, initial={"q": [1.0], "p": [2.0]}),
+        2,
+        "error: InversionFailure: ",
+    ),
+    DegenerateJacobian: (  # f = 3*qd^2 is p = 0 at the start, where df/dqd = 0
+        ["simulate"],
+        dict(lagrangian="qd^3 - q^2", params={}, initial={"q": [1.0], "p": [0.0]}, closure_mass=[1.0]),
+        2,
+        "error: DegenerateJacobian: ",
+    ),
+    UnsupportedDimension: (
+        ["simulate"],
+        dict(lagrangian="0.5*qd1^2 + 0.5*qd2^2", params={}, dim=2, initial={"q": [1.0, 1.0], "p": [0.0, 0.0]}),
+        2,
+        "error: UnsupportedDimension: ",
+    ),
+}
+
+# class -> why no scenario file can raise it out of the program
+UNREACHABLE = {
+    ExprError: "a base class; only its subclasses are raised",
+    UnboundSymbol: "loading rejects a symbol that is neither state nor parameter, so every tree compiles",
+    _LaneFailure: "the array kernel catches it and reruns the lanes through the scalar kernel's DomainError",
+    ClosureConsistencyWarning: "a warning: derive reports it on a 'warning:' line and the run goes on",
+    BadSampling: "the suites integrate on even-step grids, an odd uniform sample count for Simpson's rule",
+    LengthMismatch: "the suites pair vectors of one trajectory's dimension",
+    GaugeDependsOnVelocity: "the equivalence suite adds only its own gauge terms in t and q",
+}
+
+
+def test_every_exception_class_is_audited():
+    assert not set(TRIGGERED) & set(UNREACHABLE)
+    assert _exception_classes() == set(TRIGGERED) | set(UNREACHABLE)
+
+
+@pytest.mark.parametrize("cls", list(TRIGGERED), ids=lambda c: c.__name__)
+def test_each_reachable_exception_leaves_through_its_exit_code(cls, scenario_file, capsys):
+    argv, changes, code, start = TRIGGERED[cls]
+    assert main([*argv, scenario_file(variant(**changes))]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(start) and err.count("\n") == 1
 
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
