@@ -78,6 +78,15 @@ class TestInversion:
         with pytest.raises(InversionFailure):
             field.invert(0.0, 0.0, 1.0, guess=0.0)
 
+    def test_constant_zero_slope_fails(self):
+        # f = -q does not depend on qd (A = 0 everywhere): p = 1 has no inverse at q = 0.5
+        lagr = ComplexLagrangian(parse("0.5*i*(qd^2 - q^2)"), 1.0)
+        field = HamiltonianField(lagr, derive_eom(lagr, PROBE, closure_mass=(-1.0,)))
+        with pytest.raises(InversionFailure):
+            field.invert(0.0, 0.5, 1.0)
+        with pytest.raises(InversionFailure):
+            integrate_hamiltonian(field, PhaseState(0.0, 0.5, 1.0), IntegratorConfig(0.1, 0.0, 1.0))
+
     def test_free_function_alias(self):
         assert invert_velocity(OSC, 0.3, 1.0, 0.0) == OSC.invert(0.0, 0.3, 1.0)
 

@@ -446,6 +446,24 @@ def test_simulate_csv_bytes_unchanged(name, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SIMULATE_SHA256[name]
 
 
+# SHA-256 of `clmech simulate` output for phase-space scenarios (initial `p`),
+# which no bundled file has: a momentum map nonlinear in qd, inverted by Newton
+PHASE_SIMULATE_SHA256 = {
+    "quartic": (
+        dict(lagrangian="0.25*qd^4 + 0.5*qd^2 - 0.5*q^2 + 0.1*cos(q)", params={}, initial={"q": [0.5], "p": [0.8]}),
+        "0e096a42c342edf38e634d83f7b89fc45b0c9873619476686ff4279acfaa2fda",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PHASE_SIMULATE_SHA256))
+def test_phase_simulate_csv_bytes_unchanged(name, scenario_file, tmp_path):
+    changes, digest = PHASE_SIMULATE_SHA256[name]
+    out = tmp_path / f"{name}.csv"
+    assert main(["simulate", scenario_file(variant(**changes)), "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 # SHA-256 of `clmech check all --seed 1` reports for the bundled scenario
 # files, recorded from the per-sample scalar passes that preceded the array
 # kernel and the shared run context
