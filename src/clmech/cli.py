@@ -90,9 +90,17 @@ def _emit(text: str, output: str | None) -> None:
             fh.write(text)
 
 
-def _simulate(sc: Scenario) -> str:
+def _derive(sc: Scenario):
+    """The Lagrangian, its derived system and the derive's warning messages."""
     lagr = sc.build_lagrangian()
-    eom = derive_eom(lagr, sc.probe_state(), closure_mass=sc.closure_mass)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        eom = derive_eom(lagr, sc.probe_state(), closure_mass=sc.closure_mass)
+    return lagr, eom, [str(w.message) for w in caught]
+
+
+def _simulate(sc: Scenario) -> str:
+    lagr, eom, notes = _derive(sc)
     cfg = IntegratorConfig(sc.h, sc.t_start, sc.t_end)
     if sc.initial_p is not None:
         field = HamiltonianField(lagr, eom, kappa0=sc.kappa0)
@@ -100,14 +108,13 @@ def _simulate(sc: Scenario) -> str:
         traj = integrate_hamiltonian(field, start, cfg)
     else:
         traj = integrate(eom, MechState(sc.t_start, sc.initial_q, sc.initial_qd), cfg)
+    for note in notes:  # after the run: a failure leaves one line, its error
+        print(f"warning: {note}", file=sys.stderr)
     return to_csv(traj)
 
 
 def _derive_report(sc: Scenario) -> str:
-    lagr = sc.build_lagrangian()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        eom = derive_eom(lagr, sc.probe_state(), closure_mass=sc.closure_mass)
+    lagr, eom, notes = _derive(sc)
     out = [
         f"scenario: {sc.name}",
         f"expression: {to_source(lagr.expr)}",
@@ -126,8 +133,7 @@ def _derive_report(sc: Scenario) -> str:
         masses = ", ".join(f"{m:.17g}" for m in eom.closure_mass)
         out.append(f"closure-mass: {masses}")
         out.append(f"closure-consistency: {eom.closure_consistency:.17g}")
-    for w in caught:
-        out.append(f"warning: {w.message}")
+    out += [f"warning: {note}" for note in notes]
     return "\n".join(out) + "\n"
 
 

@@ -270,7 +270,7 @@ def integrate_hamiltonian(
     """RK4 trajectory of the phase-space flow (q, p) of a single-DOF field.
 
     The qd column is filled by inverting the momentum map at each sample, so
-    the CSV schema is identical across flow kinds.
+    the CSV schema is identical across flow kinds; a stage is one `_flow_at` call.
     """
     t_grid, dt, n = _grid(cfg)
     h2, h6 = dt / 2, dt / 6
@@ -280,16 +280,16 @@ def integrate_hamiltonian(
     for k in range(n + 1):
         t = float(t_grid[k])
         _check_finite((q, p), t)
-        qd, f = field._invert(t, q, p, guess)
+        # stage 1 is at the sample itself; the last sample needs no slope
+        qd, f, *k1 = field._flow_at(t, q, p, guess) if k < n else field._invert(t, q, p, guess)
         guess = qd
         q_out[k], qd_out[k], p_out[k] = q, qd, p
         res_out[k] = abs(f - p)
         if k < n:
-            # stage 1 is at the sample itself, where qd is already inverted
-            k1q, k1p = field._flow_at(t, q, p, qd)
-            k2q, k2p = field.flow(t + h2, q + h2 * k1q, p + h2 * k1p, guess)
-            k3q, k3p = field.flow(t + h2, q + h2 * k2q, p + h2 * k2p, guess)
-            k4q, k4p = field.flow(t + dt, q + dt * k3q, p + dt * k3p, guess)
+            k1q, k1p = k1
+            _, _, k2q, k2p = field._flow_at(t + h2, q + h2 * k1q, p + h2 * k1p, guess)
+            _, _, k3q, k3p = field._flow_at(t + h2, q + h2 * k2q, p + h2 * k2p, guess)
+            _, _, k4q, k4p = field._flow_at(t + dt, q + dt * k3q, p + dt * k3p, guess)
             q = q + h6 * (k1q + 2 * k2q + 2 * k3q + k4q)
             p = p + h6 * (k1p + 2 * k2p + 2 * k3p + k4p)
     return Trajectory(HAMILTONIAN, dt, t_grid, q_out, qd_out, p_out, res_out)

@@ -567,6 +567,15 @@ def free_symbols(e: Expr) -> frozenset[str]:
 
 
 @lru_cache(maxsize=None)
+def subs(e: Expr, name: str, tree: Expr) -> Expr:
+    """`e` with the symbol `name` replaced by `tree`, simplified."""
+    if isinstance(e, Sym):
+        return tree if e.name == name else e
+    fields = (getattr(e, k) for k in e.__match_args__)
+    return simplify(type(e)(*(subs(x, name, tree) if isinstance(x, Expr) else x for x in fields)))
+
+
+@lru_cache(maxsize=None)
 def conj_expr(e: Expr) -> Expr:
     """Structural conjugate: flips the imaginary part of every constant.
 

@@ -1,7 +1,6 @@
 """Phase-space form of the dynamics: H, the K gradients, and the flow field.
 
-For a single coordinate, invert the momentum map p = f(q, qd, t) by Newton
-iteration, then build
+For a single coordinate, invert the momentum map p = f(q, qd, t), then build
 
     H(q, p, t) = p qd(q, p, t) - L(q, qd(q, p, t), t)
 
@@ -27,15 +26,22 @@ with the Lagrangian-side ones; the module still computes each (la-style)
 piece separately so the cancellation is observed, not assumed. K itself is
 never constructed: whether its mixed partials commute is reported as a
 finite-difference diagnostic, not asserted.
+
+When A = df/dqd holds parameters only, qd = (p - f(q, 0, t))/A is a tree (the
+Legendre transform of a quadratic form; Arnold, Mathematical Methods of
+Classical Mechanics, sec. 14) and the flow is one kernel call of (t, q, p). Any
+other f is inverted by the maps' damped Newton, its partials by a second kernel.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
-from .exprcore import DomainError, compile_expr, diff, evaluate
-from .lagrangian import ComplexLagrangian, EomSystem, MechState, _solve_velocity_scalar
+from .exprcore import ZERO, DomainError, Sym, compile_expr, diff, evaluate, free_symbols, simplify, subs
+from .lagrangian import ComplexLagrangian, EomSystem, _solve_velocity_scalar
 
 
 class InversionFailure(Exception):
@@ -68,8 +74,8 @@ class PhaseState:
 
 @dataclass(frozen=True, eq=False)
 class HamiltonianField:
-    """Compiled phase-space field for a regular single-coordinate system;
-    it inverts p = f with the derived maps' Newton (closure mass 0)."""
+    """Compiled phase-space field for a regular single-coordinate system; `_qd`
+    is the inverse tree qd(t, q, p) when f is affine in qd, else None."""
 
     lagr: ComplexLagrangian
     eom: EomSystem
@@ -82,24 +88,52 @@ class HamiltonianField:
             )
         if self.kappa0 == 0 or not math.isfinite(self.kappa0):
             raise ValueError("kappa0 must be a nonzero finite real")
+        # derive_eom evaluated A at the probe, so a constant A evaluates to a
+        # real; a parameter named p would be shadowed by the kernel argument
+        f, a, params = self.eom.f[0], self.eom.A[0][0], self.lagr.params
+        slope = evaluate(a, params) if "p" not in params and free_symbols(a) <= params.keys() else 0.0
+        affine = slope != 0 and cmath.isfinite(slope)
+        object.__setattr__(self, "_qd", simplify((Sym("p") - subs(f, "qd", ZERO)) / a) if affine else None)
+
+    @property
+    def _partials(self) -> tuple:
+        """The trees of (df/dq, A, dL/dq, dL/dqd, dM/dq, dM/dqd) in (t, q, qd)."""
         L, M = self.lagr.L_expr, self.lagr.M_expr
-        partials = (self.eom.f_q[0][0], self.eom.A[0][0])
-        partials += tuple(diff(e, x) for e in (L, M) for x in ("q", "qd"))
-        grads = compile_expr(partials, ("t", "q", "qd"), self.lagr.params, real=True)
-        object.__setattr__(self, "_grads", grads)
-        object.__setattr__(self, "_newton", self.eom.maps.newton)  # (f, df/dqd)
+        return self.eom.f_q[0][0], self.eom.A[0][0], *(diff(e, x) for e in (L, M) for x in ("q", "qd"))
+
+    def _at_momentum(self, trees: tuple):
+        """A real kernel of (t, q, p) computing `trees` at qd = the inverse tree."""
+        trees = tuple(subs(e, "qd", self._qd) for e in trees)
+        return compile_expr(trees, ("t", "q", "p"), self.lagr.params, real=True)
+
+    @cached_property
+    def _grads(self):
+        """The Newton path's partials at (t, q, qd)."""
+        return compile_expr(self._partials, ("t", "q", "qd"), self.lagr.params, real=True)
+
+    @cached_property
+    def _phase(self):
+        """(qd, f, *`_derivatives`) at (t, q, p)."""
+        f_q, a, *grads = self._partials
+        return self._at_momentum((Sym("qd"), self.eom.f[0], -f_q / a, 1.0 / a, *grads))
+
+    @cached_property
+    def _inverse(self):
+        """(qd, f) at (t, q, p): the phase kernel without the L and M partials."""
+        return self._at_momentum((Sym("qd"), self.eom.f[0]))
 
     def momentum(self, t: float, q: float, qd: float) -> float:
-        return self._newton(t, q, qd)[0]
+        return self.eom.maps.newton(t, q, qd)[0]
 
     def invert(self, t: float, q: float, p: float, guess: float = 0.0) -> float:
-        """Solve p = f(q, qd, t) for qd by damped Newton from `guess`."""
-        # not through `_invert`: this runs at every RK4 stage of the flow
-        return _solve_velocity_scalar(self._newton, t, q, p, 0.0, float(guess), InversionFailure)[0]
+        """Solve p = f(q, qd, t) for qd; Newton starts from `guess`."""
+        return self._invert(t, q, p, guess)[0]
 
     def _invert(self, t: float, q: float, p: float, guess: float) -> tuple[float, float]:
-        """(qd, f(q, qd, t)) at the converged qd."""
-        return _solve_velocity_scalar(self._newton, t, q, p, 0.0, float(guess), InversionFailure)
+        """(qd, f(q, qd, t)) at the inverted qd; Newton runs on (f, df/dqd)."""
+        if self._qd is not None:
+            return self._inverse(t, q, p)
+        return _solve_velocity_scalar(self.eom.maps.newton, t, q, p, 0.0, float(guess), InversionFailure)
 
     def _derivatives(self, t: float, q: float, qd: float) -> tuple[float, ...]:
         """(dqd/dq, dqd/dp, dL/dq, dL/dqd, dM/dq, dM/dqd); the first two from
@@ -117,11 +151,15 @@ class HamiltonianField:
             raise DomainError(f"L took the complex value {L!r} at t={t!r}, q={q!r}, p={p!r}")
         return p * qd - L.real
 
-    def _gradients(
-        self, t: float, q: float, p: float, qd: float
-    ) -> tuple[float, float, float, float]:
+    def _gradients(self, t: float, q: float, p: float, qd: float) -> tuple[float, float, float, float]:
         """(dH/dq, dH/dp, dK/dq, dK/dp) at an already-inverted qd."""
-        qd_q, qd_p, l_q, l_qd, m_q, m_qd = self._derivatives(t, q, qd)
+        return self._generators(p, qd, *self._derivatives(t, q, qd))
+
+    def _generators(
+        self, p: float, qd: float, qd_q: float, qd_p: float, l_q: float, l_qd: float, m_q: float, m_qd: float
+    ) -> tuple[float, float, float, float]:
+        """(dH/dq, dH/dp, dK/dq, dK/dp) from `_derivatives`' values, each
+        piece computed separately (the kappa0 factors are not cancelled)."""
         slack = p - l_qd
         dh_q = -l_q + slack * qd_q
         dh_p = qd + slack * qd_p
@@ -147,21 +185,27 @@ class HamiltonianField:
         _, _, dk_q, dk_p = self._gradients(t, q, p, qd)
         return dk_q, dk_p
 
-    def flow(
-        self, t: float, q: float, p: float, guess: float = 0.0
-    ) -> tuple[float, float]:
+    def flow(self, t: float, q: float, p: float, guess: float = 0.0) -> tuple[float, float]:
         """(qd_flow, pd_flow) from the two-generator equations of motion."""
-        return self._flow_at(t, q, p, self.invert(t, q, p, guess))
+        return self._flow_at(t, q, p, guess)[2:]
 
-    def _flow_at(self, t: float, q: float, p: float, qd: float) -> tuple[float, float]:
-        dh_q, dh_p, dk_q, dk_p = self._gradients(t, q, p, qd)
-        return dh_p - self.kappa0 * dk_q, -dh_q - dk_p / self.kappa0
+    def _flow_at(self, t: float, q: float, p: float, guess: float) -> tuple[float, float, float, float]:
+        """(qd, f, qd_flow, pd_flow) at (t, q, p): one phase-kernel call when
+        the momentum map is affine, else Newton from `guess` and `_grads`."""
+        if self._qd is None:
+            qd, f = self._invert(t, q, p, guess)
+            qd_q, qd_p, l_q, l_qd, m_q, m_qd = self._derivatives(t, q, qd)
+        else:
+            qd, f, qd_q, qd_p, l_q, l_qd, m_q, m_qd = self._phase(t, q, p)
+        dh_q, dh_p, dk_q, dk_p = self._generators(p, qd, qd_q, qd_p, l_q, l_qd, m_q, m_qd)
+        return qd, f, dh_p - self.kappa0 * dk_q, -dh_q - dk_p / self.kappa0
 
 
 def invert_velocity(
     field: HamiltonianField, q: float, p: float, t: float, guess: float = 0.0
 ) -> float:
-    """qd with f(q, qd, t) = p; Newton tolerance 1e-12, at most 50 steps."""
+    """qd with f(q, qd, t) = p: the closed form for an affine f, else Newton
+    (tolerance 1e-12, at most 50 steps)."""
     return field.invert(t, q, p, guess)
 
 

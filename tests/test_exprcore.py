@@ -35,6 +35,7 @@ from clmech.exprcore import (
     parse,
     simplify,
     split,
+    subs,
     to_source,
 )
 from clmech.lagrangian import derive_eom
@@ -279,6 +280,19 @@ class TestConjugationSplit:
 
         for lagr in lagrangians:
             assert not any(c.imag for c in constants(lagr.L_expr) + constants(lagr.M_expr))
+
+
+class TestSubs:
+    def test_replaces_a_symbol_by_a_tree(self):
+        e, tree = parse("q*qd + sin(qd)^2"), parse("(p - q)/2")
+        got = subs(e, "qd", tree)
+        assert free_symbols(got) == {"p", "q"}
+        b = {"p": 0.7, "q": -0.4}
+        assert evaluate(got, b) == evaluate(e, {**b, "qd": evaluate(tree, b)})
+
+    def test_result_is_simplified(self):
+        assert subs(parse("0.5*m*2*qd + k*q"), "qd", Const(0.0)) is simplify(parse("k*q"))
+        assert subs(parse("q*t"), "qd", Sym("p")) is parse("q*t")
 
 
 class TestCompile:

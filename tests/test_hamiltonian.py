@@ -2,7 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_exprcore import TERM_TEMPLATES
 
+import clmech.hamiltonian as hamiltonian
+import clmech.lagrangian as lagrangian
+from clmech.corpus import bundled_corpus
 from clmech.dynamics import IntegratorConfig, integrate, integrate_hamiltonian
 from clmech.exprcore import DomainError, parse
 from clmech.hamiltonian import (
@@ -17,7 +23,7 @@ from clmech.hamiltonian import (
     legendre_H,
     mixed_partial_diagnostic,
 )
-from clmech.lagrangian import ComplexLagrangian, MechState, derive_eom
+from clmech.lagrangian import ComplexLagrangian, MechState, _solve_velocity_scalar, derive_eom
 
 PROBE = MechState(0.0, (1.0,), (1.0,))
 
@@ -183,3 +189,82 @@ class TestPhaseIntegration:
         cfg = IntegratorConfig(1e-2, 0.0, 1.0)
         traj = integrate_hamiltonian(DAMPED, PhaseState(0.0, 1.0, 0.5), cfg)
         assert float(traj.el_residual.max()) < 1e-10
+
+
+def newton_reference(field, t, q, p):
+    """(qd, qd_flow, pd_flow) by the Newton inversion and the (t, q, qd)
+    partials kernel, whatever path the field itself takes."""
+    newton = field.eom.maps.newton
+    qd, _ = _solve_velocity_scalar(newton, t, q, p, 0.0, 0.0, InversionFailure)
+    dh_q, dh_p, dk_q, dk_p = field._generators(p, qd, *field._derivatives(t, q, qd))
+    return qd, dh_p - field.kappa0 * dk_q, -dh_q - dk_p / field.kappa0
+
+
+def assert_closed_form_matches_newton(field, states):
+    assert field._qd is not None  # the closed-form path
+    for t, q, p in states:
+        qd, _, qd_flow, pd_flow = field._flow_at(t, q, p, 0.0)
+        want = newton_reference(field, t, q, p)
+        scale = max(1.0, *map(abs, want))
+        for got, ref in zip((qd, qd_flow, pd_flow), want):
+            assert abs(got - ref) <= 1e-12 * scale, (t, q, p)
+        assert field.invert(t, q, p) == qd
+
+
+STATES = [(0.0, 0.5, 1.0), (0.7, -0.8, 0.3), (1.9, 1.2, -2.0)]
+# the templates under which the tree of A = df/dqd holds no t, q or qd:
+# sqrt(1 + qd^2) makes A depend on qd, and an imaginary ln(1 + q^2) leaves
+# an unfolded 0/(1 + q^2)^2 in it (simplify keeps 0/x), so both take Newton
+AFFINE_TEMPLATES = [
+    tmpl.format(qa="q", qb="q", va="qd", vb="qd") for tmpl in TERM_TEMPLATES if not tmpl.startswith(("sqrt", "ln"))
+]
+
+
+class TestClosedFormPath:
+    @pytest.mark.parametrize("sc", [sc for sc in bundled_corpus() if "hamiltonian" in sc.checks], ids=lambda sc: sc.name)
+    def test_bundled_fields_match_newton(self, sc):
+        lagr = sc.build_lagrangian()
+        assert_closed_form_matches_newton(HamiltonianField(lagr, derive_eom(lagr, sc.probe_state()), sc.kappa0), STATES)
+
+    @given(
+        kinetic=st.floats(0.5, 2.0),
+        terms=st.lists(
+            st.tuples(st.sampled_from(AFFINE_TEMPLATES), st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+            max_size=4,
+        ),
+        omega0=st.sampled_from((1.0, 0.7, -1.3, 2.5)),
+        kappa0=st.sampled_from((0.5, 1.0, 2.0)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_affine_sums_match_newton(self, kinetic, terms, omega0, kappa0):
+        source = " + ".join([f"({kinetic!r} + 0.1*i)*qd*qd", "0.3*t*q"] + [f"({a!r} + {b!r}*i)*({tmpl})" for tmpl, a, b in terms])
+        assert_closed_form_matches_newton(make_field(source, omega0, kappa0=kappa0), STATES)
+
+    def test_a_mass_tree_with_a_coordinate_keeps_newton(self):
+        field = make_field("0.5*qd^2 - 0.5*q^2 + 0.5*i*ln(1 + q^2)")
+        assert field._qd is None
+        qd, _, qd_flow, pd_flow = field._flow_at(0.7, -0.8, 0.3, 0.0)
+        assert (qd, qd_flow, pd_flow) == newton_reference(field, 0.7, -0.8, 0.3)
+
+    def test_a_parameter_named_p_keeps_newton(self):
+        field = make_field("0.5*p*qd^2 - 0.5*q^2", params={"p": 2.0})
+        assert field._qd is None
+        assert field.invert(0.0, 0.3, 1.0) == pytest.approx(0.5)
+
+    def test_kernels_compiled_per_path(self, monkeypatch):
+        compiled = []
+        for module in (hamiltonian, lagrangian):
+            spied = module.compile_expr
+            monkeypatch.setattr(module, "compile_expr", lambda trees, *a, fn=spied, **k: compiled.append(trees) or fn(trees, *a, **k))
+        cfg = IntegratorConfig(0.01, 0.0, 0.5)
+        affine = make_field("0.5*(m*qd^2 - k*q^2) + 0.5*i*l0*qd^2", params={"m": 1.0, "k": 1.0, "l0": 0.1})
+        integrate_hamiltonian(affine, PhaseState(0.0, 1.0, 0.2), cfg)
+        newton_trees = affine.eom.f + affine.eom.A[0]
+        assert newton_trees not in compiled and affine._partials not in compiled
+        assert len(compiled) == 2  # the phase kernel, and the inverse one for the last sample
+
+        compiled.clear()
+        quartic = make_field("0.25*qd^4 + 0.5*qd^2 + cos(q)")
+        assert quartic._qd is None
+        integrate_hamiltonian(quartic, PhaseState(0.0, 1.0, 0.2), cfg)
+        assert compiled == [quartic.eom.f + quartic.eom.A[0], quartic._partials]

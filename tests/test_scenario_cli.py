@@ -197,6 +197,11 @@ class TestCliSimulate:
         assert main(["simulate", scenario_file(raw)]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 102
 
+    def test_closure_warning_is_one_stderr_line(self, capsys):
+        assert main(["simulate", str(SCENARIOS / "damped_oscillator_literal.json")]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("warning: closure flow violates") and err.count("\n") == 1
+
     def test_runtime_error_exits_2(self, scenario_file, capsys):
         raw = variant(lagrangian="0.5*i*(m*qd^2 - k*q^2)")  # degenerate, no closure
         assert main(["simulate", scenario_file(raw)]) == 2
@@ -404,7 +409,7 @@ UNREACHABLE = {
     ExprError: "a base class; only its subclasses are raised",
     UnboundSymbol: "loading rejects a symbol that is neither state nor parameter, so every tree compiles",
     _LaneFailure: "the array kernel catches it and reruns the lanes through the scalar kernel's DomainError",
-    ClosureConsistencyWarning: "a warning: derive reports it on a 'warning:' line and the run goes on",
+    ClosureConsistencyWarning: "a warning: derive and simulate report it on a 'warning:' line and the run goes on",
     BadSampling: "the suites integrate on even-step grids, an odd uniform sample count for Simpson's rule",
     LengthMismatch: "the suites pair vectors of one trajectory's dimension",
     GaugeDependsOnVelocity: "the equivalence suite adds only its own gauge terms in t and q",
@@ -447,11 +452,23 @@ def test_simulate_csv_bytes_unchanged(name, tmp_path):
 
 
 # SHA-256 of `clmech simulate` output for phase-space scenarios (initial `p`),
-# which no bundled file has: a momentum map nonlinear in qd, inverted by Newton
+# which no bundled file has: a momentum map nonlinear in qd, inverted by
+# Newton, and an affine one with M != 0 and an explicit t, inverted in closed
+# form (recorded from the closed form; it moves the Newton CSV's qd and p by
+# at most 2.4e-14 and 1.8e-13 relative, with q and t bitwise)
 PHASE_SIMULATE_SHA256 = {
     "quartic": (
         dict(lagrangian="0.25*qd^4 + 0.5*qd^2 - 0.5*q^2 + 0.1*cos(q)", params={}, initial={"q": [0.5], "p": [0.8]}),
         "0e096a42c342edf38e634d83f7b89fc45b0c9873619476686ff4279acfaa2fda",
+    ),
+    "affine": (
+        dict(
+            lagrangian="0.5*m*qd^2 - 0.5*k*q^2 + 0.1*t*q + i*(0.2*q*qd + 0.05*t*q^2 + 0.3*l0*qd^2)",
+            omega0=1.3,
+            params={"m": 1.0, "k": 1.0, "l0": 0.5},
+            initial={"q": [0.5], "p": [0.8]},
+        ),
+        "bf5fcc607ba55f8c58bfa00ecae76cc0702611e38d93a1910f4cf3c6fc1ff87c",
     ),
 }
 

@@ -2,6 +2,7 @@
 
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,11 +13,11 @@ ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
 
 
-def run_script(name: str) -> subprocess.CompletedProcess:
+def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
     """Run a script in its own interpreter, importing clmech from src/."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, str(SCRIPTS / name)],
+        [sys.executable, str(SCRIPTS / name), *args],
         capture_output=True,
         text=True,
         cwd=ROOT,
@@ -72,3 +73,28 @@ def test_perfbench_tracer_installs():
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("command", ["check", "simulate"])
+def test_report_diff_flags_changed_tags_and_moved_values(command, tmp_path):
+    from clmech.cli import main
+
+    argv = ["check", "noether"] if command == "check" else ["simulate"]
+    old = tmp_path / "old.txt"
+    assert main([*argv, str(ROOT / "scenarios" / "damped_oscillator.json"), "-o", str(old)]) == 0
+    text = old.read_text()
+
+    def diff(new_text: str) -> subprocess.CompletedProcess:
+        new = tmp_path / "new.txt"
+        new.write_text(new_text)
+        return run_script("report_diff.py", str(old), str(new))
+
+    same = diff(text)
+    assert same.returncode == 0 and same.stdout.splitlines()[-1] == "agree"
+    # a changed tag (or CSV header), then one value moved by 1e-9 relative
+    changed = text.replace("[PASS]", "[FAIL]") if command == "check" else text.replace("q_1", "q_2", 1)
+    assert changed != text and diff(changed).returncode == 1
+    value = re.search(r"value=(0\.\d+)", text)[1] if command == "check" else text.splitlines()[-1].split(",")[1]
+    assert text.count(value) == 1
+    done = diff(text.replace(value, repr(float(value) * (1 + 1e-9))))
+    assert done.returncode == 1 and done.stdout.splitlines()[-1] == "DIFFER"
