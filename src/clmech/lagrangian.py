@@ -14,8 +14,8 @@ with qdd solving A qdd = g - (df/dq) qd - df/dt. If A is singular the system
 is closed to first order by the point-particle identification f = m_c * qd,
 solved for qd by damped Newton iteration (closure mass m_c is user-supplied
 per coordinate; its sign selects the branch of the flow). The same Newton,
-with m_c = 0 and a given p, inverts the momentum map for the phase-space
-form (`hamiltonian`).
+with m_c = 0 and a given p, inverts a momentum map that is not affine in qd
+for the phase-space form (`hamiltonian`).
 """
 
 from __future__ import annotations

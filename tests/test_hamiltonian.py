@@ -218,15 +218,19 @@ STATES = [(0.0, 0.5, 1.0), (0.7, -0.8, 0.3), (1.9, 1.2, -2.0)]
 # sqrt(1 + qd^2) makes A depend on qd, and an imaginary ln(1 + q^2) leaves
 # an unfolded 0/(1 + q^2)^2 in it (simplify keeps 0/x), so both take Newton
 AFFINE_TEMPLATES = [
-    tmpl.format(qa="q", qb="q", va="qd", vb="qd") for tmpl in TERM_TEMPLATES if not tmpl.startswith(("sqrt", "ln"))
+    tmpl.format(qa="q", qb="q", va="qd", vb="qd")
+    for tmpl in TERM_TEMPLATES
+    if not tmpl.startswith(("sqrt", "ln"))
 ]
+BUNDLED_HAMILTONIAN = [sc for sc in bundled_corpus() if "hamiltonian" in sc.checks]
 
 
 class TestClosedFormPath:
-    @pytest.mark.parametrize("sc", [sc for sc in bundled_corpus() if "hamiltonian" in sc.checks], ids=lambda sc: sc.name)
+    @pytest.mark.parametrize("sc", BUNDLED_HAMILTONIAN, ids=lambda sc: sc.name)
     def test_bundled_fields_match_newton(self, sc):
         lagr = sc.build_lagrangian()
-        assert_closed_form_matches_newton(HamiltonianField(lagr, derive_eom(lagr, sc.probe_state()), sc.kappa0), STATES)
+        field = HamiltonianField(lagr, derive_eom(lagr, sc.probe_state()), sc.kappa0)
+        assert_closed_form_matches_newton(field, STATES)
 
     # every drawn term moves A by at most 1 (|coefficient| <= 0.5, |omega0| >= 0.7),
     # so with at most four of them A >= 2*2.5 - 4 stays away from 0
@@ -241,7 +245,8 @@ class TestClosedFormPath:
     )
     @settings(max_examples=60, deadline=None)
     def test_affine_sums_match_newton(self, kinetic, terms, omega0, kappa0):
-        source = " + ".join([f"({kinetic!r} + 0.1*i)*qd*qd", "0.3*t*q"] + [f"({a!r} + {b!r}*i)*({tmpl})" for tmpl, a, b in terms])
+        drawn = [f"({a!r} + {b!r}*i)*({tmpl})" for tmpl, a, b in terms]
+        source = " + ".join([f"({kinetic!r} + 0.1*i)*qd*qd", "0.3*t*q", *drawn])
         assert_closed_form_matches_newton(make_field(source, omega0, kappa0=kappa0), STATES)
 
     def test_a_mass_tree_with_a_coordinate_keeps_newton(self):
@@ -260,7 +265,8 @@ class TestClosedFormPath:
         compiled = []
         for module in (hamiltonian, lagrangian):
             spied = module.compile_expr
-            monkeypatch.setattr(module, "compile_expr", lambda trees, *a, fn=spied, **k: compiled.append(trees) or fn(trees, *a, **k))
+            spy = lambda trees, *a, fn=spied, **k: compiled.append(trees) or fn(trees, *a, **k)  # noqa: E731
+            monkeypatch.setattr(module, "compile_expr", spy)
         cfg = IntegratorConfig(0.01, 0.0, 0.5)
         affine = make_field("0.5*(m*qd^2 - k*q^2) + 0.5*i*l0*qd^2", params={"m": 1.0, "k": 1.0, "l0": 0.1})
         integrate_hamiltonian(affine, PhaseState(0.0, 1.0, 0.2), cfg)

@@ -94,7 +94,10 @@ def test_report_diff_flags_changed_tags_and_moved_values(command, tmp_path):
     # a changed tag (or CSV header), then one value moved by 1e-9 relative
     changed = text.replace("[PASS]", "[FAIL]") if command == "check" else text.replace("q_1", "q_2", 1)
     assert changed != text and diff(changed).returncode == 1
-    value = re.search(r"value=(0\.\d+)", text)[1] if command == "check" else text.splitlines()[-1].split(",")[1]
+    if command == "check":
+        value = re.search(r"value=(0\.\d+)", text)[1]
+    else:
+        value = text.splitlines()[-1].split(",")[1]  # the last q
     assert text.count(value) == 1
     done = diff(text.replace(value, repr(float(value) * (1 + 1e-9))))
     assert done.returncode == 1 and done.stdout.splitlines()[-1] == "DIFFER"
