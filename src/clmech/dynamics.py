@@ -112,8 +112,9 @@ class Trajectory:
 
 
 def _check_finite(y: Sequence[float], t: float) -> None:
-    if not all(abs(v) <= BLOWUP_LIMIT for v in y):  # also false for nan
-        raise StepBlowUp(f"state magnitude exceeded {BLOWUP_LIMIT:g} at t={t!r}")
+    for v in y:
+        if not abs(v) <= BLOWUP_LIMIT:  # also true for nan
+            raise StepBlowUp(f"state magnitude exceeded {BLOWUP_LIMIT:g} at t={t!r}")
 
 
 def _grid(cfg: IntegratorConfig) -> tuple[np.ndarray, float, int]:

@@ -145,9 +145,8 @@ def eom_equivalent(
         raise ValueError("at least one sample state is required")
     lagr = pair.first
     n = pair.dim
-    # c = A, d = f_q, e = f_t and tail = -g of the difference, sliced from
-    # the kernel's flat (f, g, A, f_q, f_t)
-    kernel = _Maps(pair.delta_L, pair.delta_M, lagr.omega0, n, lagr.params).kernel
+    # c = A, d = f_q, e = f_t and tail = -g of the difference
+    maps = _Maps(pair.delta_L, pair.delta_M, lagr.omega0, n, lagr.params)
 
     eom1 = _regular_or_none(pair.first, samples[0])
     eom2 = _regular_or_none(pair.second, samples[0])
@@ -158,12 +157,9 @@ def eom_equivalent(
     cross_max: float | None = None
 
     for s in samples:
-        v = kernel(s.t, *s.q, *s.qd)
+        _, g, c, d, e = maps(s.t, s.q, s.qd)
         qd = np.array(s.qd)
-        c_mat = np.array(v[2 * n : 2 * n + n * n]).reshape(n, n)
-        d_mat = np.array(v[2 * n + n * n : 2 * n + 2 * n * n]).reshape(n, n)
-        e_vec = np.array(v[-n:])
-        tail_vec = -np.array(v[n : 2 * n])
+        c_mat, d_mat, e_vec, tail_vec = np.array(c), np.array(d), np.array(e), -np.array(g)
 
         needs_accel = np.abs(c_mat).max() > 1e-14 * max(1.0, np.abs(d_mat).max())
         a1 = None  # the first system's acceleration, once computed

@@ -404,10 +404,10 @@ def _diff_call(e: Call, s: str) -> Expr:
 
 
 def _diff_raw(e: Expr, s: str) -> Expr:
-    if isinstance(e, Const):
+    if s not in free_symbols(e):  # no dead 0/x or 0*x subtrees
         return ZERO
     if isinstance(e, Sym):
-        return ONE if e.name == s else ZERO
+        return ONE
     if isinstance(e, Neg):
         return Neg(_diff_raw(e.arg, s))
     if isinstance(e, BinOp):

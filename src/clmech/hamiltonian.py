@@ -113,9 +113,8 @@ class HamiltonianField:
 
     @cached_property
     def _phase(self):
-        """(qd, f, *`_derivatives`) at (t, q, p)."""
-        f_q, a, *grads = self._partials
-        return self._at_momentum((Sym("qd"), self.eom.f[0], -f_q / a, 1.0 / a, *grads))
+        """(qd, f, *`_partials`) at (t, q, p)."""
+        return self._at_momentum((Sym("qd"), self.eom.f[0], *self._partials))
 
     @cached_property
     def _inverse(self):
@@ -135,13 +134,19 @@ class HamiltonianField:
             return self._inverse(t, q, p)
         return _solve_velocity_scalar(self.eom.maps.newton, t, q, p, 0.0, float(guess), InversionFailure)
 
-    def _derivatives(self, t: float, q: float, qd: float) -> tuple[float, ...]:
-        """(dqd/dq, dqd/dp, dL/dq, dL/dqd, dM/dq, dM/dqd); the first two from
-        the implicit-function theorem."""
-        f_q, slope, l_q, l_qd, m_q, m_qd = self._grads(t, q, qd)
+    def _values(self, t: float, q: float, p: float, guess: float) -> tuple[float, ...]:
+        """(qd, f, dqd/dq, dqd/dp, dL/dq, dL/dqd, dM/dq, dM/dqd) at (t, q, p):
+        one phase-kernel call when the momentum map is affine, else Newton
+        from `guess` and `_grads`; dqd/dq and dqd/dp by the implicit-function
+        theorem."""
+        if self._qd is None:
+            qd, f = self._invert(t, q, p, guess)
+            f_q, slope, l_q, l_qd, m_q, m_qd = self._grads(t, q, qd)
+        else:
+            qd, f, f_q, slope, l_q, l_qd, m_q, m_qd = self._phase(t, q, p)
         if slope == 0.0:
             raise DegenerateJacobian(f"df/dqd = 0 at (t={t!r}, q={q!r}, qd={qd!r})")
-        return -f_q / slope, 1.0 / slope, l_q, l_qd, m_q, m_qd
+        return qd, f, -f_q / slope, 1.0 / slope, l_q, l_qd, m_q, m_qd
 
     def hamiltonian(self, t: float, q: float, p: float, guess: float = 0.0) -> float:
         qd = self.invert(t, q, p, guess)
@@ -151,15 +156,14 @@ class HamiltonianField:
             raise DomainError(f"L took the complex value {L!r} at t={t!r}, q={q!r}, p={p!r}")
         return p * qd - L.real
 
-    def _gradients(self, t: float, q: float, p: float, qd: float) -> tuple[float, float, float, float]:
-        """(dH/dq, dH/dp, dK/dq, dK/dp) at an already-inverted qd."""
-        return self._generators(p, qd, *self._derivatives(t, q, qd))
+    def _gradients(self, t: float, q: float, p: float, guess: float) -> tuple[float, float, float, float]:
+        """(dH/dq, dH/dp, dK/dq, dK/dp) at (t, q, p)."""
+        return self._generators(p, self._values(t, q, p, guess))
 
-    def _generators(
-        self, p: float, qd: float, qd_q: float, qd_p: float, l_q: float, l_qd: float, m_q: float, m_qd: float
-    ) -> tuple[float, float, float, float]:
-        """(dH/dq, dH/dp, dK/dq, dK/dp) from `_derivatives`' values, each
-        piece computed separately (the kappa0 factors are not cancelled)."""
+    def _generators(self, p: float, values: tuple[float, ...]) -> tuple[float, float, float, float]:
+        """(dH/dq, dH/dp, dK/dq, dK/dp) from `_values`' values, each piece
+        computed separately (the kappa0 factors are not cancelled)."""
+        qd, _, qd_q, qd_p, l_q, l_qd, m_q, m_qd = values
         slack = p - l_qd
         dh_q = -l_q + slack * qd_q
         dh_p = qd + slack * qd_p
@@ -171,18 +175,14 @@ class HamiltonianField:
         dk_p = k0 * (-(qd_q / w0) * mm_q + ((w0 + qd_q**2 / w0) / qd_p) * mm_p)
         return dh_q, dh_p, dk_q, dk_p
 
-    def h_gradients(
-        self, t: float, q: float, p: float, qd: float
-    ) -> tuple[float, float]:
-        """(dH/dq, dH/dp) at an already-inverted qd."""
-        dh_q, dh_p, _, _ = self._gradients(t, q, p, qd)
+    def h_gradients(self, t: float, q: float, p: float, guess: float = 0.0) -> tuple[float, float]:
+        """(dH/dq, dH/dp); a Newton inversion starts from `guess`."""
+        dh_q, dh_p, _, _ = self._gradients(t, q, p, guess)
         return dh_q, dh_p
 
-    def k_gradients(
-        self, t: float, q: float, p: float, qd: float
-    ) -> tuple[float, float]:
-        """(dK/dq, dK/dp) at an already-inverted qd."""
-        _, _, dk_q, dk_p = self._gradients(t, q, p, qd)
+    def k_gradients(self, t: float, q: float, p: float, guess: float = 0.0) -> tuple[float, float]:
+        """(dK/dq, dK/dp); a Newton inversion starts from `guess`."""
+        _, _, dk_q, dk_p = self._gradients(t, q, p, guess)
         return dk_q, dk_p
 
     def flow(self, t: float, q: float, p: float, guess: float = 0.0) -> tuple[float, float]:
@@ -190,15 +190,10 @@ class HamiltonianField:
         return self._flow_at(t, q, p, guess)[2:]
 
     def _flow_at(self, t: float, q: float, p: float, guess: float) -> tuple[float, float, float, float]:
-        """(qd, f, qd_flow, pd_flow) at (t, q, p): one phase-kernel call when
-        the momentum map is affine, else Newton from `guess` and `_grads`."""
-        if self._qd is None:
-            qd, f = self._invert(t, q, p, guess)
-            qd_q, qd_p, l_q, l_qd, m_q, m_qd = self._derivatives(t, q, qd)
-        else:
-            qd, f, qd_q, qd_p, l_q, l_qd, m_q, m_qd = self._phase(t, q, p)
-        dh_q, dh_p, dk_q, dk_p = self._generators(p, qd, qd_q, qd_p, l_q, l_qd, m_q, m_qd)
-        return qd, f, dh_p - self.kappa0 * dk_q, -dh_q - dk_p / self.kappa0
+        """(qd, f, qd_flow, pd_flow) at (t, q, p)."""
+        values = self._values(t, q, p, guess)
+        dh_q, dh_p, dk_q, dk_p = self._generators(p, values)
+        return values[0], values[1], dh_p - self.kappa0 * dk_q, -dh_q - dk_p / self.kappa0
 
 
 def invert_velocity(
@@ -218,8 +213,7 @@ def k_gradients(
     field: HamiltonianField, q: float, p: float, t: float
 ) -> tuple[float, float]:
     """(dK/dq, dK/dp) reconstructed from the transformed M map."""
-    qd = field.invert(t, q, p)
-    return field.k_gradients(t, q, p, qd)
+    return field.k_gradients(t, q, p)
 
 
 def flow_field(field: HamiltonianField, s: PhaseState) -> tuple[float, float]:

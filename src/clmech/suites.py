@@ -161,15 +161,13 @@ def even_step_config(sc: Scenario) -> IntegratorConfig:
     return IntegratorConfig(h=span / n, t_start=sc.t_start, t_end=sc.t_end)
 
 
-def variation_suite(
-    sc: Scenario, seed: int = DEFAULT_SEED, run: RunContext | None = None
-) -> SuiteResult:
+def variation_suite(run: RunContext, seed: int = DEFAULT_SEED) -> SuiteResult:
     """Stationarity of Re S on solutions; sensitivity on a non-solution path.
 
-    Nothing is sampled, so `seed` is ignored. `run` shares the derive and
-    the trajectories with other suites on the same scenario.
+    Nothing is sampled, so `seed` is ignored. `run` holds the scenario and
+    shares the derive and the trajectories with other suites on it.
     """
-    run = run or RunContext(sc)
+    sc = run.sc
     lagr, eom, notes = run.derived
     cfg = even_step_config(sc)
     traj = run.trajectory(cfg)
@@ -256,21 +254,19 @@ def variation_suite(
     return SuiteResult("variation", sc.name, tuple(lines), notes)
 
 
-def noether_suite(
-    sc: Scenario, seed: int = DEFAULT_SEED, run: RunContext | None = None
-) -> SuiteResult:
+def noether_suite(run: RunContext, seed: int = DEFAULT_SEED) -> SuiteResult:
     """Charge conservation iff the force map vanishes along the run.
 
     Nothing is sampled, so `seed` is ignored; `run` as for variation_suite.
     """
-    run = run or RunContext(sc)
+    sc = run.sc
     _, eom, notes = run.derived
     traj = run.trajectory(IntegratorConfig(sc.h, sc.t_start, sc.t_end))
     dq = (1.0,) * sc.dim
     series = charge_series(eom, traj, dq)
     g_max = 0.0
     for lanes in lane_blocks(traj.n_samples):
-        g = eom.maps.lanes(*traj.columns(lanes))[sc.dim : 2 * sc.dim]
+        g = eom.maps.split(eom.maps.lanes(*traj.columns(lanes)))[1]
         g_max = max(g_max, *(float(np.abs(x).max()) for x in g))
     drift = float(np.abs(series - series[0]).max())
     scale = max(1.0, abs(float(series[0])))
@@ -310,11 +306,10 @@ def noether_suite(
     return SuiteResult("noether", sc.name, tuple(lines), notes)
 
 
-def equivalence_suite(
-    sc: Scenario, seed: int = DEFAULT_SEED, run: RunContext | None = None
-) -> SuiteResult:
+def equivalence_suite(run: RunContext, seed: int = DEFAULT_SEED) -> SuiteResult:
     """Gauge pairs must read equivalent; genuine changes must not."""
-    lagr, _, notes = (run or RunContext(sc)).derived
+    sc = run.sc
+    lagr, _, notes = run.derived
     samples = sample_states(sc.dim, 256, seed)
     q_sym = Sym(lagr.coords[0])
     lines: list[CheckLine] = []
@@ -382,11 +377,10 @@ def equivalence_suite(
     return SuiteResult("equivalence", sc.name, tuple(lines), notes)
 
 
-def geometry_suite(
-    sc: Scenario, seed: int = DEFAULT_SEED, run: RunContext | None = None
-) -> SuiteResult:
+def geometry_suite(run: RunContext, seed: int = DEFAULT_SEED) -> SuiteResult:
     """Lie derivative of Theta equals the pairing form; classical collapse."""
-    lagr, eom, notes = (run or RunContext(sc)).derived
+    sc = run.sc
+    lagr, eom, notes = run.derived
     states = sample_states(sc.dim, 100, seed)
     lies = [lie_theta(lagr, eom, s) for s in states]
     worst = 0.0
@@ -445,14 +439,12 @@ def geometry_suite(
     return SuiteResult("geometry", sc.name, tuple(lines), notes)
 
 
-def hamiltonian_suite(
-    sc: Scenario, seed: int = DEFAULT_SEED, run: RunContext | None = None
-) -> SuiteResult:
+def hamiltonian_suite(run: RunContext, seed: int = DEFAULT_SEED) -> SuiteResult:
     """Phase-space flow against the Lagrangian flow; kappa0 invariance.
 
     Nothing is sampled, so `seed` is ignored; `run` as for variation_suite.
     """
-    run = run or RunContext(sc)
+    sc = run.sc
     lagr, eom, notes = run.derived
     init = run.initial
     field_ = HamiltonianField(lagr, eom, kappa0=sc.kappa0)
@@ -490,8 +482,8 @@ def hamiltonian_suite(
             kappa_worst = max(
                 kappa_worst, abs(fl[0] - flows[0][0]), abs(fl[1] - flows[0][1])
             )
-        qd = field_.invert(t, q, p)
-        qd_q, qd_p = field_._derivatives(t, q, qd)[:2]
+        # the values the flow integrates, against differences of the inverter
+        qd, _, qd_q, qd_p = field_._values(t, q, p, 0.0)[:4]
         delta = 1e-6 * (1.0 + abs(q) + abs(p))
         fd_p = (field_.invert(t, q, p + delta, qd) - field_.invert(t, q, p - delta, qd)) / (2 * delta)
         fd_q = (field_.invert(t, q + delta, p, qd) - field_.invert(t, q - delta, p, qd)) / (2 * delta)
@@ -544,7 +536,7 @@ def run_suites(
 ) -> list[SuiteResult]:
     """The named suites in order, sharing one RunContext."""
     run = RunContext(sc)
-    return [SUITE_FUNCTIONS[name](sc, seed, run) for name in names]
+    return [SUITE_FUNCTIONS[name](run, seed) for name in names]
 
 
 def format_report(results: list[SuiteResult], seed: int) -> str:

@@ -7,6 +7,7 @@ from clmech.dynamics import (
     MAX_STEPS,
     IntegratorConfig,
     StepBlowUp,
+    _check_finite,
     integrate,
     sampled_path,
     to_csv,
@@ -107,6 +108,14 @@ class TestRegularIntegration:
         eom = derive_eom(lagr, PROBE)
         with pytest.raises(StepBlowUp):
             integrate(eom, MechState(0.0, (1.0,), (2.0,)), IntegratorConfig(1e-2, 0.0, 40.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1.0000001e12])
+    def test_check_finite_rejects_nonfinite_and_huge(self, bad):
+        with pytest.raises(StepBlowUp, match="t=0.5"):
+            _check_finite((0.0, bad), 0.5)
+
+    def test_check_finite_accepts_the_limit(self):
+        _check_finite((1e12, -1e12), 0.5)
 
 
 class TestClosureIntegration:

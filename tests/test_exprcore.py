@@ -25,6 +25,7 @@ from clmech.exprcore import (
     Sym,
     UnboundSymbol,
     UnknownFunction,
+    ZERO,
     _codegen,
     _conj_split,
     compile_expr,
@@ -173,6 +174,10 @@ class TestDiff:
 
     def test_other_symbols_are_constants(self):
         assert simplify(diff(parse("m*qd"), "q")) == Const(0.0)
+
+    def test_a_tree_free_of_the_symbol_differentiates_to_zero(self):
+        # the quotient rule would leave 0/(1 + q^2)^2 behind
+        assert diff(parse("1/(1 + q^2)"), "qd") is ZERO
 
 
 class TestSimplify:

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from test_exprcore import TERM_TEMPLATES
 
 import clmech.hamiltonian as hamiltonian
 import clmech.lagrangian as lagrangian
+from clmech.cli import main
 from clmech.corpus import bundled_corpus
 from clmech.dynamics import IntegratorConfig, integrate, integrate_hamiltonian
 from clmech.exprcore import DomainError, parse
@@ -196,16 +198,17 @@ def newton_reference(field, t, q, p):
     by the Newton inversion and the (t, q, qd) partials kernel, whatever path
     the field itself takes."""
     qd, f = _solve_velocity_scalar(field.eom.maps.newton, t, q, p, 0.0, 0.0, InversionFailure)
-    derivs = field._derivatives(t, q, qd)
-    dh_q, dh_p, dk_q, dk_p = field._generators(p, qd, *derivs)
-    return qd, f, *derivs, dh_p - field.kappa0 * dk_q, -dh_q - dk_p / field.kappa0
+    f_q, slope, *grads = field._grads(t, q, qd)
+    values = (qd, f, -f_q / slope, 1.0 / slope, *grads)
+    dh_q, dh_p, dk_q, dk_p = field._generators(p, values)
+    return *values, dh_p - field.kappa0 * dk_q, -dh_q - dk_p / field.kappa0
 
 
 def assert_closed_form_matches_newton(field, states):
     assert field._qd is not None  # the closed-form path
     for t, q, p in states:
-        # dqd/dq cancels out of the flow, so the kernel's values are compared too
-        got = (*field._phase(t, q, p), *field.flow(t, q, p))
+        # dqd/dq cancels out of the flow, so the values are compared too
+        got = (*field._values(t, q, p, 0.0), *field.flow(t, q, p))
         want = newton_reference(field, t, q, p)
         scale = max(1.0, *map(abs, want))
         for x, y in zip(got, want, strict=True):
@@ -215,13 +218,13 @@ def assert_closed_form_matches_newton(field, states):
 
 STATES = [(0.0, 0.5, 1.0), (0.7, -0.8, 0.3), (1.9, 1.2, -2.0)]
 # the templates under which the tree of A = df/dqd holds no t, q or qd:
-# sqrt(1 + qd^2) makes A depend on qd, and an imaginary ln(1 + q^2) leaves
-# an unfolded 0/(1 + q^2)^2 in it (simplify keeps 0/x), so both take Newton
+# sqrt(1 + qd^2) makes A depend on qd, so it takes Newton
 AFFINE_TEMPLATES = [
     tmpl.format(qa="q", qb="q", va="qd", vb="qd")
     for tmpl in TERM_TEMPLATES
-    if not tmpl.startswith(("sqrt", "ln"))
+    if not tmpl.startswith("sqrt")
 ]
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 BUNDLED_HAMILTONIAN = [sc for sc in bundled_corpus() if "hamiltonian" in sc.checks]
 
 
@@ -250,7 +253,7 @@ class TestClosedFormPath:
         assert_closed_form_matches_newton(make_field(source, omega0, kappa0=kappa0), STATES)
 
     def test_a_mass_tree_with_a_coordinate_keeps_newton(self):
-        field = make_field("0.5*qd^2 - 0.5*q^2 + 0.5*i*ln(1 + q^2)")
+        field = make_field("0.5*(1 + 0.1*q^2)*qd^2 - 0.5*q^2")
         assert field._qd is None
         qd, f, qd_flow, pd_flow = field._flow_at(0.7, -0.8, 0.3, 0.0)
         want = newton_reference(field, 0.7, -0.8, 0.3)
@@ -279,3 +282,13 @@ class TestClosedFormPath:
         assert quartic._qd is None
         integrate_hamiltonian(quartic, PhaseState(0.0, 1.0, 0.2), cfg)
         assert compiled == [quartic.eom.f + quartic.eom.A[0], quartic._partials]
+
+    @pytest.mark.parametrize("sc", BUNDLED_HAMILTONIAN, ids=lambda sc: sc.name)
+    def test_check_on_an_affine_field_compiles_no_velocity_kernel(self, sc, monkeypatch, capsys):
+        arguments = []
+        spied = hamiltonian.compile_expr
+        spy = lambda trees, args, *a, **k: arguments.append(args) or spied(trees, args, *a, **k)  # noqa: E731
+        monkeypatch.setattr(hamiltonian, "compile_expr", spy)
+        assert main(["check", "hamiltonian", str(SCENARIOS / f"{sc.name}.json")]) == 0
+        assert ("t", "q", "p") in arguments
+        assert ("t", "q", "qd") not in arguments

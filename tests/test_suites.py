@@ -9,6 +9,7 @@ from clmech.sampling import DEFAULT_SEED
 from clmech.suites import (
     SUITE_FUNCTIONS,
     CheckLine,
+    RunContext,
     format_report,
     run_suites,
     variation_suite,
@@ -58,34 +59,34 @@ class TestCorpusSuites:
 
 class TestSuiteBehaviors:
     def test_variation_floor_branch_for_tuned_imaginary(self):
-        res = variation_suite(corpus_scenario("inverted_oscillator"))
+        res = variation_suite(RunContext(corpus_scenario("inverted_oscillator")))
         labels = [ln.label for ln in res.lines]
         assert "variation.solution-stationary-floor" in labels
         assert "variation.control-at-floor" in labels
         assert "variation.solution-slope-mode-1" not in labels
 
     def test_variation_slope_branch_for_damped(self):
-        res = variation_suite(corpus_scenario("damped_oscillator"))
+        res = variation_suite(RunContext(corpus_scenario("damped_oscillator")))
         labels = [ln.label for ln in res.lines]
         assert "variation.solution-slope-mode-1" in labels
         assert "variation.control-slope-mode-1" in labels
 
     def test_equivalence_bonus_pair_when_declared(self):
-        res = equivalence_suite(corpus_scenario("imaginary_ho"))
+        res = equivalence_suite(RunContext(corpus_scenario("imaginary_ho")))
         assert any(ln.label == "equivalence.oscillator-pair" for ln in res.lines)
 
     def test_equivalence_pair_absent_otherwise(self):
-        res = equivalence_suite(corpus_scenario("gauge_pair_oscillator"))
+        res = equivalence_suite(RunContext(corpus_scenario("gauge_pair_oscillator")))
         assert not any(ln.label == "equivalence.oscillator-pair" for ln in res.lines)
 
     def test_noether_branches(self):
-        conserved = noether_suite(corpus_scenario("free_particle"))
+        conserved = noether_suite(RunContext(corpus_scenario("free_particle")))
         assert any(ln.label == "noether.conserved-drift" for ln in conserved.lines)
-        drifting = noether_suite(corpus_scenario("classical_oscillator"))
+        drifting = noether_suite(RunContext(corpus_scenario("classical_oscillator")))
         assert any(ln.label == "noether.nonconserved-drift" for ln in drifting.lines)
 
     def test_closure_warning_surfaces_in_notes(self):
-        res = noether_suite(corpus_scenario("damped_oscillator_literal"))
+        res = noether_suite(RunContext(corpus_scenario("damped_oscillator_literal")))
         assert any("closure flow violates" in note for note in res.notes)
 
 
