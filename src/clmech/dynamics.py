@@ -305,7 +305,8 @@ def sampled_path(
     """Trajectory built from a user-supplied path instead of integration.
 
     Residuals are computed honestly against the path (qdd by central
-    difference of qd_fn), so a non-solution path reports a large residual.
+    difference of qd_fn), so a non-solution path reports a large residual; on
+    a degenerate system it is the closure residual and the kind is CLOSURE.
     Used to probe the action functional off the solution manifold.
     """
     t_grid, dt, n = _grid(cfg)
@@ -334,7 +335,8 @@ def sampled_path(
         else:
             terms = _el_terms(vals, qd, list(qdd_out[lanes].T))
         res_out[lanes] = np.max(terms, axis=0)
-    return Trajectory(SECOND_ORDER, dt, t_grid, q_out, qd_out, p_out, res_out)
+    kind = CLOSURE if degenerate else SECOND_ORDER
+    return Trajectory(kind, dt, t_grid, q_out, qd_out, p_out, res_out)
 
 
 def to_csv(traj: Trajectory) -> str:

@@ -13,8 +13,8 @@ total time derivative: the pair is equivalent iff
 
 identically, with qdd supplied by the first system's dynamics. That is the
 generalized Euler-Lagrange law A qdd + f_q qd + f_t - g = 0 of the difference
-Lagrangian, so the residual reads its derived maps (`lagrangian._Maps`), of
-which F is the momentum map. Equivalence is decided by evaluating this
+Lagrangian, so the residual reads the derived maps of its `ComplexLagrangian`,
+of which F is the momentum map. Equivalence is decided by evaluating this
 residual at stratified sample states, not by symbolic proof. When the qdd
 coefficient dF_a/dqd_b vanishes at a sample the acceleration is not needed
 there, which keeps pairs over degenerate base systems checkable; otherwise
@@ -29,10 +29,7 @@ checks that integrability residual, it never constructs Phi.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
-
-import numpy as np
 
 from .exprcore import (
     Const,
@@ -42,7 +39,6 @@ from .exprcore import (
     diff,
     free_symbols,
     simplify,
-    split,
 )
 from .lagrangian import (
     ComplexLagrangian,
@@ -52,7 +48,7 @@ from .lagrangian import (
     SingularMass,
     derive_eom,
     _accel,
-    _Maps,
+    _dot,
 )
 
 EQUIVALENT = "equivalent"
@@ -87,14 +83,6 @@ class LagrangianPair:
     def dim(self) -> int:
         return self.first.dim
 
-    @cached_property
-    def delta_L(self) -> Expr:
-        return split(self.second.expr - self.first.expr)[0]
-
-    @cached_property
-    def delta_M(self) -> Expr:
-        return split(self.second.expr - self.first.expr)[1]
-
 
 @dataclass(frozen=True)
 class Ffunction:
@@ -118,17 +106,13 @@ class EquivalenceReport:
     n_skipped: int
     accel_cross_max: float | None
 
-    @property
-    def is_equivalent(self) -> bool:
-        return self.verdict == EQUIVALENT
-
 
 def _regular_or_none(lagr: ComplexLagrangian, probe: MechState) -> EomSystem | None:
+    """The regular system of `lagr`, or None for a degenerate one."""
     try:
-        eom = derive_eom(lagr, probe)
-    except (DegenerateWithoutClosure, SingularMass):
+        return derive_eom(lagr, probe)
+    except DegenerateWithoutClosure:
         return None
-    return eom
 
 
 def eom_equivalent(
@@ -145,8 +129,8 @@ def eom_equivalent(
         raise ValueError("at least one sample state is required")
     lagr = pair.first
     n = pair.dim
-    # c = A, d = f_q, e = f_t and tail = -g of the difference
-    maps = _Maps(pair.delta_L, pair.delta_M, lagr.omega0, n, lagr.params)
+    # g, c = A, d = f_q and e = f_t of the difference Lagrangian
+    maps = ComplexLagrangian(pair.second.expr - lagr.expr, lagr.omega0, n, lagr.params).maps
 
     eom1 = _regular_or_none(pair.first, samples[0])
     eom2 = _regular_or_none(pair.second, samples[0])
@@ -158,13 +142,12 @@ def eom_equivalent(
 
     for s in samples:
         _, g, c, d, e = maps(s.t, s.q, s.qd)
-        qd = np.array(s.qd)
-        c_mat, d_mat, e_vec, tail_vec = np.array(c), np.array(d), np.array(e), -np.array(g)
+        d_qd = [_dot(row, s.qd) for row in d]
 
-        needs_accel = np.abs(c_mat).max() > 1e-14 * max(1.0, np.abs(d_mat).max())
         a1 = None  # the first system's acceleration, once computed
-        if needs_accel:
-            if eom1 is None or not eom1.is_regular:
+        c_max = max(abs(x) for row in c for x in row)
+        if c_max > 1e-14 * max(1.0, max(abs(x) for row in d for x in row)):
+            if eom1 is None:
                 n_skipped += 1
                 continue
             try:
@@ -172,16 +155,16 @@ def eom_equivalent(
             except SingularMass:
                 n_skipped += 1
                 continue
-            accel_term = c_mat @ np.array(a1)
+            c_a = [_dot(row, a1) for row in c]
         else:
-            accel_term = np.zeros(n)
+            c_a = [0.0] * n
 
-        residual = accel_term + d_mat @ qd + e_vec + tail_vec
-        pieces_seen = [accel_term, d_mat @ qd, e_vec, tail_vec]
-        scale = max(scale, *(float(np.abs(p).max(initial=0.0)) for p in pieces_seen))
-        max_residual = max(max_residual, float(np.abs(residual).max()))
+        for a in range(n):
+            residual = ((c_a[a] + d_qd[a]) + e[a]) - g[a]
+            scale = max(scale, abs(c_a[a]), abs(d_qd[a]), abs(e[a]), abs(g[a]))
+            max_residual = max(max_residual, abs(residual))
 
-        if eom1 is not None and eom2 is not None and eom1.is_regular and eom2.is_regular:
+        if eom1 is not None and eom2 is not None:
             try:
                 if a1 is None:
                     a1 = _accel(eom1.maps, s.t, s.q, s.qd)[0]

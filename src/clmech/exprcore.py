@@ -132,12 +132,6 @@ class Expr:
     def __neg__(self) -> "Expr":
         return Neg(self)
 
-    def eval(self, bindings: Bindings) -> complex:
-        return evaluate(self, bindings)
-
-    def diff(self, name: str) -> "Expr":
-        return diff(self, name)
-
 
 @dataclass(frozen=True, eq=False, init=False)
 class Const(Expr):

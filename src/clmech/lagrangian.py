@@ -170,7 +170,7 @@ class ComplexLagrangian:
     @cached_property
     def maps(self) -> _Maps:
         """The derived maps f, g, A, f_q, f_t and their kernels."""
-        return _Maps(self.L_expr, self.M_expr, self.omega0, self.dim, self.params)
+        return _Maps(self)
 
     def bindings(self, s: MechState) -> dict[str, float]:
         b = dict(self.params)
@@ -180,9 +180,6 @@ class ComplexLagrangian:
         for name, value in zip(self.vels, s.qd):
             b[name] = value
         return b
-
-    def eval(self, s: MechState) -> complex:
-        return evaluate(self.expr, self.bindings(s))
 
 
 class _Maps:
@@ -201,13 +198,15 @@ class _Maps:
     compiles one.
 
     `lanes` is `kernel` over arrays of samples (`compile_expr`'s `vectorized`
-    mode), for passes over whole trajectories. `equivalence` builds the maps
-    of a pair's difference, whose Euler-Lagrange law is its residual.
+    mode), for passes over whole trajectories. Built only by
+    `ComplexLagrangian.maps`; `equivalence` reads the maps of a pair's
+    difference Lagrangian, whose Euler-Lagrange law is its residual.
     """
 
-    def __init__(self, L: Expr, M: Expr, omega0: float, dim: int, params: Mapping) -> None:
-        self.dim = n = dim
-        inv_w0, w0 = Const(1.0 / omega0), Const(omega0)
+    def __init__(self, lagr: ComplexLagrangian) -> None:
+        self.dim = n = lagr.dim
+        L, M = lagr.L_expr, lagr.M_expr
+        inv_w0, w0 = Const(1.0 / lagr.omega0), Const(lagr.omega0)
         coords, vels = coordinate_names(n), velocity_names(n)
         self.f = tuple(simplify(diff(L, vels[a]) + inv_w0 * diff(M, coords[a])) for a in range(n))
         self.g = tuple(simplify(diff(L, coords[a]) - w0 * diff(M, vels[a])) for a in range(n))
@@ -215,7 +214,7 @@ class _Maps:
         self.f_q = tuple(tuple(diff(self.f[a], coords[b]) for b in range(n)) for a in range(n))
         self.f_t = tuple(diff(self.f[a], "t") for a in range(n))
         self._args = ("t",) + coords + vels
-        self._params = params
+        self._params = lagr.params
 
     def _compile(self, trees: tuple[Expr, ...], vectorized: bool = False) -> Callable:
         return compile_expr(trees, self._args, self._params, real=True, vectorized=vectorized)

@@ -179,14 +179,10 @@ def noether_charge(eom: EomSystem, s: MechState, dq: DqField) -> float:
     return float(momentum(eom, s) @ vec)
 
 
-def charge_series(eom: EomSystem, traj: Trajectory, dq: DqField) -> np.ndarray:
-    """Gamma at every trajectory sample, using the recorded momenta."""
-    if not callable(dq):
-        return traj.p @ _dq_at(dq, None, None, eom.dim)
-    out = np.empty(traj.n_samples)
-    for k in range(traj.n_samples):
-        out[k] = traj.p[k] @ _dq_at(dq, traj.q[k], traj.t[k], eom.dim)
-    return out
+def charge_series(eom: EomSystem, traj: Trajectory, dq: Sequence[float]) -> np.ndarray:
+    """Gamma at every trajectory sample along a constant direction dq, using
+    the recorded momenta."""
+    return traj.p @ _dq_at(dq, None, None, eom.dim)
 
 
 def fit_loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:

@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from clmech.corpus import corpus_scenario
 from clmech.dynamics import (
+    CLOSURE,
     MAX_STEPS,
+    SECOND_ORDER,
     IntegratorConfig,
     StepBlowUp,
     _check_finite,
@@ -163,6 +166,19 @@ class TestSampledPath:
             IntegratorConfig(1e-2, 0.0, 2.0),
         )
         assert float(traj.el_residual.max()) < 1e-6
+        assert traj.kind == SECOND_ORDER
+
+    def test_degenerate_path_is_a_closure_path(self):
+        # the residual column holds the closure residual, so the kind says so
+        sc = corpus_scenario("inverted_oscillator")
+        eom = derive_eom(sc.build_lagrangian(), sc.probe_state(), closure_mass=sc.closure_mass)
+        traj = sampled_path(
+            eom,
+            lambda t: np.array([1.0 + t * t]),
+            lambda t: np.array([2 * t]),
+            IntegratorConfig(1e-2, 0.0, 1.0),
+        )
+        assert traj.kind == CLOSURE
 
     def test_non_solution_path_flagged(self):
         _, eom = oscillator()

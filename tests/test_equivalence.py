@@ -13,6 +13,7 @@ from clmech.equivalence import (
     gauge_add,
     integrability_residual,
 )
+from clmech.corpus import corpus_scenario
 from clmech.exprcore import Const, Sym, parse
 from clmech.lagrangian import ComplexLagrangian
 from clmech.sampling import sample_states
@@ -162,9 +163,10 @@ COUPLED = {
 
 
 class TestPinnedReports:
-    """Reports above one coordinate, bit for bit (verdict, max_residual,
-    scale, skips, accel_cross_max as float.hex), for complex coefficients
-    under complex and real gauges."""
+    """Reports bit for bit (verdict, max_residual, scale, skips,
+    accel_cross_max as float.hex): above one coordinate for complex
+    coefficients under complex and real gauges, and at one coordinate for the
+    suite's pairs on the bundled equivalence scenarios."""
 
     @pytest.mark.parametrize(
         "dim,gauge,expected",
@@ -186,5 +188,55 @@ class TestPinnedReports:
     def test_report_bits(self, dim, gauge, expected):
         base = ComplexLagrangian(parse(COUPLED[dim]), 1.7, dim, {"m": 1.3, "k": 0.7, "c": 0.4})
         rep = eom_equivalent(LagrangianPair(base, gauge_add(base, parse(gauge))), sample_states(dim, 64, 5))
+        cross = None if rep.accel_cross_max is None else rep.accel_cross_max.hex()
+        assert (rep.verdict, rep.max_residual.hex(), rep.scale.hex(), rep.n_skipped, cross) == expected
+
+    @staticmethod
+    def suite_pair(name, label):
+        """The pair the equivalence suite builds for `label` on scenario `name`,
+        or with `qd-cubed` a partner that needs an acceleration at every sample."""
+        lagr = corpus_scenario(name).build_lagrangian()
+        q = Sym("q")
+        if label == "oscillator-pair":
+            real_ho = ComplexLagrangian(parse("0.5*m*qd^2 - 0.5*k*q^2"), lagr.omega0, 1, lagr.params)
+            return LagrangianPair(real_ho, ComplexLagrangian(parse("i*a0*q*qd"), lagr.omega0, 1, lagr.params))
+        partner = {
+            "gauge-quadratic": lambda: gauge_add(lagr, q * q),
+            "potential-shift": lambda: ComplexLagrangian(lagr.expr + q, lagr.omega0, 1, lagr.params),
+            "gauge-complex": lambda: gauge_add(lagr, Const(1j) * q),
+            "qd-cubed": lambda: ComplexLagrangian(lagr.expr + parse("qd^3"), lagr.omega0, 1, lagr.params),
+        }[label]()
+        return LagrangianPair(lagr, partner)
+
+    @pytest.mark.parametrize(
+        "name,label,expected",
+        [
+            ("imaginary_ho", "gauge-quadratic",
+             ("equivalent", "0x0.0p+0", "0x1.fdc6a4fb846e8p+1", 0, "0x1.0000000000000p-51")),
+            ("imaginary_ho", "potential-shift",
+             ("not-equivalent", "0x1.0000000000000p+0", "0x1.0000000000000p+0", 0, "0x1.0000000000001p+0")),
+            ("imaginary_ho", "gauge-complex",
+             ("not-equivalent", "0x1.0000000000000p+0", "0x1.0000000000000p+0", 0, "0x1.0000000000000p+0")),
+            ("imaginary_ho", "oscillator-pair",
+             ("equivalent", "0x0.0p+0", "0x1.0000000000000p+0", 0, "0x0.0p+0")),
+            ("gauge_pair_oscillator", "gauge-quadratic",
+             ("equivalent", "0x1.0000000000000p-51", "0x1.fdc6a4fb846e8p+1", 0, "0x1.0000000000000p-51")),
+            ("gauge_pair_oscillator", "potential-shift",
+             ("not-equivalent", "0x1.0000000000002p+0", "0x1.0000000000002p+0", 0, "0x1.5555555555558p-1")),
+            ("gauge_pair_oscillator", "gauge-complex",
+             ("not-equivalent", "0x1.199999999999ap+0", "0x1.199999999999ap+0", 0, "0x1.777777777777cp-1")),
+            ("gauge_pair_imaginary", "gauge-quadratic",
+             ("equivalent", "0x0.0p+0", "0x1.fdc6a4fb846e8p+1", 0, None)),
+            ("gauge_pair_imaginary", "potential-shift",
+             ("not-equivalent", "0x1.0000000000000p+0", "0x1.0000000000000p+0", 0, None)),
+            ("gauge_pair_imaginary", "gauge-complex",
+             ("not-equivalent", "0x1.0000000000000p+0", "0x1.0000000000000p+0", 0, None)),
+            ("gauge_pair_imaginary", "qd-cubed",
+             ("inconclusive", "0x0.0p+0", "0x1.0000000000000p+0", 256, None)),
+        ],
+    )
+    def test_dim1_report_bits(self, name, label, expected):
+        # one coordinate, the suite's samples (seed 0xC0FFEE)
+        rep = eom_equivalent(self.suite_pair(name, label), SAMPLES)
         cross = None if rep.accel_cross_max is None else rep.accel_cross_max.hex()
         assert (rep.verdict, rep.max_residual.hex(), rep.scale.hex(), rep.n_skipped, cross) == expected

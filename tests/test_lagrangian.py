@@ -241,6 +241,7 @@ class TestElimination:
         "inverted_oscillator": "degenerate",
     }
 
+    @pytest.mark.filterwarnings("ignore::clmech.lagrangian.ClosureConsistencyWarning")
     def test_bundled_classification_unchanged(self):
         seen = {}
         for sc in bundled_corpus():

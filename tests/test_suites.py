@@ -5,12 +5,15 @@ import pytest
 from clmech import suites
 from clmech.cli import main
 from clmech.corpus import bundled_corpus, corpus_scenario
+from clmech.hamiltonian import HamiltonianField
 from clmech.sampling import DEFAULT_SEED
+from clmech.scenario import Scenario
 from clmech.suites import (
     SUITE_FUNCTIONS,
     CheckLine,
     RunContext,
     format_report,
+    hamiltonian_suite,
     run_suites,
     variation_suite,
     equivalence_suite,
@@ -90,6 +93,46 @@ class TestSuiteBehaviors:
         assert any("closure flow violates" in note for note in res.notes)
 
 
+class TestHamiltonianSuiteOffCorpus:
+    """Every bundled Hamiltonian field has df/dq = 0, so only a momentum map
+    that depends on q gives the implicit-partials line a dqd/dq to check:
+    here f = m qd + l0 q."""
+
+    RAW = {
+        "schema_version": 1,
+        "name": "q_dependent_momentum",
+        "lagrangian": "0.5*(m*qd^2 - k*q^2) + 0.5*i*l0*q^2",
+        "omega0": 1.0,
+        "dim": 1,
+        "params": {"m": 1.0, "k": 1.0, "l0": 0.3},
+        "initial": {"q": [1.0], "qd": [0.0]},
+        "integrator": {"h": 0.001, "t_start": 0.0, "t_end": 2.0},
+        "checks": ["hamiltonian"],
+    }
+
+    @classmethod
+    def _lines(cls):
+        res = hamiltonian_suite(RunContext(Scenario.from_dict(cls.RAW)))
+        return {ln.label: ln for ln in res.lines}
+
+    def test_every_line_passes(self):
+        lines = self._lines()
+        assert all(ln.passed for ln in lines.values()), [ln.render() for ln in lines.values()]
+        assert lines["hamiltonian.implicit-partials-fd"].value < 1e-9
+
+    def test_wrong_dqd_dq_fails_the_fd_line(self, monkeypatch):
+        values = HamiltonianField._values
+
+        def flipped(self, *args):
+            qd, f, qd_q, *rest = values(self, *args)
+            return (qd, f, -qd_q, *rest)
+
+        monkeypatch.setattr(HamiltonianField, "_values", flipped)
+        lines = self._lines()
+        assert not lines["hamiltonian.implicit-partials-fd"].passed
+        assert lines["hamiltonian.trajectory-agreement"].passed
+
+
 class TestReport:
     def test_trailer_and_seed(self):
         sc = corpus_scenario("free_particle")
@@ -109,8 +152,6 @@ class TestReport:
     def test_failed_line_fails_the_report(self):
         bad = corpus_scenario("classical_oscillator")
         # shrink the horizon so the drift detector cannot fire
-        from clmech.scenario import Scenario
-
         raw = bad.to_dict()
         raw["integrator"] = {"h": 1e-4, "t_start": 0.0, "t_end": 1e-3}
         res = run_suites(Scenario.from_dict(raw), ("noether",))
