@@ -5,9 +5,10 @@ Subcommands:
   derive    report the equation-of-motion structure of a scenario
   check     run verification suites and emit a pass/fail report
 
-Exit codes: 0 success, 1 scenario file rejected (including a closure mass on
-a system that is regular at the probe), 2 runtime failure during derivation
-or integration, 3 a check suite asserted and failed.
+Exit codes: 0 success, 1 scenario file rejected or unreadable (including a
+closure mass on a system that is regular at the probe), 2 runtime failure
+during derivation or integration, or an output file that cannot be written,
+3 a check suite asserted and failed.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ RUNTIME_ERRORS = (
     UnsupportedDimension,
     BadSampling,
     ExprError,
+    OSError,  # an output file that cannot be written
 )
 
 
@@ -156,8 +158,7 @@ def main(argv: list[str] | None = None) -> int:
         report = format_report(results, args.seed)
         sys.stdout.write(report)
         if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(report)
+            _emit(report, args.output)
         return 0 if all(r.passed for r in results) else 3
     except UnneededClosureMass as exc:
         print(f"error: {ScenarioError('closure_mass', str(exc))}", file=sys.stderr)

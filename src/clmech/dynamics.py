@@ -298,34 +298,32 @@ def integrate_hamiltonian(
 
 def sampled_path(
     eom: EomSystem,
-    q_fn: Callable[[float], Sequence[float]],
-    qd_fn: Callable[[float], Sequence[float]],
+    q_fn: Callable[[np.ndarray], np.ndarray],
+    qd_fn: Callable[[np.ndarray], np.ndarray],
     cfg: IntegratorConfig,
 ) -> Trajectory:
     """Trajectory built from a user-supplied path instead of integration.
 
-    Residuals are computed honestly against the path (qdd by central
-    difference of qd_fn), so a non-solution path reports a large residual; on
-    a degenerate system it is the closure residual and the kind is CLOSURE.
-    Used to probe the action functional off the solution manifold.
+    The path functions map the float64 time column to one row per coordinate,
+    shape (dim, n) or anything that broadcasts to it; qdd is the central
+    difference of qd_fn at t +- delta. Residuals are computed honestly against
+    the path, so a non-solution path reports a large residual; on a degenerate
+    system it is the closure residual and the kind is CLOSURE. Used to probe
+    the action functional off the solution manifold.
     """
     t_grid, dt, n = _grid(cfg)
     n_dim = eom.dim
     delta = 1e-6 * max(1.0, abs(dt) * n)
 
-    def path(fn: Callable[[float], Sequence[float]], shift: float = 0.0) -> np.ndarray:
-        """fn at each grid time moved by `shift`, one row per sample."""
-        out = np.empty((n + 1, n_dim))
-        for k in range(n + 1):
-            t = float(t_grid[k])
-            out[k] = fn(t + shift if shift else t)
-        return out
+    def path(fn: Callable[[np.ndarray], np.ndarray], t: np.ndarray) -> np.ndarray:
+        """fn on the time column t, one row per sample."""
+        return np.broadcast_to(np.asarray(fn(t), dtype=float), (n_dim, n + 1)).T.copy()
 
-    q_out, qd_out = path(q_fn), path(qd_fn)
+    q_out, qd_out = path(q_fn, t_grid), path(qd_fn, t_grid)
     p_out, res_out = np.empty((n + 1, n_dim)), np.empty(n + 1)
     degenerate = eom.classification == DEGENERATE
     if not degenerate:
-        qdd_out = (path(qd_fn, delta) - path(qd_fn, -delta)) / (2 * delta)
+        qdd_out = (path(qd_fn, t_grid + delta) - path(qd_fn, t_grid - delta)) / (2 * delta)
     for lanes in lane_blocks(n + 1):
         qd = list(qd_out[lanes].T)
         vals = eom.maps.split(eom.maps.lanes(t_grid[lanes], *q_out[lanes].T, *qd))

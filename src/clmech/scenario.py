@@ -222,9 +222,10 @@ class Scenario:
 
     @staticmethod
     def load(path: str | Path) -> "Scenario":
-        text = Path(path).read_text(encoding="utf-8")
         try:
-            raw = json.loads(text)
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError) as err:
+            raise ScenarioError("(file)", f"cannot read: {err}") from err
         except json.JSONDecodeError as err:
             raise ScenarioError("(file)", f"not valid JSON: {err}") from err
         if not isinstance(raw, dict):

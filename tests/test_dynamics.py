@@ -161,8 +161,8 @@ class TestSampledPath:
         _, eom = oscillator()
         traj = sampled_path(
             eom,
-            lambda t: np.array([math.cos(t)]),
-            lambda t: np.array([-math.sin(t)]),
+            lambda t: np.array([np.cos(t)]),
+            lambda t: np.array([-np.sin(t)]),
             IntegratorConfig(1e-2, 0.0, 2.0),
         )
         assert float(traj.el_residual.max()) < 1e-6
@@ -179,6 +179,28 @@ class TestSampledPath:
             IntegratorConfig(1e-2, 0.0, 1.0),
         )
         assert traj.kind == CLOSURE
+
+    @pytest.mark.parametrize("name,qd_calls", [("classical_oscillator", 3), ("inverted_oscillator", 1)])
+    def test_path_functions_run_once_per_column(self, name, qd_calls):
+        # q on the grid; qd on the grid and, on a regular system, at t +- delta
+        sc = corpus_scenario(name)
+        eom = derive_eom(sc.build_lagrangian(), sc.probe_state(), closure_mass=sc.closure_mass)
+        columns = {"q": [], "qd": []}
+
+        def counted(key, fn):
+            def wrapped(t):
+                columns[key].append(t.shape)
+                return fn(t)
+
+            return wrapped
+
+        sampled_path(
+            eom,
+            counted("q", lambda t: np.array([1.0 + t * t])),
+            counted("qd", lambda t: np.array([2 * t])),
+            IntegratorConfig(1e-2, 0.0, 1.0),
+        )
+        assert columns == {"q": [(101,)], "qd": [(101,)] * qd_calls}
 
     def test_non_solution_path_flagged(self):
         _, eom = oscillator()

@@ -2,8 +2,17 @@ import math
 
 import pytest
 
+from clmech import geometry
+from clmech.dynamics import integrate
 from clmech.exprcore import parse
-from clmech.geometry import OneForm, lie_theta, lie_theta_cartan, rhs_pairing_form, theta
+from clmech.geometry import (
+    CARTAN_SUBSTEPS,
+    OneForm,
+    lie_theta,
+    lie_theta_cartan,
+    rhs_pairing_form,
+    theta,
+)
 from clmech.lagrangian import ComplexLagrangian, MechState, derive_eom, force, momentum
 from clmech.sampling import sample_states
 
@@ -112,6 +121,23 @@ class TestCartanCrossCheck:
             cf = lie_theta(lagr, eom, s)
             assert ct.dq[0] == pytest.approx(cf.dq[0], abs=1e-9)
             assert ct.dqd[0] == pytest.approx(cf.dqd[0], abs=1e-9)
+
+    def test_one_integration_each_way(self, monkeypatch):
+        # the seven stencil points come from one arc forward and one back
+        arcs = []
+
+        def spy(eom, init, cfg):
+            arcs.append(cfg)
+            return integrate(eom, init, cfg)
+
+        monkeypatch.setattr(geometry, "integrate", spy)
+        lagr, eom = FAMILIES[0]
+        s = MechState(0.2, (0.5,), (-0.3,))
+        lie_theta_cartan(lagr, eom, s)
+        assert [(c.t_start, c.t_end - c.t_start > 0, c.n_steps) for c in arcs] == [
+            (0.2, False, 3 * CARTAN_SUBSTEPS),
+            (0.2, True, 3 * CARTAN_SUBSTEPS),
+        ]
 
     def test_consistent_closure_flow_also_matches(self):
         # the first-order flow of a consistent closure transports f the same way

@@ -330,6 +330,27 @@ class TestCliContract:
         err = capsys.readouterr().err
         assert err == "error: DomainError: exp overflowed\n"
 
+    @pytest.mark.parametrize(
+        "case", ["missing-scenario", "directory-scenario", "utf16-bom-scenario", "simulate-output", "check-output"]
+    )
+    def test_file_errors_leave_one_line(self, case, scenario_file, tmp_path, capsys):
+        good = scenario_file(BASE)
+        bom = tmp_path / "bom.json"
+        bom.write_bytes(b"\xff\xfe{}")
+        unwritable = str(tmp_path / "absent" / "out.txt")
+        unreadable = "error: scenario field '(file)': cannot read: "
+        argv, code, start = {
+            "missing-scenario": (["derive", str(tmp_path / "absent.json")], 1, unreadable + "[Errno 2]"),
+            "directory-scenario": (["derive", str(tmp_path)], 1, unreadable + "[Errno 21]"),
+            "utf16-bom-scenario": (["derive", str(bom)], 1, unreadable + "'utf-8' codec"),
+            "simulate-output": (["simulate", good, "-o", unwritable], 2, "error: FileNotFoundError: "),
+            "check-output": (["check", "noether", good, "-o", unwritable], 2, "error: FileNotFoundError: "),
+        }[case]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith(start) and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_derive_keeps_an_overflowing_constant(self, scenario_file, capsys):
         raw = variant(lagrangian="0.5*m*qd^2 - exp(1000)*q")
         assert main(["derive", scenario_file(raw)]) == 0

@@ -138,8 +138,8 @@ class TestFirstVariation:
         eom = derive_eom(lagr, PROBE, closure_mass=(-1.0,))
         arbitrary = sampled_path(
             eom,
-            lambda t: np.array([math.sin(3 * t) + t]),
-            lambda t: np.array([3 * math.cos(3 * t) + 1]),
+            lambda t: np.array([np.sin(3 * t) + t]),
+            lambda t: np.array([3 * np.cos(3 * t) + 1]),
             IntegratorConfig(0.002, 0.0, 1.0),
         )
         val = first_variation(lagr, arbitrary, VariationField(0.0, 1.0, 1e-2)).real
