@@ -13,9 +13,8 @@ import sys
 import numpy as np
 
 from clmech.corpus import corpus_scenario
-from clmech.dynamics import IntegratorConfig, integrate, sampled_path
-from clmech.lagrangian import MechState, derive_eom
-from clmech.suites import even_step_config
+from clmech.dynamics import sampled_path
+from clmech.suites import RunContext, even_step_config
 from clmech.variational import VariationField, action, first_variation, fit_loglog_slope
 
 EPS = tuple(10.0**-k for k in range(1, 7))
@@ -24,10 +23,12 @@ EPS = tuple(10.0**-k for k in range(1, 7))
 def main() -> None:
     name = sys.argv[1] if len(sys.argv) > 1 else "damped_oscillator"
     sc = corpus_scenario(name)
-    lagr = sc.build_lagrangian()
-    eom = derive_eom(lagr, sc.probe_state(), closure_mass=sc.closure_mass)
+    run = RunContext(sc)
+    lagr, eom, notes = run.derived
+    for note in notes:
+        print(f"warning: {note}", file=sys.stderr)
     cfg = even_step_config(sc)
-    solution = integrate(eom, MechState(sc.t_start, sc.initial_q, sc.initial_qd), cfg)
+    solution = run.trajectory(cfg)
     control = sampled_path(
         eom,
         lambda t: np.array([sc.initial_q[0] + (t - sc.t_start) ** 2]),

@@ -5,6 +5,9 @@ Subcommands:
   derive    report the equation-of-motion structure of a scenario
   check     run verification suites and emit a pass/fail report
 
+An `-o` file is opened, and truncated, after the scenario loads and before
+the run, as a shell redirect would be: an unwritable path fails at once.
+
 Exit codes: 0 success, 1 scenario file rejected or unreadable (including a
 closure mass on a system that is regular at the probe), 2 runtime failure
 during derivation or integration, or an output file that cannot be written,
@@ -14,29 +17,28 @@ during derivation or integration, or an output file that cannot be written,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
-import warnings
 
+# derive_eom, HamiltonianField, integrate, integrate_hamiltonian: bound only for perfbench's tracer
 from .dynamics import IntegratorConfig, StepBlowUp, integrate, integrate_hamiltonian, to_csv
 from .exprcore import ExprError, to_source
 from .hamiltonian import (
     DegenerateJacobian,
     HamiltonianField,
     InversionFailure,
-    PhaseState,
     UnsupportedDimension,
 )
 from .lagrangian import (
     ClosureInconsistent,
     DegenerateWithoutClosure,
-    MechState,
     SingularMass,
     UnneededClosureMass,
     derive_eom,
 )
 from .sampling import DEFAULT_SEED
 from .scenario import SUITE_NAMES, Scenario, ScenarioError
-from .suites import format_report, run_suites
+from .suites import RunContext, format_report, run_suites
 from .variational import BadSampling
 
 RUNTIME_ERRORS = (
@@ -84,39 +86,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
-def _derive(sc: Scenario):
-    """The Lagrangian, its derived system and the derive's warning messages."""
-    lagr = sc.build_lagrangian()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        eom = derive_eom(lagr, sc.probe_state(), closure_mass=sc.closure_mass)
-    return lagr, eom, [str(w.message) for w in caught]
-
-
 def _simulate(sc: Scenario) -> str:
-    lagr, eom, notes = _derive(sc)
+    run = RunContext(sc)
     cfg = IntegratorConfig(sc.h, sc.t_start, sc.t_end)
-    if sc.initial_p is not None:
-        field = HamiltonianField(lagr, eom, kappa0=sc.kappa0)
-        start = PhaseState(sc.t_start, sc.initial_q[0], sc.initial_p[0])
-        traj = integrate_hamiltonian(field, start, cfg)
-    else:
-        traj = integrate(eom, MechState(sc.t_start, sc.initial_q, sc.initial_qd), cfg)
-    for note in notes:  # after the run: a failure leaves one line, its error
+    traj = run.phase_trajectory(cfg) if sc.initial_p is not None else run.trajectory(cfg)
+    for note in run.derived[2]:  # after the run: a failure leaves one line, its error
         print(f"warning: {note}", file=sys.stderr)
     return to_csv(traj)
 
 
 def _derive_report(sc: Scenario) -> str:
-    lagr, eom, notes = _derive(sc)
+    lagr, eom, notes = RunContext(sc).derived
     out = [
         f"scenario: {sc.name}",
         f"expression: {to_source(lagr.expr)}",
@@ -146,20 +126,22 @@ def main(argv: list[str] | None = None) -> int:
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    output = getattr(args, "output", None)  # derive has no -o
     try:
-        if args.command == "simulate":
-            _emit(_simulate(sc), args.output)
-            return 0
-        if args.command == "derive":
-            sys.stdout.write(_derive_report(sc))
-            return 0
-        names = sc.checks if args.suite == "all" else (args.suite,)
-        results = run_suites(sc, names, seed=args.seed)
-        report = format_report(results, args.seed)
-        sys.stdout.write(report)
-        if args.output:
-            _emit(report, args.output)
-        return 0 if all(r.passed for r in results) else 3
+        with open(output, "w", encoding="utf-8") if output else contextlib.nullcontext() as out:
+            if args.command == "simulate":
+                (out or sys.stdout).write(_simulate(sc))
+                return 0
+            if args.command == "derive":
+                sys.stdout.write(_derive_report(sc))
+                return 0
+            names = sc.checks if args.suite == "all" else (args.suite,)
+            results = run_suites(sc, names, seed=args.seed)
+            report = format_report(results, args.seed)
+            sys.stdout.write(report)
+            if out:
+                out.write(report)
+            return 0 if all(r.passed for r in results) else 3
     except UnneededClosureMass as exc:
         print(f"error: {ScenarioError('closure_mass', str(exc))}", file=sys.stderr)
         return 1

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .dynamics import IntegratorConfig
@@ -76,7 +76,8 @@ def _keys_exactly(field: str, obj, required: set[str], optional: set[str] = froz
 
 @dataclass(frozen=True)
 class Scenario:
-    """A validated scenario; construct via from_dict or load."""
+    """A validated scenario; construct via from_dict or load. `lagr` is the
+    Lagrangian that from_dict parsed to validate `lagrangian`."""
 
     name: str
     lagrangian: str
@@ -92,6 +93,7 @@ class Scenario:
     closure_mass: tuple[float, ...] | None
     kappa0: float
     checks: tuple[str, ...]
+    lagr: ComplexLagrangian = field(repr=False, compare=False)
 
     @staticmethod
     def from_dict(raw: dict) -> "Scenario":
@@ -173,7 +175,7 @@ class Scenario:
 
         # the expression must parse, and the Lagrangian accept its symbols
         try:
-            ComplexLagrangian(parse(source), omega0, dim, params)
+            lagr = ComplexLagrangian(parse(source), omega0, dim, params)
         except (ExprError, UndeclaredSymbol) as err:
             raise ScenarioError("lagrangian", str(err)) from err
         except InvalidParameter as err:
@@ -194,6 +196,7 @@ class Scenario:
             closure_mass=closure_mass,
             kappa0=kappa0,
             checks=tuple(checks),
+            lagr=lagr,
         )
 
     def to_dict(self) -> dict:
@@ -233,12 +236,7 @@ class Scenario:
         return Scenario.from_dict(raw)
 
     def build_lagrangian(self) -> ComplexLagrangian:
-        return ComplexLagrangian(
-            expr=parse(self.lagrangian),
-            omega0=self.omega0,
-            dim=self.dim,
-            params=self.params,
-        )
+        return self.lagr
 
     def probe_state(self) -> MechState:
         """Initial state for classification; p-initial scenarios probe at qd=0."""

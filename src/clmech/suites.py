@@ -115,8 +115,9 @@ class SuiteResult:
 
 
 class RunContext:
-    """What the suites share on one scenario: one derive, one initial state
-    and one trajectory per distinct integration grid.
+    """What the commands and suites share on one scenario: one derive, one
+    phase-space field, one initial state and one trajectory per distinct
+    integration grid.
 
     The derive's warnings become notes, attached to every suite's result.
     """
@@ -136,12 +137,17 @@ class RunContext:
         return lagr, eom, tuple(str(w.message) for w in caught)
 
     @cached_property
+    def field(self) -> HamiltonianField:
+        """The phase-space field at the scenario's kappa0."""
+        lagr, eom, _ = self.derived
+        return HamiltonianField(lagr, eom, kappa0=self.sc.kappa0)
+
+    @cached_property
     def initial(self) -> MechState:
         sc = self.sc
-        lagr, eom, _ = self.derived
         if sc.initial_qd is not None:
             return MechState(sc.t_start, sc.initial_q, sc.initial_qd)
-        qd = HamiltonianField(lagr, eom).invert(sc.t_start, sc.initial_q[0], sc.initial_p[0])
+        qd = self.field.invert(sc.t_start, sc.initial_q[0], sc.initial_p[0])
         return MechState(sc.t_start, sc.initial_q, (qd,))
 
     def trajectory(self, cfg: IntegratorConfig) -> Trajectory:
@@ -150,6 +156,13 @@ class RunContext:
         if key not in self._trajectories:
             self._trajectories[key] = integrate(self.derived[1], self.initial, cfg)
         return self._trajectories[key]
+
+    def phase_trajectory(self, cfg: IntegratorConfig) -> Trajectory:
+        """The phase-space flow over `cfg`'s grid from the scenario's p, or
+        else from the momentum of the initial state."""
+        sc = self.sc
+        p0 = sc.initial_p[0] if sc.initial_p is not None else float(momentum(self.derived[1], self.initial)[0])
+        return integrate_hamiltonian(self.field, PhaseState(sc.t_start, sc.initial_q[0], p0), cfg)
 
 
 def even_step_config(sc: Scenario) -> IntegratorConfig:
@@ -446,12 +459,10 @@ def hamiltonian_suite(run: RunContext, seed: int = DEFAULT_SEED) -> SuiteResult:
     """
     sc = run.sc
     lagr, eom, notes = run.derived
-    init = run.initial
-    field_ = HamiltonianField(lagr, eom, kappa0=sc.kappa0)
+    field_ = run.field
     cfg = IntegratorConfig(sc.h, sc.t_start, sc.t_end)
     traj_l = run.trajectory(cfg)
-    p0 = sc.initial_p[0] if sc.initial_p is not None else float(momentum(eom, init)[0])
-    traj_h = integrate_hamiltonian(field_, PhaseState(sc.t_start, init.q[0], p0), cfg)
+    traj_h = run.phase_trajectory(cfg)
     agreement = float(np.abs(traj_l.q[:, 0] - traj_h.q[:, 0]).max())
     lines = [
         CheckLine(

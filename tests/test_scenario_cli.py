@@ -134,6 +134,23 @@ class TestSchema:
         assert sc.initial_p == (0.5,)
         assert sc.initial_qd is None
 
+    def test_scenario_keeps_its_validated_lagrangian(self, scenario_file):
+        sc = Scenario.load(scenario_file(BASE))
+        assert sc.build_lagrangian() is sc.build_lagrangian()
+        assert sc == Scenario.from_dict(sc.to_dict())
+
+    def test_load_and_derive_parse_the_lagrangian_once(self, scenario_file, monkeypatch, capsys):
+        parses = []
+        original = clmech.scenario.parse
+
+        def counted(source):
+            parses.append(source)
+            return original(source)
+
+        monkeypatch.setattr(clmech.scenario, "parse", counted)
+        assert main(["derive", scenario_file(BASE)]) == 0
+        assert parses == [BASE["lagrangian"]]
+
     def test_momentum_and_velocity_exclusive(self):
         with pytest.raises(ScenarioError):
             Scenario.from_dict(variant(initial={"q": [1.0], "qd": [0.0], "p": [0.5]}))
@@ -347,9 +364,10 @@ class TestCliContract:
             "check-output": (["check", "noether", good, "-o", unwritable], 2, "error: FileNotFoundError: "),
         }[case]
         assert main(argv) == code
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert err.startswith(start) and err.count("\n") == 1
         assert "Traceback" not in err
+        assert out == ""  # an -o path is opened before the run
 
     def test_derive_keeps_an_overflowing_constant(self, scenario_file, capsys):
         raw = variant(lagrangian="0.5*m*qd^2 - exp(1000)*q")

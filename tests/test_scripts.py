@@ -47,6 +47,13 @@ def test_variation_slope_study_separates_the_paths():
     assert slopes["control"] == pytest.approx(1.0, abs=0.05)
 
 
+def test_variation_slope_study_reports_a_derive_warning_on_one_line():
+    done = run_script("variation_slope_study.py", "damped_oscillator_literal")
+    assert done.returncode == 0, done.stderr
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith("warning: closure flow violates")
+
+
 def test_scenario_files_are_the_exported_corpus(tmp_path):
     # the CLI reads scenarios/*.json and most tests read CORPUS_DICTS
     spec = importlib.util.spec_from_file_location("export_scenarios", SCRIPTS / "export_scenarios.py")

@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import pytest
@@ -192,6 +193,23 @@ class TestRunContext:
         assert main(["check", "all", str(SCENARIOS / "imaginary_ho.json")]) == 0
         # 6 283 steps is odd, so Simpson's variation suite takes 6 284
         assert sorted(cfg.n_steps for _, _, cfg in integrations) == [6283, 6284]
+
+    @pytest.mark.parametrize("command", ["derive", "simulate"])
+    def test_derive_and_simulate_derive_through_the_run_context(self, command, monkeypatch, capsys):
+        derives = self._calls(monkeypatch, "derive_eom")
+        assert main([command, str(SCENARIOS / "damped_oscillator.json")]) == 0
+        assert len(derives) == 1
+
+    def test_check_hamiltonian_builds_the_scenario_field_once(self, monkeypatch, tmp_path, capsys):
+        # the scenario's field inverts the initial p and runs the phase flow;
+        # the other three are the kappa0 sweep's
+        fields = self._calls(monkeypatch, "HamiltonianField")
+        raw = corpus_scenario("damped_oscillator").to_dict()
+        raw["initial"] = {"q": [1.0], "p": [0.5]}
+        path = tmp_path / "p_initial.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["check", "hamiltonian", str(path)]) == 0
+        assert len(fields) == 4
 
     def test_derive_warning_is_a_note_of_every_suite(self, monkeypatch):
         derives = self._calls(monkeypatch, "derive_eom")
