@@ -339,22 +339,8 @@ def sampled_path(
 
 def to_csv(traj: Trajectory) -> str:
     """CSV export: t,q_1..q_N,qd_1..qd_N,p_1..p_N,el_residual (17 sig digits)."""
-    n_dim = traj.dim
-    cols = (
-        ["t"]
-        + [f"q_{a}" for a in range(1, n_dim + 1)]
-        + [f"qd_{a}" for a in range(1, n_dim + 1)]
-        + [f"p_{a}" for a in range(1, n_dim + 1)]
-        + ["el_residual"]
-    )
-    lines = [",".join(cols)]
-    for k in range(traj.n_samples):
-        row = (
-            [traj.t[k]]
-            + list(traj.q[k])
-            + list(traj.qd[k])
-            + list(traj.p[k])
-            + [traj.el_residual[k]]
-        )
-        lines.append(",".join(f"{v:.17g}" for v in row))
+    names = (f"{x}_{a}" for x in ("q", "qd", "p") for a in range(1, traj.dim + 1))
+    lines = [",".join(["t", *names, "el_residual"])]
+    cols = (traj.t, *traj.q.T, *traj.qd.T, *traj.p.T, traj.el_residual)
+    lines += [",".join(map("{:.17g}".format, row)) for row in zip(*(c.tolist() for c in cols))]
     return "\n".join(lines) + "\n"

@@ -336,7 +336,7 @@ def _apply_call(fn: str, z: complex) -> complex:
         raise DomainError(f"{fn} overflowed") from None
     # a real argument keeps a real value, as the array ufuncs give: above
     # exponent 100, Python's complex power would leave an imaginary part
-    return v.real if isinstance(z, float) and not v.imag else v
+    return v if isinstance(z, complex) or v.imag else v.real
 
 
 def evaluate(e: Expr, bindings: Bindings) -> complex:
@@ -470,7 +470,7 @@ def simplify(e: Expr) -> Expr:
         arg = simplify(e.arg)
         if isinstance(arg, Const):
             try:
-                return Const(_apply_call(e.fn, arg.value))
+                return Const(_apply_call(e.fn, evaluate(arg, {})))  # a real constant as a float
             except ExprError:
                 pass
         return Call(e.fn, arg)
@@ -569,6 +569,20 @@ def subs(e: Expr, name: str, tree: Expr) -> Expr:
     return simplify(type(e)(*(subs(x, name, tree) if isinstance(x, Expr) else x for x in fields)))
 
 
+def fold(trees: tuple[Expr, ...], consts: Mapping[str, complex]) -> tuple[Expr, ...]:
+    """`trees` with each symbol named in `consts` put in as its value, in one pass
+    over their shared subtrees; a tree holding one is simplified, any other kept."""
+    done: dict[Expr, Expr] = {Sym(name): Const(v) for name, v in consts.items()}
+
+    def put(e: Expr) -> Expr:
+        if e not in done:
+            hit = not consts.keys().isdisjoint(free_symbols(e))
+            done[e] = type(e)(*(put(x) if isinstance(x, Expr) else x for x in vars(e).values())) if hit else e
+        return done[e]
+
+    return tuple(t if put(t) is t else simplify(put(t)) for t in trees)
+
+
 @lru_cache(maxsize=None)
 def conj_expr(e: Expr) -> Expr:
     """Structural conjugate: flips the imaginary part of every constant.
@@ -646,12 +660,22 @@ def _not_real(values: tuple[complex, ...], state: Mapping[str, float]) -> None:
     raise DomainError(f"real map {k} took the complex value {v!r} at {_where(state)}")
 
 
+@lru_cache(maxsize=None)
+def _may_turn_complex(e: Expr) -> bool:
+    """Whether `e` can be complex at real arguments: it holds a complex or
+    non-finite constant, sqrt, ln, or `^` to other than an integral real constant."""
+    if isinstance(e, Const):
+        return bool(e.value.imag) or not cmath.isfinite(e.value)
+    if isinstance(e, Call) and e.fn in ("sqrt", "ln"):
+        return True
+    if isinstance(e, BinOp) and e.op == "^":  # a complex exponent is a complex constant, found below
+        if not (isinstance(e.right, Const) and e.right.value.real.is_integer()):
+            return True
+    return any(_may_turn_complex(x) for x in vars(e).values() if isinstance(x, Expr))
+
+
 def _codegen(
-    trees: tuple[Expr, ...],
-    args: tuple[str, ...],
-    consts: Mapping[str, complex],
-    bare: bool,
-    real: bool,
+    trees: tuple[Expr, ...], args: tuple[str, ...], bare: bool, real: bool
 ) -> tuple[str, dict[str, complex]]:
     """Source of one function computing every tree, and the names it reads.
 
@@ -697,8 +721,6 @@ def _codegen(
         if isinstance(e, Sym):
             if e.name in arg_set:
                 return e.name
-            if e.name in consts:
-                return literal(complex(consts[e.name]))
             raise UnboundSymbol(e.name)
         if isinstance(e, Neg):
             src = f"(-{emit(e.arg)})"
@@ -852,14 +874,16 @@ def _compile(
     real: bool,
     vectorized: bool,
 ):
+    trees = fold(trees, {name: v for name, v in const_items if name not in args})
+    real = real and any(map(_may_turn_complex, trees))
     # the array wrapper does the real guard, so the source never holds it
-    src, bound = _codegen(trees, args, dict(const_items), bare, real and not vectorized)
+    src, bound = _codegen(trees, args, bare, real and not vectorized)
     helpers = _LANE_HELPERS if vectorized else _SCALAR_HELPERS
     ns = {"__builtins__": {}, **helpers, **bound}
     exec(src, ns)  # noqa: S102 - source is generated from a validated tree
     if not vectorized:
         return ns["_f"]
-    scalar = partial(_compile, trees, args, const_items, bare, False, False)
+    scalar = partial(_compile, trees, args, (), bare, False, False)
     return _lane_kernel(ns["_f"], scalar, args, bare, real)
 
 
@@ -873,18 +897,24 @@ def compile_expr(
 ) -> Callable[..., complex]:
     """Compile to a positional-argument function; semantics match `evaluate`.
 
-    Symbols listed in `args` become positional parameters; symbols in
-    `consts` are folded in as literals. Any other free symbol raises
-    UnboundSymbol at compile time. Domain guards are shared with the tree
-    walker, so error behavior is identical.
+    Symbols listed in `args` become positional parameters; the symbols in
+    `consts` are put in by `fold` before code generation, so parameter
+    arithmetic runs once (an argument shadows a constant of its name). Any
+    other free symbol raises UnboundSymbol at compile time. Domain guards
+    are shared with the tree walker, so error behavior is identical.
 
     Given a tuple of trees, the function returns all their values as a
     tuple and computes each subtree the trees share only once; every value
-    is bitwise the one `evaluate` gives. A single tree is the 1-tuple case
+    is bitwise the one `evaluate` gives with the constants bound, but for a
+    sign of zero or a NaN of 0 * inf where a folded constant is zero
+    (`simplify` turns x + 0 into x and x * 0 into 0; a complex one with a
+    zero imaginary part turns real). A single tree is the 1-tuple case
     whose function returns the bare value.
 
     With `real`, the trees are real maps: the function returns float real
     parts and raises DomainError when a value has a nonzero imaginary part.
+    Only trees that `_may_turn_complex` get that check; the others keep
+    real arguments real, so they compute and return plain floats.
 
     With `vectorized`, the same generated source runs over equal-length
     float64 arrays, one sample per lane, and every value is an array of the

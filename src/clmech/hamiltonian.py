@@ -27,10 +27,10 @@ piece separately so the cancellation is observed, not assumed. K itself is
 never constructed: whether its mixed partials commute is reported as a
 finite-difference diagnostic, not asserted.
 
-When A = df/dqd holds parameters only, qd = (p - f(q, 0, t))/A is a tree (the
-Legendre transform of a quadratic form; Arnold, Mathematical Methods of
-Classical Mechanics, sec. 14) and the flow is one kernel call of (t, q, p). Any
-other f is inverted by the maps' damped Newton, its partials by a second kernel.
+When A = df/dqd folds to a nonzero constant, qd = (p - f(q, 0, t))/A is a
+tree (the Legendre transform of a quadratic form; Arnold, Mathematical Methods
+of Classical Mechanics, sec. 14) and the flow is one kernel call of (t, q, p).
+Any other f is inverted by the maps' damped Newton, its partials by a second kernel.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .exprcore import ZERO, DomainError, Sym, compile_expr, diff, evaluate, free_symbols, simplify, subs
+from .exprcore import ZERO, Const, DomainError, Sym, compile_expr, diff, evaluate, fold, simplify, subs
 from .lagrangian import ComplexLagrangian, EomSystem, _solve_velocity_scalar
 
 
@@ -74,8 +74,8 @@ class PhaseState:
 
 @dataclass(frozen=True, eq=False)
 class HamiltonianField:
-    """Compiled phase-space field for a regular single-coordinate system; `_qd`
-    is the inverse tree qd(t, q, p) when f is affine in qd, else None."""
+    """Compiled phase-space field for a regular single-coordinate system; `_f` is f with the
+    parameters folded in, `_qd` the inverse tree qd(t, q, p) if A folds to a nonzero constant."""
 
     lagr: ComplexLagrangian
     eom: EomSystem
@@ -88,38 +88,37 @@ class HamiltonianField:
             )
         if self.kappa0 == 0 or not math.isfinite(self.kappa0):
             raise ValueError("kappa0 must be a nonzero finite real")
-        # derive_eom evaluated A at the probe, so a constant A evaluates to a
-        # real; a parameter named p would be shadowed by the kernel argument
-        f, a, params = self.eom.f[0], self.eom.A[0][0], self.lagr.params
-        slope = evaluate(a, params) if "p" not in params and free_symbols(a) <= params.keys() else 0.0
-        affine = slope != 0 and cmath.isfinite(slope)
+        # the parameters are folded in first, so none is read as the momentum
+        f, a = fold((self.eom.f[0], self.eom.A[0][0]), self.lagr.params)
+        affine = isinstance(a, Const) and a.value != 0 and cmath.isfinite(a.value)
+        object.__setattr__(self, "_f", f)
         object.__setattr__(self, "_qd", simplify((Sym("p") - subs(f, "qd", ZERO)) / a) if affine else None)
 
-    @property
+    @cached_property
     def _partials(self) -> tuple:
-        """The trees of (df/dq, A, dL/dq, dL/dqd, dM/dq, dM/dqd) in (t, q, qd)."""
+        """The trees of (df/dq, A, dL/dq, dL/dqd, dM/dq, dM/dqd) in (t, q, qd), parameters folded."""
         L, M = self.lagr.L_expr, self.lagr.M_expr
-        return self.eom.f_q[0][0], self.eom.A[0][0], *(diff(e, x) for e in (L, M) for x in ("q", "qd"))
+        trees = (self.eom.f_q[0][0], self.eom.A[0][0], *(diff(e, x) for e in (L, M) for x in ("q", "qd")))
+        return fold(trees, self.lagr.params)
 
     def _at_momentum(self, trees: tuple):
         """A real kernel of (t, q, p) computing `trees` at qd = the inverse tree."""
-        trees = tuple(subs(e, "qd", self._qd) for e in trees)
-        return compile_expr(trees, ("t", "q", "p"), self.lagr.params, real=True)
+        return compile_expr(tuple(subs(e, "qd", self._qd) for e in trees), ("t", "q", "p"), real=True)
 
     @cached_property
     def _grads(self):
         """The Newton path's partials at (t, q, qd)."""
-        return compile_expr(self._partials, ("t", "q", "qd"), self.lagr.params, real=True)
+        return compile_expr(self._partials, ("t", "q", "qd"), real=True)
 
     @cached_property
     def _phase(self):
         """(qd, f, *`_partials`) at (t, q, p)."""
-        return self._at_momentum((Sym("qd"), self.eom.f[0], *self._partials))
+        return self._at_momentum((Sym("qd"), self._f, *self._partials))
 
     @cached_property
     def _inverse(self):
         """(qd, f) at (t, q, p): the phase kernel without the L and M partials."""
-        return self._at_momentum((Sym("qd"), self.eom.f[0]))
+        return self._at_momentum((Sym("qd"), self._f))
 
     def momentum(self, t: float, q: float, qd: float) -> float:
         return self.eom.maps.newton(t, q, qd)[0]

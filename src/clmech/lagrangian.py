@@ -192,10 +192,10 @@ class _Maps:
     flat tuple of floats (matrices row-major), computing shared
     subexpressions once: `kernel` returns (f, g, A, f_q, f_t) and `newton`
     (f, A), all the velocity solve needs. The maps are real trees built from
-    `split`'s L and M; a kernel raises DomainError where a value turns
-    complex all the same, e.g. from sqrt of a negative coordinate. Kernels
-    are compiled on first use, so a derive that only classifies never
-    compiles one.
+    `split`'s L and M, compiled with the parameters folded in; only a kernel
+    whose trees can turn complex (sqrt of a coordinate, say) checks for an
+    imaginary part and raises DomainError. Kernels compile on first use, so
+    a derive that only classifies never compiles one.
 
     `lanes` is `kernel` over arrays of samples (`compile_expr`'s `vectorized`
     mode), for passes over whole trajectories. Built only by

@@ -3,6 +3,7 @@ import copy
 import functools
 import math
 import pickle
+import re
 import struct
 import sys
 import warnings
@@ -10,11 +11,11 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from clmech import exprcore
-from clmech.corpus import bundled_corpus
+from clmech.corpus import bundled_corpus, corpus_scenario
 from clmech.exprcore import (
     BinOp,
     Call,
@@ -201,6 +202,13 @@ class TestSimplify:
         with pytest.raises(DomainError, match="overflowed"):
             evaluate(e, {})
 
+    @pytest.mark.parametrize("src", ["sqrt(-2)", "sqrt(0 - 2)", "sin(-2)"])
+    def test_a_call_of_a_constant_folds_to_its_value(self, src):
+        # -2 folds to a complex constant with a negative zero imaginary part,
+        # which would put sqrt on the other side of its branch cut
+        e = parse(src)
+        assert _bits(simplify(e).value) == _bits(evaluate(e, {}))
+
     def test_preserves_value(self):
         e = parse("(q + 0) * (1 * qd) + 0 * t")
         s = simplify(e)
@@ -352,7 +360,7 @@ class TestFusedKernel:
     def test_shared_subtrees_are_computed_once(self):
         e = parse("sin(q*qd)^2 + cos(q*qd)")
         trees = (e, diff(e, "q"))
-        src, _ = _codegen(trees, ("q", "qd"), {}, False, False)
+        src, _ = _codegen(trees, ("q", "qd"), False, False)
         assert src.count("_h_call('sin'") == 1
         assert src.count("_h_call('cos'") == 1
         assert src.count("(q * qd)") == 1
@@ -556,3 +564,78 @@ class TestArrayKernel:
         fn = compile_expr(parse("1/(q - 3) + ln(q)"), ("t", "q"), vectorized=True)
         with pytest.raises(DomainError, match=r"^ln of nonpositive real at t=2.0, q=-1.0$"):
             fn(np.arange(5.0), np.array([1.0, 2.0, -1.0, 3.0, 4.0]))
+
+
+def _generated_source(monkeypatch, trees, args, consts=None, real=True):
+    """The source `compile_expr` generates for `trees`, compiled afresh."""
+    sources = []
+    codegen = exprcore._codegen
+    monkeypatch.setattr(exprcore, "_codegen", lambda *a: sources.append(codegen(*a)) or sources[-1])
+    items = tuple(sorted((k, complex(v)) for k, v in (consts or {}).items()))
+    exprcore._compile.__wrapped__(trees, args, items, False, real, False)
+    return sources[0][0]
+
+
+def _unfolded_values(e: Expr, params: dict) -> list:
+    """The values of the largest subtrees of `e` that hold no variable, which
+    `fold` turns into constants; a failing one is left in place."""
+    if free_symbols(e) <= params.keys():
+        try:
+            return [evaluate(e, params)]
+        except DomainError:
+            return []
+    return [v for x in vars(e).values() if isinstance(x, Expr) for v in _unfolded_values(x, params)]
+
+
+PARAMS = st.sampled_from([Sym("a"), Sym("b")])
+FOLD_TREES = st.recursive(
+    VARIABLES | PARAMS | st.sampled_from([-2.0, 0.5, 1.0, 3.0]).map(Const),
+    lambda sub: st.builds(BinOp, st.sampled_from("+-*/"), sub, sub)
+    | st.builds(lambda x, c: BinOp("^", x, c), sub, PARAMS | st.sampled_from([2.0, 0.5]).map(Const))
+    | st.builds(Call, st.sampled_from(["sin", "exp", "tanh", "sqrt", "ln"]), sub),
+    max_leaves=8,
+)
+NONZERO = st.floats(0.25, 4.0) | st.floats(-4.0, -0.25)
+
+
+class TestFold:
+    def test_damped_oscillator_kernel_holds_no_parameter_and_no_guard(self, monkeypatch):
+        lagr = corpus_scenario("damped_oscillator").build_lagrangian()
+        maps = lagr.maps
+        src = _generated_source(monkeypatch, maps._all, maps._args, lagr.params)
+        assert ".imag" not in src and ".real" not in src and "(0.5 * 1.0)" not in src
+        assert not set(lagr.params) & set(re.findall(r"[A-Za-z_]\w*", src)), src
+
+    def test_a_tree_that_can_turn_complex_keeps_the_guard(self, monkeypatch):
+        src = _generated_source(monkeypatch, (parse("0.5*c*sqrt(q)"),), ("q",), {"c": 2.0})
+        assert ".imag" in src and "_h_not_real" in src
+        assert ".imag" not in _generated_source(monkeypatch, (parse("q^c"),), ("q",), {"c": 2.0})
+        assert ".imag" in _generated_source(monkeypatch, (parse("q^c"),), ("q",), {"c": 2.5})
+
+    def test_an_unguarded_kernel_keeps_int_arguments_real(self):
+        fn = compile_expr(parse("c*sin(q)"), ("q",), {"c": 2.0}, real=True)
+        assert type(fn(1)) is float and fn(1) == fn(1.0)
+
+    def test_an_argument_shadows_a_constant_of_its_name(self):
+        fn = compile_expr(parse("q*c + c"), ("q", "c"), {"c": 10.0, "q": 7.0})
+        assert fn(2.0, 3.0) == 9.0
+        assert compile_expr(parse("q + 1"), ("q",), {"q": 10.0}, real=True)(2.0) == 3.0
+
+    @given(FOLD_TREES, NONZERO, NONZERO, st.tuples(finite, finite, finite), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_folded_kernels_match_unfolded_ones_bitwise(self, tree, a, b, state, real):
+        params = {"a": a, "b": b}
+        # a constant part folding to zero may flip the sign of a zero result,
+        # and a complex one with a zero imaginary part becomes a real literal
+        values = _unfolded_values(tree, params)
+        assume(all(v != 0 and cmath.isfinite(v) and (type(v) is float or v.imag) for v in values))
+        folded = compile_expr((tree,), ("t", "q", "qd"), params, real=real)
+        unfolded = compile_expr((tree,), ("t", "q", "qd", "a", "b"), real=real)
+        try:
+            want = unfolded(*state, a, b)
+        except DomainError as err:
+            message = str(err).split(", a=")[0]  # the folded kernel's state has no a and b
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                folded(*state)
+            return
+        assert [_bits(v) for v in folded(*state)] == [_bits(v) for v in want]

@@ -259,10 +259,18 @@ class TestClosedFormPath:
         want = newton_reference(field, 0.7, -0.8, 0.3)
         assert (qd, f, qd_flow, pd_flow) == (*want[:2], *want[-2:])
 
-    def test_a_parameter_named_p_keeps_newton(self):
-        field = make_field("0.5*p*qd^2 - 0.5*q^2", params={"p": 2.0})
-        assert field._qd is None
-        assert field.invert(0.0, 0.3, 1.0) == pytest.approx(0.5)
+    def test_a_parameter_named_p_takes_the_closed_form(self):
+        # the parameters are folded into f and A before the momentum p is put
+        # in, so the parameter p is not read as the kernel's argument
+        source = "0.5*p*qd^2 - 0.5*k*q^2 + 0.1*i*p*q^2"
+        field = make_field(source, params={"p": 2.0, "k": 1.5})
+        assert_closed_form_matches_newton(field, STATES)
+        # f = p qd + 0.2 p q at p = 2: qd = (1 - 0.4*0.3)/2
+        assert field.invert(0.0, 0.3, 1.0) == pytest.approx(0.44, abs=1e-15)
+        renamed = make_field(source.replace("p", "m"), params={"m": 2.0, "k": 1.5})
+        cfg = IntegratorConfig(0.01, 0.0, 1.0)
+        got, want = (integrate_hamiltonian(f, PhaseState(0.0, 1.0, 0.2), cfg) for f in (field, renamed))
+        assert (got.q.tolist(), got.p.tolist()) == (want.q.tolist(), want.p.tolist())
 
     def test_kernels_compiled_per_path(self, monkeypatch):
         compiled = []
