@@ -29,7 +29,6 @@ from .lagrangian import (
     MechState,
     _accel,
     _dot,
-    _solve_scalar,
     _solve_velocity,
 )
 
@@ -149,43 +148,26 @@ def integrate(eom: EomSystem, init: MechState, cfg: IntegratorConfig) -> Traject
     if eom.classification == DEGENERATE:
         return _integrate_closure(eom, init, cfg)
     if eom.dim == 1:
-        return _integrate_regular_scalar(eom, init, cfg)
+        return _stepped(SECOND_ORDER, eom.maps.step, init.q[0], init.qd[0], cfg)
     return _integrate_regular(eom, init, cfg)
 
 
-def _integrate_regular_scalar(
-    eom: EomSystem, init: MechState, cfg: IntegratorConfig
-) -> Trajectory:
-    """One coordinate on plain floats: one kernel call per RK4 stage."""
+def _stepped(kind: str, step: Callable, x: float, y: float, cfg: IntegratorConfig) -> Trajectory:
+    """The samples of a step in `exprcore.compile_step`'s form, (t, x, y, dt, h2, h6) ->
+    (first, residual, next x, next y), dt None at the last sample. x is q; y is qd on a
+    regular system and p on a Hamiltonian one, and `first` the other of the two."""
     t_grid, dt, n = _grid(cfg)
-    kernel = eom.maps.kernel
     h2, h6 = dt / 2, dt / 6
-
-    def accel(t: float, q: float, qd: float) -> float:
-        _, g, a, f_q, f_t = kernel(t, q, qd)
-        # 0.0 + x: the sign of a zero product as in a one-term dot product
-        return _solve_scalar(a, g - (0.0 + f_q * qd) - f_t)
-
-    q, qd = init.q[0], init.qd[0]
-    q_out, qd_out, p_out, res_out = _columns(n + 1, 1)
-    for k in range(n + 1):
-        t = float(t_grid[k])
-        _check_finite((q, qd), t)
-        # stage 1 also gives the sample's momentum and residual
-        f, g, a, f_q, f_t = kernel(t, q, qd)
-        a1 = _solve_scalar(a, g - (0.0 + f_q * qd) - f_t)
-        q_out[k], qd_out[k], p_out[k] = q, qd, f
-        res_out[k] = abs(g - a * a1 - f_q * qd - f_t)
-        if k < n:
-            v2 = qd + h2 * a1
-            a2 = accel(t + h2, q + h2 * qd, v2)
-            v3 = qd + h2 * a2
-            a3 = accel(t + h2, q + h2 * v2, v3)
-            v4 = qd + dt * a3
-            a4 = accel(t + dt, q + dt * v3, v4)
-            q = q + h6 * (qd + 2 * v2 + 2 * v3 + v4)
-            qd = qd + h6 * (a1 + 2 * a2 + 2 * a3 + a4)
-    return Trajectory(SECOND_ORDER, dt, t_grid, q_out, qd_out, p_out, res_out)
+    cols = [np.empty(n + 1) for _ in range(4)]
+    xs, ys, firsts, residuals = map(memoryview, cols)  # float item stores
+    for k, t in enumerate(memoryview(t_grid)):
+        if not (abs(x) <= BLOWUP_LIMIT and abs(y) <= BLOWUP_LIMIT):
+            _check_finite((x, y), t)
+        xs[k], ys[k] = x, y
+        firsts[k], residuals[k], x, y = step(t, x, y, dt if k < n else None, h2, h6)
+    q, y_col, first_col, res = cols
+    qd, p = (y_col, first_col) if kind == SECOND_ORDER else (first_col, y_col)
+    return Trajectory(kind, dt, t_grid, q[:, None], qd[:, None], p[:, None], res)
 
 
 def _rk4(
@@ -271,29 +253,28 @@ def integrate_hamiltonian(
     """RK4 trajectory of the phase-space flow (q, p) of a single-DOF field.
 
     The qd column is filled by inverting the momentum map at each sample, so
-    the CSV schema is identical across flow kinds; a stage is one `_flow_at` call.
+    the CSV schema is identical across flow kinds.
     """
-    t_grid, dt, n = _grid(cfg)
-    h2, h6 = dt / 2, dt / 6
-    guess = 0.0  # Newton guess threaded from the last inversion
-    q, p = init.q, init.p
-    q_out, qd_out, p_out, res_out = _columns(n + 1, 1)
-    for k in range(n + 1):
-        t = float(t_grid[k])
-        _check_finite((q, p), t)
-        # stage 1 is at the sample itself; the last sample needs no slope
-        qd, f, *k1 = field._flow_at(t, q, p, guess) if k < n else field._invert(t, q, p, guess)
-        guess = qd
-        q_out[k], qd_out[k], p_out[k] = q, qd, p
-        res_out[k] = abs(f - p)
-        if k < n:
-            k1q, k1p = k1
-            _, _, k2q, k2p = field._flow_at(t + h2, q + h2 * k1q, p + h2 * k1p, guess)
-            _, _, k3q, k3p = field._flow_at(t + h2, q + h2 * k2q, p + h2 * k2p, guess)
-            _, _, k4q, k4p = field._flow_at(t + dt, q + dt * k3q, p + dt * k3p, guess)
-            q = q + h6 * (k1q + 2 * k2q + 2 * k3q + k4q)
-            p = p + h6 * (k1p + 2 * k2p + 2 * k3p + k4p)
-    return Trajectory(HAMILTONIAN, dt, t_grid, q_out, qd_out, p_out, res_out)
+    return _stepped(HAMILTONIAN, field.step or _newton_step(field), init.q, init.p, cfg)
+
+
+def _newton_step(field: "HamiltonianField") -> Callable:
+    """The Newton path's RK4 step of (q, p) in `compile_step`'s form: a stage is one
+    `_flow_at` call, whose Newton starts from the qd of the last sample's inversion."""
+    guess = 0.0
+
+    def step(t: float, q: float, p: float, dt: float | None, h2: float, h6: float):
+        nonlocal guess
+        if dt is None:  # the last sample needs no slope
+            qd, f = field._invert(t, q, p, guess)
+            return qd, abs(f - p), q, p
+        guess, f, k1q, k1p = field._flow_at(t, q, p, guess)
+        _, _, k2q, k2p = field._flow_at(t + h2, q + h2 * k1q, p + h2 * k1p, guess)
+        _, _, k3q, k3p = field._flow_at(t + h2, q + h2 * k2q, p + h2 * k2p, guess)
+        _, _, k4q, k4p = field._flow_at(t + dt, q + dt * k3q, p + dt * k3p, guess)
+        return guess, abs(f - p), q + h6 * (k1q + 2 * k2q + 2 * k3q + k4q), p + h6 * (k1p + 2 * k2p + 2 * k3p + k4p)
+
+    return step
 
 
 def sampled_path(

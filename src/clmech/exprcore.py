@@ -334,6 +334,8 @@ def _apply_call(fn: str, z: complex) -> complex:
         v = _CMATH[fn](z)
     except OverflowError:
         raise DomainError(f"{fn} overflowed") from None
+    except ValueError:  # cmath's domain error: sin or cos of an infinite real part, say
+        raise DomainError(f"{fn} of an infinite argument") from None
     # a real argument keeps a real value, as the array ufuncs give: above
     # exponent 100, Python's complex power would leave an imaginary part
     return v if isinstance(z, complex) or v.imag else v.real
@@ -675,12 +677,12 @@ def _may_turn_complex(e: Expr) -> bool:
 
 
 def _codegen(
-    trees: tuple[Expr, ...], args: tuple[str, ...], bare: bool, real: bool
+    trees: tuple[Expr, ...], args: tuple[str, ...], bare: bool, real: bool, bound: dict | None = None, ret="return "
 ) -> tuple[str, dict[str, complex]]:
-    """Source of one function computing every tree, and the names it reads.
+    """Source of one function computing every tree, and the names it reads, added to `bound` if given.
 
-    The function returns the tuple of the trees' values, or with `bare` the
-    value of the only tree; with `real`, their real parts once every
+    Its last line is `ret` and the tuple of the trees' values, or with `bare`
+    the value of the only tree; with `real`, their real parts once every
     imaginary part is checked to be zero.
 
     A subtree occurring more than once across `trees` is computed once into
@@ -702,7 +704,7 @@ def _codegen(
         count(tree)
 
     arg_set = frozenset(args)
-    bound: dict[str, complex] = {}
+    bound = {} if bound is None else bound
     names: dict[Expr, str] = {}
     lines: list[str] = []
 
@@ -751,7 +753,7 @@ def _codegen(
         lines.append(f"    if {' or '.join(o + '.imag' for o in outs)}:")
         lines.append(f"        _h_not_real(({', '.join(outs)},), {{{state}}})")
         outs = [o + ".real" for o in outs]
-    lines.append(f"    return {outs[0] if bare else '(' + ', '.join(outs) + ',)'}")
+    lines.append(f"    {ret}{outs[0] if bare else '(' + ', '.join(outs) + ',)'}")
     return f"def _f({', '.join(args)}):\n" + "\n".join(lines) + "\n", bound
 
 
@@ -808,6 +810,9 @@ def _lanes_call(fn: str, z):
         root = np.sqrt(np.abs(z))
         # cmath.sqrt(-x) is 0.0 + sqrt(x)*1j, complex in those lanes only
         return np.where(z < 0, root * 1j, root) if np.any(z < 0) else root
+    # cmath raises on sin or cos of an infinite real part, unless the imaginary part is nan
+    if fn in ("sin", "cos") and np.any(np.isinf(z.real) & ~np.isnan(z.imag)):
+        raise _LaneFailure(f"{fn} of an infinite argument")
     out = _UFUNCS[fn](z)
     # cmath raises where a finite argument overflows (exp, sin and cos)
     if np.any(~np.isfinite(out) & np.isfinite(z)):
@@ -929,3 +934,40 @@ def compile_expr(
     items = tuple(sorted((k, complex(v)) for k, v in (consts or {}).items()))
     bare = not isinstance(e, tuple)
     return _compile((e,) if bare else e, tuple(args), items, bare, real, vectorized)
+
+
+@lru_cache(maxsize=None)
+def compile_step(
+    trees: tuple, args: tuple, outs: tuple, tail: str, sample: str, last: tuple = (), names: tuple = ()
+) -> Callable[..., tuple[float, float, float, float]]:
+    """The classical RK4 step (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.1)
+    of a state (x, y), generated as `_step(t0, x0, y0, dt, h2, h6)` -> (*sample, next x, next y).
+
+    Each stage assigns its point to `args` = (t, x, y), so a guard names it as
+    the kernel does, runs the real kernel body of the folded `trees` with the
+    values bound to `outs`, then `tail`, which sets the slope `kx, ky`;
+    `sample` is read after stage 1. With dt None the step returns (*sample,
+    x0, y0) from stage 1, or from the body of `last` alone, bound to the
+    first `outs`. The `(name, value)` pairs of `names` are bound as globals.
+    """
+    t, x, y = args
+    bound: dict = {}
+
+    def body(trees: tuple[Expr, ...]) -> str:
+        lhs = f"{', '.join(outs[: len(trees)])} = "
+        return _codegen(trees, args, False, any(map(_may_turn_complex, trees)), bound, lhs)[0]
+
+    read = f"    s0, s1 = {sample}\n"
+    stage = body(trees).split("\n", 1)[1] + tail + "\n"
+    src = f"{body(last)}{read}    return (s0, s1, {x}, {y})\n" if last else ""
+    src += f"def _step({t}0, {x}0, {y}0, dt, h2, h6):\n"
+    src += f"    if dt is None: return _f({t}0, {x}0, {y}0)\n" if last else ""
+    src += f"    {t}, {x}, {y} = {t}0, {x}0, {y}0\n{stage}{read}"
+    src += "" if last else f"    if dt is None: return (s0, s1, {x}0, {y}0)\n"
+    for k, h in ((1, "h2"), (2, "h2"), (3, "dt")):
+        src += f"    kx{k}, ky{k} = kx, ky\n    {t}, {x}, {y} = {t}0 + {h}, {x}0 + {h} * kx{k}, {y}0 + {h} * ky{k}\n"
+        src += stage
+    src += f"    return (s0, s1, {x}0 + h6 * (kx1 + 2 * kx2 + 2 * kx3 + kx), {y}0 + h6 * (ky1 + 2 * ky2 + 2 * ky3 + ky))\n"
+    ns = {"__builtins__": {}, **_SCALAR_HELPERS, "abs": abs, **bound, **dict(names)}
+    exec(src, ns)  # noqa: S102 - source is generated from validated trees
+    return ns["_step"]

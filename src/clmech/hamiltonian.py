@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .exprcore import ZERO, Const, DomainError, Sym, compile_expr, diff, evaluate, fold, simplify, subs
+from .exprcore import ZERO, Const, DomainError, Sym, compile_expr, compile_step, diff, evaluate, fold, simplify, subs
 from .lagrangian import ComplexLagrangian, EomSystem, _solve_velocity_scalar
 
 
@@ -72,10 +72,32 @@ class PhaseState:
             raise ValueError("phase state entries must be finite")
 
 
+# The generators' gradients and the flow from `_values`' values, each piece
+# computed separately (the kappa0 factors are not cancelled); one text, which
+# `_pieces` runs and an affine field's generated RK4 step inlines at each stage
+_GENERATORS = """\
+    slack = p - l_qd
+    dh_q, dh_p = -l_q + slack * qd_q, qd + slack * qd_p
+    mm_q, mm_p = m_q + m_qd * qd_q, m_qd * qd_p  # d/dq and d/dp of M(q, qd(q, p, t), t)
+    dk_q = (qd_p * mm_q - qd_q * mm_p) / (kappa0 * omega0)
+    dk_p = kappa0 * (-(qd_q / omega0) * mm_q + ((omega0 + qd_q**2 / omega0) / qd_p) * mm_p)
+    kx, ky = dh_p - kappa0 * dk_q, -dh_q - dk_p / kappa0"""
+_PIECES = "def _pieces(p, values, kappa0, omega0):\n    qd, _, qd_q, qd_p, l_q, l_qd, m_q, m_qd = values\n{}\n"
+exec(_PIECES.format(_GENERATORS) + "    return dh_q, dh_p, dk_q, dk_p, kx, ky\n")  # noqa: S102 - a constant text
+# `_values`' tail, then the generators: a stage's slope of (q, p) is the flow
+_FLOW_TAIL = f"""\
+    if slope == 0.0:
+        raise DegenerateJacobian(f"df/dqd = 0 at (t={{t!r}}, q={{q!r}}, qd={{qd!r}})")
+    qd_q, qd_p = -f_q / slope, 1.0 / slope
+{_GENERATORS}"""
+
+
 @dataclass(frozen=True, eq=False)
 class HamiltonianField:
     """Compiled phase-space field for a regular single-coordinate system; `_f` is f with the
-    parameters folded in, `_qd` the inverse tree qd(t, q, p) if A folds to a nonzero constant."""
+    parameters folded in, `_qd` the inverse tree qd(t, q, p) if A folds to a nonzero constant;
+    then `step` is `exprcore.compile_step`'s RK4 step of (q, p) giving qd and |f - p|, and
+    with dt None, which computes only (qd, f), serves `invert` too."""
 
     lagr: ComplexLagrangian
     eom: EomSystem
@@ -101,36 +123,37 @@ class HamiltonianField:
         trees = (self.eom.f_q[0][0], self.eom.A[0][0], *(diff(e, x) for e in (L, M) for x in ("q", "qd")))
         return fold(trees, self.lagr.params)
 
-    def _at_momentum(self, trees: tuple):
-        """A real kernel of (t, q, p) computing `trees` at qd = the inverse tree."""
-        return compile_expr(tuple(subs(e, "qd", self._qd) for e in trees), ("t", "q", "p"), real=True)
-
     @cached_property
     def _grads(self):
         """The Newton path's partials at (t, q, qd)."""
         return compile_expr(self._partials, ("t", "q", "qd"), real=True)
 
     @cached_property
-    def _phase(self):
-        """(qd, f, *`_partials`) at (t, q, p)."""
-        return self._at_momentum((Sym("qd"), self._f, *self._partials))
+    def _phase_trees(self) -> tuple:
+        """(qd, f, *`_partials`) in (t, q, p), qd put in as the inverse tree."""
+        return tuple(subs(e, "qd", self._qd) for e in (Sym("qd"), self._f, *self._partials))
 
     @cached_property
-    def _inverse(self):
-        """(qd, f) at (t, q, p): the phase kernel without the L and M partials."""
-        return self._at_momentum((Sym("qd"), self._f))
+    def _phase(self):
+        return compile_expr(self._phase_trees, ("t", "q", "p"), real=True)
+
+    @cached_property
+    def step(self):
+        if self._qd is None:
+            return None
+        trees, outs = self._phase_trees, ("qd", "f", "f_q", "slope", "l_q", "l_qd", "m_q", "m_qd")
+        names = (("kappa0", self.kappa0), ("omega0", self.lagr.omega0), ("DegenerateJacobian", DegenerateJacobian))
+        return compile_step(trees, ("t", "q", "p"), outs, _FLOW_TAIL, "qd, abs(f - p)", trees[:2], names)
 
     def momentum(self, t: float, q: float, qd: float) -> float:
         return self.eom.maps.newton(t, q, qd)[0]
 
     def invert(self, t: float, q: float, p: float, guess: float = 0.0) -> float:
-        """Solve p = f(q, qd, t) for qd; Newton starts from `guess`."""
-        return self._invert(t, q, p, guess)[0]
+        """Solve p = f(q, qd, t) for qd: the closed form, else Newton from `guess`."""
+        return (self._invert(t, q, p, guess) if self.step is None else self.step(t, q, p, None, 0.0, 0.0))[0]
 
     def _invert(self, t: float, q: float, p: float, guess: float) -> tuple[float, float]:
-        """(qd, f(q, qd, t)) at the inverted qd; Newton runs on (f, df/dqd)."""
-        if self._qd is not None:
-            return self._inverse(t, q, p)
+        """(qd, f(q, qd, t)) at the qd Newton finds on (f, df/dqd)."""
         return _solve_velocity_scalar(self.eom.maps.newton, t, q, p, 0.0, float(guess), InversionFailure)
 
     def _values(self, t: float, q: float, p: float, guess: float) -> tuple[float, ...]:
@@ -160,19 +183,8 @@ class HamiltonianField:
         return self._generators(p, self._values(t, q, p, guess))
 
     def _generators(self, p: float, values: tuple[float, ...]) -> tuple[float, float, float, float]:
-        """(dH/dq, dH/dp, dK/dq, dK/dp) from `_values`' values, each piece
-        computed separately (the kappa0 factors are not cancelled)."""
-        qd, _, qd_q, qd_p, l_q, l_qd, m_q, m_qd = values
-        slack = p - l_qd
-        dh_q = -l_q + slack * qd_q
-        dh_p = qd + slack * qd_p
-        w0 = self.lagr.omega0
-        k0 = self.kappa0
-        mm_q = m_q + m_qd * qd_q  # d/dq of M(q, qd(q,p,t), t)
-        mm_p = m_qd * qd_p
-        dk_q = (qd_p * mm_q - qd_q * mm_p) / (k0 * w0)
-        dk_p = k0 * (-(qd_q / w0) * mm_q + ((w0 + qd_q**2 / w0) / qd_p) * mm_p)
-        return dh_q, dh_p, dk_q, dk_p
+        """(dH/dq, dH/dp, dK/dq, dK/dp) from `_values`' values."""
+        return _pieces(p, values, self.kappa0, self.lagr.omega0)[:4]
 
     def h_gradients(self, t: float, q: float, p: float, guess: float = 0.0) -> tuple[float, float]:
         """(dH/dq, dH/dp); a Newton inversion starts from `guess`."""
@@ -191,8 +203,8 @@ class HamiltonianField:
     def _flow_at(self, t: float, q: float, p: float, guess: float) -> tuple[float, float, float, float]:
         """(qd, f, qd_flow, pd_flow) at (t, q, p)."""
         values = self._values(t, q, p, guess)
-        dh_q, dh_p, dk_q, dk_p = self._generators(p, values)
-        return values[0], values[1], dh_p - self.kappa0 * dk_q, -dh_q - dk_p / self.kappa0
+        _, _, _, _, qd_flow, pd_flow = _pieces(p, values, self.kappa0, self.lagr.omega0)
+        return values[0], values[1], qd_flow, pd_flow
 
 
 def invert_velocity(

@@ -34,8 +34,10 @@ from .exprcore import (
     DomainError,
     Expr,
     compile_expr,
+    compile_step,
     diff,
     evaluate,
+    fold,
     free_symbols,
     simplify,
     split,
@@ -198,7 +200,8 @@ class _Maps:
     a derive that only classifies never compiles one.
 
     `lanes` is `kernel` over arrays of samples (`compile_expr`'s `vectorized`
-    mode), for passes over whole trajectories. Built only by
+    mode), for passes over whole trajectories. At one coordinate, `step` is
+    `exprcore.compile_step`'s RK4 step of (q, qd) giving p and the EL residual. Built only by
     `ComplexLagrangian.maps`; `equivalence` reads the maps of a pair's
     difference Lagrangian, whose Euler-Lagrange law is its residual.
     """
@@ -234,6 +237,12 @@ class _Maps:
     @cached_property
     def newton(self) -> Callable[..., tuple[float, ...]]:
         return self._compile(self.f + sum(self.A, ()))
+
+    @cached_property
+    def step(self) -> Callable[..., tuple[float, float, float, float]]:
+        outs, sample = ("f", "g", "a", "f_q", "f_t"), "f, abs(g - a * ky - f_q * qd - f_t)"
+        trees = fold(self._all, self._params)
+        return compile_step(trees, self._args, outs, _STEP_TAIL, sample, names=(("SingularMass", SingularMass),))
 
     def split(self, v: Sequence):
         """(f, g, A, f_q, f_t) from the kernel's flat values; matrices as rows."""
@@ -278,7 +287,7 @@ def _dot(row: Sequence[float], x: Sequence[float]) -> float:
 def _singular(pivot: float, row_scale: float) -> bool:
     """The one singularity rule, of the solves and of the classification: a
     pivot at most 1e-13 times the entry scale its row had before elimination.
-    A ratio, so the verdict does not change with the units."""
+    A ratio, so the verdict does not change with the units. `_SOLVE_SCALAR` inlines it."""
     return row_scale == 0.0 or abs(pivot) <= 1e-13 * row_scale
 
 
@@ -340,17 +349,20 @@ def solve_linear(A: Sequence[Sequence[float]], b: Sequence[float]) -> list[float
     return out
 
 
-def _solve_scalar(a: float, b: float) -> float:
-    """solve_linear for a 1x1 system, with both of its SingularMass checks;
-    bitwise what the elimination gives."""
-    row_scale = abs(a)
-    if _singular(a, row_scale):
-        raise SingularMass(f"pivot {a!r} below 1e-13 of row scale {row_scale!r}")
+# `solve_linear` for a 1x1 system (a, b), with both of its SingularMass checks,
+# bitwise what the elimination gives: one text, run by `_solve_scalar` and
+# inlined at each stage of the generated RK4 step, whose slope of (q, qd) is (qd, x)
+_SOLVE_SCALAR = """\
+    s = abs(a)
+    if s == 0.0 or s <= 1e-13 * s:
+        raise SingularMass(f"pivot {a!r} below 1e-13 of row scale {s!r}")
     x = b / a
-    residual = abs(a * x - b)
-    if residual > 1e-10 * (1.0 + abs(b)):
-        raise SingularMass(f"solve residual {residual!r} exceeds contract bound")
-    return x
+    r = abs(a * x - b)
+    if r > 1e-10 * (1.0 + abs(b)):
+        raise SingularMass(f"solve residual {r!r} exceeds contract bound")"""
+exec(f"def _solve_scalar(a, b):\n{_SOLVE_SCALAR}\n    return x\n")  # noqa: S102 - a constant text
+# 0.0 + f_q qd: the sign of a zero product as in a one-term dot product
+_STEP_TAIL = f"    b = g - (0.0 + f_q * qd) - f_t\n{_SOLVE_SCALAR}\n    kx, ky = qd, x"
 
 
 def _solve_velocity(

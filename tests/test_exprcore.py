@@ -542,6 +542,14 @@ class TestArrayKernel:
         with pytest.raises(DomainError, match=f"^{message}$"):
             compile_expr(parse(src), ("q",))(800.0)
 
+    @pytest.mark.parametrize("src", ["sin(q)", "cos(q)", "cos(q*(1 + i))"])
+    def test_sin_or_cos_of_infinity_is_a_domain_error_at_its_lane(self, src):
+        message = f"{src[:3]} of an infinite argument"
+        with pytest.raises(DomainError, match=f"^{message} at q=inf$"):
+            compile_expr(parse(src), ("q",), vectorized=True)(np.array([1.0, np.inf, -np.inf]))
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            compile_expr(parse(src), ("q",))(math.inf)
+
     @pytest.mark.parametrize(
         "trees,q,message",
         [

@@ -29,16 +29,17 @@ SCENARIOS.update(
 
 
 def _kernels(sc: Scenario) -> dict:
-    """The scalar map kernels a run of the scenario can compile."""
+    """The scalar map kernels and generated RK4 steps a run of the scenario can compile."""
     run = RunContext(sc)
     _, eom, _ = run.derived
     kernels = {"kernel": eom.maps.kernel, "newton": eom.maps.newton}
     if eom.is_regular and sc.dim == 1:
+        kernels["regular step"] = eom.maps.step
         field = run.field
         if field._qd is None:
             kernels["hamiltonian grads"] = field._grads
         else:
-            kernels.update({"hamiltonian phase": field._phase, "hamiltonian inverse": field._inverse})
+            kernels.update({"hamiltonian phase": field._phase, "hamiltonian step": field.step})
     return kernels
 
 

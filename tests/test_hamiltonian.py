@@ -273,23 +273,24 @@ class TestClosedFormPath:
         assert (got.q.tolist(), got.p.tolist()) == (want.q.tolist(), want.p.tolist())
 
     def test_kernels_compiled_per_path(self, monkeypatch):
-        compiled = []
+        compiled, steps = [], []
         for module in (hamiltonian, lagrangian):
             spied = module.compile_expr
             spy = lambda trees, *a, fn=spied, **k: compiled.append(trees) or fn(trees, *a, **k)  # noqa: E731
             monkeypatch.setattr(module, "compile_expr", spy)
+        spied_step = hamiltonian.compile_step
+        monkeypatch.setattr(hamiltonian, "compile_step", lambda trees, *a: steps.append(trees) or spied_step(trees, *a))
         cfg = IntegratorConfig(0.01, 0.0, 0.5)
         affine = make_field("0.5*(m*qd^2 - k*q^2) + 0.5*i*l0*qd^2", params={"m": 1.0, "k": 1.0, "l0": 0.1})
         integrate_hamiltonian(affine, PhaseState(0.0, 1.0, 0.2), cfg)
-        newton_trees = affine.eom.f + affine.eom.A[0]
-        assert newton_trees not in compiled and affine._partials not in compiled
-        assert len(compiled) == 2  # the phase kernel, and the inverse one for the last sample
+        # one generated step runs every sample, the last one too, and no kernel compiles
+        assert compiled == [] and steps == [affine._phase_trees]
+        assert affine.invert(0.0, 1.0, 0.2) == 0.2 and compiled == [] and len(steps) == 1
 
-        compiled.clear()
         quartic = make_field("0.25*qd^4 + 0.5*qd^2 + cos(q)")
-        assert quartic._qd is None
+        assert quartic._qd is None and quartic.step is None
         integrate_hamiltonian(quartic, PhaseState(0.0, 1.0, 0.2), cfg)
-        assert compiled == [quartic.eom.f + quartic.eom.A[0], quartic._partials]
+        assert compiled == [quartic.eom.f + quartic.eom.A[0], quartic._partials] and len(steps) == 1
 
     @pytest.mark.parametrize("sc", BUNDLED_HAMILTONIAN, ids=lambda sc: sc.name)
     def test_check_on_an_affine_field_compiles_no_velocity_kernel(self, sc, monkeypatch, capsys):

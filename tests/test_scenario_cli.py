@@ -351,6 +351,12 @@ class TestCliContract:
         err = capsys.readouterr().err
         assert err == "error: DomainError: exp overflowed\n"
 
+    def test_sin_of_an_infinite_argument_exits_2(self, scenario_file, capsys):
+        # q^30 overflows to inf at the finite state q = 1e11, and cmath rejects sin(inf)
+        raw = variant(lagrangian=f"0.5*qd^2 - cos({'*'.join(['q'] * 30)})", initial={"q": [1e11], "qd": [0.0]})
+        assert main(["simulate", scenario_file(raw)]) == 2
+        assert capsys.readouterr().err == "error: DomainError: sin of an infinite argument\n"
+
     @pytest.mark.parametrize(
         "case", ["missing-scenario", "directory-scenario", "utf16-bom-scenario", "simulate-output", "check-output"]
     )
