@@ -24,7 +24,6 @@ import numpy as np
 from .exprcore import lane_blocks
 from .lagrangian import (
     DEGENERATE,
-    ClosureInconsistent,
     EomSystem,
     MechState,
     _accel,
@@ -124,11 +123,6 @@ def _grid(cfg: IntegratorConfig) -> tuple[np.ndarray, float, int]:
     return t, dt, n
 
 
-def _columns(n_rows: int, dim: int) -> tuple[np.ndarray, ...]:
-    """Empty q, qd, p (n_rows x dim) and el_residual columns, filled per sample."""
-    return (*(np.empty((n_rows, dim)) for _ in range(3)), np.empty(n_rows))
-
-
 def _el_terms(vals, qd: Sequence, qdd: Sequence) -> list:
     """|g_a - (A qdd + (df/dq) qd + df/dt)_a| for each a from the map values,
     at one sample or lane-wise; the EL residual is their maximum."""
@@ -192,59 +186,51 @@ def _rk4(
     ]
 
 
-def _integrate_regular(
-    eom: EomSystem, init: MechState, cfg: IntegratorConfig
+def _listed(
+    kind: str, sample: Callable, stage: Callable, y: list[float], dim: int, cfg: IntegratorConfig
 ) -> Trajectory:
+    """The samples of a list state y whose first `dim` entries are q: `sample(t, y)` gives
+    (qd, p, residual, slope) there, and the slope starts `_rk4`'s step with `stage`."""
     t_grid, dt, n = _grid(cfg)
-    maps = eom.maps
-    n_dim = eom.dim
+    q_out, qd_out, p_out = (np.empty((n + 1, dim)) for _ in range(3))
+    res_out = np.empty(n + 1)
+    for k, t in enumerate(memoryview(t_grid)):
+        _check_finite(y, t)
+        qd, p_out[k], res_out[k], slope = sample(t, y)
+        q_out[k], qd_out[k] = y[:dim], qd
+        if k < n:
+            y = _rk4(stage, t, y, dt, slope)
+    return Trajectory(kind, dt, t_grid, q_out, qd_out, p_out, res_out)
+
+
+def _integrate_regular(eom: EomSystem, init: MechState, cfg: IntegratorConfig) -> Trajectory:
+    maps, n_dim = eom.maps, eom.dim
+
+    def sample(t: float, y: list[float]):
+        q, qd = y[:n_dim], y[n_dim:]
+        qdd, vals = _accel(maps, t, q, qd)
+        return qd, vals[0], max(_el_terms(vals, qd, qdd)), qd + qdd
 
     def deriv(t: float, y: list[float], _) -> list[float]:
         q, qd = y[:n_dim], y[n_dim:]
         return qd + _accel(maps, t, q, qd)[0]
 
-    y = [*init.q, *init.qd]
-    q_out, qd_out, p_out, res_out = _columns(n + 1, n_dim)
-    for k in range(n + 1):
-        t = float(t_grid[k])
-        _check_finite(y, t)
-        q, qd = y[:n_dim], y[n_dim:]
-        qdd, vals = _accel(maps, t, q, qd)
-        q_out[k], qd_out[k], p_out[k] = q, qd, vals[0]
-        res_out[k] = max(_el_terms(vals, qd, qdd))
-        if k < n:
-            y = _rk4(deriv, t, y, dt, qd + qdd)
-    return Trajectory(SECOND_ORDER, dt, t_grid, q_out, qd_out, p_out, res_out)
+    return _listed(SECOND_ORDER, sample, deriv, [*init.q, *init.qd], n_dim, cfg)
 
 
-def _integrate_closure(
-    eom: EomSystem, init: MechState, cfg: IntegratorConfig
-) -> Trajectory:
-    t_grid, dt, n = _grid(cfg)
-    maps = eom.maps
-    mass = eom.closure_mass
-    zero = (0.0,) * eom.dim
+def _integrate_closure(eom: EomSystem, init: MechState, cfg: IntegratorConfig) -> Trajectory:
+    maps, mass, guess = eom.maps, eom.closure_mass, list(init.qd)
 
-    def solve(t: float, q: list[float], guess: list[float]) -> tuple[list[float], list[float]]:
-        """qd with f = mass*qd, and p = f there."""
-        return _solve_velocity(maps, t, q, zero, mass, guess, ClosureInconsistent)
+    def sample(t: float, q: list[float]):
+        """qd with f = mass*qd, starting from the last sample's, and p = f there."""
+        nonlocal guess
+        guess, p = _solve_velocity(maps, t, q, mass, guess)
+        return guess, p, max(_closure_terms(p, mass, guess)), guess
 
     def vel(t: float, q: list[float], guess: list[float]) -> list[float]:
-        return solve(t, q, guess)[0]
+        return _solve_velocity(maps, t, q, mass, guess)[0]
 
-    q = list(init.q)
-    guess = list(init.qd)
-    q_out, qd_out, p_out, res_out = _columns(n + 1, eom.dim)
-    for k in range(n + 1):
-        t = float(t_grid[k])
-        _check_finite(q, t)
-        qd, p = solve(t, q, guess)
-        guess = qd
-        q_out[k], qd_out[k], p_out[k] = q, qd, p
-        res_out[k] = max(_closure_terms(p, mass, qd))
-        if k < n:
-            q = _rk4(vel, t, q, dt, qd)
-    return Trajectory(CLOSURE, dt, t_grid, q_out, qd_out, p_out, res_out)
+    return _listed(CLOSURE, sample, vel, list(init.q), eom.dim, cfg)
 
 
 def integrate_hamiltonian(

@@ -562,23 +562,15 @@ def free_symbols(e: Expr) -> frozenset[str]:
     raise TypeError(f"not an Expr node: {e!r}")
 
 
-@lru_cache(maxsize=None)
-def subs(e: Expr, name: str, tree: Expr) -> Expr:
-    """`e` with the symbol `name` replaced by `tree`, simplified."""
-    if isinstance(e, Sym):
-        return tree if e.name == name else e
-    fields = (getattr(e, k) for k in e.__match_args__)
-    return simplify(type(e)(*(subs(x, name, tree) if isinstance(x, Expr) else x for x in fields)))
-
-
-def fold(trees: tuple[Expr, ...], consts: Mapping[str, complex]) -> tuple[Expr, ...]:
-    """`trees` with each symbol named in `consts` put in as its value, in one pass
-    over their shared subtrees; a tree holding one is simplified, any other kept."""
-    done: dict[Expr, Expr] = {Sym(name): Const(v) for name, v in consts.items()}
+def subs(trees: tuple[Expr, ...], values: Mapping[str, "Expr | Number"]) -> tuple[Expr, ...]:
+    """`trees` with each symbol named in `values` replaced by its tree, or by a number
+    as a `Const`, in one pass over their shared subtrees; a tree holding one is
+    simplified, any other comes back as the same object."""
+    done: dict[Expr, Expr] = {Sym(name): as_expr(v) for name, v in values.items()}
 
     def put(e: Expr) -> Expr:
         if e not in done:
-            hit = not consts.keys().isdisjoint(free_symbols(e))
+            hit = not values.keys().isdisjoint(free_symbols(e))
             done[e] = type(e)(*(put(x) if isinstance(x, Expr) else x for x in vars(e).values())) if hit else e
         return done[e]
 
@@ -879,7 +871,7 @@ def _compile(
     real: bool,
     vectorized: bool,
 ):
-    trees = fold(trees, {name: v for name, v in const_items if name not in args})
+    trees = subs(trees, {name: v for name, v in const_items if name not in args})
     real = real and any(map(_may_turn_complex, trees))
     # the array wrapper does the real guard, so the source never holds it
     src, bound = _codegen(trees, args, bare, real and not vectorized)
@@ -903,7 +895,7 @@ def compile_expr(
     """Compile to a positional-argument function; semantics match `evaluate`.
 
     Symbols listed in `args` become positional parameters; the symbols in
-    `consts` are put in by `fold` before code generation, so parameter
+    `consts` are put in by `subs` before code generation, so parameter
     arithmetic runs once (an argument shadows a constant of its name). Any
     other free symbol raises UnboundSymbol at compile time. Domain guards
     are shared with the tree walker, so error behavior is identical.

@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .exprcore import ZERO, Const, DomainError, Sym, compile_expr, compile_step, diff, evaluate, fold, simplify, subs
+from .exprcore import Const, DomainError, Sym, compile_expr, compile_step, diff, evaluate, simplify, subs
 from .lagrangian import ComplexLagrangian, EomSystem, _solve_velocity_scalar
 
 
@@ -72,9 +72,9 @@ class PhaseState:
             raise ValueError("phase state entries must be finite")
 
 
-# The generators' gradients and the flow from `_values`' values, each piece
-# computed separately (the kappa0 factors are not cancelled); one text, which
-# `_pieces` runs and an affine field's generated RK4 step inlines at each stage
+# The generators' gradients and the flow from `_values`' values, each piece computed
+# separately (the kappa0 factors are not cancelled); one text, which `_pieces` runs for
+# `_gradients` and `_flow_at` and an affine field's generated RK4 step inlines at each stage
 _GENERATORS = """\
     slack = p - l_qd
     dh_q, dh_p = -l_q + slack * qd_q, qd + slack * qd_p
@@ -111,17 +111,17 @@ class HamiltonianField:
         if self.kappa0 == 0 or not math.isfinite(self.kappa0):
             raise ValueError("kappa0 must be a nonzero finite real")
         # the parameters are folded in first, so none is read as the momentum
-        f, a = fold((self.eom.f[0], self.eom.A[0][0]), self.lagr.params)
+        f, a = subs((self.eom.f[0], self.eom.A[0][0]), self.lagr.params)
         affine = isinstance(a, Const) and a.value != 0 and cmath.isfinite(a.value)
         object.__setattr__(self, "_f", f)
-        object.__setattr__(self, "_qd", simplify((Sym("p") - subs(f, "qd", ZERO)) / a) if affine else None)
+        object.__setattr__(self, "_qd", simplify((Sym("p") - subs((f,), {"qd": 0.0})[0]) / a) if affine else None)
 
     @cached_property
     def _partials(self) -> tuple:
         """The trees of (df/dq, A, dL/dq, dL/dqd, dM/dq, dM/dqd) in (t, q, qd), parameters folded."""
         L, M = self.lagr.L_expr, self.lagr.M_expr
         trees = (self.eom.f_q[0][0], self.eom.A[0][0], *(diff(e, x) for e in (L, M) for x in ("q", "qd")))
-        return fold(trees, self.lagr.params)
+        return subs(trees, self.lagr.params)
 
     @cached_property
     def _grads(self):
@@ -131,7 +131,7 @@ class HamiltonianField:
     @cached_property
     def _phase_trees(self) -> tuple:
         """(qd, f, *`_partials`) in (t, q, p), qd put in as the inverse tree."""
-        return tuple(subs(e, "qd", self._qd) for e in (Sym("qd"), self._f, *self._partials))
+        return subs((Sym("qd"), self._f, *self._partials), {"qd": self._qd})
 
     @cached_property
     def _phase(self):
@@ -180,11 +180,7 @@ class HamiltonianField:
 
     def _gradients(self, t: float, q: float, p: float, guess: float) -> tuple[float, float, float, float]:
         """(dH/dq, dH/dp, dK/dq, dK/dp) at (t, q, p)."""
-        return self._generators(p, self._values(t, q, p, guess))
-
-    def _generators(self, p: float, values: tuple[float, ...]) -> tuple[float, float, float, float]:
-        """(dH/dq, dH/dp, dK/dq, dK/dp) from `_values`' values."""
-        return _pieces(p, values, self.kappa0, self.lagr.omega0)[:4]
+        return _pieces(p, self._values(t, q, p, guess), self.kappa0, self.lagr.omega0)[:4]
 
     def h_gradients(self, t: float, q: float, p: float, guess: float = 0.0) -> tuple[float, float]:
         """(dH/dq, dH/dp); a Newton inversion starts from `guess`."""

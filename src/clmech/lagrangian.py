@@ -13,7 +13,7 @@ A_ab = df_a/dqd_b; if A is invertible the system is second-order (regular),
 with qdd solving A qdd = g - (df/dq) qd - df/dt. If A is singular the system
 is closed to first order by the point-particle identification f = m_c * qd,
 solved for qd by damped Newton iteration (closure mass m_c is user-supplied
-per coordinate; its sign selects the branch of the flow). The same Newton,
+per coordinate; its sign selects the branch of the flow). Its scalar form,
 with m_c = 0 and a given p, inverts a momentum map that is not affine in qd
 for the phase-space form (`hamiltonian`).
 """
@@ -37,10 +37,10 @@ from .exprcore import (
     compile_step,
     diff,
     evaluate,
-    fold,
     free_symbols,
     simplify,
     split,
+    subs,
 )
 
 REGULAR = "regular"
@@ -49,6 +49,7 @@ DEGENERATE = "degenerate"
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 NEWTON_HALVINGS = 25
+_PIVOT_RATIO, _SOLVE_RESIDUAL = 1e-13, 1e-10  # the solves' singular pivot ratio and relative residual bound
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -241,7 +242,7 @@ class _Maps:
     @cached_property
     def step(self) -> Callable[..., tuple[float, float, float, float]]:
         outs, sample = ("f", "g", "a", "f_q", "f_t"), "f, abs(g - a * ky - f_q * qd - f_t)"
-        trees = fold(self._all, self._params)
+        trees = subs(self._all, self._params)
         return compile_step(trees, self._args, outs, _STEP_TAIL, sample, names=(("SingularMass", SingularMass),))
 
     def split(self, v: Sequence):
@@ -286,9 +287,9 @@ def _dot(row: Sequence[float], x: Sequence[float]) -> float:
 
 def _singular(pivot: float, row_scale: float) -> bool:
     """The one singularity rule, of the solves and of the classification: a
-    pivot at most 1e-13 times the entry scale its row had before elimination.
+    pivot at most _PIVOT_RATIO times the entry scale its row had before elimination.
     A ratio, so the verdict does not change with the units. `_SOLVE_SCALAR` inlines it."""
-    return row_scale == 0.0 or abs(pivot) <= 1e-13 * row_scale
+    return row_scale == 0.0 or abs(pivot) <= _PIVOT_RATIO * row_scale
 
 
 def _eliminate(a: list[list[float]], x: list[float]) -> list[tuple[float, float]]:
@@ -326,7 +327,7 @@ def solve_linear(A: Sequence[Sequence[float]], b: Sequence[float]) -> list[float
 
     Raises SingularMass when a pivot is `_singular` (the matrix is, or has
     drifted, singular), or when the solution misses the system by more than
-    1e-10 relative.
+    _SOLVE_RESIDUAL relative.
     """
     if len(b) == 1:
         return [_solve_scalar(float(A[0][0]), float(b[0]))]
@@ -337,14 +338,14 @@ def solve_linear(A: Sequence[Sequence[float]], b: Sequence[float]) -> list[float
     for pivot, row_scale in _eliminate(a, x):
         if _singular(pivot, row_scale):
             raise SingularMass(
-                f"pivot {pivot!r} below 1e-13 of row scale {row_scale!r}"
+                f"pivot {pivot!r} below {_PIVOT_RATIO!r} of row scale {row_scale!r}"
             )
     n = len(x)
     out = [0.0] * n
     for k in range(n - 1, -1, -1):
         out[k] = (x[k] - _dot(a[k][k + 1 :], out[k + 1 :])) / a[k][k]
     residual = max((abs(_dot(row, out) - bk) for row, bk in zip(a0, b0)), default=0.0)
-    if residual > 1e-10 * (1.0 + max(map(abs, b0), default=0.0)):
+    if residual > _SOLVE_RESIDUAL * (1.0 + max(map(abs, b0), default=0.0)):
         raise SingularMass(f"solve residual {residual!r} exceeds contract bound")
     return out
 
@@ -352,54 +353,53 @@ def solve_linear(A: Sequence[Sequence[float]], b: Sequence[float]) -> list[float
 # `solve_linear` for a 1x1 system (a, b), with both of its SingularMass checks,
 # bitwise what the elimination gives: one text, run by `_solve_scalar` and
 # inlined at each stage of the generated RK4 step, whose slope of (q, qd) is (qd, x)
-_SOLVE_SCALAR = """\
+_SOLVE_SCALAR = f"""\
     s = abs(a)
-    if s == 0.0 or s <= 1e-13 * s:
-        raise SingularMass(f"pivot {a!r} below 1e-13 of row scale {s!r}")
+    if s == 0.0 or s <= {_PIVOT_RATIO!r} * s:
+        raise SingularMass(f"pivot {{a!r}} below {_PIVOT_RATIO!r} of row scale {{s!r}}")
     x = b / a
     r = abs(a * x - b)
-    if r > 1e-10 * (1.0 + abs(b)):
-        raise SingularMass(f"solve residual {r!r} exceeds contract bound")"""
+    if r > {_SOLVE_RESIDUAL!r} * (1.0 + abs(b)):
+        raise SingularMass(f"solve residual {{r!r}} exceeds contract bound")"""
 exec(f"def _solve_scalar(a, b):\n{_SOLVE_SCALAR}\n    return x\n")  # noqa: S102 - a constant text
 # 0.0 + f_q qd: the sign of a zero product as in a one-term dot product
 _STEP_TAIL = f"    b = g - (0.0 + f_q * qd) - f_t\n{_SOLVE_SCALAR}\n    kx, ky = qd, x"
 
 
 def _solve_velocity(
-    maps: _Maps, t: float, q: Sequence, p: Sequence, mass: Sequence, guess: Sequence, error: type
+    maps: _Maps, t: float, q: Sequence, mass: Sequence, guess: Sequence
 ) -> tuple[list[float], list[float]]:
-    """(qd, f(t, q, qd)) with f(t, q, qd) = p + mass*qd, by damped Newton.
+    """(qd, f(t, q, qd)) with f(t, q, qd) = mass*qd, the closure, by damped Newton.
 
-    The closure is p = 0; the inversion of the momentum map is mass = 0.
-    From `guess`, each step solves (A - diag(mass)) d = f - p - mass*qd and
+    From `guess`, each step solves (A - diag(mass)) d = f - mass*qd and
     halves d until the residual's max-norm falls (at most NEWTON_HALVINGS
     times); the solve has converged when that norm is at most NEWTON_TOL
-    times 1 + max|p + mass*qd|. A singular Jacobian, a stalled line search
-    or NEWTON_MAX_ITER steps without convergence raise `error`. One
+    times 1 + max|mass*qd|. A singular Jacobian, a stalled line search or
+    NEWTON_MAX_ITER steps without convergence raise ClosureInconsistent. One
     coordinate runs `_solve_velocity_scalar` on floats.
     """
     if maps.dim == 1:
-        qd, f = _solve_velocity_scalar(maps.newton, t, q[0], p[0], mass[0], float(guess[0]), error)
+        qd, f = _solve_velocity_scalar(maps.newton, t, q[0], 0.0, mass[0], float(guess[0]), ClosureInconsistent)
         return [qd], [f]
     n = maps.dim
     newton = maps.newton
 
     def at(v: list[float]):
-        """f, the residual f - p - mass*v and the row-major A at v."""
+        """f, the residual f - mass*v and the row-major A at v."""
         vals = newton(t, *q, *v)
-        return vals[:n], [vals[a] - (p[a] + mass[a] * v[a]) for a in range(n)], vals[n:]
+        return vals[:n], [vals[a] - (0.0 + mass[a] * v[a]) for a in range(n)], vals[n:]
 
     qd = [float(v) for v in guess]
     f, r, A = at(qd)
     norm = max(map(abs, r))
     for _ in range(NEWTON_MAX_ITER):
-        if norm <= NEWTON_TOL * (1.0 + max(abs(pa + m * v) for pa, m, v in zip(p, mass, qd))):
+        if norm <= NEWTON_TOL * (1.0 + max(abs(m * v) for m, v in zip(mass, qd))):
             return qd, list(f)
         jac = [[A[a * n + b] - (mass[a] if a == b else 0.0) for b in range(n)] for a in range(n)]
         try:
             step = solve_linear(jac, r)
         except SingularMass as err:
-            raise error(f"Newton Jacobian singular at t={t!r}: {err}") from err
+            raise ClosureInconsistent(f"Newton Jacobian singular at t={t!r}: {err}") from err
         lam = 1.0
         for _ in range(NEWTON_HALVINGS):
             trial = [v - lam * d for v, d in zip(qd, step)]
@@ -410,15 +410,16 @@ def _solve_velocity(
                 break
             lam *= 0.5
         else:
-            raise error(f"Newton stalled at residual {norm!r} (t={t!r}, q={list(q)!r}, p={list(p)!r})")
-    raise error(f"no convergence after {NEWTON_MAX_ITER} iterations, residual {norm!r}")
+            raise ClosureInconsistent(f"Newton stalled at residual {norm!r} (t={t!r}, q={list(q)!r})")
+    raise ClosureInconsistent(f"no convergence after {NEWTON_MAX_ITER} iterations, residual {norm!r}")
 
 
 def _solve_velocity_scalar(
     newton: Callable, t: float, q: float, p: float, m: float, qd: float, error: type
 ) -> tuple[float, float]:
     """`_solve_velocity` at one coordinate on plain floats, from the guess qd;
-    `newton` is the (f, A) kernel. The iterates are the list loop's."""
+    `newton` is the (f, A) kernel. It also serves the inversion of the momentum map
+    (m = 0, a given p); on the closure (p = 0) the iterates are the list loop's."""
     f, a = newton(t, q, qd)
     goal = p + m * qd
     r = f - goal
@@ -455,10 +456,9 @@ def _closure_consistency(
     through the tree evaluator, so only the Newton kernel is compiled.
     """
     maps = lagr.maps
-    zero = (0.0,) * lagr.dim
 
     def solve(t: float, q: Sequence[float], guess: Sequence[float]) -> list[float]:
-        return _solve_velocity(maps, t, q, zero, mass, guess, ClosureInconsistent)[0]
+        return _solve_velocity(maps, t, q, mass, guess)[0]
 
     t, q = probe.t, probe.q
     qd = solve(t, q, probe.qd)
@@ -560,8 +560,7 @@ def closure_velocity(eom: EomSystem, t: float, q, guess=None) -> np.ndarray:
         raise ValueError("closure_velocity requires a degenerate system with a mass")
     if guess is None:
         guess = eom.probe.qd
-    zero = (0.0,) * eom.dim
-    qd, _ = _solve_velocity(eom.maps, t, q, zero, eom.closure_mass, guess, ClosureInconsistent)
+    qd, _ = _solve_velocity(eom.maps, t, q, eom.closure_mass, guess)
     return np.array(qd)
 
 

@@ -23,6 +23,7 @@ from .dynamics import IntegratorConfig, Trajectory, integrate, integrate_hamilto
 from .equivalence import (
     EQUIVALENT,
     NOT_EQUIVALENT,
+    RESIDUAL_RTOL,
     LagrangianPair,
     Ffunction,
     eom_equivalent,
@@ -334,7 +335,7 @@ def equivalence_suite(run: RunContext, seed: int = DEFAULT_SEED) -> SuiteResult:
             # the verdict already folds in residual, skip fraction and the
             # acceleration cross-check; an inconclusive read must fail here
             value = rep.max_residual if rep.verdict == EQUIVALENT else math.inf
-            lines.append(CheckLine(label, "le", value, hi=1e-9 * rep.scale, note=note))
+            lines.append(CheckLine(label, "le", value, hi=RESIDUAL_RTOL * rep.scale, note=note))
         else:
             value = rep.max_residual if rep.verdict == NOT_EQUIVALENT else -math.inf
             lines.append(
@@ -361,7 +362,7 @@ def equivalence_suite(run: RunContext, seed: int = DEFAULT_SEED) -> SuiteResult:
                 "equivalence.oscillator-pair",
                 "le",
                 rep.max_residual,
-                hi=1e-9 * rep.scale,
+                hi=RESIDUAL_RTOL * rep.scale,
                 note=f"verdict={rep.verdict}",
             )
         )

@@ -298,14 +298,43 @@ class TestConjugationSplit:
 class TestSubs:
     def test_replaces_a_symbol_by_a_tree(self):
         e, tree = parse("q*qd + sin(qd)^2"), parse("(p - q)/2")
-        got = subs(e, "qd", tree)
+        (got,) = subs((e,), {"qd": tree})
         assert free_symbols(got) == {"p", "q"}
         b = {"p": 0.7, "q": -0.4}
         assert evaluate(got, b) == evaluate(e, {**b, "qd": evaluate(tree, b)})
 
     def test_result_is_simplified(self):
-        assert subs(parse("0.5*m*2*qd + k*q"), "qd", Const(0.0)) is simplify(parse("k*q"))
-        assert subs(parse("q*t"), "qd", Sym("p")) is parse("q*t")
+        assert subs((parse("0.5*m*2*qd + k*q"),), {"qd": Const(0.0)}) == (simplify(parse("k*q")),)
+        assert subs((parse("q*t"),), {"qd": Sym("p")}) == (parse("q*t"),)
+
+    def test_several_names_in_one_call(self):
+        e, tree = parse("m*q*qd + sin(qd)^2 - m"), parse("(p - q)/2")
+        (got,) = subs((e,), {"qd": tree, "m": 3.0})
+        assert free_symbols(got) == {"p", "q"}
+        b = {"p": 0.7, "q": -0.4}
+        assert evaluate(got, b) == evaluate(e, {**b, "qd": evaluate(tree, b), "m": 3.0})
+
+    def test_a_tree_free_of_every_name_is_the_same_object(self):
+        e, held = parse("q*1 + 0*t"), parse("qd*1")  # neither is simplified
+        got = subs((e, held), {"qd": Sym("p"), "m": 2.0})
+        assert got[0] is e and got[1] is Sym("p")
+
+    @given(st.deferred(lambda: FOLD_TREES), st.sampled_from([-2.0, 0.0, 0.5, 3.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_chained_one_name_substitutions(self, e, value):
+        tree = parse("(p - q)/2")
+        (got,) = subs((e,), {"a": tree, "b": value})
+        assert got is subs(subs((e,), {"a": tree}), {"b": value})[0]
+        assert got is subs(subs((e,), {"b": value}), {"a": tree})[0]
+
+    def test_a_number_goes_in_as_the_const_compile_expr_folds(self, monkeypatch):
+        trees = []
+        codegen = exprcore._codegen
+        monkeypatch.setattr(exprcore, "_codegen", lambda t, *a: trees.append(t) or codegen(t, *a))
+        e = parse("m*q")
+        assert compile_expr(e, ("q",), {"m": 2})(3.0) == 6.0
+        assert subs((e,), {"m": 2}) == subs((e,), {"m": 2.0}) == trees[0]
+        assert subs((Sym("m"),), {"m": 2})[0] is Const(2.0)
 
 
 class TestCompile:
@@ -586,7 +615,7 @@ def _generated_source(monkeypatch, trees, args, consts=None, real=True):
 
 def _unfolded_values(e: Expr, params: dict) -> list:
     """The values of the largest subtrees of `e` that hold no variable, which
-    `fold` turns into constants; a failing one is left in place."""
+    `subs` turns into constants; a failing one is left in place."""
     if free_symbols(e) <= params.keys():
         try:
             return [evaluate(e, params)]

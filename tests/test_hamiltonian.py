@@ -19,6 +19,7 @@ from clmech.hamiltonian import (
     InversionFailure,
     PhaseState,
     UnsupportedDimension,
+    _pieces,
     flow_field,
     invert_velocity,
     k_gradients,
@@ -200,7 +201,7 @@ def newton_reference(field, t, q, p):
     qd, f = _solve_velocity_scalar(field.eom.maps.newton, t, q, p, 0.0, 0.0, InversionFailure)
     f_q, slope, *grads = field._grads(t, q, qd)
     values = (qd, f, -f_q / slope, 1.0 / slope, *grads)
-    dh_q, dh_p, dk_q, dk_p = field._generators(p, values)
+    dh_q, dh_p, dk_q, dk_p = _pieces(p, values, field.kappa0, field.lagr.omega0)[:4]
     return *values, dh_p - field.kappa0 * dk_q, -dh_q - dk_p / field.kappa0
 
 

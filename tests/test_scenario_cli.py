@@ -530,6 +530,41 @@ def test_phase_simulate_csv_bytes_unchanged(name, scenario_file, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# SHA-256 of `clmech simulate` output at two coordinates, where the regular and
+# closure flows run the list-state RK4 loop (no bundled file has dim 2): a
+# regular system with a complex q1*qd2 coupling and a quartic velocity term in
+# M, and a closure whose Newton iterates (f is cubic in qd)
+LIST_SIMULATE_SHA256 = {
+    "regular_dim2": (
+        dict(
+            lagrangian="0.5*m*(qd1^2 + qd2^2) - 0.5*k*(q1^2 + q2^2) + (0.3 + 0.2*i)*q1*qd2"
+            " + 0.1*cos(q1)*qd1^2 + 0.05*i*qd2^4",
+            dim=2,
+            initial={"q": [0.5, -0.3], "qd": [0.2, 0.1]},
+        ),
+        "b6b3f757b7dc8c0d46dbe6a15c792b2b595b98f5358b9ef464f2269131098ebd",
+    ),
+    "closure_dim2": (
+        dict(
+            lagrangian="0.5*i*(qd1^2 + qd2^2) - 0.5*i*k*(q1^2 + q2^2) + 0.1*qd1^4 + 0.1*qd2^4 - 0.1*i*cos(q1)",
+            dim=2,
+            params={"k": 1.0},
+            initial={"q": [0.5, -0.3], "qd": [0.0, 0.0]},
+            closure_mass=[-1.1, -0.9],
+        ),
+        "c628ae4c7aed2a3346641b91c1dd6c89fa5a1424a2542221c25fac89f91e5af9",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIST_SIMULATE_SHA256))
+def test_list_simulate_csv_bytes_unchanged(name, scenario_file, tmp_path):
+    changes, digest = LIST_SIMULATE_SHA256[name]
+    out = tmp_path / f"{name}.csv"
+    assert main(["simulate", scenario_file(variant(**changes)), "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 # SHA-256 of `clmech check all --seed 1` reports for the bundled scenario
 # files, recorded from the per-sample scalar passes that preceded the array
 # kernel and the shared run context
