@@ -16,6 +16,7 @@ quadrature re-plan n themselves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -58,6 +59,8 @@ class IntegratorConfig:
     t_end: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.h, self.t_start, self.t_end))):
+            raise ValueError("h, t_start and t_end must be finite")
         if not self.h > 0:
             raise ValueError("h must be positive")
         if self.t_end == self.t_start:
@@ -140,74 +143,55 @@ def integrate(eom: EomSystem, init: MechState, cfg: IntegratorConfig) -> Traject
     if len(init.q) != eom.dim:
         raise ValueError(f"init has {len(init.q)} coordinates, expected {eom.dim}")
     if eom.classification == DEGENERATE:
-        return _integrate_closure(eom, init, cfg)
+        return _stepped(CLOSURE, _closure_step(eom, init), list(init.q), [], cfg)
     if eom.dim == 1:
         return _stepped(SECOND_ORDER, eom.maps.step, init.q[0], init.qd[0], cfg)
-    return _integrate_regular(eom, init, cfg)
+    return _stepped(SECOND_ORDER, _regular_step(eom), list(init.q), list(init.qd), cfg)
 
 
-def _stepped(kind: str, step: Callable, x: float, y: float, cfg: IntegratorConfig) -> Trajectory:
-    """The samples of a step in `exprcore.compile_step`'s form, (t, x, y, dt, h2, h6) ->
-    (first, residual, next x, next y), dt None at the last sample. x is q; y is qd on a
-    regular system and p on a Hamiltonian one, and `first` the other of the two."""
+def _stepped(kind: str, step: Callable, x, y, cfg: IntegratorConfig) -> Trajectory:
+    """The samples of a step (t, x, y, dt, h2, h6) -> (qd, p, residual, next x, next y), dt
+    None at the last sample. x is q; y is qd on a regular system, p on a Hamiltonian one and
+    [] on a closure. Float states (one coordinate, `exprcore.compile_step`'s form) are
+    stored through memoryviews, list states by rows."""
     t_grid, dt, n = _grid(cfg)
     h2, h6 = dt / 2, dt / 6
-    cols = [np.empty(n + 1) for _ in range(4)]
-    xs, ys, firsts, residuals = map(memoryview, cols)  # float item stores
+    scalar = isinstance(x, float)
+    shape = n + 1 if scalar else (n + 1, len(x))
+    cols = [np.empty(shape), np.empty(shape), np.empty(shape), np.empty(n + 1)]
+    qs, qds, ps, residuals = map(memoryview, cols) if scalar else cols  # float item stores
     for k, t in enumerate(memoryview(t_grid)):
-        if not (abs(x) <= BLOWUP_LIMIT and abs(y) <= BLOWUP_LIMIT):
-            _check_finite((x, y), t)
-        xs[k], ys[k] = x, y
-        firsts[k], residuals[k], x, y = step(t, x, y, dt if k < n else None, h2, h6)
-    q, y_col, first_col, res = cols
-    qd, p = (y_col, first_col) if kind == SECOND_ORDER else (first_col, y_col)
-    return Trajectory(kind, dt, t_grid, q[:, None], qd[:, None], p[:, None], res)
+        if not (scalar and abs(x) <= BLOWUP_LIMIT and abs(y) <= BLOWUP_LIMIT):
+            _check_finite((x, y) if scalar else x + y, t)
+        qs[k] = x
+        qds[k], ps[k], residuals[k], x, y = step(t, x, y, dt if k < n else None, h2, h6)
+    q, qd, p = (col.reshape(n + 1, -1) for col in cols[:3])
+    return Trajectory(kind, dt, t_grid, q, qd, p, cols[3])
 
 
-def _rk4(
-    stage: Callable[[float, list[float], list[float]], list[float]],
-    t: float,
-    y: list[float],
-    dt: float,
-    k1: list[float],
-) -> list[float]:
-    """One RK4 step of a list state from its first-stage slope k1.
+def _list_step(n: int, sample: Callable, stage: Callable) -> Callable:
+    """`_stepped`'s step of a list state (x, y) from `sample(t, x, y)`, which gives (qd, p,
+    residual, slope) there, and `stage(t, z, k)`, the slope at the point z of the state
+    x + y; k, the previous stage's slope, seeds the closure's Newton solve."""
 
-    `stage(t, y, k)` is the slope at (t, y); k, the previous stage's slope,
-    seeds the closure's Newton solve.
-    """
-    h2 = dt / 2
-    k2 = stage(t + h2, [a + h2 * b for a, b in zip(y, k1)], k1)
-    k3 = stage(t + h2, [a + h2 * b for a, b in zip(y, k2)], k2)
-    k4 = stage(t + dt, [a + dt * b for a, b in zip(y, k3)], k3)
-    h6 = dt / 6
-    return [
-        a + h6 * (b1 + 2 * b2 + 2 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
-    ]
+    def step(t: float, x: list[float], y: list[float], dt: float | None, h2: float, h6: float):
+        qd, p, residual, k1 = sample(t, x, y)
+        if dt is None:
+            return qd, p, residual, x, y
+        z = x + y
+        k2 = stage(t + h2, [a + h2 * b for a, b in zip(z, k1)], k1)
+        k3 = stage(t + h2, [a + h2 * b for a, b in zip(z, k2)], k2)
+        k4 = stage(t + dt, [a + dt * b for a, b in zip(z, k3)], k3)
+        z = [a + h6 * (b1 + 2 * b2 + 2 * b3 + b4) for a, b1, b2, b3, b4 in zip(z, k1, k2, k3, k4)]
+        return qd, p, residual, z[:n], z[n:]
+
+    return step
 
 
-def _listed(
-    kind: str, sample: Callable, stage: Callable, y: list[float], dim: int, cfg: IntegratorConfig
-) -> Trajectory:
-    """The samples of a list state y whose first `dim` entries are q: `sample(t, y)` gives
-    (qd, p, residual, slope) there, and the slope starts `_rk4`'s step with `stage`."""
-    t_grid, dt, n = _grid(cfg)
-    q_out, qd_out, p_out = (np.empty((n + 1, dim)) for _ in range(3))
-    res_out = np.empty(n + 1)
-    for k, t in enumerate(memoryview(t_grid)):
-        _check_finite(y, t)
-        qd, p_out[k], res_out[k], slope = sample(t, y)
-        q_out[k], qd_out[k] = y[:dim], qd
-        if k < n:
-            y = _rk4(stage, t, y, dt, slope)
-    return Trajectory(kind, dt, t_grid, q_out, qd_out, p_out, res_out)
-
-
-def _integrate_regular(eom: EomSystem, init: MechState, cfg: IntegratorConfig) -> Trajectory:
+def _regular_step(eom: EomSystem) -> Callable:
     maps, n_dim = eom.maps, eom.dim
 
-    def sample(t: float, y: list[float]):
-        q, qd = y[:n_dim], y[n_dim:]
+    def sample(t: float, q: list[float], qd: list[float]):
         qdd, vals = _accel(maps, t, q, qd)
         return qd, vals[0], max(_el_terms(vals, qd, qdd)), qd + qdd
 
@@ -215,13 +199,13 @@ def _integrate_regular(eom: EomSystem, init: MechState, cfg: IntegratorConfig) -
         q, qd = y[:n_dim], y[n_dim:]
         return qd + _accel(maps, t, q, qd)[0]
 
-    return _listed(SECOND_ORDER, sample, deriv, [*init.q, *init.qd], n_dim, cfg)
+    return _list_step(n_dim, sample, deriv)
 
 
-def _integrate_closure(eom: EomSystem, init: MechState, cfg: IntegratorConfig) -> Trajectory:
+def _closure_step(eom: EomSystem, init: MechState) -> Callable:
     maps, mass, guess = eom.maps, eom.closure_mass, list(init.qd)
 
-    def sample(t: float, q: list[float]):
+    def sample(t: float, q: list[float], _):
         """qd with f = mass*qd, starting from the last sample's, and p = f there."""
         nonlocal guess
         guess, p = _solve_velocity(maps, t, q, mass, guess)
@@ -230,7 +214,7 @@ def _integrate_closure(eom: EomSystem, init: MechState, cfg: IntegratorConfig) -
     def vel(t: float, q: list[float], guess: list[float]) -> list[float]:
         return _solve_velocity(maps, t, q, mass, guess)[0]
 
-    return _listed(CLOSURE, sample, vel, list(init.q), eom.dim, cfg)
+    return _list_step(eom.dim, sample, vel)
 
 
 def integrate_hamiltonian(
@@ -253,12 +237,12 @@ def _newton_step(field: "HamiltonianField") -> Callable:
         nonlocal guess
         if dt is None:  # the last sample needs no slope
             qd, f = field._invert(t, q, p, guess)
-            return qd, abs(f - p), q, p
+            return qd, p, abs(f - p), q, p
         guess, f, k1q, k1p = field._flow_at(t, q, p, guess)
         _, _, k2q, k2p = field._flow_at(t + h2, q + h2 * k1q, p + h2 * k1p, guess)
         _, _, k3q, k3p = field._flow_at(t + h2, q + h2 * k2q, p + h2 * k2p, guess)
         _, _, k4q, k4p = field._flow_at(t + dt, q + dt * k3q, p + dt * k3p, guess)
-        return guess, abs(f - p), q + h6 * (k1q + 2 * k2q + 2 * k3q + k4q), p + h6 * (k1p + 2 * k2p + 2 * k3p + k4p)
+        return guess, p, abs(f - p), q + h6 * (k1q + 2 * k2q + 2 * k3q + k4q), p + h6 * (k1p + 2 * k2p + 2 * k3p + k4p)
 
     return step
 

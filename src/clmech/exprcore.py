@@ -931,14 +931,14 @@ def compile_expr(
 @lru_cache(maxsize=None)
 def compile_step(
     trees: tuple, args: tuple, outs: tuple, tail: str, sample: str, last: tuple = (), names: tuple = ()
-) -> Callable[..., tuple[float, float, float, float]]:
+) -> Callable[..., tuple[float, float, float, float, float]]:
     """The classical RK4 step (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.1)
     of a state (x, y), generated as `_step(t0, x0, y0, dt, h2, h6)` -> (*sample, next x, next y).
 
     Each stage assigns its point to `args` = (t, x, y), so a guard names it as
     the kernel does, runs the real kernel body of the folded `trees` with the
     values bound to `outs`, then `tail`, which sets the slope `kx, ky`;
-    `sample` is read after stage 1. With dt None the step returns (*sample,
+    `sample`, three values, is read after stage 1. With dt None the step returns (*sample,
     x0, y0) from stage 1, or from the body of `last` alone, bound to the
     first `outs`. The `(name, value)` pairs of `names` are bound as globals.
     """
@@ -949,17 +949,17 @@ def compile_step(
         lhs = f"{', '.join(outs[: len(trees)])} = "
         return _codegen(trees, args, False, any(map(_may_turn_complex, trees)), bound, lhs)[0]
 
-    read = f"    s0, s1 = {sample}\n"
+    read = f"    s0, s1, s2 = {sample}\n"
     stage = body(trees).split("\n", 1)[1] + tail + "\n"
-    src = f"{body(last)}{read}    return (s0, s1, {x}, {y})\n" if last else ""
+    src = f"{body(last)}{read}    return (s0, s1, s2, {x}, {y})\n" if last else ""
     src += f"def _step({t}0, {x}0, {y}0, dt, h2, h6):\n"
     src += f"    if dt is None: return _f({t}0, {x}0, {y}0)\n" if last else ""
     src += f"    {t}, {x}, {y} = {t}0, {x}0, {y}0\n{stage}{read}"
-    src += "" if last else f"    if dt is None: return (s0, s1, {x}0, {y}0)\n"
+    src += "" if last else f"    if dt is None: return (s0, s1, s2, {x}0, {y}0)\n"
     for k, h in ((1, "h2"), (2, "h2"), (3, "dt")):
         src += f"    kx{k}, ky{k} = kx, ky\n    {t}, {x}, {y} = {t}0 + {h}, {x}0 + {h} * kx{k}, {y}0 + {h} * ky{k}\n"
         src += stage
-    src += f"    return (s0, s1, {x}0 + h6 * (kx1 + 2 * kx2 + 2 * kx3 + kx), {y}0 + h6 * (ky1 + 2 * ky2 + 2 * ky3 + ky))\n"
+    src += f"    return (s0, s1, s2, {x}0 + h6 * (kx1 + 2 * kx2 + 2 * kx3 + kx), {y}0 + h6 * (ky1 + 2 * ky2 + 2 * ky3 + ky))\n"
     ns = {"__builtins__": {}, **_SCALAR_HELPERS, "abs": abs, **bound, **dict(names)}
     exec(src, ns)  # noqa: S102 - source is generated from validated trees
     return ns["_step"]

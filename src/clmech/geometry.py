@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import IntegratorConfig, integrate
+from .exprcore import DomainError
 from .lagrangian import (
     ComplexLagrangian,
     EomSystem,
@@ -60,16 +61,22 @@ class OneForm:
             raise ValueError("coefficient vectors must have equal length")
 
 
+def _form(dq, dqd, s: MechState) -> OneForm:
+    """The form at s; coefficients that are not finite put s outside the maps' domain."""
+    if not all(map(math.isfinite, (*dq, *dqd))):
+        raise DomainError(f"one-form coefficients are not finite at t={s.t!r}, q={s.q!r}, qd={s.qd!r}")
+    return OneForm(dq=tuple(dq), dqd=tuple(dqd), state=s)
+
+
 def theta(lagr: ComplexLagrangian, eom: EomSystem, s: MechState) -> OneForm:
     """Theta_L = f_a dq^a."""
-    f = momentum(eom, s)
-    return OneForm(dq=tuple(f), dqd=(0.0,) * lagr.dim, state=s)
+    return _form(momentum(eom, s), (0.0,) * lagr.dim, s)
 
 
 def lie_theta(lagr: ComplexLagrangian, eom: EomSystem, s: MechState) -> OneForm:
     """Closed-form Lie derivative of Theta along the flow: g_a dq^a + f_a dqd^a."""
     f, g, *_ = eom.maps(s.t, s.q, s.qd)
-    return OneForm(dq=g, dqd=f, state=s)
+    return _form(g, f, s)
 
 
 def rhs_pairing_form(lagr: ComplexLagrangian, s: MechState) -> OneForm:
@@ -81,7 +88,7 @@ def rhs_pairing_form(lagr: ComplexLagrangian, s: MechState) -> OneForm:
         z = rt2 * wirtinger(lagr, s, a)
         dq.append(-lagr.omega0 * z.imag)
         dqd.append(z.real)
-    return OneForm(dq=tuple(dq), dqd=tuple(dqd), state=s)
+    return _form(dq, dqd, s)
 
 
 def lie_theta_cartan(lagr: ComplexLagrangian, eom: EomSystem, s: MechState) -> OneForm:
@@ -105,4 +112,4 @@ def lie_theta_cartan(lagr: ComplexLagrangian, eom: EomSystem, s: MechState) -> O
         if w:
             fdot += w * (ahead if j > 0 else back).p[abs(j) * CARTAN_SUBSTEPS]
     fdot /= 60.0 * delta
-    return OneForm(dq=tuple(fdot), dqd=tuple(momentum(eom, s)), state=s)
+    return _form(fdot, momentum(eom, s), s)

@@ -96,7 +96,7 @@ _FLOW_TAIL = f"""\
 class HamiltonianField:
     """Compiled phase-space field for a regular single-coordinate system; `_f` is f with the
     parameters folded in, `_qd` the inverse tree qd(t, q, p) if A folds to a nonzero constant;
-    then `step` is `exprcore.compile_step`'s RK4 step of (q, p) giving qd and |f - p|, and
+    then `step` is `exprcore.compile_step`'s RK4 step of (q, p) giving qd, p and |f - p|, and
     with dt None, which computes only (qd, f), serves `invert` too."""
 
     lagr: ComplexLagrangian
@@ -143,7 +143,7 @@ class HamiltonianField:
             return None
         trees, outs = self._phase_trees, ("qd", "f", "f_q", "slope", "l_q", "l_qd", "m_q", "m_qd")
         names = (("kappa0", self.kappa0), ("omega0", self.lagr.omega0), ("DegenerateJacobian", DegenerateJacobian))
-        return compile_step(trees, ("t", "q", "p"), outs, _FLOW_TAIL, "qd, abs(f - p)", trees[:2], names)
+        return compile_step(trees, ("t", "q", "p"), outs, _FLOW_TAIL, "qd, p, abs(f - p)", trees[:2], names)
 
     def momentum(self, t: float, q: float, qd: float) -> float:
         return self.eom.maps.newton(t, q, qd)[0]

@@ -202,7 +202,7 @@ class _Maps:
 
     `lanes` is `kernel` over arrays of samples (`compile_expr`'s `vectorized`
     mode), for passes over whole trajectories. At one coordinate, `step` is
-    `exprcore.compile_step`'s RK4 step of (q, qd) giving p and the EL residual. Built only by
+    `exprcore.compile_step`'s RK4 step of (q, qd) giving qd, p and the EL residual. Built only by
     `ComplexLagrangian.maps`; `equivalence` reads the maps of a pair's
     difference Lagrangian, whose Euler-Lagrange law is its residual.
     """
@@ -240,8 +240,8 @@ class _Maps:
         return self._compile(self.f + sum(self.A, ()))
 
     @cached_property
-    def step(self) -> Callable[..., tuple[float, float, float, float]]:
-        outs, sample = ("f", "g", "a", "f_q", "f_t"), "f, abs(g - a * ky - f_q * qd - f_t)"
+    def step(self) -> Callable[..., tuple[float, float, float, float, float]]:
+        outs, sample = ("f", "g", "a", "f_q", "f_t"), "qd, f, abs(g - a * ky - f_q * qd - f_t)"
         trees = subs(self._all, self._params)
         return compile_step(trees, self._args, outs, _STEP_TAIL, sample, names=(("SingularMass", SingularMass),))
 

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dynamics import IntegratorConfig, Trajectory, integrate, integrate_hamiltonian, sampled_path
+from .dynamics import IntegratorConfig, Trajectory, _check_finite, integrate, integrate_hamiltonian, sampled_path
 from .equivalence import (
     EQUIVALENT,
     NOT_EQUIVALENT,
@@ -149,6 +149,7 @@ class RunContext:
         if sc.initial_qd is not None:
             return MechState(sc.t_start, sc.initial_q, sc.initial_qd)
         qd = self.field.invert(sc.t_start, sc.initial_q[0], sc.initial_p[0])
+        _check_finite((*sc.initial_q, qd), sc.t_start)  # as the integration's first sample would
         return MechState(sc.t_start, sc.initial_q, (qd,))
 
     def trajectory(self, cfg: IntegratorConfig) -> Trajectory:

@@ -45,6 +45,15 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"plan exceeds {MAX_STEPS} steps"):
             IntegratorConfig(1.0, 0.0, MAX_STEPS + 1.0)
 
+    @pytest.mark.parametrize(
+        "plan",
+        [(0.1, 0.0, math.nan), (math.inf, 0.0, 1.0), (math.nan, 0.0, 1.0), (0.1, -math.inf, 0.0), (0.1, 0.0, math.inf)],
+        ids=str,
+    )
+    def test_rejects_nonfinite_plan(self, plan):
+        with pytest.raises(ValueError, match="h, t_start and t_end must be finite"):
+            IntegratorConfig(*plan)
+
     def test_step_snaps_to_span(self):
         cfg = IntegratorConfig(0.3, 0.0, 1.0)
         assert cfg.n_steps == 3

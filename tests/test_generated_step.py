@@ -1,26 +1,33 @@
-"""The generated RK4 steps against the per-stage loops they replaced.
+"""The RK4 steps against the per-stage loops they replaced.
 
 `_Maps.step` and `HamiltonianField.step` inline the kernel body, the 1x1
 solve and the generators' arithmetic into one function per system. The
 reference loops below are the earlier implementations: one `kernel` call and
 one `_solve_scalar` per regular stage, one `_flow_at` per Hamiltonian stage
-with `_generators` written out. Every column must be bitwise equal, and a
-failing run must fail with the same exception type and text.
+with `_generators` written out, and, for regular flows above one coordinate
+and every closure, the list-state loop `_listed` with its own `_rk4`. Every
+column must be bitwise equal, and a failing run must fail with the same
+exception type and text.
 """
 
 import math
+from typing import Callable
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from clmech.dynamics import (
+    CLOSURE,
     HAMILTONIAN,
     SECOND_ORDER,
     IntegratorConfig,
     StepBlowUp,
     Trajectory,
     _check_finite,
+    _closure_terms,
+    _el_terms,
     _grid,
     integrate,
     integrate_hamiltonian,
@@ -28,11 +35,14 @@ from clmech.dynamics import (
 from clmech.exprcore import DomainError, compile_expr, parse
 from clmech.hamiltonian import HamiltonianField, InversionFailure, PhaseState
 from clmech.lagrangian import (
+    ClosureInconsistent,
     ComplexLagrangian,
     DegenerateWithoutClosure,
     MechState,
     SingularMass,
+    _accel,
     _singular,
+    _solve_velocity,
     _solve_velocity_scalar,
     derive_eom,
 )
@@ -241,3 +251,166 @@ def test_invert_reads_the_last_sample_body():
     inverse = compile_expr(field._phase_trees[:2], ("t", "q", "p"), real=True)
     for q, p in ((0.3, 1.0), (-1.2, 0.4), (math.pi, -2.0)):
         assert field.invert(0.0, q, p) == inverse(0.0, q, p)[0]
+
+
+def _rk4(
+    stage: Callable[[float, list[float], list[float]], list[float]],
+    t: float,
+    y: list[float],
+    dt: float,
+    k1: list[float],
+) -> list[float]:
+    """One RK4 step of a list state from its first-stage slope k1.
+
+    `stage(t, y, k)` is the slope at (t, y); k, the previous stage's slope,
+    seeds the closure's Newton solve.
+    """
+    h2 = dt / 2
+    k2 = stage(t + h2, [a + h2 * b for a, b in zip(y, k1)], k1)
+    k3 = stage(t + h2, [a + h2 * b for a, b in zip(y, k2)], k2)
+    k4 = stage(t + dt, [a + dt * b for a, b in zip(y, k3)], k3)
+    h6 = dt / 6
+    return [
+        a + h6 * (b1 + 2 * b2 + 2 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
+    ]
+
+
+def _listed(
+    kind: str, sample: Callable, stage: Callable, y: list[float], dim: int, cfg: IntegratorConfig
+) -> Trajectory:
+    """The samples of a list state y whose first `dim` entries are q: `sample(t, y)` gives
+    (qd, p, residual, slope) there, and the slope starts `_rk4`'s step with `stage`."""
+    t_grid, dt, n = _grid(cfg)
+    q_out, qd_out, p_out = (np.empty((n + 1, dim)) for _ in range(3))
+    res_out = np.empty(n + 1)
+    for k, t in enumerate(memoryview(t_grid)):
+        _check_finite(y, t)
+        qd, p_out[k], res_out[k], slope = sample(t, y)
+        q_out[k], qd_out[k] = y[:dim], qd
+        if k < n:
+            y = _rk4(stage, t, y, dt, slope)
+    return Trajectory(kind, dt, t_grid, q_out, qd_out, p_out, res_out)
+
+
+def reference_list_regular(eom, init: MechState, cfg: IntegratorConfig) -> Trajectory:
+    """A regular flow on the list state q + qd: one kernel call and one elimination per stage."""
+    maps, n_dim = eom.maps, eom.dim
+
+    def sample(t: float, y: list[float]):
+        q, qd = y[:n_dim], y[n_dim:]
+        qdd, vals = _accel(maps, t, q, qd)
+        return qd, vals[0], max(_el_terms(vals, qd, qdd)), qd + qdd
+
+    def deriv(t: float, y: list[float], _) -> list[float]:
+        q, qd = y[:n_dim], y[n_dim:]
+        return qd + _accel(maps, t, q, qd)[0]
+
+    return _listed(SECOND_ORDER, sample, deriv, [*init.q, *init.qd], n_dim, cfg)
+
+
+def reference_closure(eom, init: MechState, cfg: IntegratorConfig) -> Trajectory:
+    """A closure on the list state q: one damped Newton per stage, seeded by the last slope."""
+    maps, mass, guess = eom.maps, eom.closure_mass, list(init.qd)
+
+    def sample(t: float, q: list[float]):
+        """qd with f = mass*qd, starting from the last sample's, and p = f there."""
+        nonlocal guess
+        guess, p = _solve_velocity(maps, t, q, mass, guess)
+        return guess, p, max(_closure_terms(p, mass, guess)), guess
+
+    def vel(t: float, q: list[float], guess: list[float]) -> list[float]:
+        return _solve_velocity(maps, t, q, mass, guess)[0]
+
+    return _listed(CLOSURE, sample, vel, list(init.q), eom.dim, cfg)
+
+
+def _trajectory_columns(traj: Trajectory) -> tuple[np.ndarray, ...]:
+    return traj.t, traj.q, traj.qd, traj.p, traj.el_residual
+
+
+def assert_same_list_state(source: str, params: dict, init: MechState, cfg: IntegratorConfig, mass=None):
+    """`integrate` against `_listed`: every column equal, or the same exception type and text."""
+    lagr = ComplexLagrangian(parse(source), 1.0, dim=len(init.q), params=params)
+    eom = derive_eom(lagr, init, mass)
+    reference = reference_list_regular if mass is None else reference_closure
+    runs = []
+    for run in (integrate, reference):
+        try:
+            runs.append(run(eom, init, cfg))
+        except Exception as err:  # noqa: BLE001 - the type and text are compared
+            runs.append((type(err), str(err)))
+    got, want = runs
+    if isinstance(want, tuple):
+        assert got == want
+        return got
+    assert got.kind == want.kind and got.h == want.h
+    for a, b in zip(_trajectory_columns(got), _trajectory_columns(want)):
+        assert np.array_equal(a, b) and a.tobytes() == b.tobytes()
+    return got
+
+
+LIST_REGULAR = {
+    "coupled_dim2": (
+        "0.5*m*(qd1^2 + qd2^2) - 0.5*k*(q1^2 + q2^2) + (0.3 + 0.2*i)*q1*qd2 + 0.1*cos(q1)*qd1^2 + 0.05*i*qd2^4",
+        MechState(0.0, (0.5, -0.3), (0.2, 0.1)),
+    ),
+    "time_dependent_dim2": (
+        "0.5*(1 + 0.1*t)*(qd1^2 + m*qd2^2) - k*q1*q2 + (0.2*t + 0.1*i)*q1*qd2 + 0.3*i*sin(q2)*qd1",
+        MechState(0.0, (0.4, 0.7), (-0.5, 0.3)),
+    ),
+    "coupled_dim3": (
+        "0.5*m*(qd1^2 + qd2^2 + qd3^2) - 0.5*k*(q1^2 + q2^2 + q3^2) + (0.3 + 0.2*i)*q1*qd2"
+        " + 0.1*cos(q3)*qd1^2 + 0.05*i*qd3^4",
+        MechState(0.0, (0.5, -0.3, 0.2), (0.2, 0.1, -0.4)),
+    ),
+    "varying_mass_dim3": (
+        "0.5*(2 + cos(q1))*qd1^2 + 0.5*m*(qd2^2 + qd3^2) + 0.2*qd1*qd3 - k*(q1^2 + q2*q3) + 0.1*i*q2*qd3",
+        MechState(0.0, (0.3, -0.6, 0.9), (0.1, 0.0, -0.2)),
+    ),
+}
+
+LIST_CLOSURE = {
+    "inverted_dim1": ("0.5*i*(m*qd^2 - k*q^2)", MechState(0.0, (1.0,), (1.0,)), (-1.0,)),
+    "quartic_dim1": ("0.5*i*qd^2 - 0.5*i*k*q^2 + 0.1*qd^4 - 0.2*i*t*q", MechState(0.0, (0.5,), (0.0,)), (-1.1,)),
+    "quartic_dim2": (
+        "0.5*i*(qd1^2 + qd2^2) - 0.5*i*k*(q1^2 + q2^2) + 0.1*qd1^4 + 0.1*qd2^4 - 0.1*i*cos(q1)",
+        MechState(0.0, (0.5, -0.3), (0.0, 0.0)),
+        (-1.1, -0.9),
+    ),
+    "quartic_dim3": (
+        "0.5*i*(qd1^2 + qd2^2 + qd3^2) - 0.5*i*k*(q1^2 + q2^2 + q3^2) + 0.1*(qd1^4 + qd2^4 + qd3^4)"
+        " - 0.1*i*cos(q1)*q3",
+        MechState(0.0, (0.5, -0.3, 0.2), (0.0, 0.0, 0.0)),
+        (-1.1, -0.9, -1.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", LIST_REGULAR)
+def test_list_regular_step_matches_the_list_loop(name):
+    source, init = LIST_REGULAR[name]
+    traj = assert_same_list_state(source, {"m": 1.3, "k": 0.8}, init, IntegratorConfig(0.05, 0.0, 2.0))
+    assert traj.kind == SECOND_ORDER and traj.dim == len(init.q)
+
+
+@pytest.mark.parametrize("name", LIST_CLOSURE)
+@pytest.mark.filterwarnings("ignore::clmech.lagrangian.ClosureConsistencyWarning")
+def test_closure_step_matches_the_list_loop(name):
+    source, init, mass = LIST_CLOSURE[name]
+    traj = assert_same_list_state(source, {"m": 1.0, "k": 1.0}, init, IntegratorConfig(0.05, 0.0, 2.0), mass)
+    assert traj.kind == CLOSURE and traj.dim == len(init.q)
+
+
+class TestListErrorParity:
+    def test_step_blow_up(self):
+        source = "0.5*(qd1^2 + qd2^2) + q1^4 + q2^4 + 0.1*i*q1*qd2"
+        got = assert_same_list_state(source, {}, MechState(0.0, (1.0, -0.5), (0.0, 0.2)), IntegratorConfig(0.01, 0.0, 5.0))
+        assert got[0] is StepBlowUp
+
+    @pytest.mark.filterwarnings("ignore::clmech.lagrangian.ClosureConsistencyWarning")
+    def test_closure_inconsistent(self):
+        # the root qd1 of 0.4*qd1^3 + q1 = 1.2*qd1 near 0 is gone once q1 passes 0.8
+        source = "0.5*i*(qd1^2 + qd2^2) + 0.1*(qd1^4 + qd2^4) + 0.5*i*q1^2 - 0.5*i*k*q2^2"
+        init = MechState(0.0, (0.5, -0.3), (0.0, 0.0))
+        got = assert_same_list_state(source, {"k": 1.0}, init, IntegratorConfig(0.05, 0.0, 2.0), (1.2, -0.9))
+        assert got[0] is ClosureInconsistent

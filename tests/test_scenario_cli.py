@@ -344,6 +344,28 @@ class TestCliContract:
         assert f" at t={float(traj.t[k])!r}, q={float(traj.q[k, 0])!r}, " in err
 
 
+    @pytest.mark.parametrize(
+        "argv", [["simulate"], *(["check", s] for s in ("hamiltonian", "noether", "variation", "all"))], ids=" ".join
+    )
+    def test_infinite_inverted_velocity_exits_2(self, argv, scenario_file, capsys):
+        # the Legendre inversion qd = p/m overflows to inf: the initial state fails as a sample does
+        raw = variant(
+            lagrangian="0.5*m*qd^2",
+            params={"m": 1e-300},
+            initial={"q": [0.0], "p": [1e300]},
+            checks=["hamiltonian", "noether", "variation"],
+        )
+        assert main([*argv, scenario_file(raw)]) == 2
+        assert capsys.readouterr().err == "error: StepBlowUp: state magnitude exceeded 1e+12 at t=0.0\n"
+
+    def test_infinite_force_at_a_sampled_state_exits_2(self, scenario_file, capsys):
+        # g = -4c*q^3 overflows to -inf at sampled states far enough from q = 0
+        raw = variant(lagrangian="0.5*qd^2 - c*q^4", params={"c": 1e308}, initial={"q": [0.001], "qd": [0.0]})
+        assert main(["check", "geometry", scenario_file(raw)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: DomainError: one-form coefficients are not finite at t=")
+        assert err.count("\n") == 1
+
     def test_overflow_exits_2(self, scenario_file, capsys):
         # the force exp(q) overflows at q = 800
         raw = variant(lagrangian="0.5*m*qd^2 - exp(q)", initial={"q": [800.0], "qd": [0.0]})
@@ -530,10 +552,10 @@ def test_phase_simulate_csv_bytes_unchanged(name, scenario_file, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
-# SHA-256 of `clmech simulate` output at two coordinates, where the regular and
-# closure flows run the list-state RK4 loop (no bundled file has dim 2): a
-# regular system with a complex q1*qd2 coupling and a quartic velocity term in
-# M, and a closure whose Newton iterates (f is cubic in qd)
+# SHA-256 of `clmech simulate` output at two and three coordinates, where the
+# regular and closure flows run the list-state RK4 step (no bundled file has
+# dim 2 or 3): a regular system with a complex q1*qd2 coupling and a quartic
+# velocity term in M, and a closure whose Newton iterates (f is cubic in qd)
 LIST_SIMULATE_SHA256 = {
     "regular_dim2": (
         dict(
@@ -553,6 +575,26 @@ LIST_SIMULATE_SHA256 = {
             closure_mass=[-1.1, -0.9],
         ),
         "c628ae4c7aed2a3346641b91c1dd6c89fa5a1424a2542221c25fac89f91e5af9",
+    ),
+    "regular_dim3": (
+        dict(
+            lagrangian="0.5*m*(qd1^2 + qd2^2 + qd3^2) - 0.5*k*(q1^2 + q2^2 + q3^2) + (0.3 + 0.2*i)*q1*qd2"
+            " + 0.1*cos(q3)*qd1^2 + 0.05*i*qd3^4",
+            dim=3,
+            initial={"q": [0.5, -0.3, 0.2], "qd": [0.2, 0.1, -0.4]},
+        ),
+        "92c18b5bd41e0b6e8875c755b95a1c83fdbf202ed2e01f74cd10bc2c50b61f58",
+    ),
+    "closure_dim3": (
+        dict(
+            lagrangian="0.5*i*(qd1^2 + qd2^2 + qd3^2) - 0.5*i*k*(q1^2 + q2^2 + q3^2)"
+            " + 0.1*(qd1^4 + qd2^4 + qd3^4) - 0.1*i*cos(q1)*q3",
+            dim=3,
+            params={"k": 1.0},
+            initial={"q": [0.5, -0.3, 0.2], "qd": [0.0, 0.0, 0.0]},
+            closure_mass=[-1.1, -0.9, -1.0],
+        ),
+        "4e0a9945af2aa6c868f22439760babef97f2c43af4fb1e32df9063a3201c3a9a",
     ),
 }
 

@@ -1,0 +1,54 @@
+"""Unit covariance: a power-of-two change of the unit of action moves no trajectory.
+
+Every bundled Lagrangian is linear in its parameters. Multiplying each
+parameter and each closure mass by 2^k therefore scales f, g, A and p by
+exactly 2^k (a power of two rounds nothing, so partial pivoting picks the same
+pivots) and leaves the Euler-Lagrange law unchanged: the classification and
+the q and qd columns must stay bit for bit, and p and the residual must be
+exactly 2^k times the unscaled columns (metamorphic testing: T. Y. Chen et
+al., ACM Computing Surveys 51(1), 2018). The regular scenarios run the float
+state of `dynamics._stepped`, the closures its list state.
+"""
+
+from functools import lru_cache
+
+import numpy as np
+import pytest
+
+from clmech.corpus import corpus_scenario
+from clmech.dynamics import IntegratorConfig, Trajectory
+from clmech.scenario import Scenario
+from clmech.suites import RunContext
+
+REGULAR = ("classical_oscillator", "damped_oscillator", "free_particle", "gauge_pair_oscillator", "imaginary_ho")
+# The closure's Newton stops on an absolute residual, so below the unit scale it
+# accepts its starting guess and the trajectory moves; only k > 0 holds for them.
+CLOSURES = ("damped_oscillator_literal", "gauge_pair_imaginary", "inverted_oscillator")
+CASES = [(name, k) for name in REGULAR for k in (-40, -20, 20, 40)] + [(name, k) for name in CLOSURES for k in (20, 40)]
+
+
+@lru_cache(maxsize=None)
+def run(name: str, k: int) -> tuple[str, Trajectory]:
+    """The classification and the trajectory of the bundled scenario in units 2^k."""
+    raw = corpus_scenario(name).to_dict()
+    raw["params"] = {key: v * 2.0**k for key, v in raw["params"].items()}
+    if raw.get("closure_mass") is not None:
+        raw["closure_mass"] = [m * 2.0**k for m in raw["closure_mass"]]
+    sc = Scenario.from_dict(raw)
+    context = RunContext(sc)
+    return context.derived[1].classification, context.trajectory(IntegratorConfig(sc.h, sc.t_start, sc.t_end))
+
+
+def _bits(a: np.ndarray) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+@pytest.mark.parametrize("name,k", CASES)
+def test_power_of_two_unit_of_action(name, k):
+    kind, base = run(name, 0)
+    got_kind, traj = run(name, k)
+    assert got_kind == kind
+    assert _bits(traj.t) == _bits(base.t)
+    assert _bits(traj.q) == _bits(base.q) and _bits(traj.qd) == _bits(base.qd)
+    for got, want in ((traj.p, base.p), (traj.el_residual, base.el_residual)):
+        assert np.array_equal(got, 2.0**k * want) and _bits(got) == _bits(2.0**k * want)
