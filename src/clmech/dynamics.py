@@ -27,7 +27,6 @@ from .lagrangian import (
     DEGENERATE,
     EomSystem,
     MechState,
-    _accel,
     _dot,
     _solve_velocity,
 )
@@ -144,9 +143,8 @@ def integrate(eom: EomSystem, init: MechState, cfg: IntegratorConfig) -> Traject
         raise ValueError(f"init has {len(init.q)} coordinates, expected {eom.dim}")
     if eom.classification == DEGENERATE:
         return _stepped(CLOSURE, _closure_step(eom, init), list(init.q), [], cfg)
-    if eom.dim == 1:
-        return _stepped(SECOND_ORDER, eom.maps.step, init.q[0], init.qd[0], cfg)
-    return _stepped(SECOND_ORDER, _regular_step(eom), list(init.q), list(init.qd), cfg)
+    x, y = (init.q[0], init.qd[0]) if eom.dim == 1 else (list(init.q), list(init.qd))
+    return _stepped(SECOND_ORDER, eom.maps.step, x, y, cfg)
 
 
 def _stepped(kind: str, step: Callable, x, y, cfg: IntegratorConfig) -> Trajectory:
@@ -186,20 +184,6 @@ def _list_step(n: int, sample: Callable, stage: Callable) -> Callable:
         return qd, p, residual, z[:n], z[n:]
 
     return step
-
-
-def _regular_step(eom: EomSystem) -> Callable:
-    maps, n_dim = eom.maps, eom.dim
-
-    def sample(t: float, q: list[float], qd: list[float]):
-        qdd, vals = _accel(maps, t, q, qd)
-        return qd, vals[0], max(_el_terms(vals, qd, qdd)), qd + qdd
-
-    def deriv(t: float, y: list[float], _) -> list[float]:
-        q, qd = y[:n_dim], y[n_dim:]
-        return qd + _accel(maps, t, q, qd)[0]
-
-    return _list_step(n_dim, sample, deriv)
 
 
 def _closure_step(eom: EomSystem, init: MechState) -> Callable:

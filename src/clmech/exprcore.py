@@ -931,18 +931,20 @@ def compile_expr(
 @lru_cache(maxsize=None)
 def compile_step(
     trees: tuple, args: tuple, outs: tuple, tail: str, sample: str, last: tuple = (), names: tuple = ()
-) -> Callable[..., tuple[float, float, float, float, float]]:
+) -> Callable[..., tuple]:
     """The classical RK4 step (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.1)
     of a state (x, y), generated as `_step(t0, x0, y0, dt, h2, h6)` -> (*sample, next x, next y).
 
-    Each stage assigns its point to `args` = (t, x, y), so a guard names it as
-    the kernel does, runs the real kernel body of the folded `trees` with the
-    values bound to `outs`, then `tail`, which sets the slope `kx, ky`;
-    `sample`, three values, is read after stage 1. With dt None the step returns (*sample,
-    x0, y0) from stage 1, or from the body of `last` alone, bound to the
-    first `outs`. The `(name, value)` pairs of `names` are bound as globals.
+    `args` is (t, x, y) for a float state, or (t, x_1..x_n, y_1..y_n) for a
+    state of n > 1 coordinates held as the lists x0 and y0. Each stage assigns
+    its point to `args`, so a guard names it as the kernel does, runs the real
+    kernel body of the folded `trees` with the values bound to `outs`, then
+    `tail`, which sets the slope `kx, ky` (`kx_1..kx_n, ky_1..ky_n` on a list
+    state); `sample`, three values, is read after stage 1. With dt None the
+    step returns (*sample, x0, y0) from stage 1, or on a float state from the
+    body of `last` alone, bound to the first `outs`. The `(name, value)` pairs
+    of `names` are bound as globals.
     """
-    t, x, y = args
     bound: dict = {}
 
     def body(trees: tuple[Expr, ...]) -> str:
@@ -951,15 +953,38 @@ def compile_step(
 
     read = f"    s0, s1, s2 = {sample}\n"
     stage = body(trees).split("\n", 1)[1] + tail + "\n"
-    src = f"{body(last)}{read}    return (s0, s1, s2, {x}, {y})\n" if last else ""
-    src += f"def _step({t}0, {x}0, {y}0, dt, h2, h6):\n"
-    src += f"    if dt is None: return _f({t}0, {x}0, {y}0)\n" if last else ""
-    src += f"    {t}, {x}, {y} = {t}0, {x}0, {y}0\n{stage}{read}"
-    src += "" if last else f"    if dt is None: return (s0, s1, s2, {x}0, {y}0)\n"
-    for k, h in ((1, "h2"), (2, "h2"), (3, "dt")):
-        src += f"    kx{k}, ky{k} = kx, ky\n    {t}, {x}, {y} = {t}0 + {h}, {x}0 + {h} * kx{k}, {y}0 + {h} * ky{k}\n"
-        src += stage
-    src += f"    return (s0, s1, s2, {x}0 + h6 * (kx1 + 2 * kx2 + 2 * kx3 + kx), {y}0 + h6 * (ky1 + 2 * ky2 + 2 * ky3 + ky))\n"
-    ns = {"__builtins__": {}, **_SCALAR_HELPERS, "abs": abs, **bound, **dict(names)}
+    if len(args) > 3:
+        src = _list_state_step(args, stage, read)
+    else:
+        t, x, y = args
+        src = f"{body(last)}{read}    return (s0, s1, s2, {x}, {y})\n" if last else ""
+        src += f"def _step({t}0, {x}0, {y}0, dt, h2, h6):\n"
+        src += f"    if dt is None: return _f({t}0, {x}0, {y}0)\n" if last else ""
+        src += f"    {t}, {x}, {y} = {t}0, {x}0, {y}0\n{stage}{read}"
+        src += "" if last else f"    if dt is None: return (s0, s1, s2, {x}0, {y}0)\n"
+        for k, h in ((1, "h2"), (2, "h2"), (3, "dt")):
+            src += f"    kx{k}, ky{k} = kx, ky\n    {t}, {x}, {y} = {t}0 + {h}, {x}0 + {h} * kx{k}, {y}0 + {h} * ky{k}\n"
+            src += stage
+        src += f"    return (s0, s1, s2, {x}0 + h6 * (kx1 + 2 * kx2 + 2 * kx3 + kx), {y}0 + h6 * (ky1 + 2 * ky2 + 2 * ky3 + ky))\n"
+    ns = {"__builtins__": {}, **_SCALAR_HELPERS, "abs": abs, "max": max, **bound, **dict(names)}
     exec(src, ns)  # noqa: S102 - source is generated from validated trees
     return ns["_step"]
+
+
+def _list_state_step(args: tuple, stage: str, read: str) -> str:
+    """`compile_step`'s source on the lists x0 and y0, entry by entry in scalars; the
+    arithmetic is the float state's, so each entry rounds as a list-state loop's would."""
+    t, n = args[0], (len(args) - 1) // 2
+    entries = [(v, a) for v in "xy" for a in range(1, n + 1)]
+    base, slope = [f"{v}0_{a}" for v, a in entries], [f"k{v}_{a}" for v, a in entries]
+    saved = lambda k: [f"k{v}{k}_{a}" for v, a in entries]  # noqa: E731 - stage k's slope
+    join = ", ".join
+    src = f"def _step({t}0, x0, y0, dt, h2, h6):\n    {join(base[:n])} = x0\n    {join(base[n:])} = y0\n"
+    src += f"    {t}, {join(args[1:])} = {t}0, {join(base)}\n{stage}{read}"
+    src += "    if dt is None: return (s0, s1, s2, x0, y0)\n"
+    for k, h in ((1, "h2"), (2, "h2"), (3, "dt")):
+        point = (f"{b} + {h} * {s}" for b, s in zip(base, saved(k)))
+        src += f"    {join(saved(k))} = {join(slope)}\n    {t}, {join(args[1:])} = {t}0 + {h}, {join(point)}\n"
+        src += stage
+    new = [f"{b} + h6 * ({s1} + 2 * {s2} + 2 * {s3} + {s})" for b, s1, s2, s3, s in zip(base, *map(saved, (1, 2, 3)), slope)]
+    return src + f"    return (s0, s1, s2, [{join(new[:n])}], [{join(new[n:])}])\n"

@@ -201,10 +201,13 @@ class _Maps:
     a derive that only classifies never compiles one.
 
     `lanes` is `kernel` over arrays of samples (`compile_expr`'s `vectorized`
-    mode), for passes over whole trajectories. At one coordinate, `step` is
-    `exprcore.compile_step`'s RK4 step of (q, qd) giving qd, p and the EL residual. Built only by
-    `ComplexLagrangian.maps`; `equivalence` reads the maps of a pair's
-    difference Lagrangian, whose Euler-Lagrange law is its residual.
+    mode), for passes over whole trajectories. `step` is `exprcore.compile_step`'s
+    RK4 step of (q, qd) giving qd, p and the EL residual, on floats at one
+    coordinate and on lists above. There a mass matrix that folds to constants
+    is eliminated at compile time (`_solve_plan`); one that varies is solved by
+    `solve_linear` at each stage. Built only by `ComplexLagrangian.maps`;
+    `equivalence` reads the maps of a pair's difference Lagrangian, whose
+    Euler-Lagrange law is its residual.
     """
 
     def __init__(self, lagr: ComplexLagrangian) -> None:
@@ -240,10 +243,29 @@ class _Maps:
         return self._compile(self.f + sum(self.A, ()))
 
     @cached_property
-    def step(self) -> Callable[..., tuple[float, float, float, float, float]]:
-        outs, sample = ("f", "g", "a", "f_q", "f_t"), "qd, f, abs(g - a * ky - f_q * qd - f_t)"
-        trees = subs(self._all, self._params)
-        return compile_step(trees, self._args, outs, _STEP_TAIL, sample, names=(("SingularMass", SingularMass),))
+    def step(self) -> Callable[..., tuple]:
+        trees, names = subs(self._all, self._params), (("SingularMass", SingularMass),)
+        if self.dim == 1:
+            outs, sample = ("f", "g", "a", "f_q", "f_t"), "qd, f, abs(g - a * ky - f_q * qd - f_t)"
+            return compile_step(trees, self._args, outs, _STEP_TAIL, sample, names=names)
+        n, join = self.dim, ", ".join
+        idx, qd = range(1, n + 1), self._args[n + 1 :]
+        f, g, f_t, w, b, ky = ([f"{m}{a}" for a in idx] for m in ("f", "g", "ft", "w", "b", "ky_"))
+        A, f_q = ([[f"{m}{a}_{c}" for c in idx] for a in idx] for m in ("a", "fq"))
+        dot = lambda row, v: f"(0 + {' + '.join(f'{x} * {y}' for x, y in zip(row, v))})"  # noqa: E731 - `_dot`'s order
+        # `_accel`'s right-hand side g - (df/dq) qd - df/dt, its dot product kept for the EL terms
+        tail = [f"    {w[a]} = {dot(f_q[a], qd)}\n    {b[a]} = {g[a]} - {w[a]} - {f_t[a]}" for a in range(n)]
+        mass = [trees[2 * n + a * n : 2 * n + (a + 1) * n] for a in range(n)]
+        plan = _solve_plan([[e.value.real for e in row] for row in mass], b, ky) if _constant(mass) else None
+        if plan is None:
+            rows = join(f"[{join(row)}]" for row in A)
+            plan, names = f"    {join(ky)} = solve_linear([{rows}], [{join(b)}])", names + (("solve_linear", solve_linear),)
+        tail += [plan, f"    {join(f'kx_{a}' for a in idx)} = {join(qd)}"]
+        # `_el_terms`, g - A qdd - (df/dq) qd - df/dt row by row; the residual is their maximum
+        terms = join(f"abs({g[a]} - {dot(A[a], ky)} - {w[a]} - {f_t[a]})" for a in range(n))
+        sample = f"[{join(qd)}], [{join(f)}], max({terms})"
+        outs = (*f, *g, *sum(A, []), *sum(f_q, []), *f_t)
+        return compile_step(trees, self._args, outs, "\n".join(tail), sample, names=names)
 
     def split(self, v: Sequence):
         """(f, g, A, f_q, f_t) from the kernel's flat values; matrices as rows."""
@@ -292,11 +314,12 @@ def _singular(pivot: float, row_scale: float) -> bool:
     return row_scale == 0.0 or abs(pivot) <= _PIVOT_RATIO * row_scale
 
 
-def _eliminate(a: list[list[float]], x: list[float]) -> list[tuple[float, float]]:
+def _eliminate(a: list[list[float]], x: list) -> list[tuple[float, float]]:
     """Forward elimination with partial pivoting, in place on `a` and `x`.
 
     Returns each step's pivot with the entry scale its row had before
-    elimination. Stops after an exactly zero pivot.
+    elimination. Stops after an exactly zero pivot. `x` holds floats, or
+    `_Rhs` entries that record its operations as source.
     """
     n = len(a)
     scale = [max(map(abs, row), default=0.0) for row in a]
@@ -322,6 +345,15 @@ def _eliminate(a: list[list[float]], x: list[float]) -> list[tuple[float, float]
     return pivots
 
 
+def _eliminate_regular(a: list[list[float]], x: list) -> None:
+    """`_eliminate`, raising SingularMass at a `_singular` pivot."""
+    for pivot, row_scale in _eliminate(a, x):
+        if _singular(pivot, row_scale):
+            raise SingularMass(
+                f"pivot {pivot!r} below {_PIVOT_RATIO!r} of row scale {row_scale!r}"
+            )
+
+
 def solve_linear(A: Sequence[Sequence[float]], b: Sequence[float]) -> list[float]:
     """Gaussian elimination with partial pivoting.
 
@@ -335,11 +367,7 @@ def solve_linear(A: Sequence[Sequence[float]], b: Sequence[float]) -> list[float
     b0 = [float(v) for v in b]
     a = [row[:] for row in a0]
     x = b0[:]
-    for pivot, row_scale in _eliminate(a, x):
-        if _singular(pivot, row_scale):
-            raise SingularMass(
-                f"pivot {pivot!r} below {_PIVOT_RATIO!r} of row scale {row_scale!r}"
-            )
+    _eliminate_regular(a, x)
     n = len(x)
     out = [0.0] * n
     for k in range(n - 1, -1, -1):
@@ -348,6 +376,55 @@ def solve_linear(A: Sequence[Sequence[float]], b: Sequence[float]) -> list[float
     if residual > _SOLVE_RESIDUAL * (1.0 + max(map(abs, b0), default=0.0)):
         raise SingularMass(f"solve residual {residual!r} exceeds contract bound")
     return out
+
+
+class _Rhs:
+    """An entry of the right-hand side that `_eliminate` updates at compile time:
+    each `x[j] -= m * x[k]` it makes appends a line of source to `lines`, and the
+    entry becomes the local that line assigns."""
+
+    def __init__(self, name: str, lines: list[str]) -> None:
+        self.name, self.lines = name, lines
+
+    def __rmul__(self, m: float) -> str:
+        return f"{m!r} * {self.name}"
+
+    def __sub__(self, product: str) -> _Rhs:
+        name = f"e{len(self.lines)}"
+        self.lines.append(f"    {name} = {self.name} - {product}")
+        return _Rhs(name, self.lines)
+
+
+def _constant(rows: Sequence[Sequence[Expr]]) -> bool:
+    """Whether every tree of the matrix is a real finite constant."""
+    return all(isinstance(e, Const) and not e.value.imag and math.isfinite(e.value.real) for row in rows for e in row)
+
+
+def _solve_plan(a0: list[list[float]], b: list[str], out: list[str]) -> str | None:
+    """Source that sets the names `out` to `solve_linear(a0, b)` for the constant
+    matrix a0 and the right-hand side named by `b`, bitwise, and raises where it does.
+
+    `_eliminate` runs on a0 here, once, so the pivot verdict and the multipliers
+    are fixed (Golub & Van Loan, Matrix Computations, 4th ed., sec. 3.4). The
+    source holds only the operations on the right-hand side: the row swaps, each
+    `x_j -= m*x_k` that `_eliminate` does not skip, the back substitution with its
+    pivots and `solve_linear`'s residual check. None if an eliminated entry is not
+    finite, which a literal cannot carry.
+    """
+    a, lines = [row[:] for row in a0], []
+    x = [_Rhs(name, lines) for name in b]
+    _eliminate_regular(a, x)
+    if not all(math.isfinite(v) for row in a for v in row):
+        return None
+    n, join = len(b), ", ".join
+    for k in range(n - 1, -1, -1):
+        back = " + ".join(f"{a[k][i]!r} * {out[i]}" for i in range(k + 1, n))
+        lines.append(f"    {out[k]} = ({x[k].name} - {f'(0 + {back})' if back else 0}) / {a[k][k]!r}")
+    rows = (f"abs(0 + {' + '.join(f'{v!r} * {o}' for v, o in zip(row, out))} - {bk})" for row, bk in zip(a0, b))
+    lines.append(f"    r = max({join(rows)})")
+    lines.append(f"    if r > {_SOLVE_RESIDUAL!r} * (1.0 + max({join(f'abs({bk})' for bk in b)})):")
+    lines.append('        raise SingularMass(f"solve residual {r!r} exceeds contract bound")')
+    return "\n".join(lines)
 
 
 # `solve_linear` for a 1x1 system (a, b), with both of its SingularMass checks,

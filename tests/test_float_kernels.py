@@ -33,8 +33,9 @@ def _kernels(sc: Scenario) -> dict:
     run = RunContext(sc)
     _, eom, _ = run.derived
     kernels = {"kernel": eom.maps.kernel, "newton": eom.maps.newton}
-    if eom.is_regular and sc.dim == 1:
+    if eom.is_regular:
         kernels["regular step"] = eom.maps.step
+    if eom.is_regular and sc.dim == 1:
         field = run.field
         if field._qd is None:
             kernels["hamiltonian grads"] = field._grads
@@ -47,3 +48,11 @@ def _kernels(sc: Scenario) -> dict:
 def test_no_map_kernel_compiles_with_the_complex_guard(name):
     guarded = [k for k, fn in _kernels(SCENARIOS[name]).items() if "_h_not_real" in fn.__code__.co_names]
     assert guarded == []
+
+
+@pytest.mark.parametrize("name", [name for name, sc in SCENARIOS.items() if sc.dim > 1 and sc.closure_mass is None])
+def test_a_derive_of_the_same_system_reuses_its_step(name):
+    # each `simulate` operation derives afresh; the step compiles once per system
+    # because `compile_step` caches on the hash-consed trees
+    steps = [RunContext(SCENARIOS[name]).derived[1].maps.step for _ in range(2)]
+    assert steps[0] is steps[1]

@@ -1,13 +1,14 @@
 """The RK4 steps against the per-stage loops they replaced.
 
-`_Maps.step` and `HamiltonianField.step` inline the kernel body, the 1x1
+`_Maps.step` and `HamiltonianField.step` inline the kernel body, the linear
 solve and the generators' arithmetic into one function per system. The
 reference loops below are the earlier implementations: one `kernel` call and
 one `_solve_scalar` per regular stage, one `_flow_at` per Hamiltonian stage
 with `_generators` written out, and, for regular flows above one coordinate
-and every closure, the list-state loop `_listed` with its own `_rk4`. Every
-column must be bitwise equal, and a failing run must fail with the same
-exception type and text.
+and every closure, the list-state loop `_listed` with its own `_rk4`, whose
+regular stages solve with a frozen copy of the partial-pivot elimination.
+Every column must be bitwise equal, and a failing run must fail with the
+same exception type and text.
 """
 
 import math
@@ -40,7 +41,6 @@ from clmech.lagrangian import (
     DegenerateWithoutClosure,
     MechState,
     SingularMass,
-    _accel,
     _singular,
     _solve_velocity,
     _solve_velocity_scalar,
@@ -292,6 +292,63 @@ def _listed(
     return Trajectory(kind, dt, t_grid, q_out, qd_out, p_out, res_out)
 
 
+def _dot(row, x) -> float:
+    return sum(r * v for r, v in zip(row, x))
+
+
+def _eliminate(a: list[list[float]], x: list[float]) -> list[tuple[float, float]]:
+    """Forward elimination with partial pivoting, in place, as `solve_linear` did
+    before the generated step eliminated a constant mass matrix at compile time."""
+    n = len(a)
+    scale = [max(map(abs, row), default=0.0) for row in a]
+    pivots = []
+    for k in range(n):
+        piv = max(range(k, n), key=lambda i: abs(a[i][k]))
+        pivot = a[piv][k]
+        pivots.append((pivot, scale[piv]))
+        if pivot == 0.0:
+            return pivots
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            x[k], x[piv] = x[piv], x[k]
+            scale[k], scale[piv] = scale[piv], scale[k]
+        top = a[k]
+        for j in range(k + 1, n):
+            row = a[j]
+            m = row[k] / pivot
+            if m != 0.0:
+                for i in range(k, n):
+                    row[i] -= m * top[i]
+                x[j] -= m * x[k]
+    return pivots
+
+
+def _solve_linear(A, b) -> list[float]:
+    """`solve_linear` above one coordinate, with both of its SingularMass checks."""
+    a0 = [[float(v) for v in row] for row in A]
+    b0 = [float(v) for v in b]
+    a = [row[:] for row in a0]
+    x = b0[:]
+    for pivot, row_scale in _eliminate(a, x):
+        if _singular(pivot, row_scale):
+            raise SingularMass(f"pivot {pivot!r} below 1e-13 of row scale {row_scale!r}")
+    n = len(x)
+    out = [0.0] * n
+    for k in range(n - 1, -1, -1):
+        out[k] = (x[k] - _dot(a[k][k + 1 :], out[k + 1 :])) / a[k][k]
+    residual = max((abs(_dot(row, out) - bk) for row, bk in zip(a0, b0)), default=0.0)
+    if residual > 1e-10 * (1.0 + max(map(abs, b0), default=0.0)):
+        raise SingularMass(f"solve residual {residual!r} exceeds contract bound")
+    return out
+
+
+def _accel(maps, t: float, q: list[float], qd: list[float]):
+    """(qdd, (f, g, A, f_q, f_t)): A qdd = g - (df/dq) qd - df/dt from one kernel call."""
+    vals = maps(t, q, qd)
+    _, g, A, f_q, f_t = vals
+    return _solve_linear(A, [g[a] - _dot(f_q[a], qd) - f_t[a] for a in range(len(g))]), vals
+
+
 def reference_list_regular(eom, init: MechState, cfg: IntegratorConfig) -> Trajectory:
     """A regular flow on the list state q + qd: one kernel call and one elimination per stage."""
     maps, n_dim = eom.maps, eom.dim
@@ -386,11 +443,52 @@ LIST_CLOSURE = {
 }
 
 
+# Mass matrices that fold to constants, which the step eliminates at compile time
+CONSTANT_MASS = {
+    # a 1 <-> 2 row swap at the first pivot, then a multiplier of exactly zero for row 3
+    "swapped_dim3": (
+        "0.05*qd1^2 + 0.8*qd1*qd2 + 0.5*qd2^2 + 0.3*qd2*qd3 + 0.5*qd3^2 - 0.5*k*(q1^2 + q2^2 + q3^2)"
+        " + 0.2*i*q1*qd3",
+        MechState(0.0, (0.5, -0.3, 0.2), (0.2, 0.1, -0.4)),
+    ),
+    # two blocks: the second rests at q = 0 with qd3 = -0.0, a zero that `x - 0.0*y`
+    # turns to +0.0 where y < 0, so every skipped zero multiplier shows in its bytes
+    "block_diagonal_dim4": (
+        "0.05*qd1^2 + 0.8*qd1*qd2 + 0.5*qd2^2 + 0.5*qd3^2 + 0.3*qd3*qd4 + 0.5*m*qd4^2"
+        " - 0.5*k*(q1^2 + q2^2 + q3^2 + q4^2) + (0.4 + 0.3*i)*q1*qd2",
+        MechState(0.0, (0.5, -0.3, 0.0, 0.0), (0.2, 0.1, -0.0, 0.0)),
+    ),
+    # df/dq, df/dt and an explicitly time-dependent force are all nonzero
+    "time_dependent_dim2": (
+        "0.5*(qd1^2 + m*qd2^2) + 0.2*qd1*qd2 - 0.5*k*(q1^2 + q2^2) + 0.3*t*q1*qd2 + 0.4*q2*qd1"
+        " + 0.2*sin(t)*q2 + 0.1*i*t*q1^2",
+        MechState(0.0, (0.4, 0.7), (-0.5, 0.3)),
+    ),
+}
+
+
+def _solves_at_run_time(source: str, params: dict, init: MechState) -> bool:
+    """Whether the system's generated step calls `solve_linear`, or runs a compile-time plan."""
+    eom = derive_eom(ComplexLagrangian(parse(source), 1.0, dim=len(init.q), params=params), init)
+    return "solve_linear" in eom.maps.step.__code__.co_names
+
+
 @pytest.mark.parametrize("name", LIST_REGULAR)
 def test_list_regular_step_matches_the_list_loop(name):
     source, init = LIST_REGULAR[name]
     traj = assert_same_list_state(source, {"m": 1.3, "k": 0.8}, init, IntegratorConfig(0.05, 0.0, 2.0))
     assert traj.kind == SECOND_ORDER and traj.dim == len(init.q)
+    assert _solves_at_run_time(source, {"m": 1.3, "k": 0.8}, init)  # every A here varies
+
+
+@pytest.mark.parametrize("name", CONSTANT_MASS)
+def test_constant_mass_step_matches_the_list_loop(name):
+    source, init = CONSTANT_MASS[name]
+    traj = assert_same_list_state(source, {"m": 1.3, "k": 0.8}, init, IntegratorConfig(0.05, 0.0, 2.0))
+    assert traj.kind == SECOND_ORDER and traj.dim == len(init.q)
+    assert not _solves_at_run_time(source, {"m": 1.3, "k": 0.8}, init)
+    if name == "block_diagonal_dim4":
+        assert np.signbit(traj.qd[:, 2]).all() and not traj.q[:, 2:].any()
 
 
 @pytest.mark.parametrize("name", LIST_CLOSURE)
@@ -406,6 +504,21 @@ class TestListErrorParity:
         source = "0.5*(qd1^2 + qd2^2) + q1^4 + q2^4 + 0.1*i*q1*qd2"
         got = assert_same_list_state(source, {}, MechState(0.0, (1.0, -0.5), (0.0, 0.2)), IntegratorConfig(0.01, 0.0, 5.0))
         assert got[0] is StepBlowUp
+
+    def test_step_blow_up_with_a_constant_mass(self):
+        source = "0.5*(qd1^2 + qd2^2 + qd3^2) + 0.2*qd1*qd3 + q1^4 + q2^4 + q3^4 + 0.1*i*q1*q2"
+        init = MechState(0.0, (1.0, -0.5, 0.3), (0.0, 0.2, 0.0))
+        got = assert_same_list_state(source, {}, init, IntegratorConfig(0.01, 0.0, 5.0))
+        assert got[0] is StepBlowUp and not _solves_at_run_time(source, {}, init)
+
+    def test_guarded_domain_error_at_the_third_stage(self):
+        # q1 + h2*qd1 stays above 0, q1 + h2*(qd1 + h2*qdd1) does not: sqrt(q1) turns complex
+        source = "0.5*(qd1^2 + qd2^2) + 0.2*qd1*qd2 - sqrt(q1) - 0.5*k*q2^2 + 0.1*i*q1*q2"
+        init = MechState(0.0, (0.0500001, 0.3), (-1.0, 0.2))
+        got = assert_same_list_state(source, {"k": 1.0}, init, IntegratorConfig(0.1, 0.0, 1.0))
+        assert got[0] is DomainError and got[1].startswith("real map 2 took the complex value")
+        assert " at t=0.05, q1=-" in got[1]  # stage 2 has t=0.05 too, but q1 = 1e-7
+        assert not _solves_at_run_time(source, {"k": 1.0}, init)
 
     @pytest.mark.filterwarnings("ignore::clmech.lagrangian.ClosureConsistencyWarning")
     def test_closure_inconsistent(self):

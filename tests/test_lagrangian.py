@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clmech.corpus import bundled_corpus
-from clmech.dynamics import IntegratorConfig, integrate
+from clmech.dynamics import CLOSURE, IntegratorConfig, integrate
 from clmech.exprcore import parse
 from clmech.lagrangian import (
     ClosureConsistencyWarning,
@@ -16,8 +16,10 @@ from clmech.lagrangian import (
     MechState,
     SingularMass,
     UndeclaredSymbol,
+    _constant,
     _eliminate,
     _singular,
+    _solve_plan,
     accel,
     closure_velocity,
     coordinate_names,
@@ -284,6 +286,61 @@ class TestElimination:
         lagr = ComplexLagrangian(parse(expr), 1.0, dim=dim)
         with pytest.raises(DegenerateWithoutClosure):
             derive_eom(lagr, MechState(0.0, (0.5,) * dim, (1.0,) * dim))
+
+    @pytest.mark.filterwarnings("ignore::clmech.lagrangian.ClosureConsistencyWarning")
+    def test_constant_singular_mass_never_reaches_the_generated_step(self):
+        # A folds to the constant [[1, 1], [1, 1]]: degenerate, so the step's
+        # compile-time elimination never meets a singular pivot
+        lagr = ComplexLagrangian(parse("0.5*(qd1 + qd2)^2 - 0.5*k*(q1^2 + q2^2)"), 1.0, dim=2, params={"k": 1.0})
+        assert _constant(lagr.maps.A)
+        init = MechState(0.0, (0.5, -0.3), (0.2, 0.1))
+        with pytest.raises(DegenerateWithoutClosure):
+            derive_eom(lagr, init)
+        traj = integrate(derive_eom(lagr, init, closure_mass=(-1.0, -1.5)), init, IntegratorConfig(0.1, 0.0, 1.0))
+        assert traj.kind == CLOSURE and np.isfinite(traj.q).all()
+
+    def test_plan_leaves_an_infinite_eliminated_entry_to_solve_linear(self):
+        # 1e308 - (-1)*1e308 overflows; a literal cannot carry it, so the step calls solve_linear
+        assert _solve_plan([[1e308, 1e308], [-1e308, 1e308]], ["b1", "b2"], ["x1", "x2"]) is None
+
+    def test_plan_refuses_a_singular_pivot(self):
+        matrix = [[1.0, 2.0], [2.0, 4.0]]
+        assert _solved(lambda: _solve_plan(matrix, ["b1", "b2"], ["x1", "x2"])) == _solved(
+            lambda: solve_linear(matrix, [1.0, 1.0])
+        )
+
+
+def _solved(solve) -> bytes | str:
+    """The bytes of a solve's solution, or the text of its SingularMass."""
+    try:
+        return np.array(solve()).tobytes()
+    except SingularMass as err:
+        return str(err)
+
+
+ENTRY = st.sampled_from((0.0, -0.0, 1.0, -1.0, 0.5, 3.0, -2.25, 0.1, 1e-8, 7e5))
+
+
+@given(
+    matrix=st.integers(2, 4).flatmap(lambda n: st.lists(st.lists(ENTRY, min_size=n, max_size=n), min_size=n, max_size=n)),
+    rhs=st.lists(st.one_of(ENTRY, st.sampled_from((0.0, -0.0, math.inf, math.nan)), st.floats(-1e6, 1e6)), min_size=4, max_size=4),
+)
+@example(matrix=[[1.0, 1.0], [0.0, 1.0]], rhs=[-0.0, -0.0, 0.0, 0.0])  # -0.0 - (0 + 1.0*-0.0) is -0.0
+@settings(max_examples=300, deadline=None)
+def test_solve_plan_is_solve_linear(matrix, rhs):
+    """The compile-time plan of a constant matrix against `solve_linear`: bitwise
+    the same solution, or the same exception type and text."""
+    n = len(matrix)
+    b, x = [f"b{a}" for a in range(n)], [f"x{a}" for a in range(n)]
+    want = _solved(lambda: solve_linear(matrix, rhs[:n]))
+    try:
+        plan = _solve_plan(matrix, b, x)
+    except SingularMass as err:  # a singular pivot, fixed with the matrix
+        assert str(err) == want
+        return
+    ns = {"__builtins__": {}, "abs": abs, "max": max, "SingularMass": SingularMass}
+    exec(f"def solve({', '.join(b)}):\n{plan}\n    return [{', '.join(x)}]", ns)  # noqa: S102
+    assert _solved(lambda: ns["solve"](*rhs[:n])) == want
 
 
 @pytest.mark.filterwarnings("ignore::clmech.lagrangian.ClosureConsistencyWarning")

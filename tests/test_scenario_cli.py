@@ -553,9 +553,11 @@ def test_phase_simulate_csv_bytes_unchanged(name, scenario_file, tmp_path):
 
 
 # SHA-256 of `clmech simulate` output at two and three coordinates, where the
-# regular and closure flows run the list-state RK4 step (no bundled file has
-# dim 2 or 3): a regular system with a complex q1*qd2 coupling and a quartic
-# velocity term in M, and a closure whose Newton iterates (f is cubic in qd)
+# regular flows run the generated list-state RK4 step and the closures the
+# list-state step (no bundled file has dim 2 or 3): a regular system with a
+# complex q1*qd2 coupling and a quartic velocity term in M, one whose mass
+# matrix is constant, and a closure whose Newton iterates (f is cubic in qd);
+# each row recorded before the step it pins was generated
 LIST_SIMULATE_SHA256 = {
     "regular_dim2": (
         dict(
@@ -595,6 +597,16 @@ LIST_SIMULATE_SHA256 = {
             closure_mass=[-1.1, -0.9, -1.0],
         ),
         "4e0a9945af2aa6c868f22439760babef97f2c43af4fb1e32df9063a3201c3a9a",
+    ),
+    # every folded A tree a constant; its elimination swaps rows 1 and 2 and skips a zero multiplier
+    "regular_dim3_constant_mass": (
+        dict(
+            lagrangian="0.05*qd1^2 + 0.8*qd1*qd2 + 0.5*qd2^2 + 0.3*qd2*qd3 + 0.5*qd3^2"
+            " - 0.5*k*(q1^2 + q2^2 + q3^2) + 0.2*i*q1*qd3",
+            dim=3,
+            initial={"q": [0.5, -0.3, 0.2], "qd": [0.2, 0.1, -0.4]},
+        ),
+        "973f664dbf583c1b3440eb0436954ddca0930c4032947723baafc33373824c50",
     ),
 }
 

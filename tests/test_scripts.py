@@ -54,6 +54,17 @@ def test_variation_slope_study_reports_a_derive_warning_on_one_line():
     assert done.stderr.startswith("warning: closure flow violates")
 
 
+def test_step_timing_prints_every_simulate_category():
+    done = run_script("step_timing.py", "--steps-scale", "0.02")
+    assert done.returncode == 0, done.stderr
+    header, *rows = done.stdout.splitlines()
+    assert header.split() == ["kind", "dim", "shape", "steps", "first", "us/step", "warm", "us/step"]
+    categories = {tuple(row.split()[:3]) for row in rows}
+    assert ("regular", "3", "quadratic") in categories and ("hamiltonian", "1", "nonlinear") in categories
+    assert len(categories) == len(rows)
+    assert all(float(v) > 0 for row in rows for v in row.split()[3:])
+
+
 def test_scenario_files_are_the_exported_corpus(tmp_path):
     # the CLI reads scenarios/*.json and most tests read CORPUS_DICTS
     spec = importlib.util.spec_from_file_location("export_scenarios", SCRIPTS / "export_scenarios.py")

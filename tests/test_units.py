@@ -6,8 +6,12 @@ exactly 2^k (a power of two rounds nothing, so partial pivoting picks the same
 pivots) and leaves the Euler-Lagrange law unchanged: the classification and
 the q and qd columns must stay bit for bit, and p and the residual must be
 exactly 2^k times the unscaled columns (metamorphic testing: T. Y. Chen et
-al., ACM Computing Surveys 51(1), 2018). The regular scenarios run the float
-state of `dynamics._stepped`, the closures its list state.
+al., ACM Computing Surveys 51(1), 2018). The regular corpus scenarios run the
+float state of `dynamics._stepped`, the closures its list state. The regular
+`simulate` inputs at two and three coordinates, whose coefficients are partly
+literals, scale as the whole Lagrangian times 2^k; they run the generated
+list-state step, whose compile-time pivots and multipliers of a constant mass
+matrix a power of two leaves exact.
 """
 
 from functools import lru_cache
@@ -19,21 +23,28 @@ from clmech.corpus import corpus_scenario
 from clmech.dynamics import IntegratorConfig, Trajectory
 from clmech.scenario import Scenario
 from clmech.suites import RunContext
+from test_scenario_cli import LIST_SIMULATE_SHA256, variant
 
 REGULAR = ("classical_oscillator", "damped_oscillator", "free_particle", "gauge_pair_oscillator", "imaginary_ho")
 # The closure's Newton stops on an absolute residual, so below the unit scale it
 # accepts its starting guess and the trajectory moves; only k > 0 holds for them.
 CLOSURES = ("damped_oscillator_literal", "gauge_pair_imaginary", "inverted_oscillator")
+LISTED = tuple(name for name, (changes, _) in LIST_SIMULATE_SHA256.items() if "closure_mass" not in changes)
 CASES = [(name, k) for name in REGULAR for k in (-40, -20, 20, 40)] + [(name, k) for name in CLOSURES for k in (20, 40)]
+CASES += [(name, k) for name in LISTED for k in (-40, 40)]
 
 
 @lru_cache(maxsize=None)
 def run(name: str, k: int) -> tuple[str, Trajectory]:
-    """The classification and the trajectory of the bundled scenario in units 2^k."""
-    raw = corpus_scenario(name).to_dict()
-    raw["params"] = {key: v * 2.0**k for key, v in raw["params"].items()}
-    if raw.get("closure_mass") is not None:
-        raw["closure_mass"] = [m * 2.0**k for m in raw["closure_mass"]]
+    """The classification and the trajectory of the scenario in units 2^k."""
+    if name in LISTED:
+        raw = variant(**LIST_SIMULATE_SHA256[name][0])
+        raw["lagrangian"] = f"{2.0**k!r}*({raw['lagrangian']})" if k else raw["lagrangian"]
+    else:
+        raw = corpus_scenario(name).to_dict()
+        raw["params"] = {key: v * 2.0**k for key, v in raw["params"].items()}
+        if raw.get("closure_mass") is not None:
+            raw["closure_mass"] = [m * 2.0**k for m in raw["closure_mass"]]
     sc = Scenario.from_dict(raw)
     context = RunContext(sc)
     return context.derived[1].classification, context.trajectory(IntegratorConfig(sc.h, sc.t_start, sc.t_end))
