@@ -451,13 +451,19 @@ def _is_const(e: Expr, value: complex) -> bool:
     return isinstance(e, Const) and e.value == value
 
 
+def _raises(e: Expr) -> bool:
+    """Whether the simplified `e` is a fold `simplify` left in place because it
+    raises: it holds no free symbol, yet is not a constant."""
+    return not isinstance(e, Const) and not free_symbols(e)
+
+
 @lru_cache(maxsize=None)
 def simplify(e: Expr) -> Expr:
     """Constant folding plus identity elimination (x+0, x*1, x*0, x^1, x^0).
 
     Conservative by design: no trig identities, no factoring. Evaluation is
     preserved; folds that would raise (e.g. 1/0) are left in place so error
-    semantics survive.
+    semantics survive, also as a factor of zero or a base to the power zero.
     """
     if isinstance(e, (Const, Sym)):
         return e
@@ -496,7 +502,7 @@ def simplify(e: Expr) -> Expr:
             if _is_const(l, 0):
                 return simplify(Neg(r))
         elif op == "*":
-            if _is_const(l, 0) or _is_const(r, 0):
+            if (_is_const(l, 0) and not _raises(r)) or (_is_const(r, 0) and not _raises(l)):
                 return ZERO
             if _is_const(l, 1):
                 return r
@@ -508,7 +514,7 @@ def simplify(e: Expr) -> Expr:
         elif op == "^":
             if _is_const(r, 1):
                 return l
-            if _is_const(r, 0):
+            if _is_const(r, 0) and not _raises(l):
                 return ONE  # matches evaluation: 0^0 == 1
         return BinOp(op, l, r)
     raise TypeError(f"not an Expr node: {e!r}")

@@ -24,7 +24,7 @@ import math
 import re
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -204,10 +204,10 @@ class _Maps:
     mode), for passes over whole trajectories. `step` is `exprcore.compile_step`'s
     RK4 step of (q, qd) giving qd, p and the EL residual, on floats at one
     coordinate and on lists above. There a mass matrix that folds to constants
-    is eliminated at compile time (`_solve_plan`); one that varies is solved by
-    `solve_linear` at each stage. Built only by `ComplexLagrangian.maps`;
-    `equivalence` reads the maps of a pair's difference Lagrangian, whose
-    Euler-Lagrange law is its residual.
+    is eliminated at compile time (`_solve_plan`); one that varies is solved at
+    each stage by the generated `_solver(n)` on the stage's locals. Built only
+    by `ComplexLagrangian.maps`; `equivalence` reads the maps of a pair's
+    difference Lagrangian, whose Euler-Lagrange law is its residual.
     """
 
     def __init__(self, lagr: ComplexLagrangian) -> None:
@@ -258,8 +258,9 @@ class _Maps:
         mass = [trees[2 * n + a * n : 2 * n + (a + 1) * n] for a in range(n)]
         plan = _solve_plan([[e.value.real for e in row] for row in mass], b, ky) if _constant(mass) else None
         if plan is None:
-            rows = join(f"[{join(row)}]" for row in A)
-            plan, names = f"    {join(ky)} = solve_linear([{rows}], [{join(b)}])", names + (("solve_linear", solve_linear),)
+            solve = _solver(n)
+            plan = f"    {join(ky)} = {solve.__name__}({join(sum(A, []))}, {join(b)})"
+            names += ((solve.__name__, solve),)
         tail += [plan, f"    {join(f'kx_{a}' for a in idx)} = {join(qd)}"]
         # `_el_terms`, g - A qdd - (df/dq) qd - df/dt row by row; the residual is their maximum
         terms = join(f"abs({g[a]} - {dot(A[a], ky)} - {w[a]} - {f_t[a]})" for a in range(n))
@@ -355,7 +356,8 @@ def _eliminate_regular(a: list[list[float]], x: list) -> None:
 
 
 def solve_linear(A: Sequence[Sequence[float]], b: Sequence[float]) -> list[float]:
-    """Gaussian elimination with partial pivoting.
+    """Gaussian elimination with partial pivoting: `_solve_scalar` at one
+    coordinate and the generated `_solver(n)` above.
 
     Raises SingularMass when a pivot is `_singular` (the matrix is, or has
     drifted, singular), or when the solution misses the system by more than
@@ -363,19 +365,69 @@ def solve_linear(A: Sequence[Sequence[float]], b: Sequence[float]) -> list[float
     """
     if len(b) == 1:
         return [_solve_scalar(float(A[0][0]), float(b[0]))]
-    a0 = [[float(v) for v in row] for row in A]
-    b0 = [float(v) for v in b]
-    a = [row[:] for row in a0]
-    x = b0[:]
-    _eliminate_regular(a, x)
-    n = len(x)
-    out = [0.0] * n
+    return _solver(len(b))(*[float(v) for row in A for v in row], *map(float, b))
+
+
+def _back_substitution(
+    a: list[list[str]], x: list[str], out: list[str], a0: list[list[str]], b: list[str], dot: Callable[[list[str]], str]
+) -> list[str]:
+    """Source lines setting `out` from the eliminated rows `a` and right-hand side
+    `x`, then checking the residual of the system (a0, b); each entry is a name or
+    a literal, and `dot` writes the sum of a list of products in `_dot`'s order."""
+    n, join, lines = len(b), ", ".join, []
     for k in range(n - 1, -1, -1):
-        out[k] = (x[k] - _dot(a[k][k + 1 :], out[k + 1 :])) / a[k][k]
-    residual = max((abs(_dot(row, out) - bk) for row, bk in zip(a0, b0)), default=0.0)
-    if residual > _SOLVE_RESIDUAL * (1.0 + max(map(abs, b0), default=0.0)):
-        raise SingularMass(f"solve residual {residual!r} exceeds contract bound")
-    return out
+        back = [f"{a[k][i]} * {out[i]}" for i in range(k + 1, n)]
+        lines.append(f"    {out[k]} = ({x[k]} - {f'({dot(back)})' if back else 0}) / {a[k][k]}")
+    rows = (f"abs({dot([f'{v} * {o}' for v, o in zip(row, out)])} - {bk})" for row, bk in zip(a0, b))
+    lines.append(f"    r = max({join(rows)})")
+    lines.append(f"    if r > {_SOLVE_RESIDUAL!r} * (1.0 + max({join(f'abs({bk})' for bk in b)})):")
+    lines.append('        raise SingularMass(f"solve residual {r!r} exceeds contract bound")')
+    return lines
+
+
+@lru_cache(maxsize=None)
+def _solver(n: int) -> Callable[..., list[float]]:
+    """`solve_linear` for n > 1: one straight-line function `_solve_n(a1_1, .., an_n,
+    b1, .., bn)` of the row-major matrix and the right-hand side, built once per n.
+
+    It keeps `_eliminate_regular`'s arithmetic bit for bit (but for the sign of a NaN,
+    which the loop's own runs do not keep either): `max` of `abs` for the
+    row scales, `max`'s first maximum for the pivot (a later entry replaces it only
+    when greater, so a NaN stays), one swap of whole rows, and no update where
+    `m == 0.0`. A pivot is checked as it is found: the first `_singular` one raises
+    either way, since no float operation of a later step raises. `_eliminate`'s stop
+    at a zero pivot is never reached: a zero pivot is `_singular` unless its row
+    scale is NaN, which only a row with a NaN first entry has, and such a row is
+    either the first pivot, a NaN, or all NaN once eliminated.
+    """
+    idx, join = range(1, n + 1), ", ".join
+    a0, b = [[f"a{r}_{c}" for c in idx] for r in idx], [f"b{r}" for r in idx]
+    a, x, s = [[f"e{r}_{c}" for c in idx] for r in idx], [f"x{r}" for r in idx], [f"s{r}" for r in idx]
+    lines = [f"    {join(sum(a, []))} = {join(sum(a0, []))}", f"    {join(x)} = {join(b)}"]
+    lines += [f"    {s[r]} = max({join(f'abs({v})' for v in a0[r])})" for r in range(n)]
+    for k in range(n):
+        if k < n - 1:  # the pivot row, then one swap of rows k and i > k
+            lines.append(f"    c, i = abs({a[k][k]}), {k}")
+            lines += [f"    w = abs({a[j][k]})\n    if w > c: c, i = w, {j}" for j in range(k + 1, n)]
+            for j in range(k + 1, n):
+                top, row = [*a[k][k:], x[k], s[k]], [*a[j][k:], x[j], s[j]]
+                lines.append(f"    {'if' if j == k + 1 else 'elif'} i == {j}: {join(top + row)} = {join(row + top)}")
+        p, row_scale = a[k][k], s[k]
+        lines.append(f"    if {row_scale} == 0.0 or abs({p}) <= {_PIVOT_RATIO!r} * {row_scale}:")
+        lines.append(f'        raise SingularMass(f"pivot {{{p}!r}} below {_PIVOT_RATIO!r} of row scale {{{row_scale}!r}}")')
+        for j in range(k + 1, n):
+            # column k of row j is never read again, so it is not updated
+            lines.append(f"    m = {a[j][k]} / {p}\n    if m != 0.0:")
+            lines += [f"        {a[j][i]} = {a[j][i]} - m * {a[k][i]}" for i in range(k + 1, n)]
+            lines.append(f"        {x[j]} = {x[j]} - m * {x[k]}")
+    # `sum` itself adds, as `_dot` does: warm bytecode specialises `+` on floats,
+    # and that returns the other NaN of two than `sum` and a cold `+` do
+    out = [f"o{r}" for r in idx]
+    lines += _back_substitution(a, x, out, a0, b, lambda terms: f"sum(({join(terms)},))")
+    src = f"def _solve_{n}({join(sum(a0, []))}, {join(b)}):\n" + "\n".join(lines) + f"\n    return [{join(out)}]\n"
+    ns = {"__builtins__": {}, "abs": abs, "max": max, "sum": sum, "SingularMass": SingularMass}
+    exec(src, ns)  # noqa: S102 - generated from the dimension alone
+    return ns[f"_solve_{n}"]
 
 
 class _Rhs:
@@ -416,15 +468,9 @@ def _solve_plan(a0: list[list[float]], b: list[str], out: list[str]) -> str | No
     _eliminate_regular(a, x)
     if not all(math.isfinite(v) for row in a for v in row):
         return None
-    n, join = len(b), ", ".join
-    for k in range(n - 1, -1, -1):
-        back = " + ".join(f"{a[k][i]!r} * {out[i]}" for i in range(k + 1, n))
-        lines.append(f"    {out[k]} = ({x[k].name} - {f'(0 + {back})' if back else 0}) / {a[k][k]!r}")
-    rows = (f"abs(0 + {' + '.join(f'{v!r} * {o}' for v, o in zip(row, out))} - {bk})" for row, bk in zip(a0, b))
-    lines.append(f"    r = max({join(rows)})")
-    lines.append(f"    if r > {_SOLVE_RESIDUAL!r} * (1.0 + max({join(f'abs({bk})' for bk in b)})):")
-    lines.append('        raise SingularMass(f"solve residual {r!r} exceeds contract bound")')
-    return "\n".join(lines)
+    a, a0 = ([[repr(v) for v in row] for row in m] for m in (a, a0))
+    dot = lambda terms: f"0 + {' + '.join(terms)}"  # noqa: E731 - `_dot`'s order, as the step's other sums
+    return "\n".join(lines + _back_substitution(a, [e.name for e in x], out, a0, b, dot))
 
 
 # `solve_linear` for a 1x1 system (a, b), with both of its SingularMass checks,

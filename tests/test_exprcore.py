@@ -11,7 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from clmech import exprcore
@@ -201,6 +201,14 @@ class TestSimplify:
         assert not isinstance(e, Const)
         with pytest.raises(DomainError, match="overflowed"):
             evaluate(e, {})
+
+    @pytest.mark.parametrize("src", ["exp(1000)*(1 - 1)", "(2 - 2)*exp(1000)", "exp(1000)^(1 - 1)"])
+    def test_a_zero_factor_or_exponent_keeps_an_overflowing_constant(self, src):
+        e = simplify(parse(src))
+        assert not isinstance(e, Const)
+        with pytest.raises(DomainError, match="overflowed"):
+            evaluate(e, {})
+        assert simplify(parse(src.replace("exp(1000)", "q"))) in (Const(0.0), Const(1.0))
 
     @pytest.mark.parametrize("src", ["sqrt(-2)", "sqrt(0 - 2)", "sin(-2)"])
     def test_a_call_of_a_constant_folds_to_its_value(self, src):
@@ -659,6 +667,8 @@ class TestFold:
         assert compile_expr(parse("q + 1"), ("q",), {"q": 10.0}, real=True)(2.0) == 3.0
 
     @given(FOLD_TREES, NONZERO, NONZERO, st.tuples(finite, finite, finite), st.booleans())
+    # ln(-1) does not fold, so the product with a + b = 0 must not fold to 0 either
+    @example(parse("ln(a)*(a + b)"), -1.0, 1.0, (0.0, 0.0, 0.0), False)
     @settings(max_examples=300, deadline=None)
     def test_folded_kernels_match_unfolded_ones_bitwise(self, tree, a, b, state, real):
         params = {"a": a, "b": b}

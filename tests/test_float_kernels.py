@@ -14,6 +14,8 @@ from pathlib import Path
 import pytest
 
 from clmech.corpus import bundled_corpus
+from clmech.exprcore import subs
+from clmech.lagrangian import _constant, _solver
 from clmech.scenario import Scenario
 from clmech.suites import RunContext
 
@@ -56,3 +58,18 @@ def test_a_derive_of_the_same_system_reuses_its_step(name):
     # because `compile_step` caches on the hash-consed trees
     steps = [RunContext(SCENARIOS[name]).derived[1].maps.step for _ in range(2)]
     assert steps[0] is steps[1]
+
+
+def test_every_varying_mass_step_binds_the_one_generated_solve():
+    # a dim-3 mass matrix that does not fold to constants is solved at each stage
+    # by `_solver(3)`, compiled once for every system of that dimension
+    solve, varying = _solver(3), []
+    for name, sc in SCENARIOS.items():
+        if sc.dim == 3 and sc.closure_mass is None:
+            maps = RunContext(sc).derived[1].maps
+            constant = _constant([subs(row, maps._params) for row in maps.A])
+            assert (solve.__name__ in maps.step.__code__.co_names) is not constant, name
+            if not constant:
+                assert maps.step.__globals__[solve.__name__] is solve, name
+                varying.append(name)
+    assert varying

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from clmech.dynamics import (
@@ -44,7 +44,9 @@ from clmech.lagrangian import (
     _singular,
     _solve_velocity,
     _solve_velocity_scalar,
+    _solver,
     derive_eom,
+    solve_linear,
 )
 
 
@@ -342,6 +344,49 @@ def _solve_linear(A, b) -> list[float]:
     return out
 
 
+def _solution(solve) -> bytes | tuple:
+    """A solve's solution as bytes with every NaN made one NaN, or its exception's type and text.
+
+    CPython 3.11 picks the NaN of `x + y` or `x * y` with two NaN operands one
+    way in the generic float operations and the other in the specialised ones
+    that warm bytecode switches to, so the same loop on the same input can
+    return a NaN of either sign; every other bit is compared."""
+    try:
+        out = np.array(solve())
+    except Exception as err:  # noqa: BLE001 - the type and text are compared
+        return type(err), str(err)
+    return np.where(np.isnan(out), np.nan, out).tobytes()
+
+
+SOLVE_ENTRY = st.one_of(
+    st.sampled_from((0.0, -0.0, 1.0, -1.0, 0.5, 2.0, -3.0, 1e-14, 1e300, 1e308, -1e308, math.inf, -math.inf, math.nan)),
+    st.floats(-1e3, 1e3),
+)
+
+
+@given(
+    system=st.integers(2, 4).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(SOLVE_ENTRY, min_size=n, max_size=n), min_size=n, max_size=n),
+            st.lists(SOLVE_ENTRY, min_size=n, max_size=n),
+        )
+    )
+)
+@example(system=([[1.0, 2.0, 0.5], [4.0, 1.0, 1.0], [2.0, 3.0, 5.0]], [1.0, 2.0, 3.0]))  # rows 1 and 2 swap at k = 0
+@example(system=([[math.nan, 1.0], [1.0, 2.0]], [1.0, 1.0]))  # a NaN pivot is not singular: NaN throughout
+@example(system=([[2.0, 1.0], [4.0, 2.0]], [1.0, 1.0]))  # 1 - 0.5*2 leaves an exactly zero pivot at k = 1
+@example(system=([[1e308, 1e308], [-1e308, 1e308]], [1.0, 1.0]))  # 1e308 + 1e308 overflows; the residual check fails
+@example(system=([[1.0, 1.0], [0.0, 1.0]], [-0.0, -0.0]))  # -0.0 - (0 + 1.0*-0.0) is -0.0
+@settings(max_examples=400, deadline=None)
+def test_generated_solve_is_the_elimination_loop(system):
+    """`solve_linear`, now the generated `_solver(n)`, against the loop it replaced:
+    the same solution bytes, or the same exception type and text."""
+    matrix, rhs = system
+    want = _solution(lambda: _solve_linear(matrix, rhs))
+    assert _solution(lambda: solve_linear(matrix, rhs)) == want
+    assert _solution(lambda: _solver(len(rhs))(*sum(matrix, []), *rhs)) == want
+
+
 def _accel(maps, t: float, q: list[float], qd: list[float]):
     """(qdd, (f, g, A, f_q, f_t)): A qdd = g - (df/dq) qd - df/dt from one kernel call."""
     vals = maps(t, q, qd)
@@ -468,9 +513,9 @@ CONSTANT_MASS = {
 
 
 def _solves_at_run_time(source: str, params: dict, init: MechState) -> bool:
-    """Whether the system's generated step calls `solve_linear`, or runs a compile-time plan."""
+    """Whether the system's generated step calls the generated solve `_solver(n)`, or runs a compile-time plan."""
     eom = derive_eom(ComplexLagrangian(parse(source), 1.0, dim=len(init.q), params=params), init)
-    return "solve_linear" in eom.maps.step.__code__.co_names
+    return _solver(eom.dim).__name__ in eom.maps.step.__code__.co_names
 
 
 @pytest.mark.parametrize("name", LIST_REGULAR)
