@@ -277,5 +277,6 @@ def to_csv(traj: Trajectory) -> str:
     names = (f"{x}_{a}" for x in ("q", "qd", "p") for a in range(1, traj.dim + 1))
     lines = [",".join(["t", *names, "el_residual"])]
     cols = (traj.t, *traj.q.T, *traj.qd.T, *traj.p.T, traj.el_residual)
-    lines += [",".join(map("{:.17g}".format, row)) for row in zip(*(c.tolist() for c in cols))]
+    row = ",".join(["%.17g"] * len(cols))  # one format per row; the digits are str.format's "{:.17g}"
+    lines += [row % values for values in zip(*(c.tolist() for c in cols))]
     return "\n".join(lines) + "\n"

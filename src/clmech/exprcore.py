@@ -29,6 +29,7 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from textwrap import indent
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
 import numpy as np
@@ -323,6 +324,7 @@ def _domain_div(a: complex, b: complex) -> complex:
 
 
 _CMATH = dict(sin=cmath.sin, cos=cmath.cos, exp=cmath.exp, tanh=cmath.tanh, sqrt=cmath.sqrt, ln=cmath.log)
+_INLINE_CALLS = ("sin", "cos", "exp", "tanh")
 
 
 def _apply_call(fn: str, z: complex) -> complex:
@@ -675,7 +677,13 @@ def _may_turn_complex(e: Expr) -> bool:
 
 
 def _codegen(
-    trees: tuple[Expr, ...], args: tuple[str, ...], bare: bool, real: bool, bound: dict | None = None, ret="return "
+    trees: tuple[Expr, ...],
+    args: tuple[str, ...],
+    bare: bool,
+    real: bool,
+    bound: dict | None = None,
+    ret="return ",
+    inline: bool = False,
 ) -> tuple[str, dict[str, complex]]:
     """Source of one function computing every tree, and the names it reads, added to `bound` if given.
 
@@ -687,6 +695,13 @@ def _codegen(
     a local; everything else stays inline. Real finite literals are written
     out; complex and non-finite ones are bound by name, so each keeps its
     exact value (the text of a complex literal can lose the sign of a zero).
+
+    Every `/`, `^` and call goes through the helpers `_h_div`, `_h_pow` and
+    `_h_call`, unless `inline` (a scalar kernel's fast path) writes it as
+    plain Python: `/`, `**` to a finite real constant, and cmath's sin, cos,
+    exp and tanh (`_c_sin`, ...) of a tree that stays real. Each raises where
+    its helper raises; where the helper returns, it is the same operation on
+    the same operands.
     """
     uses: dict[Expr, int] = {}
 
@@ -726,14 +741,20 @@ def _codegen(
             src = f"(-{emit(e.arg)})"
         elif isinstance(e, BinOp):
             l, r = emit(e.left), emit(e.right)
-            if e.op == "/":
+            if e.op == "/" and not inline:
                 src = f"_h_div({l}, {r})"
+            elif e.op == "^" and inline and isinstance(e.right, Const) and not _may_turn_complex(e.right):
+                src = f"(({l}) ** {r})"  # a finite real exponent; -2.0 ** c would be -(2.0 ** c)
             elif e.op == "^":
                 src = f"_h_pow({l}, {r})"
             else:
                 src = f"({l} {e.op} {r})"
         elif isinstance(e, Call):
-            src = f"_h_call({e.fn!r}, ({emit(e.arg)}))"
+            if inline and e.fn in _INLINE_CALLS and not _may_turn_complex(e.arg):
+                # a real argument gives an imaginary part of +-0, which `_apply_call` drops too
+                src = f"_c_{e.fn}({emit(e.arg)}).real"
+            else:
+                src = f"_h_call({e.fn!r}, ({emit(e.arg)}))"
         else:
             raise TypeError(f"not an Expr node: {e!r}")
         if uses[e] == 1:
@@ -822,9 +843,11 @@ def _lane_kernel(fn: Callable, scalar: Callable, args: tuple[str, ...], bare: bo
     """Wrap generated array code: lane shape, real guard, lane-named errors.
 
     The array code only signals that some lane failed. Then `scalar()`, the
-    scalar kernel of the same trees with `real` off, runs lane by lane, and
+    helper kernel of the same trees with `real` off, runs lane by lane, and
     the first lane whose scalar call fails, or with `real` takes a complex
-    value, names the DomainError.
+    value, names the DomainError. That is the kernel every scalar kernel's
+    inline fast path falls back to (`_with_fallback`), so a lane fails with
+    the error its scalar call raises.
     """
 
     def kernel(*cols):
@@ -864,8 +887,29 @@ _SCALAR_HELPERS = {
     "_h_pow": _domain_pow,
     "_h_call": _apply_call,
     "_h_not_real": _not_real,
+    **{f"_c_{fn}": _CMATH[fn] for fn in _INLINE_CALLS},
+    "ArithmeticError": ArithmeticError,
+    "ValueError": ValueError,
 }
 _LANE_HELPERS = {"_h_div": _lanes_div, "_h_pow": _lanes_pow, "_h_call": _lanes_call}
+
+
+def _with_fallback(src: str, kernels: str, ns: dict, slow: Callable[[], Callable]) -> str:
+    """`src`, one function, with its body under `try`: where an inline operation raises
+    (ArithmeticError, or cmath's ValueError), the call is made again on `_h_slow()`, bound
+    in `ns` to `slow`, the same function built on the helpers, and its DomainError, or its
+    value where a helper returns one, is the call's.
+
+    `kernels` is the text of the kernel bodies `_codegen` wrote into `src` with `inline`.
+    Only an inline operation writes `/`, `**` or `_c_` there; without one the function is
+    the helpers' own, and `src` comes back unwrapped, since a `try` slows the compile."""
+    if not any(op in kernels for op in ("/", "**", "_c_")):
+        return src
+    ns["_h_slow"] = slow
+    head, body = src.split("\n", 1)
+    params = head[head.index("(") + 1 : head.index(")")]
+    fallback = f"    except (ArithmeticError, ValueError):\n        return _h_slow()({params})\n"
+    return f"{head}\n    try:\n{indent(body, '    ')}{fallback}"
 
 
 @lru_cache(maxsize=None)
@@ -876,17 +920,21 @@ def _compile(
     bare: bool,
     real: bool,
     vectorized: bool,
+    inline: bool = True,
 ):
     trees = subs(trees, {name: v for name, v in const_items if name not in args})
     real = real and any(map(_may_turn_complex, trees))
+    inline = inline and not vectorized  # numpy does not raise on a zero divisor
     # the array wrapper does the real guard, so the source never holds it
-    src, bound = _codegen(trees, args, bare, real and not vectorized)
+    src, bound = _codegen(trees, args, bare, real and not vectorized, None, "return ", inline)
     helpers = _LANE_HELPERS if vectorized else _SCALAR_HELPERS
     ns = {"__builtins__": {}, **helpers, **bound}
+    if inline:  # the helper kernel compiles on the first call that raises
+        src = _with_fallback(src, src, ns, partial(_compile, trees, args, (), bare, real, False, False))
     exec(src, ns)  # noqa: S102 - source is generated from a validated tree
     if not vectorized:
         return ns["_f"]
-    scalar = partial(_compile, trees, args, (), bare, False, False)
+    scalar = partial(_compile, trees, args, (), bare, False, False, False)
     return _lane_kernel(ns["_f"], scalar, args, bare, real)
 
 
@@ -903,8 +951,16 @@ def compile_expr(
     Symbols listed in `args` become positional parameters; the symbols in
     `consts` are put in by `subs` before code generation, so parameter
     arithmetic runs once (an argument shadows a constant of its name). Any
-    other free symbol raises UnboundSymbol at compile time. Domain guards
-    are shared with the tree walker, so error behavior is identical.
+    other free symbol raises UnboundSymbol at compile time.
+
+    The scalar function has two paths. Its fast path writes `/`, `^` to a
+    finite real constant and sin, cos, exp and tanh of a real argument as
+    plain Python (`/`, `**`, cmath's function), so the arguments must be
+    real, as `evaluate`'s variables are. Where one of them raises, the call
+    is made again on the helper kernel, the same trees with every `/`, `^`
+    and call through `evaluate`'s domain guards, compiled on the first such
+    call. So every value is the one the helpers compute, and every error is
+    theirs, as `evaluate` raises it.
 
     Given a tuple of trees, the function returns all their values as a
     tuple and computes each subtree the trees share only once; every value
@@ -934,7 +990,6 @@ def compile_expr(
     return _compile((e,) if bare else e, tuple(args), items, bare, real, vectorized)
 
 
-@lru_cache(maxsize=None)
 def compile_step(
     trees: tuple, args: tuple, outs: tuple, tail: str, sample: str, last: tuple = (), names: tuple = ()
 ) -> Callable[..., tuple]:
@@ -950,21 +1005,35 @@ def compile_step(
     step returns (*sample, x0, y0) from stage 1, or on a float state from the
     body of `last` alone, bound to the first `outs`. The `(name, value)` pairs
     of `names` are bound as globals.
+
+    The kernel bodies take `compile_expr`'s fast path, and a step that raises
+    in it is taken again on the step built on the helpers, which raises at
+    the same stage with the helpers' error. Steps are cached on their
+    arguments, so a derive of the same system reuses its step.
     """
+    return _step(trees, args, outs, tail, sample, last, names, True)
+
+
+@lru_cache(maxsize=None)
+def _step(
+    trees: tuple, args: tuple, outs: tuple, tail: str, sample: str, last: tuple, names: tuple, inline: bool
+) -> Callable[..., tuple]:
     bound: dict = {}
 
     def body(trees: tuple[Expr, ...]) -> str:
         lhs = f"{', '.join(outs[: len(trees)])} = "
-        return _codegen(trees, args, False, any(map(_may_turn_complex, trees)), bound, lhs)[0]
+        return _codegen(trees, args, False, any(map(_may_turn_complex, trees)), bound, lhs, inline)[0]
 
     read = f"    s0, s1, s2 = {sample}\n"
-    stage = body(trees).split("\n", 1)[1] + tail + "\n"
+    kernels = body(trees)
+    stage = kernels.split("\n", 1)[1] + tail + "\n"
+    head = ""
     if len(args) > 3:
         src = _list_state_step(args, stage, read)
     else:
         t, x, y = args
-        src = f"{body(last)}{read}    return (s0, s1, s2, {x}, {y})\n" if last else ""
-        src += f"def _step({t}0, {x}0, {y}0, dt, h2, h6):\n"
+        head = f"{body(last)}{read}    return (s0, s1, s2, {x}, {y})\n" if last else ""
+        src = f"def _step({t}0, {x}0, {y}0, dt, h2, h6):\n"
         src += f"    if dt is None: return _f({t}0, {x}0, {y}0)\n" if last else ""
         src += f"    {t}, {x}, {y} = {t}0, {x}0, {y}0\n{stage}{read}"
         src += "" if last else f"    if dt is None: return (s0, s1, s2, {x}0, {y}0)\n"
@@ -973,7 +1042,10 @@ def compile_step(
             src += stage
         src += f"    return (s0, s1, s2, {x}0 + h6 * (kx1 + 2 * kx2 + 2 * kx3 + kx), {y}0 + h6 * (ky1 + 2 * ky2 + 2 * ky3 + ky))\n"
     ns = {"__builtins__": {}, **_SCALAR_HELPERS, "abs": abs, "max": max, **bound, **dict(names)}
-    exec(src, ns)  # noqa: S102 - source is generated from validated trees
+    if inline:  # `_f` runs inside the step, so the step's fallback covers it
+        slow = partial(_step, trees, args, outs, tail, sample, last, names, False)
+        src = _with_fallback(src, kernels + head, ns, slow)
+    exec(head + src, ns)  # noqa: S102 - source is generated from validated trees
     return ns["_step"]
 
 

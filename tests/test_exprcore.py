@@ -621,6 +621,14 @@ def _generated_source(monkeypatch, trees, args, consts=None, real=True):
     return sources[0][0]
 
 
+def _outcome(fn, args: tuple) -> list | tuple:
+    """The bytes of each value `fn(*args)` returns, or its exception's type and text."""
+    try:
+        return [_bits(v) for v in fn(*args)]
+    except Exception as err:  # noqa: BLE001 - the type and text are compared
+        return type(err), str(err)
+
+
 def _unfolded_values(e: Expr, params: dict) -> list:
     """The values of the largest subtrees of `e` that hold no variable, which
     `subs` turns into constants; a failing one is left in place."""
@@ -669,15 +677,31 @@ class TestFold:
     @given(FOLD_TREES, NONZERO, NONZERO, st.tuples(finite, finite, finite), st.booleans())
     # ln(-1) does not fold, so the product with a + b = 0 must not fold to 0 either
     @example(parse("ln(a)*(a + b)"), -1.0, 1.0, (0.0, 0.0, 0.0), False)
+    # where the inline `/`, `**` and calls raise, and where Python's operation is not the helper's
+    @example(parse("a/q"), 1.0, 1.0, (0.0, 0.0, 0.0), False)
+    @example(parse("a/q"), 1.0, 1.0, (0.0, -0.0, 0.0), True)
+    @example(parse("q^a"), -2.0, 1.0, (0.0, 0.0, 0.0), True)  # 0.0 ** -2.0
+    @example(parse("q^a"), 2.0, 1.0, (0.0, 1e200, 0.0), False)  # power overflowed
+    @example(parse("exp(q)"), 1.0, 1.0, (0.0, 710.0, 0.0), True)
+    @example(parse("sin(qd)"), 1.0, 1.0, (0.0, 0.0, math.inf), False)
+    @example(BinOp("^", Const(-2.0), Const(-0.5)), 1.0, 1.0, (0.0, 0.0, 0.0), False)  # -2.0 ** -0.5 is real
+    @example(BinOp("^", Sym("q"), Const(-math.inf)), 1.0, 1.0, (0.0, 0.0, 0.0), False)  # 0.0 ** -inf is inf
     @settings(max_examples=300, deadline=None)
     def test_folded_kernels_match_unfolded_ones_bitwise(self, tree, a, b, state, real):
         params = {"a": a, "b": b}
+        folded = compile_expr((tree,), ("t", "q", "qd"), params, real=real)
+        unfolded = compile_expr((tree,), ("t", "q", "qd", "a", "b"), real=real)
+        items = tuple(sorted((k, complex(v)) for k, v in params.items()))
+        helpers = (  # the helper kernels (`inline` off) the fast paths' raises fall back to
+            exprcore._compile((tree,), ("t", "q", "qd"), items, False, real, False, False),
+            exprcore._compile((tree,), ("t", "q", "qd", "a", "b"), (), False, real, False, False),
+        )
+        for fn, helper, values in zip((folded, unfolded), helpers, (state, (*state, a, b))):
+            assert _outcome(fn, values) == _outcome(helper, values)
         # a constant part folding to zero may flip the sign of a zero result,
         # and a complex one with a zero imaginary part becomes a real literal
         values = _unfolded_values(tree, params)
         assume(all(v != 0 and cmath.isfinite(v) and (type(v) is float or v.imag) for v in values))
-        folded = compile_expr((tree,), ("t", "q", "qd"), params, real=real)
-        unfolded = compile_expr((tree,), ("t", "q", "qd", "a", "b"), real=real)
         try:
             want = unfolded(*state, a, b)
         except DomainError as err:

@@ -1,11 +1,16 @@
 """No map kernel of the bundled corpus or of perfbench's simulate round
-carries the complex guard.
+carries the complex guard or calls a domain helper.
 
 After the Re/Im split and the parameter fold, every map tree of these inputs
 is real at real arguments, so its kernel returns the floats it computes and
 checks no imaginary part. A tree change that brought back a complex constant,
 or a power or call that can turn complex, would put `_not_real` back into the
 kernels without changing a single value, so only this test would see it.
+
+Likewise every `/`, `^` and call of these kernels and steps runs inline on
+their fast path; the helpers `_h_div`, `_h_pow` and `_h_call` run only in the
+helper kernel a raise falls back to. A regression to the helpers changes no
+value either.
 """
 
 import sys
@@ -50,6 +55,20 @@ def _kernels(sc: Scenario) -> dict:
 def test_no_map_kernel_compiles_with_the_complex_guard(name):
     guarded = [k for k, fn in _kernels(SCENARIOS[name]).items() if "_h_not_real" in fn.__code__.co_names]
     assert guarded == []
+
+
+def _names(fn) -> set[str]:
+    """The globals a generated kernel or step reads, with those of the last-sample body `_f` it calls."""
+    codes = [fn.__code__] + ([fn.__globals__["_f"].__code__] if "_f" in fn.__code__.co_names else [])
+    return {name for code in codes for name in code.co_names}
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_no_map_kernel_or_step_calls_a_domain_helper(name):
+    # with no guard (above), every `^` is to an integral real constant and every call is
+    # sin, cos, exp or tanh of a real argument, so no helper is left on the fast path
+    kernels = _kernels(SCENARIOS[name])
+    assert {k for k, fn in kernels.items() if {"_h_div", "_h_pow", "_h_call"} & _names(fn)} == set()
 
 
 @pytest.mark.parametrize("name", [name for name, sc in SCENARIOS.items() if sc.dim > 1 and sc.closure_mass is None])

@@ -565,6 +565,20 @@ class TestListErrorParity:
         assert " at t=0.05, q1=-" in got[1]  # stage 2 has t=0.05 too, but q1 = 1e-7
         assert not _solves_at_run_time(source, {"k": 1.0}, init)
 
+    @pytest.mark.parametrize(
+        "source,init,message",
+        [
+            # q1 = 0 keeps q2's force at exactly 1 for two stages, so q2 = -1.0625 + 0.25*(0.25*1.0)
+            # is exactly -1 at the third: the inline division raises, and the helper step names it
+            ("0.5*(qd1^2 + qd2^2) + q2 + 1e-3*q1/(q2 + 1)", MechState(0.0, (0.0, -1.0625), (0.0, 0.0)), "division by zero"),
+            # q2 = 0 at the first two stages and 0.0625 at the third, where 2e4*q2 passes exp's 709.78
+            ("0.5*(qd1^2 + qd2^2) + q2 + q1*exp(2e4*q2)", MechState(0.0, (0.0, 0.0), (0.0, 0.0)), "exp overflowed"),
+        ],
+    )
+    def test_helper_domain_error_at_the_third_stage(self, source, init, message):
+        got = assert_same_list_state(source, {}, init, IntegratorConfig(0.5, 0.0, 2.0))
+        assert got == (DomainError, message)
+
     @pytest.mark.filterwarnings("ignore::clmech.lagrangian.ClosureConsistencyWarning")
     def test_closure_inconsistent(self):
         # the root qd1 of 0.4*qd1^3 + q1 = 1.2*qd1 near 0 is gone once q1 passes 0.8
