@@ -1,0 +1,71 @@
+"""Print one digest of the generated RK4 step sources per state kind.
+
+It builds the steps that `check all` over the bundled corpus builds, then
+those of perfbench's `simulate` rounds (`gen.simulate_spec(seed, i)`, each
+integrated as `clmech simulate` runs it) for each given seed. Every source
+`exprcore` compiles into a `_step` is recorded, the helper step a raise falls
+back to included. For each state kind, float (one coordinate, or the phase
+state (q, p)) and list (more than one coordinate), it prints the number of
+distinct sources and one SHA-256 over them, sorted. Two revisions that print
+the same lines generate the same steps, byte for byte.
+
+Usage:  python3 scripts/step_sources.py [--seeds 7 41]
+        (`--seeds` with no value builds the corpus's steps only)
+"""
+
+import argparse
+import builtins
+import hashlib
+import sys
+from pathlib import Path
+
+from clmech import exprcore
+from clmech.corpus import bundled_corpus
+from clmech.dynamics import IntegratorConfig
+from clmech.sampling import DEFAULT_SEED
+from clmech.scenario import Scenario
+from clmech.suites import RunContext, run_suites
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import gen  # noqa: E402
+
+SOURCES: set[str] = set()
+
+
+def _recording_exec(src: str, ns: dict) -> None:
+    """`exec`, as `exprcore` calls it, keeping each step source it runs."""
+    if "def _step(" in src:
+        SOURCES.add(src)
+    builtins.exec(src, ns)  # noqa: S102 - the generated source exprcore was about to run
+
+
+def _kind(src: str) -> str:
+    """A list-state step takes the lists x0 and y0; a float-state one its own names."""
+    return "list" if "def _step(t0, x0, y0," in src else "float"
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--seeds", type=int, nargs="*", default=[7, 41])
+    args = parser.parse_args()
+
+    exprcore.exec = _recording_exec  # a module global shadows the builtin in `exprcore._step`
+    for sc in bundled_corpus():
+        run_suites(sc, sc.checks, seed=DEFAULT_SEED)
+    for seed in args.seeds:
+        for index in range(len(gen.SIMULATE_ROUND)):
+            sc = Scenario.from_dict(gen.simulate_spec(seed, index).scenario())
+            run, cfg = RunContext(sc), IntegratorConfig(sc.h, sc.t_start, sc.t_end)
+            if sc.initial_p is not None:
+                run.phase_trajectory(cfg)
+            else:
+                run.trajectory(cfg)
+    for kind in ("float", "list"):
+        sources = sorted(src for src in SOURCES if _kind(src) == kind)
+        digest = hashlib.sha256("\0".join(sources).encode()).hexdigest()
+        print(f"{kind:<6s} {len(sources):>4d} {digest}")
+
+
+if __name__ == "__main__":
+    main()

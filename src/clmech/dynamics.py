@@ -167,38 +167,25 @@ def _stepped(kind: str, step: Callable, x, y, cfg: IntegratorConfig) -> Trajecto
     return Trajectory(kind, dt, t_grid, q, qd, p, cols[3])
 
 
-def _list_step(n: int, sample: Callable, stage: Callable) -> Callable:
-    """`_stepped`'s step of a list state (x, y) from `sample(t, x, y)`, which gives (qd, p,
-    residual, slope) there, and `stage(t, z, k)`, the slope at the point z of the state
-    x + y; k, the previous stage's slope, seeds the closure's Newton solve."""
-
-    def step(t: float, x: list[float], y: list[float], dt: float | None, h2: float, h6: float):
-        qd, p, residual, k1 = sample(t, x, y)
-        if dt is None:
-            return qd, p, residual, x, y
-        z = x + y
-        k2 = stage(t + h2, [a + h2 * b for a, b in zip(z, k1)], k1)
-        k3 = stage(t + h2, [a + h2 * b for a, b in zip(z, k2)], k2)
-        k4 = stage(t + dt, [a + dt * b for a, b in zip(z, k3)], k3)
-        z = [a + h6 * (b1 + 2 * b2 + 2 * b3 + b4) for a, b1, b2, b3, b4 in zip(z, k1, k2, k3, k4)]
-        return qd, p, residual, z[:n], z[n:]
-
-    return step
-
-
 def _closure_step(eom: EomSystem, init: MechState) -> Callable:
+    """`_stepped`'s step of the closure state q (y stays []): qd solves f = mass*qd by
+    `_solve_velocity`, at the sample from the last sample's qd, and at each later stage from
+    the previous stage's slope; p = f at the sample."""
     maps, mass, guess = eom.maps, eom.closure_mass, list(init.qd)
 
-    def sample(t: float, q: list[float], _):
-        """qd with f = mass*qd, starting from the last sample's, and p = f there."""
+    def step(t: float, q: list[float], y: list, dt: float | None, h2: float, h6: float):
         nonlocal guess
         guess, p = _solve_velocity(maps, t, q, mass, guess)
-        return guess, p, max(_closure_terms(p, mass, guess)), guess
+        k1, residual = guess, max(_closure_terms(p, mass, guess))
+        if dt is None:
+            return k1, p, residual, q, y
+        k2 = _solve_velocity(maps, t + h2, [a + h2 * b for a, b in zip(q, k1)], mass, k1)[0]
+        k3 = _solve_velocity(maps, t + h2, [a + h2 * b for a, b in zip(q, k2)], mass, k2)[0]
+        k4 = _solve_velocity(maps, t + dt, [a + dt * b for a, b in zip(q, k3)], mass, k3)[0]
+        q = [a + h6 * (b1 + 2 * b2 + 2 * b3 + b4) for a, b1, b2, b3, b4 in zip(q, k1, k2, k3, k4)]
+        return k1, p, residual, q, y
 
-    def vel(t: float, q: list[float], guess: list[float]) -> list[float]:
-        return _solve_velocity(maps, t, q, mass, guess)[0]
-
-    return _list_step(eom.dim, sample, vel)
+    return step
 
 
 def integrate_hamiltonian(

@@ -997,14 +997,17 @@ def compile_step(
     of a state (x, y), generated as `_step(t0, x0, y0, dt, h2, h6)` -> (*sample, next x, next y).
 
     `args` is (t, x, y) for a float state, or (t, x_1..x_n, y_1..y_n) for a
-    state of n > 1 coordinates held as the lists x0 and y0. Each stage assigns
-    its point to `args`, so a guard names it as the kernel does, runs the real
-    kernel body of the folded `trees` with the values bound to `outs`, then
-    `tail`, which sets the slope `kx, ky` (`kx_1..kx_n, ky_1..ky_n` on a list
-    state); `sample`, three values, is read after stage 1. With dt None the
-    step returns (*sample, x0, y0) from stage 1, or on a float state from the
-    body of `last` alone, bound to the first `outs`. The `(name, value)` pairs
-    of `names` are bound as globals.
+    state of n > 1 coordinates held as the lists x0 and y0. One template
+    writes both, entry by entry in scalars: a float state's entries are its
+    parameters `{x}0, {y}0` with the slope `kx, ky`, a list state's the
+    scalars `x0_a, y0_a` that x0 and y0 unpack to, with `kx_a, ky_a`, so each
+    entry rounds as a float state's does. Each stage assigns its point to
+    `args`, so a guard names it as the kernel does, runs the real kernel body
+    of the folded `trees` with the values bound to `outs`, then `tail`, which
+    sets the slope; `sample`, three values, is read after stage 1. With dt
+    None the step returns (*sample, x0, y0) from stage 1, or on a float state
+    from the body of `last` alone, bound to the first `outs`. The
+    `(name, value)` pairs of `names` are bound as globals.
 
     The kernel bodies take `compile_expr`'s fast path, and a step that raises
     in it is taken again on the step built on the helpers, which raises at
@@ -1027,20 +1030,24 @@ def _step(
     read = f"    s0, s1, s2 = {sample}\n"
     kernels = body(trees)
     stage = kernels.split("\n", 1)[1] + tail + "\n"
-    head = ""
-    if len(args) > 3:
-        src = _list_state_step(args, stage, read)
-    else:
-        t, x, y = args
-        head = f"{body(last)}{read}    return (s0, s1, s2, {x}, {y})\n" if last else ""
-        src = f"def _step({t}0, {x}0, {y}0, dt, h2, h6):\n"
-        src += f"    if dt is None: return _f({t}0, {x}0, {y}0)\n" if last else ""
-        src += f"    {t}, {x}, {y} = {t}0, {x}0, {y}0\n{stage}{read}"
-        src += "" if last else f"    if dt is None: return (s0, s1, s2, {x}0, {y}0)\n"
-        for k, h in ((1, "h2"), (2, "h2"), (3, "dt")):
-            src += f"    kx{k}, ky{k} = kx, ky\n    {t}, {x}, {y} = {t}0 + {h}, {x}0 + {h} * kx{k}, {y}0 + {h} * ky{k}\n"
-            src += stage
-        src += f"    return (s0, s1, s2, {x}0 + h6 * (kx1 + 2 * kx2 + 2 * kx3 + kx), {y}0 + h6 * (ky1 + 2 * ky2 + 2 * ky3 + ky))\n"
+    t, state, n = args[0], args[1:], (len(args) - 1) // 2
+    listed, join = n > 1, ", ".join
+    entries = [(v, f"_{a}" if listed else "") for v in "xy" for a in range(1, n + 1)]
+    base = [f"{v}0{s}" for v, s in entries] if listed else [f"{x}0" for x in state]
+    slopes = lambda k="": [f"k{v}{k}{s}" for v, s in entries]  # noqa: E731 - stage k's, or the current
+    params = ("x0", "y0") if listed else base
+    head = f"{body(last)}{read}    return (s0, s1, s2, {join(state)})\n" if last else ""
+    src = f"def _step({t}0, {join(params)}, dt, h2, h6):\n"
+    src += f"    {join(base[:n])} = x0\n    {join(base[n:])} = y0\n" if listed else ""
+    src += f"    if dt is None: return _f({t}0, {join(base)})\n" if last else ""
+    src += f"    {t}, {join(state)} = {t}0, {join(base)}\n{stage}{read}"
+    src += "" if last else f"    if dt is None: return (s0, s1, s2, {join(params)})\n"
+    for k, h in ((1, "h2"), (2, "h2"), (3, "dt")):
+        point = (f"{b} + {h} * {s}" for b, s in zip(base, slopes(k)))
+        src += f"    {join(slopes(k))} = {join(slopes())}\n    {t}, {join(state)} = {t}0 + {h}, {join(point)}\n{stage}"
+    new = [f"{b} + h6 * ({s1} + 2 * {s2} + 2 * {s3} + {s})" for b, s1, s2, s3, s in zip(base, *map(slopes, (1, 2, 3, "")))]
+    x1, y1 = (f"[{e}]" if listed else e for e in (join(new[:n]), join(new[n:])))
+    src += f"    return (s0, s1, s2, {x1}, {y1})\n"
     ns = {"__builtins__": {}, **_SCALAR_HELPERS, "abs": abs, "max": max, **bound, **dict(names)}
     if inline:  # `_f` runs inside the step, so the step's fallback covers it
         slow = partial(_step, trees, args, outs, tail, sample, last, names, False)
@@ -1048,21 +1055,3 @@ def _step(
     exec(head + src, ns)  # noqa: S102 - source is generated from validated trees
     return ns["_step"]
 
-
-def _list_state_step(args: tuple, stage: str, read: str) -> str:
-    """`compile_step`'s source on the lists x0 and y0, entry by entry in scalars; the
-    arithmetic is the float state's, so each entry rounds as a list-state loop's would."""
-    t, n = args[0], (len(args) - 1) // 2
-    entries = [(v, a) for v in "xy" for a in range(1, n + 1)]
-    base, slope = [f"{v}0_{a}" for v, a in entries], [f"k{v}_{a}" for v, a in entries]
-    saved = lambda k: [f"k{v}{k}_{a}" for v, a in entries]  # noqa: E731 - stage k's slope
-    join = ", ".join
-    src = f"def _step({t}0, x0, y0, dt, h2, h6):\n    {join(base[:n])} = x0\n    {join(base[n:])} = y0\n"
-    src += f"    {t}, {join(args[1:])} = {t}0, {join(base)}\n{stage}{read}"
-    src += "    if dt is None: return (s0, s1, s2, x0, y0)\n"
-    for k, h in ((1, "h2"), (2, "h2"), (3, "dt")):
-        point = (f"{b} + {h} * {s}" for b, s in zip(base, saved(k)))
-        src += f"    {join(saved(k))} = {join(slope)}\n    {t}, {join(args[1:])} = {t}0 + {h}, {join(point)}\n"
-        src += stage
-    new = [f"{b} + h6 * ({s1} + 2 * {s2} + 2 * {s3} + {s})" for b, s1, s2, s3, s in zip(base, *map(saved, (1, 2, 3)), slope)]
-    return src + f"    return (s0, s1, s2, [{join(new[:n])}], [{join(new[n:])}])\n"

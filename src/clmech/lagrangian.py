@@ -346,15 +346,6 @@ def _eliminate(a: list[list[float]], x: list) -> list[tuple[float, float]]:
     return pivots
 
 
-def _eliminate_regular(a: list[list[float]], x: list) -> None:
-    """`_eliminate`, raising SingularMass at a `_singular` pivot."""
-    for pivot, row_scale in _eliminate(a, x):
-        if _singular(pivot, row_scale):
-            raise SingularMass(
-                f"pivot {pivot!r} below {_PIVOT_RATIO!r} of row scale {row_scale!r}"
-            )
-
-
 def solve_linear(A: Sequence[Sequence[float]], b: Sequence[float]) -> list[float]:
     """Gaussian elimination with partial pivoting: `_solve_scalar` at one
     coordinate and the generated `_solver(n)` above.
@@ -390,15 +381,16 @@ def _solver(n: int) -> Callable[..., list[float]]:
     """`solve_linear` for n > 1: one straight-line function `_solve_n(a1_1, .., an_n,
     b1, .., bn)` of the row-major matrix and the right-hand side, built once per n.
 
-    It keeps `_eliminate_regular`'s arithmetic bit for bit (but for the sign of a NaN,
-    which the loop's own runs do not keep either): `max` of `abs` for the
-    row scales, `max`'s first maximum for the pivot (a later entry replaces it only
-    when greater, so a NaN stays), one swap of whole rows, and no update where
-    `m == 0.0`. A pivot is checked as it is found: the first `_singular` one raises
-    either way, since no float operation of a later step raises. `_eliminate`'s stop
-    at a zero pivot is never reached: a zero pivot is `_singular` unless its row
-    scale is NaN, which only a row with a NaN first entry has, and such a row is
-    either the first pivot, a NaN, or all NaN once eliminated.
+    It keeps `_eliminate`'s arithmetic bit for bit, and raises SingularMass at a
+    `_singular` pivot with `_solve_plan`'s text (but for the sign of a NaN, which the
+    loop's own runs do not keep either): `max` of `abs` for the row scales, `max`'s
+    first maximum for the pivot (a later entry replaces it only when greater, so a
+    NaN stays), one swap of whole rows, and no update where `m == 0.0`. A pivot is
+    checked as it is found: the first `_singular` one raises either way, since no
+    float operation of a later step raises. `_eliminate`'s stop at a zero pivot is
+    never reached: a zero pivot is `_singular` unless its row scale is NaN, which
+    only a row with a NaN first entry has, and such a row is either the first
+    pivot, a NaN, or all NaN once eliminated.
     """
     idx, join = range(1, n + 1), ", ".join
     a0, b = [[f"a{r}_{c}" for c in idx] for r in idx], [f"b{r}" for r in idx]
@@ -465,7 +457,9 @@ def _solve_plan(a0: list[list[float]], b: list[str], out: list[str]) -> str | No
     """
     a, lines = [row[:] for row in a0], []
     x = [_Rhs(name, lines) for name in b]
-    _eliminate_regular(a, x)
+    for pivot, row_scale in _eliminate(a, x):
+        if _singular(pivot, row_scale):
+            raise SingularMass(f"pivot {pivot!r} below {_PIVOT_RATIO!r} of row scale {row_scale!r}")
     if not all(math.isfinite(v) for row in a for v in row):
         return None
     a, a0 = ([[repr(v) for v in row] for row in m] for m in (a, a0))

@@ -298,6 +298,20 @@ def _dot(row, x) -> float:
     return sum(r * v for r, v in zip(row, x))
 
 
+def test_float_sum_is_a_plain_left_fold():
+    # `_dot`, `_el_terms` and `_solver(n)`'s back substitution add with `sum`, while the
+    # generated steps and `_solve_plan` write `0 + ...`: they agree bit for bit only where
+    # float `sum` is a left fold, as on CPython up to 3.11 (3.12 compensates for rounding)
+    terms = (1e16, 1.0, -1e16)
+    folded = 0
+    for v in terms:
+        folded = folded + v
+    assert (sum(terms), folded) == (0.0, 0.0), (
+        f"sum((1e16, 1.0, -1e16)) is {sum(terms)!r} and 0 + 1e16 + 1.0 + -1e16 is {folded!r}: "
+        "this interpreter's float sum is not a left fold, so the bitwise claims and the byte goldens do not hold"
+    )
+
+
 def _eliminate(a: list[list[float]], x: list[float]) -> list[tuple[float, float]]:
     """Forward elimination with partial pivoting, in place, as `solve_linear` did
     before the generated step eliminated a constant mass matrix at compile time."""
@@ -578,6 +592,13 @@ class TestListErrorParity:
     def test_helper_domain_error_at_the_third_stage(self, source, init, message):
         got = assert_same_list_state(source, {}, init, IntegratorConfig(0.5, 0.0, 2.0))
         assert got == (DomainError, message)
+
+    @pytest.mark.filterwarnings("ignore::clmech.lagrangian.ClosureConsistencyWarning")
+    def test_closure_step_blow_up(self):
+        # f = -k*q = -qd makes qd = q, so q = e^t passes 1e12 near t = 27.63
+        source, init = "0.5*i*(m*qd^2 - k*q^2)", MechState(0.0, (1.0,), (1.0,))
+        got = assert_same_list_state(source, {"m": 1.0, "k": 1.0}, init, IntegratorConfig(0.05, 0.0, 30.0), (-1.0,))
+        assert got == (StepBlowUp, "state magnitude exceeded 1e+12 at t=27.650000000000002")
 
     @pytest.mark.filterwarnings("ignore::clmech.lagrangian.ClosureConsistencyWarning")
     def test_closure_inconsistent(self):

@@ -65,6 +65,14 @@ def test_step_timing_prints_every_simulate_category():
     assert all(float(v) > 0 for row in rows for v in row.split()[3:])
 
 
+def test_step_sources_prints_a_digest_per_state_kind():
+    done = run_script("step_sources.py", "--seeds")  # the corpus's steps only
+    assert done.returncode == 0, done.stderr
+    rows = [line.split() for line in done.stdout.splitlines()]
+    assert [row[0] for row in rows] == ["float", "list"]
+    assert int(rows[0][1]) > 0 and all(re.fullmatch("[0-9a-f]{64}", row[2]) for row in rows)
+
+
 def test_scenario_files_are_the_exported_corpus(tmp_path):
     # the CLI reads scenarios/*.json and most tests read CORPUS_DICTS
     spec = importlib.util.spec_from_file_location("export_scenarios", SCRIPTS / "export_scenarios.py")
