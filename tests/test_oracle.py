@@ -134,3 +134,50 @@ def _lagrangians(draw):
 def test_generated_maps_match_sympy(drawn, seed):
     source, dim, omega0 = drawn
     _assert_maps_agree(source, ComplexLagrangian(parse(source), omega0, dim), seed)
+
+
+REGULAR = [(name, sc) for name, sc in BUNDLED if sc.closure_mass is None]
+
+
+def _sympy_phase(source: str, lagr: ComplexLagrangian):
+    """(dH/dq, dH/dp, dK/dq, dK/dp, qd_flow, pd_flow, p, g) as a float function of
+    (t, q, qd, kappa0, *params), from sympy's own partials of L and M at p = f(t, q, qd):
+    the implicit partials dqd/dp = 1/(df/dqd) and dqd/dq = -(df/dq)/(df/dqd), then the
+    generator formulas of the `hamiltonian` module docstring."""
+    t, (q,), (qd,), params = _symbols(lagr)
+    kappa0 = sympy.Symbol("kappa0", real=True)
+    L, M = _L_and_M(source, lagr)
+    w0 = sympy.Float(lagr.omega0)
+    p = sympy.diff(L, qd) + sympy.diff(M, q) / w0
+    g = sympy.diff(L, q) - w0 * sympy.diff(M, qd)
+    qd_p, qd_q = 1 / sympy.diff(p, qd), -sympy.diff(p, q) / sympy.diff(p, qd)
+    slack = p - sympy.diff(L, qd)
+    dh_q, dh_p = -sympy.diff(L, q) + slack * qd_q, qd + slack * qd_p
+    mm_q, mm_p = sympy.diff(M, q) + sympy.diff(M, qd) * qd_q, sympy.diff(M, qd) * qd_p
+    dk_q = (qd_p * mm_q - qd_q * mm_p) / (kappa0 * w0)
+    dk_p = kappa0 * (-(qd_q / w0) * mm_q + ((w0 + qd_q**2 / w0) / qd_p) * mm_p)
+    pieces = [dh_q, dh_p, dk_q, dk_p, dh_p - kappa0 * dk_q, -dh_q - dk_p / kappa0, p, g]
+    return sympy.lambdify([t, q, qd, kappa0, *params], pieces, modules="math")
+
+
+@pytest.mark.parametrize("omega0", [0.7, 1.0, 2.5])
+@pytest.mark.parametrize("name, sc", REGULAR, ids=[name for name, _ in REGULAR])
+def test_phase_pieces_match_sympy(name, sc, omega0):
+    """`h_gradients`, `k_gradients` and `flow` against sympy, and the flow against (qd, g):
+    the kappa0 factors cancel, which the field computes piece by piece."""
+    lagr = ComplexLagrangian(parse(sc.lagrangian), omega0, params=sc.params)
+    want_at = _sympy_phase(sc.lagrangian, lagr)
+    eom = derive_eom(lagr, sc.probe_state())
+    for kappa0 in (0.8, 1.0, 1.3):
+        field = HamiltonianField(lagr, eom, kappa0)
+        for t0, (q0,), (qd0,) in _states(1, seed=len(name)):
+            dh_q, dh_p, dk_q, dk_p, qd_flow, pd_flow, p0, g = map(
+                float, want_at(t0, q0, qd0, kappa0, *lagr.params.values())
+            )
+            got = (*field.h_gradients(t0, q0, p0), *field.k_gradients(t0, q0, p0), *field.flow(t0, q0, p0))
+            want = (dh_q, dh_p, dk_q, dk_p, qd_flow, pd_flow)
+            scale = max(1.0, *map(abs, want))
+            for k, (x, y) in enumerate(zip(got, want)):
+                assert math.isclose(x, y, rel_tol=RTOL, abs_tol=RTOL * scale), (name, kappa0, k, t0, q0, qd0)
+            for x, y in zip(got[4:], (qd0, g)):
+                assert math.isclose(x, y, rel_tol=RTOL, abs_tol=RTOL * scale), (name, kappa0, t0, q0, qd0)
