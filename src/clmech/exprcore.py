@@ -701,7 +701,7 @@ def _codegen(
     plain Python: `/`, `**` to a finite real constant, and cmath's sin, cos,
     exp and tanh (`_c_sin`, ...) of a tree that stays real. Each raises where
     its helper raises; where the helper returns, it is the same operation on
-    the same operands.
+    the same operands. A call of `abs` (a step's sample) is Python's.
     """
     uses: dict[Expr, int] = {}
 
@@ -750,7 +750,9 @@ def _codegen(
             else:
                 src = f"({l} {e.op} {r})"
         elif isinstance(e, Call):
-            if inline and e.fn in _INLINE_CALLS and not _may_turn_complex(e.arg):
+            if e.fn == "abs":
+                src = f"abs({emit(e.arg)})"
+            elif inline and e.fn in _INLINE_CALLS and not _may_turn_complex(e.arg):
                 # a real argument gives an imaginary part of +-0, which `_apply_call` drops too
                 src = f"_c_{e.fn}({emit(e.arg)}).real"
             else:
@@ -990,8 +992,33 @@ def compile_expr(
     return _compile((e,) if bare else e, tuple(args), items, bare, real, vectorized)
 
 
+def _fold(e: Expr, values: Mapping[str, Expr]) -> Expr:
+    """`e` with each symbol named in `values` put in, folded by rules that give the same float for
+    every operand, signed zeros, infinities and NaNs included (IEEE 754; Goldberg, ACM Computing
+    Surveys 23(1), 1991): real constants by `evaluate`'s float operation, unless it raises or gives
+    a NaN or a complex; x*1.0, 1.0*x, x/1.0, x - 0.0, x + (-0.0) and -(-x) to x. Unlike `simplify`,
+    it keeps 0.0*x, x + 0.0 and 0.0 + x, which turn some -0.0, infinite or NaN x into another value."""
+    if not isinstance(e, (Neg, BinOp)):
+        return values.get(e.name, e) if isinstance(e, Sym) else Call(e.fn, _fold(e.arg, values)) if isinstance(e, Call) else e
+    kids = [_fold(x, values) for x in vars(e).values() if isinstance(x, Expr)]
+    e = BinOp(e.op, *kids) if isinstance(e, BinOp) else Neg(*kids)
+    if all(isinstance(x, Const) and not x.value.imag for x in kids):
+        try:
+            v = evaluate(e, {})
+        except ExprError:
+            v = None
+        if isinstance(v, float) and v == v:
+            return Const(v)
+    if isinstance(e, Neg):
+        return kids[0].arg if isinstance(kids[0], Neg) else e
+    l, r = kids
+    if (e.op in "*/" and r is ONE) or (e.op == "-" and r is ZERO) or (e.op == "+" and r is Const(-0.0)):
+        return l
+    return r if e.op == "*" and l is ONE else e
+
+
 def compile_step(
-    trees: tuple, args: tuple, outs: tuple, tail: str, sample: str, last: tuple = (), names: tuple = ()
+    trees: tuple, args: tuple, outs: tuple, tail: tuple, sample, last: tuple = (), names: tuple = ()
 ) -> Callable[..., tuple]:
     """The classical RK4 step (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.1)
     of a state (x, y), generated as `_step(t0, x0, y0, dt, h2, h6)` -> (*sample, next x, next y).
@@ -1003,11 +1030,16 @@ def compile_step(
     scalars `x0_a, y0_a` that x0 and y0 unpack to, with `kx_a, ky_a`, so each
     entry rounds as a float state's does. Each stage assigns its point to
     `args`, so a guard names it as the kernel does, runs the real kernel body
-    of the folded `trees` with the values bound to `outs`, then `tail`, which
-    sets the slope; `sample`, three values, is read after stage 1. With dt
-    None the step returns (*sample, x0, y0) from stage 1, or on a float state
-    from the body of `last` alone, bound to the first `outs`. The
-    `(name, value)` pairs of `names` are bound as globals.
+    of the folded `trees` with the values bound to `outs`, then the pieces of
+    `tail`, which set the slope; the piece `sample` sets s0, s1, s2 after
+    stage 1. A piece is text, or a pair (names, trees) setting the names to
+    the trees' values, folded by `_fold` and computed with plain `/` and `**`
+    as text is. A float state's outs that are constants or arguments go into
+    those trees, and the body assigns them only if it checks for an imaginary
+    part, which names a map by its place. With dt None the step returns
+    (*sample, x0, y0) from stage 1, or on a float state from the body of
+    `last` alone, bound to the first `outs`. The `(name, value)` pairs of
+    `names` are bound as globals.
 
     The kernel bodies take `compile_expr`'s fast path, and a step that raises
     in it is taken again on the step built on the helpers, which raises at
@@ -1019,19 +1051,29 @@ def compile_step(
 
 @lru_cache(maxsize=None)
 def _step(
-    trees: tuple, args: tuple, outs: tuple, tail: str, sample: str, last: tuple, names: tuple, inline: bool
+    trees: tuple, args: tuple, outs: tuple, tail: tuple, sample, last: tuple, names: tuple, inline: bool
 ) -> Callable[..., tuple]:
     bound: dict = {}
-
-    def body(trees: tuple[Expr, ...]) -> str:
-        lhs = f"{', '.join(outs[: len(trees)])} = "
-        return _codegen(trees, args, False, any(map(_may_turn_complex, trees)), bound, lhs, inline)[0]
-
-    read = f"    s0, s1, s2 = {sample}\n"
-    kernels = body(trees)
-    stage = kernels.split("\n", 1)[1] + tail + "\n"
     t, state, n = args[0], args[1:], (len(args) - 1) // 2
     listed, join = n > 1, ", ".join
+    leaves = {} if listed else {o: e for o, e in zip(outs, trees) if isinstance(e, (Const, Sym))}
+
+    def body(trees: tuple[Expr, ...]) -> str:
+        guarded = any(map(_may_turn_complex, trees))
+        kept = [(o, e) for o, e in zip(outs, trees) if guarded or o not in leaves] or [(outs[0], trees[0])]
+        lhs, kept = f"{join(o for o, _ in kept)} = ", tuple(e for _, e in kept)
+        return _codegen(kept, args, len(kept) == 1, guarded, bound, lhs, inline)[0]
+
+    def put(piece) -> str:
+        if isinstance(piece, str):
+            return piece + "\n"
+        lhs, values = piece[0], tuple(_fold(e, leaves) for e in piece[1])
+        reads = tuple(frozenset().union(*map(free_symbols, values)))
+        return _codegen(values, reads, len(lhs) == 1, False, bound, f"{join(lhs)} = ", True)[0].split("\n", 1)[1]
+
+    kernels = body(trees)
+    stage = kernels.split("\n", 1)[1] + "".join(map(put, tail))
+    read = put(sample)
     entries = [(v, f"_{a}" if listed else "") for v in "xy" for a in range(1, n + 1)]
     base = [f"{v}0{s}" for v, s in entries] if listed else [f"{x}0" for x in state]
     slopes = lambda k="": [f"k{v}{k}{s}" for v, s in entries]  # noqa: E731 - stage k's, or the current
@@ -1054,4 +1096,3 @@ def _step(
         src = _with_fallback(src, kernels + head, ns, slow)
     exec(head + src, ns)  # noqa: S102 - source is generated from validated trees
     return ns["_step"]
-

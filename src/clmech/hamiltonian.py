@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .exprcore import Const, DomainError, Sym, compile_expr, compile_step, diff, evaluate, simplify, subs
+from .exprcore import Call, Const, DomainError, Sym, compile_expr, compile_step, diff, evaluate, simplify, subs
 from .lagrangian import ComplexLagrangian, EomSystem, _solve_velocity_scalar
 
 
@@ -72,24 +72,17 @@ class PhaseState:
             raise ValueError("phase state entries must be finite")
 
 
-# The generators' gradients and the flow from `_values`' values, each piece computed
-# separately (the kappa0 factors are not cancelled); one text, which `_pieces` runs for
-# `_gradients` and `_flow_at` and an affine field's generated RK4 step inlines at each stage
-_GENERATORS = """\
+def _pieces(p, values, kappa0, omega0):
+    """(dH/dq, dH/dp, dK/dq, dK/dp, qd_flow, pd_flow) from `_values`' values, each piece computed
+    separately (the kappa0 factors are not cancelled): the one formula, run on floats by
+    `_gradients` and `_flow_at`, and on trees by an affine field's `step`, at each stage."""
+    qd, _, qd_q, qd_p, l_q, l_qd, m_q, m_qd = values
     slack = p - l_qd
     dh_q, dh_p = -l_q + slack * qd_q, qd + slack * qd_p
     mm_q, mm_p = m_q + m_qd * qd_q, m_qd * qd_p  # d/dq and d/dp of M(q, qd(q, p, t), t)
     dk_q = (qd_p * mm_q - qd_q * mm_p) / (kappa0 * omega0)
     dk_p = kappa0 * (-(qd_q / omega0) * mm_q + ((omega0 + qd_q**2 / omega0) / qd_p) * mm_p)
-    kx, ky = dh_p - kappa0 * dk_q, -dh_q - dk_p / kappa0"""
-_PIECES = "def _pieces(p, values, kappa0, omega0):\n    qd, _, qd_q, qd_p, l_q, l_qd, m_q, m_qd = values\n{}\n"
-exec(_PIECES.format(_GENERATORS) + "    return dh_q, dh_p, dk_q, dk_p, kx, ky\n")  # noqa: S102 - a constant text
-# `_values`' tail, then the generators: a stage's slope of (q, p) is the flow
-_FLOW_TAIL = f"""\
-    if slope == 0.0:
-        raise DegenerateJacobian(f"df/dqd = 0 at (t={{t!r}}, q={{q!r}}, qd={{qd!r}})")
-    qd_q, qd_p = -f_q / slope, 1.0 / slope
-{_GENERATORS}"""
+    return dh_q, dh_p, dk_q, dk_p, dh_p - kappa0 * dk_q, -dh_q - dk_p / kappa0
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,8 +135,11 @@ class HamiltonianField:
         if self._qd is None:
             return None
         trees, outs = self._phase_trees, ("qd", "f", "f_q", "slope", "l_q", "l_qd", "m_q", "m_qd")
-        names = (("kappa0", self.kappa0), ("omega0", self.lagr.omega0), ("DegenerateJacobian", DegenerateJacobian))
-        return compile_step(trees, ("t", "q", "p"), outs, _FLOW_TAIL, "qd, p, abs(f - p)", trees[:2], names)
+        qd, f, f_q, slope, *partials = map(Sym, outs)
+        # the slope is A, a nonzero constant here, so `_values`' test of it is never written
+        flow = _pieces(Sym("p"), (qd, f, -f_q / slope, 1.0 / slope, *partials), self.kappa0, self.lagr.omega0)[4:]
+        sample = (qd, Sym("p"), Call("abs", f - Sym("p")))
+        return compile_step(trees, ("t", "q", "p"), outs, ((("kx", "ky"), flow),), (("s0", "s1", "s2"), sample), trees[:2])
 
     def momentum(self, t: float, q: float, qd: float) -> float:
         return self.eom.maps.newton(t, q, qd)[0]
@@ -184,13 +180,11 @@ class HamiltonianField:
 
     def h_gradients(self, t: float, q: float, p: float, guess: float = 0.0) -> tuple[float, float]:
         """(dH/dq, dH/dp); a Newton inversion starts from `guess`."""
-        dh_q, dh_p, _, _ = self._gradients(t, q, p, guess)
-        return dh_q, dh_p
+        return self._gradients(t, q, p, guess)[:2]
 
     def k_gradients(self, t: float, q: float, p: float, guess: float = 0.0) -> tuple[float, float]:
         """(dK/dq, dK/dp); a Newton inversion starts from `guess`."""
-        _, _, dk_q, dk_p = self._gradients(t, q, p, guess)
-        return dk_q, dk_p
+        return self._gradients(t, q, p, guess)[2:]
 
     def flow(self, t: float, q: float, p: float, guess: float = 0.0) -> tuple[float, float]:
         """(qd_flow, pd_flow) from the two-generator equations of motion."""

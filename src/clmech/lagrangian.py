@@ -30,9 +30,13 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .exprcore import (
+    Call,
     Const,
     DomainError,
     Expr,
+    Sym,
+    _codegen,
+    _fold,
     compile_expr,
     compile_step,
     diff,
@@ -246,8 +250,19 @@ class _Maps:
     def step(self) -> Callable[..., tuple]:
         trees, names = subs(self._all, self._params), (("SingularMass", SingularMass),)
         if self.dim == 1:
-            outs, sample = ("f", "g", "a", "f_q", "f_t"), "qd, f, abs(g - a * ky - f_q * qd - f_t)"
-            return compile_step(trees, self._args, outs, _STEP_TAIL, sample, names=names)
+            # slope (qd, b/a) by `_solve_scalar`'s arithmetic; a constant `a` decides its pivot test here, and
+            # its residual test where |a| is a power of two >= 1: there a*(b/a) - b is 0, NaN or below 2^-51
+            outs, m, slope = ("f", "g", "a", "f_q", "f_t"), trees[2], "\n    kx, ky = qd, x"
+            (f, g, a, f_q, f_t), qd = map(Sym, outs), Sym("qd")
+            b = g - (0.0 + f_q * qd) - f_t  # 0.0 + f_q qd: the sign of a zero product as in a one-term dot product
+            sample = (("s0", "s1", "s2"), (qd, f, Call("abs", g - a * Sym("ky") - f_q * qd - f_t)))
+            if not _constant(((m,),)) or _singular(m.value.real, abs(m.value.real)):
+                tail = ((("b",), (b,)), _SOLVE_SCALAR + slope)
+            elif math.frexp(abs(m.value.real))[0] == 0.5 and abs(m.value.real) >= 1.0:
+                tail = ((("kx", "ky"), (qd, b / a)),)
+            else:
+                tail = ((("a", "b", "x"), (a, b, b / a)), _SOLVE_SCALAR.partition("x = b / a\n")[2] + slope)
+            return compile_step(trees, self._args, outs, tail, sample, names=names)
         n, join = self.dim, ", ".join
         idx, qd = range(1, n + 1), self._args[n + 1 :]
         f, g, f_t, w, b, ky = ([f"{m}{a}" for a in idx] for m in ("f", "g", "ft", "w", "b", "ky_"))
@@ -266,7 +281,7 @@ class _Maps:
         terms = join(f"abs({g[a]} - {dot(A[a], ky)} - {w[a]} - {f_t[a]})" for a in range(n))
         sample = f"[{join(qd)}], [{join(f)}], max({terms})"
         outs = (*f, *g, *sum(A, []), *sum(f_q, []), *f_t)
-        return compile_step(trees, self._args, outs, "\n".join(tail), sample, names=names)
+        return compile_step(trees, self._args, outs, ("\n".join(tail),), f"    s0, s1, s2 = {sample}", names=names)
 
     def split(self, v: Sequence):
         """(f, g, A, f_q, f_t) from the kernel's flat values; matrices as rows."""
@@ -320,7 +335,7 @@ def _eliminate(a: list[list[float]], x: list) -> list[tuple[float, float]]:
 
     Returns each step's pivot with the entry scale its row had before
     elimination. Stops after an exactly zero pivot. `x` holds floats, or
-    `_Rhs` entries that record its operations as source.
+    trees, which its operations build.
     """
     n = len(a)
     scale = [max(map(abs, row), default=0.0) for row in a]
@@ -422,23 +437,6 @@ def _solver(n: int) -> Callable[..., list[float]]:
     return ns[f"_solve_{n}"]
 
 
-class _Rhs:
-    """An entry of the right-hand side that `_eliminate` updates at compile time:
-    each `x[j] -= m * x[k]` it makes appends a line of source to `lines`, and the
-    entry becomes the local that line assigns."""
-
-    def __init__(self, name: str, lines: list[str]) -> None:
-        self.name, self.lines = name, lines
-
-    def __rmul__(self, m: float) -> str:
-        return f"{m!r} * {self.name}"
-
-    def __sub__(self, product: str) -> _Rhs:
-        name = f"e{len(self.lines)}"
-        self.lines.append(f"    {name} = {self.name} - {product}")
-        return _Rhs(name, self.lines)
-
-
 def _constant(rows: Sequence[Sequence[Expr]]) -> bool:
     """Whether every tree of the matrix is a real finite constant."""
     return all(isinstance(e, Const) and not e.value.imag and math.isfinite(e.value.real) for row in rows for e in row)
@@ -451,25 +449,29 @@ def _solve_plan(a0: list[list[float]], b: list[str], out: list[str]) -> str | No
     `_eliminate` runs on a0 here, once, so the pivot verdict and the multipliers
     are fixed (Golub & Van Loan, Matrix Computations, 4th ed., sec. 3.4). The
     source holds only the operations on the right-hand side: the row swaps, each
-    `x_j -= m*x_k` that `_eliminate` does not skip, the back substitution with its
-    pivots and `solve_linear`'s residual check. None if an eliminated entry is not
-    finite, which a literal cannot carry.
+    `x_j -= m*x_k` that `_eliminate` does not skip, made on trees and folded by
+    `exprcore._fold`, the back substitution with its pivots and `solve_linear`'s
+    residual check. None if an eliminated entry is not finite, which a literal
+    cannot carry.
     """
-    a, lines = [row[:] for row in a0], []
-    x = [_Rhs(name, lines) for name in b]
+    a, x = [row[:] for row in a0], [Sym(name) for name in b]
     for pivot, row_scale in _eliminate(a, x):
         if _singular(pivot, row_scale):
             raise SingularMass(f"pivot {pivot!r} below {_PIVOT_RATIO!r} of row scale {row_scale!r}")
     if not all(math.isfinite(v) for row in a for v in row):
         return None
+    rhs = [e.name if isinstance(e, Sym) else f"e{k}" for k, e in enumerate(x)]
+    ops = [(name, _fold(e, {})) for name, e in zip(rhs, x) if not isinstance(e, Sym)]
+    lhs, trees = f"{', '.join(name for name, _ in ops)} = ", tuple(e for _, e in ops)
+    lines = _codegen(trees, tuple(b), len(ops) == 1, False, None, lhs, True)[0].split("\n")[1:-1] if ops else []
     a, a0 = ([[repr(v) for v in row] for row in m] for m in (a, a0))
     dot = lambda terms: f"0 + {' + '.join(terms)}"  # noqa: E731 - `_dot`'s order, as the step's other sums
-    return "\n".join(lines + _back_substitution(a, [e.name for e in x], out, a0, b, dot))
+    return "\n".join(lines + _back_substitution(a, rhs, out, a0, b, dot))
 
 
 # `solve_linear` for a 1x1 system (a, b), with both of its SingularMass checks,
 # bitwise what the elimination gives: one text, run by `_solve_scalar` and
-# inlined at each stage of the generated RK4 step, whose slope of (q, qd) is (qd, x)
+# inlined at each stage of the generated RK4 step where `a` varies
 _SOLVE_SCALAR = f"""\
     s = abs(a)
     if s == 0.0 or s <= {_PIVOT_RATIO!r} * s:
@@ -479,8 +481,6 @@ _SOLVE_SCALAR = f"""\
     if r > {_SOLVE_RESIDUAL!r} * (1.0 + abs(b)):
         raise SingularMass(f"solve residual {{r!r}} exceeds contract bound")"""
 exec(f"def _solve_scalar(a, b):\n{_SOLVE_SCALAR}\n    return x\n")  # noqa: S102 - a constant text
-# 0.0 + f_q qd: the sign of a zero product as in a one-term dot product
-_STEP_TAIL = f"    b = g - (0.0 + f_q * qd) - f_t\n{_SOLVE_SCALAR}\n    kx, ky = qd, x"
 
 
 def _solve_velocity(

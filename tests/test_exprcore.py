@@ -710,3 +710,49 @@ class TestFold:
                 folded(*state)
             return
         assert [_bits(v) for v in folded(*state)] == [_bits(v) for v in want]
+
+
+FOLD_LEAF = st.one_of(
+    st.just(Sym("x")),
+    st.sampled_from((0.0, -0.0, 1.0, -1.0, 2.0, 0.5, 1e308, math.inf, -math.inf, math.nan)).map(Const),
+)
+FOLD_TREE = st.recursive(
+    FOLD_LEAF,
+    lambda kids: st.one_of(kids.map(exprcore.Neg), st.tuples(st.sampled_from("+-*/"), kids, kids).map(lambda t: BinOp(*t))),
+    max_leaves=8,
+)
+_FLOAT = {"+": lambda a, b: a + b, "-": lambda a, b: a - b, "*": lambda a, b: a * b, "/": lambda a, b: a / b}
+
+
+def _run_floats(e, x: float) -> float:
+    """`e` at x by Python's float operations, as a generated step computes it."""
+    if isinstance(e, Const):
+        return e.value.real
+    if isinstance(e, Sym):
+        return x
+    if isinstance(e, exprcore.Neg):
+        return -_run_floats(e.arg, x)
+    return _FLOAT[e.op](_run_floats(e.left, x), _run_floats(e.right, x))
+
+
+@given(FOLD_TREE, st.sampled_from((0.0, -0.0, 1.5, -2.0, 1e308, math.inf, -math.inf, math.nan)))
+@example(BinOp("+", Sym("x"), Const(-0.0)), -0.0)
+@example(BinOp("+", Const(0.0), Sym("x")), -0.0)  # kept: 0.0 + x, x + 0.0 and 0.0*x move a bit here
+@example(BinOp("+", Sym("x"), Const(0.0)), -0.0)
+@example(BinOp("*", Const(0.0), Sym("x")), math.inf)
+@example(BinOp("-", Sym("x"), Const(0.0)), -0.0)
+@example(exprcore.Neg(exprcore.Neg(Sym("x"))), math.nan)
+@settings(max_examples=400, deadline=None)
+def test_step_fold_moves_no_bit(tree, x):
+    """`exprcore._fold`, the generated step's rule set: the folded tree gives every bit of the
+    tree's value, signed zeros, infinities and NaNs included, or raises the same error."""
+
+    def outcome(e):
+        try:
+            return struct.pack("<d", _run_floats(e, x))
+        except ArithmeticError as err:
+            return type(err)
+
+    assert outcome(exprcore._fold(tree, {})) == outcome(tree)
+    if x == x:  # with x put in as a constant, every operation on constants folds or stays
+        assert outcome(exprcore._fold(tree, {"x": Const(x)})) == outcome(tree)

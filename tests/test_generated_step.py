@@ -247,6 +247,87 @@ class TestErrorParity:
         assert got[0] is DomainError
 
 
+def same_regular(source: str, params: dict, init: MechState, cfg: IntegratorConfig):
+    """`integrate` against `reference_regular` on any regular dim-1 system: the outcome, and the step."""
+    eom = derive_eom(ComplexLagrangian(parse(source), 1.0, params=params), init)
+    got = outcome(lambda: integrate(eom, init, cfg))
+    assert got == outcome(lambda: reference_regular(eom, init, cfg))
+    return got, eom.maps.step
+
+
+def make_field(source: str, params: dict, init: MechState, kappa0: float = 1.0) -> HamiltonianField:
+    lagr = ComplexLagrangian(parse(source), 1.0, params=params)
+    return HamiltonianField(lagr, derive_eom(lagr, init), kappa0=kappa0)
+
+
+# A folds to m in each; the t*q*qd and i*t*q^2 terms make df/dq and df/dt vary
+CONSTANT_MASS_DIM1 = (
+    "0.5*m*qd^2 - 0.5*k*q^2",
+    "0.5*m*qd^2 - 0.5*k*q^2 + 0.5*i*l0*qd^2",
+    "0.5*m*qd^2 - 0.5*k*q^2 + 0.3*t*q*qd + 0.2*i*t*q^2 + 0.1*i*cos(q)",
+)
+PARAMS = {"m": 1.0, "k": 1.0, "l0": 0.1}
+
+
+class TestFoldedTails:
+    """The steps whose tails fold on a constant mass or a vanishing M, against the stage loops."""
+
+    @pytest.mark.parametrize("source", CONSTANT_MASS_DIM1)
+    @pytest.mark.parametrize("q0, v0", [(0.0, 0.0), (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0)])
+    def test_signed_zero_states(self, source, q0, v0):
+        cfg = IntegratorConfig(0.25, 0.0, 2.0)
+        init = MechState(0.0, (q0,), (v0,))
+        got, _ = same_regular(source, PARAMS, init, cfg)
+        assert isinstance(got, list)
+        field = make_field(source, PARAMS, MechState(0.0, (1.0,), (1.0,)))
+        assert field.step is not None
+        assert isinstance(assert_same_hamiltonian(field, PhaseState(0.0, q0, v0), cfg), list)
+
+    @pytest.mark.parametrize("m", [1.0, -1.0, 2.0, 0.5, 1.37])
+    @pytest.mark.parametrize("source", CONSTANT_MASS_DIM1)
+    def test_constant_masses(self, m, source):
+        init, cfg = MechState(0.0, (0.7,), (-0.4,)), IntegratorConfig(0.1, 0.0, 3.0)
+        got, step = same_regular(source, {**PARAMS, "m": m}, init, cfg)
+        assert isinstance(got, list)
+        # the pivot test is decided when the step is built; the residual test stays where it can fail
+        assert ("SingularMass" in step.__code__.co_names) is (m in (0.5, 1.37))
+        field = make_field(source, {**PARAMS, "m": m}, init, kappa0=1.3)
+        assert isinstance(assert_same_hamiltonian(field, PhaseState(0.0, 0.7, -0.4), cfg), list)
+
+    def test_a_varying_mass_keeps_the_solve(self):
+        _, step = same_regular("0.5*(2 + q^2)*qd^2 - 0.5*q^2", {}, MechState(0.0, (0.7,), (-0.4,)), IntegratorConfig(0.1, 0.0, 1.0))
+        assert "SingularMass" in step.__code__.co_names
+
+    def test_the_residual_test_of_a_constant_half_mass_fails(self):
+        # b = -1e308 gives b/0.5 = -inf, and a*x - b = -inf: the solve's residual test raises
+        got, _ = same_regular("0.25*qd^2 - 1e308*q", {}, MechState(0.0, (0.0,), (0.0,)), IntegratorConfig(0.1, 0.0, 1.0))
+        assert got == (SingularMass, "solve residual inf exceeds contract bound")
+
+    def test_a_stage_overflow_blows_up(self):
+        # the third stage's q is about -1e198, so the products of g = -4e200 q^3 overflow to inf
+        source, init, cfg = "0.5*qd^2 - 1e200*q*q*q*q", MechState(0.0, (1.0,), (0.0,)), IntegratorConfig(0.1, 0.0, 1.0)
+        got, _ = same_regular(source, {}, init, cfg)
+        assert got == (StepBlowUp, "state magnitude exceeded 1e+12 at t=0.1")
+        field = make_field(source, {}, init)
+        assert assert_same_hamiltonian(field, PhaseState(0.0, 1.0, 0.0), cfg) == got
+
+    def test_a_fast_path_raise_falls_back_to_the_helper_step(self):
+        # g = 1 - 2e4*1e-300*exp(2e4*q) is 1.0 until the third stage puts q at 0.0625, where
+        # exp overflows inline; the step built on the helpers raises the kernel's DomainError
+        source, init, cfg = "0.5*qd^2 + q - 1e-300*exp(2e4*q)", MechState(0.0, (0.0,), (0.0,)), IntegratorConfig(0.5, 0.0, 2.0)
+        got, step = same_regular(source, {}, init, cfg)
+        assert got == (DomainError, "exp overflowed") and "_h_slow" in step.__code__.co_names
+        field = make_field(source, {}, init)
+        assert assert_same_hamiltonian(field, PhaseState(0.0, 0.0, 0.0), cfg) == got
+
+    def test_the_oscillator_steps_hold_no_guard(self):
+        source, init = "0.5*m*qd^2 - 0.5*k*q^2", MechState(0.0, (1.0,), (0.0,))
+        steps = (same_regular(source, PARAMS, init, IntegratorConfig(0.1, 0.0, 1.0))[1], make_field(source, PARAMS, init).step)
+        for step in steps:
+            names = set(step.__code__.co_names) | set(step.__globals__.get("_f", step).__code__.co_names)
+            assert not names & {"SingularMass", "DegenerateJacobian", "_h_not_real"}
+
+
 def test_invert_reads_the_last_sample_body():
     lagr = ComplexLagrangian(parse("0.5*m*qd^2 + 0.3*q*qd - 0.5*q^2"), 1.0, params={"m": 2.0})
     field = HamiltonianField(lagr, derive_eom(lagr, MechState(0.0, (1.0,), (1.0,))))
