@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
+from functools import cache
 
 # derive_eom, HamiltonianField, integrate, integrate_hamiltonian: bound only for perfbench's tracer
 from .dynamics import IntegratorConfig, StepBlowUp, integrate, integrate_hamiltonian, to_csv
@@ -55,6 +56,7 @@ RUNTIME_ERRORS = (
 )
 
 
+@cache  # one parser a process: `main` parses into a new namespace each call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="clmech",

@@ -299,6 +299,23 @@ class TestCliCheck:
         main(["check", "all", src])
         assert capsys.readouterr().out == first
 
+    def test_consecutive_calls_parse_independently(self, scenario_file, capsys):
+        # one parser serves every `main` call in a process; no argument of one call leaks into the next
+        from clmech.cli import _build_parser
+        from clmech.sampling import DEFAULT_SEED
+
+        src = scenario_file(BASE)
+        assert main(["derive", src]) == 0
+        assert capsys.readouterr().out.startswith("scenario: osc\n")
+        assert main(["check", "noether", src, "--seed", "0x10"]) == 0
+        assert "# seed: 0x10\n" in capsys.readouterr().out
+        assert main(["check", "noether", src]) == 0
+        assert f"# seed: {DEFAULT_SEED:#x}\n" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as bad:
+            main(["check", "nonesuch", src])
+        assert bad.value.code == 2 and "invalid choice: 'nonesuch'" in capsys.readouterr().err
+        assert main(["derive", src]) == 0 and _build_parser() is _build_parser()
+
 
 class TestCliContract:
     @pytest.mark.parametrize("argv", [["derive"], ["simulate"], ["check", "all"]])
