@@ -1,6 +1,7 @@
 """The scripts under scripts/ run, and the bundled scenario files match the corpus."""
 
 import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -63,6 +64,45 @@ def test_step_timing_prints_every_simulate_category():
     assert ("regular", "3", "quadratic") in categories and ("hamiltonian", "1", "nonlinear") in categories
     assert len(categories) == len(rows)
     assert all(float(v) > 0 for row in rows for v in row.split()[3:])
+
+
+def test_step_timing_prints_every_corpus_integration():
+    done = run_script("step_timing.py", "--corpus")
+    assert done.returncode == 0, done.stderr
+    header, *rows = done.stdout.splitlines()
+    assert header.split() == ["kind", "dim", "shape", "steps", "first", "us/step", "warm", "us/step"]
+    names = {p.stem for p in (ROOT / "scenarios").glob("*.json")}
+    assert {row.split()[2] for row in rows} == names
+    assert {row.split()[0] for row in rows} == {"regular", "closure", "hamiltonian"}
+    assert ("hamiltonian", "classical_oscillator") in {tuple(row.split()[0:3:2]) for row in rows}
+    assert all(float(v) > 0 for row in rows for v in row.split()[3:])
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPTS / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_summarises_canned_records():
+    # the last JSON line of perfbench/run.py, three pairs of parent and change
+    def record(pass_s: float, rss: float, failed: int = 0) -> dict:
+        line = json.dumps({
+            "correct": failed == 0, "attempted": 10, "failed": failed,
+            "metrics": {"pass_s": {"value": pass_s, "unit": "s"}, "peak_rss_mb": {"value": rss, "unit": "MB"}},
+        })
+        return json.loads(line)
+
+    pairs = [(record(0.5, 40.0), record(0.4, 40.5)), (record(0.6, 40.0), record(0.45, 39.0)), (record(0.55, 41.0), record(0.55, 41.0, 1))]
+    end_to_end = [{"name": "pass_s", "better": "lower"}, {"name": "op_p50_ms", "better": "lower"}, {"name": "peak_rss_mb", "better": "lower"}]
+    header, pass_s, rss, parent, change = _bench_pairs().summarise(pairs, end_to_end).splitlines()
+    assert header.split()[0] == "metric"
+    # medians 0.55 and 0.45, inclusive quartiles [0.525, 0.575] and [0.425, 0.5]; a tie counts for neither side
+    assert pass_s.split() == ["pass_s", "0.55", "[0.525,", "0.575]", "0.45", "[0.425,", "0.5]", "2/3"]
+    assert rss.split()[-1] == "1/3"
+    assert parent == "parent: 0 of 30 operations failed, every run correct: True"
+    assert change == "change: 1 of 30 operations failed, every run correct: False"
 
 
 def test_step_sources_prints_a_digest_per_state_kind():
