@@ -1060,6 +1060,7 @@ def _step(
 
     def body(trees: tuple[Expr, ...]) -> str:
         guarded = any(map(_may_turn_complex, trees))
+        # a guard names a map by its place, so a guarded body keeps every out, and any body one
         kept = [(o, e) for o, e in zip(outs, trees) if guarded or o not in leaves] or [(outs[0], trees[0])]
         lhs, kept = f"{join(o for o, _ in kept)} = ", tuple(e for _, e in kept)
         return _codegen(kept, args, len(kept) == 1, guarded, bound, lhs, inline)[0]
@@ -1068,7 +1069,7 @@ def _step(
         if isinstance(piece, str):
             return piece + "\n"
         lhs, values = piece[0], tuple(_fold(e, leaves) for e in piece[1])
-        reads = tuple(frozenset().union(*map(free_symbols, values)))
+        reads = tuple(frozenset().union(*map(free_symbols, values)))  # args, outs and the tail's names
         return _codegen(values, reads, len(lhs) == 1, False, bound, f"{join(lhs)} = ", True)[0].split("\n", 1)[1]
 
     kernels = body(trees)

@@ -180,11 +180,13 @@ class HamiltonianField:
 
     def h_gradients(self, t: float, q: float, p: float, guess: float = 0.0) -> tuple[float, float]:
         """(dH/dq, dH/dp); a Newton inversion starts from `guess`."""
-        return self._gradients(t, q, p, guess)[:2]
+        dh_q, dh_p, _, _ = self._gradients(t, q, p, guess)
+        return dh_q, dh_p
 
     def k_gradients(self, t: float, q: float, p: float, guess: float = 0.0) -> tuple[float, float]:
         """(dK/dq, dK/dp); a Newton inversion starts from `guess`."""
-        return self._gradients(t, q, p, guess)[2:]
+        _, _, dk_q, dk_p = self._gradients(t, q, p, guess)
+        return dk_q, dk_p
 
     def flow(self, t: float, q: float, p: float, guess: float = 0.0) -> tuple[float, float]:
         """(qd_flow, pd_flow) from the two-generator equations of motion."""
