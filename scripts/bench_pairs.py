@@ -5,7 +5,8 @@ after the other; the side that goes first alternates from pair to pair, and ever
 run has PYTHONDONTWRITEBYTECODE=1. The last line of a run's output is its JSON
 record. For each end-to-end metric of BENCHMARK.json, it prints each side's median
 and quartiles and the pairs the change won (better in the metric's direction; a tie
-counts for neither), then each side's failed and attempted operations.
+counts for neither), then each side's failed and attempted operations. Each pair's
+values go to standard error as the pair finishes.
 
 Usage:  python3 scripts/bench_pairs.py PARENT_TREE CHANGE_TREE --workload W
             [--pairs 10] [--seconds 15] [--seed 9]
@@ -72,13 +73,15 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=9)
     args = parser.parse_args()
 
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     pairs = []
     for k in range(args.pairs):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         record = {side: run(getattr(args, side), args.workload, args.seconds, args.seed) for side in order}
         pairs.append((record["parent"], record["change"]))
-        print(f"pair {k + 1}: {' then '.join(order)}", file=sys.stderr)
-    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+        values = (f"{m['name']} {pairs[-1][0]['metrics'][m['name']]['value']:.4g} -> "
+                  f"{pairs[-1][1]['metrics'][m['name']]['value']:.4g}" for m in end_to_end)
+        print(f"pair {k + 1}, {' then '.join(order)}: {'; '.join(values)}", file=sys.stderr)
     print(f"workload {args.workload}, seed {args.seed}, {args.seconds:g} s a run, {args.pairs} pairs")
     print(summarise(pairs, end_to_end))
 
