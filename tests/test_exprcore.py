@@ -745,13 +745,16 @@ def _run_floats(e, x: float) -> float:
 @settings(max_examples=400, deadline=None)
 def test_step_fold_moves_no_bit(tree, x):
     """`exprcore._fold`, the generated step's rule set: the folded tree gives every bit of the
-    tree's value, signed zeros, infinities and NaNs included, or raises the same error."""
+    tree's value, signed zeros and infinities included, a NaN where it gives a NaN, or raises
+    the same error. (Which of two NaN operands `+` and `*` keep depends on whether CPython 3.11
+    runs them specialised, as `_solution` in test_generated_step.py notes, so NaNs are one NaN.)"""
 
     def outcome(e):
         try:
-            return struct.pack("<d", _run_floats(e, x))
+            v = _run_floats(e, x)
         except ArithmeticError as err:
             return type(err)
+        return struct.pack("<d", v) if v == v else "nan"
 
     assert outcome(exprcore._fold(tree, {})) == outcome(tree)
     if x == x:  # with x put in as a constant, every operation on constants folds or stays
