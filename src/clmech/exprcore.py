@@ -1034,9 +1034,9 @@ def compile_step(
     `tail`, which set the slope; the piece `sample` sets s0, s1, s2 after
     stage 1. A piece is text, or a pair (names, trees) setting the names to
     the trees' values, folded by `_fold` and computed with plain `/` and `**`
-    as text is. A float state's outs that are constants or arguments go into
-    those trees, and the body assigns them only if it checks for an imaginary
-    part, which names a map by its place. With dt None the step returns
+    as text is. A float state's outs that are constants go into those trees,
+    and the body assigns them only if it checks for an imaginary part, which
+    names a map by its place. With dt None the step returns
     (*sample, x0, y0) from stage 1, or on a float state from the body of
     `last` alone, bound to the first `outs`. The `(name, value)` pairs of
     `names` are bound as globals.
@@ -1056,7 +1056,7 @@ def _step(
     bound: dict = {}
     t, state, n = args[0], args[1:], (len(args) - 1) // 2
     listed, join = n > 1, ", ".join
-    leaves = {} if listed else {o: e for o, e in zip(outs, trees) if isinstance(e, (Const, Sym))}
+    leaves = {} if listed else {o: e for o, e in zip(outs, trees) if isinstance(e, Const)}
 
     def body(trees: tuple[Expr, ...]) -> str:
         guarded = any(map(_may_turn_complex, trees))
