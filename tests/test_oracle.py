@@ -6,8 +6,10 @@ sympy splits 𝔏 into L and M over real symbols and builds the README's maps
     A_ab = df_a/dqd_b    f_q[a][b] = df_a/dq_b    f_t[a] = df_a/dt
 
 which must agree with `lagr.maps.kernel` to 1e-12 relative at seeded states.
+So must `wirtinger`, against sympy's own complex derivatives of 𝔏.
 """
 
+import cmath
 import math
 import random
 
@@ -24,9 +26,11 @@ from clmech.exprcore import parse  # noqa: E402
 from clmech.hamiltonian import HamiltonianField, invert_velocity  # noqa: E402
 from clmech.lagrangian import (  # noqa: E402
     ComplexLagrangian,
+    MechState,
     coordinate_names,
     derive_eom,
     velocity_names,
+    wirtinger,
 )
 
 RTOL = 1e-12
@@ -113,9 +117,9 @@ _PART = st.one_of(st.just(0.0), st.floats(-3.0, 3.0, allow_nan=False, allow_infi
 
 
 @st.composite
-def _lagrangians(draw):
+def _lagrangians(draw, max_dim=3):
     """(source, dim, omega0): a sum of complex coefficients times terms."""
-    dim = draw(st.integers(1, 3))
+    dim = draw(st.integers(1, max_dim))
     index = st.integers(0, dim - 1)
     coords, vels = coordinate_names(dim), velocity_names(dim)
     terms = []
@@ -134,6 +138,41 @@ def _lagrangians(draw):
 def test_generated_maps_match_sympy(drawn, seed):
     source, dim, omega0 = drawn
     _assert_maps_agree(source, ComplexLagrangian(parse(source), omega0, dim), seed)
+
+
+def _assert_wirtinger_agrees(source: str, lagr: ComplexLagrangian, seed: int) -> None:
+    """`wirtinger` at each coordinate against (d𝔏/dqd_a - (i/omega0) d𝔏/dq_a)/sqrt(2) from
+    sympy's derivatives of the complex 𝔏, each split into its real and imaginary parts."""
+    t, q, qd, params = _symbols(lagr)
+    names = {s.name: s for s in (t, *q, *qd, *params)}
+    names.update(i=sympy.I, ln=sympy.log)
+    expr = sympy.sympify(source.replace("^", "**"), locals=names)
+    w0 = sympy.Float(lagr.omega0)
+    parts = []
+    for a in range(lagr.dim):
+        w = (sympy.diff(expr, qd[a]) - sympy.I / w0 * sympy.diff(expr, q[a])) / sympy.sqrt(2)
+        parts += w.as_real_imag()
+    want_at = sympy.lambdify([t, *q, *qd, *params], parts, modules="math")
+    for t0, q0, qd0 in _states(lagr.dim, seed):
+        vals = [float(v) for v in want_at(t0, *q0, *qd0, *lagr.params.values())]
+        state = MechState(t0, q0, qd0)
+        for a in range(lagr.dim):
+            got, want = wirtinger(lagr, state, a), complex(vals[2 * a], vals[2 * a + 1])
+            assert cmath.isclose(got, want, rel_tol=RTOL, abs_tol=RTOL * max(1.0, abs(want))), (
+                f"{source}: wirtinger {a} is {got!r}, sympy gives {want!r} at t={t0}, q={q0}, qd={qd0}"
+            )
+
+
+@pytest.mark.parametrize("name, sc", BUNDLED, ids=[name for name, _ in BUNDLED])
+def test_bundled_wirtinger_matches_sympy(name, sc):
+    _assert_wirtinger_agrees(sc.lagrangian, sc.build_lagrangian(), seed=len(name))
+
+
+@given(_lagrangians(max_dim=1), st.integers(0, 2**16))
+@settings(max_examples=50, deadline=None)
+def test_generated_wirtinger_matches_sympy(drawn, seed):
+    source, dim, omega0 = drawn
+    _assert_wirtinger_agrees(source, ComplexLagrangian(parse(source), omega0, dim), seed)
 
 
 REGULAR = [(name, sc) for name, sc in BUNDLED if sc.closure_mass is None]
