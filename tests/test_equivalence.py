@@ -1,11 +1,16 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_exprcore import TERM_TEMPLATES
 
+from clmech import suites
 from clmech.equivalence import (
     EQUIVALENT,
     INCONCLUSIVE,
     NOT_EQUIVALENT,
+    RESIDUAL_RTOL,
+    SKIP_FRACTION_LIMIT,
+    EquivalenceReport,
     Ffunction,
     GaugeDependsOnVelocity,
     LagrangianPair,
@@ -13,9 +18,16 @@ from clmech.equivalence import (
     gauge_add,
     integrability_residual,
 )
-from clmech.corpus import corpus_scenario
+from clmech.corpus import bundled_corpus, corpus_scenario
 from clmech.exprcore import Const, Sym, parse
-from clmech.lagrangian import ComplexLagrangian
+from clmech.lagrangian import (
+    ComplexLagrangian,
+    DegenerateWithoutClosure,
+    SingularMass,
+    _accel,
+    _dot,
+    derive_eom,
+)
 from clmech.sampling import sample_states
 
 OSC = ComplexLagrangian(parse("0.5*m*qd^2 - 0.5*k*q^2"), 1.0, params={"m": 1.0, "k": 1.0})
@@ -240,3 +252,210 @@ class TestPinnedReports:
         rep = eom_equivalent(self.suite_pair(name, label), SAMPLES)
         cross = None if rep.accel_cross_max is None else rep.accel_cross_max.hex()
         assert (rep.verdict, rep.max_residual.hex(), rep.scale.hex(), rep.n_skipped, cross) == expected
+
+
+# --- the per-sample loop eom_equivalent ran before its array pass ------------
+
+
+def _regular_or_none(lagr, probe):
+    try:
+        return derive_eom(lagr, probe)
+    except DegenerateWithoutClosure:
+        return None
+
+
+def reference_eom_equivalent(pair, samples):
+    """A frozen copy of the per-sample loop: one kernel call of the difference maps
+    and at most one `_accel` per system at each sample, summed on floats."""
+    if not samples:
+        raise ValueError("at least one sample state is required")
+    lagr = pair.first
+    n = pair.dim
+    maps = ComplexLagrangian(pair.second.expr - lagr.expr, lagr.omega0, n, lagr.params).maps
+    eom1 = _regular_or_none(pair.first, samples[0])
+    eom2 = _regular_or_none(pair.second, samples[0])
+    max_residual = 0.0
+    scale = 1.0
+    n_skipped = 0
+    cross_max = None
+    for s in samples:
+        _, g, c, d, e = maps(s.t, s.q, s.qd)
+        d_qd = [_dot(row, s.qd) for row in d]
+        a1 = None
+        c_max = max(abs(x) for row in c for x in row)
+        if c_max > 1e-14 * max(1.0, max(abs(x) for row in d for x in row)):
+            if eom1 is None:
+                n_skipped += 1
+                continue
+            try:
+                a1 = _accel(eom1.maps, s.t, s.q, s.qd)[0]
+            except SingularMass:
+                n_skipped += 1
+                continue
+            c_a = [_dot(row, a1) for row in c]
+        else:
+            c_a = [0.0] * n
+        for a in range(n):
+            residual = ((c_a[a] + d_qd[a]) + e[a]) - g[a]
+            scale = max(scale, abs(c_a[a]), abs(d_qd[a]), abs(e[a]), abs(g[a]))
+            max_residual = max(max_residual, abs(residual))
+        if eom1 is not None and eom2 is not None:
+            try:
+                if a1 is None:
+                    a1 = _accel(eom1.maps, s.t, s.q, s.qd)[0]
+                a2 = _accel(eom2.maps, s.t, s.q, s.qd)[0]
+            except SingularMass:
+                pass
+            else:
+                gap = max(abs(x - y) for x, y in zip(a1, a2))
+                cross_max = gap if cross_max is None else max(cross_max, gap)
+    if n_skipped > SKIP_FRACTION_LIMIT * len(samples):
+        return EquivalenceReport(INCONCLUSIVE, max_residual, scale, len(samples), n_skipped, cross_max)
+    ok = max_residual <= RESIDUAL_RTOL * scale
+    if cross_max is not None and cross_max > RESIDUAL_RTOL * scale:
+        ok = False
+    return EquivalenceReport(
+        EQUIVALENT if ok else NOT_EQUIVALENT, max_residual, scale, len(samples), n_skipped, cross_max
+    )
+
+
+def outcome(run):
+    """The report's repr, or the exception's type and text."""
+    try:
+        return repr(run())
+    except Exception as err:  # noqa: BLE001 - the type and text are compared
+        return type(err).__name__, str(err)
+
+
+def assert_same_report(pair, samples):
+    got = outcome(lambda: eom_equivalent(pair, samples))
+    assert got == outcome(lambda: reference_eom_equivalent(pair, samples))
+    return got
+
+
+def _suite_calls(seed):
+    """(pair, samples) of every eom_equivalent call the equivalence suite makes on the corpus."""
+    calls = []
+
+    def record(pair, samples):
+        calls.append((pair, samples))
+        return eom_equivalent(pair, samples)
+
+    for sc in bundled_corpus():
+        if "equivalence" in sc.checks:
+            old, suites.eom_equivalent = suites.eom_equivalent, record
+            try:
+                suites.equivalence_suite(suites.RunContext(sc), seed)
+            finally:
+                suites.eom_equivalent = old
+    return calls
+
+
+OSC_PARAMS = {"m": 1.0, "k": 1.0, "c": 0.0}
+
+
+def _with_c(source, c, params=OSC_PARAMS):
+    return ComplexLagrangian(parse(source), 1.0, params={**params, "c": c})
+
+
+class TestReferenceParity:
+    """`eom_equivalent` against the per-sample loop above: every report field by
+    repr, or the same exception type and text."""
+
+    @pytest.mark.parametrize("seed", [0xC0FFEE, 9, 31])
+    def test_corpus_suite_pairs(self, seed):
+        calls = _suite_calls(seed)
+        assert len(calls) == 10
+        for pair, samples in calls:
+            assert_same_report(pair, samples)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("gauge", ["q1*q2*t", "(1 + 0.5*i)*q1*q2*t + sin(q1)", "i*c*q1^2"])
+    def test_gauge_pairs_above_one_coordinate(self, dim, gauge):
+        base = ComplexLagrangian(parse(COUPLED[dim]), 1.7, dim, {"m": 1.3, "k": 0.7, "c": 0.4})
+        pair = LagrangianPair(base, gauge_add(base, parse(gauge)))
+        assert_same_report(pair, sample_states(dim, 64, 5))
+        assert_same_report(pair, sample_states(dim, 256, 0xC0FFEE))
+
+    @pytest.mark.parametrize("label", ["gauge-quadratic", "potential-shift", "gauge-complex", "qd-cubed"])
+    def test_degenerate_base(self, label):
+        pair = TestPinnedReports.suite_pair("gauge_pair_imaginary", label)
+        assert_same_report(pair, SAMPLES)
+
+    def test_singular_mass_at_one_sample(self):
+        # the base mass (q - c)^2 is exactly zero at sample 7's q, where the
+        # partner's extra qd^2 needs the base acceleration
+        base = _with_c("0.5*(q - c)^2*qd^2 - 0.5*k*q^2", SAMPLES[7].q[0])
+        partner = ComplexLagrangian(base.expr + parse("qd^2"), 1.0, params=base.params)
+        got = assert_same_report(LagrangianPair(base, partner), SAMPLES)
+        assert "n_skipped=1," in got and "verdict='not-equivalent'" in got
+
+    def test_inconclusive_on_mostly_singular_samples(self):
+        # a subnormal mass: b/a overflows at most samples, so the residual test fails
+        base = _with_c("0.5*c*qd^2 - 0.5*k*q^2", 1e-310)
+        partner = ComplexLagrangian(base.expr + parse("qd^2"), 1.0, params=base.params)
+        got = assert_same_report(LagrangianPair(base, partner), SAMPLES)
+        assert "verdict='inconclusive'" in got
+
+    @pytest.mark.parametrize("term", ["q*ln(q + 1)", "sqrt(q + 1)*qd", "1/(q - c)"])
+    def test_domain_error_in_the_difference_maps(self, term):
+        base = _with_c("0.5*m*qd^2 - 0.5*k*q^2", SAMPLES[40].q[0])
+        partner = ComplexLagrangian(base.expr + parse(term), 1.0, params=base.params)
+        got = assert_same_report(LagrangianPair(base, partner), SAMPLES)
+        assert got[0] == "DomainError"
+
+    @pytest.mark.parametrize("partner_term", ["qd^2", "t*qd^2", "2*q*qd"])
+    def test_domain_error_in_the_base_acceleration(self, partner_term):
+        # the base force map takes ln(q + 1); the first sample has q > -1
+        base = _with_c("0.5*m*qd^2 - q*ln(q + 1)", 0.0)
+        assert SAMPLES[0].q[0] > -1
+        partner = ComplexLagrangian(base.expr + parse(partner_term), 1.0, params=base.params)
+        got = assert_same_report(LagrangianPair(base, partner), SAMPLES)
+        assert got == ("DomainError", "ln of nonpositive real")
+
+    def test_empty_samples(self):
+        assert assert_same_report(LagrangianPair(OSC, OSC), [])[0] == "ValueError"
+
+
+_COEFF = st.floats(-2.0, 2.0, allow_nan=False).map(lambda x: round(x, 2))
+
+
+@st.composite
+def _drawn_pairs(draw):
+    """A one-coordinate base of TERM_TEMPLATES terms with complex coefficients, and
+    a partner that adds a gauge term or a further term."""
+    names = dict(qa="q", qb="q", va="qd", vb="qd")
+    terms = [
+        f"({draw(_COEFF)!r} + {draw(_COEFF)!r}*i)*({draw(st.sampled_from(TERM_TEMPLATES)).format(**names)})"
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    base = ComplexLagrangian(parse("0.5*qd^2 + " + " + ".join(terms)), draw(st.sampled_from([1.0, 0.7, 2.5])))
+    if draw(st.booleans()):
+        gauge = draw(st.sampled_from(["q*q*t", "sin(q)", "exp(-q^2/2)*t", "(1 + i)*q"]))
+        return LagrangianPair(base, gauge_add(base, parse(gauge)))
+    extra = draw(st.sampled_from(TERM_TEMPLATES)).format(**names)
+    partner = ComplexLagrangian(base.expr + parse(f"{draw(_COEFF)!r}*({extra})"), base.omega0)
+    return LagrangianPair(base, partner)
+
+
+@given(_drawn_pairs(), st.integers(0, 2**16))
+@settings(max_examples=60, deadline=None)
+def test_drawn_pairs_match_the_loop(pair, seed):
+    """On exp, ln and sqrt terms, numpy's lanes may differ from libm's scalars by a few
+    ulp, so the reports need not be equal bit for bit: the verdict, the sample and skip
+    counts and any exception must be, and max_residual and the acceleration cross-gap
+    must agree within 1e-15 times the scale."""
+    samples = sample_states(1, 64, seed)
+    got = outcome(lambda: eom_equivalent(pair, samples))
+    want = outcome(lambda: reference_eom_equivalent(pair, samples))
+    if got == want:
+        return
+    assert isinstance(got, str) and isinstance(want, str), (got, want)
+    new, old = eom_equivalent(pair, samples), reference_eom_equivalent(pair, samples)
+    assert (new.verdict, new.n_samples, new.n_skipped) == (old.verdict, old.n_samples, old.n_skipped)
+    assert (new.accel_cross_max is None) == (old.accel_cross_max is None)
+    bound = 1e-15 * old.scale
+    assert abs(new.scale - old.scale) <= bound
+    assert abs(new.max_residual - old.max_residual) <= bound
+    if old.accel_cross_max is not None:
+        assert abs(new.accel_cross_max - old.accel_cross_max) <= bound
