@@ -29,7 +29,10 @@ checks that integrability residual, it never constructs Phi.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence
+
+import numpy as np
 
 from .exprcore import (
     Const,
@@ -46,9 +49,11 @@ from .lagrangian import (
     EomSystem,
     MechState,
     SingularMass,
-    derive_eom,
-    _accel,
+    _PIVOT_RATIO,
+    _SOLVE_RESIDUAL,
     _dot,
+    derive_eom,
+    solve_linear,
 )
 
 EQUIVALENT = "equivalent"
@@ -115,15 +120,53 @@ def _regular_or_none(lagr: ComplexLagrangian, probe: MechState) -> EomSystem | N
         return None
 
 
-def eom_equivalent(
-    pair: LagrangianPair, samples: Sequence[MechState]
-) -> EquivalenceReport:
+def _lane_max(cols) -> np.ndarray:
+    """Python's `max` of the columns, lane by lane: a later value replaces only a greater one."""
+    return reduce(lambda out, x: np.where(x > out, x, out), cols)
+
+
+def _fold_max(start: float, values: np.ndarray) -> float:
+    """Python's `max(start, *values)` for values without -0.0: the largest one above `start`, or `start`."""
+    above = values[values > start]
+    return float(above.max()) if above.size else start
+
+
+def _accelerations(eom: EomSystem | None, samples: Sequence[MechState], qd: list[np.ndarray]):
+    """`_accel`'s acceleration at each sample (a row per coordinate), the mask of samples where
+    it raises SingularMass (all of them without a system), and the kernel's DomainErrors by
+    sample: `_solve_scalar`'s arithmetic lane by lane at one coordinate, `solve_linear` per
+    sample on the floats read from the lanes above."""
+    n, count = len(qd), len(samples)
+    if eom is None:
+        return np.full((n, count), np.nan), np.ones(count, bool), {}
+    vals, errors = eom.maps.columns(samples)
+    _, g, A, f_q, f_t = eom.maps.split(vals)
+    b = [g[a] - _dot(f_q[a], qd) - f_t[a] for a in range(n)]
+    if n == 1:
+        a, b = A[0][0], b[0]
+        s, x = np.abs(a), b / a
+        singular = (s == 0.0) | (s <= _PIVOT_RATIO * s) | (np.abs(a * x - b) > _SOLVE_RESIDUAL * (1.0 + np.abs(b)))
+        return x[None], singular, errors
+    out, singular = np.full((n, count), np.nan), np.zeros(count, bool)
+    for k, (rows, rhs) in enumerate(zip(np.transpose(A, (2, 0, 1)).tolist(), np.transpose(b).tolist())):
+        try:
+            out[:, k] = solve_linear(rows, rhs)
+        except SingularMass:
+            singular[k] = True
+    return out, singular, errors
+
+
+def eom_equivalent(pair: LagrangianPair, samples: Sequence[MechState]) -> EquivalenceReport:
     """Sampled verdict on whether the pair shares equations of motion.
 
     Residuals are compared against RESIDUAL_RTOL times a scale built from the
     largest constituent term seen, so a zero residual from large cancelling
     terms still counts as zero. When both systems are regular the two
     acceleration fields are also compared directly and must agree.
+
+    Each kernel is read once over all samples (`_Maps.columns`) and the
+    arithmetic runs lane by lane in the order it has sample by sample; a
+    DomainError is the one a sample-by-sample pass would meet first.
     """
     if not samples:
         raise ValueError("at least one sample state is required")
@@ -134,58 +177,37 @@ def eom_equivalent(
 
     eom1 = _regular_or_none(pair.first, samples[0])
     eom2 = _regular_or_none(pair.second, samples[0])
+    both = eom1 is not None and eom2 is not None
+    vals, errors = maps.columns(samples)
+    _, g, c, d, e = maps.split(vals)
+    qd = [np.array(v) for v in zip(*(s.qd for s in samples))]
 
-    max_residual = 0.0
-    scale = 1.0
-    n_skipped = 0
-    cross_max: float | None = None
+    with np.errstate(all="ignore"):  # IEEE results, as the floats of one sample give
+        a1, singular1, errors1 = _accelerations(eom1, samples, qd)
+        a2, singular2, errors2 = _accelerations(eom2 if both else None, samples, qd)
+        # a sample needs the acceleration where c is not negligible against d, and is skipped without it
+        c_max, d_max = (_lane_max(np.abs(x) for row in m for x in row) for m in (c, d))
+        need = c_max > 1e-14 * _lane_max((1.0, d_max))
+        for k in sorted({*errors, *errors1, *errors2}):
+            # a sample reads the difference maps, the first system where it needs or cross-checks
+            # its acceleration, and the second where the first solved
+            reads = (errors, True), (errors1, need[k] or both), (errors2, not singular1[k])
+            if err := next((errs[k] for errs, read in reads if read and k in errs), None):
+                raise err
+        used = ~(need & singular1)
+        c_a = [np.where(need, _dot(row, a1), 0.0) for row in c]
+        d_qd = [_dot(row, qd) for row in d]
+        residual = [((c_a[a] + d_qd[a]) + e[a]) - g[a] for a in range(n)]
+        max_residual = _fold_max(0.0, np.abs(residual)[:, used])
+        scale = _fold_max(1.0, np.abs([*c_a, *d_qd, *e, *g])[:, used])
+        gaps = _lane_max(np.abs(x - y) for x, y in zip(a1, a2))[~(singular1 | singular2)]
+    cross_max = _fold_max(float(gaps[0]), gaps[1:]) if gaps.size else None
+    n_skipped = len(samples) - int(used.sum())
 
-    for s in samples:
-        _, g, c, d, e = maps(s.t, s.q, s.qd)
-        d_qd = [_dot(row, s.qd) for row in d]
-
-        a1 = None  # the first system's acceleration, once computed
-        c_max = max(abs(x) for row in c for x in row)
-        if c_max > 1e-14 * max(1.0, max(abs(x) for row in d for x in row)):
-            if eom1 is None:
-                n_skipped += 1
-                continue
-            try:
-                a1 = _accel(eom1.maps, s.t, s.q, s.qd)[0]
-            except SingularMass:
-                n_skipped += 1
-                continue
-            c_a = [_dot(row, a1) for row in c]
-        else:
-            c_a = [0.0] * n
-
-        for a in range(n):
-            residual = ((c_a[a] + d_qd[a]) + e[a]) - g[a]
-            scale = max(scale, abs(c_a[a]), abs(d_qd[a]), abs(e[a]), abs(g[a]))
-            max_residual = max(max_residual, abs(residual))
-
-        if eom1 is not None and eom2 is not None:
-            try:
-                if a1 is None:
-                    a1 = _accel(eom1.maps, s.t, s.q, s.qd)[0]
-                a2 = _accel(eom2.maps, s.t, s.q, s.qd)[0]
-            except SingularMass:
-                pass
-            else:
-                gap = max(abs(x - y) for x, y in zip(a1, a2))
-                cross_max = gap if cross_max is None else max(cross_max, gap)
-
-    if n_skipped > SKIP_FRACTION_LIMIT * len(samples):
-        return EquivalenceReport(
-            INCONCLUSIVE, max_residual, scale, len(samples), n_skipped, cross_max
-        )
-    ok = max_residual <= RESIDUAL_RTOL * scale
-    if cross_max is not None and cross_max > RESIDUAL_RTOL * scale:
-        ok = False
-    verdict = EQUIVALENT if ok else NOT_EQUIVALENT
-    return EquivalenceReport(
-        verdict, max_residual, scale, len(samples), n_skipped, cross_max
-    )
+    bound = RESIDUAL_RTOL * scale
+    ok = max_residual <= bound and not (cross_max is not None and cross_max > bound)
+    verdict = INCONCLUSIVE if n_skipped > SKIP_FRACTION_LIMIT * len(samples) else EQUIVALENT if ok else NOT_EQUIVALENT
+    return EquivalenceReport(verdict, max_residual, scale, len(samples), n_skipped, cross_max)
 
 
 def gauge_add(lagr: ComplexLagrangian, gauge: Expr) -> ComplexLagrangian:

@@ -53,9 +53,9 @@ class OneForm:
     state: MechState
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dq", tuple(float(x) for x in self.dq))
-        object.__setattr__(self, "dqd", tuple(float(x) for x in self.dqd))
-        if not all(math.isfinite(x) for x in self.dq + self.dqd):
+        object.__setattr__(self, "dq", tuple(map(float, self.dq)))
+        object.__setattr__(self, "dqd", tuple(map(float, self.dqd)))
+        if not all(map(math.isfinite, self.dq + self.dqd)):
             raise ValueError("one-form coefficients must be finite")
         if len(self.dq) != len(self.dqd):
             raise ValueError("coefficient vectors must have equal length")
@@ -65,7 +65,7 @@ def _form(dq, dqd, s: MechState) -> OneForm:
     """The form at s; coefficients that are not finite put s outside the maps' domain."""
     if not all(map(math.isfinite, (*dq, *dqd))):
         raise DomainError(f"one-form coefficients are not finite at t={s.t!r}, q={s.q!r}, qd={s.qd!r}")
-    return OneForm(dq=tuple(dq), dqd=tuple(dqd), state=s)
+    return OneForm(dq, dqd, s)
 
 
 def theta(lagr: ComplexLagrangian, eom: EomSystem, s: MechState) -> OneForm:
@@ -77,6 +77,16 @@ def lie_theta(lagr: ComplexLagrangian, eom: EomSystem, s: MechState) -> OneForm:
     """Closed-form Lie derivative of Theta along the flow: g_a dq^a + f_a dqd^a."""
     f, g, *_ = eom.maps(s.t, s.q, s.qd)
     return _form(g, f, s)
+
+
+def _lie_forms(eom: EomSystem, states: list[MechState]) -> list[OneForm]:
+    """`lie_theta` at each state from one `lanes` read (`_Maps.columns`), raising where the state loop first would."""
+    n, (vals, errors) = eom.dim, eom.maps.columns(states)
+    first = min(errors, default=len(states))
+    forms = [_form(v[n : 2 * n], v[:n], s) for v, s in zip(vals.T.tolist(), states[:first])]
+    if errors:
+        raise errors[first]
+    return forms
 
 
 def rhs_pairing_form(lagr: ComplexLagrangian, s: MechState) -> OneForm:

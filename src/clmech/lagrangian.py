@@ -179,6 +179,13 @@ class ComplexLagrangian:
         """The derived maps f, g, A, f_q, f_t and their kernels."""
         return _Maps(self)
 
+    @cached_property
+    def _wirtinger(self) -> Callable[..., tuple[complex, ...]]:
+        """The complex kernel of every dLagr/dqd_a, then every dLagr/dq_a, built from
+        the expression itself, not from `split`'s L and M."""
+        trees = tuple(diff(self.expr, x) for x in self.vels + self.coords)
+        return compile_expr(trees, ("t", *self.coords, *self.vels), self.params)
+
     def bindings(self, s: MechState) -> dict[str, float]:
         b = dict(self.params)
         b["t"] = s.t
@@ -205,7 +212,8 @@ class _Maps:
     a derive that only classifies never compiles one.
 
     `lanes` is `kernel` over arrays of samples (`compile_expr`'s `vectorized`
-    mode), for passes over whole trajectories. `step` is `exprcore.compile_step`'s
+    mode), for passes over whole trajectories; `columns` reads it at a list of
+    sample states, as the scalar kernel would sample by sample. `step` is `exprcore.compile_step`'s
     RK4 step of (q, qd) giving qd, p and the EL residual, on floats at one
     coordinate and on lists above. There a mass matrix that folds to constants
     is eliminated at compile time (`_solve_plan`); one that varies is solved at
@@ -292,6 +300,23 @@ class _Maps:
     def __call__(self, t: float, q: Sequence[float], qd: Sequence[float]):
         """(f, g, A, f_q, f_t) at (t, q, qd); matrices as tuples of rows."""
         return self.split(self.kernel(t, *q, *qd))
+
+    def columns(self, samples: Sequence[MechState]) -> tuple[np.ndarray, dict[int, DomainError]]:
+        """The kernel's flat values at the samples, one row per value, from one `lanes` call,
+        and the DomainError of each sample where the kernel fails, by index. Where a lane
+        fails, the scalar kernel runs sample by sample, so each error is the one its call
+        raises, and a failing sample's column is NaN."""
+        points = [(s.t, *s.q, *s.qd) for s in samples]
+        try:
+            return np.array(self.lanes(*map(np.array, zip(*points)))), {}
+        except DomainError:
+            out, errors = np.full((len(self._all), len(points)), np.nan), {}
+        for k, point in enumerate(points):
+            try:
+                out[:, k] = self.kernel(*point)
+            except DomainError as err:
+                errors[k] = err
+        return out, errors
 
 
 @dataclass(frozen=True, eq=False)
@@ -682,14 +707,13 @@ def closure_velocity(eom: EomSystem, t: float, q, guess=None) -> np.ndarray:
 
 
 def wirtinger(lagr: ComplexLagrangian, s: MechState, a: int = 0) -> complex:
-    """(1/sqrt(2)) [dLagr/dqd_a - (i/omega0) dLagr/dq_a] evaluated at s.
+    """(1/sqrt(2)) [dLagr/dqd_a - (i/omega0) dLagr/dq_a] at s, read from the
+    Lagrangian's compiled complex kernel of the two derivatives.
 
     Coordinate index `a` is 0-based.
     """
-    b = lagr.bindings(s)
-    d_vel = evaluate(diff(lagr.expr, lagr.vels[a]), b)
-    d_pos = evaluate(diff(lagr.expr, lagr.coords[a]), b)
-    return (d_vel - (1j / lagr.omega0) * d_pos) / math.sqrt(2.0)
+    d = lagr._wirtinger(s.t, *s.q, *s.qd)
+    return (d[a] - (1j / lagr.omega0) * d[lagr.dim + a]) / math.sqrt(2.0)
 
 
 def to_complex_phase(

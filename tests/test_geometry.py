@@ -1,20 +1,34 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from clmech import geometry
+from clmech.corpus import bundled_corpus
 from clmech.dynamics import integrate
-from clmech.exprcore import parse
+from clmech.exprcore import DomainError, diff, evaluate, parse
 from clmech.geometry import (
     CARTAN_SUBSTEPS,
     OneForm,
+    _lie_forms,
     lie_theta,
     lie_theta_cartan,
     rhs_pairing_form,
     theta,
 )
-from clmech.lagrangian import ComplexLagrangian, MechState, derive_eom, force, momentum
+from clmech.lagrangian import (
+    ComplexLagrangian,
+    DegenerateWithoutClosure,
+    MechState,
+    coordinate_names,
+    derive_eom,
+    force,
+    momentum,
+    velocity_names,
+)
 from clmech.sampling import sample_states
+from clmech.suites import RunContext
 
 PROBE = MechState(0.0, (1.0,), (1.0,))
 
@@ -146,3 +160,124 @@ class TestCartanCrossCheck:
         ct = lie_theta_cartan(lagr, eom, s)
         cf = lie_theta(lagr, eom, s)
         assert ct.dq[0] == pytest.approx(cf.dq[0], abs=1e-9)
+
+
+# --- the per-state loops the geometry suite ran before its lane read ---------
+
+
+def _reference_form(dq, dqd, s):
+    if not all(map(math.isfinite, (*dq, *dqd))):
+        raise DomainError(f"one-form coefficients are not finite at t={s.t!r}, q={s.q!r}, qd={s.qd!r}")
+    return OneForm(dq=tuple(dq), dqd=tuple(dqd), state=s)
+
+
+def reference_lie_forms(eom, states):
+    """A frozen copy of `lie_theta` at each state: one kernel call per state."""
+    forms = []
+    for s in states:
+        f, g, *_ = eom.maps(s.t, s.q, s.qd)
+        forms.append(_reference_form(g, f, s))
+    return forms
+
+
+def _reference_wirtinger(lagr, s, a):
+    b = lagr.bindings(s)
+    d_vel = evaluate(diff(lagr.expr, lagr.vels[a]), b)
+    d_pos = evaluate(diff(lagr.expr, lagr.coords[a]), b)
+    return (d_vel - (1j / lagr.omega0) * d_pos) / math.sqrt(2.0)
+
+
+def reference_pairing_forms(lagr, states):
+    """A frozen copy of `rhs_pairing_form` at each state, its derivatives walked by `evaluate`."""
+    forms = []
+    for s in states:
+        dq, dqd = [], []
+        for a in range(lagr.dim):
+            z = math.sqrt(2.0) * _reference_wirtinger(lagr, s, a)
+            dq.append(-lagr.omega0 * z.imag)
+            dqd.append(z.real)
+        forms.append(_reference_form(dq, dqd, s))
+    return forms
+
+
+def outcome(run):
+    """The forms' repr, or the exception's type and text."""
+    try:
+        return repr(run())
+    except Exception as err:  # noqa: BLE001 - the type and text are compared
+        return type(err).__name__, str(err)
+
+
+def assert_same_forms(lagr, eom, states):
+    """The lane-read Lie forms and the compiled pairing forms against the loops, by repr;
+    returns the two outcomes."""
+    lies = outcome(lambda: _lie_forms(eom, states))
+    assert lies == outcome(lambda: reference_lie_forms(eom, states))
+    pairs = outcome(lambda: [rhs_pairing_form(lagr, s) for s in states])
+    assert pairs == outcome(lambda: reference_pairing_forms(lagr, states))
+    return lies, pairs
+
+
+GEOMETRY_CORPUS = [sc for sc in bundled_corpus() if "geometry" in sc.checks]
+
+
+@pytest.mark.filterwarnings("error")
+class TestReferenceParity:
+    @pytest.mark.parametrize("seed", [0xC0FFEE, 9, 31])
+    @pytest.mark.parametrize("sc", GEOMETRY_CORPUS, ids=[sc.name for sc in GEOMETRY_CORPUS])
+    def test_corpus_states(self, sc, seed):
+        lagr, eom, _ = RunContext(sc).derived
+        assert_same_forms(lagr, eom, sample_states(sc.dim, 100, seed))
+
+    @pytest.mark.parametrize("idx", range(len(FAMILIES)))
+    def test_families(self, idx):
+        assert_same_forms(*FAMILIES[idx], sample_states(1, 100))
+
+    def test_two_coordinates(self):
+        lagr, eom = make("0.5*(qd1^2 + qd2^2) - 0.5*(q1^2 + 2*q2^2) + i*q1*qd2 + sin(q2)*t", dim=2)
+        assert_same_forms(lagr, eom, sample_states(2, 100, 5))
+
+    def test_overflowing_coefficient(self):
+        # f = 1e308 q^3 qd overflows at the first state with |q^3 qd| > 1.8
+        lagr, eom = make("big*q^3*qd^2", params={"big": 5e307})
+        lies, pairs = assert_same_forms(lagr, eom, sample_states(1, 100))
+        assert lies[0] == pairs[0] == "DomainError"
+        assert lies[1].startswith("one-form coefficients are not finite at")
+
+    @pytest.mark.parametrize("term", ["q*ln(q + 1)", "sqrt(q + 1)*qd"])
+    def test_kernel_domain_error(self, term):
+        # lanes fail; the state named is the first where the per-state loop fails
+        lagr, eom = make(f"0.5*qd^2 + {term}", params={})
+        lies, _ = assert_same_forms(lagr, eom, sample_states(1, 100))
+        assert lies[0] == "DomainError"
+
+
+POLY_TEMPLATES = ("{va}*{vb}", "{qa}*{vb}", "cos({qa})", "sqrt(1 + {va}^2)", "t*{qa}")
+PART = st.floats(-2.0, 2.0, allow_nan=False).map(lambda x: round(x, 2))
+
+
+@st.composite
+def _drawn(draw):
+    """A Lagrangian over one or two coordinates of terms whose lanes are the scalar
+    kernel's values bit for bit: no exp or ln."""
+    dim = draw(st.integers(1, 2))
+    coords, vels, index = coordinate_names(dim), velocity_names(dim), st.integers(0, dim - 1)
+    terms = [f"0.5*{v}^2" for v in vels]
+    for _ in range(draw(st.integers(1, 3))):
+        a, b = draw(index), draw(index)
+        names = dict(qa=coords[a], qb=coords[b], va=vels[a], vb=vels[b])
+        terms.append(f"({draw(PART)!r} + {draw(PART)!r}*i)*({draw(st.sampled_from(POLY_TEMPLATES)).format(**names)})")
+    return " + ".join(terms), dim, draw(st.sampled_from([1.0, 0.7, 2.5]))
+
+
+@given(_drawn(), st.integers(0, 2**16))
+@settings(max_examples=40, deadline=None)
+def test_drawn_forms_match_the_loops(drawn, seed):
+    source, dim, omega0 = drawn
+    lagr = ComplexLagrangian(parse(source), omega0, dim)
+    states = sample_states(dim, 50, seed)
+    try:
+        eom = derive_eom(lagr, states[0])
+    except DegenerateWithoutClosure:
+        assume(False)
+    assert_same_forms(lagr, eom, states)

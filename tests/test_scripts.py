@@ -167,3 +167,16 @@ def test_report_diff_flags_changed_tags_and_moved_values(command, tmp_path):
     assert text.count(value) == 1
     done = diff(text.replace(value, repr(float(value) * (1 + 1e-9))))
     assert done.returncode == 1 and done.stdout.splitlines()[-1] == "DIFFER"
+
+
+def test_suite_timing_prints_every_declared_suite():
+    done = run_script("suite_timing.py", "--repeats", "1")
+    assert done.returncode == 0, done.stderr
+    header, *rows = done.stdout.splitlines()
+    assert header.split() == ["scenario", "suite", "median", "ms"]
+    printed = [tuple(row.split()[:2]) for row in rows]
+    declared = [(p.stem, suite) for p in sorted((ROOT / "scenarios").glob("*.json"))
+                for suite in json.loads(p.read_text())["checks"]]
+    assert sorted(row for row in printed if row[0] != "total") == sorted(declared)
+    assert {suite for name, suite in printed if name == "total"} == {suite for _, suite in declared} | {"all"}
+    assert all(float(row.split()[2]) > 0 for row in rows)

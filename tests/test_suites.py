@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -219,3 +220,16 @@ class TestRunContext:
         assert [res.suite for res in results] == ["noether", "geometry"]
         for res in results:
             assert any("closure flow violates" in note for note in res.notes)
+
+
+class TestNoWarningEscapes:
+    """The array passes compute IEEE infinities and NaNs under numpy's errstate;
+    none of numpy's RuntimeWarnings may reach the caller."""
+
+    @pytest.mark.parametrize("suite", ["equivalence", "geometry"])
+    @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.stem)
+    def test_check_warns_nothing(self, suite, path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["check", suite, str(path)]) == 0
+        assert capsys.readouterr().err == ""
