@@ -28,6 +28,7 @@ checks that integrability residual, it never constructs Phi.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
@@ -49,8 +50,6 @@ from .lagrangian import (
     EomSystem,
     MechState,
     SingularMass,
-    _PIVOT_RATIO,
-    _SOLVE_RESIDUAL,
     _dot,
     derive_eom,
     solve_linear,
@@ -134,26 +133,22 @@ def _fold_max(start: float, values: np.ndarray) -> float:
 def _accelerations(eom: EomSystem | None, samples: Sequence[MechState], qd: list[np.ndarray]):
     """`_accel`'s acceleration at each sample (a row per coordinate), the mask of samples where
     it raises SingularMass (all of them without a system), and the kernel's DomainErrors by
-    sample: `_solve_scalar`'s arithmetic lane by lane at one coordinate, `solve_linear` per
-    sample on the floats read from the lanes above."""
+    sample: `solve_linear` per sample on the floats read from the lanes."""
     n, count = len(qd), len(samples)
     if eom is None:
         return np.full((n, count), np.nan), np.ones(count, bool), {}
     vals, errors = eom.maps.columns(samples)
     _, g, A, f_q, f_t = eom.maps.split(vals)
     b = [g[a] - _dot(f_q[a], qd) - f_t[a] for a in range(n)]
-    if n == 1:
-        a, b = A[0][0], b[0]
-        s, x = np.abs(a), b / a
-        singular = (s == 0.0) | (s <= _PIVOT_RATIO * s) | (np.abs(a * x - b) > _SOLVE_RESIDUAL * (1.0 + np.abs(b)))
-        return x[None], singular, errors
-    out, singular = np.full((n, count), np.nan), np.zeros(count, bool)
-    for k, (rows, rhs) in enumerate(zip(np.transpose(A, (2, 0, 1)).tolist(), np.transpose(b).tolist())):
+    x, singular = [], []
+    for rows, rhs in zip(np.transpose(A, (2, 0, 1)).tolist(), np.transpose(b).tolist()):
         try:
-            out[:, k] = solve_linear(rows, rhs)
+            x.append(solve_linear(rows, rhs))
+            singular.append(False)
         except SingularMass:
-            singular[k] = True
-    return out, singular, errors
+            x.append([math.nan] * n)
+            singular.append(True)
+    return np.array(x).T, np.array(singular), errors
 
 
 def eom_equivalent(pair: LagrangianPair, samples: Sequence[MechState]) -> EquivalenceReport:
