@@ -81,9 +81,11 @@ def lie_theta(lagr: ComplexLagrangian, eom: EomSystem, s: MechState) -> OneForm:
 
 def _lie_forms(eom: EomSystem, states: list[MechState]) -> list[OneForm]:
     """`lie_theta` at each state from one `lanes` read (`_Maps.columns`), raising where the state loop first would."""
-    n, (vals, errors) = eom.dim, eom.maps.columns(states)
+    vals, errors = eom.maps.columns(states)
+    f, g, *_ = eom.maps.split(vals)
     first = min(errors, default=len(states))
-    forms = [_form(v[n : 2 * n], v[:n], s) for v, s in zip(vals.T.tolist(), states[:first])]
+    per_state = zip(np.transpose(g).tolist(), np.transpose(f).tolist(), states[:first])
+    forms = [_form(dq, dqd, s) for dq, dqd, s in per_state]
     if errors:
         raise errors[first]
     return forms

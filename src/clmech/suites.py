@@ -358,25 +358,38 @@ def equivalence_suite(run: RunContext, seed: int = DEFAULT_SEED) -> SuiteResult:
         )
         bilinear = ComplexLagrangian(parse("i*a0*q*qd"), sc.omega0, 1, p)
         rep = eom_equivalent(LagrangianPair(real_ho, bilinear), samples)
-        bound, note = RESIDUAL_RTOL * rep.scale, f"verdict={rep.verdict}"
-        lines.append(CheckLine("equivalence.oscillator-pair", "le", rep.max_residual, hi=bound, note=note))
+        lines.append(
+            CheckLine(
+                "equivalence.oscillator-pair",
+                "le",
+                rep.max_residual,
+                hi=RESIDUAL_RTOL * rep.scale,
+                note=f"verdict={rep.verdict}",
+            )
+        )
 
     w0 = sc.omega0
     harmonic = Ffunction(Call("sin", Const(w0) * Sym("t")), w0, 1, sc.params)
-    value = integrability_residual(harmonic, Const(0.0), samples[:100])
-    note = "F = sin(omega0 t) solves the Phi = 0 condition"
-    lines.append(CheckLine("equivalence.integrability-harmonic", "le", value, hi=1e-12, note=note))
+    lines.append(
+        CheckLine(
+            "equivalence.integrability-harmonic",
+            "le",
+            integrability_residual(harmonic, Const(0.0), samples[:100]),
+            hi=1e-12,
+            note="F = sin(omega0 t) solves the Phi = 0 condition",
+        )
+    )
     quadratic = Ffunction(Sym("t") * Sym("t"), w0, 1, sc.params)
-    value = integrability_residual(quadratic, Const(0.0), samples[:100])
-    note = "F = t^2 must fail the Phi = 0 condition"
-    lines.append(CheckLine("equivalence.integrability-reject", "ge", value, lo=1.0, note=note))
+    lines.append(
+        CheckLine(
+            "equivalence.integrability-reject",
+            "ge",
+            integrability_residual(quadratic, Const(0.0), samples[:100]),
+            lo=1.0,
+            note="F = t^2 must fail the Phi = 0 condition",
+        )
+    )
     return SuiteResult("equivalence", sc.name, tuple(lines), notes)
-
-
-def _gap(pairs) -> float:
-    """The largest |x - y| over the entries of each pair of coefficient rows, or 0.0: a
-    fold of `max` from 0.0 in their order, as a loop over the states makes it."""
-    return max([0.0, *(abs(x - y) for u, v in pairs for x, y in zip(u, v))])
 
 
 def geometry_suite(run: RunContext, seed: int = DEFAULT_SEED) -> SuiteResult:
@@ -385,24 +398,59 @@ def geometry_suite(run: RunContext, seed: int = DEFAULT_SEED) -> SuiteResult:
     lagr, eom, notes = run.derived
     states = sample_states(sc.dim, 100, seed)
     lies = _lie_forms(eom, states)
-    pairings = [rhs_pairing_form(lagr, s) for s in states]
-    worst = _gap((lt.dq + lt.dqd, pf.dq + pf.dqd) for lt, pf in zip(lies, pairings))
-    lines = [CheckLine("geometry.lie-vs-pairing", "le", worst, hi=1e-10, note="componentwise over 100 seeded states")]
+    worst = 0.0
+    for s, lt in zip(states, lies):
+        pf = rhs_pairing_form(lagr, s)
+        for a in range(sc.dim):
+            worst = max(worst, abs(lt.dq[a] - pf.dq[a]), abs(lt.dqd[a] - pf.dqd[a]))
+    lines = [
+        CheckLine(
+            "geometry.lie-vs-pairing",
+            "le",
+            worst,
+            hi=1e-10,
+            note="componentwise over 100 seeded states",
+        )
+    ]
 
     if isinstance(lagr.M_expr, Const) and lagr.M_expr.value == 0:  # either sign of zero
         # dL/dq_a then dL/dqd_a through the tree evaluator: compiled, they
         # would be the very kernel that gave the Lie derivative
         grads = [diff(lagr.L_expr, x) for x in lagr.coords + lagr.vels]
-        dl = ([evaluate(e, b).real for e in grads] for b in map(lagr.bindings, states))
-        collapse = _gap((lt.dq + lt.dqd, row) for lt, row in zip(lies, dl))
-        note = "M = 0: Lie derivative equals the gradient one-form of L"
-        lines.append(CheckLine("geometry.classical-collapse", "le", collapse, hi=1e-12, note=note))
+        collapse = 0.0
+        for s, lt in zip(states, lies):
+            b = lagr.bindings(s)
+            dl = [evaluate(e, b).real for e in grads]
+            for a in range(sc.dim):
+                collapse = max(collapse, abs(lt.dq[a] - dl[a]), abs(lt.dqd[a] - dl[sc.dim + a]))
+        lines.append(
+            CheckLine(
+                "geometry.classical-collapse",
+                "le",
+                collapse,
+                hi=1e-12,
+                note="M = 0: Lie derivative equals the gradient one-form of L",
+            )
+        )
 
     if eom.is_regular:
-        arcs = [(lie_theta_cartan(lagr, eom, s), lie_theta(lagr, eom, s)) for s in sample_states(sc.dim, 10, seed + 1)]
-        cartan_worst = _gap((ct.dq + ct.dqd, cf.dq + cf.dqd) for ct, cf in arcs)
-        note = "df/dt differenced along integrated flow arcs, 10 states"
-        lines.append(CheckLine("geometry.cartan-cross-check", "le", cartan_worst, hi=1e-9, note=note))
+        cartan_worst = 0.0
+        for s in sample_states(sc.dim, 10, seed + 1):
+            ct = lie_theta_cartan(lagr, eom, s)
+            cf = lie_theta(lagr, eom, s)
+            for a in range(sc.dim):
+                cartan_worst = max(
+                    cartan_worst, abs(ct.dq[a] - cf.dq[a]), abs(ct.dqd[a] - cf.dqd[a])
+                )
+        lines.append(
+            CheckLine(
+                "geometry.cartan-cross-check",
+                "le",
+                cartan_worst,
+                hi=1e-9,
+                note="df/dt differenced along integrated flow arcs, 10 states",
+            )
+        )
     return SuiteResult("geometry", sc.name, tuple(lines), notes)
 
 
