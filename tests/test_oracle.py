@@ -12,10 +12,12 @@ So must `wirtinger`, against sympy's own complex derivatives of 𝔏.
 import cmath
 import math
 import random
+import warnings
 
 import pytest
 
 sympy = pytest.importorskip("sympy")
+mpmath = pytest.importorskip("mpmath")
 
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
@@ -25,8 +27,10 @@ from clmech.corpus import bundled_corpus  # noqa: E402
 from clmech.exprcore import parse  # noqa: E402
 from clmech.hamiltonian import HamiltonianField, invert_velocity  # noqa: E402
 from clmech.lagrangian import (  # noqa: E402
+    ClosureConsistencyWarning,
     ComplexLagrangian,
     MechState,
+    closure_velocity,
     coordinate_names,
     derive_eom,
     velocity_names,
@@ -220,3 +224,123 @@ def test_phase_pieces_match_sympy(name, sc, omega0):
                 assert math.isclose(x, y, rel_tol=RTOL, abs_tol=RTOL * scale), (name, kappa0, k, t0, q0, qd0)
             for x, y in zip(got[4:], (qd0, g)):
                 assert math.isclose(x, y, rel_tol=RTOL, abs_tol=RTOL * scale), (name, kappa0, t0, q0, qd0)
+
+
+# Affine closures above one coordinate: A folds to a constant singular matrix
+# (real qd terms and imaginary q*qd terms only with constant coefficients), and
+# A - diag(m) is invertible, so f = m*qd is a linear system for qd.
+AFFINE_CLOSURES = {
+    "dim2": (
+        "0.5*qd1^2 + i*(0.3*q1*qd2 - 0.5*k*(q1^2 + q2^2) + 0.2*t*q2 - 0.1*cos(q1)*q2)",
+        {"k": 1.0},
+        (-1.1, -0.9),
+    ),
+    "dim3": (
+        "0.5*qd1^2 + 0.4*qd1*qd3 + 0.2*q2*qd1 + i*(0.3*q1*qd2 - 0.2*q3*qd1 - 0.5*k*(q1^2 + q2^2 + q3^2)"
+        " + 0.2*t*q2 - 0.1*cos(q1)*q3 + 0.1*exp(-q2^2/2))",
+        {"k": 1.0},
+        (-1.1, -0.9, 1.3),
+    ),
+}
+CLOSURES = [(sc.name, sc.lagrangian, sc.params, sc.omega0, sc.closure_mass) for sc in bundled_corpus() if sc.closure_mass]
+CLOSURES += [(name, source, params, 1.0, mass) for name, (source, params, mass) in AFFINE_CLOSURES.items()]
+_U = 2.0**-52
+
+
+def _sympy_closure(source: str, lagr: ComplexLagrangian, mass):
+    """sympy solves f = m*qd, linear in qd, for v(t, q). Returns v as a function
+    of (t, *q, *params), and (qdd, g, phi3) as a function of (t, *q, *c,
+    *params), both in mpmath: on the line phi(s) = v(t + s, q + s*c), which
+    `_closure_consistency`'s central difference samples with c the closure
+    velocity at the probe, qdd = phi'(0) and phi3 = phi'''(0), the third
+    derivative its truncation error is made of; g is the force map at (t, q, c)."""
+    t, q, qd, params = _symbols(lagr)
+    L, M = _L_and_M(source, lagr)
+    w0 = sympy.Float(lagr.omega0)
+    n = lagr.dim
+    f = [sympy.diff(L, qd[a]) + sympy.diff(M, q[a]) / w0 for a in range(n)]
+    g = [sympy.diff(L, q[a]) - w0 * sympy.diff(M, qd[a]) for a in range(n)]
+    (solution,) = sympy.solve([sympy.Eq(f[a], sympy.Float(mass[a]) * qd[a]) for a in range(n)], qd, dict=True)
+    v = [solution[x] for x in qd]
+    s = sympy.Symbol("s", real=True)
+    line = {t: t + s, **{q[a]: q[a] + s * qd[a] for a in range(n)}}
+    phi = [e.subs(line, simultaneous=True) for e in v]
+    qdd = [sympy.diff(e, s).subs(s, 0) for e in phi]
+    phi3 = [sympy.diff(e, s, 3).subs(s, 0) for e in phi]
+    v_at = sympy.lambdify([t, *q, *params], v, modules="mpmath")
+    return v_at, sympy.lambdify([t, *q, *qd, *params], [qdd, g, phi3], modules="mpmath")
+
+
+def _assert_closure_agrees(source: str, lagr: ComplexLagrangian, mass, seed: int) -> None:
+    """`closure_velocity` against sympy's solution of f = m*qd at seeded states,
+    and `closure_consistency` at each as a probe against its value from sympy's
+    exact qdd along the flow through it (all of sympy's values in 40-digit
+    mpmath), within the error of the 1e-6 central
+    difference that `_closure_consistency` takes: the truncation
+    (delta^2/6)|phi'''|, plus the errors of its two velocities against v at the
+    unrounded points of the line over 2*delta and
+    the rounding of the quotient."""
+    v_at, line_at = _sympy_closure(source, lagr, mass)
+    values = list(lagr.params.values())
+    for t0, q0, qd0 in _states(lagr.dim, seed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ClosureConsistencyWarning)
+            eom = derive_eom(lagr, MechState(t0, q0, qd0), mass)
+        got = closure_velocity(eom, t0, q0)
+        with mpmath.workdps(40):
+            want = [float(x) for x in v_at(t0, *q0, *values)]
+        for a, (x, y) in enumerate(zip(got, want)):
+            assert math.isclose(x, y, rel_tol=RTOL, abs_tol=RTOL * max(1.0, abs(y))), (
+                f"{source}: closure velocity {a} is {x!r}, sympy gives {y!r} at t={t0}, q={q0}"
+            )
+        # the line through the probe, as `_closure_consistency` takes it from the velocity there
+        with mpmath.workdps(40):
+            qdd, g, phi3 = ([float(x) for x in column] for column in line_at(t0, *q0, *got, *values))
+        delta = 1e-6 * (1.0 + max(map(abs, got)))
+        errors = []
+        for h in (delta, -delta):
+            point = [x + h * w for x, w in zip(q0, got)]
+            with mpmath.workdps(40):
+                exact = v_at(mpmath.mpf(t0) + h, *(mpmath.mpf(x) + mpmath.mpf(h) * w for x, w in zip(q0, got)), *values)
+                velocity = closure_velocity(eom, t0 + h, point, got)
+                errors.append([float(abs(mpmath.mpf(x) - y)) for x, y in zip(velocity, exact)])
+        fd_error = [
+            delta**2 / 6 * abs(d3) + (e_plus + e_minus) / (2 * delta) + 4 * _U * abs(x)
+            for d3, e_plus, e_minus, x in zip(phi3, *errors, qdd)
+        ]
+        scale = max(1.0, *map(abs, g))
+        want = max(abs(m * x - y) for m, x, y in zip(mass, qdd, g)) / scale
+        bound = max(abs(m) * e for m, e in zip(mass, fd_error)) / scale + 8 * _U  # the last term rounds g
+        assert abs(eom.closure_consistency - want) <= bound, (
+            f"{source}: closure consistency {eom.closure_consistency!r}, sympy gives {want!r} (bound {bound:.3g})"
+        )
+
+
+@pytest.mark.parametrize("name, source, params, omega0, mass", CLOSURES, ids=[c[0] for c in CLOSURES])
+def test_affine_closure_matches_sympy(name, source, params, omega0, mass):
+    lagr = ComplexLagrangian(parse(source), omega0, dim=len(mass), params=params)
+    _assert_closure_agrees(source, lagr, mass, seed=len(name))
+
+
+@st.composite
+def _degenerate_lagrangians(draw):
+    """(source, omega0, mass): a one-coordinate sum of TERM_TEMPLATES terms whose
+    momentum map does not read qd (A = 0): a term in qd alone gets an imaginary
+    coefficient, q*qd a real one, every other term a complex one."""
+    names = dict(qa="q", qb="q", va="qd", vb="qd")
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        template = draw(st.sampled_from(TERM_TEMPLATES))
+        re, im = draw(_PART), draw(_PART)
+        if "{v" in template:
+            re, im = (re, 0.0) if template.startswith("{qa}") else (0.0, im)
+        terms.append(f"({re!r} + {im!r}*i)*({template.format(**names)})")
+    mass = draw(st.floats(0.5, 2.0)) * draw(st.sampled_from((-1.0, 1.0)))
+    return " + ".join(terms), draw(st.sampled_from([1.0, 0.7, -1.3, 2.5])), (mass,)
+
+
+@given(_degenerate_lagrangians(), st.integers(0, 2**16))
+@settings(max_examples=40, deadline=None)
+def test_generated_affine_closure_matches_sympy(drawn, seed):
+    source, omega0, mass = drawn
+    _assert_closure_agrees(source, ComplexLagrangian(parse(source), omega0), mass, seed)
