@@ -141,17 +141,19 @@ def integrate(eom: EomSystem, init: MechState, cfg: IntegratorConfig) -> Traject
     """RK4 trajectory of a regular (second-order) or degenerate (closure) system."""
     if len(init.q) != eom.dim:
         raise ValueError(f"init has {len(init.q)} coordinates, expected {eom.dim}")
-    if eom.classification == DEGENERATE:
-        return _stepped(CLOSURE, _closure_step(eom, init), list(init.q), [], cfg)
     x, y = (init.q[0], init.qd[0]) if eom.dim == 1 else (list(init.q), list(init.qd))
-    return _stepped(SECOND_ORDER, eom.maps.step, x, y, cfg)
+    if eom.classification != DEGENERATE:
+        return _stepped(SECOND_ORDER, eom.maps.step, x, y, cfg)
+    step = eom.maps.closure_step(eom.closure_mass)  # the closed form's p stays 0; Newton's state is q alone
+    x, y = (x, 0.0 if eom.dim == 1 else [0.0] * eom.dim) if step else (list(init.q), [])
+    return _stepped(CLOSURE, step or _closure_step(eom, init), x, y, cfg)
 
 
 def _stepped(kind: str, step: Callable, x, y, cfg: IntegratorConfig) -> Trajectory:
     """The samples of a step (t, x, y, dt, h2, h6) -> (qd, p, residual, next x, next y), dt
-    None at the last sample. x is q; y is qd on a regular system, p on a Hamiltonian one and
-    [] on a closure. Float states (one coordinate, `exprcore.compile_step`'s form) are
-    stored through memoryviews, list states by rows."""
+    None at the last sample. x is q; y is qd on a regular system, p on a Hamiltonian one, and on
+    a closure [] (Newton) or p = 0 (closed form). Float states (one coordinate, `exprcore.compile_step`'s
+    form) are stored through memoryviews, list states by rows."""
     t_grid, dt, n = _grid(cfg)
     h2, h6 = dt / 2, dt / 6
     scalar = isinstance(x, float)

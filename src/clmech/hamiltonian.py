@@ -28,20 +28,20 @@ never constructed: whether its mixed partials commute is reported as a
 finite-difference diagnostic, not asserted.
 
 When A = df/dqd folds to a nonzero constant, qd = (p - f(q, 0, t))/A is a
-tree (the Legendre transform of a quadratic form; Arnold, Mathematical Methods
-of Classical Mechanics, sec. 14) and the flow is one kernel call of (t, q, p).
+tree (`lagrangian._inverse`, the closure's (p - f)/(A - m) at m = 0; Arnold,
+Mathematical Methods of Classical Mechanics, sec. 14), and the flow is one
+kernel call of (t, q, p).
 Any other f is inverted by the maps' damped Newton, its partials by a second kernel.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .exprcore import Call, Const, DomainError, Sym, compile_expr, compile_step, diff, evaluate, simplify, subs
-from .lagrangian import ComplexLagrangian, EomSystem, _solve_velocity_scalar
+from .exprcore import Call, DomainError, Sym, compile_expr, compile_step, diff, evaluate, subs
+from .lagrangian import ComplexLagrangian, EomSystem, _inverse, _solve_velocity_scalar
 
 
 class InversionFailure(Exception):
@@ -105,9 +105,9 @@ class HamiltonianField:
             raise ValueError("kappa0 must be a nonzero finite real")
         # the parameters are folded in first, so none is read as the momentum
         f, a = subs((self.eom.f[0], self.eom.A[0][0]), self.lagr.params)
-        affine = isinstance(a, Const) and a.value != 0 and cmath.isfinite(a.value)
         object.__setattr__(self, "_f", f)
-        object.__setattr__(self, "_qd", simplify((Sym("p") - subs((f,), {"qd": 0.0})[0]) / a) if affine else None)
+        inverse = _inverse((f,), ((a,),), ("p",), (0.0,)) if self.eom.is_regular else None
+        object.__setattr__(self, "_qd", inverse and inverse[0])
 
     @cached_property
     def _partials(self) -> tuple:

@@ -11,11 +11,13 @@ The compatibility condition d/dt f = g is the generalized Euler-Lagrange
 equation. Expanding the total derivative yields the mass matrix
 A_ab = df_a/dqd_b; if A is invertible the system is second-order (regular),
 with qdd solving A qdd = g - (df/dq) qd - df/dt. If A is singular the system
-is closed to first order by the point-particle identification f = m_c * qd,
-solved for qd by damped Newton iteration (closure mass m_c is user-supplied
-per coordinate; its sign selects the branch of the flow). Its scalar form,
-with m_c = 0 and a given p, inverts a momentum map that is not affine in qd
-for the phase-space form (`hamiltonian`).
+is closed to first order by the point-particle identification f = m_c * qd
+(closure mass m_c is user-supplied per coordinate; its sign selects the branch
+of the flow): where A folds to constants, f is affine in qd and the closure is
+qd = (0 - f(t, q, 0))/(A - m_c), a tree (`_inverse`, which with m_c = 0 also
+inverts an affine momentum map for the phase-space form, `hamiltonian`); where
+A varies, it is solved by damped Newton iteration, whose scalar form, with
+m_c = 0 and a given p, inverts any other momentum map.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import numpy as np
 
 from .exprcore import (
     Call,
+    ZERO,
     Const,
     DomainError,
     Expr,
@@ -217,8 +220,9 @@ class _Maps:
     RK4 step of (q, qd) giving qd, p and the EL residual, on floats at one
     coordinate and on lists above. There a mass matrix that folds to constants
     is eliminated at compile time (`_solve_plan`); one that varies is solved at
-    each stage by the generated `_solver(n)` on the stage's locals. Built only
-    by `ComplexLagrangian.maps`; `equivalence` reads the maps of a pair's
+    each stage by the generated `_solver(n)` on the stage's locals. `closure`
+    solves the closure at a mass, and `closure_step` is its RK4 step where A
+    folds to constants. Built only by `ComplexLagrangian.maps`; `equivalence` reads the maps of a pair's
     difference Lagrangian, whose Euler-Lagrange law is its residual.
     """
 
@@ -234,6 +238,7 @@ class _Maps:
         self.f_t = tuple(diff(self.f[a], "t") for a in range(n))
         self._args = ("t",) + coords + vels
         self._params = lagr.params
+        self._momenta, self._closures = tuple("p" + x[1:] for x in coords), {}
 
     def _compile(self, trees: tuple[Expr, ...], vectorized: bool = False) -> Callable:
         return compile_expr(trees, self._args, self._params, real=True, vectorized=vectorized)
@@ -290,6 +295,35 @@ class _Maps:
         sample = f"[{join(qd)}], [{join(f)}], max({terms})"
         outs = (*f, *g, *sum(A, []), *sum(f_q, []), *f_t)
         return compile_step(trees, self._args, outs, ("\n".join(tail),), f"    s0, s1, s2 = {sample}", names=names)
+
+    def closure(self, mass: tuple[float, ...]) -> tuple:
+        """(qd, velocity) of the closure f = mass*qd. Where A folds to constants, qd is the trees of
+        `_inverse` with the momenta p (0 here) as arguments and velocity(t, q, guess) one small
+        kernel of them; else qd is None and velocity `_solve_velocity`'s Newton. Cached per mass."""
+        if mass not in self._closures:
+            n, trees, p = self.dim, subs(self.f + sum(self.A, ()), self._params), self._momenta
+            qd = _inverse(trees[:n], [trees[n + a * n : n + (a + 1) * n] for a in range(n)], p, mass)
+            kernel = qd and compile_expr(qd, ("t", *self._args[1 : n + 1], *p), real=True)
+            newton = lambda t, q, guess: _solve_velocity(self, t, q, mass, guess)[0]  # noqa: E731
+            self._closures[mass] = qd, (lambda t, q, _: list(kernel(t, *q, *(0.0,) * n))) if qd else newton
+        return self._closures[mass]
+
+    def closure_step(self, mass: tuple[float, ...]) -> Callable[..., tuple] | None:
+        """`compile_step`'s RK4 step of (q, p) on an affine closure, else None: q's slope is the
+        closed form, p stays 0, and the sample is qd, f and the residual max |f_a - mass_a qd_a|."""
+        n, join, qd = self.dim, ", ".join, self.closure(mass)[0]
+        if qd is None:
+            return None
+        vels, at = self._args[n + 1 :], [""] if n == 1 else range(1, n + 1)
+        trees, fs = qd + subs(subs(self.f, self._params), dict(zip(vels, qd))), [f"f{a}" for a in at]
+        slopes = (*(f"kx{a and f'_{a}'}" for a in at), *(f"ky{a and f'_{a}'}" for a in at))
+        tail, args = ((slopes, (*map(Sym, vels), *(ZERO,) * n)),), ("t", *self._args[1 : n + 1], *self._momenta)
+        if n == 1:  # a piece of trees, so a constant f is put in as the tail's are
+            x, v = Sym("qd"), Sym("f")
+            return compile_step(trees, args, ("qd", "f"), tail, (("s0", "s1", "s2"), (x, v, Call("abs", v - mass[0] * x))))
+        terms = join(f"abs({v} - {m!r} * {x})" for v, m, x in zip(fs, mass, vels))
+        sample = f"    s0, s1, s2 = [{join(vels)}], [{join(fs)}], max({terms})"
+        return compile_step(trees, args, (*vels, *fs), tail, sample)
 
     def split(self, v: Sequence):
         """(f, g, A, f_q, f_t) from the kernel's flat values; matrices as rows."""
@@ -494,6 +528,24 @@ def _solve_plan(a0: list[list[float]], b: list[str], out: list[str]) -> str | No
     return "\n".join(lines + _back_substitution(a, rhs, out, a0, b, dot))
 
 
+def _inverse(f: Sequence[Expr], A: Sequence[Sequence[Expr]], p: Sequence[str], mass: Sequence[float]) -> tuple | None:
+    """The trees of qd = (p - f(t, q, 0))/(A - diag(mass)) where the mass matrix A folds to constants
+    (a quadratic form's Legendre transform; Arnold, Mathematical Methods of Classical Mechanics, sec. 14):
+    the phase-space inverse (mass 0) and the closure (p = 0). `_solve_plan`'s elimination on trees, and
+    ClosureInconsistent where A - diag(mass) is `_singular`; None where A varies."""
+    if not _constant(A):
+        return None
+    n, vels = len(f), velocity_names(len(f))
+    a = [[e.value.real - (m if i == j else 0.0) for j, e in enumerate(row)] for i, (row, m) in enumerate(zip(A, mass))]
+    x, qd = [simplify(Sym(v) - e) for v, e in zip(p, subs(tuple(f), dict.fromkeys(vels, 0.0)))], [ZERO] * n
+    for pivot, row_scale in _eliminate(a, x):
+        if _singular(pivot, row_scale):
+            raise ClosureInconsistent(f"A - diag(m) is singular: pivot {pivot!r} below {_PIVOT_RATIO!r} of row scale {row_scale!r}")
+    for k in range(n - 1, -1, -1):
+        qd[k] = simplify((x[k] - sum((a[k][i] * qd[i] for i in range(k + 1, n)), ZERO)) / a[k][k])
+    return tuple(qd)
+
+
 # `solve_linear` for a 1x1 system (a, b), with both of its SingularMass checks,
 # bitwise what the elimination gives: one text, run by `_solve_scalar` and
 # inlined at each stage of the generated RK4 step where `a` varies
@@ -595,14 +647,10 @@ def _closure_consistency(
     The closure u = m*wd implies both p = m*qd (solved) and pd = m*qdd; the
     latter must agree with the force map for the first-order flow to satisfy
     the Euler-Lagrange compatibility condition. The force map is read once,
-    through the tree evaluator, so only the Newton kernel is compiled.
+    through the tree evaluator, so only the kernel of `_Maps.closure` is compiled.
     """
-    maps = lagr.maps
-
-    def solve(t: float, q: Sequence[float], guess: Sequence[float]) -> list[float]:
-        return _solve_velocity(maps, t, q, mass, guess)[0]
-
-    t, q = probe.t, probe.q
+    maps, t, q = lagr.maps, probe.t, probe.q
+    solve = maps.closure(mass)[1]
     qd = solve(t, q, probe.qd)
     delta = 1e-6 * (1.0 + max(map(abs, qd)))
     qd_plus = solve(t + delta, [x + delta * v for x, v in zip(q, qd)], qd)
@@ -702,8 +750,7 @@ def closure_velocity(eom: EomSystem, t: float, q, guess=None) -> np.ndarray:
         raise ValueError("closure_velocity requires a degenerate system with a mass")
     if guess is None:
         guess = eom.probe.qd
-    qd, _ = _solve_velocity(eom.maps, t, q, eom.closure_mass, guess)
-    return np.array(qd)
+    return np.array(eom.maps.closure(eom.closure_mass)[1](t, q, guess))
 
 
 def wirtinger(lagr: ComplexLagrangian, s: MechState, a: int = 0) -> complex:

@@ -20,6 +20,7 @@ from clmech.lagrangian import (
     _eliminate,
     _singular,
     _solve_plan,
+    _solver,
     accel,
     closure_velocity,
     coordinate_names,
@@ -381,9 +382,9 @@ class TestClosureNewton:
         np.testing.assert_allclose(traj.p, -traj.qd, atol=1e-11)  # p = m qd
 
 
-def test_derive_compiles_only_the_newton_kernel(monkeypatch):
-    # a regular derive classifies by the tree evaluator and compiles nothing;
-    # a degenerate one compiles (f, A) for its closure solves, n + n^2 trees
+def test_derive_compiles_only_the_closure_velocity_kernel(monkeypatch):
+    # a regular derive classifies by the tree evaluator and compiles nothing; an
+    # affine degenerate one compiles the closed form's n trees for its closure solves
     import clmech.lagrangian as lagrangian
 
     compiled = []
@@ -400,4 +401,33 @@ def test_derive_compiles_only_the_newton_kernel(monkeypatch):
         expr = " + ".join(f"0.5*i*({v}^2 - {q}^2)" for q, v in zip(coordinate_names(dim), velocity_names(dim)))
         lagr = ComplexLagrangian(parse(expr), 1.0, dim=dim)
         derive_eom(lagr, MechState(0.0, (0.5,) * dim, (0.0,) * dim), closure_mass=(-1.0,) * dim)
-    assert compiled == [1 + 1, 2 + 4, 3 + 9]
+    assert compiled == [1, 2, 3]
+
+
+@pytest.mark.filterwarnings("ignore::clmech.lagrangian.ClosureConsistencyWarning")
+def test_affine_closures_run_no_newton():
+    # derive, integrate and closure_velocity read the closed form: neither the
+    # Newton kernel nor the generated solve `_solver(n)` is built or called
+    for dim in (1, 2, 3, 4):
+        coords, vels = coordinate_names(dim), velocity_names(dim)
+        expr = " + ".join(f"0.5*i*({v}^2 - {q}^2) + 0.2*i*t*{q}" for q, v in zip(coords, vels))
+        lagr = ComplexLagrangian(parse(expr), 1.0, dim=dim)
+        init = MechState(0.0, (0.5,) * dim, (0.0,) * dim)
+        solves = _solver.cache_info()
+        eom = derive_eom(lagr, init, closure_mass=(-1.0,) * dim)
+        traj = integrate(eom, init, IntegratorConfig(0.1, 0.0, 1.0))
+        closure_velocity(eom, 0.3, (0.2,) * dim)
+        assert "newton" not in lagr.maps.__dict__ and _solver.cache_info() == solves
+        assert traj.kind == "closure" and float(traj.el_residual.max()) < 1e-15
+
+
+@pytest.mark.filterwarnings("ignore::clmech.lagrangian.ClosureConsistencyWarning")
+@pytest.mark.parametrize("dim", [1, 2])
+def test_affine_closure_with_a_constant_momentum_map(dim):
+    # f = 2 at every coordinate folds to a constant the step puts in: qd = (0 - 2)/(0 - 1.5)
+    expr = " + ".join(f"i*2*{q} + 0.5*i*{v}^2" for q, v in zip(coordinate_names(dim), velocity_names(dim)))
+    init = MechState(0.0, (1.0,) * dim, (0.0,) * dim)
+    eom = derive_eom(ComplexLagrangian(parse(expr), 1.0, dim=dim), init, closure_mass=(1.5,) * dim)
+    traj = integrate(eom, init, IntegratorConfig(0.1, 0.0, 1.0))
+    np.testing.assert_allclose(traj.q[-1], [1.0 + 2.0 / 1.5] * dim, rtol=1e-15)
+    assert (traj.qd == 2.0 / 1.5).all() and (traj.p == 2.0).all() and not traj.el_residual.any()

@@ -517,6 +517,40 @@ def test_each_reachable_exception_leaves_through_its_exit_code(cls, scenario_fil
     assert err.startswith(start) and err.count("\n") == 1
 
 
+# Affine closures (A folds to constants) solved in closed form: each failure
+# keeps the type, exit code and point that the closure's Newton gave
+AFFINE_CLOSURE_ERRORS = {
+    # A = [[1, 0], [0, 0]] and m = (1, -1): A - diag(m) is singular, found at derive
+    "singular": (
+        dict(lagrangian="0.5*qd1^2 - 0.5*i*(q1^2 + q2^2)", params={}, dim=2, initial={"q": [0.5, -0.3], "qd": [0.0, 0.0]}),
+        [1.0, -1.0],
+        "error: ClosureInconsistent: ",
+        "pivot 0.0 below 1e-13 of row scale 0.0\n",
+    ),
+    # qd = -1 + sqrt(q) from q = 0.01: the second stage's q = 0.01 + 0.05*(-0.9) is negative
+    "domain": (
+        dict(lagrangian="i*(q^1.5/1.5 - q)", params={}, initial={"q": [0.01], "qd": [0.0]}, integrator={"h": 0.1, "t_start": 0.0, "t_end": 1.0}),
+        [1.0],
+        "error: DomainError: ",
+        " at t=0.05, q=-0.035, ",
+    ),
+    # qd = q, so q = e^t passes 1e12 near t = 27.63
+    "blow_up": (
+        dict(lagrangian="0.5*i*(m*qd^2 - k*q^2)", initial={"q": [1.0], "qd": [1.0]}, integrator={"h": 0.05, "t_start": 0.0, "t_end": 30.0}),
+        [-1.0],
+        "error: StepBlowUp: ",
+        "state magnitude exceeded 1e+12 at t=27.650000000000002\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", AFFINE_CLOSURE_ERRORS)
+def test_affine_closure_errors_leave_through_their_exit_code(name, scenario_file, capsys):
+    changes, mass, start, needle = AFFINE_CLOSURE_ERRORS[name]
+    assert main(["simulate", scenario_file(variant(**changes, closure_mass=mass))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(start) and err.count("\n") == 1 and needle in err
+
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 # SHA-256 of `clmech simulate` output for the bundled scenario files, recorded
 # from the per-map evaluation that preceded the fused kernel

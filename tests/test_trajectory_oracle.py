@@ -10,6 +10,8 @@ A hypothesis test draws quadratic Lagrangians at dims 1-3 with complex
 coefficients of every `qd_a qd_b`, `q_a qd_b` and `q_a q_b`. Every flow kind
 is then a linear ODE, whose exact solution `expm` gives from the coefficient
 matrices alone, and RK4's error must fall about sixteenfold when h halves.
+Two closures at dims 2 and 3 whose constant A is singular but not zero are
+pinned as examples: `integrate` solves them in closed form.
 """
 
 import contextlib
@@ -21,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 pytest.importorskip("scipy")
@@ -103,8 +105,8 @@ def _linear_flow(kind, dim, omega0, P, R, S, mass):
     Fq = R.real.T + (S.imag + S.imag.T) / omega0
     Gv = R.real - omega0 * (P.imag + P.imag.T)
     Gq = S.real + S.real.T - omega0 * R.imag.T
-    if kind == "closure":
-        return Fq / np.array(mass)[:, None]
+    if kind == "closure":  # f = Fv qd + Fq q = m qd, Fv constant and singular
+        return np.linalg.solve(np.diag(mass) - Fv, Fq)
     if kind == "hamiltonian":  # qd = (p - Fq q)/Fv and pd = g
         inv = np.linalg.inv(Fv)
         return np.block([[-inv @ Fq, inv], [Gq - Gv @ inv @ Fq, Gv @ inv]])
@@ -147,7 +149,20 @@ def _final_state(kind, dim, raw, directory):
     return np.array(q if kind == "closure" else q + (p if kind == "hamiltonian" else qd))
 
 
+def _affine_closure(dim: int, mass: list[float]):
+    """A closure whose A = Fv folds to a constant singular matrix that is not zero:
+    real qd1^2 and qd1*qd3 terms and an imaginary q1*qd2 one, no qd2 row."""
+    P, R, S = (np.zeros((dim, dim), dtype=complex) for _ in range(3))
+    P[0, 0], P[0, dim - 1], R[0, 1] = 0.5 + 0.25j, 0.2 if dim > 2 else 0.0, 0.1 + 0.3j
+    for a in range(dim):
+        S[a, a] = complex(0.2 - 0.1 * a, 0.75)
+        R[a, a] += 0.05 * (a + 1)
+    return "closure", dim, 1.0, P, R, S, mass, [0.5, -0.4, 0.3, 0.0, 0.0, 0.0][:dim] + [0.0] * dim
+
+
 @given(_quadratic_systems())
+@example(_affine_closure(2, [-1.2, 1.1]))
+@example(_affine_closure(3, [-1.1, 0.9, 1.3]))
 @settings(max_examples=30, deadline=None)
 def test_quadratic_flows_match_expm_at_fourth_order(system):
     kind, dim, omega0, P, R, S, mass, y0 = system
