@@ -315,15 +315,15 @@ class _Maps:
         if qd is None:
             return None
         vels, at = self._args[n + 1 :], [""] if n == 1 else range(1, n + 1)
-        trees, fs = qd + subs(subs(self.f, self._params), dict(zip(vels, qd))), [f"f{a}" for a in at]
+        trees, outs = qd + subs(subs(self.f, self._params), dict(zip(vels, qd))), (*vels, *(f"f{a}" for a in at))
         slopes = (*(f"kx{a and f'_{a}'}" for a in at), *(f"ky{a and f'_{a}'}" for a in at))
         tail, args = ((slopes, (*map(Sym, vels), *(ZERO,) * n)),), ("t", *self._args[1 : n + 1], *self._momenta)
         if n == 1:  # a piece of trees, so a constant f is put in as the tail's are
-            x, v = Sym("qd"), Sym("f")
-            return compile_step(trees, args, ("qd", "f"), tail, (("s0", "s1", "s2"), (x, v, Call("abs", v - mass[0] * x))))
-        terms = join(f"abs({v} - {m!r} * {x})" for v, m, x in zip(fs, mass, vels))
-        sample = f"    s0, s1, s2 = [{join(vels)}], [{join(fs)}], max({terms})"
-        return compile_step(trees, args, (*vels, *fs), tail, sample)
+            x, v = map(Sym, outs)
+            return compile_step(trees, args, outs, tail, (("s0", "s1", "s2"), (x, v, Call("abs", v - mass[0] * x))))
+        terms = join(f"abs(f{a} - {m!r} * {x})" for a, m, x in zip(at, mass, vels))
+        sample = f"    s0, s1, s2 = [{join(vels)}], [{join(outs[n:])}], max({terms})"
+        return compile_step(trees, args, outs, tail, sample)
 
     def split(self, v: Sequence):
         """(f, g, A, f_q, f_t) from the kernel's flat values; matrices as rows."""
