@@ -151,9 +151,9 @@ def integrate(eom: EomSystem, init: MechState, cfg: IntegratorConfig) -> Traject
 
 def _stepped(kind: str, step: Callable, x, y, cfg: IntegratorConfig) -> Trajectory:
     """The samples of a step (t, x, y, dt, h2, h6) -> (qd, p, residual, next x, next y), dt
-    None at the last sample. x is q; y is qd on a regular system, p on a Hamiltonian one, and on
-    a closure [] (Newton) or p = 0 (closed form). Float states (one coordinate, `exprcore.compile_step`'s
-    form) are stored through memoryviews, list states by rows."""
+    None at the last sample. x is q; y is qd on a regular system, p on a Hamiltonian one, and
+    on a closure [] (Newton) or p = 0 (closed form). Float states (one coordinate,
+    `exprcore.compile_step`'s form) are stored through memoryviews, list states by rows."""
     t_grid, dt, n = _grid(cfg)
     h2, h6 = dt / 2, dt / 6
     scalar = isinstance(x, float)

@@ -33,11 +33,11 @@ import numpy as np
 
 from .exprcore import (
     Call,
-    ZERO,
     Const,
     DomainError,
     Expr,
     Sym,
+    ZERO,
     _codegen,
     _fold,
     compile_expr,
@@ -222,8 +222,9 @@ class _Maps:
     is eliminated at compile time (`_solve_plan`); one that varies is solved at
     each stage by the generated `_solver(n)` on the stage's locals. `closure`
     solves the closure at a mass, and `closure_step` is its RK4 step where A
-    folds to constants. Built only by `ComplexLagrangian.maps`; `equivalence` reads the maps of a pair's
-    difference Lagrangian, whose Euler-Lagrange law is its residual.
+    folds to constants. Built only by `ComplexLagrangian.maps`; `equivalence`
+    reads the maps of a pair's difference Lagrangian, whose Euler-Lagrange law
+    is its residual.
     """
 
     def __init__(self, lagr: ComplexLagrangian) -> None:
@@ -528,11 +529,14 @@ def _solve_plan(a0: list[list[float]], b: list[str], out: list[str]) -> str | No
     return "\n".join(lines + _back_substitution(a, rhs, out, a0, b, dot))
 
 
-def _inverse(f: Sequence[Expr], A: Sequence[Sequence[Expr]], p: Sequence[str], mass: Sequence[float]) -> tuple | None:
-    """The trees of qd = (p - f(t, q, 0))/(A - diag(mass)) where the mass matrix A folds to constants
-    (a quadratic form's Legendre transform; Arnold, Mathematical Methods of Classical Mechanics, sec. 14):
-    the phase-space inverse (mass 0) and the closure (p = 0). `_solve_plan`'s elimination on trees, and
-    ClosureInconsistent where A - diag(mass) is `_singular`; None where A varies."""
+def _inverse(
+    f: Sequence[Expr], A: Sequence[Sequence[Expr]], p: Sequence[str], mass: Sequence[float]
+) -> tuple[Expr, ...] | None:
+    """The trees of qd = (p - f(t, q, 0))/(A - diag(mass)) where the mass matrix A folds to
+    constants (a quadratic form's Legendre transform; Arnold, Mathematical Methods of Classical
+    Mechanics, sec. 14): the phase-space inverse (mass 0) and the closure (p = 0). A - diag(mass)
+    is eliminated by `_eliminate`, as `_solve_plan` does, and back-substituted, both on trees;
+    ClosureInconsistent where it is `_singular`. None where A varies."""
     if not _constant(A):
         return None
     n, vels = len(f), velocity_names(len(f))
@@ -540,7 +544,8 @@ def _inverse(f: Sequence[Expr], A: Sequence[Sequence[Expr]], p: Sequence[str], m
     x, qd = [simplify(Sym(v) - e) for v, e in zip(p, subs(tuple(f), dict.fromkeys(vels, 0.0)))], [ZERO] * n
     for pivot, row_scale in _eliminate(a, x):
         if _singular(pivot, row_scale):
-            raise ClosureInconsistent(f"A - diag(m) is singular: pivot {pivot!r} below {_PIVOT_RATIO!r} of row scale {row_scale!r}")
+            msg = f"pivot {pivot!r} below {_PIVOT_RATIO!r} of row scale {row_scale!r}"
+            raise ClosureInconsistent(f"A - diag(m) is singular: {msg}")
     for k in range(n - 1, -1, -1):
         qd[k] = simplify((x[k] - sum((a[k][i] * qd[i] for i in range(k + 1, n)), ZERO)) / a[k][k])
     return tuple(qd)
@@ -647,7 +652,8 @@ def _closure_consistency(
     The closure u = m*wd implies both p = m*qd (solved) and pd = m*qdd; the
     latter must agree with the force map for the first-order flow to satisfy
     the Euler-Lagrange compatibility condition. The force map is read once,
-    through the tree evaluator, so only the kernel of `_Maps.closure` is compiled.
+    through the tree evaluator, so only the kernel `_Maps.closure` solves with
+    is compiled.
     """
     maps, t, q = lagr.maps, probe.t, probe.q
     solve = maps.closure(mass)[1]
