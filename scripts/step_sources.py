@@ -1,13 +1,14 @@
-"""Print one digest of the generated RK4 step sources per state kind.
+"""Print one digest of the generated RK4 sample-loop sources per state kind.
 
-It builds the steps that `check all` over the bundled corpus builds, then
-those of perfbench's `simulate` rounds (`gen.simulate_spec(seed, i)`, each
-integrated as `clmech simulate` runs it) for each given seed. Every source
-`exprcore` compiles into a `_step` is recorded, the helper step a raise falls
-back to included. For each state kind, float (one coordinate, or the phase
-state (q, p)) and list (more than one coordinate), it prints the number of
-distinct sources and one SHA-256 over them, sorted. Two revisions that print
-the same lines generate the same steps, byte for byte.
+It builds the sample loops that `check all` over the bundled corpus builds,
+then those of perfbench's `simulate` rounds (`gen.simulate_spec(seed, i)`,
+each integrated as `clmech simulate` runs it) for each given seed. Every
+source `exprcore` compiles into a `_loop` is recorded, and so is the per-sample
+helper step `_step` that a raising sample falls back to, which it builds for
+each loop that has one. For each state kind, float (one coordinate, or the
+phase state (q, p)) and list (more than one coordinate), it prints the number
+of distinct sources and one SHA-256 over them, sorted. Two revisions that
+print the same lines generate the same loops and steps, byte for byte.
 
 Usage:  python3 scripts/step_sources.py [--seeds 7 41]
         (`--seeds` with no value builds the corpus's steps only)
@@ -31,18 +32,21 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import gen  # noqa: E402
 
 SOURCES: set[str] = set()
+LOOPS: list[dict] = []
 
 
 def _recording_exec(src: str, ns: dict) -> None:
-    """`exec`, as `exprcore` calls it, keeping each step source it runs."""
-    if "def _step(" in src:
+    """`exec`, as `exprcore` calls it, keeping each loop and step source it runs and each loop's globals."""
+    if "def _loop(" in src or "def _step(" in src:
         SOURCES.add(src)
     builtins.exec(src, ns)  # noqa: S102 - the generated source exprcore was about to run
+    if "def _loop(" in src:
+        LOOPS.append(ns)
 
 
 def _kind(src: str) -> str:
-    """A list-state step takes the lists x0 and y0; a float-state one its own names."""
-    return "list" if "def _step(t0, x0, y0," in src else "float"
+    """A list-state loop or step takes the lists x0 and y0; a float-state one its own names."""
+    return "list" if ", x0, y0, dt, h2, h6" in src else "float"
 
 
 def main() -> None:
@@ -61,6 +65,9 @@ def main() -> None:
                 run.phase_trajectory(cfg)
             else:
                 run.trajectory(cfg)
+    for ns in LOOPS:
+        if "_h_slow" in ns:
+            ns["_h_slow"]()  # builds, and so records, the loop's helper step
     for kind in ("float", "list"):
         sources = sorted(src for src in SOURCES if _kind(src) == kind)
         digest = hashlib.sha256("\0".join(sources).encode()).hexdigest()

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .exprcore import lane_blocks
+from .exprcore import BLOWUP_LIMIT, lane_blocks
 from .lagrangian import (
     DEGENERATE,
     EomSystem,
@@ -34,7 +35,6 @@ from .lagrangian import (
 if TYPE_CHECKING:  # pragma: no cover
     from .hamiltonian import HamiltonianField, PhaseState
 
-BLOWUP_LIMIT = 1e12
 MAX_STEPS = 10_000_000
 
 SECOND_ORDER = "second-order"
@@ -143,30 +143,34 @@ def integrate(eom: EomSystem, init: MechState, cfg: IntegratorConfig) -> Traject
         raise ValueError(f"init has {len(init.q)} coordinates, expected {eom.dim}")
     x, y = (init.q[0], init.qd[0]) if eom.dim == 1 else (list(init.q), list(init.qd))
     if eom.classification != DEGENERATE:
-        return _stepped(SECOND_ORDER, eom.maps.step, x, y, cfg)
-    step = eom.maps.closure_step(eom.closure_mass)  # the closed form's p stays 0; Newton's state is q alone
-    x, y = (x, 0.0 if eom.dim == 1 else [0.0] * eom.dim) if step else (list(init.q), [])
-    return _stepped(CLOSURE, step or _closure_step(eom, init), x, y, cfg)
+        return _sampled(SECOND_ORDER, eom.maps.step, x, y, cfg)
+    loop = eom.maps.closure_step(eom.closure_mass)  # the closed form's p stays 0; Newton's state is q alone
+    x, y = (x, 0.0 if eom.dim == 1 else [0.0] * eom.dim) if loop else (list(init.q), [])
+    return _sampled(CLOSURE, loop or partial(_stepped, _closure_step(eom, init)), x, y, cfg)
 
 
-def _stepped(kind: str, step: Callable, x, y, cfg: IntegratorConfig) -> Trajectory:
-    """The samples of a step (t, x, y, dt, h2, h6) -> (qd, p, residual, next x, next y), dt
-    None at the last sample. x is q; y is qd on a regular system, p on a Hamiltonian one, and
-    on a closure [] (Newton) or p = 0 (closed form). Float states (one coordinate,
-    `exprcore.compile_step`'s form) are stored through memoryviews, list states by rows."""
+def _sampled(kind: str, loop: Callable, x, y, cfg: IntegratorConfig) -> Trajectory:
+    """The trajectory of a sample loop in `exprcore.compile_step`'s form from (x, y): x is q; y is qd
+    (regular), p (Hamiltonian), or on a closure [] (Newton) or p = 0 (closed form)."""
     t_grid, dt, n = _grid(cfg)
-    h2, h6 = dt / 2, dt / 6
-    scalar = isinstance(x, float)
-    shape = n + 1 if scalar else (n + 1, len(x))
-    cols = [np.empty(shape), np.empty(shape), np.empty(shape), np.empty(n + 1)]
-    qs, qds, ps, residuals = map(memoryview, cols) if scalar else cols  # float item stores
-    for k, t in enumerate(memoryview(t_grid)):
-        if not (scalar and abs(x) <= BLOWUP_LIMIT and abs(y) <= BLOWUP_LIMIT):
-            _check_finite((x, y) if scalar else x + y, t)
-        qs[k] = x
-        qds[k], ps[k], residuals[k], x, y = step(t, x, y, dt if k < n else None, h2, h6)
+    shape = n + 1 if isinstance(x, float) else (n + 1, len(x))
+    cols, grid = [np.empty(shape), np.empty(shape), np.empty(shape), np.empty(n + 1)], memoryview(t_grid)
+    k = loop(grid, x, y, dt, dt / 2, dt / 6, *map(memoryview, cols), n)
+    if k is not None:  # sample k's state failed the blow-up test
+        raise StepBlowUp(f"state magnitude exceeded {BLOWUP_LIMIT:g} at t={grid[k]!r}")
     q, qd, p = (col.reshape(n + 1, -1) for col in cols[:3])
     return Trajectory(kind, dt, t_grid, q, qd, p, cols[3])
+
+
+def _stepped(step: Callable, grid, x, y, dt: float, h2: float, h6: float, qs, qds, ps, residuals, n: int) -> None:
+    """The sample loop, in `_sampled`'s form, of a step (t, x, y, dt, h2, h6) -> (qd, p, residual, next x, next y),
+    dt None at the last sample. It serves only the Newton steps, until ROADMAP item 1(b) generates them too."""
+    scalar = isinstance(x, float)
+    qs, qds, ps = (qs, qds, ps) if scalar else map(np.asarray, (qs, qds, ps))  # list states fill rows
+    for k, t in enumerate(grid):
+        _check_finite((x, y) if scalar else x + y, t)
+        qs[k] = x
+        qds[k], ps[k], residuals[k], x, y = step(t, x, y, dt if k < n else None, h2, h6)
 
 
 def _closure_step(eom: EomSystem, init: MechState) -> Callable:
@@ -198,7 +202,7 @@ def integrate_hamiltonian(
     The qd column is filled by inverting the momentum map at each sample, so
     the CSV schema is identical across flow kinds.
     """
-    return _stepped(HAMILTONIAN, field.step or _newton_step(field), init.q, init.p, cfg)
+    return _sampled(HAMILTONIAN, field.step or partial(_stepped, _newton_step(field)), init.q, init.p, cfg)
 
 
 def _newton_step(field: "HamiltonianField") -> Callable:

@@ -36,6 +36,7 @@ import numpy as np
 
 FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt", "tanh")
 IMAGINARY_UNIT = "i"
+BLOWUP_LIMIT = 1e12  # the bound of a sample loop's state entries
 
 Bindings = Mapping[str, float]
 
@@ -896,11 +897,11 @@ _SCALAR_HELPERS = {
 _LANE_HELPERS = {"_h_div": _lanes_div, "_h_pow": _lanes_pow, "_h_call": _lanes_call}
 
 
-def _with_fallback(src: str, kernels: str, ns: dict, slow: Callable[[], Callable]) -> str:
+def _with_fallback(src: str, kernels: str, ns: dict, slow: Callable[[], Callable], extra: str = "") -> str:
     """`src`, one function, with its body under `try`: where an inline operation raises
     (ArithmeticError, or cmath's ValueError), the call is made again on `_h_slow()`, bound
-    in `ns` to `slow`, the same function built on the helpers, and its DomainError, or its
-    value where a helper returns one, is the call's.
+    in `ns` to `slow`, the same function built on the helpers (its parameters then `extra`),
+    and its DomainError, or its value where a helper returns one, is the call's.
 
     `kernels` is the text of the kernel bodies `_codegen` wrote into `src` with `inline`.
     Only an inline operation writes `/`, `**` or `_c_` there; without one the function is
@@ -910,7 +911,7 @@ def _with_fallback(src: str, kernels: str, ns: dict, slow: Callable[[], Callable
     ns["_h_slow"] = slow
     head, body = src.split("\n", 1)
     params = head[head.index("(") + 1 : head.index(")")]
-    fallback = f"    except (ArithmeticError, ValueError):\n        return _h_slow()({params})\n"
+    fallback = f"    except (ArithmeticError, ValueError):\n        return _h_slow()({params}{extra})\n"
     return f"{head}\n    try:\n{indent(body, '    ')}{fallback}"
 
 
@@ -1019,32 +1020,32 @@ def _fold(e: Expr, values: Mapping[str, Expr]) -> Expr:
 
 def compile_step(
     trees: tuple, args: tuple, outs: tuple, tail: tuple, sample, last: tuple = (), names: tuple = ()
-) -> Callable[..., tuple]:
-    """The classical RK4 step (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.1)
-    of a state (x, y), generated as `_step(t0, x0, y0, dt, h2, h6)` -> (*sample, next x, next y).
+) -> Callable[..., int | None]:
+    """The sample loop of the classical RK4 step (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.1)
+    of a state (x, y), generated as `_loop(grid, x0, y0, dt, h2, h6, c0, c1, c2, c3, n)`: at each of the
+    n + 1 samples it returns the sample's index if a state entry is NaN or beyond +-BLOWUP_LIMIT, else
+    stores x and the sample's s0, s1, s2 in the memoryview columns c0..c3 ([k], or [k, a] for a list
+    state) and, but at the last sample, steps the state in place.
 
-    `args` is (t, x, y) for a float state, or (t, x_1..x_n, y_1..y_n) for a
-    state of n > 1 coordinates held as the lists x0 and y0. One template
-    writes both, entry by entry in scalars: a float state's entries are its
-    parameters `{x}0, {y}0` with the slope `kx, ky`, a list state's the
-    scalars `x0_a, y0_a` that x0 and y0 unpack to, with `kx_a, ky_a`, so each
-    entry rounds as a float state's does. Each stage assigns its point to
-    `args`, so a guard names it as the kernel does, runs the real kernel body
-    of the folded `trees` with the values bound to `outs`, then the pieces of
-    `tail`, which set the slope; the piece `sample` sets s0, s1, s2 after
-    stage 1. A piece is text, or a pair (names, trees) setting the names to
-    the trees' values, folded by `_fold` and computed with plain `/` and `**`
-    as text is. A float state's outs that are constants go into those trees,
-    and the body assigns them only if it checks for an imaginary part, which
-    names a map by its place. With dt None the step returns
-    (*sample, x0, y0) from stage 1, or on a float state from the body of
-    `last` alone, bound to the first `outs`. The `(name, value)` pairs of
-    `names` are bound as globals.
+    `args` is (t, x, y) for a float state, or (t, x_1..x_n, y_1..y_n) for a state of n > 1 coordinates
+    passed as the lists x0 and y0. One template writes both, entry by entry in scalars: a float state's
+    entries are its parameters `{x}0, {y}0` with the slope `kx, ky`, a list state's the scalars `x0_a,
+    y0_a` that x0 and y0 unpack to, with `kx_a, ky_a`, so each entry rounds as a float state's does.
+    Each stage assigns its point to `args`, so a guard names it as the kernel does, runs the real kernel
+    body of the folded `trees` with the values bound to `outs`, then the pieces of `tail`, which set the
+    slope; the piece `sample` sets s0, s1, s2 after stage 1. A piece is text, or a pair (names, trees)
+    setting the names to the trees' values, folded by `_fold` and computed with plain `/` and `**` as
+    text is. A float state's outs that are constants go into those trees, and the body assigns them only
+    if it checks for an imaginary part, which names a map by its place; else an out only `sample` reads,
+    whose tree cannot raise, is computed once, at the sample. The last sample runs stage 1 alone, or on
+    a float state `_f(t, x, y)` -> (*sample, x, y), the body of `last` bound to the first `outs`.
+    `names` pairs are bound as globals.
 
-    The kernel bodies take `compile_expr`'s fast path, and a step that raises
-    in it is taken again on the step built on the helpers, which raises at
-    the same stage with the helpers' error. Steps are cached on their
-    arguments, so a derive of the same system reuses its step.
+    Where an inline operation of the kernel bodies (`compile_expr`'s fast path) raises, that sample
+    alone is taken again on the step built on the helpers, `_step(t0, x0, y0, dt, h2, h6)` -> (*sample,
+    next x, next y) with dt None at the last sample: it raises the helpers' error at the same stage,
+    or gives the sample and the loop goes on. Loops are cached on their arguments, so a derive of the
+    same system reuses its loop.
     """
     return _step(trees, args, outs, tail, sample, last, names, True)
 
@@ -1052,16 +1053,16 @@ def compile_step(
 @lru_cache(maxsize=None)
 def _step(
     trees: tuple, args: tuple, outs: tuple, tail: tuple, sample, last: tuple, names: tuple, inline: bool
-) -> Callable[..., tuple]:
+) -> Callable:
     bound: dict = {}
     t, state, n = args[0], args[1:], (len(args) - 1) // 2
     listed, join = n > 1, ", ".join
     leaves = {} if listed else {o: e for o, e in zip(outs, trees) if isinstance(e, Const)}
 
-    def body(trees: tuple[Expr, ...]) -> str:
-        guarded = any(map(_may_turn_complex, trees))
+    def body(pairs: list) -> str:
+        guarded = any(_may_turn_complex(e) for _, e in pairs)
         # a guard names a map by its place, so a guarded body keeps every out, and any body one
-        kept = [(o, e) for o, e in zip(outs, trees) if guarded or o not in leaves] or [(outs[0], trees[0])]
+        kept = [(o, e) for o, e in pairs if guarded or o not in leaves] or pairs[:1]
         lhs, kept = f"{join(o for o, _ in kept)} = ", tuple(e for _, e in kept)
         return _codegen(kept, args, len(kept) == 1, guarded, bound, lhs, inline)[0]
 
@@ -1072,28 +1073,49 @@ def _step(
         reads = tuple(frozenset().union(*map(free_symbols, values)))  # args, outs and the tail's names
         return _codegen(values, reads, len(lhs) == 1, False, bound, f"{join(lhs)} = ", True)[0].split("\n", 1)[1]
 
-    kernels = body(trees)
-    stage = kernels.split("\n", 1)[1] + "".join(map(put, tail))
-    read = put(sample)
+    pairs, tails = list(zip(outs, trees)), "".join(map(put, tail))
+    # outs only the sample reads (an f-string's prefix is no name) are computed once, at the sample,
+    # unless a guard names them by place, or they can raise, so that stages 2 to 4 would skip an error
+    read = set(outs) if any(map(_may_turn_complex, trees)) else {*leaves, *re.findall(r"\w+\b(?!\")", tails)}
+    late = [(o, e) for o, e in pairs if o not in read and trees.count(e) == 1]
+    once = body(late).split("\n", 1)[1] if late else ""
+    if any(op in once for op in ("/", "**", "_c_", "_h_")):
+        late, once = [], ""
+    kernels = body([p for p in pairs if p not in late])
+    stage = kernels.split("\n", 1)[1] + tails
     entries = [(v, f"_{a}" if listed else "") for v in "xy" for a in range(1, n + 1)]
     base = [f"{v}0{s}" for v, s in entries] if listed else [f"{x}0" for x in state]
     slopes = lambda k="": [f"k{v}{k}{s}" for v, s in entries]  # noqa: E731 - stage k's, or the current
     params = ("x0", "y0") if listed else base
-    head = f"{body(last)}{read}    return (s0, s1, s2, {join(state)})\n" if last else ""
-    src = f"def _step({t}0, {join(params)}, dt, h2, h6):\n"
-    src += f"    {join(base[:n])} = x0\n    {join(base[n:])} = y0\n" if listed else ""
-    src += f"    if dt is None: return _f({t}0, {join(base)})\n" if last else ""
-    src += f"    {t}, {join(state)} = {t}0, {join(base)}\n{stage}{read}"
-    src += "" if last else f"    if dt is None: return (s0, s1, s2, {join(params)})\n"
+    unpack = f"    {join(base[:n])} = x0\n    {join(base[n:])} = y0\n" if listed else ""
+    first = f"    {t}, {join(state)} = {t}0, {join(base)}\n{stage}{once}{put(sample)}"
+    head = f"{body(list(zip(outs, last)))}{put(sample)}    return (s0, s1, s2, {join(state)})\n" if last else ""
+    rest = ""
     for k, h in ((1, "h2"), (2, "h2"), (3, "dt")):
         point = (f"{b} + {h} * {s}" for b, s in zip(base, slopes(k)))
-        src += f"    {join(slopes(k))} = {join(slopes())}\n    {t}, {join(state)} = {t}0 + {h}, {join(point)}\n{stage}"
+        rest += f"    {join(slopes(k))} = {join(slopes())}\n    {t}, {join(state)} = {t}0 + {h}, {join(point)}\n{stage}"
     new = [f"{b} + h6 * ({s1} + 2 * {s2} + 2 * {s3} + {s})" for b, s1, s2, s3, s in zip(base, *map(slopes, (1, 2, 3, "")))]
-    x1, y1 = (f"[{e}]" if listed else e for e in (join(new[:n]), join(new[n:])))
-    src += f"    return (s0, s1, s2, {x1}, {y1})\n"
-    ns = {"__builtins__": {}, **_SCALAR_HELPERS, "abs": abs, "max": max, **bound, **dict(names)}
-    if inline:  # `_f` runs inside the step, so the step's fallback covers it
-        slow = partial(_step, trees, args, outs, tail, sample, last, names, False)
-        src = _with_fallback(src, kernels + head, ns, slow)
-    exec(head + src, ns)  # noqa: S102 - source is generated from validated trees
-    return ns["_step"]
+    rest += f"    {join(base)} = {join(new)}\n"
+    at_end, more = ("_i == _n", "_i < _n") if inline else ("dt is None", "dt is not None")  # the last sample
+    sampled = f"{first}    if {more}:\n{indent(rest, '    ')}" if not last else (
+        f"    if {at_end}:\n        s0, s1, s2 = _f({t}0, {join(base)})[:3]\n    else:\n{indent(first + rest, '    ')}")
+    ns = {"__builtins__": {}, **_SCALAR_HELPERS, "abs": abs, "max": max, "range": range, **bound, **dict(names)}
+    at = (f"[{join(base[:n])}]", f"[{join(base[n:])}]") if listed else base
+    if not inline:  # the per-sample step a sample that raises in the loop is taken again on
+        src = f"def _step({t}0, {join(params)}, dt, h2, h6):\n{unpack}{sampled}    return (s0, s1, s2, {join(at)})\n"
+        exec(head + src, ns)  # noqa: S102 - generated from validated trees
+        return ns["_step"]
+    slow = partial(_step, trees, args, outs, tail, sample, last, names, False)
+    head = head and _with_fallback(head, head, ns, slow, ", None, 0.0, 0.0")
+    row = lambda c: join(f"_c{c}[_i, {a}]" for a in range(n)) if listed else f"_c{c}[_i]"  # noqa: E731
+    within = " and ".join(f"{-BLOWUP_LIMIT!r} <= {b} <= {BLOWUP_LIMIT!r}" for b in base)  # false for NaN too
+    src = f"def _loop(_tg, {join(params)}, dt, h2, h6, _c0, _c1, _c2, _c3, _n):\n{unpack}    for _i in range(_n + 1):\n"
+    src += f"        {t}0 = _tg[_i]\n        if not ({within}):\n            return _i\n        {row(0)} = {join(base[:n])}\n"
+    if any(op in kernels for op in ("/", "**", "_c_")):
+        ns["_h_slow"] = slow
+        retry = f"s0, s1, s2, {join(params)} = _h_slow()({t}0, {join(at)}, dt if _i < _n else None, h2, h6)"
+        sampled = f"    try:\n{indent(sampled, '    ')}    except (ArithmeticError, ValueError):\n        {retry}\n"
+        sampled += indent(unpack, "    ")
+    store = f"        {row(1)} = s0\n        {row(2)} = s1\n        _c3[_i] = s2\n"
+    exec(f"{head}{src}{indent(sampled, '    ')}{store}", ns)  # noqa: S102 - generated from validated trees
+    return ns["_loop"]

@@ -89,8 +89,8 @@ def _pieces(p, values, kappa0, omega0):
 class HamiltonianField:
     """Compiled phase-space field for a regular single-coordinate system; `_f` is f with the
     parameters folded in, `_qd` the inverse tree qd(t, q, p) if A folds to a nonzero constant;
-    then `step` is `exprcore.compile_step`'s RK4 step of (q, p) giving qd, p and |f - p|, and
-    with dt None, which computes only (qd, f), serves `invert` too."""
+    then `step` is `exprcore.compile_step`'s RK4 sample loop of (q, p) giving qd, p and |f - p|,
+    and its sample head `_f`, which computes only (qd, f), serves `invert` too."""
 
     lagr: ComplexLagrangian
     eom: EomSystem
@@ -146,7 +146,7 @@ class HamiltonianField:
 
     def invert(self, t: float, q: float, p: float, guess: float = 0.0) -> float:
         """Solve p = f(q, qd, t) for qd: the closed form, else Newton from `guess`."""
-        return (self._invert(t, q, p, guess) if self.step is None else self.step(t, q, p, None, 0.0, 0.0))[0]
+        return (self._invert(t, q, p, guess) if self.step is None else self.step.__globals__["_f"](t, q, p))[0]
 
     def _invert(self, t: float, q: float, p: float, guess: float) -> tuple[float, float]:
         """(qd, f(q, qd, t)) at the qd Newton finds on (f, df/dqd)."""

@@ -217,11 +217,11 @@ class _Maps:
     `lanes` is `kernel` over arrays of samples (`compile_expr`'s `vectorized`
     mode), for passes over whole trajectories; `columns` reads it at a list of
     sample states, as the scalar kernel would sample by sample. `step` is `exprcore.compile_step`'s
-    RK4 step of (q, qd) giving qd, p and the EL residual, on floats at one
+    RK4 sample loop of (q, qd) giving qd, p and the EL residual, on floats at one
     coordinate and on lists above. There a mass matrix that folds to constants
     is eliminated at compile time (`_solve_plan`); one that varies is solved at
     each stage by the generated `_solver(n)` on the stage's locals. `closure`
-    solves the closure at a mass, and `closure_step` is its RK4 step where A
+    solves the closure at a mass, and `closure_step` is its RK4 sample loop where A
     folds to constants. Built only by `ComplexLagrangian.maps`; `equivalence`
     reads the maps of a pair's difference Lagrangian, whose Euler-Lagrange law
     is its residual.
@@ -261,7 +261,7 @@ class _Maps:
         return self._compile(self.f + sum(self.A, ()))
 
     @cached_property
-    def step(self) -> Callable[..., tuple]:
+    def step(self) -> Callable[..., int | None]:
         trees, names = subs(self._all, self._params), (("SingularMass", SingularMass),)
         if self.dim == 1:
             # slope (qd, b/a) by `_solve_scalar`'s arithmetic; a constant `a` decides its pivot test here, and
@@ -309,8 +309,8 @@ class _Maps:
             self._closures[mass] = qd, (lambda t, q, _: list(kernel(t, *q, *(0.0,) * n))) if qd else newton
         return self._closures[mass]
 
-    def closure_step(self, mass: tuple[float, ...]) -> Callable[..., tuple] | None:
-        """`compile_step`'s RK4 step of (q, p) on an affine closure, else None: q's slope is the
+    def closure_step(self, mass: tuple[float, ...]) -> Callable[..., int | None] | None:
+        """`compile_step`'s RK4 sample loop of (q, p) on an affine closure, else None: q's slope is the
         closed form, p stays 0, and the sample is qd, f and the residual max |f_a - mass_a qd_a|."""
         n, join, qd = self.dim, ", ".join, self.closure(mass)[0]
         if qd is None:
@@ -739,15 +739,13 @@ def accel(eom: EomSystem, s: MechState) -> np.ndarray:
     """qdd solving A qdd = g - (df/dq) qd - df/dt by partial-pivot elimination."""
     if not eom.is_regular:
         raise ValueError("accel requires a regular system; this one is degenerate")
-    return np.array(_accel(eom.maps, s.t, s.q, s.qd)[0])
+    return np.array(_accel(eom.maps, s.t, s.q, s.qd))
 
 
-def _accel(maps: _Maps, t: float, q: Sequence[float], qd: Sequence[float]):
-    """(qdd, (f, g, A, f_q, f_t)): the acceleration and the map values it used."""
-    vals = maps(t, q, qd)
-    _, g, A, f_q, f_t = vals
-    rhs = [g[a] - _dot(f_q[a], qd) - f_t[a] for a in range(len(g))]
-    return solve_linear(A, rhs), vals
+def _accel(maps: _Maps, t: float, q: Sequence[float], qd: Sequence[float]) -> list[float]:
+    """qdd solving A qdd = g - (df/dq) qd - df/dt from the maps at (t, q, qd)."""
+    _, g, A, f_q, f_t = maps(t, q, qd)
+    return solve_linear(A, [g[a] - _dot(f_q[a], qd) - f_t[a] for a in range(len(g))])
 
 
 def closure_velocity(eom: EomSystem, t: float, q, guess=None) -> np.ndarray:

@@ -62,23 +62,29 @@ class Lcg:
                 return x % n
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates, high index down to 1."""
+        """In-place Fisher-Yates, high index down to 1, each index drawn as `below` draws it."""
+        x, span = self.state, 1 << 53
         for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
+            limit = span - span % (i + 1)
+            while (x := (_A * x + _C) & _MASK) >> 11 >= limit:
+                pass  # rejected, as `below` rejects
+            j = (x >> 11) % (i + 1)
             items[i], items[j] = items[j], items[i]
+        self.state = x
 
 
 def latin_hypercube(n: int, dims: int, rng: Lcg) -> np.ndarray:
     """n stratified points in [0, 1)^dims; one point per slab per axis."""
     if n < 1 or dims < 1:
         raise ValueError("n and dims must be positive")
-    out = np.empty((n, dims))
-    for d in range(dims):
+    cols = []
+    for _ in range(dims):
         order = list(range(n))
         rng.shuffle(order)
-        for k in range(n):
-            out[k, d] = (order[k] + rng.uniform()) / n
-    return out
+        x = rng.state  # each offset is `uniform`'s draw
+        cols.append([(k + ((x := (_A * x + _C) & _MASK) >> 11) * 2.0**-53) / n for k in order])
+        rng.state = x
+    return np.array(cols).T
 
 
 def sample_states(dim: int, n: int, seed: int = DEFAULT_SEED) -> list[MechState]:
@@ -86,15 +92,8 @@ def sample_states(dim: int, n: int, seed: int = DEFAULT_SEED) -> list[MechState]
 
     Axis order is (t, q_1..q_dim, qd_1..qd_dim).
     """
-    rng = Lcg(seed)
-    unit = latin_hypercube(n, 1 + 2 * dim, rng)
-    t0, t1 = T_RANGE
-    lo, hi = BOX
-    states = []
-    for row in unit:
-        t = t0 + (t1 - t0) * row[0]
-        q = tuple(lo + (hi - lo) * row[1 + a] for a in range(dim))
-        qd = tuple(lo + (hi - lo) * row[1 + dim + a] for a in range(dim))
-        states.append(MechState(t, q, qd))
-    return states
+    t, *axes = latin_hypercube(n, 1 + 2 * dim, Lcg(seed)).T.tolist()
+    (t0, t1), (lo, hi) = T_RANGE, BOX
+    rows = zip(*([lo + (hi - lo) * u for u in col] for col in axes))
+    return [MechState(t0 + (t1 - t0) * u, row[:dim], row[dim:]) for u, row in zip(t, rows)]
 

@@ -289,7 +289,7 @@ def reference_eom_equivalent(pair, samples):
                 n_skipped += 1
                 continue
             try:
-                a1 = _accel(eom1.maps, s.t, s.q, s.qd)[0]
+                a1 = _accel(eom1.maps, s.t, s.q, s.qd)
             except SingularMass:
                 n_skipped += 1
                 continue
@@ -303,8 +303,8 @@ def reference_eom_equivalent(pair, samples):
         if eom1 is not None and eom2 is not None:
             try:
                 if a1 is None:
-                    a1 = _accel(eom1.maps, s.t, s.q, s.qd)[0]
-                a2 = _accel(eom2.maps, s.t, s.q, s.qd)[0]
+                    a1 = _accel(eom1.maps, s.t, s.q, s.qd)
+                a2 = _accel(eom2.maps, s.t, s.q, s.qd)
             except SingularMass:
                 pass
             else:

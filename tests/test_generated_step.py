@@ -1,7 +1,8 @@
-"""The RK4 steps against the per-stage loops they replaced.
+"""The generated RK4 sample loops against the per-stage loops they replaced.
 
-`_Maps.step` and `HamiltonianField.step` inline the kernel body, the linear
-solve and the generators' arithmetic into one function per system. The
+`_Maps.step` and `HamiltonianField.step` are each one generated function per
+system that runs a whole trajectory: the blow-up test, the column stores, and
+the kernel body, the linear solve and the generators' arithmetic inlined. The
 reference loops below are the earlier implementations: one `kernel` call and
 one `_solve_scalar` per regular stage, one `_flow_at` per Hamiltonian stage
 with `_generators` written out, and, for regular flows above one coordinate
@@ -690,3 +691,123 @@ class TestListErrorParity:
         init = MechState(0.0, (0.5, -0.3), (0.0, 0.0))
         got = assert_same_list_state(source, {"k": 1.0}, init, IntegratorConfig(0.05, 0.0, 2.0), (1.2, -0.9))
         assert got[0] is ClosureInconsistent
+
+
+def _derived(source: str, probe: MechState, mass=None, params=None):
+    """The system of `source` derived at `probe`, so that a run can start where no derive could."""
+    return derive_eom(ComplexLagrangian(parse(source), 1.0, dim=len(probe.q), params=params or {}), probe, mass)
+
+
+def _both(eom, init: MechState, cfg: IntegratorConfig):
+    """`integrate`'s outcome and its reference loop's: the stage loop at one coordinate, else `_listed`."""
+    if eom.closure_mass is not None:
+        reference = reference_closure
+    else:
+        reference = reference_regular if eom.dim == 1 else reference_list_regular
+    return outcome(lambda: integrate(eom, init, cfg)), outcome(lambda: reference(eom, init, cfg))
+
+
+TEN_STEPS = IntegratorConfig(1.0, 0.0, 10.0)
+# (q0, v0, the t of the blow-up): beyond the limit at the first sample, or a speed that passes
+# it at the last sample alone, which takes no step
+BLOW_UPS = [(2e12, 0.0, "0.0"), (0.0, 1.05e11, "10.0")]
+# g = 4e300 q^3 - (the product rule's sum for q*q*q*q): inf - inf, NaN, from q = 1e3, so the
+# state after the first step is NaN, though never beyond the limit
+NAN_FORCE = "1e300*q^4 - 1e300*q*q*q*q"
+
+
+def _blown(at: str) -> tuple:
+    return StepBlowUp, f"state magnitude exceeded 1e+12 at t={at}"
+
+
+class TestSampleLoopBlowUps:
+    """The generated loop's blow-up test against the reference loops' `_check_finite`, by type and text."""
+
+    @pytest.mark.parametrize("q0, v0, at", BLOW_UPS)
+    def test_float_states(self, q0, v0, at):
+        eom = _derived("0.5*qd^2 + 1e-3*q", MechState(0.0, (1.0,), (1.0,)))
+        assert _both(eom, MechState(0.0, (q0,), (v0,)), TEN_STEPS) == (_blown(at), _blown(at))
+        field = make_field("0.5*qd^2 + 1e-3*q", {}, MechState(0.0, (1.0,), (1.0,)))
+        assert field.step is not None
+        assert assert_same_hamiltonian(field, PhaseState(0.0, q0, v0), TEN_STEPS) == _blown(at)
+
+    @pytest.mark.parametrize("q0, v0, at", BLOW_UPS)
+    def test_list_states(self, q0, v0, at):
+        eom = _derived("0.5*(qd1^2 + qd2^2) + 1e-3*q1*q2", MechState(0.0, (1.0, 0.5), (1.0, 0.0)))
+        assert _both(eom, MechState(0.0, (0.5, q0), (0.0, v0)), TEN_STEPS) == (_blown(at), _blown(at))
+
+    def test_nan_states(self):
+        eom = _derived(f"0.5*qd^2 + {NAN_FORCE}", MechState(0.0, (1.0,), (0.0,)))
+        assert math.isnan(eom.maps.kernel(0.0, 1e3, 0.0)[1])
+        assert _both(eom, MechState(0.0, (1e3,), (0.0,)), TEN_STEPS) == (_blown("1.0"), _blown("1.0"))
+        field = make_field(f"0.5*qd^2 + {NAN_FORCE}", {}, MechState(0.0, (1.0,), (0.0,)))
+        assert assert_same_hamiltonian(field, PhaseState(0.0, 1e3, 0.0), TEN_STEPS) == _blown("1.0")
+        source = "0.5*(qd1^2 + qd2^2) + 1e-3*q1*q2 + " + NAN_FORCE.replace("q", "q2")
+        eom = _derived(source, MechState(0.0, (0.5, 1.0), (0.0, 0.0)))
+        assert _both(eom, MechState(0.0, (0.5, 1e3), (0.0, 0.0)), TEN_STEPS) == (_blown("1.0"), _blown("1.0"))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.filterwarnings("ignore::clmech.lagrangian.ClosureConsistencyWarning")
+    def test_closed_form_closures(self, dim):
+        # qd = q, so q = e^t passes 1e12 at the grid's last sample, t = 27.65, and not before
+        source = "0.5*i*(qd^2 - q^2)" if dim == 1 else "0.5*i*(qd1^2 + qd2^2 - q1^2 - q2^2)"
+        probe, mass = MechState(0.0, (1.0,) * dim, (1.0,) * dim), (-1.0,) * dim
+        eom = _derived(source, probe, mass)
+        assert eom.maps.closure_step(mass) is not None
+        assert _both(eom, probe, IntegratorConfig(0.05, 0.0, 27.65)) == (_blown("27.65"), _blown("27.65"))
+        # the closed form qd = -f(q, 0)/(0 - mass) is NaN from q1 = 1e3, where the Newton
+        # reference stalls instead, so only the loop's own outcome is pinned
+        source = f"i*(0.5*qd^2 + {NAN_FORCE})" if dim == 1 else f"i*(0.5*qd1^2 + 0.5*qd2^2 + q2 + {NAN_FORCE.replace('q', 'q1')})"
+        eom = _derived(source, MechState(0.0, (1.0,) * dim, (0.0,) * dim), mass)
+        assert eom.maps.closure_step(mass) is not None
+        init = MechState(0.0, (1e3,) + (1.0,) * (dim - 1), (0.0,) * dim)
+        assert outcome(lambda: integrate(eom, init, TEN_STEPS)) == _blown("1.0")
+
+
+def _counting_helper(loop, monkeypatch) -> list:
+    """The t0 of each call the loop makes of its helper-built per-sample step."""
+    calls, build = [], loop.__globals__["_h_slow"]
+
+    def counted(*args):
+        calls.append(args[0])
+        return build()(*args)
+
+    monkeypatch.setitem(loop.__globals__, "_h_slow", lambda: counted)
+    return calls
+
+
+class TestHelperFallback:
+    """A sample whose inline operation raises is taken again, alone, on the helper-built step.
+
+    No input makes an inline operation raise where its helper returns a value: the only
+    candidate, `_domain_pow`'s branch for a ValueError, is not reached, since no float or
+    complex power raises one. So the helper step raises too, and the tests pin that it runs
+    once, at a sample after the first, with the reference loops' error."""
+
+    def test_float_states(self, monkeypatch):
+        # q = t^2/2 passes 709.78/2e4 near t = 0.27, where exp overflows inline
+        source, init, cfg = "0.5*qd^2 + q - 1e-300*exp(2e4*q)", MechState(0.0, (0.0,), (0.0,)), IntegratorConfig(0.05, 0.0, 2.0)
+        eom = _derived(source, init)
+        calls = _counting_helper(eom.maps.step, monkeypatch)
+        assert _both(eom, init, cfg) == ((DomainError, "exp overflowed"),) * 2
+        assert len(calls) == 1 and calls[0] > 0.0
+        field = make_field(source, {}, init)
+        calls = _counting_helper(field.step, monkeypatch)
+        assert assert_same_hamiltonian(field, PhaseState(0.0, 0.0, 0.0), cfg) == (DomainError, "exp overflowed")
+        assert len(calls) == 1 and calls[0] > 0.0
+
+    def test_list_states(self, monkeypatch):
+        source = "0.5*(qd1^2 + qd2^2) + 0.2*qd1*qd2 + q1 - 1e-300*exp(2e4*q1) + 1e-3*q2"
+        init, cfg = MechState(0.0, (0.0, 0.5), (0.0, 0.0)), IntegratorConfig(0.05, 0.0, 2.0)
+        eom = _derived(source, init)
+        calls = _counting_helper(eom.maps.step, monkeypatch)
+        assert _both(eom, init, cfg) == ((DomainError, "exp overflowed"),) * 2
+        assert len(calls) == 1 and calls[0] > 0.0
+
+    def test_invert_falls_back_on_its_own(self):
+        # f = qd + exp(q) is affine in qd; the sample head `_f` overflows exp inline at q = 800
+        field = make_field("0.5*qd^2 + qd*exp(q)", {}, MechState(0.0, (0.0,), (1.0,)))
+        assert field.step is not None and "_h_slow" in field.step.__globals__["_f"].__code__.co_names
+        assert field.invert(0.0, 0.5, 2.0) == 2.0 - math.exp(0.5)
+        with pytest.raises(DomainError, match="exp overflowed"):
+            field.invert(0.0, 800.0, 1.0)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clmech.lagrangian import MechState
-from clmech.sampling import DEFAULT_SEED, Lcg, latin_hypercube, sample_states
+from clmech.sampling import BOX, DEFAULT_SEED, T_RANGE, Lcg, latin_hypercube, sample_states
 
 
 class TestLcg:
@@ -84,3 +84,88 @@ class TestSampleStates:
     def test_repeatable(self):
         assert sample_states(1, 5, seed=9) == sample_states(1, 5, seed=9)
 
+
+
+_A, _C, _MASK = 6364136223846793005, 1442695040888963407, (1 << 64) - 1
+
+
+class _MethodLcg:
+    """A frozen copy of the generator that drew through one method call per number."""
+
+    def __init__(self, state: int) -> None:
+        self.state = state & _MASK
+
+    def next_u64(self) -> int:
+        self.state = (_A * self.state + _C) & _MASK
+        return self.state
+
+    def uniform(self) -> float:
+        return (self.next_u64() >> 11) * 2.0**-53
+
+    def below(self, n: int) -> int:
+        span = 1 << 53
+        limit = span - span % n
+        while True:
+            x = self.next_u64() >> 11
+            if x < limit:
+                return x % n
+
+    def shuffle(self, items: list) -> None:
+        for i in range(len(items) - 1, 0, -1):
+            j = self.below(i + 1)
+            items[i], items[j] = items[j], items[i]
+
+
+def _frozen_latin_hypercube(n: int, dims: int, rng: _MethodLcg) -> np.ndarray:
+    out = np.empty((n, dims))
+    for d in range(dims):
+        order = list(range(n))
+        rng.shuffle(order)
+        for k in range(n):
+            out[k, d] = (order[k] + rng.uniform()) / n
+    return out
+
+
+def _frozen_sample_states(dim: int, n: int, seed: int) -> list[tuple]:
+    unit = _frozen_latin_hypercube(n, 1 + 2 * dim, _MethodLcg(seed))
+    (t0, t1), (lo, hi) = T_RANGE, BOX
+    return [
+        (t0 + (t1 - t0) * row[0], *(lo + (hi - lo) * row[1 + a] for a in range(2 * dim)))
+        for row in unit
+    ]
+
+
+def _hex(values) -> list[str]:
+    return [float.hex(float(v)) for v in values]
+
+
+# the state before a draw of 2^64 - 1, whose top 53 bits `below(10)` rejects (2^53 % 10 = 2)
+REJECTING_SEED = ((_MASK - _C) * pow(_A, -1, 1 << 64)) & _MASK
+
+
+class TestFrozenGenerator:
+    """The local-variable LCG of `shuffle` and `latin_hypercube` against the method-call one."""
+
+    def test_the_rejecting_seed_rejects(self):
+        rng = _MethodLcg(REJECTING_SEED)
+        assert rng.next_u64() >> 11 >= (1 << 53) - (1 << 53) % 10
+        items, frozen = list(range(10)), list(range(10))
+        Lcg(REJECTING_SEED).shuffle(items)
+        _MethodLcg(REJECTING_SEED).shuffle(frozen)
+        assert items == frozen
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 10, 100, 256])
+    @pytest.mark.parametrize("seed", [DEFAULT_SEED, 9, 10, 31, REJECTING_SEED])
+    def test_sample_states_bit_for_bit(self, dim, n, seed):
+        got = [(s.t, *s.q, *s.qd) for s in sample_states(dim, n, seed)]
+        want = _frozen_sample_states(dim, n, seed)
+        assert [_hex(row) for row in got] == [_hex(row) for row in want]
+        assert all(type(v) is float for row in got for v in row)
+
+    @pytest.mark.parametrize("n,dims,seed", [(1, 1, 3), (10, 3, REJECTING_SEED), (100, 7, 9), (256, 5, 31)])
+    def test_latin_hypercube_bit_for_bit(self, n, dims, seed):
+        rng, frozen = Lcg(seed), _MethodLcg(seed)
+        got, want = latin_hypercube(n, dims, rng), _frozen_latin_hypercube(n, dims, frozen)
+        assert got.shape == want.shape and _hex(got.ravel()) == _hex(want.ravel())
+        assert rng.state == frozen.state  # the generator goes on where the method calls left it

@@ -6,8 +6,8 @@ exactly 2^k (a power of two rounds nothing, so partial pivoting picks the same
 pivots) and leaves the Euler-Lagrange law unchanged: the classification and
 the q and qd columns must stay bit for bit, and p and the residual must be
 exactly 2^k times the unscaled columns (metamorphic testing: T. Y. Chen et
-al., ACM Computing Surveys 51(1), 2018). The corpus scenarios run the float state
-of `dynamics._stepped`. The regular
+al., ACM Computing Surveys 51(1), 2018). The corpus scenarios run the generated
+float-state sample loop. The regular
 `simulate` inputs at two and three coordinates, whose coefficients are partly
 literals, scale as the whole Lagrangian times 2^k; they run the generated
 list-state step, whose compile-time pivots and multipliers of a constant mass
