@@ -18,19 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from .exprcore import BLOWUP_LIMIT, lane_blocks
-from .lagrangian import (
-    DEGENERATE,
-    EomSystem,
-    MechState,
-    _dot,
-    _solve_velocity,
-)
+from .lagrangian import DEGENERATE, EomSystem, MechState, _dot
 
 if TYPE_CHECKING:  # pragma: no cover
     from .hamiltonian import HamiltonianField, PhaseState
@@ -144,54 +137,23 @@ def integrate(eom: EomSystem, init: MechState, cfg: IntegratorConfig) -> Traject
     x, y = (init.q[0], init.qd[0]) if eom.dim == 1 else (list(init.q), list(init.qd))
     if eom.classification != DEGENERATE:
         return _sampled(SECOND_ORDER, eom.maps.step, x, y, cfg)
-    loop = eom.maps.closure_step(eom.closure_mass)  # the closed form's p stays 0; Newton's state is q alone
-    x, y = (x, 0.0 if eom.dim == 1 else [0.0] * eom.dim) if loop else (list(init.q), [])
-    return _sampled(CLOSURE, loop or partial(_stepped, _closure_step(eom, init)), x, y, cfg)
+    # a closure's p stays 0; its Newton, where A varies, starts from init.qd
+    zero = 0.0 if eom.dim == 1 else [0.0] * eom.dim
+    return _sampled(CLOSURE, eom.maps.closure_step(eom.closure_mass), x, zero, cfg, y)
 
 
-def _sampled(kind: str, loop: Callable, x, y, cfg: IntegratorConfig) -> Trajectory:
-    """The trajectory of a sample loop in `exprcore.compile_step`'s form from (x, y): x is q; y is qd
-    (regular), p (Hamiltonian), or on a closure [] (Newton) or p = 0 (closed form)."""
+def _sampled(kind: str, loop: Callable, x, y, cfg: IntegratorConfig, s0=0.0) -> Trajectory:
+    """The trajectory of `exprcore.compile_step`'s sample loop from (x, y) and the warm start s0:
+    x is q; y is qd (regular), p (Hamiltonian) or p = 0 (closure); s0 is the first sample's
+    Newton guess, init.qd on a closure whose A varies, 0.0 on a Hamiltonian field, else unread."""
     t_grid, dt, n = _grid(cfg)
     shape = n + 1 if isinstance(x, float) else (n + 1, len(x))
     cols, grid = [np.empty(shape), np.empty(shape), np.empty(shape), np.empty(n + 1)], memoryview(t_grid)
-    k = loop(grid, x, y, dt, dt / 2, dt / 6, *map(memoryview, cols), n)
+    k = loop(grid, x, y, dt, dt / 2, dt / 6, *map(memoryview, cols), n, s0)
     if k is not None:  # sample k's state failed the blow-up test
         raise StepBlowUp(f"state magnitude exceeded {BLOWUP_LIMIT:g} at t={grid[k]!r}")
     q, qd, p = (col.reshape(n + 1, -1) for col in cols[:3])
     return Trajectory(kind, dt, t_grid, q, qd, p, cols[3])
-
-
-def _stepped(step: Callable, grid, x, y, dt: float, h2: float, h6: float, qs, qds, ps, residuals, n: int) -> None:
-    """The sample loop, in `_sampled`'s form, of a step (t, x, y, dt, h2, h6) -> (qd, p, residual, next x, next y),
-    dt None at the last sample. It serves only the Newton steps, until ROADMAP item 1(b) generates them too."""
-    scalar = isinstance(x, float)
-    qs, qds, ps = (qs, qds, ps) if scalar else map(np.asarray, (qs, qds, ps))  # list states fill rows
-    for k, t in enumerate(grid):
-        _check_finite((x, y) if scalar else x + y, t)
-        qs[k] = x
-        qds[k], ps[k], residuals[k], x, y = step(t, x, y, dt if k < n else None, h2, h6)
-
-
-def _closure_step(eom: EomSystem, init: MechState) -> Callable:
-    """`_stepped`'s step of the closure state q (y stays []): qd solves f = mass*qd by
-    `_solve_velocity`, at the sample from the last sample's qd, and at each later stage from
-    the previous stage's slope; p = f at the sample."""
-    maps, mass, guess = eom.maps, eom.closure_mass, list(init.qd)
-
-    def step(t: float, q: list[float], y: list, dt: float | None, h2: float, h6: float):
-        nonlocal guess
-        guess, p = _solve_velocity(maps, t, q, mass, guess)
-        k1, residual = guess, max(_closure_terms(p, mass, guess))
-        if dt is None:
-            return k1, p, residual, q, y
-        k2 = _solve_velocity(maps, t + h2, [a + h2 * b for a, b in zip(q, k1)], mass, k1)[0]
-        k3 = _solve_velocity(maps, t + h2, [a + h2 * b for a, b in zip(q, k2)], mass, k2)[0]
-        k4 = _solve_velocity(maps, t + dt, [a + dt * b for a, b in zip(q, k3)], mass, k3)[0]
-        q = [a + h6 * (b1 + 2 * b2 + 2 * b3 + b4) for a, b1, b2, b3, b4 in zip(q, k1, k2, k3, k4)]
-        return k1, p, residual, q, y
-
-    return step
 
 
 def integrate_hamiltonian(
@@ -202,26 +164,7 @@ def integrate_hamiltonian(
     The qd column is filled by inverting the momentum map at each sample, so
     the CSV schema is identical across flow kinds.
     """
-    return _sampled(HAMILTONIAN, field.step or partial(_stepped, _newton_step(field)), init.q, init.p, cfg)
-
-
-def _newton_step(field: "HamiltonianField") -> Callable:
-    """The Newton path's RK4 step of (q, p) in `compile_step`'s form: a stage is one
-    `_flow_at` call, whose Newton starts from the qd of the last sample's inversion."""
-    guess = 0.0
-
-    def step(t: float, q: float, p: float, dt: float | None, h2: float, h6: float):
-        nonlocal guess
-        if dt is None:  # the last sample needs no slope
-            qd, f = field._invert(t, q, p, guess)
-            return qd, p, abs(f - p), q, p
-        guess, f, k1q, k1p = field._flow_at(t, q, p, guess)
-        _, _, k2q, k2p = field._flow_at(t + h2, q + h2 * k1q, p + h2 * k1p, guess)
-        _, _, k3q, k3p = field._flow_at(t + h2, q + h2 * k2q, p + h2 * k2p, guess)
-        _, _, k4q, k4p = field._flow_at(t + dt, q + dt * k3q, p + dt * k3p, guess)
-        return guess, p, abs(f - p), q + h6 * (k1q + 2 * k2q + 2 * k3q + k4q), p + h6 * (k1p + 2 * k2p + 2 * k3p + k4p)
-
-    return step
+    return _sampled(HAMILTONIAN, field.step, init.q, init.p, cfg)
 
 
 def sampled_path(

@@ -1019,13 +1019,14 @@ def _fold(e: Expr, values: Mapping[str, Expr]) -> Expr:
 
 
 def compile_step(
-    trees: tuple, args: tuple, outs: tuple, tail: tuple, sample, last: tuple = (), names: tuple = ()
+    trees: tuple, args: tuple, outs: tuple, tail: tuple, sample, last: tuple | str = (), names: tuple = (), start: str = ""
 ) -> Callable[..., int | None]:
     """The sample loop of the classical RK4 step (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.1)
-    of a state (x, y), generated as `_loop(grid, x0, y0, dt, h2, h6, c0, c1, c2, c3, n)`: at each of the
-    n + 1 samples it returns the sample's index if a state entry is NaN or beyond +-BLOWUP_LIMIT, else
-    stores x and the sample's s0, s1, s2 in the memoryview columns c0..c3 ([k], or [k, a] for a list
-    state) and, but at the last sample, steps the state in place.
+    of a state (x, y), generated as `_loop(grid, x0, y0, dt, h2, h6, c0, c1, c2, c3, n, s0)`: at each of
+    the n + 1 samples it returns the sample's index if a state entry is NaN or beyond +-BLOWUP_LIMIT,
+    else stores x and the sample's s0, s1, s2 in the memoryview columns c0..c3 ([k], or [k, a] for a
+    list state) and, but at the last sample, steps the state in place. The argument s0 is what the
+    text reads as s0 before the first sample sets it: a Newton's warm start.
 
     `args` is (t, x, y) for a float state, or (t, x_1..x_n, y_1..y_n) for a state of n > 1 coordinates
     passed as the lists x0 and y0. One template writes both, entry by entry in scalars: a float state's
@@ -1033,26 +1034,29 @@ def compile_step(
     y0_a` that x0 and y0 unpack to, with `kx_a, ky_a`, so each entry rounds as a float state's does.
     Each stage assigns its point to `args`, so a guard names it as the kernel does, runs the real kernel
     body of the folded `trees` with the values bound to `outs`, then the pieces of `tail`, which set the
-    slope; the piece `sample` sets s0, s1, s2 after stage 1. A piece is text, or a pair (names, trees)
-    setting the names to the trees' values, folded by `_fold` and computed with plain `/` and `**` as
-    text is. A float state's outs that are constants go into those trees, and the body assigns them only
+    slope; the piece `sample` sets s0, s1, s2 after stage 1, and the text `start` runs before stage 1
+    alone. A piece is text, or a pair (names, trees) setting the names to the trees' values, folded by
+    `_fold` and computed with plain `/` and `**` as text is. With no trees a stage is its tail alone.
+    A float state's outs that are constants go into those trees, and the body assigns them only
     if it checks for an imaginary part, which names a map by its place; else an out only `sample` reads,
-    whose tree cannot raise, is computed once, at the sample. The last sample runs stage 1 alone, or on
-    a float state `_f(t, x, y)` -> (*sample, x, y), the body of `last` bound to the first `outs`.
+    whose tree cannot raise, is computed once, at the sample. The last sample runs stage 1 alone; or,
+    where `last` is text, that text, then `sample`; or, where it is trees, on a float state,
+    `_f(t, x, y)` -> (*sample, x, y), the body of `last` bound to the first `outs`.
     `names` pairs are bound as globals.
 
     Where an inline operation of the kernel bodies (`compile_expr`'s fast path) raises, that sample
     alone is taken again on the step built on the helpers, `_step(t0, x0, y0, dt, h2, h6)` -> (*sample,
     next x, next y) with dt None at the last sample: it raises the helpers' error at the same stage,
-    or gives the sample and the loop goes on. Loops are cached on their arguments, so a derive of the
-    same system reuses its loop.
+    or gives the sample and the loop goes on; a loop of text-only stages, the only kind that reads the
+    argument s0, has no kernel body and so no such step. Loops are cached on their arguments, so a
+    derive of the same system reuses its loop.
     """
-    return _step(trees, args, outs, tail, sample, last, names, True)
+    return _step(trees, args, outs, tail, sample, last, names, start, True)
 
 
 @lru_cache(maxsize=None)
 def _step(
-    trees: tuple, args: tuple, outs: tuple, tail: tuple, sample, last: tuple, names: tuple, inline: bool
+    trees: tuple, args: tuple, outs: tuple, tail: tuple, sample, last: tuple | str, names: tuple, start: str, inline: bool
 ) -> Callable:
     bound: dict = {}
     t, state, n = args[0], args[1:], (len(args) - 1) // 2
@@ -1081,15 +1085,20 @@ def _step(
     once = body(late).split("\n", 1)[1] if late else ""
     if any(op in once for op in ("/", "**", "_c_", "_h_")):
         late, once = [], ""
-    kernels = body([p for p in pairs if p not in late])
+    kernels = body([p for p in pairs if p not in late]) if trees else "\n"  # a text-only stage has none
     stage = kernels.split("\n", 1)[1] + tails
     entries = [(v, f"_{a}" if listed else "") for v in "xy" for a in range(1, n + 1)]
     base = [f"{v}0{s}" for v, s in entries] if listed else [f"{x}0" for x in state]
     slopes = lambda k="": [f"k{v}{k}{s}" for v, s in entries]  # noqa: E731 - stage k's, or the current
     params = ("x0", "y0") if listed else base
     unpack = f"    {join(base[:n])} = x0\n    {join(base[n:])} = y0\n" if listed else ""
-    first = f"    {t}, {join(state)} = {t}0, {join(base)}\n{stage}{once}{put(sample)}"
-    head = f"{body(list(zip(outs, last)))}{put(sample)}    return (s0, s1, s2, {join(state)})\n" if last else ""
+    here = f"    {t}, {join(state)} = {t}0, {join(base)}\n"
+    first, head = f"{here}{start}{stage}{once}{put(sample)}", ""
+    if isinstance(last, str):  # the last sample runs the text, then `sample`
+        end = f"{here}{put(last)}{put(sample)}"
+    elif last:
+        head = f"{body(list(zip(outs, last)))}{put(sample)}    return (s0, s1, s2, {join(state)})\n"
+        end = f"    s0, s1, s2 = _f({t}0, {join(base)})[:3]\n"
     rest = ""
     for k, h in ((1, "h2"), (2, "h2"), (3, "dt")):
         point = (f"{b} + {h} * {s}" for b, s in zip(base, slopes(k)))
@@ -1098,18 +1107,18 @@ def _step(
     rest += f"    {join(base)} = {join(new)}\n"
     at_end, more = ("_i == _n", "_i < _n") if inline else ("dt is None", "dt is not None")  # the last sample
     sampled = f"{first}    if {more}:\n{indent(rest, '    ')}" if not last else (
-        f"    if {at_end}:\n        s0, s1, s2 = _f({t}0, {join(base)})[:3]\n    else:\n{indent(first + rest, '    ')}")
+        f"    if {at_end}:\n{indent(end, '    ')}    else:\n{indent(first + rest, '    ')}")
     ns = {"__builtins__": {}, **_SCALAR_HELPERS, "abs": abs, "max": max, "range": range, **bound, **dict(names)}
     at = (f"[{join(base[:n])}]", f"[{join(base[n:])}]") if listed else base
     if not inline:  # the per-sample step a sample that raises in the loop is taken again on
         src = f"def _step({t}0, {join(params)}, dt, h2, h6):\n{unpack}{sampled}    return (s0, s1, s2, {join(at)})\n"
         exec(head + src, ns)  # noqa: S102 - generated from validated trees
         return ns["_step"]
-    slow = partial(_step, trees, args, outs, tail, sample, last, names, False)
+    slow = partial(_step, trees, args, outs, tail, sample, last, names, start, False)
     head = head and _with_fallback(head, head, ns, slow, ", None, 0.0, 0.0")
     row = lambda c: join(f"_c{c}[_i, {a}]" for a in range(n)) if listed else f"_c{c}[_i]"  # noqa: E731
     within = " and ".join(f"{-BLOWUP_LIMIT!r} <= {b} <= {BLOWUP_LIMIT!r}" for b in base)  # false for NaN too
-    src = f"def _loop(_tg, {join(params)}, dt, h2, h6, _c0, _c1, _c2, _c3, _n):\n{unpack}    for _i in range(_n + 1):\n"
+    src = f"def _loop(_tg, {join(params)}, dt, h2, h6, _c0, _c1, _c2, _c3, _n, s0):\n{unpack}    for _i in range(_n + 1):\n"
     src += f"        {t}0 = _tg[_i]\n        if not ({within}):\n            return _i\n        {row(0)} = {join(base[:n])}\n"
     if any(op in kernels for op in ("/", "**", "_c_")):
         ns["_h_slow"] = slow

@@ -32,6 +32,9 @@ tree (`lagrangian._inverse`, the closure's (p - f)/(A - m) at m = 0; Arnold,
 Mathematical Methods of Classical Mechanics, sec. 14), and the flow is one
 kernel call of (t, q, p).
 Any other f is inverted by the maps' damped Newton, its partials by a second kernel.
+Either way the field's RK4 sample loop is one generated function (`exprcore.compile_step`):
+its stages run the one kernel's body, or call the Newton and the partials kernel, and then
+`_pieces`' flow as the same folded trees.
 """
 
 from __future__ import annotations
@@ -72,10 +75,15 @@ class PhaseState:
             raise ValueError("phase state entries must be finite")
 
 
+def _degenerate(t: float, q: float, qd: float):
+    """Raise DegenerateJacobian, df/dqd having vanished at (t, q, qd)."""
+    raise DegenerateJacobian(f"df/dqd = 0 at (t={t!r}, q={q!r}, qd={qd!r})")
+
+
 def _pieces(p, values, kappa0, omega0):
     """(dH/dq, dH/dp, dK/dq, dK/dp, qd_flow, pd_flow) from `_values`' values, each piece computed
     separately (the kappa0 factors are not cancelled): the one formula, run on floats by
-    `_gradients` and `_flow_at`, and on trees by an affine field's `step`, at each stage."""
+    `_gradients` and `_flow_at`, and on trees by `step`, at each stage."""
     qd, _, qd_q, qd_p, l_q, l_qd, m_q, m_qd = values
     slack = p - l_qd
     dh_q, dh_p = -l_q + slack * qd_q, qd + slack * qd_p
@@ -88,9 +96,10 @@ def _pieces(p, values, kappa0, omega0):
 @dataclass(frozen=True, eq=False)
 class HamiltonianField:
     """Compiled phase-space field for a regular single-coordinate system; `_f` is f with the
-    parameters folded in, `_qd` the inverse tree qd(t, q, p) if A folds to a nonzero constant;
-    then `step` is `exprcore.compile_step`'s RK4 sample loop of (q, p) giving qd, p and |f - p|,
-    and its sample head `_f`, which computes only (qd, f), serves `invert` too."""
+    parameters folded in, `_qd` the inverse tree qd(t, q, p) if A folds to a nonzero constant.
+    `step` is `exprcore.compile_step`'s RK4 sample loop of (q, p) giving qd, p and |f - p|. With
+    `_qd`, its stages are one kernel body of (t, q, p), and its sample head `_f`, which computes only
+    (qd, f), serves `invert` too; without, each stage runs `_values`' Newton path as text."""
 
     lagr: ComplexLagrangian
     eom: EomSystem
@@ -132,21 +141,25 @@ class HamiltonianField:
 
     @cached_property
     def step(self):
-        if self._qd is None:
-            return None
-        trees, outs = self._phase_trees, ("qd", "f", "f_q", "slope", "l_q", "l_qd", "m_q", "m_qd")
+        outs, args = ("qd", "f", "f_q", "slope", "l_q", "l_qd", "m_q", "m_qd"), ("t", "q", "p")
         qd, f, f_q, slope, *partials = map(Sym, outs)
-        # the slope is A, a nonzero constant here, so `_values`' test of it is never written
         flow = _pieces(Sym("p"), (qd, f, -f_q / slope, 1.0 / slope, *partials), self.kappa0, self.lagr.omega0)[4:]
-        sample = (qd, Sym("p"), Call("abs", f - Sym("p")))
-        return compile_step(trees, ("t", "q", "p"), outs, ((("kx", "ky"), flow),), (("s0", "s1", "s2"), sample), trees[:2])
+        tail, sample = ((("kx", "ky"), flow),), (("s0", "s1", "s2"), (qd, Sym("p"), Call("abs", f - Sym("p"))))
+        if self._qd is not None:  # the slope is A, a nonzero constant here, so `_values`' test of it is never written
+            return compile_step(self._phase_trees, args, outs, tail, sample, self._phase_trees[:2])
+        # `_values`' Newton path as text, each stage's Newton from s0, the sample's qd once stage 1 has set it
+        invert = "    qd, f = _solve_velocity_scalar(_newton, t, q, p, 0.0, s0, InversionFailure)"
+        grads = f"    {', '.join(outs[2:])} = _grads(t, q, qd)\n    if slope == 0.0:\n        _degenerate(t, q, qd)"
+        names = (("_newton", self.eom.maps.newton), ("_grads", self._grads), ("_degenerate", _degenerate))
+        names += (("_solve_velocity_scalar", _solve_velocity_scalar), ("InversionFailure", InversionFailure))
+        return compile_step((), args, (), (f"{invert}\n{grads}", *tail), sample, invert, names)  # the last sample only inverts
 
     def momentum(self, t: float, q: float, qd: float) -> float:
         return self.eom.maps.newton(t, q, qd)[0]
 
     def invert(self, t: float, q: float, p: float, guess: float = 0.0) -> float:
         """Solve p = f(q, qd, t) for qd: the closed form, else Newton from `guess`."""
-        return (self._invert(t, q, p, guess) if self.step is None else self.step.__globals__["_f"](t, q, p))[0]
+        return (self._invert(t, q, p, guess) if self._qd is None else self.step.__globals__["_f"](t, q, p))[0]
 
     def _invert(self, t: float, q: float, p: float, guess: float) -> tuple[float, float]:
         """(qd, f(q, qd, t)) at the qd Newton finds on (f, df/dqd)."""
@@ -163,7 +176,7 @@ class HamiltonianField:
         else:
             qd, f, f_q, slope, l_q, l_qd, m_q, m_qd = self._phase(t, q, p)
         if slope == 0.0:
-            raise DegenerateJacobian(f"df/dqd = 0 at (t={t!r}, q={q!r}, qd={qd!r})")
+            _degenerate(t, q, qd)
         return qd, f, -f_q / slope, 1.0 / slope, l_q, l_qd, m_q, m_qd
 
     def hamiltonian(self, t: float, q: float, p: float, guess: float = 0.0) -> float:

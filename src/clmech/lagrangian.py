@@ -221,10 +221,10 @@ class _Maps:
     coordinate and on lists above. There a mass matrix that folds to constants
     is eliminated at compile time (`_solve_plan`); one that varies is solved at
     each stage by the generated `_solver(n)` on the stage's locals. `closure`
-    solves the closure at a mass, and `closure_step` is its RK4 sample loop where A
-    folds to constants. Built only by `ComplexLagrangian.maps`; `equivalence`
-    reads the maps of a pair's difference Lagrangian, whose Euler-Lagrange law
-    is its residual.
+    solves the closure at a mass, and `closure_step` is its RK4 sample loop: the
+    closed form where A folds to constants, else a damped Newton at each stage.
+    Built only by `ComplexLagrangian.maps`; `equivalence` reads the maps of a
+    pair's difference Lagrangian, whose Euler-Lagrange law is its residual.
     """
 
     def __init__(self, lagr: ComplexLagrangian) -> None:
@@ -305,26 +305,31 @@ class _Maps:
             n, trees, p = self.dim, subs(self.f + sum(self.A, ()), self._params), self._momenta
             qd = _inverse(trees[:n], [trees[n + a * n : n + (a + 1) * n] for a in range(n)], p, mass)
             kernel = qd and compile_expr(qd, ("t", *self._args[1 : n + 1], *p), real=True)
-            newton = lambda t, q, guess: _solve_velocity(self, t, q, mass, guess)[0]  # noqa: E731
+            newton = lambda t, q, guess: _solve_velocity(self.newton, t, q, mass, guess)[0]  # noqa: E731
             self._closures[mass] = qd, (lambda t, q, _: list(kernel(t, *q, *(0.0,) * n))) if qd else newton
         return self._closures[mass]
 
-    def closure_step(self, mass: tuple[float, ...]) -> Callable[..., int | None] | None:
-        """`compile_step`'s RK4 sample loop of (q, p) on an affine closure, else None: q's slope is the
-        closed form, p stays 0, and the sample is qd, f and the residual max |f_a - mass_a qd_a|."""
+    def closure_step(self, mass: tuple[float, ...]) -> Callable[..., int | None]:
+        """`compile_step`'s RK4 sample loop of (q, p) on the closure: q's slope is qd, p stays 0, and
+        the sample is qd, f and the residual max |f_a - mass_a qd_a|. Where A folds to constants, qd
+        and f are the closed form's trees; else each stage solves for them by `_solve_velocity`'s
+        damped Newton, the sample's from the loop's s0, the last sample's qd, and each later stage's
+        from the previous stage's slope. The loop binds the kernel `newton`, cached per system."""
         n, join, qd = self.dim, ", ".join, self.closure(mass)[0]
-        if qd is None:
-            return None
-        vels, at = self._args[n + 1 :], [""] if n == 1 else range(1, n + 1)
-        trees, outs = qd + subs(subs(self.f, self._params), dict(zip(vels, qd))), (*vels, *(f"f{a}" for a in at))
-        slopes = (*(f"kx{a and f'_{a}'}" for a in at), *(f"ky{a and f'_{a}'}" for a in at))
-        tail, args = ((slopes, (*map(Sym, vels), *(ZERO,) * n)),), ("t", *self._args[1 : n + 1], *self._momenta)
+        coords, vels, at = self._args[1 : n + 1], self._args[n + 1 :], [""] if n == 1 else range(1, n + 1)
+        fs, kx, args = [f"f{a}" for a in at], [f"kx{a and f'_{a}'}" for a in at], ("t", *coords, *self._momenta)
+        tail = (((*kx, *(f"ky{a and f'_{a}'}" for a in at)), (*map(Sym, vels), *(ZERO,) * n)),)
         if n == 1:  # a piece of trees, so a constant f is put in as the tail's are
-            x, v = map(Sym, outs)
-            return compile_step(trees, args, outs, tail, (("s0", "s1", "s2"), (x, v, Call("abs", v - mass[0] * x))))
-        terms = join(f"abs(f{a} - {m!r} * {x})" for a, m, x in zip(at, mass, vels))
-        sample = f"    s0, s1, s2 = [{join(vels)}], [{join(outs[n:])}], max({terms})"
-        return compile_step(trees, args, outs, tail, sample)
+            sample = (("s0", "s1", "s2"), (Sym("qd"), Sym("f"), Call("abs", Sym("f") - mass[0] * Sym("qd"))))
+        else:
+            terms = join(f"abs(f{a} - {m!r} * {x})" for a, m, x in zip(at, mass, vels))
+            sample = f"    s0, s1, s2 = [{join(vels)}], [{join(fs)}], max({terms})"
+        if qd is not None:
+            trees = qd + subs(subs(self.f, self._params), dict(zip(vels, qd)))
+            return compile_step(trees, args, (*vels, *fs), tail, sample)
+        solve = f"    ({join(vels)},), ({join(fs)},) = _solve_velocity(_newton, t, [{join(coords)}], {mass!r}, [{join(kx)}])"
+        names = (("_solve_velocity", _solve_velocity), ("_newton", self.newton))
+        return compile_step((), args, (), (solve, *tail), sample, names=names, start=f"    {join(kx)} = s0\n")
 
     def split(self, v: Sequence):
         """(f, g, A, f_q, f_t) from the kernel's flat values; matrices as rows."""
@@ -566,9 +571,10 @@ exec(f"def _solve_scalar(a, b):\n{_SOLVE_SCALAR}\n    return x\n")  # noqa: S102
 
 
 def _solve_velocity(
-    maps: _Maps, t: float, q: Sequence, mass: Sequence, guess: Sequence
+    newton: Callable, t: float, q: Sequence, mass: Sequence, guess: Sequence
 ) -> tuple[list[float], list[float]]:
-    """(qd, f(t, q, qd)) with f(t, q, qd) = mass*qd, the closure, by damped Newton.
+    """(qd, f(t, q, qd)) with f(t, q, qd) = mass*qd, the closure, by damped Newton on the
+    (f, A) kernel `newton` (`_Maps.newton`).
 
     From `guess`, each step solves (A - diag(mass)) d = f - mass*qd and
     halves d until the residual's max-norm falls (at most NEWTON_HALVINGS
@@ -577,11 +583,10 @@ def _solve_velocity(
     NEWTON_MAX_ITER steps without convergence raise ClosureInconsistent. One
     coordinate runs `_solve_velocity_scalar` on floats.
     """
-    if maps.dim == 1:
-        qd, f = _solve_velocity_scalar(maps.newton, t, q[0], 0.0, mass[0], float(guess[0]), ClosureInconsistent)
+    n = len(q)
+    if n == 1:
+        qd, f = _solve_velocity_scalar(newton, t, q[0], 0.0, mass[0], float(guess[0]), ClosureInconsistent)
         return [qd], [f]
-    n = maps.dim
-    newton = maps.newton
 
     def at(v: list[float]):
         """f, the residual f - mass*v and the row-major A at v."""

@@ -1,14 +1,18 @@
 """The generated RK4 sample loops against the per-stage loops they replaced.
 
-`_Maps.step` and `HamiltonianField.step` are each one generated function per
-system that runs a whole trajectory: the blow-up test, the column stores, and
-the kernel body, the linear solve and the generators' arithmetic inlined. The
-reference loops below are the earlier implementations: one `kernel` call and
-one `_solve_scalar` per regular stage, one `_flow_at` per Hamiltonian stage
-with `_generators` written out, and, for regular flows above one coordinate
-and every closure, the list-state loop `_listed` with its own `_rk4`, whose
-regular stages solve with a frozen copy of the partial-pivot elimination.
-Every column must be bitwise equal, and a failing run must fail with the
+`_Maps.step`, `_Maps.closure_step` and `HamiltonianField.step` are each one
+generated function per system that runs a whole trajectory: the blow-up test,
+the column stores, and the kernel body, the linear solve and the generators'
+arithmetic inlined, or, on the Newton paths, the calls of the damped Newton and
+the partials kernel. The reference loops below are the earlier implementations:
+one `kernel` call and one `_solve_scalar` per regular stage, one `_flow_at` per
+Hamiltonian stage with `_generators` written out, and, for regular flows above
+one coordinate and every closure, the list-state loop `_listed` with its own
+`_rk4`, whose regular stages solve with a frozen copy of the partial-pivot
+elimination. Their Newtons start where the loops' do: a closure's sample from
+the last sample's qd (the initial qd at the first), its later stages from the
+previous stage's slope, and every stage of a Hamiltonian step from the sample's
+qd. Every column must be bitwise equal, and a failing run must fail with the
 same exception type and text.
 """
 
@@ -34,6 +38,7 @@ from clmech.dynamics import (
     integrate,
     integrate_hamiltonian,
 )
+from clmech import exprcore
 from clmech.exprcore import DomainError, compile_expr, parse
 from clmech.hamiltonian import HamiltonianField, InversionFailure, PhaseState
 from clmech.lagrangian import (
@@ -220,7 +225,7 @@ def test_hamiltonian_step_matches_the_flow_loop(kinetic, root, terms, quartic, o
         field = HamiltonianField(lagr, derive_eom(lagr, MechState(0.0, (q0,), (1.0,))), kappa0=kappa0)
     except (DegenerateWithoutClosure, DomainError):
         assume(False)
-    assert (field.step is None) == bool(quartic)
+    assert (field._qd is None) == bool(quartic)
     assert_same_hamiltonian(field, PhaseState(0.0, q0, p0), IntegratorConfig(0.1, 0.0, 2.0))
 
 
@@ -515,11 +520,11 @@ def reference_closure(eom, init: MechState, cfg: IntegratorConfig) -> Trajectory
     def sample(t: float, q: list[float]):
         """qd with f = mass*qd, starting from the last sample's, and p = f there."""
         nonlocal guess
-        guess, p = _solve_velocity(maps, t, q, mass, guess)
+        guess, p = _solve_velocity(maps.newton, t, q, mass, guess)
         return guess, p, max(_closure_terms(p, mass, guess)), guess
 
     def vel(t: float, q: list[float], guess: list[float]) -> list[float]:
-        return _solve_velocity(maps, t, q, mass, guess)[0]
+        return _solve_velocity(maps.newton, t, q, mass, guess)[0]
 
     return _listed(CLOSURE, sample, vel, list(init.q), eom.dim, cfg)
 
@@ -583,6 +588,14 @@ LIST_CLOSURE = {
         MechState(0.0, (0.5, -0.3, 0.2), (0.0, 0.0, 0.0)),
         (-1.1, -0.9, -1.0),
     ),
+    # A = 3*qd^2 - 3 vanishes at the initial qd = +-1, where f = m*qd has three roots: the loop's Newton
+    # starts from qd = +-1 and finds the outer one, near +-1.04; from 0 it would find the middle one, near -0.1
+    "warm_root_dim1": ("0.5*i*(qd^2 - k*q^2) + 0.25*qd^4 - 1.5*qd^2 - 0.2*i*t*q", MechState(0.0, (0.1,), (1.0,)), (-2.0,)),
+    "warm_root_dim2": (
+        "0.5*i*(qd1^2 + qd2^2) - 0.5*i*k*(q1^2 + q2^2) + 0.25*(qd1^4 + qd2^4) - 1.5*(qd1^2 + qd2^2) - 0.1*i*cos(q1)",
+        MechState(0.0, (0.1, -0.05), (1.0, -1.0)),
+        (-2.0, -2.2),
+    ),
 }
 
 
@@ -640,6 +653,31 @@ def test_closure_step_matches_the_list_loop(name):
     source, init, mass = LIST_CLOSURE[name]
     traj = assert_same_list_state(source, {"m": 1.0, "k": 1.0}, init, IntegratorConfig(0.05, 0.0, 2.0), mass)
     assert traj.kind == CLOSURE and traj.dim == len(init.q)
+
+
+@given(
+    quartic=st.floats(0.05, 0.5),
+    mass=st.floats(-2.0, 2.0).filter(lambda m: abs(m) >= 0.1),
+    k=st.floats(-1.0, 1.0),
+    drift=COEFFICIENT,
+    q0=st.floats(-1.0, 1.0),
+    qd0=st.floats(-2.0, 2.0),
+)
+# f = m*qd is qd^3 - qd + 0.1 = 0 at the start, with roots near -1.05, 0.10 and 0.95: from qd = 1.2 the
+# Newton finds 0.95, from 0 it would find 0.10
+@example(quartic=0.25, mass=1.0, k=-1.0, drift=0.0, q0=0.1, qd0=1.2)
+@settings(max_examples=60, deadline=None)
+@pytest.mark.filterwarnings("ignore::clmech.lagrangian.ClosureConsistencyWarning")
+def test_closure_loop_starts_from_the_initial_velocity(quartic, mass, k, drift, q0, qd0):
+    # A = 12*quartic*qd^2 vanishes at the probe's qd = 0; the run starts from qd0
+    source = f"0.5*i*(qd^2 - k*q^2) + {quartic!r}*qd^4 + {drift!r}*i*t*q"
+    try:
+        eom = _derived(source, MechState(0.0, (q0,), (0.0,)), (mass,), {"k": k})
+    except ClosureInconsistent:
+        assume(False)
+    assert eom.maps.closure(eom.closure_mass)[0] is None
+    got, want = _both(eom, MechState(0.0, (q0,), (qd0,)), IntegratorConfig(0.1, 0.0, 2.0))
+    assert got == want
 
 
 class TestListErrorParity:
@@ -753,15 +791,79 @@ class TestSampleLoopBlowUps:
         source = "0.5*i*(qd^2 - q^2)" if dim == 1 else "0.5*i*(qd1^2 + qd2^2 - q1^2 - q2^2)"
         probe, mass = MechState(0.0, (1.0,) * dim, (1.0,) * dim), (-1.0,) * dim
         eom = _derived(source, probe, mass)
-        assert eom.maps.closure_step(mass) is not None
+        assert eom.maps.closure(mass)[0] is not None
         assert _both(eom, probe, IntegratorConfig(0.05, 0.0, 27.65)) == (_blown("27.65"), _blown("27.65"))
         # the closed form qd = -f(q, 0)/(0 - mass) is NaN from q1 = 1e3, where the Newton
         # reference stalls instead, so only the loop's own outcome is pinned
         source = f"i*(0.5*qd^2 + {NAN_FORCE})" if dim == 1 else f"i*(0.5*qd1^2 + 0.5*qd2^2 + q2 + {NAN_FORCE.replace('q', 'q1')})"
         eom = _derived(source, MechState(0.0, (1.0,) * dim, (0.0,) * dim), mass)
-        assert eom.maps.closure_step(mass) is not None
+        assert eom.maps.closure(mass)[0] is not None
         init = MechState(0.0, (1e3,) + (1.0,) * (dim - 1), (0.0,) * dim)
         assert outcome(lambda: integrate(eom, init, TEN_STEPS)) == _blown("1.0")
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.filterwarnings("ignore::clmech.lagrangian.ClosureConsistencyWarning")
+    def test_newton_closures_on_a_nan_force(self, dim):
+        # the same NaN force where A varies: the Newton's residual is NaN at the first sample, so its
+        # line search stalls there, and no state goes NaN
+        if dim == 1:
+            source = f"0.1*qd^4 + i*(0.5*qd^2 + {NAN_FORCE})"
+        else:
+            source = f"0.1*(qd1^4 + qd2^4) + i*(0.5*qd1^2 + 0.5*qd2^2 + q2 + {NAN_FORCE.replace('q', 'q1')})"
+        mass = (-1.0,) * dim
+        eom = _derived(source, MechState(0.0, (1.0,) * dim, (0.0,) * dim), mass)
+        assert eom.maps.closure(mass)[0] is None
+        init = MechState(0.0, (1e3,) + (1.0,) * (dim - 1), (0.0,) * dim)
+        at = "q=1000.0, p=0.0" if dim == 1 else "q=[1000.0, 1.0]"
+        stalled = (ClosureInconsistent, f"Newton stalled at residual nan (t=0.0, {at})")
+        assert _both(eom, init, TEN_STEPS) == (stalled, stalled)
+
+
+NEWTON_FIELD = "0.25*qd^4 + 0.5*qd^2 + cos(q)"
+
+
+def _newton_field() -> HamiltonianField:
+    field = make_field(NEWTON_FIELD, {}, MechState(0.0, (1.0,), (1.0,)))
+    assert field._qd is None
+    return field
+
+
+@pytest.mark.filterwarnings("ignore::clmech.lagrangian.ClosureConsistencyWarning")
+class TestNewtonLoops:
+    """The loops of the Newton closures and of the Newton field bind only kernels that `compile_expr`
+    caches per system, so `_step`'s cache keys on the system, not on the derive."""
+
+    @pytest.mark.parametrize("name", ["quartic_dim1", "quartic_dim2"])
+    def test_two_derives_share_the_closure_loop(self, name):
+        source, init, mass = LIST_CLOSURE[name]
+        loops = [_derived(source, init, mass, {"k": 1.0}).maps.closure_step(mass) for _ in range(2)]
+        assert loops[0] is loops[1]
+
+    def test_two_fields_share_the_loop(self):
+        assert _newton_field().step is _newton_field().step
+
+    def test_rounds_leave_the_loop_cache_as_it_is(self):
+        cfg = IntegratorConfig(0.1, 0.0, 1.0)
+
+        def derive_and_integrate():
+            for name in ("quartic_dim1", "quartic_dim2"):
+                source, init, mass = LIST_CLOSURE[name]
+                integrate(_derived(source, init, mass, {"k": 1.0}), init, cfg)
+            integrate_hamiltonian(_newton_field(), PhaseState(0.0, 1.0, 0.2), cfg)
+
+        derive_and_integrate()
+        size = exprcore._step.cache_info().currsize
+        for _ in range(5):
+            derive_and_integrate()
+        assert exprcore._step.cache_info().currsize == size
+
+    def test_the_fields_last_sample_only_inverts(self, monkeypatch):
+        field, calls = _newton_field(), []
+        grads = field.step.__globals__["_grads"]
+        monkeypatch.setitem(field.step.__globals__, "_grads", lambda *args: calls.append(args) or grads(*args))
+        cfg = IntegratorConfig(0.1, 0.0, 1.0)
+        assert isinstance(assert_same_hamiltonian(field, PhaseState(0.0, 1.0, 0.2), cfg), list)
+        assert len(calls) == 4 * cfg.n_steps  # four stages a step, none at the last sample
 
 
 def _counting_helper(loop, monkeypatch) -> list:

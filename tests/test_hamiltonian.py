@@ -280,7 +280,7 @@ class TestClosedFormPath:
             spy = lambda trees, *a, fn=spied, **k: compiled.append(trees) or fn(trees, *a, **k)  # noqa: E731
             monkeypatch.setattr(module, "compile_expr", spy)
         spied_step = hamiltonian.compile_step
-        monkeypatch.setattr(hamiltonian, "compile_step", lambda trees, *a: steps.append(trees) or spied_step(trees, *a))
+        monkeypatch.setattr(hamiltonian, "compile_step", lambda trees, *a, **k: steps.append(trees) or spied_step(trees, *a, **k))
         cfg = IntegratorConfig(0.01, 0.0, 0.5)
         affine = make_field("0.5*(m*qd^2 - k*q^2) + 0.5*i*l0*qd^2", params={"m": 1.0, "k": 1.0, "l0": 0.1})
         integrate_hamiltonian(affine, PhaseState(0.0, 1.0, 0.2), cfg)
@@ -289,9 +289,9 @@ class TestClosedFormPath:
         assert affine.invert(0.0, 1.0, 0.2) == 0.2 and compiled == [] and len(steps) == 1
 
         quartic = make_field("0.25*qd^4 + 0.5*qd^2 + cos(q)")
-        assert quartic._qd is None and quartic.step is None
+        assert quartic._qd is None
         integrate_hamiltonian(quartic, PhaseState(0.0, 1.0, 0.2), cfg)
-        assert compiled == [quartic.eom.f + quartic.eom.A[0], quartic._partials] and len(steps) == 1
+        assert compiled == [quartic.eom.f + quartic.eom.A[0], quartic._partials] and steps == [affine._phase_trees, ()]
 
     @pytest.mark.parametrize("sc", BUNDLED_HAMILTONIAN, ids=lambda sc: sc.name)
     def test_check_on_an_affine_field_compiles_no_velocity_kernel(self, sc, monkeypatch, capsys):
