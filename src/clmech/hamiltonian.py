@@ -31,7 +31,8 @@ When A = df/dqd folds to a nonzero constant, qd = (p - f(q, 0, t))/A is a
 tree (`lagrangian._inverse`, the closure's (p - f)/(A - m) at m = 0; Arnold,
 Mathematical Methods of Classical Mechanics, sec. 14), and the flow is one
 kernel call of (t, q, p).
-Any other f is inverted by the maps' damped Newton, its partials by a second kernel.
+Any other f is inverted by the closure's damped Newton at m = 0 (`lagrangian._newton_solver(1)`),
+its partials by a second kernel.
 Either way the field's RK4 sample loop is one generated function (`exprcore.compile_step`):
 its stages run the one kernel's body, or call the Newton and the partials kernel, and then
 `_pieces`' flow as the same folded trees.
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .exprcore import Call, DomainError, Sym, compile_expr, compile_step, diff, evaluate, subs
-from .lagrangian import ComplexLagrangian, EomSystem, _inverse, _solve_velocity_scalar
+from .lagrangian import ComplexLagrangian, EomSystem, _inverse, _newton_solver
 
 
 class InversionFailure(Exception):
@@ -148,10 +149,10 @@ class HamiltonianField:
         if self._qd is not None:  # the slope is A, a nonzero constant here, so `_values`' test of it is never written
             return compile_step(self._phase_trees, args, outs, tail, sample, self._phase_trees[:2])
         # `_values`' Newton path as text, each stage's Newton from s0, the sample's qd once stage 1 has set it
-        invert = "    qd, f = _solve_velocity_scalar(_newton, t, q, p, 0.0, s0, InversionFailure)"
+        invert = "    qd, f = _newton_1(_kernel, InversionFailure, t, q, p, 0.0, s0)"
         grads = f"    {', '.join(outs[2:])} = _grads(t, q, qd)\n    if slope == 0.0:\n        _degenerate(t, q, qd)"
-        names = (("_newton", self.eom.maps.newton), ("_grads", self._grads), ("_degenerate", _degenerate))
-        names += (("_solve_velocity_scalar", _solve_velocity_scalar), ("InversionFailure", InversionFailure))
+        names = (("_kernel", self.eom.maps.newton), ("_grads", self._grads), ("_degenerate", _degenerate))
+        names += (("_newton_1", _newton_solver(1)), ("InversionFailure", InversionFailure))
         return compile_step((), args, (), (f"{invert}\n{grads}", *tail), sample, invert, names)  # the last sample only inverts
 
     def momentum(self, t: float, q: float, qd: float) -> float:
@@ -163,7 +164,7 @@ class HamiltonianField:
 
     def _invert(self, t: float, q: float, p: float, guess: float) -> tuple[float, float]:
         """(qd, f(q, qd, t)) at the qd Newton finds on (f, df/dqd)."""
-        return _solve_velocity_scalar(self.eom.maps.newton, t, q, p, 0.0, float(guess), InversionFailure)
+        return _newton_solver(1)(self.eom.maps.newton, InversionFailure, t, q, p, 0.0, float(guess))
 
     def _values(self, t: float, q: float, p: float, guess: float) -> tuple[float, ...]:
         """(qd, f, dqd/dq, dqd/dp, dL/dq, dL/dqd, dM/dq, dM/dqd) at (t, q, p):
@@ -215,8 +216,9 @@ class HamiltonianField:
 def invert_velocity(
     field: HamiltonianField, q: float, p: float, t: float, guess: float = 0.0
 ) -> float:
-    """qd with f(q, qd, t) = p: the closed form for an affine f, else Newton
-    (tolerance 1e-12, at most 50 steps)."""
+    """qd with f(q, qd, t) = p: the closed form for an affine f, else the damped Newton
+    from `guess`, which stops once its next step would move qd by about NEWTON_TOL relative
+    and raises InversionFailure after NEWTON_MAX_ITER steps."""
     return field.invert(t, q, p, guess)
 
 

@@ -16,8 +16,10 @@ is closed to first order by the point-particle identification f = m_c * qd
 of the flow): where A folds to constants, f is affine in qd and the closure is
 qd = (0 - f(t, q, 0))/(A - m_c), a tree (`_inverse`, which with m_c = 0 also
 inverts an affine momentum map for the phase-space form, `hamiltonian`); where
-A varies, it is solved by damped Newton iteration, whose scalar form, with
-m_c = 0 and a given p, inverts any other momentum map.
+A varies, it is solved by the one damped Newton for f = p + m_c*qd
+(`_newton_solver`), which with m_c = 0 and a given p inverts any other momentum
+map. Its stop is relative to the scale of A - m_c, so a change of the unit of
+action moves no iterate.
 """
 
 from __future__ import annotations
@@ -222,7 +224,8 @@ class _Maps:
     is eliminated at compile time (`_solve_plan`); one that varies is solved at
     each stage by the generated `_solver(n)` on the stage's locals. `closure`
     solves the closure at a mass, and `closure_step` is its RK4 sample loop: the
-    closed form where A folds to constants, else a damped Newton at each stage.
+    closed form where A folds to constants, else the damped Newton `_newton_solver(n)`
+    at each stage.
     Built only by `ComplexLagrangian.maps`; `equivalence` reads the maps of a
     pair's difference Lagrangian, whose Euler-Lagrange law is its residual.
     """
@@ -300,21 +303,25 @@ class _Maps:
     def closure(self, mass: tuple[float, ...]) -> tuple:
         """(qd, velocity) of the closure f = mass*qd. Where A folds to constants, qd is the trees of
         `_inverse` with the momenta p (0 here) as arguments and velocity(t, q, guess) one small
-        kernel of them; else qd is None and velocity `_solve_velocity`'s Newton. Cached per mass."""
+        kernel of them; else qd is None and velocity the damped Newton `_newton_solver(n)` at p = 0,
+        from the guess. Cached per mass."""
         if mass not in self._closures:
             n, trees, p = self.dim, subs(self.f + sum(self.A, ()), self._params), self._momenta
             qd = _inverse(trees[:n], [trees[n + a * n : n + (a + 1) * n] for a in range(n)], p, mass)
-            kernel = qd and compile_expr(qd, ("t", *self._args[1 : n + 1], *p), real=True)
-            newton = lambda t, q, guess: _solve_velocity(self.newton, t, q, mass, guess)[0]  # noqa: E731
-            self._closures[mass] = qd, (lambda t, q, _: list(kernel(t, *q, *(0.0,) * n))) if qd else newton
+            kernel, zeros = qd and compile_expr(qd, ("t", *self._args[1 : n + 1], *p), real=True), (0.0,) * n
+            newton = lambda t, q, guess: list(  # noqa: E731
+                _newton_solver(n)(self.newton, ClosureInconsistent, t, *q, *zeros, *mass, *map(float, guess))[:n]
+            )
+            self._closures[mass] = qd, (lambda t, q, _: list(kernel(t, *q, *zeros))) if qd else newton
         return self._closures[mass]
 
     def closure_step(self, mass: tuple[float, ...]) -> Callable[..., int | None]:
         """`compile_step`'s RK4 sample loop of (q, p) on the closure: q's slope is qd, p stays 0, and
         the sample is qd, f and the residual max |f_a - mass_a qd_a|. Where A folds to constants, qd
-        and f are the closed form's trees; else each stage solves for them by `_solve_velocity`'s
-        damped Newton, the sample's from the loop's s0, the last sample's qd, and each later stage's
-        from the previous stage's slope. The loop binds the kernel `newton`, cached per system."""
+        and f are the closed form's trees; else each stage solves for them by the damped Newton
+        `_newton_solver(n)` at p = 0, the sample's from the loop's s0, the last sample's qd, and each
+        later stage's from the previous stage's slope. The loop binds the kernel `newton`, cached per
+        system, and the Newton, cached per dimension."""
         n, join, qd = self.dim, ", ".join, self.closure(mass)[0]
         coords, vels, at = self._args[1 : n + 1], self._args[n + 1 :], [""] if n == 1 else range(1, n + 1)
         fs, kx, args = [f"f{a}" for a in at], [f"kx{a and f'_{a}'}" for a in at], ("t", *coords, *self._momenta)
@@ -327,8 +334,9 @@ class _Maps:
         if qd is not None:
             trees = qd + subs(subs(self.f, self._params), dict(zip(vels, qd)))
             return compile_step(trees, args, (*vels, *fs), tail, sample)
-        solve = f"    ({join(vels)},), ({join(fs)},) = _solve_velocity(_newton, t, [{join(coords)}], {mass!r}, [{join(kx)}])"
-        names = (("_solve_velocity", _solve_velocity), ("_newton", self.newton))
+        newton, p = _newton_solver(n), join(("0.0",) * n)
+        solve = f"    {join(vels)}, {join(fs)} = {newton.__name__}(_kernel, ClosureInconsistent, t, {join(coords)}, {p}, {join(map(repr, mass))}, {join(kx)})"
+        names = ((newton.__name__, newton), ("_kernel", self.newton), ("ClosureInconsistent", ClosureInconsistent))
         return compile_step((), args, (), (solve, *tail), sample, names=names, start=f"    {join(kx)} = s0\n")
 
     def split(self, v: Sequence):
@@ -570,83 +578,51 @@ _SOLVE_SCALAR = f"""\
 exec(f"def _solve_scalar(a, b):\n{_SOLVE_SCALAR}\n    return x\n")  # noqa: S102 - a constant text
 
 
-def _solve_velocity(
-    newton: Callable, t: float, q: Sequence, mass: Sequence, guess: Sequence
-) -> tuple[list[float], list[float]]:
-    """(qd, f(t, q, qd)) with f(t, q, qd) = mass*qd, the closure, by damped Newton on the
-    (f, A) kernel `newton` (`_Maps.newton`).
+@lru_cache(maxsize=None)
+def _newton_solver(n: int) -> Callable[..., tuple[float, ...]]:
+    """The one damped Newton for qd with f(t, q, qd) = p + m*qd, n coordinates: one straight-line
+    function `_newton_n(kernel, error, t, q1.., p1.., m1.., qd1..)` -> (qd1.., f1..), on floats,
+    built once per n. `kernel` is the (f, A) kernel `_Maps.newton`; the closure passes p = 0, the
+    Legendre inversion m = 0, each with its own exception type `error`.
 
-    From `guess`, each step solves (A - diag(mass)) d = f - mass*qd and
-    halves d until the residual's max-norm falls (at most NEWTON_HALVINGS
-    times); the solve has converged when that norm is at most NEWTON_TOL
-    times 1 + max|mass*qd|. A singular Jacobian, a stalled line search or
-    NEWTON_MAX_ITER steps without convergence raise ClosureInconsistent. One
-    coordinate runs `_solve_velocity_scalar` on floats.
+    From the guess qd, each step solves (A - diag(m)) d = r, r = f - (p + m*qd), by r/(A - m) with
+    `_singular`'s pivot test at one coordinate and by `_solver(n)` above, then halves d until
+    max|r| falls (at most NEWTON_HALVINGS times). The solve has converged where max|r| is finite
+    and at most NEWTON_TOL * max|A - diag(m)| * (1 + max|qd|), where the next step would move qd by
+    about NEWTON_TOL relative (Kelley, Iterative Methods for Linear and Nonlinear Equations, SIAM
+    1995, ch. 5): an exact rescaling of f, A, p and m, a change of the unit of action, leaves
+    every iterate and the verdict as they are. A singular Jacobian, a stalled line search (a NaN
+    residual stalls at once) or NEWTON_MAX_ITER steps without convergence raise `error`.
     """
-    n = len(q)
-    if n == 1:
-        qd, f = _solve_velocity_scalar(newton, t, q[0], 0.0, mass[0], float(guess[0]), ClosureInconsistent)
-        return [qd], [f]
-
-    def at(v: list[float]):
-        """f, the residual f - mass*v and the row-major A at v."""
-        vals = newton(t, *q, *v)
-        return vals[:n], [vals[a] - (0.0 + mass[a] * v[a]) for a in range(n)], vals[n:]
-
-    qd = [float(v) for v in guess]
-    f, r, A = at(qd)
-    norm = max(map(abs, r))
-    for _ in range(NEWTON_MAX_ITER):
-        if norm <= NEWTON_TOL * (1.0 + max(abs(m * v) for m, v in zip(mass, qd))):
-            return qd, list(f)
-        jac = [[A[a * n + b] - (mass[a] if a == b else 0.0) for b in range(n)] for a in range(n)]
-        try:
-            step = solve_linear(jac, r)
-        except SingularMass as err:
-            raise ClosureInconsistent(f"Newton Jacobian singular at t={t!r}: {err}") from err
-        lam = 1.0
-        for _ in range(NEWTON_HALVINGS):
-            trial = [v - lam * d for v, d in zip(qd, step)]
-            f_trial, r_trial, A_trial = at(trial)
-            norm_trial = max(map(abs, r_trial))
-            if norm_trial < norm:
-                qd, f, r, A, norm = trial, f_trial, r_trial, A_trial, norm_trial
-                break
-            lam *= 0.5
-        else:
-            raise ClosureInconsistent(f"Newton stalled at residual {norm!r} (t={t!r}, q={list(q)!r})")
-    raise ClosureInconsistent(f"no convergence after {NEWTON_MAX_ITER} iterations, residual {norm!r}")
-
-
-def _solve_velocity_scalar(
-    newton: Callable, t: float, q: float, p: float, m: float, qd: float, error: type
-) -> tuple[float, float]:
-    """`_solve_velocity` at one coordinate on plain floats, from the guess qd;
-    `newton` is the (f, A) kernel. It also serves the inversion of the momentum map
-    (m = 0, a given p); on the closure (p = 0) the iterates are the list loop's."""
-    f, a = newton(t, q, qd)
-    goal = p + m * qd
-    r = f - goal
-    for _ in range(NEWTON_MAX_ITER):
-        if abs(r) <= NEWTON_TOL * (1.0 + abs(goal)):
-            return qd, f
-        slope = a - m
-        if slope == 0.0:  # the pivot test of solve_linear at one coordinate
-            raise error(f"Newton Jacobian singular at t={t!r}: df/dqd - m vanished at qd={qd!r}")
-        step = r / slope
-        lam = 1.0
-        for _ in range(NEWTON_HALVINGS):
-            trial = qd - lam * step
-            f_trial, a_trial = newton(t, q, trial)
-            goal_trial = p + m * trial
-            r_trial = f_trial - goal_trial
-            if abs(r_trial) < abs(r):
-                qd, f, a, r, goal = trial, f_trial, a_trial, r_trial, goal_trial
-                break
-            lam *= 0.5
-        else:
-            raise error(f"Newton stalled at residual {abs(r)!r} (t={t!r}, q={q!r}, p={p!r})")
-    raise error(f"no convergence after {NEWTON_MAX_ITER} iterations, residual {abs(r)!r}")
+    idx, join = range(1, n + 1), ", ".join
+    q, p, m, v, w, f, g, r, s, d, j = ([f"{x}{a}" for a in idx] for x in ("q", "p", "m", "v", "w", "f", "g", "r", "s", "d", "j"))
+    a, b = ([f"{x}{i}_{c}" for i in idx for c in idx] for x in ("a", "b"))
+    jac = [j[i] if i == c else a[i * n + c] for i in range(n) for c in range(n)]  # A - diag(m), row-major
+    most = lambda xs: f"abs({xs[0]})" if n == 1 else f"max({join(f'abs({x})' for x in xs)})"  # noqa: E731
+    residual = lambda out, fs, vs: [f"{x} = {y} - ({z} + {c} * {u})" for x, y, z, c, u in zip(out, fs, p, m, vs)]  # noqa: E731
+    lines = [f"    {join(f + a)} = _k(t, {join(q)}, {join(v)})", *("    " + x for x in residual(r, f, v)), f"    norm = {most(r)}"]
+    lines += [f"    for _ in range({NEWTON_MAX_ITER}):", *(f"        {j[i]} = {a[i * n + i]} - {m[i]}" for i in range(n))]
+    lines += [f"        scale = {most(jac)}", f"        if norm <= {NEWTON_TOL!r} * scale * (1.0 + {most(v)}) and isfinite(norm):"]
+    lines += [f"            return {join(v + f)}"]
+    if n == 1:  # `_singular(j1, |j1|)`, with `_solver`'s text
+        lines += [f"        if scale == 0.0 or scale <= {_PIVOT_RATIO!r} * scale:"]
+        msg = f"pivot {{j1!r}} below {_PIVOT_RATIO!r} of row scale {{scale!r}}"
+        lines += [f'            raise _error(f"Newton Jacobian singular at t={{t!r}}: {msg}")', "        d1 = r1 / j1"]
+    else:
+        lines += ["        try:", f"            {join(d)} = _solve({join(jac + r)})", "        except SingularMass as err:"]
+        lines += ['            raise _error(f"Newton Jacobian singular at t={t!r}: {err}") from err']
+    lines += ["        lam = 1.0", f"        for _ in range({NEWTON_HALVINGS}):", f"            {join(w)} = {join(f'{x} - lam * {y}' for x, y in zip(v, d))}"]
+    lines += [f"            {join(g + b)} = _k(t, {join(q)}, {join(w)})", *("            " + x for x in residual(s, g, w))]
+    lines += [f"            trial = {most(s)}", "            if trial < norm:", "                break", "            lam *= 0.5"]
+    lines += ["        else:", f'            raise _error(f"Newton stalled at residual {{norm!r}} (t={{t!r}}, q={{[{join(q)}]!r}}, p={{[{join(p)}]!r}})")']
+    lines += [f"        {join(v + f + a + r)}, norm = {join(w + g + b + s)}, trial"]
+    lines += [f'    raise _error(f"no convergence after {NEWTON_MAX_ITER} iterations, residual {{norm!r}}")']
+    src = f"def _newton_{n}(_k, _error, t, {join(q + p + m + v)}):\n" + "\n".join(lines) + "\n"
+    ns = {"__builtins__": {}, "abs": abs, "max": max, "range": range, "isfinite": math.isfinite}
+    if n > 1:
+        ns.update(SingularMass=SingularMass, _solve=_solver(n))
+    exec(src, ns)  # noqa: S102 - generated from the dimension alone
+    return ns[f"_newton_{n}"]
 
 
 def _closure_consistency(

@@ -48,8 +48,7 @@ from clmech.lagrangian import (
     MechState,
     SingularMass,
     _singular,
-    _solve_velocity,
-    _solve_velocity_scalar,
+    _newton_solver,
     _solver,
     derive_eom,
     solve_linear,
@@ -123,7 +122,7 @@ def reference_hamiltonian(field: HamiltonianField, init: PhaseState, cfg: Integr
 
     def invert(t: float, q: float, p: float, guess: float) -> tuple[float, float]:
         if inverse is None:
-            return _solve_velocity_scalar(field.eom.maps.newton, t, q, p, 0.0, float(guess), InversionFailure)
+            return _newton_solver(1)(field.eom.maps.newton, InversionFailure, t, q, p, 0.0, float(guess))
         return inverse(t, q, p)
 
     t_grid, dt, n = _grid(cfg)
@@ -515,16 +514,21 @@ def reference_list_regular(eom, init: MechState, cfg: IntegratorConfig) -> Traje
 
 def reference_closure(eom, init: MechState, cfg: IntegratorConfig) -> Trajectory:
     """A closure on the list state q: one damped Newton per stage, seeded by the last slope."""
-    maps, mass, guess = eom.maps, eom.closure_mass, list(init.qd)
+    maps, mass, guess, n_dim = eom.maps, eom.closure_mass, list(init.qd), eom.dim
+
+    def solve(t: float, q: list[float], guess: list[float]) -> tuple[list[float], list[float]]:
+        """(qd, f) with f = mass*qd, by the Newton from `guess`."""
+        out = _newton_solver(n_dim)(maps.newton, ClosureInconsistent, t, *q, *(0.0,) * n_dim, *mass, *guess)
+        return list(out[:n_dim]), list(out[n_dim:])
 
     def sample(t: float, q: list[float]):
         """qd with f = mass*qd, starting from the last sample's, and p = f there."""
         nonlocal guess
-        guess, p = _solve_velocity(maps.newton, t, q, mass, guess)
+        guess, p = solve(t, q, guess)
         return guess, p, max(_closure_terms(p, mass, guess)), guess
 
     def vel(t: float, q: list[float], guess: list[float]) -> list[float]:
-        return _solve_velocity(maps.newton, t, q, mass, guess)[0]
+        return solve(t, q, guess)[0]
 
     return _listed(CLOSURE, sample, vel, list(init.q), eom.dim, cfg)
 
@@ -805,7 +809,8 @@ class TestSampleLoopBlowUps:
     @pytest.mark.filterwarnings("ignore::clmech.lagrangian.ClosureConsistencyWarning")
     def test_newton_closures_on_a_nan_force(self, dim):
         # the same NaN force where A varies: the Newton's residual is NaN at the first sample, so its
-        # line search stalls there, and no state goes NaN
+        # line search stalls there, and no state goes NaN. The closed form above has no residual to
+        # test: its NaN qd moves q, and the next sample's blow-up test stops the run
         if dim == 1:
             source = f"0.1*qd^4 + i*(0.5*qd^2 + {NAN_FORCE})"
         else:
@@ -814,7 +819,7 @@ class TestSampleLoopBlowUps:
         eom = _derived(source, MechState(0.0, (1.0,) * dim, (0.0,) * dim), mass)
         assert eom.maps.closure(mass)[0] is None
         init = MechState(0.0, (1e3,) + (1.0,) * (dim - 1), (0.0,) * dim)
-        at = "q=1000.0, p=0.0" if dim == 1 else "q=[1000.0, 1.0]"
+        at = "q=[1000.0], p=[0.0]" if dim == 1 else "q=[1000.0, 1.0], p=[0.0, 0.0]"
         stalled = (ClosureInconsistent, f"Newton stalled at residual nan (t=0.0, {at})")
         assert _both(eom, init, TEN_STEPS) == (stalled, stalled)
 

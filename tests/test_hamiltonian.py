@@ -26,7 +26,7 @@ from clmech.hamiltonian import (
     legendre_H,
     mixed_partial_diagnostic,
 )
-from clmech.lagrangian import ComplexLagrangian, MechState, _solve_velocity_scalar, derive_eom
+from clmech.lagrangian import ComplexLagrangian, MechState, _newton_solver, derive_eom
 
 PROBE = MechState(0.0, (1.0,), (1.0,))
 
@@ -86,6 +86,19 @@ class TestInversion:
         field = make_field("qd^4/12")
         with pytest.raises(InversionFailure):
             field.invert(0.0, 0.0, 1.0, guess=0.0)
+
+    def test_the_stop_at_a_double_root(self, monkeypatch):
+        # f = qd^2 meets p = 0 where A = 2*qd vanishes too, so each Newton step halves qd exactly;
+        # the stop |r| <= 1e-12 |A| (1 + |qd|) holds from qd <= ~2e-12, 39 steps below a guess of 1
+        field, calls = make_field("qd^3/3"), []
+        kernel = field.eom.maps.newton
+        monkeypatch.setitem(field.eom.maps.__dict__, "newton", lambda *args: calls.append(args) or kernel(*args))
+        assert field.invert(0.0, 0.0, 0.0, guess=1.0) == 2.0**-39 and len(calls) == 40
+        calls.clear()
+        assert field.invert(0.0, 0.0, 0.0, guess=1e3) == 1e3 * 2.0**-49 and len(calls) == 50
+        # from 1e4 it needs 53 steps, more than NEWTON_MAX_ITER
+        with pytest.raises(InversionFailure, match="no convergence after 50 iterations"):
+            field.invert(0.0, 0.0, 0.0, guess=1e4)
 
     def test_constant_zero_slope_fails(self):
         # f = -q does not depend on qd (A = 0 everywhere): p = 1 has no inverse at q = 0.5
@@ -198,7 +211,7 @@ def newton_reference(field, t, q, p):
     """(qd, f, dqd/dq, dqd/dp, dL/dq, dL/dqd, dM/dq, dM/dqd, qd_flow, pd_flow)
     by the Newton inversion and the (t, q, qd) partials kernel, whatever path
     the field itself takes."""
-    qd, f = _solve_velocity_scalar(field.eom.maps.newton, t, q, p, 0.0, 0.0, InversionFailure)
+    qd, f = _newton_solver(1)(field.eom.maps.newton, InversionFailure, t, q, p, 0.0, 0.0)
     f_q, slope, *grads = field._grads(t, q, qd)
     values = (qd, f, -f_q / slope, 1.0 / slope, *grads)
     dh_q, dh_p, dk_q, dk_p = _pieces(p, values, field.kappa0, field.lagr.omega0)[:4]
