@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import re
 import warnings
+from textwrap import indent
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Mapping, Sequence
@@ -309,9 +310,8 @@ class _Maps:
             n, trees, p = self.dim, subs(self.f + sum(self.A, ()), self._params), self._momenta
             qd = _inverse(trees[:n], [trees[n + a * n : n + (a + 1) * n] for a in range(n)], p, mass)
             kernel, zeros = qd and compile_expr(qd, ("t", *self._args[1 : n + 1], *p), real=True), (0.0,) * n
-            newton = lambda t, q, guess: list(  # noqa: E731
-                _newton_solver(n)(self.newton, ClosureInconsistent, t, *q, *zeros, *mass, *map(float, guess))[:n]
-            )
+            newton = lambda t, q, guess: list(_newton_solver(n)(  # noqa: E731
+                self.newton, ClosureInconsistent, t, *q, *zeros, *mass, *map(float, guess))[:n])
             self._closures[mass] = qd, (lambda t, q, _: list(kernel(t, *q, *zeros))) if qd else newton
         return self._closures[mass]
 
@@ -334,8 +334,8 @@ class _Maps:
         if qd is not None:
             trees = qd + subs(subs(self.f, self._params), dict(zip(vels, qd)))
             return compile_step(trees, args, (*vels, *fs), tail, sample)
-        newton, p = _newton_solver(n), join(("0.0",) * n)
-        solve = f"    {join(vels)}, {join(fs)} = {newton.__name__}(_kernel, ClosureInconsistent, t, {join(coords)}, {p}, {join(map(repr, mass))}, {join(kx)})"
+        newton, point = _newton_solver(n), join((*coords, *("0.0",) * n, *map(repr, mass), *kx))  # (q, p = 0, mass, guess)
+        solve = f"    {join(vels)}, {join(fs)} = {newton.__name__}(_kernel, ClosureInconsistent, t, {point})"
         names = ((newton.__name__, newton), ("_kernel", self.newton), ("ClosureInconsistent", ClosureInconsistent))
         return compile_step((), args, (), (solve, *tail), sample, names=names, start=f"    {join(kx)} = s0\n")
 
@@ -578,49 +578,70 @@ _SOLVE_SCALAR = f"""\
 exec(f"def _solve_scalar(a, b):\n{_SOLVE_SCALAR}\n    return x\n")  # noqa: S102 - a constant text
 
 
+# `_newton_solver(n)`'s text; each name stands for one local per coordinate (a row-major matrix's
+# per entry): the iterate v, f and A (a) there, the residual r; a trial's w, g, b and s
+_NEWTON = """\
+def _newton_{n}(_k, _error, t, {q}, {p}, {m}, {v}):
+    {f}, {a} = _k(t, {q}, {v})
+    {r} = {residual}
+    norm = {norm_r}
+    for _ in range({iterations}):
+        {j} = {diagonal}
+        scale = {scale}
+        if norm <= {tol!r} * scale * (1.0 + {norm_v}) and isfinite(norm):
+            return {v}, {f}
+        try:
+{solve}
+        except SingularMass as err:
+            raise _error(f"Newton Jacobian singular at t={{t!r}}: {{err}}") from err
+        lam = 1.0
+        for _ in range({halvings}):
+            {w} = {trial}
+            {g}, {b} = _k(t, {q}, {w})
+            {s} = {trial_residual}
+            trial = {norm_s}
+            if trial < norm:
+                break
+            lam *= 0.5
+        else:
+            raise _error(f"Newton stalled at residual {{norm!r}} (t={{t!r}}, q={{[{q}]!r}}, p={{[{p}]!r}})")
+        {v}, {f}, {a}, {r}, norm = {w}, {g}, {b}, {s}, trial
+    raise _error(f"no convergence after {iterations} iterations, residual {{norm!r}}")
+"""
+
+
 @lru_cache(maxsize=None)
 def _newton_solver(n: int) -> Callable[..., tuple[float, ...]]:
-    """The one damped Newton for qd with f(t, q, qd) = p + m*qd, n coordinates: one straight-line
-    function `_newton_n(kernel, error, t, q1.., p1.., m1.., qd1..)` -> (qd1.., f1..), on floats,
-    built once per n. `kernel` is the (f, A) kernel `_Maps.newton`; the closure passes p = 0, the
-    Legendre inversion m = 0, each with its own exception type `error`.
-
-    From the guess qd, each step solves (A - diag(m)) d = r, r = f - (p + m*qd), by r/(A - m) with
-    `_singular`'s pivot test at one coordinate and by `_solver(n)` above, then halves d until
-    max|r| falls (at most NEWTON_HALVINGS times). The solve has converged where max|r| is finite
-    and at most NEWTON_TOL * max|A - diag(m)| * (1 + max|qd|), where the next step would move qd by
-    about NEWTON_TOL relative (Kelley, Iterative Methods for Linear and Nonlinear Equations, SIAM
-    1995, ch. 5): an exact rescaling of f, A, p and m, a change of the unit of action, leaves
-    every iterate and the verdict as they are. A singular Jacobian, a stalled line search (a NaN
-    residual stalls at once) or NEWTON_MAX_ITER steps without convergence raise `error`.
-    """
+    """The one damped Newton for qd with f(t, q, qd) = p + m*qd: `_newton_n(kernel, error, t, q1..,
+    p1.., m1.., qd1..)` -> (qd1.., f1..), straight-line on floats, built once per n, on the (f, A)
+    kernel `_Maps.newton`. The closure passes p = 0, the Legendre inversion m = 0; each names its
+    exception type `error`. From the guess, each step solves (A - diag(m)) d = r = f - (p + m*qd),
+    by r/(A - m) with `_singular`'s test at one coordinate and by `_solver(n)` above, and halves d
+    until max|r| falls (at most NEWTON_HALVINGS times). It converges where max|r| is finite and at
+    most NEWTON_TOL * max|A - diag(m)| * (1 + max|qd|), where the next step would move qd by about
+    NEWTON_TOL relative (Kelley, Iterative Methods for Linear and Nonlinear Equations, SIAM 1995,
+    ch. 5), so an exact rescaling of f, A, p and m moves no iterate. A singular Jacobian, a stalled
+    line search (a NaN residual stalls at once) or NEWTON_MAX_ITER steps raise `error`."""
     idx, join = range(1, n + 1), ", ".join
-    q, p, m, v, w, f, g, r, s, d, j = ([f"{x}{a}" for a in idx] for x in ("q", "p", "m", "v", "w", "f", "g", "r", "s", "d", "j"))
-    a, b = ([f"{x}{i}_{c}" for i in idx for c in idx] for x in ("a", "b"))
+    names = {x: [f"{x}{a}" for a in idx] for x in "qpmvwfgrsdj"}
+    names.update({x: [f"{x}{i}_{c}" for i in idx for c in idx] for x in "ab"})
+    p, m, v, w, f, g, r, s, d, j, a = (names[x] for x in "pmvwfgrsdja")
     jac = [j[i] if i == c else a[i * n + c] for i in range(n) for c in range(n)]  # A - diag(m), row-major
-    most = lambda xs: f"abs({xs[0]})" if n == 1 else f"max({join(f'abs({x})' for x in xs)})"  # noqa: E731
-    residual = lambda out, fs, vs: [f"{x} = {y} - ({z} + {c} * {u})" for x, y, z, c, u in zip(out, fs, p, m, vs)]  # noqa: E731
-    lines = [f"    {join(f + a)} = _k(t, {join(q)}, {join(v)})", *("    " + x for x in residual(r, f, v)), f"    norm = {most(r)}"]
-    lines += [f"    for _ in range({NEWTON_MAX_ITER}):", *(f"        {j[i]} = {a[i * n + i]} - {m[i]}" for i in range(n))]
-    lines += [f"        scale = {most(jac)}", f"        if norm <= {NEWTON_TOL!r} * scale * (1.0 + {most(v)}) and isfinite(norm):"]
-    lines += [f"            return {join(v + f)}"]
-    if n == 1:  # `_singular(j1, |j1|)`, with `_solver`'s text
-        lines += [f"        if scale == 0.0 or scale <= {_PIVOT_RATIO!r} * scale:"]
-        msg = f"pivot {{j1!r}} below {_PIVOT_RATIO!r} of row scale {{scale!r}}"
-        lines += [f'            raise _error(f"Newton Jacobian singular at t={{t!r}}: {msg}")', "        d1 = r1 / j1"]
-    else:
-        lines += ["        try:", f"            {join(d)} = _solve({join(jac + r)})", "        except SingularMass as err:"]
-        lines += ['            raise _error(f"Newton Jacobian singular at t={t!r}: {err}") from err']
-    lines += ["        lam = 1.0", f"        for _ in range({NEWTON_HALVINGS}):", f"            {join(w)} = {join(f'{x} - lam * {y}' for x, y in zip(v, d))}"]
-    lines += [f"            {join(g + b)} = _k(t, {join(q)}, {join(w)})", *("            " + x for x in residual(s, g, w))]
-    lines += [f"            trial = {most(s)}", "            if trial < norm:", "                break", "            lam *= 0.5"]
-    lines += ["        else:", f'            raise _error(f"Newton stalled at residual {{norm!r}} (t={{t!r}}, q={{[{join(q)}]!r}}, p={{[{join(p)}]!r}})")']
-    lines += [f"        {join(v + f + a + r)}, norm = {join(w + g + b + s)}, trial"]
-    lines += [f'    raise _error(f"no convergence after {NEWTON_MAX_ITER} iterations, residual {{norm!r}}")']
-    src = f"def _newton_{n}(_k, _error, t, {join(q + p + m + v)}):\n" + "\n".join(lines) + "\n"
-    ns = {"__builtins__": {}, "abs": abs, "max": max, "range": range, "isfinite": math.isfinite}
+    norm = lambda xs: f"abs({xs[0]})" if n == 1 else f"max({join(f'abs({x})' for x in xs)})"  # noqa: E731
+    residual = lambda fs, vs: join(f"{x} - ({y} + {z} * {u})" for x, y, z, u in zip(fs, p, m, vs))  # noqa: E731
+    solve = f"{join(d)} = _solve({join(jac + r)})"
+    if n == 1:  # `_singular(j1, |j1|)`, raising `_solver`'s text
+        pivot = f'raise SingularMass(f"pivot {{j1!r}} below {_PIVOT_RATIO!r} of row scale {{scale!r}}")'
+        solve = f"if scale == 0.0 or scale <= {_PIVOT_RATIO!r} * scale:\n    {pivot}\nd1 = r1 / j1"
+    src = _NEWTON.format(
+        **{x: join(values) for x, values in names.items()}, n=n, tol=NEWTON_TOL, solve=indent(solve, " " * 12),
+        iterations=NEWTON_MAX_ITER, halvings=NEWTON_HALVINGS, diagonal=join(f"{a[i * n + i]} - {m[i]}" for i in range(n)),
+        residual=residual(f, v), trial_residual=residual(g, w), trial=join(f"{x} - lam * {y}" for x, y in zip(v, d)),
+        norm_r=norm(r), norm_s=norm(s), norm_v=norm(v), scale=norm(jac),
+    )
+    ns = {"__builtins__": {}, "abs": abs, "max": max, "range": range, "isfinite": math.isfinite, "SingularMass": SingularMass}
     if n > 1:
-        ns.update(SingularMass=SingularMass, _solve=_solver(n))
+        ns["_solve"] = _solver(n)
     exec(src, ns)  # noqa: S102 - generated from the dimension alone
     return ns[f"_newton_{n}"]
 

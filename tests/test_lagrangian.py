@@ -18,6 +18,7 @@ from clmech.lagrangian import (
     UndeclaredSymbol,
     _constant,
     _eliminate,
+    _newton_solver,
     _singular,
     _solve_plan,
     _solver,
@@ -156,6 +157,15 @@ class TestDegenerate:
         with pytest.raises(ClosureInconsistent):
             eom = derive_eom(lagr, MechState(0.0, (0.0,), (0.0,)), closure_mass=(1.0,))
             closure_velocity(eom, 0.0, (0.0,))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_newton_refuses_an_infinite_residual(self, dim):
+        # f and A infinite at the guess: the stop alone, max|r| <= 1e-12 max|A - m| (1 + max|qd|),
+        # would read inf <= inf and return the guess
+        kernel = lambda t, *args: (math.inf,) * (dim + dim * dim)  # noqa: E731
+        q, p, mass, guess = (0.0,) * dim, (0.0,) * dim, (-1.0,) * dim, (1.0,) * dim
+        with pytest.raises(ClosureInconsistent):
+            _newton_solver(dim)(kernel, ClosureInconsistent, 0.0, *q, *p, *mass, *guess)
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_singular_newton_jacobian(self, dim):
