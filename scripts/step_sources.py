@@ -6,9 +6,11 @@ each integrated as `clmech simulate` runs it) for each given seed. Every
 source `exprcore` compiles into a `_loop` is recorded, and so is the per-sample
 helper step `_step` that a raising sample falls back to, which it builds for
 each loop that has one. For each state kind, float (one coordinate, or the
-phase state (q, p)) and list (more than one coordinate), it prints the number
-of distinct sources and one SHA-256 over them, sorted. Two revisions that
-print the same lines generate the same loops and steps, byte for byte.
+phase state (q, p)) and list (more than one coordinate), and apart for the
+loops that call a damped Newton (a closure or a Legendre inversion where A
+varies) and those that do not, it prints the number of distinct sources and
+one SHA-256 over them, sorted. Two revisions that print the same line
+generate the same loops and steps of that kind, byte for byte.
 
 Usage:  python3 scripts/step_sources.py [--seeds 7 41]
         (`--seeds` with no value builds the corpus's steps only)
@@ -44,9 +46,11 @@ def _recording_exec(src: str, ns: dict) -> None:
         LOOPS.append(ns)
 
 
-def _kind(src: str) -> str:
-    """A list-state loop or step takes the lists x0 and y0; a float-state one its own names."""
-    return "list" if ", x0, y0, dt, h2, h6" in src else "float"
+def _kind(src: str) -> tuple[str, str]:
+    """A list-state loop or step takes the lists x0 and y0, a float-state one its own names. A
+    Newton loop calls `lagrangian._newton_solver(n)`'s `_newton_n` (loops that called the two
+    earlier Newton functions bound their kernel as `_newton`)."""
+    return "list" if ", x0, y0, dt, h2, h6" in src else "float", "newton" if "_newton" in src else "no-newton"
 
 
 def main() -> None:
@@ -68,10 +72,10 @@ def main() -> None:
     for ns in LOOPS:
         if "_h_slow" in ns:
             ns["_h_slow"]()  # builds, and so records, the loop's helper step
-    for kind in ("float", "list"):
+    for kind in (("float", "no-newton"), ("float", "newton"), ("list", "no-newton"), ("list", "newton")):
         sources = sorted(src for src in SOURCES if _kind(src) == kind)
         digest = hashlib.sha256("\0".join(sources).encode()).hexdigest()
-        print(f"{kind:<6s} {len(sources):>4d} {digest}")
+        print(f"{kind[0]:<6s} {kind[1]:<9s} {len(sources):>4d} {digest}")
 
 
 if __name__ == "__main__":

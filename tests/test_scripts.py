@@ -1,5 +1,6 @@
 """The scripts under scripts/ run, and the bundled scenario files match the corpus."""
 
+import argparse
 import importlib.util
 import json
 import os
@@ -105,12 +106,49 @@ def test_bench_pairs_summarises_canned_records():
     assert change == "change: 1 of 30 operations failed, every run correct: False"
 
 
+def _check_bench_record(record: dict) -> None:
+    """A `bench_pairs.py --out` record names a workload and end-to-end metrics of BENCHMARK.json
+    and has both sides; no value is tested."""
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert record["workload"] in {w["name"] for w in declared["workloads"]}
+    assert record["metrics"] and set(record["metrics"]) <= {m["name"] for m in declared["end_to_end"]}
+    for side in ("parent", "change"):
+        assert record[side]["commit"] and re.fullmatch("[0-9a-f]{64}", record[side]["src_sha256"])
+        assert set(record["operations"][side]) == {"failed", "attempted", "every_run_correct"}
+        assert all(set(row[side]) == {"q1", "median", "q3"} for row in record["metrics"].values())
+    assert all(0 <= row["change_wins"] <= row["pairs"] == record["pairs"] for row in record["metrics"].values())
+    assert {"seed", "seconds", "machine"} <= set(record)
+
+
+def test_bench_pairs_writes_a_bench_record(tmp_path):
+    bench = _bench_pairs()
+    for side in ("parent", "change"):
+        (tmp_path / side / "src" / "clmech").mkdir(parents=True)
+        (tmp_path / side / "src" / "clmech" / "__init__.py").write_text(f"# {side}\n")
+    env = {"git_sha": "unknown", "cpu": "cpu", "nproc": 2, "affinity": 2, "python": "3.11.7", "numpy": "2.4.6"}
+    metrics = {"pass_s": {"value": 0.5, "unit": "s"}}
+    record = {"correct": True, "attempted": 10, "failed": 0, "metrics": metrics, "env": env}
+    args = argparse.Namespace(workload="simulate", seed=9, seconds=15.0, parent=tmp_path / "parent", change=tmp_path / "change")
+    out = bench.bench_record(args, [(record, record)] * 2, [{"name": "pass_s", "better": "lower"}])
+    _check_bench_record(json.loads(json.dumps(out)))
+    assert out["parent"]["src_sha256"] != out["change"]["src_sha256"]
+    assert out["metrics"]["pass_s"]["change_wins"] == 0 and out["metrics"]["pass_s"]["parent"]["median"] == 0.5
+
+
+def test_committed_bench_records_name_declared_metrics():
+    paths = sorted((ROOT / "bench").glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        _check_bench_record(json.loads(path.read_text()))
+
+
 def test_step_sources_prints_a_digest_per_state_kind():
     done = run_script("step_sources.py", "--seeds")  # the corpus's steps only
     assert done.returncode == 0, done.stderr
     rows = [line.split() for line in done.stdout.splitlines()]
-    assert [row[0] for row in rows] == ["float", "list"]
-    assert int(rows[0][1]) > 0 and all(re.fullmatch("[0-9a-f]{64}", row[2]) for row in rows)
+    assert [row[:2] for row in rows] == [[kind, solve] for kind in ("float", "list") for solve in ("no-newton", "newton")]
+    assert int(rows[0][2]) > 0 and all(re.fullmatch("[0-9a-f]{64}", row[3]) for row in rows)
+    assert int(rows[1][2]) == int(rows[3][2]) == 0  # the bundled closures are affine
 
 
 def test_scenario_files_are_the_exported_corpus(tmp_path):
