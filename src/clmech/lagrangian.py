@@ -27,9 +27,9 @@ from __future__ import annotations
 import math
 import re
 import warnings
-from textwrap import indent
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from textwrap import indent
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
