@@ -247,15 +247,13 @@ class _Parser:
     def expr(self) -> Expr:
         e = self.term()
         while self.peek().kind in "+-":
-            op = self.take().kind
-            e = BinOp(op, e, self.term())
+            e = BinOp(self.take().kind, e, self.term())
         return e
 
     def term(self) -> Expr:
         e = self.unary()
         while self.peek().kind in "*/":
-            op = self.take().kind
-            e = BinOp(op, e, self.unary())
+            e = BinOp(self.take().kind, e, self.unary())
         return e
 
     def unary(self) -> Expr:
@@ -412,10 +410,8 @@ def _diff_raw(e: Expr, s: str) -> Expr:
     if isinstance(e, BinOp):
         l, r = e.left, e.right
         dl, dr = _diff_raw(l, s), _diff_raw(r, s)
-        if e.op == "+":
-            return BinOp("+", dl, dr)
-        if e.op == "-":
-            return BinOp("-", dl, dr)
+        if e.op in "+-":
+            return BinOp(e.op, dl, dr)
         if e.op == "*":
             return BinOp("+", BinOp("*", dl, r), BinOp("*", l, dr))
         if e.op == "/":
@@ -426,8 +422,7 @@ def _diff_raw(e: Expr, s: str) -> Expr:
             c = r.value
             if c == 0:
                 return ZERO
-            down = BinOp("^", l, Const(c - 1))
-            return BinOp("*", BinOp("*", Const(c), down), dl)
+            return BinOp("*", BinOp("*", Const(c), BinOp("^", l, Const(c - 1))), dl)
         if isinstance(l, Const):
             if l.value == 0:
                 return ZERO
@@ -1025,31 +1020,31 @@ def compile_step(
     of a state (x, y), generated as `_loop(grid, x0, y0, dt, h2, h6, c0, c1, c2, c3, n, s0)`: at each of
     the n + 1 samples it returns the sample's index if a state entry is NaN or beyond +-BLOWUP_LIMIT,
     else stores x and the sample's s0, s1, s2 in the memoryview columns c0..c3 ([k], or [k, a] for a
-    list state) and, but at the last sample, steps the state in place. The argument s0 is what the
-    text reads as s0 before the first sample sets it: a Newton's warm start.
+    list state) and, but at the last sample, steps the state in place. The argument s0 is the text's
+    s0 before the first sample sets it: a Newton's warm start.
 
     `args` is (t, x, y) for a float state, or (t, x_1..x_n, y_1..y_n) for a state of n > 1 coordinates
     passed as the lists x0 and y0. One template writes both, entry by entry in scalars: a float state's
     entries are its parameters `{x}0, {y}0` with the slope `kx, ky`, a list state's the scalars `x0_a,
     y0_a` that x0 and y0 unpack to, with `kx_a, ky_a`, so each entry rounds as a float state's does.
-    Each stage assigns its point to `args`, so a guard names it as the kernel does, runs the real kernel
-    body of the folded `trees` with the values bound to `outs`, then the pieces of `tail`, which set the
-    slope; the piece `sample` sets s0, s1, s2 after stage 1, and the text `start` runs before stage 1
-    alone. A piece is text, or a pair (names, trees) setting the names to the trees' values, folded by
-    `_fold` and computed with plain `/` and `**` as text is. With no trees a stage is its tail alone.
-    A float state's outs that are constants go into those trees, and the body assigns them only
-    if it checks for an imaginary part, which names a map by its place; else an out only `sample` reads,
-    whose tree cannot raise, is computed once, at the sample. The last sample runs stage 1 alone; or,
-    where `last` is text, that text, then `sample`; or, where it is trees, on a float state,
-    `_f(t, x, y)` -> (*sample, x, y), the body of `last` bound to the first `outs`.
-    `names` pairs are bound as globals.
+    Each stage assigns its point to `args` (t only where a tree, a guard, which names the state, or
+    a `tail` piece reads it), runs the real kernel body of the folded `trees` with the values bound
+    to `outs`, then the `tail` pieces, which set the slope; `sample` sets s0, s1, s2 after stage 1,
+    and the text `start` runs before stage 1 alone. A piece is text, or a pair (names, trees) setting
+    the names to the trees' values, folded by `_fold` and computed with plain `/` and `**` as text is.
+    With no trees a stage is its tail alone. Constant outs go into those trees (texts write their
+    literals); the body assigns them only if it checks for an imaginary part, naming a map by its
+    place. An out only `sample` reads, whose tree cannot raise, is computed once, at the sample. The
+    last sample runs stage 1 alone; or, where `last` is text, that text, then `sample`; or, where it
+    is trees, on a float state, `_f(t, x, y)` -> (*sample, x, y), the body of `last` bound to the
+    first `outs`. `names` pairs are bound as globals.
 
     Where an inline operation of the kernel bodies (`compile_expr`'s fast path) raises, that sample
     alone is taken again on the step built on the helpers, `_step(t0, x0, y0, dt, h2, h6)` -> (*sample,
     next x, next y) with dt None at the last sample: it raises the helpers' error at the same stage,
     or gives the sample and the loop goes on; a loop of text-only stages, the only kind that reads the
-    argument s0, has no kernel body and so no such step. Loops are cached on their arguments, so a
-    derive of the same system reuses its loop.
+    argument s0, has no kernel body and so no such step. Loops are cached on their arguments: a derive
+    of the same system reuses its loop.
     """
     return _step(trees, args, outs, tail, sample, last, names, start, True)
 
@@ -1061,7 +1056,7 @@ def _step(
     bound: dict = {}
     t, state, n = args[0], args[1:], (len(args) - 1) // 2
     listed, join = n > 1, ", ".join
-    leaves = {} if listed else {o: e for o, e in zip(outs, trees) if isinstance(e, Const)}
+    leaves = {o: e for o, e in zip(outs, trees) if isinstance(e, Const)}
 
     def body(pairs: list) -> str:
         guarded = any(_may_turn_complex(e) for _, e in pairs)
@@ -1080,7 +1075,8 @@ def _step(
     pairs, tails = list(zip(outs, trees)), "".join(map(put, tail))
     # outs only the sample reads (an f-string's prefix is no name) are computed once, at the sample,
     # unless a guard names them by place, or they can raise, so that stages 2 to 4 would skip an error
-    read = set(outs) if any(map(_may_turn_complex, trees)) else {*leaves, *re.findall(r"\w+\b(?!\")", tails)}
+    guarded = any(map(_may_turn_complex, trees))
+    read = set(outs) if guarded else {*leaves, *re.findall(r"\w+\b(?!\")", tails)}
     late = [(o, e) for o, e in pairs if o not in read and trees.count(e) == 1]
     once = body(late).split("\n", 1)[1] if late else ""
     if any(op in once for op in ("/", "**", "_c_", "_h_")):
@@ -1092,7 +1088,9 @@ def _step(
     slopes = lambda k="": [f"k{v}{k}{s}" for v, s in entries]  # noqa: E731 - stage k's, or the current
     params = ("x0", "y0") if listed else base
     unpack = f"    {join(base[:n])} = x0\n    {join(base[n:])} = y0\n" if listed else ""
-    here = f"    {t}, {join(state)} = {t}0, {join(base)}\n"
+    # t is set where a tree, a guard (which names the state) or a piece of the tail reads it
+    timed = guarded or t in read.union(*map(free_symbols, trees))
+    here = f"    {f'{t}, ' * timed}{join(state)} = {f'{t}0, ' * timed}{join(base)}\n"
     first, head = f"{here}{start}{stage}{once}{put(sample)}", ""
     if isinstance(last, str):  # the last sample runs the text, then `sample`
         end = f"{here}{put(last)}{put(sample)}"
@@ -1102,7 +1100,7 @@ def _step(
     rest = ""
     for k, h in ((1, "h2"), (2, "h2"), (3, "dt")):
         point = (f"{b} + {h} * {s}" for b, s in zip(base, slopes(k)))
-        rest += f"    {join(slopes(k))} = {join(slopes())}\n    {t}, {join(state)} = {t}0 + {h}, {join(point)}\n{stage}"
+        rest += f"    {join(slopes(k))} = {join(slopes())}\n    {f'{t}, ' * timed}{join(state)} = {f'{t}0 + {h}, ' * timed}{join(point)}\n{stage}"
     new = [f"{b} + h6 * ({s1} + 2 * {s2} + 2 * {s3} + {s})" for b, s1, s2, s3, s in zip(base, *map(slopes, (1, 2, 3, "")))]
     rest += f"    {join(base)} = {join(new)}\n"
     at_end, more = ("_i == _n", "_i < _n") if inline else ("dt is None", "dt is not None")  # the last sample

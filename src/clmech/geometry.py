@@ -61,10 +61,15 @@ class OneForm:
             raise ValueError("coefficient vectors must have equal length")
 
 
-def _form(dq, dqd, s: MechState) -> OneForm:
-    """The form at s; coefficients that are not finite put s outside the maps' domain."""
+def _finite(dq, dqd, s: MechState) -> None:
+    """Coefficients that are not finite put s outside the maps' domain."""
     if not all(map(math.isfinite, (*dq, *dqd))):
         raise DomainError(f"one-form coefficients are not finite at t={s.t!r}, q={s.q!r}, qd={s.qd!r}")
+
+
+def _form(dq, dqd, s: MechState) -> OneForm:
+    """The form at s, with `_finite`'s error."""
+    _finite(dq, dqd, s)
     return OneForm(dq, dqd, s)
 
 
@@ -79,28 +84,36 @@ def lie_theta(lagr: ComplexLagrangian, eom: EomSystem, s: MechState) -> OneForm:
     return _form(g, f, s)
 
 
-def _lie_forms(eom: EomSystem, states: list[MechState]) -> list[OneForm]:
-    """`lie_theta` at each state from one `lanes` read (`_Maps.columns`), raising where the state loop first would."""
+def _lie_values(eom: EomSystem, states: list[MechState]) -> list[tuple[list[float], list[float]]]:
+    """The coefficients (g, f) of `lie_theta` at each state from one `lanes` read
+    (`_Maps.columns`), raising where the state loop first would."""
     vals, errors = eom.maps.columns(states)
     f, g, *_ = eom.maps.split(vals)
     first = min(errors, default=len(states))
-    per_state = zip(np.transpose(g).tolist(), np.transpose(f).tolist(), states[:first])
-    forms = [_form(dq, dqd, s) for dq, dqd, s in per_state]
+    values = list(zip(np.transpose(g).tolist(), np.transpose(f).tolist()))[:first]
+    for (dq, dqd), s in zip(values, states):
+        _finite(dq, dqd, s)
     if errors:
         raise errors[first]
-    return forms
+    return values
+
+
+def _lie_forms(eom: EomSystem, states: list[MechState]) -> list[OneForm]:
+    """`lie_theta` at each state, from `_lie_values`."""
+    return [OneForm(dq, dqd, s) for (dq, dqd), s in zip(_lie_values(eom, states), states)]
+
+
+def _pairing_values(lagr: ComplexLagrangian, s: MechState) -> tuple[list[float], list[float]]:
+    """The coefficients (dq, dqd) of `rhs_pairing_form` at s, with `_finite`'s error."""
+    z = [math.sqrt(2.0) * wirtinger(lagr, s, a) for a in range(lagr.dim)]
+    dq, dqd = [-lagr.omega0 * x.imag for x in z], [x.real for x in z]
+    _finite(dq, dqd, s)
+    return dq, dqd
 
 
 def rhs_pairing_form(lagr: ComplexLagrangian, s: MechState) -> OneForm:
     """The pairing side: coefficients of 2 Re[sqrt(2) dLagr/dw_a * dw_a]."""
-    rt2 = math.sqrt(2.0)
-    dq = []
-    dqd = []
-    for a in range(lagr.dim):
-        z = rt2 * wirtinger(lagr, s, a)
-        dq.append(-lagr.omega0 * z.imag)
-        dqd.append(z.real)
-    return _form(dq, dqd, s)
+    return OneForm(*_pairing_values(lagr, s), s)
 
 
 def lie_theta_cartan(lagr: ComplexLagrangian, eom: EomSystem, s: MechState) -> OneForm:

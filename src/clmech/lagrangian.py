@@ -285,21 +285,25 @@ class _Maps:
         idx, qd = range(1, n + 1), self._args[n + 1 :]
         f, g, f_t, w, b, ky = ([f"{m}{a}" for a in idx] for m in ("f", "g", "ft", "w", "b", "ky_"))
         A, f_q = ([[f"{m}{a}_{c}" for c in idx] for a in idx] for m in ("a", "fq"))
-        dot = lambda row, v: f"(0 + {' + '.join(f'{x} * {y}' for x, y in zip(row, v))})"  # noqa: E731 - `_dot`'s order
-        # `_accel`'s right-hand side g - (df/dq) qd - df/dt, its dot product kept for the EL terms
-        tail = [f"    {w[a]} = {dot(f_q[a], qd)}\n    {b[a]} = {g[a]} - {w[a]} - {f_t[a]}" for a in range(n)]
+        outs = (*f, *g, *sum(A, []), *sum(f_q, []), *f_t)
+        written = _written(outs, trees)
+        dot = lambda row, v: f"(0 + {' + '.join(f'{written(x)} * {y}' for x, y in zip(row, v))})"  # noqa: E731 - `_dot`'s order
+        # `_accel`'s right-hand side g - (df/dq) qd - df/dt as trees, so the step folds the constants in,
+        # its dot product kept for the EL terms
+        qds = [Sym(v) for v in qd]
+        w_trees = tuple(sum((Sym(x) * v for x, v in zip(row, qds)), ZERO) for row in f_q)
+        tail = [(tuple(w), w_trees), (tuple(b), tuple(Sym(x) - Sym(y) - Sym(z) for x, y, z in zip(g, w, f_t)))]
         mass = [trees[2 * n + a * n : 2 * n + (a + 1) * n] for a in range(n)]
         plan = _solve_plan([[e.value.real for e in row] for row in mass], b, ky) if _constant(mass) else None
         if plan is None:
             solve = _solver(n)
-            plan = f"    {join(ky)} = {solve.__name__}({join(sum(A, []))}, {join(b)})"
+            plan = f"    {join(ky)} = {solve.__name__}({join(map(written, sum(A, [])))}, {join(b)})"
             names += ((solve.__name__, solve),)
         tail += [plan, f"    {join(f'kx_{a}' for a in idx)} = {join(qd)}"]
         # `_el_terms`, g - A qdd - (df/dq) qd - df/dt row by row; the residual is their maximum
-        terms = join(f"abs({g[a]} - {dot(A[a], ky)} - {w[a]} - {f_t[a]})" for a in range(n))
-        sample = f"[{join(qd)}], [{join(f)}], max({terms})"
-        outs = (*f, *g, *sum(A, []), *sum(f_q, []), *f_t)
-        return compile_step(trees, self._args, outs, ("\n".join(tail),), f"    s0, s1, s2 = {sample}", names=names)
+        terms = join(f"abs({written(x)} - {dot(row, ky)} - {y} - {written(z)})" for x, row, y, z in zip(g, A, w, f_t))
+        sample = f"[{join(qd)}], [{join(map(written, f))}], max({terms})"
+        return compile_step(trees, self._args, outs, tuple(tail), f"    s0, s1, s2 = {sample}", names=names)
 
     def closure(self, mass: tuple[float, ...]) -> tuple:
         """(qd, velocity) of the closure f = mass*qd. Where A folds to constants, qd is the trees of
@@ -326,13 +330,14 @@ class _Maps:
         coords, vels, at = self._args[1 : n + 1], self._args[n + 1 :], [""] if n == 1 else range(1, n + 1)
         fs, kx, args = [f"f{a}" for a in at], [f"kx{a and f'_{a}'}" for a in at], ("t", *coords, *self._momenta)
         tail = (((*kx, *(f"ky{a and f'_{a}'}" for a in at)), (*map(Sym, vels), *(ZERO,) * n)),)
+        trees = () if qd is None else qd + subs(subs(self.f, self._params), dict(zip(vels, qd)))
         if n == 1:  # a piece of trees, so a constant f is put in as the tail's are
             sample = (("s0", "s1", "s2"), (Sym("qd"), Sym("f"), Call("abs", Sym("f") - mass[0] * Sym("qd"))))
         else:
-            terms = join(f"abs(f{a} - {m!r} * {x})" for a, m, x in zip(at, mass, vels))
-            sample = f"    s0, s1, s2 = [{join(vels)}], [{join(fs)}], max({terms})"
+            written = _written((*vels, *fs), trees)
+            terms = join(f"abs({written(f)} - {m!r} * {written(x)})" for f, m, x in zip(fs, mass, vels))
+            sample = f"    s0, s1, s2 = [{join(map(written, vels))}], [{join(map(written, fs))}], max({terms})"
         if qd is not None:
-            trees = qd + subs(subs(self.f, self._params), dict(zip(vels, qd)))
             return compile_step(trees, args, (*vels, *fs), tail, sample)
         newton, point = _newton_solver(n), join((*coords, *("0.0",) * n, *map(repr, mass), *kx))  # (q, p = 0, mass, guess)
         solve = f"    {join(vels)}, {join(fs)} = {newton.__name__}(_kernel, ClosureInconsistent, t, {point})"
@@ -452,15 +457,23 @@ def _back_substitution(
 ) -> list[str]:
     """Source lines setting `out` from the eliminated rows `a` and right-hand side
     `x`, then checking the residual of the system (a0, b); each entry is a name or
-    a literal, and `dot` writes the sum of a list of products in `_dot`'s order."""
+    a literal, and `dot` writes the sum of a list of products in `_dot`'s order.
+
+    The residual's entries r1..rn go into locals, and the test of max|r| against
+    _SOLVE_RESIDUAL * (1 + max|b|), a bound never below _SOLVE_RESIDUAL, runs only
+    where one chained comparison (false for NaN) finds an entry beyond
+    +-_SOLVE_RESIDUAL: it raises where the test alone would (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 2002, sec. 9)."""
     n, join, lines = len(b), ", ".join, []
     for k in range(n - 1, -1, -1):
         back = [f"{a[k][i]} * {out[i]}" for i in range(k + 1, n)]
         lines.append(f"    {out[k]} = ({x[k]} - {f'({dot(back)})' if back else 0}) / {a[k][k]}")
-    rows = (f"abs({dot([f'{v} * {o}' for v, o in zip(row, out)])} - {bk})" for row, bk in zip(a0, b))
-    lines.append(f"    r = max({join(rows)})")
-    lines.append(f"    if r > {_SOLVE_RESIDUAL!r} * (1.0 + max({join(f'abs({bk})' for bk in b)})):")
-    lines.append('        raise SingularMass(f"solve residual {r!r} exceeds contract bound")')
+    r = [f"r{k}" for k in range(1, n + 1)]
+    lines += [f"    {rk} = {dot([f'{v} * {o}' for v, o in zip(row, out)])} - {bk}" for rk, row, bk in zip(r, a0, b)]
+    lines.append(f"    if not ({' and '.join(f'{-_SOLVE_RESIDUAL!r} <= {rk} <= {_SOLVE_RESIDUAL!r}' for rk in r)}):")
+    lines.append(f"        r = max({join(f'abs({rk})' for rk in r)})")
+    lines.append(f"        if r > {_SOLVE_RESIDUAL!r} * (1.0 + max({join(f'abs({bk})' for bk in b)})):")
+    lines.append('            raise SingularMass(f"solve residual {r!r} exceeds contract bound")')
     return lines
 
 
@@ -478,7 +491,9 @@ def _solver(n: int) -> Callable[..., list[float]]:
     float operation of a later step raises. `_eliminate`'s stop at a zero pivot is
     never reached: a zero pivot is `_singular` unless its row scale is NaN, which
     only a row with a NaN first entry has, and such a row is either the first
-    pivot, a NaN, or all NaN once eliminated.
+    pivot, a NaN, or all NaN once eliminated. The back substitution and its
+    residual test are `_back_substitution`'s, whose full test runs only where an
+    entry of the residual is beyond +-_SOLVE_RESIDUAL.
     """
     idx, join = range(1, n + 1), ", ".join
     a0, b = [[f"a{r}_{c}" for c in idx] for r in idx], [f"b{r}" for r in idx]
@@ -513,6 +528,14 @@ def _solver(n: int) -> Callable[..., list[float]]:
 def _constant(rows: Sequence[Sequence[Expr]]) -> bool:
     """Whether every tree of the matrix is a real finite constant."""
     return all(isinstance(e, Const) and not e.value.imag and math.isfinite(e.value.real) for row in rows for e in row)
+
+
+def _written(outs: Sequence[str], trees: Sequence[Expr]) -> Callable[[str], str]:
+    """How a text piece of `compile_step` names an out: by its literal where its tree is a real
+    finite constant, which the step puts into its trees and assigns only where a guard reads it,
+    else by its name."""
+    values = {o: repr(e.value.real) for o, e in zip(outs, trees) if _constant(((e,),))}
+    return lambda name: values.get(name, name)
 
 
 def _solve_plan(a0: list[list[float]], b: list[str], out: list[str]) -> str | None:
@@ -566,15 +589,18 @@ def _inverse(
 
 # `solve_linear` for a 1x1 system (a, b), with both of its SingularMass checks,
 # bitwise what the elimination gives: one text, run by `_solve_scalar` and
-# inlined at each stage of the generated RK4 step where `a` varies
+# inlined at each stage of the generated RK4 step where `a` varies. As in
+# `_back_substitution`, the residual test runs only where r is beyond its bound's floor
 _SOLVE_SCALAR = f"""\
     s = abs(a)
     if s == 0.0 or s <= {_PIVOT_RATIO!r} * s:
         raise SingularMass(f"pivot {{a!r}} below {_PIVOT_RATIO!r} of row scale {{s!r}}")
     x = b / a
-    r = abs(a * x - b)
-    if r > {_SOLVE_RESIDUAL!r} * (1.0 + abs(b)):
-        raise SingularMass(f"solve residual {{r!r}} exceeds contract bound")"""
+    r = a * x - b
+    if not {-_SOLVE_RESIDUAL!r} <= r <= {_SOLVE_RESIDUAL!r}:
+        r = abs(r)
+        if r > {_SOLVE_RESIDUAL!r} * (1.0 + abs(b)):
+            raise SingularMass(f"solve residual {{r!r}} exceeds contract bound")"""
 exec(f"def _solve_scalar(a, b):\n{_SOLVE_SCALAR}\n    return x\n")  # noqa: S102 - a constant text
 
 

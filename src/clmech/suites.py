@@ -32,7 +32,7 @@ from .equivalence import (
 )
 from .exprcore import Call, Const, Sym, diff, evaluate, lane_blocks, parse
 from .exprcore import compile_expr  # noqa: F401 - unused, but perfbench's tracer wraps it here
-from .geometry import _lie_forms, lie_theta, lie_theta_cartan, rhs_pairing_form
+from .geometry import _lie_values, _pairing_values, lie_theta, lie_theta_cartan
 from .hamiltonian import HamiltonianField, PhaseState, mixed_partial_diagnostic
 from .lagrangian import (
     ComplexLagrangian,
@@ -397,12 +397,13 @@ def geometry_suite(run: RunContext, seed: int = DEFAULT_SEED) -> SuiteResult:
     sc = run.sc
     lagr, eom, notes = run.derived
     states = sample_states(sc.dim, 100, seed)
-    lies = _lie_forms(eom, states)
+    # the coefficients of both sides, (g, f) and (dq, dqd), with no `OneForm` built
+    lies = _lie_values(eom, states)
     worst = 0.0
-    for s, lt in zip(states, lies):
-        pf = rhs_pairing_form(lagr, s)
+    for s, (g, f) in zip(states, lies):
+        dq, dqd = _pairing_values(lagr, s)
         for a in range(sc.dim):
-            worst = max(worst, abs(lt.dq[a] - pf.dq[a]), abs(lt.dqd[a] - pf.dqd[a]))
+            worst = max(worst, abs(g[a] - dq[a]), abs(f[a] - dqd[a]))
     lines = [
         CheckLine(
             "geometry.lie-vs-pairing",
@@ -418,11 +419,11 @@ def geometry_suite(run: RunContext, seed: int = DEFAULT_SEED) -> SuiteResult:
         # would be the very kernel that gave the Lie derivative
         grads = [diff(lagr.L_expr, x) for x in lagr.coords + lagr.vels]
         collapse = 0.0
-        for s, lt in zip(states, lies):
+        for s, (g, f) in zip(states, lies):
             b = lagr.bindings(s)
             dl = [evaluate(e, b).real for e in grads]
             for a in range(sc.dim):
-                collapse = max(collapse, abs(lt.dq[a] - dl[a]), abs(lt.dqd[a] - dl[sc.dim + a]))
+                collapse = max(collapse, abs(g[a] - dl[a]), abs(f[a] - dl[sc.dim + a]))
         lines.append(
             CheckLine(
                 "geometry.classical-collapse",

@@ -251,6 +251,15 @@ class TestErrorParity:
         got = assert_same_hamiltonian(field, PhaseState(0.0, 0.3, -1.0), IntegratorConfig(0.1, 0.0, 2.0))
         assert got[0] is DomainError
 
+    def test_solve_residual_of_a_constant_ill_conditioned_mass(self):
+        # A = [[1, 0.371], [1, 0.371000000003]] passes its pivot tests when the step is built, and
+        # b = g = (-1.478, 1.664) misses the planned solve by 2.7e-5, beyond 1e-10*(1 + 1.664)
+        source = "0.5*qd1^2 + 0.5*0.371000000003*qd2^2 + qd1*qd2 - 1.478*q1 + 1.664*q2 - 0.629*i*q1*qd2"
+        init = MechState(0.0, (0.0, 0.0), (0.0, 0.0))
+        got = assert_same_list_state(source, {}, init, IntegratorConfig(0.1, 0.0, 1.0))
+        assert got == (SingularMass, "solve residual 2.734375000001954e-05 exceeds contract bound")
+        assert not _solves_at_run_time(source, {}, init)
+
 
 def same_regular(source: str, params: dict, init: MechState, cfg: IntegratorConfig):
     """`integrate` against `reference_regular` on any regular dim-1 system: the outcome, and the step."""
@@ -333,6 +342,21 @@ class TestFoldedTails:
         for step in steps:
             names = set(step.__code__.co_names) | set(step.__globals__.get("_f", step).__code__.co_names)
             assert not names & {"SingularMass", "DegenerateJacobian", "_h_not_real"}
+
+
+@pytest.mark.parametrize(
+    "source,probe,timed",
+    [
+        ("0.5*m*qd^2 - 0.5*k*q^2", MechState(0.0, (1.0,), (0.0,)), False),
+        ("0.5*m*(qd1^2 + qd2^2 + qd3^2) + 0.2*qd1*qd3 - 0.5*k*(q1^2 + q2^2 + q3^2)", MechState(0.0, (1.0,) * 3, (0.0,) * 3), False),
+        ("0.5*m*qd^2 - 0.5*k*q^2 + 0.3*t*q*qd", MechState(0.0, (1.0,), (0.0,)), True),
+        ("0.5*m*(qd1^2 + qd2^2) - 0.5*k*(q1^2 + q2^2) + 0.2*i*t*q1*q2", MechState(0.0, (1.0,) * 2, (0.0,) * 2), True),
+        ("0.5*m*qd^2 - sqrt(q)", MechState(0.0, (1.0,), (0.0,)), True),  # the guard names the state, t too
+    ],
+)
+def test_a_stage_sets_t_only_where_it_is_read(source, probe, timed):
+    eom = derive_eom(ComplexLagrangian(parse(source), 1.0, dim=len(probe.q), params=PARAMS), probe)
+    assert ("t" in eom.maps.step.__code__.co_varnames) is timed
 
 
 def test_invert_reads_the_last_sample_body():
@@ -479,6 +503,8 @@ SOLVE_ENTRY = st.one_of(
 @example(system=([[2.0, 1.0], [4.0, 2.0]], [1.0, 1.0]))  # 1 - 0.5*2 leaves an exactly zero pivot at k = 1
 @example(system=([[1e308, 1e308], [-1e308, 1e308]], [1.0, 1.0]))  # 1e308 + 1e308 overflows; the residual check fails
 @example(system=([[1.0, 1.0], [0.0, 1.0]], [-0.0, -0.0]))  # -0.0 - (0 + 1.0*-0.0) is -0.0
+@example(system=([[0.1, 3.0], [7e5, 0.1]], [9.7e5, 1e6]))  # a residual of 1.16e-10 passes the full test alone
+@example(system=([[1.0, 0.371], [1.0, 0.371000000003]], [-1.478, 1.664]))  # the residual 2.7e-5 raises
 @settings(max_examples=400, deadline=None)
 def test_generated_solve_is_the_elimination_loop(system):
     """`solve_linear`, now the generated `_solver(n)`, against the loop it replaced:

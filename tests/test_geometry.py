@@ -252,6 +252,28 @@ class TestReferenceParity:
         assert lies[0] == "DomainError"
 
 
+def _coefficients(forms) -> list[tuple[list[float], list[float]]]:
+    return [(list(form.dq), list(form.dqd)) for form in forms]
+
+
+@pytest.mark.parametrize(
+    "source,params",
+    [
+        ("0.5*m*qd^2 - 0.5*k*q^2 + 0.5*i*l0*qd^2", {"m": 1.0, "k": 1.0, "l0": 0.1}),
+        ("big*q^3*qd^2", {"big": 5e307}),  # not finite from some state on
+        ("0.5*qd^2 + q*ln(q + 1)", {}),  # the kernel fails at some state
+        ("0.5*qd^2 + sqrt(q + 1)*qd", {}),
+    ],
+)
+def test_the_suite_reads_the_coefficients_of_the_forms(source, params):
+    # the geometry suite reads every Lie value, then the pairing state by state, and builds no form
+    lagr, eom = make(source, params=params)
+    states = sample_states(1, 100)
+    got = outcome(lambda: (geometry._lie_values(eom, states), [geometry._pairing_values(lagr, s) for s in states]))
+    want = outcome(lambda: (_coefficients(reference_lie_forms(eom, states)), _coefficients(reference_pairing_forms(lagr, states))))
+    assert got == want
+
+
 POLY_TEMPLATES = ("{va}*{vb}", "{qa}*{vb}", "cos({qa})", "sqrt(1 + {va}^2)", "t*{qa}")
 PART = st.floats(-2.0, 2.0, allow_nan=False).map(lambda x: round(x, 2))
 

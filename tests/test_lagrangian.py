@@ -337,6 +337,8 @@ ENTRY = st.sampled_from((0.0, -0.0, 1.0, -1.0, 0.5, 3.0, -2.25, 0.1, 1e-8, 7e5))
     rhs=st.lists(st.one_of(ENTRY, st.sampled_from((0.0, -0.0, math.inf, math.nan)), st.floats(-1e6, 1e6)), min_size=4, max_size=4),
 )
 @example(matrix=[[1.0, 1.0], [0.0, 1.0]], rhs=[-0.0, -0.0, 0.0, 0.0])  # -0.0 - (0 + 1.0*-0.0) is -0.0
+@example(matrix=[[0.1, 3.0], [7e5, 0.1]], rhs=[9.7e5, 1e6, 0.0, 0.0])  # a residual of 1.16e-10 passes the full test alone
+@example(matrix=[[1.0, 0.371], [1.0, 0.371000000003]], rhs=[-1.478, 1.664, 0.0, 0.0])  # the residual 2.7e-5 raises
 @settings(max_examples=300, deadline=None)
 def test_solve_plan_is_solve_linear(matrix, rhs):
     """The compile-time plan of a constant matrix against `solve_linear`: bitwise
