@@ -61,16 +61,16 @@ class OneForm:
             raise ValueError("coefficient vectors must have equal length")
 
 
-def _finite(dq, dqd, s: MechState) -> None:
-    """Coefficients that are not finite put s outside the maps' domain."""
+def _form(dq, dqd, s: MechState) -> OneForm:
+    """The form at s; coefficients that are not finite put s outside the maps' domain."""
+    return OneForm(*_finite(dq, dqd, s), s)
+
+
+def _finite(dq, dqd, s: MechState) -> tuple:
+    """(dq, dqd), or `_form`'s DomainError."""
     if not all(map(math.isfinite, (*dq, *dqd))):
         raise DomainError(f"one-form coefficients are not finite at t={s.t!r}, q={s.q!r}, qd={s.qd!r}")
-
-
-def _form(dq, dqd, s: MechState) -> OneForm:
-    """The form at s, with `_finite`'s error."""
-    _finite(dq, dqd, s)
-    return OneForm(dq, dqd, s)
+    return dq, dqd
 
 
 def theta(lagr: ComplexLagrangian, eom: EomSystem, s: MechState) -> OneForm:
@@ -84,31 +84,26 @@ def lie_theta(lagr: ComplexLagrangian, eom: EomSystem, s: MechState) -> OneForm:
     return _form(g, f, s)
 
 
-def _lie_values(eom: EomSystem, states: list[MechState]) -> list[tuple[list[float], list[float]]]:
-    """The coefficients (g, f) of `lie_theta` at each state from one `lanes` read
+def _lie_values(eom: EomSystem, states: list[MechState]) -> list[tuple]:
+    """The coefficients of `lie_theta` at each state from one `lanes` read
     (`_Maps.columns`), raising where the state loop first would."""
     vals, errors = eom.maps.columns(states)
     f, g, *_ = eom.maps.split(vals)
     first = min(errors, default=len(states))
-    values = list(zip(np.transpose(g).tolist(), np.transpose(f).tolist()))[:first]
-    for (dq, dqd), s in zip(values, states):
-        _finite(dq, dqd, s)
+    values = [_finite(*v) for v in zip(np.transpose(g).tolist(), np.transpose(f).tolist(), states[:first])]
     if errors:
         raise errors[first]
     return values
 
 
 def _lie_forms(eom: EomSystem, states: list[MechState]) -> list[OneForm]:
-    """`lie_theta` at each state, from `_lie_values`."""
-    return [OneForm(dq, dqd, s) for (dq, dqd), s in zip(_lie_values(eom, states), states)]
+    return [OneForm(*v, s) for v, s in zip(_lie_values(eom, states), states)]
 
 
-def _pairing_values(lagr: ComplexLagrangian, s: MechState) -> tuple[list[float], list[float]]:
-    """The coefficients (dq, dqd) of `rhs_pairing_form` at s, with `_finite`'s error."""
+def _pairing_values(lagr: ComplexLagrangian, s: MechState) -> tuple:
+    """The coefficients of `rhs_pairing_form` at s."""
     z = [math.sqrt(2.0) * wirtinger(lagr, s, a) for a in range(lagr.dim)]
-    dq, dqd = [-lagr.omega0 * x.imag for x in z], [x.real for x in z]
-    _finite(dq, dqd, s)
-    return dq, dqd
+    return _finite([-lagr.omega0 * x.imag for x in z], [x.real for x in z], s)
 
 
 def rhs_pairing_form(lagr: ComplexLagrangian, s: MechState) -> OneForm:

@@ -290,8 +290,7 @@ class _Maps:
         dot = lambda row, v: f"(0 + {' + '.join(f'{written(x)} * {y}' for x, y in zip(row, v))})"  # noqa: E731 - `_dot`'s order
         # `_accel`'s right-hand side g - (df/dq) qd - df/dt as trees, so the step folds the constants in,
         # its dot product kept for the EL terms
-        qds = [Sym(v) for v in qd]
-        w_trees = tuple(sum((Sym(x) * v for x, v in zip(row, qds)), ZERO) for row in f_q)
+        w_trees = tuple(sum((Sym(x) * Sym(v) for x, v in zip(row, qd)), ZERO) for row in f_q)
         tail = [(tuple(w), w_trees), (tuple(b), tuple(Sym(x) - Sym(y) - Sym(z) for x, y, z in zip(g, w, f_t)))]
         mass = [trees[2 * n + a * n : 2 * n + (a + 1) * n] for a in range(n)]
         plan = _solve_plan([[e.value.real for e in row] for row in mass], b, ky) if _constant(mass) else None
