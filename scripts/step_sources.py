@@ -3,7 +3,7 @@
 It builds the sample loops that `check all` over the bundled corpus builds,
 then those of perfbench's `simulate` rounds (`gen.simulate_spec(seed, i)`,
 each integrated as `clmech simulate` runs it) for each given seed. Every
-source `exprcore` compiles into a `_loop` is recorded, and so is the per-sample
+source `codegen` compiles into a `_loop` is recorded, and so is the per-sample
 helper step `_step` that a raising sample falls back to, which it builds for
 each loop that has one. For each state kind, float (one coordinate, or the
 phase state (q, p)) and list (more than one coordinate), and apart for the
@@ -22,7 +22,7 @@ import hashlib
 import sys
 from pathlib import Path
 
-from clmech import exprcore
+from clmech import codegen
 from clmech.corpus import bundled_corpus
 from clmech.dynamics import IntegratorConfig
 from clmech.sampling import DEFAULT_SEED
@@ -38,10 +38,10 @@ LOOPS: list[dict] = []
 
 
 def _recording_exec(src: str, ns: dict) -> None:
-    """`exec`, as `exprcore` calls it, keeping each loop and step source it runs and each loop's globals."""
+    """`exec`, as `codegen` calls it, keeping each loop and step source it runs and each loop's globals."""
     if "def _loop(" in src or "def _step(" in src:
         SOURCES.add(src)
-    builtins.exec(src, ns)  # noqa: S102 - the generated source exprcore was about to run
+    builtins.exec(src, ns)  # noqa: S102 - the generated source codegen was about to run
     if "def _loop(" in src:
         LOOPS.append(ns)
 
@@ -58,7 +58,7 @@ def main() -> None:
     parser.add_argument("--seeds", type=int, nargs="*", default=[7, 41])
     args = parser.parse_args()
 
-    exprcore.exec = _recording_exec  # a module global shadows the builtin in `exprcore._step`
+    codegen.exec = _recording_exec  # a module global shadows the builtin in `codegen._step` and `_compile`
     for sc in bundled_corpus():
         run_suites(sc, sc.checks, seed=DEFAULT_SEED)
     for seed in args.seeds:

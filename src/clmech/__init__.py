@@ -11,13 +11,13 @@ Lagrangians, the Lie derivative of the Lagrangian one-form, and the
 correspondence to a complex Hamiltonian flow.
 """
 
+from .codegen import compile_expr
 from .exprcore import (
     DomainError,
     Expr,
     ExprSyntaxError,
     UnboundSymbol,
     UnknownFunction,
-    compile_expr,
     diff,
     evaluate,
     parse,

@@ -22,7 +22,8 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .exprcore import BLOWUP_LIMIT, lane_blocks
+from .codegen import BLOWUP_LIMIT
+from .lanes import lane_blocks
 from .lagrangian import DEGENERATE, EomSystem, MechState, _dot
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -143,7 +144,7 @@ def integrate(eom: EomSystem, init: MechState, cfg: IntegratorConfig) -> Traject
 
 
 def _sampled(kind: str, loop: Callable, x, y, cfg: IntegratorConfig, s0=0.0) -> Trajectory:
-    """The trajectory of `exprcore.compile_step`'s sample loop from (x, y) and the warm start s0:
+    """The trajectory of `codegen.compile_step`'s sample loop from (x, y) and the warm start s0:
     x is q; y is qd (regular), p (Hamiltonian) or p = 0 (closure); s0 is the first sample's
     Newton guess, init.qd on a closure whose A varies, 0.0 on a Hamiltonian field, else unread."""
     t_grid, dt, n = _grid(cfg)

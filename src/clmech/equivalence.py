@@ -35,11 +35,11 @@ from typing import Sequence
 
 import numpy as np
 
+from .codegen import compile_expr
 from .exprcore import (
     Const,
     Expr,
     Sym,
-    compile_expr,
     diff,
     free_symbols,
     simplify,

@@ -29,13 +29,7 @@ import numpy as np
 
 from .dynamics import IntegratorConfig, integrate
 from .exprcore import DomainError
-from .lagrangian import (
-    ComplexLagrangian,
-    EomSystem,
-    MechState,
-    momentum,
-    wirtinger,
-)
+from .lagrangian import ComplexLagrangian, EomSystem, MechState, momentum
 
 # 6th-order central first-derivative stencil on offsets -3..3, divided by 60*delta
 _STENCIL = (-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0)
@@ -101,8 +95,10 @@ def _lie_forms(eom: EomSystem, states: list[MechState]) -> list[OneForm]:
 
 
 def _pairing_values(lagr: ComplexLagrangian, s: MechState) -> tuple:
-    """The coefficients of `rhs_pairing_form` at s."""
-    z = [math.sqrt(2.0) * wirtinger(lagr, s, a) for a in range(lagr.dim)]
+    """The coefficients of `rhs_pairing_form` at s, from one call of the complex kernel: each
+    coordinate's sqrt(2) * `wirtinger`, formed as `wirtinger` forms it."""
+    d, n, rt2 = lagr._wirtinger(s.t, *s.q, *s.qd), lagr.dim, math.sqrt(2.0)
+    z = [rt2 * ((d[a] - (1j / lagr.omega0) * d[n + a]) / rt2) for a in range(n)]
     return _finite([-lagr.omega0 * x.imag for x in z], [x.real for x in z], s)
 
 

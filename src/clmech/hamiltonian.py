@@ -33,7 +33,7 @@ Mathematical Methods of Classical Mechanics, sec. 14), and the flow is one
 kernel call of (t, q, p).
 Any other f is inverted by the closure's damped Newton at m = 0 (`lagrangian._newton_solver(1)`),
 its partials by a second kernel.
-Either way the field's RK4 sample loop is one generated function (`exprcore.compile_step`):
+Either way the field's RK4 sample loop is one generated function (`codegen.compile_step`):
 its stages run the one kernel's body, or call the Newton and the partials kernel, and then
 `_pieces`' flow as the same folded trees.
 """
@@ -44,7 +44,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .exprcore import Call, DomainError, Sym, compile_expr, compile_step, diff, evaluate, subs
+from .codegen import compile_expr, compile_step
+from .exprcore import Call, DomainError, Sym, diff, evaluate, subs
 from .lagrangian import ComplexLagrangian, EomSystem, _inverse, _newton_solver
 
 
@@ -98,7 +99,7 @@ def _pieces(p, values, kappa0, omega0):
 class HamiltonianField:
     """Compiled phase-space field for a regular single-coordinate system; `_f` is f with the
     parameters folded in, `_qd` the inverse tree qd(t, q, p) if A folds to a nonzero constant.
-    `step` is `exprcore.compile_step`'s RK4 sample loop of (q, p) giving qd, p and |f - p|. With
+    `step` is `codegen.compile_step`'s RK4 sample loop of (q, p) giving qd, p and |f - p|. With
     `_qd`, its stages are one kernel body of (t, q, p), and its sample head `_f`, which computes only
     (qd, f), serves `invert` too; without, each stage runs `_values`' Newton path as text."""
 

@@ -34,6 +34,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from .codegen import _codegen, _fold, compile_expr, compile_step
 from .exprcore import (
     Call,
     Const,
@@ -41,10 +42,6 @@ from .exprcore import (
     Expr,
     Sym,
     ZERO,
-    _codegen,
-    _fold,
-    compile_expr,
-    compile_step,
     diff,
     evaluate,
     free_symbols,
@@ -219,7 +216,7 @@ class _Maps:
 
     `lanes` is `kernel` over arrays of samples (`compile_expr`'s `vectorized`
     mode), for passes over whole trajectories; `columns` reads it at a list of
-    sample states, as the scalar kernel would sample by sample. `step` is `exprcore.compile_step`'s
+    sample states, as the scalar kernel would sample by sample. `step` is `codegen.compile_step`'s
     RK4 sample loop of (q, qd) giving qd, p and the EL residual, on floats at one
     coordinate and on lists above. There a mass matrix that folds to constants
     is eliminated at compile time (`_solve_plan`); one that varies is solved at
@@ -545,7 +542,7 @@ def _solve_plan(a0: list[list[float]], b: list[str], out: list[str]) -> str | No
     are fixed (Golub & Van Loan, Matrix Computations, 4th ed., sec. 3.4). The
     source holds only the operations on the right-hand side: the row swaps, each
     `x_j -= m*x_k` that `_eliminate` does not skip, made on trees and folded by
-    `exprcore._fold`, the back substitution with its pivots and `solve_linear`'s
+    `codegen._fold`, the back substitution with its pivots and `solve_linear`'s
     residual check. None if an eliminated entry is not finite, which a literal
     cannot carry.
     """

@@ -19,6 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .codegen import compile_expr  # noqa: F401 - unused, but perfbench's tracer wraps it here
 from .dynamics import IntegratorConfig, Trajectory, _check_finite, integrate, integrate_hamiltonian, sampled_path
 from .equivalence import (
     EQUIVALENT,
@@ -30,8 +31,7 @@ from .equivalence import (
     gauge_add,
     integrability_residual,
 )
-from .exprcore import Call, Const, Sym, diff, evaluate, lane_blocks, parse
-from .exprcore import compile_expr  # noqa: F401 - unused, but perfbench's tracer wraps it here
+from .exprcore import Call, Const, Sym, diff, evaluate, parse
 from .geometry import _lie_values, _pairing_values, lie_theta, lie_theta_cartan
 from .hamiltonian import HamiltonianField, PhaseState, mixed_partial_diagnostic
 from .lagrangian import (
@@ -41,6 +41,7 @@ from .lagrangian import (
     derive_eom,
     momentum,
 )
+from .lanes import lane_blocks
 from .sampling import DEFAULT_SEED, sample_states
 from .scenario import Scenario
 from .variational import (

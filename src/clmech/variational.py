@@ -33,11 +33,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .codegen import compile_expr
 from .dynamics import Trajectory
 # perfbench's tracer wraps `compile_expr` and `diff` by name in this module,
 # so `diff` stays bound although nothing here calls it
-from .exprcore import compile_expr, diff, lane_blocks  # noqa: F401
+from .exprcore import diff  # noqa: F401
 from .lagrangian import ComplexLagrangian, EomSystem, MechState, momentum
+from .lanes import lane_blocks
 
 
 class BadSampling(Exception):

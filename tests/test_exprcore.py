@@ -14,7 +14,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from clmech import codegen as gen  # the spies below keep the real `_codegen` in a local `codegen`
 from clmech import exprcore
+from clmech.codegen import _codegen, compile_expr
 from clmech.corpus import bundled_corpus, corpus_scenario
 from clmech.exprcore import (
     BinOp,
@@ -27,9 +29,7 @@ from clmech.exprcore import (
     UnboundSymbol,
     UnknownFunction,
     ZERO,
-    _codegen,
     _conj_split,
-    compile_expr,
     conj_expr,
     diff,
     evaluate,
@@ -337,8 +337,8 @@ class TestSubs:
 
     def test_a_number_goes_in_as_the_const_compile_expr_folds(self, monkeypatch):
         trees = []
-        codegen = exprcore._codegen
-        monkeypatch.setattr(exprcore, "_codegen", lambda t, *a: trees.append(t) or codegen(t, *a))
+        codegen = gen._codegen
+        monkeypatch.setattr(gen, "_codegen", lambda t, *a: trees.append(t) or codegen(t, *a))
         e = parse("m*q")
         assert compile_expr(e, ("q",), {"m": 2})(3.0) == 6.0
         assert subs((e,), {"m": 2}) == subs((e,), {"m": 2.0}) == trees[0]
@@ -614,10 +614,10 @@ class TestArrayKernel:
 def _generated_source(monkeypatch, trees, args, consts=None, real=True):
     """The source `compile_expr` generates for `trees`, compiled afresh."""
     sources = []
-    codegen = exprcore._codegen
-    monkeypatch.setattr(exprcore, "_codegen", lambda *a: sources.append(codegen(*a)) or sources[-1])
+    codegen = gen._codegen
+    monkeypatch.setattr(gen, "_codegen", lambda *a: sources.append(codegen(*a)) or sources[-1])
     items = tuple(sorted((k, complex(v)) for k, v in (consts or {}).items()))
-    exprcore._compile.__wrapped__(trees, args, items, False, real, False)
+    gen._compile.__wrapped__(trees, args, items, False, real, False)
     return sources[0][0]
 
 
@@ -693,8 +693,8 @@ class TestFold:
         unfolded = compile_expr((tree,), ("t", "q", "qd", "a", "b"), real=real)
         items = tuple(sorted((k, complex(v)) for k, v in params.items()))
         helpers = (  # the helper kernels (`inline` off) the fast paths' raises fall back to
-            exprcore._compile((tree,), ("t", "q", "qd"), items, False, real, False, False),
-            exprcore._compile((tree,), ("t", "q", "qd", "a", "b"), (), False, real, False, False),
+            gen._compile((tree,), ("t", "q", "qd"), items, False, real, False, False),
+            gen._compile((tree,), ("t", "q", "qd", "a", "b"), (), False, real, False, False),
         )
         for fn, helper, values in zip((folded, unfolded), helpers, (state, (*state, a, b))):
             assert _outcome(fn, values) == _outcome(helper, values)
@@ -744,7 +744,7 @@ def _run_floats(e, x: float) -> float:
 @example(exprcore.Neg(exprcore.Neg(Sym("x"))), math.nan)
 @settings(max_examples=400, deadline=None)
 def test_step_fold_moves_no_bit(tree, x):
-    """`exprcore._fold`, the generated step's rule set: the folded tree gives every bit of the
+    """`codegen._fold`, the generated step's rule set: the folded tree gives every bit of the
     tree's value, signed zeros and infinities included, a NaN where it gives a NaN, or raises
     the same error. (Which of two NaN operands `+` and `*` keep depends on whether CPython 3.11
     runs them specialised, as `_solution` in test_generated_step.py notes, so NaNs are one NaN.)"""
@@ -756,6 +756,6 @@ def test_step_fold_moves_no_bit(tree, x):
             return type(err)
         return struct.pack("<d", v) if v == v else "nan"
 
-    assert outcome(exprcore._fold(tree, {})) == outcome(tree)
+    assert outcome(gen._fold(tree, {})) == outcome(tree)
     if x == x:  # with x put in as a constant, every operation on constants folds or stays
-        assert outcome(exprcore._fold(tree, {"x": Const(x)})) == outcome(tree)
+        assert outcome(gen._fold(tree, {"x": Const(x)})) == outcome(tree)

@@ -38,8 +38,9 @@ from clmech.dynamics import (
     integrate,
     integrate_hamiltonian,
 )
-from clmech import exprcore
-from clmech.exprcore import DomainError, compile_expr, parse
+from clmech import codegen
+from clmech.codegen import compile_expr
+from clmech.exprcore import DomainError, parse
 from clmech.hamiltonian import HamiltonianField, InversionFailure, PhaseState
 from clmech.lagrangian import (
     ClosureInconsistent,
@@ -883,10 +884,10 @@ class TestNewtonLoops:
             integrate_hamiltonian(_newton_field(), PhaseState(0.0, 1.0, 0.2), cfg)
 
         derive_and_integrate()
-        size = exprcore._step.cache_info().currsize
+        size = codegen._step.cache_info().currsize
         for _ in range(5):
             derive_and_integrate()
-        assert exprcore._step.cache_info().currsize == size
+        assert codegen._step.cache_info().currsize == size
 
     def test_the_fields_last_sample_only_inverts(self, monkeypatch):
         field, calls = _newton_field(), []

@@ -26,6 +26,7 @@ from clmech.lagrangian import (
     force,
     momentum,
     velocity_names,
+    wirtinger,
 )
 from clmech.sampling import sample_states
 from clmech.suites import RunContext
@@ -303,3 +304,16 @@ def test_drawn_forms_match_the_loops(drawn, seed):
     except DegenerateWithoutClosure:
         assume(False)
     assert_same_forms(lagr, eom, states)
+
+
+def test_the_pairing_calls_the_complex_kernel_once_per_state(monkeypatch):
+    # each coordinate's coefficient is formed from the one kernel call as `wirtinger` forms it
+    lagr, _ = make("0.5*(qd1^2 + qd2^2 + qd3^2) - q1*q2 + i*q3*qd1 + sin(q2)*qd3*t - 0.3*i*q1^2", omega0=1.7, dim=3)
+    states = sample_states(3, 20, 5)
+    kernel, calls = lagr._wirtinger, []
+    monkeypatch.setitem(lagr.__dict__, "_wirtinger", lambda *x: calls.append(x) or kernel(*x))
+    got = [geometry._pairing_values(lagr, s) for s in states]
+    assert len(calls) == len(states)
+    for (dq, dqd), s in zip(got, states):
+        z = [math.sqrt(2.0) * wirtinger(lagr, s, a) for a in range(3)]
+        assert (dq, dqd) == ([-lagr.omega0 * x.imag for x in z], [x.real for x in z])

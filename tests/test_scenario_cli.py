@@ -19,7 +19,6 @@ from clmech.exprcore import (
     ExprSyntaxError,
     UnboundSymbol,
     UnknownFunction,
-    _LaneFailure,
 )
 from clmech.hamiltonian import DegenerateJacobian, InversionFailure, UnsupportedDimension
 from clmech.lagrangian import (
@@ -33,6 +32,7 @@ from clmech.lagrangian import (
     UnneededClosureMass,
     derive_eom,
 )
+from clmech.lanes import _LaneFailure
 from clmech.scenario import Scenario, ScenarioError
 from clmech.variational import BadSampling, LengthMismatch
 from clmech.suites import even_step_config
