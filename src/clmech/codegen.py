@@ -187,7 +187,7 @@ def _compile(
     inline = inline and not vectorized  # numpy does not raise on a zero divisor
     # the array wrapper does the real guard, so the source never holds it
     src, bound = _codegen(trees, args, bare, real and not vectorized, None, "return ", inline)
-    if vectorized:  # numpy is imported only where arrays are
+    if vectorized:  # imported here, not at the top: `lanes` imports numpy and this module
         from .lanes import _LANE_HELPERS, _lane_kernel
     helpers = _LANE_HELPERS if vectorized else _SCALAR_HELPERS
     ns = {"__builtins__": {}, **helpers, **bound}
