@@ -23,8 +23,8 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from .codegen import BLOWUP_LIMIT
-from .lanes import lane_blocks
 from .lagrangian import DEGENERATE, EomSystem, MechState, _dot
+from .lanes import lane_blocks
 
 if TYPE_CHECKING:  # pragma: no cover
     from .hamiltonian import HamiltonianField, PhaseState
