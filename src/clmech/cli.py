@@ -58,6 +58,9 @@ RUNTIME_ERRORS = (
 
 @cache  # one parser a process: `main` parses into a new namespace each call
 def _build_parser() -> argparse.ArgumentParser:
+    def seed(text: str) -> int:  # argparse names the converter: "invalid seed value: 'abc'"
+        return int(text, 0)
+
     parser = argparse.ArgumentParser(
         prog="clmech",
         description="complex-Lagrangian mechanics: integrate, derive, verify",
@@ -81,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_chk.add_argument("-o", "--output", help="also write the report to this file")
     p_chk.add_argument(
         "--seed",
-        type=lambda s: int(s, 0),
+        type=seed,
         default=DEFAULT_SEED,
         help="sampling seed (default %(default)#x)",
     )

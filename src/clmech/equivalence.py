@@ -50,7 +50,9 @@ from .lagrangian import (
     EomSystem,
     MechState,
     SingularMass,
+    _SOLVE_RESIDUAL,
     _dot,
+    _singular,
     derive_eom,
     solve_linear,
 )
@@ -131,15 +133,21 @@ def _fold_max(start: float, values: np.ndarray) -> float:
 
 
 def _accelerations(eom: EomSystem | None, samples: Sequence[MechState], qd: list[np.ndarray]):
-    """`_accel`'s acceleration at each sample (a row per coordinate), the mask of samples where
-    it raises SingularMass (all of them without a system), and the kernel's DomainErrors by
-    sample: `solve_linear` per sample on the floats read from the lanes."""
+    """`_accel`'s acceleration at each sample (a row per coordinate; NaN where it raises
+    SingularMass), the mask of those samples (all of them without a system), and the kernel's
+    DomainErrors by sample: at one coordinate `_solve_scalar`'s pivot and residual tests lane
+    by lane, above it `solve_linear` per sample on the floats read from the lanes."""
     n, count = len(qd), len(samples)
     if eom is None:
         return np.full((n, count), np.nan), np.ones(count, bool), {}
     vals, errors = eom.maps.columns(samples)
     _, g, A, f_q, f_t = eom.maps.split(vals)
     b = [g[a] - _dot(f_q[a], qd) - f_t[a] for a in range(n)]
+    if n == 1:  # `_singular`, then |a x - b| > _SOLVE_RESIDUAL (1 + |b|), as `_solve_scalar` raises
+        a, b = A[0][0], b[0]
+        x = b / a
+        singular = _singular(a, abs(a)) | (abs(a * x - b) > _SOLVE_RESIDUAL * (1.0 + abs(b)))
+        return np.where(singular, np.nan, x)[None], singular, errors
     x, singular = [], []
     for rows, rhs in zip(np.transpose(A, (2, 0, 1)).tolist(), np.transpose(b).tolist()):
         try:
@@ -149,6 +157,21 @@ def _accelerations(eom: EomSystem | None, samples: Sequence[MechState], qd: list
             x.append([math.nan] * n)
             singular.append(True)
     return np.array(x).T, np.array(singular), errors
+
+
+_first = None  # the last first system: (Lagrangian, samples, system or None, its accelerations)
+
+
+def _first_system(lagr: ComplexLagrangian, samples: Sequence[MechState], qd: list[np.ndarray]):
+    """`lagr`'s regular system at samples[0] (None if degenerate) and its `_accelerations`, reused
+    while the same Lagrangian and the same tuple of samples come back, both by identity and held
+    here, so the pairs of one suite share them; a list of samples, which can change, never hits."""
+    global _first
+    hit = _first
+    if not (hit and hit[0] is lagr and hit[1] is samples and type(samples) is tuple):
+        eom = _regular_or_none(lagr, samples[0])
+        hit = _first = (lagr, samples, eom, _accelerations(eom, samples, qd))
+    return hit[2:]
 
 
 def eom_equivalent(pair: LagrangianPair, samples: Sequence[MechState]) -> EquivalenceReport:
@@ -161,7 +184,9 @@ def eom_equivalent(pair: LagrangianPair, samples: Sequence[MechState]) -> Equiva
 
     Each kernel is read once over all samples (`_Maps.columns`) and the
     arithmetic runs lane by lane in the order it has sample by sample; a
-    DomainError is the one a sample-by-sample pass would meet first.
+    DomainError is the one a sample-by-sample pass would meet first. The first system, derived
+    at samples[0], and its acceleration field are shared with the last call that passed the
+    same first Lagrangian and the same tuple of samples (`_first_system`).
     """
     if not samples:
         raise ValueError("at least one sample state is required")
@@ -170,15 +195,14 @@ def eom_equivalent(pair: LagrangianPair, samples: Sequence[MechState]) -> Equiva
     # g, c = A, d = f_q and e = f_t of the difference Lagrangian
     maps = ComplexLagrangian(pair.second.expr - lagr.expr, lagr.omega0, n, lagr.params).maps
 
-    eom1 = _regular_or_none(pair.first, samples[0])
-    eom2 = _regular_or_none(pair.second, samples[0])
-    both = eom1 is not None and eom2 is not None
-    vals, errors = maps.columns(samples)
-    _, g, c, d, e = maps.split(vals)
     qd = [np.array(v) for v in zip(*(s.qd for s in samples))]
 
     with np.errstate(all="ignore"):  # IEEE results, as the floats of one sample give
-        a1, singular1, errors1 = _accelerations(eom1, samples, qd)
+        eom1, (a1, singular1, errors1) = _first_system(lagr, samples, qd)
+        eom2 = _regular_or_none(pair.second, samples[0])
+        both = eom1 is not None and eom2 is not None
+        vals, errors = maps.columns(samples)
+        _, g, c, d, e = maps.split(vals)
         a2, singular2, errors2 = _accelerations(eom2 if both else None, samples, qd)
         # a sample needs the acceleration where c is not negligible against d, and is skipped without it
         c_max, d_max = (_lane_max(np.abs(x) for row in m for x in row) for m in (c, d))

@@ -398,10 +398,10 @@ def _dot(row: Sequence[float], x: Sequence[float]) -> float:
 
 
 def _singular(pivot: float, row_scale: float) -> bool:
-    """The one singularity rule, of the solves and of the classification: a
-    pivot at most _PIVOT_RATIO times the entry scale its row had before elimination.
-    A ratio, so the verdict does not change with the units. `_SOLVE_SCALAR` inlines it."""
-    return row_scale == 0.0 or abs(pivot) <= _PIVOT_RATIO * row_scale
+    """The one singularity rule, of the solves and of the classification: a pivot at most
+    _PIVOT_RATIO times the entry scale its row had before elimination. A ratio, so the verdict
+    does not change with the units. `_SOLVE_SCALAR` inlines it; `|` lets float64 lanes take it."""
+    return (row_scale == 0.0) | (abs(pivot) <= _PIVOT_RATIO * row_scale)
 
 
 def _eliminate(a: list[list[float]], x: list) -> list[tuple[float, float]]:

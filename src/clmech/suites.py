@@ -326,7 +326,7 @@ def equivalence_suite(run: RunContext, seed: int = DEFAULT_SEED) -> SuiteResult:
     """Gauge pairs must read equivalent; genuine changes must not."""
     sc = run.sc
     lagr, _, notes = run.derived
-    samples = sample_states(sc.dim, 256, seed)
+    samples = tuple(sample_states(sc.dim, 256, seed))  # a tuple, so its pairs share the first system
     q_sym = Sym(lagr.coords[0])
     lines: list[CheckLine] = []
 

@@ -1,5 +1,8 @@
+import math
+
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_exprcore import TERM_TEMPLATES
 
@@ -27,6 +30,7 @@ from clmech.lagrangian import (
     _accel,
     _dot,
     derive_eom,
+    solve_linear,
 )
 from clmech.sampling import sample_states
 
@@ -417,6 +421,87 @@ class TestReferenceParity:
 
     def test_empty_samples(self):
         assert assert_same_report(LagrangianPair(OSC, OSC), [])[0] == "ValueError"
+
+
+def test_each_suite_derives_its_first_lagrangian_once(monkeypatch):
+    # the pairs of one suite share their first system: 14 derives for the 12 distinct
+    # Lagrangians of the three equivalence scenarios (the oscillator pair adds a first one)
+    from clmech import equivalence
+
+    derived, real = [], equivalence.derive_eom
+    monkeypatch.setattr(equivalence, "derive_eom", lambda lagr, *args: derived.append(lagr) or real(lagr, *args))
+    for sc in bundled_corpus():
+        if "equivalence" in sc.checks:
+            run = suites.RunContext(sc)
+            lagr, start = run.derived[0], len(derived)
+            suites.equivalence_suite(run, 0xC0FFEE)
+            assert sum(x is lagr for x in derived[start:]) == 1
+    assert len(derived) == 14
+
+
+class TestSharedFirstSystem:
+    """A first system is shared only with a call that passes the same Lagrangian and the
+    same tuple of samples; every other call reads its own samples."""
+
+    PAIR = LagrangianPair(OSC, ComplexLagrangian(OSC.expr + parse("q^3*qd^2"), 1.0, params=OSC.params))
+
+    def test_a_mutated_sample_list(self):
+        samples = list(SAMPLES[:64])
+        first = assert_same_report(self.PAIR, samples)
+        samples[:] = SAMPLES[64:128]
+        assert assert_same_report(self.PAIR, samples) != first
+
+    def test_a_new_tuple_in_place_of_a_freed_one(self):
+        # a key held only by id() could match a new tuple at a freed one's address
+        reports = {assert_same_report(self.PAIR, tuple(SAMPLES[k : k + 32])) for k in range(0, 256, 32)}
+        assert len(reports) == 8
+
+    def test_an_equal_but_distinct_tuple(self, monkeypatch):
+        from clmech import equivalence
+
+        derived, real = [], equivalence.derive_eom
+        monkeypatch.setattr(equivalence, "derive_eom", lambda lagr, *args: derived.append(lagr) or real(lagr, *args))
+        samples = tuple(SAMPLES[:64])
+        first = assert_same_report(self.PAIR, samples)
+        assert assert_same_report(self.PAIR, samples) == first
+        assert sum(x is OSC for x in derived) == 1
+        assert assert_same_report(self.PAIR, tuple(SAMPLES[:64])) == first
+        assert sum(x is OSC for x in derived) == 2
+
+
+_LANE_FLOAT = st.floats() | st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324, 1e-310, 2.0**-1022, 1e-200, 1e200, 1.7e308]
+)
+
+
+@given(st.lists(st.tuples(_LANE_FLOAT, _LANE_FLOAT), min_size=1, max_size=40))
+@example([(1e-200, 1e200), (1e-310, 1.0), (0.0, 1.0), (-0.0, math.nan), (math.nan, 0.0), (math.inf, 1.0)])
+@settings(max_examples=200, deadline=None)
+def test_one_coordinate_lane_pass_is_solve_linear(lanes):
+    """At one coordinate `_accelerations` solves a x = b lane by lane: bitwise `solve_linear`'s x
+    at each lane, NaN where it raises SingularMass, and the same mask of those lanes."""
+    from types import SimpleNamespace
+
+    from clmech.equivalence import _accelerations
+    from clmech.lagrangian import _Maps
+
+    a, b = (np.array(col) for col in zip(*lanes))
+    zero = np.zeros_like(a)
+    columns = np.array([zero, b, a, zero, zero])  # f, g = b, A = a, f_q, f_t: the right-hand side is b
+    maps = SimpleNamespace(dim=1, columns=lambda samples: (columns, {}), split=lambda v: _Maps.split(maps, v))
+    with np.errstate(all="ignore"):
+        x, singular, errors = _accelerations(SimpleNamespace(maps=maps), [None] * len(lanes), [zero])
+    want_x, want_singular = [], []
+    for ak, bk in zip(a.tolist(), b.tolist()):
+        try:
+            want_x += solve_linear([[ak]], [bk])
+            want_singular.append(False)
+        except SingularMass:
+            want_x.append(math.nan)
+            want_singular.append(True)
+    assert x.shape == (1, len(lanes)) and errors == {}
+    assert x[0].view(np.uint64).tolist() == np.array(want_x).view(np.uint64).tolist()
+    assert singular.tolist() == want_singular
 
 
 _COEFF = st.floats(-2.0, 2.0, allow_nan=False).map(lambda x: round(x, 2))

@@ -292,6 +292,14 @@ class TestCliCheck:
         assert main(["check", "geometry", scenario_file(BASE), "--seed", "0x123"]) == 0
         assert "# seed: 0x123" in capsys.readouterr().out
 
+    def test_bad_seed_names_the_seed_converter(self, scenario_file, capsys):
+        with pytest.raises(SystemExit) as bad:
+            main(["check", "all", scenario_file(BASE), "--seed", "abc"])
+        err = capsys.readouterr().err
+        assert bad.value.code == 2
+        assert err.startswith("usage: clmech check [-h] [-o OUTPUT] [--seed SEED]\n")
+        assert err.endswith("clmech check: error: argument --seed: invalid seed value: 'abc'\n")
+
     def test_reports_are_deterministic(self, scenario_file, capsys):
         src = scenario_file(BASE)
         main(["check", "all", src])
