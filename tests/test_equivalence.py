@@ -423,13 +423,19 @@ class TestReferenceParity:
         assert assert_same_report(LagrangianPair(OSC, OSC), [])[0] == "ValueError"
 
 
-def test_each_suite_derives_its_first_lagrangian_once(monkeypatch):
-    # the pairs of one suite share their first system: 14 derives for the 12 distinct
-    # Lagrangians of the three equivalence scenarios (the oscillator pair adds a first one)
+@pytest.fixture
+def derived(monkeypatch):
+    """The Lagrangians that `clmech.equivalence.derive_eom` is called on, in order."""
     from clmech import equivalence
 
-    derived, real = [], equivalence.derive_eom
-    monkeypatch.setattr(equivalence, "derive_eom", lambda lagr, *args: derived.append(lagr) or real(lagr, *args))
+    calls, real = [], equivalence.derive_eom
+    monkeypatch.setattr(equivalence, "derive_eom", lambda lagr, *args: calls.append(lagr) or real(lagr, *args))
+    return calls
+
+
+def test_each_suite_derives_its_first_lagrangian_once(derived):
+    # the pairs of one suite share their first system: 14 derives for the 12 distinct
+    # Lagrangians of the three equivalence scenarios (the oscillator pair adds a first one)
     for sc in bundled_corpus():
         if "equivalence" in sc.checks:
             run = suites.RunContext(sc)
@@ -456,11 +462,7 @@ class TestSharedFirstSystem:
         reports = {assert_same_report(self.PAIR, tuple(SAMPLES[k : k + 32])) for k in range(0, 256, 32)}
         assert len(reports) == 8
 
-    def test_an_equal_but_distinct_tuple(self, monkeypatch):
-        from clmech import equivalence
-
-        derived, real = [], equivalence.derive_eom
-        monkeypatch.setattr(equivalence, "derive_eom", lambda lagr, *args: derived.append(lagr) or real(lagr, *args))
+    def test_an_equal_but_distinct_tuple(self, derived):
         samples = tuple(SAMPLES[:64])
         first = assert_same_report(self.PAIR, samples)
         assert assert_same_report(self.PAIR, samples) == first
