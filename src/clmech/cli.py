@@ -53,6 +53,8 @@ RUNTIME_ERRORS = (
     BadSampling,
     ExprError,
     OSError,  # an output file that cannot be written
+    RecursionError,  # a tree nested deeper than the tree walks' recursion allows,
+    SyntaxError,  # or than the interpreter's parser allows in the generated source
 )
 
 

@@ -154,24 +154,6 @@ _SCALAR_HELPERS = {
 }
 
 
-def _with_fallback(src: str, kernels: str, ns: dict, slow: Callable[[], Callable], extra: str = "") -> str:
-    """`src`, one function, with its body under `try`: where an inline operation raises
-    (ArithmeticError, or cmath's ValueError), the call is made again on `_h_slow()`, bound
-    in `ns` to `slow`, the same function built on the helpers (its parameters then `extra`),
-    and its DomainError, or its value where a helper returns one, is the call's.
-
-    `kernels` is the text of the kernel bodies `_codegen` wrote into `src` with `inline`.
-    Only an inline operation writes `/`, `**` or `_c_` there; without one the function is
-    the helpers' own, and `src` comes back unwrapped, since a `try` slows the compile."""
-    if not any(op in kernels for op in ("/", "**", "_c_")):
-        return src
-    ns["_h_slow"] = slow
-    head, body = src.split("\n", 1)
-    params = head[head.index("(") + 1 : head.index(")")]
-    fallback = f"    except (ArithmeticError, ValueError):\n        return _h_slow()({params}{extra})\n"
-    return f"{head}\n    try:\n{indent(body, '    ')}{fallback}"
-
-
 @lru_cache(maxsize=None)
 def _compile(
     trees: tuple[Expr, ...],
@@ -191,8 +173,13 @@ def _compile(
         from .lanes import _LANE_HELPERS, _lane_kernel
     helpers = _LANE_HELPERS if vectorized else _SCALAR_HELPERS
     ns = {"__builtins__": {}, **helpers, **bound}
-    if inline:  # the helper kernel compiles on the first call that raises
-        src = _with_fallback(src, src, ns, partial(_compile, trees, args, (), bare, real, False, False))
+    # where an inline operation raises (ArithmeticError, or cmath's ValueError), the call is made again on
+    # `_h_slow()`, the helper kernel, compiled then; no `try` without an inline op, since a `try` slows the compile
+    if inline and any(op in src for op in ("/", "**", "_c_")):
+        ns["_h_slow"] = partial(_compile, trees, args, (), bare, real, False, False)
+        head, body = src.split("\n", 1)
+        fallback = f"    except (ArithmeticError, ValueError):\n        return _h_slow()({', '.join(args)})\n"
+        src = f"{head}\n    try:\n{indent(body, '    ')}{fallback}"
     exec(src, ns)  # noqa: S102 - source is generated from a validated tree
     if not vectorized:
         return ns["_f"]
@@ -299,9 +286,8 @@ def compile_step(
     With no trees a stage is its tail alone. Constant outs go into those trees (texts write their
     literals); the body assigns them only if it checks for an imaginary part, naming a map by its
     place. An out only `sample` reads, whose tree cannot raise, is computed once, at the sample. The
-    last sample runs stage 1 alone; or, where `last` is text, that text, then `sample`; or, where it
-    is trees, on a float state, `_f(t, x, y)` -> (*sample, x, y), the body of `last` bound to the
-    first `outs`. `names` pairs are bound as globals.
+    last sample runs stage 1 alone, or, where `last` is text rather than (), that text, then `sample`.
+    `names` pairs are bound as globals: the functions a text calls, a `compile_expr` kernel among them.
 
     Where an inline operation of the kernel bodies (`compile_expr`'s fast path) raises, that sample
     alone is taken again on the step built on the helpers, `_step(t0, x0, y0, dt, h2, h6)` -> (*sample,
@@ -355,12 +341,7 @@ def _step(
     # t is set where a tree, a guard (which names the state) or a piece of the tail reads it
     timed = guarded or t in read.union(*map(free_symbols, trees))
     here = f"    {f'{t}, ' * timed}{join(state)} = {f'{t}0, ' * timed}{join(base)}\n"
-    first, head = f"{here}{start}{stage}{once}{put(sample)}", ""
-    if isinstance(last, str):  # the last sample runs the text, then `sample`
-        end = f"{here}{put(last)}{put(sample)}"
-    elif last:
-        head = f"{body(list(zip(outs, last)))}{put(sample)}    return (s0, s1, s2, {join(state)})\n"
-        end = f"    s0, s1, s2 = _f({t}0, {join(base)})[:3]\n"
+    first = f"{here}{start}{stage}{once}{put(sample)}"
     rest = ""
     for k, h in ((1, "h2"), (2, "h2"), (3, "dt")):
         point = (f"{b} + {h} * {s}" for b, s in zip(base, slopes(k)))
@@ -369,24 +350,22 @@ def _step(
     rest += f"    {join(base)} = {join(new)}\n"
     at_end, more = ("_i == _n", "_i < _n") if inline else ("dt is None", "dt is not None")  # the last sample
     sampled = f"{first}    if {more}:\n{indent(rest, '    ')}" if not last else (
-        f"    if {at_end}:\n{indent(end, '    ')}    else:\n{indent(first + rest, '    ')}")
+        f"    if {at_end}:\n{indent(here + put(last) + put(sample), '    ')}    else:\n{indent(first + rest, '    ')}")
     ns = {"__builtins__": {}, **_SCALAR_HELPERS, "abs": abs, "max": max, "range": range, **bound, **dict(names)}
     at = (f"[{join(base[:n])}]", f"[{join(base[n:])}]") if listed else base
     if not inline:  # the per-sample step a sample that raises in the loop is taken again on
         src = f"def _step({t}0, {join(params)}, dt, h2, h6):\n{unpack}{sampled}    return (s0, s1, s2, {join(at)})\n"
-        exec(head + src, ns)  # noqa: S102 - generated from validated trees
+        exec(src, ns)  # noqa: S102 - generated from validated trees
         return ns["_step"]
-    slow = partial(_step, trees, args, outs, tail, sample, last, names, start, False)
-    head = head and _with_fallback(head, head, ns, slow, ", None, 0.0, 0.0")
     row = lambda c: join(f"_c{c}[_i, {a}]" for a in range(n)) if listed else f"_c{c}[_i]"  # noqa: E731
     within = " and ".join(f"{-BLOWUP_LIMIT!r} <= {b} <= {BLOWUP_LIMIT!r}" for b in base)  # false for NaN too
     src = f"def _loop(_tg, {join(params)}, dt, h2, h6, _c0, _c1, _c2, _c3, _n, s0):\n{unpack}    for _i in range(_n + 1):\n"
     src += f"        {t}0 = _tg[_i]\n        if not ({within}):\n            return _i\n        {row(0)} = {join(base[:n])}\n"
     if any(op in kernels for op in ("/", "**", "_c_")):
-        ns["_h_slow"] = slow
+        ns["_h_slow"] = partial(_step, trees, args, outs, tail, sample, last, names, start, False)
         retry = f"s0, s1, s2, {join(params)} = _h_slow()({t}0, {join(at)}, dt if _i < _n else None, h2, h6)"
         sampled = f"    try:\n{indent(sampled, '    ')}    except (ArithmeticError, ValueError):\n        {retry}\n"
         sampled += indent(unpack, "    ")
     store = f"        {row(1)} = s0\n        {row(2)} = s1\n        _c3[_i] = s2\n"
-    exec(f"{head}{src}{indent(sampled, '    ')}{store}", ns)  # noqa: S102 - generated from validated trees
+    exec(f"{src}{indent(sampled, '    ')}{store}", ns)  # noqa: S102 - generated from validated trees
     return ns["_loop"]

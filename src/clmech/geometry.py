@@ -90,10 +90,6 @@ def _lie_values(eom: EomSystem, states: list[MechState]) -> list[tuple]:
     return values
 
 
-def _lie_forms(eom: EomSystem, states: list[MechState]) -> list[OneForm]:
-    return [OneForm(*v, s) for v, s in zip(_lie_values(eom, states), states)]
-
-
 def _pairing_values(lagr: ComplexLagrangian, s: MechState) -> tuple:
     """The coefficients of `rhs_pairing_form` at s, from one call of the complex kernel: each
     coordinate's sqrt(2) * `wirtinger`, formed as `wirtinger` forms it."""

@@ -100,8 +100,8 @@ class HamiltonianField:
     """Compiled phase-space field for a regular single-coordinate system; `_f` is f with the
     parameters folded in, `_qd` the inverse tree qd(t, q, p) if A folds to a nonzero constant.
     `step` is `codegen.compile_step`'s RK4 sample loop of (q, p) giving qd, p and |f - p|. With
-    `_qd`, its stages are one kernel body of (t, q, p), and its sample head `_f`, which computes only
-    (qd, f), serves `invert` too; without, each stage runs `_values`' Newton path as text."""
+    `_qd`, its stages are one kernel body of (t, q, p), and its last sample calls `_qd_f`, the kernel
+    of (qd, f) alone, which serves `invert` too; without, each stage runs `_values`' Newton path as text."""
 
     lagr: ComplexLagrangian
     eom: EomSystem
@@ -138,6 +138,11 @@ class HamiltonianField:
         return subs((Sym("qd"), self._f, *self._partials), {"qd": self._qd})
 
     @cached_property
+    def _qd_f(self):
+        """The closed-form inverse's (qd, f) at (t, q, p)."""
+        return compile_expr(self._phase_trees[:2], ("t", "q", "p"), real=True)
+
+    @cached_property
     def _phase(self):
         return compile_expr(self._phase_trees, ("t", "q", "p"), real=True)
 
@@ -148,7 +153,8 @@ class HamiltonianField:
         flow = _pieces(Sym("p"), (qd, f, -f_q / slope, 1.0 / slope, *partials), self.kappa0, self.lagr.omega0)[4:]
         tail, sample = ((("kx", "ky"), flow),), (("s0", "s1", "s2"), (qd, Sym("p"), Call("abs", f - Sym("p"))))
         if self._qd is not None:  # the slope is A, a nonzero constant here, so `_values`' test of it is never written
-            return compile_step(self._phase_trees, args, outs, tail, sample, self._phase_trees[:2])
+            last, names = "    qd, f = _qd_f(t0, q0, p0)", (("_qd_f", self._qd_f),)
+            return compile_step(self._phase_trees, args, outs, tail, sample, last, names)
         # `_values`' Newton path as text, each stage's Newton from s0, the sample's qd once stage 1 has set it
         invert = "    qd, f = _newton_1(_kernel, InversionFailure, t, q, p, 0.0, s0)"
         grads = f"    {', '.join(outs[2:])} = _grads(t, q, qd)\n    if slope == 0.0:\n        _degenerate(t, q, qd)"
@@ -161,7 +167,7 @@ class HamiltonianField:
 
     def invert(self, t: float, q: float, p: float, guess: float = 0.0) -> float:
         """Solve p = f(q, qd, t) for qd: the closed form, else Newton from `guess`."""
-        return (self._invert(t, q, p, guess) if self._qd is None else self.step.__globals__["_f"](t, q, p))[0]
+        return (self._invert(t, q, p, guess) if self._qd is None else self._qd_f(t, q, p))[0]
 
     def _invert(self, t: float, q: float, p: float, guess: float) -> tuple[float, float]:
         """(qd, f(q, qd, t)) at the qd Newton finds on (f, df/dqd)."""

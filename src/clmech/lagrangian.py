@@ -34,7 +34,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .codegen import _codegen, _fold, compile_expr, compile_step
+from .codegen import compile_expr, compile_step
 from .exprcore import (
     Call,
     Const,
@@ -293,9 +293,9 @@ class _Maps:
         plan = _solve_plan([[e.value.real for e in row] for row in mass], b, ky) if _constant(mass) else None
         if plan is None:
             solve = _solver(n)
-            plan = f"    {join(ky)} = {solve.__name__}({join(map(written, sum(A, [])))}, {join(b)})"
+            plan = (f"    {join(ky)} = {solve.__name__}({join(map(written, sum(A, [])))}, {join(b)})",)
             names += ((solve.__name__, solve),)
-        tail += [plan, f"    {join(f'kx_{a}' for a in idx)} = {join(qd)}"]
+        tail += [*plan, f"    {join(f'kx_{a}' for a in idx)} = {join(qd)}"]
         # `_el_terms`, g - A qdd - (df/dq) qd - df/dt row by row; the residual is their maximum
         terms = join(f"abs({written(x)} - {dot(row, ky)} - {y} - {written(z)})" for x, row, y, z in zip(g, A, w, f_t))
         sample = f"[{join(qd)}], [{join(map(written, f))}], max({terms})"
@@ -534,17 +534,17 @@ def _written(outs: Sequence[str], trees: Sequence[Expr]) -> Callable[[str], str]
     return lambda name: values.get(name, name)
 
 
-def _solve_plan(a0: list[list[float]], b: list[str], out: list[str]) -> str | None:
-    """Source that sets the names `out` to `solve_linear(a0, b)` for the constant
-    matrix a0 and the right-hand side named by `b`, bitwise, and raises where it does.
+def _solve_plan(a0: list[list[float]], b: list[str], out: list[str]) -> tuple | None:
+    """`compile_step` pieces that set the names `out` to `solve_linear(a0, b)` for the
+    constant matrix a0 and the right-hand side named by `b`, bitwise, and raise where it does.
 
     `_eliminate` runs on a0 here, once, so the pivot verdict and the multipliers
     are fixed (Golub & Van Loan, Matrix Computations, 4th ed., sec. 3.4). The
-    source holds only the operations on the right-hand side: the row swaps, each
-    `x_j -= m*x_k` that `_eliminate` does not skip, made on trees and folded by
-    `codegen._fold`, the back substitution with its pivots and `solve_linear`'s
-    residual check. None if an eliminated entry is not finite, which a literal
-    cannot carry.
+    pieces hold only the operations on the right-hand side: the row swaps and each
+    `x_j -= m*x_k` that `_eliminate` does not skip, made on trees, as one (names,
+    trees) pair, which the step folds; then the text of the back substitution with its
+    pivots and `solve_linear`'s residual check. None if an eliminated entry is not
+    finite, which a literal cannot carry.
     """
     a, x = [row[:] for row in a0], [Sym(name) for name in b]
     for pivot, row_scale in _eliminate(a, x):
@@ -553,12 +553,11 @@ def _solve_plan(a0: list[list[float]], b: list[str], out: list[str]) -> str | No
     if not all(math.isfinite(v) for row in a for v in row):
         return None
     rhs = [e.name if isinstance(e, Sym) else f"e{k}" for k, e in enumerate(x)]
-    ops = [(name, _fold(e, {})) for name, e in zip(rhs, x) if not isinstance(e, Sym)]
-    lhs, trees = f"{', '.join(name for name, _ in ops)} = ", tuple(e for _, e in ops)
-    lines = _codegen(trees, tuple(b), len(ops) == 1, False, None, lhs, True)[0].split("\n")[1:-1] if ops else []
+    ops = [(name, e) for name, e in zip(rhs, x) if not isinstance(e, Sym)]
     a, a0 = ([[repr(v) for v in row] for row in m] for m in (a, a0))
     dot = lambda terms: f"0 + {' + '.join(terms)}"  # noqa: E731 - `_dot`'s order, as the step's other sums
-    return "\n".join(lines + _back_substitution(a, rhs, out, a0, b, dot))
+    text = "\n".join(_back_substitution(a, rhs, out, a0, b, dot))
+    return (tuple(zip(*ops)), text) if ops else (text,)
 
 
 def _inverse(

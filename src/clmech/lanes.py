@@ -82,7 +82,7 @@ def _lane_kernel(fn: Callable, scalar: Callable, args: tuple[str, ...], bare: bo
     helper kernel of the same trees with `real` off, runs lane by lane, and
     the first lane whose scalar call fails, or with `real` takes a complex
     value, names the DomainError. That is the kernel every scalar kernel's
-    inline fast path falls back to (`_with_fallback`), so a lane fails with
+    inline fast path falls back to (`codegen._compile`), so a lane fails with
     the error its scalar call raises.
     """
 

@@ -176,7 +176,7 @@ class Scenario:
         # the expression must parse, and the Lagrangian accept its symbols
         try:
             lagr = ComplexLagrangian(parse(source), omega0, dim, params)
-        except (ExprError, UndeclaredSymbol) as err:
+        except (ExprError, UndeclaredSymbol, RecursionError) as err:  # the parser recurses per nesting level
             raise ScenarioError("lagrangian", str(err)) from err
         except InvalidParameter as err:
             raise ScenarioError(f"params.{err.name}", str(err)) from err

@@ -47,7 +47,7 @@ def _kernels(sc: Scenario) -> dict:
         if field._qd is None:
             kernels["hamiltonian grads"] = field._grads
         else:
-            kernels.update({"hamiltonian phase": field._phase, "hamiltonian step": field.step})
+            kernels.update({"hamiltonian phase": field._phase, "hamiltonian step": field.step, "hamiltonian inverse": field._qd_f})
     return kernels
 
 
@@ -57,18 +57,12 @@ def test_no_map_kernel_compiles_with_the_complex_guard(name):
     assert guarded == []
 
 
-def _names(fn) -> set[str]:
-    """The globals a generated kernel or step reads, with those of the last-sample body `_f` it calls."""
-    codes = [fn.__code__] + ([fn.__globals__["_f"].__code__] if "_f" in fn.__code__.co_names else [])
-    return {name for code in codes for name in code.co_names}
-
-
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_no_map_kernel_or_step_calls_a_domain_helper(name):
     # with no guard (above), every `^` is to an integral real constant and every call is
     # sin, cos, exp or tanh of a real argument, so no helper is left on the fast path
     kernels = _kernels(SCENARIOS[name])
-    assert {k for k, fn in kernels.items() if {"_h_div", "_h_pow", "_h_call"} & _names(fn)} == set()
+    assert {k for k, fn in kernels.items() if {"_h_div", "_h_pow", "_h_call"} & set(fn.__code__.co_names)} == set()
 
 
 @pytest.mark.parametrize("name", [name for name, sc in SCENARIOS.items() if sc.dim > 1 and sc.closure_mass is None])

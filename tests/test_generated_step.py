@@ -341,7 +341,7 @@ class TestFoldedTails:
         source, init = "0.5*m*qd^2 - 0.5*k*q^2", MechState(0.0, (1.0,), (0.0,))
         steps = (same_regular(source, PARAMS, init, IntegratorConfig(0.1, 0.0, 1.0))[1], make_field(source, PARAMS, init).step)
         for step in steps:
-            names = set(step.__code__.co_names) | set(step.__globals__.get("_f", step).__code__.co_names)
+            names = set(step.__code__.co_names) | set(step.__globals__.get("_qd_f", step).__code__.co_names)
             assert not names & {"SingularMass", "DegenerateJacobian", "_h_not_real"}
 
 
@@ -939,9 +939,9 @@ class TestHelperFallback:
         assert len(calls) == 1 and calls[0] > 0.0
 
     def test_invert_falls_back_on_its_own(self):
-        # f = qd + exp(q) is affine in qd; the sample head `_f` overflows exp inline at q = 800
+        # f = qd + exp(q) is affine in qd; the inverse kernel `_qd_f` overflows exp inline at q = 800
         field = make_field("0.5*qd^2 + qd*exp(q)", {}, MechState(0.0, (0.0,), (1.0,)))
-        assert field.step is not None and "_h_slow" in field.step.__globals__["_f"].__code__.co_names
+        assert field.step.__globals__["_qd_f"] is field._qd_f and "_h_slow" in field._qd_f.__code__.co_names
         assert field.invert(0.0, 0.5, 2.0) == 2.0 - math.exp(0.5)
         with pytest.raises(DomainError, match="exp overflowed"):
             field.invert(0.0, 800.0, 1.0)

@@ -11,7 +11,6 @@ from clmech.exprcore import DomainError, diff, evaluate, parse
 from clmech.geometry import (
     CARTAN_SUBSTEPS,
     OneForm,
-    _lie_forms,
     lie_theta,
     lie_theta_cartan,
     rhs_pairing_form,
@@ -212,7 +211,7 @@ def outcome(run):
 def assert_same_forms(lagr, eom, states):
     """The lane-read Lie forms and the compiled pairing forms against the loops, by repr;
     returns the two outcomes."""
-    lies = outcome(lambda: _lie_forms(eom, states))
+    lies = outcome(lambda: [OneForm(*v, s) for v, s in zip(geometry._lie_values(eom, states), states)])
     assert lies == outcome(lambda: reference_lie_forms(eom, states))
     pairs = outcome(lambda: [rhs_pairing_form(lagr, s) for s in states])
     assert pairs == outcome(lambda: reference_pairing_forms(lagr, states))

@@ -297,14 +297,14 @@ class TestClosedFormPath:
         cfg = IntegratorConfig(0.01, 0.0, 0.5)
         affine = make_field("0.5*(m*qd^2 - k*q^2) + 0.5*i*l0*qd^2", params={"m": 1.0, "k": 1.0, "l0": 0.1})
         integrate_hamiltonian(affine, PhaseState(0.0, 1.0, 0.2), cfg)
-        # one generated step runs every sample, the last one too, and no kernel compiles
-        assert compiled == [] and steps == [affine._phase_trees]
-        assert affine.invert(0.0, 1.0, 0.2) == 0.2 and compiled == [] and len(steps) == 1
+        # one generated step runs every sample, and its last sample calls the one (qd, f) kernel
+        assert compiled == [affine._phase_trees[:2]] and steps == [affine._phase_trees]
+        assert affine.invert(0.0, 1.0, 0.2) == 0.2 and compiled == [affine._phase_trees[:2]] and len(steps) == 1
 
         quartic = make_field("0.25*qd^4 + 0.5*qd^2 + cos(q)")
         assert quartic._qd is None
         integrate_hamiltonian(quartic, PhaseState(0.0, 1.0, 0.2), cfg)
-        assert compiled == [quartic.eom.f + quartic.eom.A[0], quartic._partials] and steps == [affine._phase_trees, ()]
+        assert compiled[1:] == [quartic.eom.f + quartic.eom.A[0], quartic._partials] and steps == [affine._phase_trees, ()]
 
     @pytest.mark.parametrize("sc", BUNDLED_HAMILTONIAN, ids=lambda sc: sc.name)
     def test_check_on_an_affine_field_compiles_no_velocity_kernel(self, sc, monkeypatch, capsys):

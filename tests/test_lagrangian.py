@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from clmech.corpus import bundled_corpus
 from clmech.dynamics import CLOSURE, IntegratorConfig, integrate
-from clmech.exprcore import parse
+from clmech.codegen import _codegen, _fold
+from clmech.exprcore import free_symbols, parse
 from clmech.lagrangian import (
     ClosureConsistencyWarning,
     ClosureInconsistent,
@@ -329,6 +330,20 @@ def _solved(solve) -> bytes | str:
         return str(err)
 
 
+def _rendered(pieces, bound: dict) -> str:
+    """The text `compile_step` writes for the pieces, its constants put in `bound`: a text
+    as it is, a (names, trees) pair folded and computed with plain `/` and `**`."""
+    src = ""
+    for piece in pieces:
+        if isinstance(piece, str):
+            src += piece + "\n"
+            continue
+        names, values = piece[0], tuple(_fold(e, {}) for e in piece[1])
+        reads = tuple(frozenset().union(*map(free_symbols, values)))
+        src += _codegen(values, reads, len(names) == 1, False, bound, f"{', '.join(names)} = ", True)[0].split("\n", 1)[1]
+    return src
+
+
 ENTRY = st.sampled_from((0.0, -0.0, 1.0, -1.0, 0.5, 3.0, -2.25, 0.1, 1e-8, 7e5))
 
 
@@ -352,7 +367,7 @@ def test_solve_plan_is_solve_linear(matrix, rhs):
         assert str(err) == want
         return
     ns = {"__builtins__": {}, "abs": abs, "max": max, "SingularMass": SingularMass}
-    exec(f"def solve({', '.join(b)}):\n{plan}\n    return [{', '.join(x)}]", ns)  # noqa: S102
+    exec(f"def solve({', '.join(b)}):\n{_rendered(plan, ns)}    return [{', '.join(x)}]", ns)  # noqa: S102
     assert _solved(lambda: ns["solve"](*rhs[:n])) == want
 
 

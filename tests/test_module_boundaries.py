@@ -50,3 +50,21 @@ def test_codegen_imports_numpy_nowhere_at_module_level():
 def test_only_lanes_imports_numpy_at_module_level():
     with_numpy = [m for m in EXPRESSION_MODULES if _numpy(_imported(m, module_level=True))]
     assert with_numpy == ["lanes"]
+
+
+def test_only_the_expression_modules_import_private_codegen_names():
+    # a module that writes generated text goes through `compile_expr` and `compile_step`
+    private = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module in ("codegen", "clmech.codegen"):
+                names = [alias.name for alias in node.names if alias.name.startswith("_")]
+                private.setdefault(path.stem, []).extend(names)
+    assert {m for m, names in private.items() if names} <= {"codegen", "lanes"}
+    assert private["lanes"] and private["lagrangian"] == []
+
+
+def test_no_module_reads_the_globals_of_a_generated_function():
+    reads = [path.name for path in SRC.glob("*.py") for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr == "__globals__"]
+    assert reads == []

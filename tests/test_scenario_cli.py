@@ -383,6 +383,31 @@ class TestCliContract:
         assert main([*argv, scenario_file(raw)]) == 2
         assert capsys.readouterr().err == "error: StepBlowUp: state magnitude exceeded 1e+12 at t=0.0\n"
 
+    def test_an_infinite_initial_momentum_exits_2(self, scenario_file, capsys):
+        # 1/omega0 overflows, and inf * dM/dq = inf * 0 makes the initial momentum NaN
+        raw = corpus_scenario("classical_oscillator").to_dict()
+        raw["omega0"] = 5e-324
+        assert main(["check", "hamiltonian", scenario_file(raw)]) == 2
+        assert capsys.readouterr().err == "error: StepBlowUp: state magnitude exceeded 1e+12 at t=0.0\n"
+
+    @pytest.mark.parametrize(
+        "argv,lagrangian,code,start",
+        [
+            (["derive"], "(" * 200 + "q" + ")" * 200, 1, "error: scenario field 'lagrangian': maximum recursion depth"),
+            (["check", "all"], "-" * 2000 + "q", 1, "error: scenario field 'lagrangian': maximum recursion depth"),
+            (["derive"], " + ".join(["q"] * 3000), 1, "error: scenario field 'lagrangian': maximum recursion depth"),
+            (["derive"], "0.5*qd^2 + q" + "^q" * 300, 2, "error: RecursionError: maximum recursion depth"),
+            (["check", "all"], "0.5*qd^2 + " + " + ".join(["q"] * 400), 2, "error: SyntaxError: too many nested parentheses"),
+        ],
+        ids=["parentheses", "negations", "sum", "powers", "sum-compiled"],
+    )
+    def test_a_too_deep_expression_leaves_one_line(self, argv, lagrangian, code, start, scenario_file, capsys):
+        # the parser and the tree walks recurse once per level, and CPython's parser of the
+        # generated source allows 200 nested parentheses
+        assert main([*argv, scenario_file(variant(lagrangian=lagrangian, params={}, checks=["variation"]))]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(start) and err.count("\n") == 1
+
     def test_infinite_force_at_a_sampled_state_exits_2(self, scenario_file, capsys):
         # g = -4c*q^3 overflows to -inf at sampled states far enough from q = 0
         raw = variant(lagrangian="0.5*qd^2 - c*q^4", params={"c": 1e308}, initial={"q": [0.001], "qd": [0.0]})

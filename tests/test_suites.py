@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 from pathlib import Path
@@ -233,3 +234,23 @@ class TestNoWarningEscapes:
             warnings.simplefilter("error")
             assert main(["check", suite, str(path)]) == 0
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "changes,digest",
+        [
+            # 1/omega0 overflows, so the maps hold NaN
+            ({"omega0": 5e-324}, "e932df0458790b525f3cefd5571d7b2334ecdb065365ef8e7099e0eade5de8b4"),
+            # the action, the first variations and the EL residual overflow
+            ({"params": {"m": 1e308, "k": 1e308}}, "9076e517318752cd09febd074c0c3392fbaf1859b67f5bc5e402e28d0232854b"),
+        ],
+        ids=["tiny-omega0", "huge-m-k"],
+    )
+    def test_an_overflowing_variation_warns_nothing(self, changes, digest, tmp_path, capsys):
+        # the report is the one written while numpy still warned, byte for byte
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps({**corpus_scenario("classical_oscillator").to_dict(), **changes}), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["check", "variation", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert err == "" and hashlib.sha256(out.encode()).hexdigest() == digest
