@@ -17,7 +17,6 @@ quadrature re-plan n themselves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -25,6 +24,7 @@ import numpy as np
 from .codegen import BLOWUP_LIMIT
 from .lagrangian import DEGENERATE, EomSystem, MechState, _dot
 from .lanes import lane_blocks
+from .records import record
 
 if TYPE_CHECKING:  # pragma: no cover
     from .hamiltonian import HamiltonianField, PhaseState
@@ -40,7 +40,7 @@ class StepBlowUp(Exception):
     """A state component exceeded 1e12 in magnitude (or went non-finite)."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IntegratorConfig:
     """Fixed-step RK4 plan over [t_start, t_end], at most MAX_STEPS steps.
 
@@ -72,7 +72,7 @@ class IntegratorConfig:
         return (self.t_end - self.t_start) / self.n_steps
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class Trajectory:
     """Uniformly sampled flow with per-sample momenta and EL residuals."""
 

@@ -29,7 +29,6 @@ checks that integrability residual, it never constructs Phi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
 
@@ -56,6 +55,7 @@ from .lagrangian import (
     derive_eom,
     solve_linear,
 )
+from .records import record
 
 EQUIVALENT = "equivalent"
 NOT_EQUIVALENT = "not-equivalent"
@@ -69,7 +69,7 @@ class GaugeDependsOnVelocity(Exception):
     """Gauge terms must be functions of (q, t) only."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LagrangianPair:
     """Two Lagrangians over the same coordinates, frequency, and parameters."""
 
@@ -90,7 +90,7 @@ class LagrangianPair:
         return self.first.dim
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Ffunction:
     """The momentum-map difference F = d(dL)/dqd + (1/omega0) d(dM)/dq."""
 
@@ -103,7 +103,7 @@ class Ffunction:
         object.__setattr__(self, "params", dict(self.params))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EquivalenceReport:
     verdict: str
     max_residual: float

@@ -28,9 +28,10 @@ from __future__ import annotations
 
 import cmath
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Union
+
+from .records import record
 
 FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt", "tanh")
 IMAGINARY_UNIT = "i"
@@ -56,9 +57,7 @@ class UnknownFunction(ExprError):
     def __init__(self, name: str, position: int = -1) -> None:
         self.name = name
         self.position = position
-        super().__init__(
-            f"unknown function '{name}' (supported: {', '.join(FUNCTIONS)})"
-        )
+        super().__init__(f"unknown function '{name}' (supported: {', '.join(FUNCTIONS)})")
 
 
 class DomainError(ExprError):
@@ -77,7 +76,7 @@ Number = Union[int, float, complex]
 _NODES: dict[tuple, "Expr"] = {}
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@record(frozen=True, eq=False, init=False)
 class Expr:
     """Immutable expression node. Arithmetic operators build trees.
 
@@ -132,29 +131,29 @@ class Expr:
         return Neg(self)
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@record(frozen=True, eq=False, init=False)
 class Const(Expr):
     value: complex
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@record(frozen=True, eq=False, init=False)
 class Sym(Expr):
     name: str
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@record(frozen=True, eq=False, init=False)
 class Neg(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@record(frozen=True, eq=False, init=False)
 class BinOp(Expr):
     op: str  # one of + - * / ^
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@record(frozen=True, eq=False, init=False)
 class Call(Expr):
     fn: str  # one of FUNCTIONS
     arg: Expr
@@ -180,7 +179,7 @@ _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _OPS = "+-*/^()"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class _Token:
     kind: str  # "num" | "ident" | one of _OPS | "eof"
     text: str

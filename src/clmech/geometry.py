@@ -23,13 +23,13 @@ agrees with the closed form to ~1e-10 on regular systems.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import IntegratorConfig, integrate
 from .exprcore import DomainError
 from .lagrangian import ComplexLagrangian, EomSystem, MechState, momentum
+from .records import record
 
 # 6th-order central first-derivative stencil on offsets -3..3, divided by 60*delta
 _STENCIL = (-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0)
@@ -38,7 +38,7 @@ CARTAN_DELTA = 0.03
 CARTAN_SUBSTEPS = 8
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class OneForm:
     """Coefficients over the (dq_a, dqd_a) basis at a fixed state."""
 

@@ -41,12 +41,12 @@ its stages run the one kernel's body, or call the Newton and the partials kernel
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 from .codegen import compile_expr, compile_step
 from .exprcore import Call, DomainError, Sym, diff, evaluate, subs
 from .lagrangian import ComplexLagrangian, EomSystem, _inverse, _newton_solver
+from .records import record
 
 
 class InversionFailure(Exception):
@@ -61,7 +61,7 @@ class UnsupportedDimension(Exception):
     """The phase-space construction is single-coordinate only."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PhaseState:
     """A (t, q, p) point of the single-coordinate phase space."""
 
@@ -95,7 +95,7 @@ def _pieces(p, values, kappa0, omega0):
     return dh_q, dh_p, dk_q, dk_p, dh_p - kappa0 * dk_q, -dh_q - dk_p / kappa0
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class HamiltonianField:
     """Compiled phase-space field for a regular single-coordinate system; `_f` is f with the
     parameters folded in, `_qd` the inverse tree qd(t, q, p) if A folds to a nonzero constant.

@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import re
 import warnings
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from textwrap import indent
 from typing import Callable, Mapping, Sequence
@@ -49,6 +48,7 @@ from .exprcore import (
     split,
     subs,
 )
+from .records import field, record
 
 REGULAR = "regular"
 DEGENERATE = "degenerate"
@@ -101,7 +101,7 @@ def velocity_names(dim: int) -> tuple[str, ...]:
     return ("qd",) if dim == 1 else tuple(f"qd{a}" for a in range(1, dim + 1))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MechState:
     """A (t, q, qd) sample of configuration-velocity space."""
 
@@ -120,7 +120,7 @@ class MechState:
             raise ValueError("q and qd must have equal length")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ComplexPhase:
     """w = (qd + i*omega0*q)/sqrt(2) and u = (pd + i*omega0*p)/sqrt(2)."""
 
@@ -128,7 +128,7 @@ class ComplexPhase:
     u: tuple[complex, ...]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ComplexLagrangian:
     """An expression in {t, q_a, qd_a, params} plus the frequency constant omega0.
 
@@ -368,7 +368,7 @@ class _Maps:
         return out, errors
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class EomSystem:
     """Derived dynamics: symbolic maps, classification, optional closure."""
 

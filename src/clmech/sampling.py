@@ -17,11 +17,10 @@ before the in-slab offsets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .lagrangian import MechState
+from .records import record
 
 DEFAULT_SEED = 0xC0FFEE
 # the ranges of sample_states: t, and every coordinate and velocity
@@ -33,7 +32,7 @@ _C = 1442695040888963407
 _MASK = (1 << 64) - 1
 
 
-@dataclass
+@record
 class Lcg:
     """The documented 64-bit LCG; state advances on every draw."""
 

@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .dynamics import IntegratorConfig
 from .exprcore import ExprError, parse
 from .lagrangian import ComplexLagrangian, InvalidParameter, MechState, UndeclaredSymbol
+from .records import field, record
 
 SCHEMA_VERSION = 1
 SUITE_NAMES = ("variation", "noether", "equivalence", "geometry", "hamiltonian")
@@ -74,7 +74,7 @@ def _keys_exactly(field: str, obj, required: set[str], optional: set[str] = froz
         raise ScenarioError(f"{field}.{sorted(unknown)[0]}", "unknown field")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Scenario:
     """A validated scenario; construct via from_dict or load. `lagr` is the
     Lagrangian that from_dict parsed to validate `lagrangian`."""

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -42,6 +41,7 @@ from .lagrangian import (
     momentum,
 )
 from .lanes import lane_blocks
+from .records import field, record
 from .sampling import DEFAULT_SEED, sample_states
 from .scenario import Scenario
 from .variational import (
@@ -58,7 +58,7 @@ CONTROL_SLOPE = (0.9, 1.1)
 STATIONARY_FLOOR_RTOL = 1e-11
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CheckLine:
     """One asserted or reported quantity.
 
@@ -99,7 +99,7 @@ class CheckLine:
         return f"[{tag}] {self.label} value={self.value:.17g}{bound}{note}"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SuiteResult:
     suite: str
     scenario: str

@@ -28,7 +28,6 @@ stationarity theorem hold, so both are exposed and that identity is asserted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,6 +39,7 @@ from .dynamics import Trajectory
 from .exprcore import diff  # noqa: F401
 from .lagrangian import ComplexLagrangian, EomSystem, MechState, momentum
 from .lanes import lane_blocks
+from .records import record
 
 
 class BadSampling(Exception):
@@ -77,7 +77,7 @@ def action(lagr: ComplexLagrangian, traj: Trajectory) -> complex:
     return _simpson(vals, h)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class VariationField:
     """Half-sine perturbation profile eta(t) = sin(mode*pi*(t-t0)/(t1-t0)).
 

@@ -2,10 +2,14 @@
 
 `exprcore` (the trees) imports neither numpy nor the code-generation modules, `codegen`
 imports numpy nowhere at module level, and of the three only `lanes` imports numpy at
-module level, so the trees and the scalar code stay usable without numpy.
+module level, so the trees and the scalar code stay usable without numpy. Only `records`
+imports `dataclasses`, and importing the package compiles one generated source.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "clmech"
@@ -68,3 +72,27 @@ def test_no_module_reads_the_globals_of_a_generated_function():
     reads = [path.name for path in SRC.glob("*.py") for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Attribute) and node.attr == "__globals__"]
     assert reads == []
+
+
+def test_only_the_record_module_imports_dataclasses():
+    importing = [path.stem for path in sorted(SRC.glob("*.py"))
+                 if any(name.split(".")[0] == "dataclasses" for name in _imported(path.stem, module_level=False))]
+    assert importing == ["records"]
+
+
+def test_importing_the_cli_compiles_one_generated_source():
+    # numpy is imported before the hook: its own import compiles namedtuple sources
+    code = (
+        "import sys, numpy\n"
+        "texts = []\n"
+        "sys.addaudithook(lambda event, args: event == 'compile' and args[1] == '<string>' and texts.append(args[0]))\n"
+        "import clmech.cli\n"
+        "print(repr([text if isinstance(text, str) else bytes(text).decode() for text in texts]))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    texts = ast.literal_eval(done.stdout)
+    # `lagrangian`'s constant text of `_solve_scalar`, compiled once at import
+    assert len(texts) == 1 and texts[0].startswith("def _solve_scalar(a, b):"), texts

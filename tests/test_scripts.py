@@ -79,6 +79,17 @@ def test_step_timing_prints_every_corpus_integration():
     assert all(float(v) > 0 for row in rows for v in row.split()[3:])
 
 
+def test_oneshot_timing_prints_every_command_with_and_without_a_cache():
+    done = run_script("oneshot_timing.py", "--repeats", "1")
+    assert done.returncode == 0, done.stderr
+    header, *rows = done.stdout.splitlines()
+    assert header.split() == ["command", "cache", ROOT.name]
+    assert [row.split()[-2] for row in rows] == ["none", "warm"] * 7
+    assert [row.rsplit(None, 2)[0] for row in rows[::2]] == [
+        "pass", "import numpy", "import clmech.cli", "derive damped_oscillator", "check all damped_oscillator",
+        "derive free_particle", "check all free_particle"]
+    assert all(float(row.split()[-1]) > 0 for row in rows)
+
 def _bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPTS / "bench_pairs.py")
     module = importlib.util.module_from_spec(spec)
