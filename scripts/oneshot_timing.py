@@ -1,14 +1,14 @@
 """Time one-shot commands as a user runs them: subprocess wall medians over one or more source trees.
 
 The commands are `python -c pass`, `python -c "import numpy"`, `python -c "import clmech.cli"`,
-and `derive` and `check all` on damped_oscillator and free_particle through `clmech.cli.main`.
-Each runs once without a bytecode cache of clmech ("none": PYTHONDONTWRITEBYTECODE=1 on a copy
-of the tree's src/ without __pycache__) and once with a warm one ("warm": the same variable on a
-second copy that `compileall` filled first), so no run writes bytecode, and none into a tree.
-Both copies live in a temporary directory. One repeat runs every command in every mode once
-in each tree, the trees' order alternating from repeat to repeat, one subprocess at a time.
-Each row prints a command, its mode and the median wall milliseconds per tree, the trees
-named by their directory names in the header.
+and `derive`, `simulate` and `check all` on damped_oscillator and free_particle through
+`clmech.cli.main`, their output discarded. Each runs once without a bytecode cache of clmech
+("none": PYTHONDONTWRITEBYTECODE=1 on a copy of the tree's src/ without __pycache__) and once
+with a warm one ("warm": the same variable on a second copy that `compileall` filled first), so
+no run writes bytecode, and none into a tree. Both copies live in a temporary directory. One
+repeat runs every command in every mode once in each tree, the trees' order alternating from
+repeat to repeat, one subprocess at a time. Each row prints a command, its mode and the median
+wall milliseconds per tree, the trees named by their directory names in the header.
 
 Usage:  python3 scripts/oneshot_timing.py [TREE ...] [--repeats 9]
         (the default tree is this checkout)
@@ -27,12 +27,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 CLI = "import sys; from clmech.cli import main; sys.exit(main(sys.argv[1:]))"
+VERBS = {"derive": ("derive",), "simulate": ("simulate",), "check all": ("check", "all")}
 COMMANDS = {
     "pass": ("-c", "pass"),
     "import numpy": ("-c", "import numpy"),
     "import clmech.cli": ("-c", "import clmech.cli"),
     **{f"{verb} {name}": ("-c", CLI, *argv, f"{{scenarios}}/{name}.json")
-       for name in ("damped_oscillator", "free_particle") for verb, argv in (("derive", ("derive",)), ("check all", ("check", "all")))},
+       for name in ("damped_oscillator", "free_particle") for verb, argv in VERBS.items()},
 }
 MODES = ("none", "warm")
 
@@ -65,7 +66,7 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=9)
     args = parser.parse_args()
 
-    names = [tree.resolve().name or "root" for tree in args.trees]
+    names = [tree.resolve().name for tree in args.trees]
     names = [f"{name}#{k}" if names.count(name) > 1 else name for k, name in enumerate(names)]
     times = {(command, mode, k): [] for command in COMMANDS for mode in MODES for k in range(len(names))}
     with tempfile.TemporaryDirectory() as tmp:

@@ -32,8 +32,9 @@ def _declared() -> dict[str, tuple[str, dict, dict]]:
     """Class name -> (module, decorator options, the source text of each field's default)."""
     found = {}
     for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            for deco in getattr(node, "decorator_list", ()) if isinstance(node, ast.ClassDef) else ():
+        classes = [node for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.ClassDef)]
+        for node in classes:
+            for deco in node.decorator_list:
                 call = deco if isinstance(deco, ast.Call) else ast.Call(deco, [], [])
                 if isinstance(call.func, ast.Name) and call.func.id == "record":
                     options = {kw.arg: ast.literal_eval(kw.value) for kw in call.keywords}
@@ -53,14 +54,14 @@ def _twin(name: str) -> tuple[type, type, dict]:
     cls = getattr(module, name)
     namespace = {key: value for key, value in vars(cls).items() if key not in GENERATED}
     scope = {**vars(module), "field": dataclasses.field}
-    namespace.update({key: eval(source, scope) for key, source in values.items()})  # noqa: S307
+    namespace.update({key: eval(source, scope) for key, source in values.items()})
     namespace["__qualname__"] = cls.__qualname__
     return cls, dataclasses.dataclass(type(name, cls.__bases__, namespace), **options), options
 
 
-def _build(cls: type, options: dict, args: tuple, kwargs: dict | None = None):
+def _build(cls: type, options: dict, args: tuple):
     if options.get("init", True):
-        return cls(*args, **(kwargs or {}))
+        return cls(*args)
     obj = object.__new__(cls)  # the Expr nodes: `Expr.__new__` interns, so build them bare on both sides
     obj.__dict__.update(zip(cls.__match_args__, args))
     return obj

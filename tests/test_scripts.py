@@ -84,10 +84,10 @@ def test_oneshot_timing_prints_every_command_with_and_without_a_cache():
     assert done.returncode == 0, done.stderr
     header, *rows = done.stdout.splitlines()
     assert header.split() == ["command", "cache", ROOT.name]
-    assert [row.split()[-2] for row in rows] == ["none", "warm"] * 7
-    assert [row.rsplit(None, 2)[0] for row in rows[::2]] == [
-        "pass", "import numpy", "import clmech.cli", "derive damped_oscillator", "check all damped_oscillator",
-        "derive free_particle", "check all free_particle"]
+    commands = ["pass", "import numpy", "import clmech.cli"]
+    commands += [f"{verb} {name}" for name in ("damped_oscillator", "free_particle") for verb in ("derive", "simulate", "check all")]
+    assert [row.rsplit(None, 2)[0] for row in rows] == [c for c in commands for _ in range(2)]
+    assert [row.split()[-2] for row in rows] == ["none", "warm"] * len(commands)
     assert all(float(row.split()[-1]) > 0 for row in rows)
 
 def _bench_pairs():
