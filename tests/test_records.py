@@ -4,9 +4,9 @@ Every record class under src/clmech (found with `ast` by its `@record` decorator
 stdlib twin: the same annotations, the defaults and `field(...)` specs of its source, the same
 options and its own methods (`__post_init__` and the properties it reads). Both are built
 from the same sample values and compared on repr, ==, hash, frozen assignment and deletion,
-`__match_args__`, what `__post_init__` left, and the TypeError of a bad call. A few records
-defined here cover what a clmech `__post_init__` would hide: a factory value that no post-init
-copies, and repr=False and compare=False on plain values.
+`__match_args__`, what `__post_init__` left, and the TypeError of a bad call. One class defined
+here, under both decorators, covers what a clmech `__post_init__` would hide: a factory value
+that no post-init copies, and repr=False and compare=False on plain values.
 """
 
 import ast
