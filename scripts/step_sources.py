@@ -2,15 +2,20 @@
 
 It builds the sample loops that `check all` over the bundled corpus builds,
 then those of perfbench's `simulate` rounds (`gen.simulate_spec(seed, i)`,
-each integrated as `clmech simulate` runs it) for each given seed. Every
+each integrated as `clmech simulate` runs it) for each given seed, then
+derives the closure of `sum qd_a^3` at one to four coordinates, whose mass
+matrix varies, so each builds its damped Newton and linear solve. Every
 source `codegen` compiles into a `_loop` is recorded, and so is the per-sample
 helper step `_step` that a raising sample falls back to, which it builds for
 each loop that has one. For each state kind, float (one coordinate, or the
 phase state (q, p)) and list (more than one coordinate), and apart for the
 loops that call a damped Newton (a closure or a Legendre inversion where A
 varies) and those that do not, it prints the number of distinct sources and
-one SHA-256 over them, sorted. Two revisions that print the same line
-generate the same loops and steps of that kind, byte for byte.
+one SHA-256 over them, sorted. A fifth line does the same for the generated
+solvers those runs compile (`_solve_scalar`, `_solve_n` and `_newton_n`),
+caught by an audit hook on `compile` installed before clmech is imported, so
+it reads them wherever clmech builds them. Two revisions that print the same
+line generate the same sources of that kind, byte for byte.
 
 Usage:  python3 scripts/step_sources.py [--seeds 7 41]
         (`--seeds` with no value builds the corpus's steps only)
@@ -22,12 +27,26 @@ import hashlib
 import sys
 from pathlib import Path
 
-from clmech import codegen
-from clmech.corpus import bundled_corpus
-from clmech.dynamics import IntegratorConfig
-from clmech.sampling import DEFAULT_SEED
-from clmech.scenario import Scenario
-from clmech.suites import RunContext, run_suites
+SOLVERS: set[str] = set()
+
+
+def _record_solver(event: str, args: tuple) -> None:
+    """Keep each generated solver source compiled from text."""
+    if event == "compile" and isinstance(args[0], (str, bytes)):
+        src = args[0] if isinstance(args[0], str) else args[0].decode()
+        if src.startswith(("def _solve_", "def _newton_")):
+            SOLVERS.add(src)
+
+
+sys.addaudithook(_record_solver)
+
+from clmech import ComplexLagrangian, MechState, codegen, derive_eom, parse  # noqa: E402 - after the hook
+from clmech.corpus import bundled_corpus  # noqa: E402
+from clmech.dynamics import IntegratorConfig  # noqa: E402
+from clmech.lagrangian import velocity_names  # noqa: E402
+from clmech.sampling import DEFAULT_SEED  # noqa: E402
+from clmech.scenario import Scenario  # noqa: E402
+from clmech.suites import RunContext, run_suites  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -48,7 +67,7 @@ def _recording_exec(src: str, ns: dict) -> None:
 
 def _kind(src: str) -> tuple[str, str]:
     """A list-state loop or step takes the lists x0 and y0, a float-state one its own names. A
-    Newton loop calls `lagrangian._newton_solver(n)`'s `_newton_n` (loops that called the two
+    Newton loop calls the generated damped Newton `_newton_n` (loops that called the two
     earlier Newton functions bound their kernel as `_newton`)."""
     return "list" if ", x0, y0, dt, h2, h6" in src else "float", "newton" if "_newton" in src else "no-newton"
 
@@ -69,6 +88,9 @@ def main() -> None:
                 run.phase_trajectory(cfg)
             else:
                 run.trajectory(cfg)
+    for n in range(1, 5):
+        lagr = ComplexLagrangian(parse(" + ".join(f"{qd}^3" for qd in velocity_names(n))), 1.0, n)
+        derive_eom(lagr, MechState(0.0, (0.0,) * n, (0.0,) * n), closure_mass=(1.0,) * n)
     for ns in LOOPS:
         if "_h_slow" in ns:
             ns["_h_slow"]()  # builds, and so records, the loop's helper step
@@ -76,6 +98,8 @@ def main() -> None:
         sources = sorted(src for src in SOURCES if _kind(src) == kind)
         digest = hashlib.sha256("\0".join(sources).encode()).hexdigest()
         print(f"{kind[0]:<6s} {kind[1]:<9s} {len(sources):>4d} {digest}")
+    digest = hashlib.sha256("\0".join(sorted(SOLVERS)).encode()).hexdigest()
+    print(f"{'solver':<16s} {len(SOLVERS):>4d} {digest}")
 
 
 if __name__ == "__main__":

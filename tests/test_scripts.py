@@ -156,10 +156,12 @@ def test_committed_bench_records_name_declared_metrics():
 def test_step_sources_prints_a_digest_per_state_kind():
     done = run_script("step_sources.py", "--seeds")  # the corpus's steps only
     assert done.returncode == 0, done.stderr
-    rows = [line.split() for line in done.stdout.splitlines()]
+    *rows, solvers = [line.split() for line in done.stdout.splitlines()]
     assert [row[:2] for row in rows] == [[kind, solve] for kind in ("float", "list") for solve in ("no-newton", "newton")]
     assert int(rows[0][2]) > 0 and all(re.fullmatch("[0-9a-f]{64}", row[3]) for row in rows)
     assert int(rows[1][2]) == int(rows[3][2]) == 0  # the bundled closures are affine
+    # `_solve_scalar`, `_solve_2`..`_solve_4` and `_newton_1`..`_newton_4`
+    assert solvers[:2] == ["solver", "8"] and re.fullmatch("[0-9a-f]{64}", solvers[2])
 
 
 def test_scenario_files_are_the_exported_corpus(tmp_path):
