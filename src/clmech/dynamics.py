@@ -22,9 +22,10 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from .codegen import BLOWUP_LIMIT
-from .lagrangian import DEGENERATE, EomSystem, MechState, _dot
+from .lagrangian import DEGENERATE, EomSystem, MechState
 from .lanes import lane_blocks
 from .records import record
+from .solves import dot
 
 if TYPE_CHECKING:  # pragma: no cover
     from .hamiltonian import HamiltonianField, PhaseState
@@ -105,7 +106,7 @@ class Trajectory:
         return (self.t[lanes], *self.q[lanes].T, *self.qd[lanes].T)
 
 
-def _check_finite(y: Sequence[float], t: float) -> None:
+def check_finite(y: Sequence[float], t: float) -> None:
     for v in y:
         if not abs(v) <= BLOWUP_LIMIT:  # also true for nan
             raise StepBlowUp(f"state magnitude exceeded {BLOWUP_LIMIT:g} at t={t!r}")
@@ -123,7 +124,7 @@ def _el_terms(vals, qd: Sequence, qdd: Sequence) -> list:
     """|g_a - (A qdd + (df/dq) qd + df/dt)_a| for each a from the map values,
     at one sample or lane-wise; the EL residual is their maximum."""
     _, g, A, f_q, f_t = vals
-    return [abs(g[a] - _dot(A[a], qdd) - _dot(f_q[a], qd) - f_t[a]) for a in range(len(g))]
+    return [abs(g[a] - dot(A[a], qdd) - dot(f_q[a], qd) - f_t[a]) for a in range(len(g))]
 
 
 def _closure_terms(p: Sequence, mass: Sequence[float], qd: Sequence) -> list:

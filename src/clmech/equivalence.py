@@ -43,19 +43,9 @@ from .exprcore import (
     free_symbols,
     simplify,
 )
-from .lagrangian import (
-    ComplexLagrangian,
-    DegenerateWithoutClosure,
-    EomSystem,
-    MechState,
-    SingularMass,
-    _SOLVE_RESIDUAL,
-    _dot,
-    _singular,
-    derive_eom,
-    solve_linear,
-)
+from .lagrangian import ComplexLagrangian, DegenerateWithoutClosure, EomSystem, MechState, derive_eom
 from .records import record
+from .solves import SOLVE_RESIDUAL, SingularMass, dot, singular, solve_linear
 
 EQUIVALENT = "equivalent"
 NOT_EQUIVALENT = "not-equivalent"
@@ -135,28 +125,28 @@ def _fold_max(start: float, values: np.ndarray) -> float:
 def _accelerations(eom: EomSystem | None, samples: Sequence[MechState], qd: list[np.ndarray]):
     """`_accel`'s acceleration at each sample (a row per coordinate; NaN where it raises
     SingularMass), the mask of those samples (all of them without a system), and the kernel's
-    DomainErrors by sample: at one coordinate `_solve_scalar`'s pivot and residual tests lane
+    DomainErrors by sample: at one coordinate `solves.SOLVE_SCALAR`'s pivot and residual tests lane
     by lane, above it `solve_linear` per sample on the floats read from the lanes."""
     n, count = len(qd), len(samples)
     if eom is None:
         return np.full((n, count), np.nan), np.ones(count, bool), {}
     vals, errors = eom.maps.columns(samples)
     _, g, A, f_q, f_t = eom.maps.split(vals)
-    b = [g[a] - _dot(f_q[a], qd) - f_t[a] for a in range(n)]
-    if n == 1:  # `_singular`, then |a x - b| > _SOLVE_RESIDUAL (1 + |b|), as `_solve_scalar` raises
+    b = [g[a] - dot(f_q[a], qd) - f_t[a] for a in range(n)]
+    if n == 1:  # `singular`, then |a x - b| > SOLVE_RESIDUAL (1 + |b|), as `SOLVE_SCALAR` raises
         a, b = A[0][0], b[0]
         x = b / a
-        singular = _singular(a, abs(a)) | (abs(a * x - b) > _SOLVE_RESIDUAL * (1.0 + abs(b)))
-        return np.where(singular, np.nan, x)[None], singular, errors
-    x, singular = [], []
+        failed = singular(a, abs(a)) | (abs(a * x - b) > SOLVE_RESIDUAL * (1.0 + abs(b)))
+        return np.where(failed, np.nan, x)[None], failed, errors
+    x, failed = [], []
     for rows, rhs in zip(np.transpose(A, (2, 0, 1)).tolist(), np.transpose(b).tolist()):
         try:
             x.append(solve_linear(rows, rhs))
-            singular.append(False)
+            failed.append(False)
         except SingularMass:
             x.append([math.nan] * n)
-            singular.append(True)
-    return np.array(x).T, np.array(singular), errors
+            failed.append(True)
+    return np.array(x).T, np.array(failed), errors
 
 
 _first = None  # the last first system: (Lagrangian, samples, system or None, its accelerations)
@@ -214,8 +204,8 @@ def eom_equivalent(pair: LagrangianPair, samples: Sequence[MechState]) -> Equiva
             if err := next((errs[k] for errs, read in reads if read and k in errs), None):
                 raise err
         used = ~(need & singular1)
-        c_a = [np.where(need, _dot(row, a1), 0.0) for row in c]
-        d_qd = [_dot(row, qd) for row in d]
+        c_a = [np.where(need, dot(row, a1), 0.0) for row in c]
+        d_qd = [dot(row, qd) for row in d]
         residual = [((c_a[a] + d_qd[a]) + e[a]) - g[a] for a in range(n)]
         max_residual = _fold_max(0.0, np.abs(residual)[:, used])
         scale = _fold_max(1.0, np.abs([*c_a, *d_qd, *e, *g])[:, used])

@@ -78,7 +78,7 @@ def lie_theta(lagr: ComplexLagrangian, eom: EomSystem, s: MechState) -> OneForm:
     return _form(g, f, s)
 
 
-def _lie_values(eom: EomSystem, states: list[MechState]) -> list[tuple]:
+def lie_values(eom: EomSystem, states: list[MechState]) -> list[tuple]:
     """The coefficients of `lie_theta` at each state from one `lanes` read
     (`_Maps.columns`), raising where the state loop first would."""
     vals, errors = eom.maps.columns(states)
@@ -90,7 +90,7 @@ def _lie_values(eom: EomSystem, states: list[MechState]) -> list[tuple]:
     return values
 
 
-def _pairing_values(lagr: ComplexLagrangian, s: MechState) -> tuple:
+def pairing_values(lagr: ComplexLagrangian, s: MechState) -> tuple:
     """The coefficients of `rhs_pairing_form` at s, from one call of the complex kernel: each
     coordinate's sqrt(2) * `wirtinger`, formed as `wirtinger` forms it."""
     d, n, rt2 = lagr._wirtinger(s.t, *s.q, *s.qd), lagr.dim, math.sqrt(2.0)
@@ -100,7 +100,7 @@ def _pairing_values(lagr: ComplexLagrangian, s: MechState) -> tuple:
 
 def rhs_pairing_form(lagr: ComplexLagrangian, s: MechState) -> OneForm:
     """The pairing side: coefficients of 2 Re[sqrt(2) dLagr/dw_a * dw_a]."""
-    return OneForm(*_pairing_values(lagr, s), s)
+    return OneForm(*pairing_values(lagr, s), s)
 
 
 def lie_theta_cartan(lagr: ComplexLagrangian, eom: EomSystem, s: MechState) -> OneForm:

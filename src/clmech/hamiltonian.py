@@ -28,10 +28,10 @@ never constructed: whether its mixed partials commute is reported as a
 finite-difference diagnostic, not asserted.
 
 When A = df/dqd folds to a nonzero constant, qd = (p - f(q, 0, t))/A is a
-tree (`lagrangian._inverse`, the closure's (p - f)/(A - m) at m = 0; Arnold,
+tree (`lagrangian.affine_inverse`, the closure's (p - f)/(A - m) at m = 0; Arnold,
 Mathematical Methods of Classical Mechanics, sec. 14), and the flow is one
 kernel call of (t, q, p).
-Any other f is inverted by the closure's damped Newton at m = 0 (`lagrangian._newton_solver(1)`),
+Any other f is inverted by the closure's damped Newton at m = 0 (`solves.newton_solver(1)`),
 its partials by a second kernel.
 Either way the field's RK4 sample loop is one generated function (`codegen.compile_step`):
 its stages run the one kernel's body, or call the Newton and the partials kernel, and then
@@ -45,8 +45,9 @@ from functools import cached_property
 
 from .codegen import compile_expr, compile_step
 from .exprcore import Call, DomainError, Sym, diff, evaluate, subs
-from .lagrangian import ComplexLagrangian, EomSystem, _inverse, _newton_solver
+from .lagrangian import ComplexLagrangian, EomSystem, affine_inverse
 from .records import record
+from .solves import newton_solver
 
 
 class InversionFailure(Exception):
@@ -117,7 +118,7 @@ class HamiltonianField:
         # the parameters are folded in first, so none is read as the momentum
         f, a = subs((self.eom.f[0], self.eom.A[0][0]), self.lagr.params)
         object.__setattr__(self, "_f", f)
-        inverse = _inverse((f,), ((a,),), ("p",), (0.0,)) if self.eom.is_regular else None
+        inverse = affine_inverse((f,), ((a,),), ("p",), (0.0,)) if self.eom.is_regular else None
         object.__setattr__(self, "_qd", inverse and inverse[0])
 
     @cached_property
@@ -159,7 +160,7 @@ class HamiltonianField:
         invert = "    qd, f = _newton_1(_kernel, InversionFailure, t, q, p, 0.0, s0)"
         grads = f"    {', '.join(outs[2:])} = _grads(t, q, qd)\n    if slope == 0.0:\n        _degenerate(t, q, qd)"
         names = (("_kernel", self.eom.maps.newton), ("_grads", self._grads), ("_degenerate", _degenerate))
-        names += (("_newton_1", _newton_solver(1)), ("InversionFailure", InversionFailure))
+        names += (("_newton_1", newton_solver(1)), ("InversionFailure", InversionFailure))
         return compile_step((), args, (), (f"{invert}\n{grads}", *tail), sample, invert, names)  # the last sample only inverts
 
     def momentum(self, t: float, q: float, qd: float) -> float:
@@ -171,7 +172,7 @@ class HamiltonianField:
 
     def _invert(self, t: float, q: float, p: float, guess: float) -> tuple[float, float]:
         """(qd, f(q, qd, t)) at the qd Newton finds on (f, df/dqd)."""
-        return _newton_solver(1)(self.eom.maps.newton, InversionFailure, t, q, p, 0.0, float(guess))
+        return newton_solver(1)(self.eom.maps.newton, InversionFailure, t, q, p, 0.0, float(guess))
 
     def _values(self, t: float, q: float, p: float, guess: float) -> tuple[float, ...]:
         """(qd, f, dqd/dq, dqd/dp, dL/dq, dL/dqd, dM/dq, dM/dqd) at (t, q, p):

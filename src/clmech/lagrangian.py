@@ -14,12 +14,12 @@ with qdd solving A qdd = g - (df/dq) qd - df/dt. If A is singular the system
 is closed to first order by the point-particle identification f = m_c * qd
 (closure mass m_c is user-supplied per coordinate; its sign selects the branch
 of the flow): where A folds to constants, f is affine in qd and the closure is
-qd = (0 - f(t, q, 0))/(A - m_c), a tree (`_inverse`, which with m_c = 0 also
-inverts an affine momentum map for the phase-space form, `hamiltonian`); where
-A varies, it is solved by the one damped Newton for f = p + m_c*qd
-(`_newton_solver`), which with m_c = 0 and a given p inverts any other momentum
-map. Its stop is relative to the scale of A - m_c, so a change of the unit of
-action moves no iterate.
+qd = (0 - f(t, q, 0))/(A - m_c), a tree (`affine_inverse`, which with m_c = 0
+also inverts an affine momentum map for the phase-space form, `hamiltonian`);
+where A varies, it is solved by the one damped Newton for f = p + m_c*qd
+(`solves.newton_solver`), which with m_c = 0 and a given p inverts any other
+momentum map. Its stop is relative to the scale of A - m_c, so a change of the
+unit of action moves no iterate. The solves themselves live in `solves`.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from __future__ import annotations
 import math
 import re
 import warnings
-from functools import cached_property, lru_cache
-from textwrap import indent
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -49,20 +48,13 @@ from .exprcore import (
     subs,
 )
 from .records import field, record
+from .solves import SOLVE_SCALAR, SingularMass, dot, eliminate, newton_solver, pivot_message, singular
+from .solves import solve_linear, solve_plan, solver
 
 REGULAR = "regular"
 DEGENERATE = "degenerate"
 
-NEWTON_TOL = 1e-12
-NEWTON_MAX_ITER = 50
-NEWTON_HALVINGS = 25
-_PIVOT_RATIO, _SOLVE_RESIDUAL = 1e-13, 1e-10  # the solves' singular pivot ratio and relative residual bound
-
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-
-
-class SingularMass(Exception):
-    """Mass matrix (or a Newton Jacobian) lost rank at the requested state."""
 
 
 class DegenerateWithoutClosure(Exception):
@@ -219,10 +211,10 @@ class _Maps:
     sample states, as the scalar kernel would sample by sample. `step` is `codegen.compile_step`'s
     RK4 sample loop of (q, qd) giving qd, p and the EL residual, on floats at one
     coordinate and on lists above. There a mass matrix that folds to constants
-    is eliminated at compile time (`_solve_plan`); one that varies is solved at
-    each stage by the generated `_solver(n)` on the stage's locals. `closure`
+    is eliminated at compile time (`solves.solve_plan`); one that varies is solved at
+    each stage by the generated `solves.solver(n)` on the stage's locals. `closure`
     solves the closure at a mass, and `closure_step` is its RK4 sample loop: the
-    closed form where A folds to constants, else the damped Newton `_newton_solver(n)`
+    closed form where A folds to constants, else the damped Newton `newton_solver(n)`
     at each stage.
     Built only by `ComplexLagrangian.maps`; `equivalence` reads the maps of a
     pair's difference Lagrangian, whose Euler-Lagrange law is its residual.
@@ -265,18 +257,18 @@ class _Maps:
     def step(self) -> Callable[..., int | None]:
         trees, names = subs(self._all, self._params), (("SingularMass", SingularMass),)
         if self.dim == 1:
-            # slope (qd, b/a) by `_solve_scalar`'s arithmetic; a constant `a` decides its pivot test here, and
+            # slope (qd, b/a) by `SOLVE_SCALAR`'s arithmetic; a constant `a` decides its pivot test here, and
             # its residual test where |a| is a power of two >= 1: there a*(b/a) - b is 0, NaN or below 2^-51
             outs, m, slope = ("f", "g", "a", "f_q", "f_t"), trees[2], "\n    kx, ky = qd, x"
             (f, g, a, f_q, f_t), qd = map(Sym, outs), Sym("qd")
             b = g - (0.0 + f_q * qd) - f_t  # 0.0 + f_q qd: the sign of a zero product as in a one-term dot product
             sample = (("s0", "s1", "s2"), (qd, f, Call("abs", g - a * Sym("ky") - f_q * qd - f_t)))
-            if not _constant(((m,),)) or _singular(m.value.real, abs(m.value.real)):
-                tail = ((("b",), (b,)), _SOLVE_SCALAR + slope)
+            if not _constant(((m,),)) or singular(m.value.real, abs(m.value.real)):
+                tail = ((("b",), (b,)), SOLVE_SCALAR + slope)
             elif math.frexp(abs(m.value.real))[0] == 0.5 and abs(m.value.real) >= 1.0:
                 tail = ((("kx", "ky"), (qd, b / a)),)
             else:
-                tail = ((("a", "b", "x"), (a, b, b / a)), _SOLVE_SCALAR.partition("x = b / a\n")[2] + slope)
+                tail = ((("a", "b", "x"), (a, b, b / a)), SOLVE_SCALAR.partition("x = b / a\n")[2] + slope)
             return compile_step(trees, self._args, outs, tail, sample, names=names)
         n, join = self.dim, ", ".join
         idx, qd = range(1, n + 1), self._args[n + 1 :]
@@ -284,33 +276,33 @@ class _Maps:
         A, f_q = ([[f"{m}{a}_{c}" for c in idx] for a in idx] for m in ("a", "fq"))
         outs = (*f, *g, *sum(A, []), *sum(f_q, []), *f_t)
         written = _written(outs, trees)
-        dot = lambda row, v: f"(0 + {' + '.join(f'{written(x)} * {y}' for x, y in zip(row, v))})"  # noqa: E731 - `_dot`'s order
+        dot_text = lambda row, v: f"(0 + {' + '.join(f'{written(x)} * {y}' for x, y in zip(row, v))})"  # noqa: E731 - `dot`'s order
         # `_accel`'s right-hand side g - (df/dq) qd - df/dt as trees, so the step folds the constants in,
         # its dot product kept for the EL terms
         w_trees = tuple(sum((Sym(x) * Sym(v) for x, v in zip(row, qd)), ZERO) for row in f_q)
         tail = [(tuple(w), w_trees), (tuple(b), tuple(Sym(x) - Sym(y) - Sym(z) for x, y, z in zip(g, w, f_t)))]
         mass = [trees[2 * n + a * n : 2 * n + (a + 1) * n] for a in range(n)]
-        plan = _solve_plan([[e.value.real for e in row] for row in mass], b, ky) if _constant(mass) else None
+        plan = solve_plan([[e.value.real for e in row] for row in mass], b, ky) if _constant(mass) else None
         if plan is None:
-            solve = _solver(n)
+            solve = solver(n)
             plan = (f"    {join(ky)} = {solve.__name__}({join(map(written, sum(A, [])))}, {join(b)})",)
             names += ((solve.__name__, solve),)
         tail += [*plan, f"    {join(f'kx_{a}' for a in idx)} = {join(qd)}"]
         # `_el_terms`, g - A qdd - (df/dq) qd - df/dt row by row; the residual is their maximum
-        terms = join(f"abs({written(x)} - {dot(row, ky)} - {y} - {written(z)})" for x, row, y, z in zip(g, A, w, f_t))
+        terms = join(f"abs({written(x)} - {dot_text(row, ky)} - {y} - {written(z)})" for x, row, y, z in zip(g, A, w, f_t))
         sample = f"[{join(qd)}], [{join(map(written, f))}], max({terms})"
         return compile_step(trees, self._args, outs, tuple(tail), f"    s0, s1, s2 = {sample}", names=names)
 
     def closure(self, mass: tuple[float, ...]) -> tuple:
         """(qd, velocity) of the closure f = mass*qd. Where A folds to constants, qd is the trees of
-        `_inverse` with the momenta p (0 here) as arguments and velocity(t, q, guess) one small
-        kernel of them; else qd is None and velocity the damped Newton `_newton_solver(n)` at p = 0,
+        `affine_inverse` with the momenta p (0 here) as arguments and velocity(t, q, guess) one small
+        kernel of them; else qd is None and velocity the damped Newton `newton_solver(n)` at p = 0,
         from the guess. Cached per mass."""
         if mass not in self._closures:
             n, trees, p = self.dim, subs(self.f + sum(self.A, ()), self._params), self._momenta
-            qd = _inverse(trees[:n], [trees[n + a * n : n + (a + 1) * n] for a in range(n)], p, mass)
+            qd = affine_inverse(trees[:n], [trees[n + a * n : n + (a + 1) * n] for a in range(n)], p, mass)
             kernel, zeros = qd and compile_expr(qd, ("t", *self._args[1 : n + 1], *p), real=True), (0.0,) * n
-            newton = lambda t, q, guess: list(_newton_solver(n)(  # noqa: E731
+            newton = lambda t, q, guess: list(newton_solver(n)(  # noqa: E731
                 self.newton, ClosureInconsistent, t, *q, *zeros, *mass, *map(float, guess))[:n])
             self._closures[mass] = qd, (lambda t, q, _: list(kernel(t, *q, *zeros))) if qd else newton
         return self._closures[mass]
@@ -319,7 +311,7 @@ class _Maps:
         """`compile_step`'s RK4 sample loop of (q, p) on the closure: q's slope is qd, p stays 0, and
         the sample is qd, f and the residual max |f_a - mass_a qd_a|. Where A folds to constants, qd
         and f are the closed form's trees; else each stage solves for them by the damped Newton
-        `_newton_solver(n)` at p = 0, the sample's from the loop's s0, the last sample's qd, and each
+        `newton_solver(n)` at p = 0, the sample's from the loop's s0, the last sample's qd, and each
         later stage's from the previous stage's slope. The loop binds the kernel `newton`, cached per
         system, and the Newton, cached per dimension."""
         n, join, qd = self.dim, ", ".join, self.closure(mass)[0]
@@ -335,7 +327,7 @@ class _Maps:
             sample = f"    s0, s1, s2 = [{join(map(written, vels))}], [{join(map(written, fs))}], max({terms})"
         if qd is not None:
             return compile_step(trees, args, (*vels, *fs), tail, sample)
-        newton, point = _newton_solver(n), join((*coords, *("0.0",) * n, *map(repr, mass), *kx))  # (q, p = 0, mass, guess)
+        newton, point = newton_solver(n), join((*coords, *("0.0",) * n, *map(repr, mass), *kx))  # (q, p = 0, mass, guess)
         solve = f"    {join(vels)}, {join(fs)} = {newton.__name__}(_kernel, ClosureInconsistent, t, {point})"
         names = ((newton.__name__, newton), ("_kernel", self.newton), ("ClosureInconsistent", ClosureInconsistent))
         return compile_step((), args, (), (solve, *tail), sample, names=names, start=f"    {join(kx)} = s0\n")
@@ -393,134 +385,6 @@ class EomSystem:
         return self.classification == REGULAR
 
 
-def _dot(row: Sequence[float], x: Sequence[float]) -> float:
-    return sum(r * v for r, v in zip(row, x))
-
-
-def _singular(pivot: float, row_scale: float) -> bool:
-    """The one singularity rule, of the solves and of the classification: a pivot at most
-    _PIVOT_RATIO times the entry scale its row had before elimination. A ratio, so the verdict
-    does not change with the units. `_SOLVE_SCALAR` inlines it; `|` lets float64 lanes take it."""
-    return (row_scale == 0.0) | (abs(pivot) <= _PIVOT_RATIO * row_scale)
-
-
-def _eliminate(a: list[list[float]], x: list) -> list[tuple[float, float]]:
-    """Forward elimination with partial pivoting, in place on `a` and `x`.
-
-    Returns each step's pivot with the entry scale its row had before
-    elimination. Stops after an exactly zero pivot. `x` holds floats, or
-    trees, which its operations build.
-    """
-    n = len(a)
-    scale = [max(map(abs, row), default=0.0) for row in a]
-    pivots = []
-    for k in range(n):
-        piv = max(range(k, n), key=lambda i: abs(a[i][k]))
-        pivot = a[piv][k]
-        pivots.append((pivot, scale[piv]))
-        if pivot == 0.0:
-            return pivots
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            x[k], x[piv] = x[piv], x[k]
-            scale[k], scale[piv] = scale[piv], scale[k]
-        top = a[k]
-        for j in range(k + 1, n):
-            row = a[j]
-            m = row[k] / pivot
-            if m != 0.0:
-                for i in range(k, n):
-                    row[i] -= m * top[i]
-                x[j] -= m * x[k]
-    return pivots
-
-
-def solve_linear(A: Sequence[Sequence[float]], b: Sequence[float]) -> list[float]:
-    """Gaussian elimination with partial pivoting: `_solve_scalar` at one
-    coordinate and the generated `_solver(n)` above.
-
-    Raises SingularMass when a pivot is `_singular` (the matrix is, or has
-    drifted, singular), or when the solution misses the system by more than
-    _SOLVE_RESIDUAL relative.
-    """
-    if len(b) == 1:
-        return [_solve_scalar(float(A[0][0]), float(b[0]))]
-    return _solver(len(b))(*[float(v) for row in A for v in row], *map(float, b))
-
-
-def _back_substitution(
-    a: list[list[str]], x: list[str], out: list[str], a0: list[list[str]], b: list[str], dot: Callable[[list[str]], str]
-) -> list[str]:
-    """Source lines setting `out` from the eliminated rows `a` and right-hand side
-    `x`, then checking the residual of the system (a0, b); each entry is a name or
-    a literal, and `dot` writes the sum of a list of products in `_dot`'s order.
-
-    The residual's entries r1..rn go into locals, and the test of max|r| against
-    _SOLVE_RESIDUAL * (1 + max|b|), a bound never below _SOLVE_RESIDUAL, runs only
-    where one chained comparison (false for NaN) finds an entry beyond
-    +-_SOLVE_RESIDUAL: it raises where the test alone would (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., 2002, sec. 9)."""
-    n, join, lines = len(b), ", ".join, []
-    for k in range(n - 1, -1, -1):
-        back = [f"{a[k][i]} * {out[i]}" for i in range(k + 1, n)]
-        lines.append(f"    {out[k]} = ({x[k]} - {f'({dot(back)})' if back else 0}) / {a[k][k]}")
-    r = [f"r{k}" for k in range(1, n + 1)]
-    lines += [f"    {rk} = {dot([f'{v} * {o}' for v, o in zip(row, out)])} - {bk}" for rk, row, bk in zip(r, a0, b)]
-    lines.append(f"    if not ({' and '.join(f'{-_SOLVE_RESIDUAL!r} <= {rk} <= {_SOLVE_RESIDUAL!r}' for rk in r)}):")
-    lines.append(f"        r = max({join(f'abs({rk})' for rk in r)})")
-    lines.append(f"        if r > {_SOLVE_RESIDUAL!r} * (1.0 + max({join(f'abs({bk})' for bk in b)})):")
-    lines.append('            raise SingularMass(f"solve residual {r!r} exceeds contract bound")')
-    return lines
-
-
-@lru_cache(maxsize=None)
-def _solver(n: int) -> Callable[..., list[float]]:
-    """`solve_linear` for n > 1: one straight-line function `_solve_n(a1_1, .., an_n,
-    b1, .., bn)` of the row-major matrix and the right-hand side, built once per n.
-
-    It keeps `_eliminate`'s arithmetic bit for bit, and raises SingularMass at a
-    `_singular` pivot with `_solve_plan`'s text (but for the sign of a NaN, which the
-    loop's own runs do not keep either): `max` of `abs` for the row scales, `max`'s
-    first maximum for the pivot (a later entry replaces it only when greater, so a
-    NaN stays), one swap of whole rows, and no update where `m == 0.0`. A pivot is
-    checked as it is found: the first `_singular` one raises either way, since no
-    float operation of a later step raises. `_eliminate`'s stop at a zero pivot is
-    never reached: a zero pivot is `_singular` unless its row scale is NaN, which
-    only a row with a NaN first entry has, and such a row is either the first
-    pivot, a NaN, or all NaN once eliminated. The back substitution and its
-    residual test are `_back_substitution`'s, whose full test runs only where an
-    entry of the residual is beyond +-_SOLVE_RESIDUAL.
-    """
-    idx, join = range(1, n + 1), ", ".join
-    a0, b = [[f"a{r}_{c}" for c in idx] for r in idx], [f"b{r}" for r in idx]
-    a, x, s = [[f"e{r}_{c}" for c in idx] for r in idx], [f"x{r}" for r in idx], [f"s{r}" for r in idx]
-    lines = [f"    {join(sum(a, []))} = {join(sum(a0, []))}", f"    {join(x)} = {join(b)}"]
-    lines += [f"    {s[r]} = max({join(f'abs({v})' for v in a0[r])})" for r in range(n)]
-    for k in range(n):
-        if k < n - 1:  # the pivot row, then one swap of rows k and i > k
-            lines.append(f"    c, i = abs({a[k][k]}), {k}")
-            lines += [f"    w = abs({a[j][k]})\n    if w > c: c, i = w, {j}" for j in range(k + 1, n)]
-            for j in range(k + 1, n):
-                top, row = [*a[k][k:], x[k], s[k]], [*a[j][k:], x[j], s[j]]
-                lines.append(f"    {'if' if j == k + 1 else 'elif'} i == {j}: {join(top + row)} = {join(row + top)}")
-        p, row_scale = a[k][k], s[k]
-        lines.append(f"    if {row_scale} == 0.0 or abs({p}) <= {_PIVOT_RATIO!r} * {row_scale}:")
-        lines.append(f'        raise SingularMass(f"pivot {{{p}!r}} below {_PIVOT_RATIO!r} of row scale {{{row_scale}!r}}")')
-        for j in range(k + 1, n):
-            # column k of row j is never read again, so it is not updated
-            lines.append(f"    m = {a[j][k]} / {p}\n    if m != 0.0:")
-            lines += [f"        {a[j][i]} = {a[j][i]} - m * {a[k][i]}" for i in range(k + 1, n)]
-            lines.append(f"        {x[j]} = {x[j]} - m * {x[k]}")
-    # `sum` itself adds, as `_dot` does: warm bytecode specialises `+` on floats,
-    # and that returns the other NaN of two than `sum` and a cold `+` do
-    out = [f"o{r}" for r in idx]
-    lines += _back_substitution(a, x, out, a0, b, lambda terms: f"sum(({join(terms)},))")
-    src = f"def _solve_{n}({join(sum(a0, []))}, {join(b)}):\n" + "\n".join(lines) + f"\n    return [{join(out)}]\n"
-    ns = {"__builtins__": {}, "abs": abs, "max": max, "sum": sum, "SingularMass": SingularMass}
-    exec(src, ns)  # noqa: S102 - generated from the dimension alone
-    return ns[f"_solve_{n}"]
-
-
 def _constant(rows: Sequence[Sequence[Expr]]) -> bool:
     """Whether every tree of the matrix is a real finite constant."""
     return all(isinstance(e, Const) and not e.value.imag and math.isfinite(e.value.real) for row in rows for e in row)
@@ -534,137 +398,25 @@ def _written(outs: Sequence[str], trees: Sequence[Expr]) -> Callable[[str], str]
     return lambda name: values.get(name, name)
 
 
-def _solve_plan(a0: list[list[float]], b: list[str], out: list[str]) -> tuple | None:
-    """`compile_step` pieces that set the names `out` to `solve_linear(a0, b)` for the
-    constant matrix a0 and the right-hand side named by `b`, bitwise, and raise where it does.
-
-    `_eliminate` runs on a0 here, once, so the pivot verdict and the multipliers
-    are fixed (Golub & Van Loan, Matrix Computations, 4th ed., sec. 3.4). The
-    pieces hold only the operations on the right-hand side: the row swaps and each
-    `x_j -= m*x_k` that `_eliminate` does not skip, made on trees, as one (names,
-    trees) pair, which the step folds; then the text of the back substitution with its
-    pivots and `solve_linear`'s residual check. None if an eliminated entry is not
-    finite, which a literal cannot carry.
-    """
-    a, x = [row[:] for row in a0], [Sym(name) for name in b]
-    for pivot, row_scale in _eliminate(a, x):
-        if _singular(pivot, row_scale):
-            raise SingularMass(f"pivot {pivot!r} below {_PIVOT_RATIO!r} of row scale {row_scale!r}")
-    if not all(math.isfinite(v) for row in a for v in row):
-        return None
-    rhs = [e.name if isinstance(e, Sym) else f"e{k}" for k, e in enumerate(x)]
-    ops = [(name, e) for name, e in zip(rhs, x) if not isinstance(e, Sym)]
-    a, a0 = ([[repr(v) for v in row] for row in m] for m in (a, a0))
-    dot = lambda terms: f"0 + {' + '.join(terms)}"  # noqa: E731 - `_dot`'s order, as the step's other sums
-    text = "\n".join(_back_substitution(a, rhs, out, a0, b, dot))
-    return (tuple(zip(*ops)), text) if ops else (text,)
-
-
-def _inverse(
+def affine_inverse(
     f: Sequence[Expr], A: Sequence[Sequence[Expr]], p: Sequence[str], mass: Sequence[float]
 ) -> tuple[Expr, ...] | None:
     """The trees of qd = (p - f(t, q, 0))/(A - diag(mass)) where the mass matrix A folds to
     constants (a quadratic form's Legendre transform; Arnold, Mathematical Methods of Classical
     Mechanics, sec. 14): the phase-space inverse (mass 0) and the closure (p = 0). A - diag(mass)
-    is eliminated by `_eliminate`, as `_solve_plan` does, and back-substituted, both on trees;
-    ClosureInconsistent where it is `_singular`. None where A varies."""
+    is eliminated by `eliminate`, as `solve_plan` does, and back-substituted, both on trees;
+    ClosureInconsistent where it is `singular`. None where A varies."""
     if not _constant(A):
         return None
     n, vels = len(f), velocity_names(len(f))
     a = [[e.value.real - (m if i == j else 0.0) for j, e in enumerate(row)] for i, (row, m) in enumerate(zip(A, mass))]
     x, qd = [simplify(Sym(v) - e) for v, e in zip(p, subs(tuple(f), dict.fromkeys(vels, 0.0)))], [ZERO] * n
-    for pivot, row_scale in _eliminate(a, x):
-        if _singular(pivot, row_scale):
-            msg = f"pivot {pivot!r} below {_PIVOT_RATIO!r} of row scale {row_scale!r}"
-            raise ClosureInconsistent(f"A - diag(m) is singular: {msg}")
+    for pivot, row_scale in eliminate(a, x):
+        if singular(pivot, row_scale):
+            raise ClosureInconsistent(f"A - diag(m) is singular: {pivot_message(repr(pivot), repr(row_scale))}")
     for k in range(n - 1, -1, -1):
         qd[k] = simplify((x[k] - sum((a[k][i] * qd[i] for i in range(k + 1, n)), ZERO)) / a[k][k])
     return tuple(qd)
-
-
-# `solve_linear` for a 1x1 system (a, b), with both of its SingularMass checks,
-# bitwise what the elimination gives: one text, run by `_solve_scalar` and
-# inlined at each stage of the generated RK4 step where `a` varies. As in
-# `_back_substitution`, the residual test runs only where r is beyond its bound's floor
-_SOLVE_SCALAR = f"""\
-    s = abs(a)
-    if s == 0.0 or s <= {_PIVOT_RATIO!r} * s:
-        raise SingularMass(f"pivot {{a!r}} below {_PIVOT_RATIO!r} of row scale {{s!r}}")
-    x = b / a
-    r = a * x - b
-    if not {-_SOLVE_RESIDUAL!r} <= r <= {_SOLVE_RESIDUAL!r}:
-        r = abs(r)
-        if r > {_SOLVE_RESIDUAL!r} * (1.0 + abs(b)):
-            raise SingularMass(f"solve residual {{r!r}} exceeds contract bound")"""
-exec(f"def _solve_scalar(a, b):\n{_SOLVE_SCALAR}\n    return x\n")  # noqa: S102 - a constant text
-
-
-# `_newton_solver(n)`'s text; each name stands for one local per coordinate (a row-major matrix's
-# per entry): the iterate v, f and A (a) there, the residual r; a trial's w, g, b and s
-_NEWTON = """\
-def _newton_{n}(_k, _error, t, {q}, {p}, {m}, {v}):
-    {f}, {a} = _k(t, {q}, {v})
-    {r} = {residual}
-    norm = {norm_r}
-    for _ in range({iterations}):
-        {j} = {diagonal}
-        scale = {scale}
-        if norm <= {tol!r} * scale * (1.0 + {norm_v}) and isfinite(norm):
-            return {v}, {f}
-        try:
-{solve}
-        except SingularMass as err:
-            raise _error(f"Newton Jacobian singular at t={{t!r}}: {{err}}") from err
-        lam = 1.0
-        for _ in range({halvings}):
-            {w} = {trial}
-            {g}, {b} = _k(t, {q}, {w})
-            {s} = {trial_residual}
-            trial = {norm_s}
-            if trial < norm:
-                break
-            lam *= 0.5
-        else:
-            raise _error(f"Newton stalled at residual {{norm!r}} (t={{t!r}}, q={{[{q}]!r}}, p={{[{p}]!r}})")
-        {v}, {f}, {a}, {r}, norm = {w}, {g}, {b}, {s}, trial
-    raise _error(f"no convergence after {iterations} iterations, residual {{norm!r}}")
-"""
-
-
-@lru_cache(maxsize=None)
-def _newton_solver(n: int) -> Callable[..., tuple[float, ...]]:
-    """The one damped Newton for qd with f(t, q, qd) = p + m*qd: `_newton_n(kernel, error, t, q1..,
-    p1.., m1.., qd1..)` -> (qd1.., f1..), straight-line on floats, built once per n, on the (f, A)
-    kernel `_Maps.newton`. The closure passes p = 0, the Legendre inversion m = 0; each names its
-    exception type `error`. From the guess, each step solves (A - diag(m)) d = r = f - (p + m*qd),
-    by r/(A - m) with `_singular`'s test at one coordinate and by `_solver(n)` above, and halves d
-    until max|r| falls (at most NEWTON_HALVINGS times). It converges where max|r| is finite and at
-    most NEWTON_TOL * max|A - diag(m)| * (1 + max|qd|), where the next step would move qd by about
-    NEWTON_TOL relative (Kelley, Iterative Methods for Linear and Nonlinear Equations, SIAM 1995,
-    ch. 5), so an exact rescaling of f, A, p and m moves no iterate. A singular Jacobian, a stalled
-    line search (a NaN residual stalls at once) or NEWTON_MAX_ITER steps raise `error`."""
-    idx, join = range(1, n + 1), ", ".join
-    names = {x: [f"{x}{a}" for a in idx] for x in "qpmvwfgrsdj"}
-    names.update({x: [f"{x}{i}_{c}" for i in idx for c in idx] for x in "ab"})
-    p, m, v, w, f, g, r, s, d, j, a = (names[x] for x in "pmvwfgrsdja")
-    jac = [j[i] if i == c else a[i * n + c] for i in range(n) for c in range(n)]  # A - diag(m), row-major
-    norm = lambda xs: f"abs({xs[0]})" if n == 1 else f"max({join(f'abs({x})' for x in xs)})"  # noqa: E731
-    residual = lambda fs, vs: join(f"{x} - ({y} + {z} * {u})" for x, y, z, u in zip(fs, p, m, vs))  # noqa: E731
-    solve = f"{join(d)} = _solve({join(jac + r)})"
-    if n == 1:  # `_singular(j1, |j1|)`, raising `_solver`'s text
-        pivot = f'raise SingularMass(f"pivot {{j1!r}} below {_PIVOT_RATIO!r} of row scale {{scale!r}}")'
-        solve = f"if scale == 0.0 or scale <= {_PIVOT_RATIO!r} * scale:\n    {pivot}\nd1 = r1 / j1"
-    src = _NEWTON.format(
-        **{x: join(values) for x, values in names.items()}, n=n, tol=NEWTON_TOL, solve=indent(solve, " " * 12),
-        iterations=NEWTON_MAX_ITER, halvings=NEWTON_HALVINGS, diagonal=join(f"{a[i * n + i]} - {m[i]}" for i in range(n)),
-        residual=residual(f, v), trial_residual=residual(g, w), trial=join(f"{x} - lam * {y}" for x, y in zip(v, d)),
-        norm_r=norm(r), norm_s=norm(s), norm_v=norm(v), scale=norm(jac),
-    )
-    ns = {"__builtins__": {}, "abs": abs, "max": max, "range": range, "isfinite": math.isfinite, "SingularMass": SingularMass}
-    if n > 1:
-        ns["_solve"] = _solver(n)
-    exec(src, ns)  # noqa: S102 - generated from the dimension alone
-    return ns[f"_newton_{n}"]
 
 
 def _closure_consistency(
@@ -702,7 +454,7 @@ def derive_eom(
     """Classify the Lagrangian's derived maps (`lagr.maps`) at the probe state.
 
     Regular iff no pivot of the partial-pivot elimination of A(probe) is
-    `_singular`, the test `solve_linear` applies.
+    `singular`, the test `solve_linear` applies.
     Degenerate systems require a closure mass (any nonzero real per
     coordinate; the sign selects the flow branch) and are checked for
     closure consistency at the probe, warning when m*qdd deviates from the
@@ -717,7 +469,7 @@ def derive_eom(
     if any(v.imag for row in a_probe for v in row):
         raise DomainError(f"mass matrix {a_probe!r} is not real at the probe")
     a_probe = [[v.real for v in row] for row in a_probe]
-    regular = not any(_singular(*step) for step in _eliminate(a_probe, [0.0] * n))
+    regular = not any(singular(*step) for step in eliminate(a_probe, [0.0] * n))
 
     mass = consistency = None
     if regular and closure_mass is not None:
@@ -768,7 +520,7 @@ def accel(eom: EomSystem, s: MechState) -> np.ndarray:
 def _accel(maps: _Maps, t: float, q: Sequence[float], qd: Sequence[float]) -> list[float]:
     """qdd solving A qdd = g - (df/dq) qd - df/dt from the maps at (t, q, qd)."""
     _, g, A, f_q, f_t = maps(t, q, qd)
-    return solve_linear(A, [g[a] - _dot(f_q[a], qd) - f_t[a] for a in range(len(g))])
+    return solve_linear(A, [g[a] - dot(f_q[a], qd) - f_t[a] for a in range(len(g))])
 
 
 def closure_velocity(eom: EomSystem, t: float, q, guess=None) -> np.ndarray:

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .codegen import compile_expr  # noqa: F401 - unused, but perfbench's tracer wraps it here
-from .dynamics import IntegratorConfig, Trajectory, _check_finite, integrate, integrate_hamiltonian, sampled_path
+from .dynamics import IntegratorConfig, Trajectory, check_finite, integrate, integrate_hamiltonian, sampled_path
 from .equivalence import (
     EQUIVALENT,
     NOT_EQUIVALENT,
@@ -31,7 +31,7 @@ from .equivalence import (
     integrability_residual,
 )
 from .exprcore import Call, Const, Sym, diff, evaluate, parse
-from .geometry import _lie_values, _pairing_values, lie_theta, lie_theta_cartan
+from .geometry import lie_theta, lie_theta_cartan, lie_values, pairing_values
 from .hamiltonian import HamiltonianField, PhaseState, mixed_partial_diagnostic
 from .lagrangian import (
     ComplexLagrangian,
@@ -150,7 +150,7 @@ class RunContext:
         if sc.initial_qd is not None:
             return MechState(sc.t_start, sc.initial_q, sc.initial_qd)
         qd = self.field.invert(sc.t_start, sc.initial_q[0], sc.initial_p[0])
-        _check_finite((*sc.initial_q, qd), sc.t_start)  # as the integration's first sample would
+        check_finite((*sc.initial_q, qd), sc.t_start)  # as the integration's first sample would
         return MechState(sc.t_start, sc.initial_q, (qd,))
 
     def trajectory(self, cfg: IntegratorConfig) -> Trajectory:
@@ -166,7 +166,7 @@ class RunContext:
         sc = self.sc
         p0 = sc.initial_p[0] if sc.initial_p is not None else float(momentum(self.derived[1], self.initial)[0])
         field = self.field  # built first, so its errors come first
-        _check_finite((sc.initial_q[0], p0), sc.t_start)  # as `initial` does, before PhaseState refuses a NaN
+        check_finite((sc.initial_q[0], p0), sc.t_start)  # as `initial` does, before PhaseState refuses a NaN
         return integrate_hamiltonian(field, PhaseState(sc.t_start, sc.initial_q[0], p0), cfg)
 
 
@@ -401,10 +401,10 @@ def geometry_suite(run: RunContext, seed: int = DEFAULT_SEED) -> SuiteResult:
     lagr, eom, notes = run.derived
     states = sample_states(sc.dim, 100, seed)
     # the coefficients of both sides, (g, f) and (dq, dqd), with no `OneForm` built
-    lies = _lie_values(eom, states)
+    lies = lie_values(eom, states)
     worst = 0.0
     for s, (g, f) in zip(states, lies):
-        dq, dqd = _pairing_values(lagr, s)
+        dq, dqd = pairing_values(lagr, s)
         for a in range(sc.dim):
             worst = max(worst, abs(g[a] - dq[a]), abs(f[a] - dqd[a]))
     lines = [

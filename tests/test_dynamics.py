@@ -10,7 +10,7 @@ from clmech.dynamics import (
     SECOND_ORDER,
     IntegratorConfig,
     StepBlowUp,
-    _check_finite,
+    check_finite,
     integrate,
     sampled_path,
     to_csv,
@@ -124,10 +124,10 @@ class TestRegularIntegration:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1.0000001e12])
     def test_check_finite_rejects_nonfinite_and_huge(self, bad):
         with pytest.raises(StepBlowUp, match="t=0.5"):
-            _check_finite((0.0, bad), 0.5)
+            check_finite((0.0, bad), 0.5)
 
     def test_check_finite_accepts_the_limit(self):
-        _check_finite((1e12, -1e12), 0.5)
+        check_finite((1e12, -1e12), 0.5)
 
 
 class TestClosureIntegration:

@@ -28,10 +28,10 @@ from clmech.lagrangian import (
     DegenerateWithoutClosure,
     SingularMass,
     _accel,
-    _dot,
     derive_eom,
     solve_linear,
 )
+from clmech.solves import dot
 from clmech.sampling import sample_states
 
 OSC = ComplexLagrangian(parse("0.5*m*qd^2 - 0.5*k*q^2"), 1.0, params={"m": 1.0, "k": 1.0})
@@ -285,7 +285,7 @@ def reference_eom_equivalent(pair, samples):
     cross_max = None
     for s in samples:
         _, g, c, d, e = maps(s.t, s.q, s.qd)
-        d_qd = [_dot(row, s.qd) for row in d]
+        d_qd = [dot(row, s.qd) for row in d]
         a1 = None
         c_max = max(abs(x) for row in c for x in row)
         if c_max > 1e-14 * max(1.0, max(abs(x) for row in d for x in row)):
@@ -297,7 +297,7 @@ def reference_eom_equivalent(pair, samples):
             except SingularMass:
                 n_skipped += 1
                 continue
-            c_a = [_dot(row, a1) for row in c]
+            c_a = [dot(row, a1) for row in c]
         else:
             c_a = [0.0] * n
         for a in range(n):

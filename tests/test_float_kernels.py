@@ -20,8 +20,9 @@ import pytest
 
 from clmech.corpus import bundled_corpus
 from clmech.exprcore import subs
-from clmech.lagrangian import _constant, _solver
+from clmech.lagrangian import _constant
 from clmech.scenario import Scenario
+from clmech.solves import solver
 from clmech.suites import RunContext
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -75,8 +76,8 @@ def test_a_derive_of_the_same_system_reuses_its_step(name):
 
 def test_every_varying_mass_step_binds_the_one_generated_solve():
     # a dim-3 mass matrix that does not fold to constants is solved at each stage
-    # by `_solver(3)`, compiled once for every system of that dimension
-    solve, varying = _solver(3), []
+    # by `solver(3)`, compiled once for every system of that dimension
+    solve, varying = solver(3), []
     for name, sc in SCENARIOS.items():
         if sc.dim == 3 and sc.closure_mass is None:
             maps = RunContext(sc).derived[1].maps

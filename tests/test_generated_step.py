@@ -31,10 +31,10 @@ from clmech.dynamics import (
     IntegratorConfig,
     StepBlowUp,
     Trajectory,
-    _check_finite,
     _closure_terms,
     _el_terms,
     _grid,
+    check_finite,
     integrate,
     integrate_hamiltonian,
 )
@@ -48,12 +48,10 @@ from clmech.lagrangian import (
     DegenerateWithoutClosure,
     MechState,
     SingularMass,
-    _singular,
-    _newton_solver,
-    _solver,
     derive_eom,
     solve_linear,
 )
+from clmech.solves import newton_solver, singular, solver
 
 
 def _columns(n_rows: int) -> tuple[np.ndarray, ...]:
@@ -62,7 +60,7 @@ def _columns(n_rows: int) -> tuple[np.ndarray, ...]:
 
 def _solve_scalar(a: float, b: float) -> float:
     row_scale = abs(a)
-    if _singular(a, row_scale):
+    if singular(a, row_scale):
         raise SingularMass(f"pivot {a!r} below 1e-13 of row scale {row_scale!r}")
     x = b / a
     residual = abs(a * x - b)
@@ -85,7 +83,7 @@ def reference_regular(eom, init: MechState, cfg: IntegratorConfig) -> Trajectory
     q_out, qd_out, p_out, res_out = _columns(n + 1)
     for k in range(n + 1):
         t = float(t_grid[k])
-        _check_finite((q, qd), t)
+        check_finite((q, qd), t)
         f, g, a, f_q, f_t = kernel(t, q, qd)
         a1 = _solve_scalar(a, g - (0.0 + f_q * qd) - f_t)
         q_out[k], qd_out[k], p_out[k] = q, qd, f
@@ -123,7 +121,7 @@ def reference_hamiltonian(field: HamiltonianField, init: PhaseState, cfg: Integr
 
     def invert(t: float, q: float, p: float, guess: float) -> tuple[float, float]:
         if inverse is None:
-            return _newton_solver(1)(field.eom.maps.newton, InversionFailure, t, q, p, 0.0, float(guess))
+            return newton_solver(1)(field.eom.maps.newton, InversionFailure, t, q, p, 0.0, float(guess))
         return inverse(t, q, p)
 
     t_grid, dt, n = _grid(cfg)
@@ -133,7 +131,7 @@ def reference_hamiltonian(field: HamiltonianField, init: PhaseState, cfg: Integr
     q_out, qd_out, p_out, res_out = _columns(n + 1)
     for k in range(n + 1):
         t = float(t_grid[k])
-        _check_finite((q, p), t)
+        check_finite((q, p), t)
         qd, f, *k1 = _flow_at(field, t, q, p, guess) if k < n else invert(t, q, p, guess)
         guess = qd
         q_out[k], qd_out[k], p_out[k] = q, qd, p
@@ -399,7 +397,7 @@ def _listed(
     q_out, qd_out, p_out = (np.empty((n + 1, dim)) for _ in range(3))
     res_out = np.empty(n + 1)
     for k, t in enumerate(memoryview(t_grid)):
-        _check_finite(y, t)
+        check_finite(y, t)
         qd, p_out[k], res_out[k], slope = sample(t, y)
         q_out[k], qd_out[k] = y[:dim], qd
         if k < n:
@@ -412,8 +410,8 @@ def _dot(row, x) -> float:
 
 
 def test_float_sum_is_a_plain_left_fold():
-    # `_dot`, `_el_terms` and `_solver(n)`'s back substitution add with `sum`, while the
-    # generated steps and `_solve_plan` write `0 + ...`: they agree bit for bit only where
+    # `_dot`, `_el_terms` and `solver(n)`'s back substitution add with `sum`, while the
+    # generated steps and `solve_plan` write `0 + ...`: they agree bit for bit only where
     # float `sum` is a left fold, as on CPython up to 3.11 (3.12 compensates for rounding)
     terms = (1e16, 1.0, -1e16)
     folded = 0
@@ -459,7 +457,7 @@ def _solve_linear(A, b) -> list[float]:
     a = [row[:] for row in a0]
     x = b0[:]
     for pivot, row_scale in _eliminate(a, x):
-        if _singular(pivot, row_scale):
+        if singular(pivot, row_scale):
             raise SingularMass(f"pivot {pivot!r} below 1e-13 of row scale {row_scale!r}")
     n = len(x)
     out = [0.0] * n
@@ -508,12 +506,12 @@ SOLVE_ENTRY = st.one_of(
 @example(system=([[1.0, 0.371], [1.0, 0.371000000003]], [-1.478, 1.664]))  # the residual 2.7e-5 raises
 @settings(max_examples=400, deadline=None)
 def test_generated_solve_is_the_elimination_loop(system):
-    """`solve_linear`, now the generated `_solver(n)`, against the loop it replaced:
+    """`solve_linear`, now the generated `solver(n)`, against the loop it replaced:
     the same solution bytes, or the same exception type and text."""
     matrix, rhs = system
     want = _solution(lambda: _solve_linear(matrix, rhs))
     assert _solution(lambda: solve_linear(matrix, rhs)) == want
-    assert _solution(lambda: _solver(len(rhs))(*sum(matrix, []), *rhs)) == want
+    assert _solution(lambda: solver(len(rhs))(*sum(matrix, []), *rhs)) == want
 
 
 def _accel(maps, t: float, q: list[float], qd: list[float]):
@@ -545,7 +543,7 @@ def reference_closure(eom, init: MechState, cfg: IntegratorConfig) -> Trajectory
 
     def solve(t: float, q: list[float], guess: list[float]) -> tuple[list[float], list[float]]:
         """(qd, f) with f = mass*qd, by the Newton from `guess`."""
-        out = _newton_solver(n_dim)(maps.newton, ClosureInconsistent, t, *q, *(0.0,) * n_dim, *mass, *guess)
+        out = newton_solver(n_dim)(maps.newton, ClosureInconsistent, t, *q, *(0.0,) * n_dim, *mass, *guess)
         return list(out[:n_dim]), list(out[n_dim:])
 
     def sample(t: float, q: list[float]):
@@ -655,9 +653,9 @@ CONSTANT_MASS = {
 
 
 def _solves_at_run_time(source: str, params: dict, init: MechState) -> bool:
-    """Whether the system's generated step calls the generated solve `_solver(n)`, or runs a compile-time plan."""
+    """Whether the system's generated step calls the generated solve `solver(n)`, or runs a compile-time plan."""
     eom = derive_eom(ComplexLagrangian(parse(source), 1.0, dim=len(init.q), params=params), init)
-    return _solver(eom.dim).__name__ in eom.maps.step.__code__.co_names
+    return solver(eom.dim).__name__ in eom.maps.step.__code__.co_names
 
 
 @pytest.mark.parametrize("name", LIST_REGULAR)
@@ -790,7 +788,7 @@ def _blown(at: str) -> tuple:
 
 
 class TestSampleLoopBlowUps:
-    """The generated loop's blow-up test against the reference loops' `_check_finite`, by type and text."""
+    """The generated loop's blow-up test against the reference loops' `check_finite`, by type and text."""
 
     @pytest.mark.parametrize("q0, v0, at", BLOW_UPS)
     def test_float_states(self, q0, v0, at):

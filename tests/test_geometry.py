@@ -211,7 +211,7 @@ def outcome(run):
 def assert_same_forms(lagr, eom, states):
     """The lane-read Lie forms and the compiled pairing forms against the loops, by repr;
     returns the two outcomes."""
-    lies = outcome(lambda: [OneForm(*v, s) for v, s in zip(geometry._lie_values(eom, states), states)])
+    lies = outcome(lambda: [OneForm(*v, s) for v, s in zip(geometry.lie_values(eom, states), states)])
     assert lies == outcome(lambda: reference_lie_forms(eom, states))
     pairs = outcome(lambda: [rhs_pairing_form(lagr, s) for s in states])
     assert pairs == outcome(lambda: reference_pairing_forms(lagr, states))
@@ -269,7 +269,7 @@ def test_the_suite_reads_the_coefficients_of_the_forms(source, params):
     # the geometry suite reads every Lie value, then the pairing state by state, and builds no form
     lagr, eom = make(source, params=params)
     states = sample_states(1, 100)
-    got = outcome(lambda: (geometry._lie_values(eom, states), [geometry._pairing_values(lagr, s) for s in states]))
+    got = outcome(lambda: (geometry.lie_values(eom, states), [geometry.pairing_values(lagr, s) for s in states]))
     want = outcome(lambda: (_coefficients(reference_lie_forms(eom, states)), _coefficients(reference_pairing_forms(lagr, states))))
     assert got == want
 
@@ -311,7 +311,7 @@ def test_the_pairing_calls_the_complex_kernel_once_per_state(monkeypatch):
     states = sample_states(3, 20, 5)
     kernel, calls = lagr._wirtinger, []
     monkeypatch.setitem(lagr.__dict__, "_wirtinger", lambda *x: calls.append(x) or kernel(*x))
-    got = [geometry._pairing_values(lagr, s) for s in states]
+    got = [geometry.pairing_values(lagr, s) for s in states]
     assert len(calls) == len(states)
     for (dq, dqd), s in zip(got, states):
         z = [math.sqrt(2.0) * wirtinger(lagr, s, a) for a in range(3)]

@@ -26,7 +26,8 @@ from clmech.hamiltonian import (
     legendre_H,
     mixed_partial_diagnostic,
 )
-from clmech.lagrangian import ComplexLagrangian, MechState, _newton_solver, derive_eom
+from clmech.lagrangian import ComplexLagrangian, MechState, derive_eom
+from clmech.solves import newton_solver
 
 PROBE = MechState(0.0, (1.0,), (1.0,))
 
@@ -211,7 +212,7 @@ def newton_reference(field, t, q, p):
     """(qd, f, dqd/dq, dqd/dp, dL/dq, dL/dqd, dM/dq, dM/dqd, qd_flow, pd_flow)
     by the Newton inversion and the (t, q, qd) partials kernel, whatever path
     the field itself takes."""
-    qd, f = _newton_solver(1)(field.eom.maps.newton, InversionFailure, t, q, p, 0.0, 0.0)
+    qd, f = newton_solver(1)(field.eom.maps.newton, InversionFailure, t, q, p, 0.0, 0.0)
     f_q, slope, *grads = field._grads(t, q, qd)
     values = (qd, f, -f_q / slope, 1.0 / slope, *grads)
     dh_q, dh_p, dk_q, dk_p = _pieces(p, values, field.kappa0, field.lagr.omega0)[:4]

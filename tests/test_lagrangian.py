@@ -18,11 +18,6 @@ from clmech.lagrangian import (
     SingularMass,
     UndeclaredSymbol,
     _constant,
-    _eliminate,
-    _newton_solver,
-    _singular,
-    _solve_plan,
-    _solver,
     accel,
     closure_velocity,
     coordinate_names,
@@ -34,6 +29,7 @@ from clmech.lagrangian import (
     velocity_names,
     wirtinger,
 )
+from clmech.solves import eliminate, newton_solver, singular, solve_plan, solver
 
 finite = st.floats(min_value=-3, max_value=3, allow_nan=False, allow_infinity=False)
 
@@ -166,7 +162,7 @@ class TestDegenerate:
         kernel = lambda t, *args: (math.inf,) * (dim + dim * dim)  # noqa: E731
         q, p, mass, guess = (0.0,) * dim, (0.0,) * dim, (-1.0,) * dim, (1.0,) * dim
         with pytest.raises(ClosureInconsistent):
-            _newton_solver(dim)(kernel, ClosureInconsistent, 0.0, *q, *p, *mass, *guess)
+            newton_solver(dim)(kernel, ClosureInconsistent, 0.0, *q, *p, *mass, *guess)
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_singular_newton_jacobian(self, dim):
@@ -182,6 +178,18 @@ class TestDegenerate:
         eom = derive_eom(IMAG_OSC, PROBE, closure_mass=(-1.0,))
         with pytest.raises(ValueError):
             accel(eom, PROBE)
+
+
+def _pivot_row(c: float):
+    """(p, c): a pivot p at 0.0, inf, NaN, a subnormal, or at, just inside or just outside 1e-13
+    times the scale |c| of its row, the second entry c; either sign."""
+    bound = 1e-13 * abs(c)
+    near = (bound, math.nextafter(bound, 0.0), math.nextafter(bound, math.inf))
+    pivot = st.sampled_from((0.0, math.inf, math.nan, 5e-324, 1e-310, 1.0, *near)) | st.floats()
+    return st.tuples(pivot, st.sampled_from((1.0, -1.0))).map(lambda ps: (ps[1] * ps[0], c))
+
+
+_PIVOT_ROWS = st.sampled_from((1.0, 3.0, 1e-300, 1e300, 0.0, 5e-324, math.inf, math.nan)).flatmap(_pivot_row)
 
 
 class TestSingularMass:
@@ -272,8 +280,8 @@ class TestElimination:
     )
     def test_singular_matrices(self, matrix):
         n = len(matrix)
-        pivots = _eliminate([row[:] for row in matrix], [0.0] * n)
-        assert any(_singular(*step) for step in pivots)  # what derive_eom reads as degenerate
+        pivots = eliminate([row[:] for row in matrix], [0.0] * n)
+        assert any(singular(*step) for step in pivots)  # what derive_eom reads as degenerate
         with pytest.raises(SingularMass):
             solve_linear(matrix, [1.0] * n)
 
@@ -313,13 +321,59 @@ class TestElimination:
 
     def test_plan_leaves_an_infinite_eliminated_entry_to_solve_linear(self):
         # 1e308 - (-1)*1e308 overflows; a literal cannot carry it, so the step calls solve_linear
-        assert _solve_plan([[1e308, 1e308], [-1e308, 1e308]], ["b1", "b2"], ["x1", "x2"]) is None
+        assert solve_plan([[1e308, 1e308], [-1e308, 1e308]], ["b1", "b2"], ["x1", "x2"]) is None
 
-    def test_plan_refuses_a_singular_pivot(self):
-        matrix = [[1.0, 2.0], [2.0, 4.0]]
-        assert _solved(lambda: _solve_plan(matrix, ["b1", "b2"], ["x1", "x2"])) == _solved(
-            lambda: solve_linear(matrix, [1.0, 1.0])
-        )
+    @given(row=_PIVOT_ROWS)
+    @example(row=(1e-13, 1.0))  # at the bound: singular
+    @example(row=(math.nextafter(1e-13, 1.0), 1.0))  # one float above it: regular
+    @example(row=(math.inf, 1.0))  # inf <= 1e-13 * inf: singular
+    @example(row=(5e-324, 5e-324))  # 1e-13 * 5e-324 underflows to 0: regular
+    @settings(max_examples=300, deadline=None)
+    def test_plan_refuses_a_singular_pivot(self, row):
+        """Every site of the pivot rule on the matrices [[p]] and [[p, c, 0], [0, 1, 0], [0, 0, 1]] cut to
+        n = 2, 3, whose first pivot is p with the row scale max|(p, c)|: the same verdict as the rule
+        written out here, and where it is singular the same text, as each site wraps it."""
+        from types import SimpleNamespace
+
+        from clmech.equivalence import _accelerations
+        from clmech.exprcore import ZERO, Const
+        from clmech.lagrangian import _Maps, affine_inverse
+
+        p, c = row
+        for n in (1, 2, 3):
+            matrix = [[p, c, 0.0][:n], *([float(i == j) for j in range(n)] for i in range(1, n))]
+            scale = max(map(abs, matrix[0]))  # the pivot's row is the first: column 0 is zero below p
+            verdict = scale == 0.0 or abs(p) <= 1e-13 * scale
+            want = f"pivot {p!r} below 1e-13 of row scale {scale!r}" if verdict else None
+            names = [f"b{a}" for a in range(n)]
+            assert bool(singular(p, scale)) is verdict
+            assert _raised(lambda: solve_linear(matrix, [0.0] * n)) == want
+            assert _raised(lambda: solve_plan(matrix, names, [f"x{a}" for a in range(n)])) == want
+            trees = [[Const(v) for v in row] for row in matrix]
+            finite = all(map(math.isfinite, sum(matrix, [])))  # else A is not a constant, and there is no inverse
+            inverse = _raised(lambda: affine_inverse((ZERO,) * n, trees, names, (0.0,) * n))
+            assert inverse == (want and finite and f"A - diag(m) is singular: {want}" or None)
+            if n < 3:  # the Newton's Jacobian step on a constant (f, A) kernel, f NaN so it never stops first
+                kernel = lambda t, *args: (math.nan,) * n + tuple(sum(matrix, []))  # noqa: E731, B023
+                stalled = f"Newton stalled at residual nan (t=0.0, q={[0.0] * n!r}, p={[0.0] * n!r})"
+                newton = _raised(lambda: newton_solver(n)(kernel, ClosureInconsistent, 0.0, *(0.0,) * 4 * n))
+                assert newton == (f"Newton Jacobian singular at t=0.0: {want}" if want else stalled)
+            if n == 1:  # `_accelerations`' lane mask, b = 0 so no residual test fails
+                lanes, zero = np.array([p]), np.zeros(1)
+                columns = np.array([zero, zero, lanes, zero, zero])  # f, g, A, f_q, f_t
+                maps = SimpleNamespace(dim=1, columns=lambda _: (columns, {}), split=lambda v: _Maps.split(maps, v))
+                with np.errstate(all="ignore"):
+                    mask = _accelerations(SimpleNamespace(maps=maps), [None], [zero])[1]
+                assert mask.tolist() == [verdict]
+
+
+def _raised(run) -> str | None:
+    """The text of the SingularMass or ClosureInconsistent a call raises; None where it returns."""
+    try:
+        run()
+    except (SingularMass, ClosureInconsistent) as err:
+        return str(err)
+    return None
 
 
 def _solved(solve) -> bytes | str:
@@ -362,7 +416,7 @@ def test_solve_plan_is_solve_linear(matrix, rhs):
     b, x = [f"b{a}" for a in range(n)], [f"x{a}" for a in range(n)]
     want = _solved(lambda: solve_linear(matrix, rhs[:n]))
     try:
-        plan = _solve_plan(matrix, b, x)
+        plan = solve_plan(matrix, b, x)
     except SingularMass as err:  # a singular pivot, fixed with the matrix
         assert str(err) == want
         return
@@ -434,17 +488,17 @@ def test_derive_compiles_only_the_closure_velocity_kernel(monkeypatch):
 @pytest.mark.filterwarnings("ignore::clmech.lagrangian.ClosureConsistencyWarning")
 def test_affine_closures_run_no_newton():
     # derive, integrate and closure_velocity read the closed form: neither the
-    # Newton kernel nor the generated solve `_solver(n)` is built or called
+    # Newton kernel nor the generated solve `solver(n)` is built or called
     for dim in (1, 2, 3, 4):
         coords, vels = coordinate_names(dim), velocity_names(dim)
         expr = " + ".join(f"0.5*i*({v}^2 - {q}^2) + 0.2*i*t*{q}" for q, v in zip(coords, vels))
         lagr = ComplexLagrangian(parse(expr), 1.0, dim=dim)
         init = MechState(0.0, (0.5,) * dim, (0.0,) * dim)
-        solves = _solver.cache_info()
+        solves = solver.cache_info()
         eom = derive_eom(lagr, init, closure_mass=(-1.0,) * dim)
         traj = integrate(eom, init, IntegratorConfig(0.1, 0.0, 1.0))
         closure_velocity(eom, 0.3, (0.2,) * dim)
-        assert "newton" not in lagr.maps.__dict__ and _solver.cache_info() == solves
+        assert "newton" not in lagr.maps.__dict__ and solver.cache_info() == solves
         assert traj.kind == "closure" and float(traj.el_residual.max()) < 1e-15
 
 

@@ -1,9 +1,11 @@
-"""The import boundaries of the expression modules, read from their source with `ast`.
+"""The import boundaries of the modules, read from their source with `ast`.
 
 `exprcore` (the trees) imports neither numpy nor the code-generation modules, `codegen`
 imports numpy nowhere at module level, and of the three only `lanes` imports numpy at
-module level, so the trees and the scalar code stay usable without numpy. Only `records`
-imports `dataclasses`, and importing the package compiles one generated source.
+module level, so the trees and the scalar code stay usable without numpy. `solves` holds
+every solve and imports numpy nowhere. No module imports another's underscore name but
+the three expression modules. Only `records` imports `dataclasses`, and importing the
+package compiles one generated source.
 """
 
 import ast
@@ -14,6 +16,14 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "clmech"
 EXPRESSION_MODULES = ("exprcore", "codegen", "lanes")
+# (importer, module): the private names it imports. The expression modules are one concern,
+# the trees, their scalar code and their array code, split in three files;
+# `test_only_the_expression_modules_import_private_codegen_names` pins the codegen side
+EXPRESSION_PRIVATE_IMPORTS = {
+    ("codegen", "exprcore"): {"_CMATH", "_INLINE_CALLS", "_apply_call", "_domain_div", "_domain_pow"},
+    ("codegen", "lanes"): {"_LANE_HELPERS", "_lane_kernel"},
+    ("lanes", "codegen"): {"_not_real", "_where"},
+}
 
 
 def _imported(module: str, *, module_level: bool) -> set[str]:
@@ -68,6 +78,35 @@ def test_only_the_expression_modules_import_private_codegen_names():
     assert private["lanes"] and private["lagrangian"] == []
 
 
+def test_no_module_imports_a_private_name_of_another_but_the_expression_modules():
+    private = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("clmech")):
+                module = (node.module or "").removeprefix("clmech").lstrip(".")
+                names = {alias.name for alias in node.names if alias.name.startswith("_")}
+                if names:
+                    private.setdefault((path.stem, module), set()).update(names)
+    assert private == EXPRESSION_PRIVATE_IMPORTS
+
+
+def _defined(module: str) -> set[str]:
+    """The names `clmech/<module>.py` defines at module level by `def`, `class` or assignment."""
+    found = set()
+    for node in ast.parse((SRC / f"{module}.py").read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, ast.Assign):
+            found |= {n.id for target in node.targets for n in ast.walk(target) if isinstance(n, ast.Name)}
+    return found
+
+
+def test_the_solves_live_in_one_module_without_numpy():
+    assert not _numpy(_imported("solves", module_level=False))
+    assert {"solve_linear", "solver", "solve_plan", "newton_solver", "SingularMass"} <= _defined("solves")
+    assert not _defined("lagrangian") & _defined("solves")
+
+
 def test_no_module_reads_the_globals_of_a_generated_function():
     reads = [path.name for path in SRC.glob("*.py") for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Attribute) and node.attr == "__globals__"]
@@ -94,5 +133,5 @@ def test_importing_the_cli_compiles_one_generated_source():
                           env={**os.environ, "PYTHONPATH": path})
     assert done.returncode == 0, done.stderr
     texts = ast.literal_eval(done.stdout)
-    # `lagrangian`'s constant text of `_solve_scalar`, compiled once at import
+    # `solves`' constant text of `_solve_scalar`, compiled once at import
     assert len(texts) == 1 and texts[0].startswith("def _solve_scalar(a, b):"), texts
