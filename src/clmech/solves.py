@@ -217,7 +217,7 @@ def _newton_{n}(_k, _error, t, {q}, {p}, {m}, {v}):
     for _ in range({iterations}):
         {j} = {diagonal}
         scale = {scale}
-        if norm <= {tol!r} * scale * (1.0 + {norm_v}) and isfinite(norm):
+        if norm <= {tol!r} * scale * (1.0 + {norm_v}) and isfinite(norm) and isfinite(scale):
             return {v}, {f}
         try:
 {solve}
@@ -247,11 +247,11 @@ def newton_solver(n: int) -> Callable[..., tuple[float, ...]]:
     m = 0; each names its exception type `error`. From the guess, each step solves
     (A - diag(m)) d = r = f - (p + m*qd), by r/(A - m) with `_pivot_test` at one coordinate and by
     `solver(n)` above, and halves d until max|r| falls (at most NEWTON_HALVINGS times). It
-    converges where max|r| is finite and at most NEWTON_TOL * max|A - diag(m)| * (1 + max|qd|),
-    where the next step would move qd by about NEWTON_TOL relative (Kelley, Iterative Methods for
-    Linear and Nonlinear Equations, SIAM 1995, ch. 5), so an exact rescaling of f, A, p and m moves
-    no iterate. A singular Jacobian, a stalled line search (a NaN residual stalls at once) or
-    NEWTON_MAX_ITER steps raise `error`."""
+    converges where max|r| and max|A - diag(m)| are finite and max|r| is at most NEWTON_TOL *
+    max|A - diag(m)| * (1 + max|qd|), where the next step would move qd by about NEWTON_TOL relative
+    (Kelley, Iterative Methods for Linear and Nonlinear Equations, SIAM 1995, ch. 5), so an exact
+    rescaling of f, A, p and m moves no iterate. A singular Jacobian, a stalled line search (a NaN
+    residual stalls at once) or NEWTON_MAX_ITER steps raise `error`."""
     idx, join = range(1, n + 1), ", ".join
     names = {x: [f"{x}{a}" for a in idx] for x in "qpmvwfgrsdj"}
     names.update({x: [f"{x}{i}_{c}" for i in idx for c in idx] for x in "ab"})

@@ -165,6 +165,15 @@ class TestDegenerate:
             newton_solver(dim)(kernel, ClosureInconsistent, 0.0, *q, *p, *mass, *guess)
 
     @pytest.mark.parametrize("dim", [1, 2])
+    def test_newton_refuses_an_infinite_jacobian(self, dim):
+        # f = 1 misses p = 5, and A's first entry is infinite: the stop alone would read 4 <= inf and
+        # return the guess, so it wants a finite max|A - m|, and the Jacobian step finds the pivot singular
+        a = tuple(math.inf if i == j == 0 else float(i == j) for i in range(dim) for j in range(dim))
+        kernel = lambda t, *args: (1.0,) * dim + a  # noqa: E731
+        newton = lambda: newton_solver(dim)(kernel, ClosureInconsistent, 0.0, *(0.0,) * dim, *(5.0,) * dim, *(0.0,) * 2 * dim)  # noqa: E731
+        assert _raised(newton) == "Newton Jacobian singular at t=0.0: pivot inf below 1e-13 of row scale inf"
+
+    @pytest.mark.parametrize("dim", [1, 2])
     def test_singular_newton_jacobian(self, dim):
         # f = qd^2/2 and closure mass 1: the Jacobian A - m = qd - 1 vanishes
         # at the guess qd = 1, where the residual 1/2 - 1 does not
