@@ -5,13 +5,12 @@ then those of perfbench's `simulate` rounds (`gen.simulate_spec(seed, i)`,
 each integrated as `clmech simulate` runs it) for each given seed, then
 derives the closure of `sum qd_a^3` at one to four coordinates, whose mass
 matrix varies, so each builds its damped Newton and linear solve. Every
-source `codegen` compiles into a `_loop` is recorded, and so is the per-sample
-helper step `_step` that a raising sample falls back to, which it builds for
-each loop that has one. For each state kind, float (one coordinate, or the
-phase state (q, p)) and list (more than one coordinate), and apart for the
-loops that call a damped Newton (a closure or a Legendre inversion where A
-varies) and those that do not, it prints the number of distinct sources and
-one SHA-256 over them, sorted. A fifth line does the same for the generated
+source `codegen` compiles into a `_loop` is recorded; the helper kernels its
+fallback calls are `compile_expr`'s, and are not. For each state kind, float
+(one coordinate, or the phase state (q, p)) and list (more than one
+coordinate), and apart for the loops that call a damped Newton (a closure or
+a Legendre inversion where A varies) and those that do not, it prints the
+number of distinct sources and one SHA-256 over them, sorted. A fifth line does the same for the generated
 solvers those runs compile (`_solve_scalar`, `_solve_n` and `_newton_n`),
 caught by an audit hook on `compile` installed before clmech is imported, so
 it reads them wherever clmech builds them. Two revisions that print the same
@@ -53,20 +52,17 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import gen  # noqa: E402
 
 SOURCES: set[str] = set()
-LOOPS: list[dict] = []
 
 
 def _recording_exec(src: str, ns: dict) -> None:
-    """`exec`, as `codegen` calls it, keeping each loop and step source it runs and each loop's globals."""
-    if "def _loop(" in src or "def _step(" in src:
+    """`exec`, as `codegen` calls it, keeping each loop source it runs."""
+    if "def _loop(" in src:
         SOURCES.add(src)
     builtins.exec(src, ns)  # noqa: S102 - the generated source codegen was about to run
-    if "def _loop(" in src:
-        LOOPS.append(ns)
 
 
 def _kind(src: str) -> tuple[str, str]:
-    """A list-state loop or step takes the lists x0 and y0, a float-state one its own names. A
+    """A list-state loop takes the lists x0 and y0, a float-state one its own names. A
     Newton loop calls the generated damped Newton `_newton_n` (loops that called the two
     earlier Newton functions bound their kernel as `_newton`)."""
     return "list" if ", x0, y0, dt, h2, h6" in src else "float", "newton" if "_newton" in src else "no-newton"
@@ -77,7 +73,7 @@ def main() -> None:
     parser.add_argument("--seeds", type=int, nargs="*", default=[7, 41])
     args = parser.parse_args()
 
-    codegen.exec = _recording_exec  # a module global shadows the builtin in `codegen._step` and `_compile`
+    codegen.exec = _recording_exec  # a module global shadows the builtin in `codegen.compile_step` and `_compile`
     for sc in bundled_corpus():
         run_suites(sc, sc.checks, seed=DEFAULT_SEED)
     for seed in args.seeds:
@@ -91,9 +87,6 @@ def main() -> None:
     for n in range(1, 5):
         lagr = ComplexLagrangian(parse(" + ".join(f"{qd}^3" for qd in velocity_names(n))), 1.0, n)
         derive_eom(lagr, MechState(0.0, (0.0,) * n, (0.0,) * n), closure_mass=(1.0,) * n)
-    for ns in LOOPS:
-        if "_h_slow" in ns:
-            ns["_h_slow"]()  # builds, and so records, the loop's helper step
     for kind in (("float", "no-newton"), ("float", "newton"), ("list", "no-newton"), ("list", "newton")):
         sources = sorted(src for src in SOURCES if _kind(src) == kind)
         digest = hashlib.sha256("\0".join(sources).encode()).hexdigest()

@@ -264,6 +264,7 @@ def _fold(e: Expr, values: Mapping[str, Expr]) -> Expr:
     return r if e.op == "*" and l is ONE else e
 
 
+@lru_cache(maxsize=None)
 def compile_step(
     trees: tuple, args: tuple, outs: tuple, tail: tuple, sample, last: tuple | str = (), names: tuple = (), start: str = ""
 ) -> Callable[..., int | None]:
@@ -289,50 +290,52 @@ def compile_step(
     last sample runs stage 1 alone, or, where `last` is text rather than (), that text, then `sample`.
     `names` pairs are bound as globals: the functions a text calls, a `compile_expr` kernel among them.
 
-    Where an inline operation of the kernel bodies (`compile_expr`'s fast path) raises, that sample
-    alone is taken again on the step built on the helpers, `_step(t0, x0, y0, dt, h2, h6)` -> (*sample,
-    next x, next y) with dt None at the last sample: it raises the helpers' error at the same stage,
-    or gives the sample and the loop goes on; a loop of text-only stages, the only kind that reads the
-    argument s0, has no kernel body and so no such step. Loops are cached on their arguments: a derive
-    of the same system reuses its loop.
+    The kernel body and the pairs compute with `compile_expr`'s fast path. Where one of its inline
+    operations raises (ArithmeticError, or cmath's ValueError; a text raises neither), the loop calls
+    the helper kernel of each piece with inline arithmetic on the stage's locals, then re-raises: the
+    body's `_h_slow`, then the pairs' `_h_slow1`, `_h_slow2`, ... in stage order, each compiled on its
+    first call, as `compile_expr`'s is. The pieces before the one that raised return, and its helper
+    raises the DomainError that `evaluate` gives. After `last` only the sample runs, where the other
+    helpers would see a point no stage reached; each caller's sample is + - * and abs, with no inline
+    operation. Loops are cached on their arguments: a derive of the same system reuses its loop.
     """
-    return _step(trees, args, outs, tail, sample, last, names, start, True)
-
-
-@lru_cache(maxsize=None)
-def _step(
-    trees: tuple, args: tuple, outs: tuple, tail: tuple, sample, last: tuple | str, names: tuple, start: str, inline: bool
-) -> Callable:
     bound: dict = {}
     t, state, n = args[0], args[1:], (len(args) - 1) // 2
     listed, join = n > 1, ", ".join
     leaves = {o: e for o, e in zip(outs, trees) if isinstance(e, Const)}
+    reads = lambda values: tuple(sorted(frozenset().union(*map(free_symbols, values))))  # noqa: E731
 
-    def body(pairs: list) -> str:
+    def body(pairs: list) -> tuple[str, tuple]:
         guarded = any(_may_turn_complex(e) for _, e in pairs)
         # a guard names a map by its place, so a guarded body keeps every out, and any body one
         kept = [(o, e) for o, e in pairs if guarded or o not in leaves] or pairs[:1]
         lhs, kept = f"{join(o for o, _ in kept)} = ", tuple(e for _, e in kept)
-        return _codegen(kept, args, len(kept) == 1, guarded, bound, lhs, inline)[0]
+        return _codegen(kept, args, len(kept) == 1, guarded, bound, lhs, True)[0].split("\n", 1)[1], kept
 
-    def put(piece) -> str:
+    def fold(piece):  # a pair's trees with the constant outs put in; they read args, outs and the tail's names
+        return piece if isinstance(piece, str) else (piece[0], tuple(_fold(e, leaves) for e in piece[1]))
+
+    def put(piece) -> str:  # a text, or a folded pair
         if isinstance(piece, str):
             return piece + "\n"
-        lhs, values = piece[0], tuple(_fold(e, leaves) for e in piece[1])
-        reads = tuple(frozenset().union(*map(free_symbols, values)))  # args, outs and the tail's names
-        return _codegen(values, reads, len(lhs) == 1, False, bound, f"{join(lhs)} = ", True)[0].split("\n", 1)[1]
+        lhs, values = piece
+        return _codegen(values, reads(values), len(lhs) == 1, False, bound, f"{join(lhs)} = ", True)[0].split("\n", 1)[1]
 
-    pairs, tails = list(zip(outs, trees)), "".join(map(put, tail))
+    pairs, folded = list(zip(outs, trees)), [fold(piece) for piece in (*tail, sample)]
+    texts = [put(piece) for piece in folded]
     # outs only the sample reads (an f-string's prefix is no name) are computed once, at the sample,
     # unless a guard names them by place, or they can raise, so that stages 2 to 4 would skip an error
-    guarded = any(map(_may_turn_complex, trees))
+    guarded, tails = any(map(_may_turn_complex, trees)), "".join(texts[:-1])
     read = set(outs) if guarded else {*leaves, *re.findall(r"\w+\b(?!\")", tails)}
     late = [(o, e) for o, e in pairs if o not in read and trees.count(e) == 1]
-    once = body(late).split("\n", 1)[1] if late else ""
+    once = body(late)[0] if late else ""
     if any(op in once for op in ("/", "**", "_c_", "_h_")):
         late, once = [], ""
-    kernels = body([p for p in pairs if p not in late]) if trees else "\n"  # a text-only stage has none
-    stage = kernels.split("\n", 1)[1] + tails
+    kernels, kept = body([p for p in pairs if p not in late]) if trees else ("", ())  # a text-only stage has none
+    stage = kernels + tails
+    # the trees of each piece with inline arithmetic, in stage order, for its helper kernel
+    candidates = [(kept, kernels), *((p[1], src) for p, src in zip(folded, texts) if not isinstance(p, str))]
+    slow = [values for values, src in candidates if any(op in src for op in ("/", "**", "_c_"))]
     entries = [(v, f"_{a}" if listed else "") for v in "xy" for a in range(1, n + 1)]
     base = [f"{v}0{s}" for v, s in entries] if listed else [f"{x}0" for x in state]
     slopes = lambda k="": [f"k{v}{k}{s}" for v, s in entries]  # noqa: E731 - stage k's, or the current
@@ -341,31 +344,26 @@ def _step(
     # t is set where a tree, a guard (which names the state) or a piece of the tail reads it
     timed = guarded or t in read.union(*map(free_symbols, trees))
     here = f"    {f'{t}, ' * timed}{join(state)} = {f'{t}0, ' * timed}{join(base)}\n"
-    first = f"{here}{start}{stage}{once}{put(sample)}"
+    first = f"{here}{start}{stage}{once}{texts[-1]}"
     rest = ""
     for k, h in ((1, "h2"), (2, "h2"), (3, "dt")):
         point = (f"{b} + {h} * {s}" for b, s in zip(base, slopes(k)))
         rest += f"    {join(slopes(k))} = {join(slopes())}\n    {f'{t}, ' * timed}{join(state)} = {f'{t}0 + {h}, ' * timed}{join(point)}\n{stage}"
     new = [f"{b} + h6 * ({s1} + 2 * {s2} + 2 * {s3} + {s})" for b, s1, s2, s3, s in zip(base, *map(slopes, (1, 2, 3, "")))]
     rest += f"    {join(base)} = {join(new)}\n"
-    at_end, more = ("_i == _n", "_i < _n") if inline else ("dt is None", "dt is not None")  # the last sample
-    sampled = f"{first}    if {more}:\n{indent(rest, '    ')}" if not last else (
-        f"    if {at_end}:\n{indent(here + put(last) + put(sample), '    ')}    else:\n{indent(first + rest, '    ')}")
+    sampled = f"{first}    if _i < _n:\n{indent(rest, '    ')}" if not last else (
+        f"    if _i == _n:\n{indent(here + put(last) + put(folded[-1]), '    ')}    else:\n{indent(first + rest, '    ')}")
     ns = {"__builtins__": {}, **_SCALAR_HELPERS, "abs": abs, "max": max, "range": range, **bound, **dict(names)}
-    at = (f"[{join(base[:n])}]", f"[{join(base[n:])}]") if listed else base
-    if not inline:  # the per-sample step a sample that raises in the loop is taken again on
-        src = f"def _step({t}0, {join(params)}, dt, h2, h6):\n{unpack}{sampled}    return (s0, s1, s2, {join(at)})\n"
-        exec(src, ns)  # noqa: S102 - generated from validated trees
-        return ns["_step"]
     row = lambda c: join(f"_c{c}[_i, {a}]" for a in range(n)) if listed else f"_c{c}[_i]"  # noqa: E731
     within = " and ".join(f"{-BLOWUP_LIMIT!r} <= {b} <= {BLOWUP_LIMIT!r}" for b in base)  # false for NaN too
     src = f"def _loop(_tg, {join(params)}, dt, h2, h6, _c0, _c1, _c2, _c3, _n, s0):\n{unpack}    for _i in range(_n + 1):\n"
     src += f"        {t}0 = _tg[_i]\n        if not ({within}):\n            return _i\n        {row(0)} = {join(base[:n])}\n"
-    if any(op in kernels for op in ("/", "**", "_c_")):
-        ns["_h_slow"] = partial(_step, trees, args, outs, tail, sample, last, names, start, False)
-        retry = f"s0, s1, s2, {join(params)} = _h_slow()({t}0, {join(at)}, dt if _i < _n else None, h2, h6)"
-        sampled = f"    try:\n{indent(sampled, '    ')}    except (ArithmeticError, ValueError):\n        {retry}\n"
-        sampled += indent(unpack, "    ")
+    if slow:
+        calls = ""
+        for k, values in enumerate(slow):
+            ns[f"_h_slow{k or ''}"] = partial(_compile, values, reads(values), (), False, True, False, False)
+            calls += f"        _h_slow{k or ''}()({join(reads(values))})\n"
+        sampled = f"    try:\n{indent(sampled, '    ')}    except (ArithmeticError, ValueError):\n{calls}        raise\n"
     store = f"        {row(1)} = s0\n        {row(2)} = s1\n        _c3[_i] = s2\n"
     exec(f"{src}{indent(sampled, '    ')}{store}", ns)  # noqa: S102 - generated from validated trees
     return ns["_loop"]

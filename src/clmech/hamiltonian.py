@@ -35,7 +35,7 @@ Any other f is inverted by the closure's damped Newton at m = 0 (`solves.newton_
 its partials by a second kernel.
 Either way the field's RK4 sample loop is one generated function (`codegen.compile_step`):
 its stages run the one kernel's body, or call the Newton and the partials kernel, and then
-`_pieces`' flow as the same folded trees.
+`pieces`' flow as the same folded trees.
 """
 
 from __future__ import annotations
@@ -83,10 +83,10 @@ def _degenerate(t: float, q: float, qd: float):
     raise DegenerateJacobian(f"df/dqd = 0 at (t={t!r}, q={q!r}, qd={qd!r})")
 
 
-def _pieces(p, values, kappa0, omega0):
+def pieces(p, values, kappa0, omega0):
     """(dH/dq, dH/dp, dK/dq, dK/dp, qd_flow, pd_flow) from `_values`' values, each piece computed
     separately (the kappa0 factors are not cancelled): the one formula, run on floats by
-    `_gradients` and `_flow_at`, and on trees by `step`, at each stage."""
+    `_gradients`, `_flow_at` and the hamiltonian suite's kappa0 sweep, and on trees by `step`."""
     qd, _, qd_q, qd_p, l_q, l_qd, m_q, m_qd = values
     slack = p - l_qd
     dh_q, dh_p = -l_q + slack * qd_q, qd + slack * qd_p
@@ -151,7 +151,7 @@ class HamiltonianField:
     def step(self):
         outs, args = ("qd", "f", "f_q", "slope", "l_q", "l_qd", "m_q", "m_qd"), ("t", "q", "p")
         qd, f, f_q, slope, *partials = map(Sym, outs)
-        flow = _pieces(Sym("p"), (qd, f, -f_q / slope, 1.0 / slope, *partials), self.kappa0, self.lagr.omega0)[4:]
+        flow = pieces(Sym("p"), (qd, f, -f_q / slope, 1.0 / slope, *partials), self.kappa0, self.lagr.omega0)[4:]
         tail, sample = ((("kx", "ky"), flow),), (("s0", "s1", "s2"), (qd, Sym("p"), Call("abs", f - Sym("p"))))
         if self._qd is not None:  # the slope is A, a nonzero constant here, so `_values`' test of it is never written
             last, names = "    qd, f = _qd_f(t0, q0, p0)", (("_qd_f", self._qd_f),)
@@ -198,7 +198,7 @@ class HamiltonianField:
 
     def _gradients(self, t: float, q: float, p: float, guess: float) -> tuple[float, float, float, float]:
         """(dH/dq, dH/dp, dK/dq, dK/dp) at (t, q, p)."""
-        return _pieces(p, self._values(t, q, p, guess), self.kappa0, self.lagr.omega0)[:4]
+        return pieces(p, self._values(t, q, p, guess), self.kappa0, self.lagr.omega0)[:4]
 
     def h_gradients(self, t: float, q: float, p: float, guess: float = 0.0) -> tuple[float, float]:
         """(dH/dq, dH/dp); a Newton inversion starts from `guess`."""
@@ -217,7 +217,7 @@ class HamiltonianField:
     def _flow_at(self, t: float, q: float, p: float, guess: float) -> tuple[float, float, float, float]:
         """(qd, f, qd_flow, pd_flow) at (t, q, p)."""
         values = self._values(t, q, p, guess)
-        _, _, _, _, qd_flow, pd_flow = _pieces(p, values, self.kappa0, self.lagr.omega0)
+        _, _, _, _, qd_flow, pd_flow = pieces(p, values, self.kappa0, self.lagr.omega0)
         return values[0], values[1], qd_flow, pd_flow
 
 

@@ -40,7 +40,7 @@ from clmech.dynamics import (
 )
 from clmech import codegen
 from clmech.codegen import compile_expr
-from clmech.exprcore import DomainError, parse
+from clmech.exprcore import BinOp, Call, Const, DomainError, Sym, parse, to_source
 from clmech.hamiltonian import HamiltonianField, InversionFailure, PhaseState
 from clmech.lagrangian import (
     ClosureInconsistent,
@@ -328,7 +328,7 @@ class TestFoldedTails:
 
     def test_a_fast_path_raise_falls_back_to_the_helper_step(self):
         # g = 1 - 2e4*1e-300*exp(2e4*q) is 1.0 until the third stage puts q at 0.0625, where
-        # exp overflows inline; the step built on the helpers raises the kernel's DomainError
+        # exp overflows inline; the body's helper kernel raises the kernel's DomainError
         source, init, cfg = "0.5*qd^2 + q - 1e-300*exp(2e4*q)", MechState(0.0, (0.0,), (0.0,)), IntegratorConfig(0.5, 0.0, 2.0)
         got, step = same_regular(source, {}, init, cfg)
         assert got == (DomainError, "exp overflowed") and "_h_slow" in step.__code__.co_names
@@ -734,7 +734,7 @@ class TestListErrorParity:
         "source,init,message",
         [
             # q1 = 0 keeps q2's force at exactly 1 for two stages, so q2 = -1.0625 + 0.25*(0.25*1.0)
-            # is exactly -1 at the third: the inline division raises, and the helper step names it
+            # is exactly -1 at the third: the inline division raises, and the body's helper kernel names it
             ("0.5*(qd1^2 + qd2^2) + q2 + 1e-3*q1/(q2 + 1)", MechState(0.0, (0.0, -1.0625), (0.0, 0.0)), "division by zero"),
             # q2 = 0 at the first two stages and 0.0625 at the third, where 2e4*q2 passes exp's 709.78
             ("0.5*(qd1^2 + qd2^2) + q2 + q1*exp(2e4*q2)", MechState(0.0, (0.0, 0.0), (0.0, 0.0)), "exp overflowed"),
@@ -861,7 +861,7 @@ def _newton_field() -> HamiltonianField:
 @pytest.mark.filterwarnings("ignore::clmech.lagrangian.ClosureConsistencyWarning")
 class TestNewtonLoops:
     """The loops of the Newton closures and of the Newton field bind only kernels that `compile_expr`
-    caches per system, so `_step`'s cache keys on the system, not on the derive."""
+    caches per system, so `compile_step`'s cache keys on the system, not on the derive."""
 
     @pytest.mark.parametrize("name", ["quartic_dim1", "quartic_dim2"])
     def test_two_derives_share_the_closure_loop(self, name):
@@ -882,10 +882,10 @@ class TestNewtonLoops:
             integrate_hamiltonian(_newton_field(), PhaseState(0.0, 1.0, 0.2), cfg)
 
         derive_and_integrate()
-        size = codegen._step.cache_info().currsize
+        size = codegen.compile_step.cache_info().currsize
         for _ in range(5):
             derive_and_integrate()
-        assert codegen._step.cache_info().currsize == size
+        assert codegen.compile_step.cache_info().currsize == size
 
     def test_the_fields_last_sample_only_inverts(self, monkeypatch):
         field, calls = _newton_field(), []
@@ -896,8 +896,21 @@ class TestNewtonLoops:
         assert len(calls) == 4 * cfg.n_steps  # four stages a step, none at the last sample
 
 
+# few leaves, zeros among them for the divisors and the negative powers, and magnitudes whose
+# powers, products and exp overflow, or reach inf, where cmath's sin and cos raise ValueError
+FALLBACK_POINTS = st.sampled_from([0.0, -0.0, 1.0, -2.0, 710.0, 1e200, -1e200])
+FALLBACK_TREES = st.recursive(
+    st.sampled_from([Sym("x"), Sym("y")]) | FALLBACK_POINTS.map(Const),
+    lambda sub: st.builds(BinOp, st.sampled_from("+-*/"), sub, sub)
+    | st.builds(lambda x, c: BinOp("^", x, Const(c)), sub, st.sampled_from([2.0, 3.0, -1.0, -2.0, 0.5, 1e3]))
+    | st.builds(Call, st.sampled_from(["sin", "cos", "exp", "tanh"]), sub),
+    max_leaves=6,
+)
+
+
 def _counting_helper(loop, monkeypatch) -> list:
-    """The t0 of each call the loop makes of its helper-built per-sample step."""
+    """The first argument of each call the loop's fallback makes of the body's helper kernel `_h_slow`,
+    whose arguments are the names the body reads, sorted: q or p in the tests below."""
     calls, build = [], loop.__globals__["_h_slow"]
 
     def counted(*args):
@@ -909,12 +922,14 @@ def _counting_helper(loop, monkeypatch) -> list:
 
 
 class TestHelperFallback:
-    """A sample whose inline operation raises is taken again, alone, on the helper-built step.
+    """Where an inline operation of a stage raises, the loop calls the helper kernels of the
+    stage's pieces on its locals, then re-raises.
 
     No input makes an inline operation raise where its helper returns a value: the only
     candidate, `_domain_pow`'s branch for a ValueError, is not reached, since no float or
-    complex power raises one. So the helper step raises too, and the tests pin that it runs
-    once, at a sample after the first, with the reference loops' error."""
+    complex power raises one (`test_a_fast_path_fallback_is_a_helper_raise` draws kernels to
+    show it). So the helper of the piece that raised raises too, and the tests pin that the
+    body's runs once, past the first sample's q = 0 and p = 0, with the reference loops' error."""
 
     def test_float_states(self, monkeypatch):
         # q = t^2/2 passes 709.78/2e4 near t = 0.27, where exp overflows inline
@@ -935,6 +950,30 @@ class TestHelperFallback:
         calls = _counting_helper(eom.maps.step, monkeypatch)
         assert _both(eom, init, cfg) == ((DomainError, "exp overflowed"),) * 2
         assert len(calls) == 1 and calls[0] > 0.0
+
+    @given(FALLBACK_TREES, FALLBACK_POINTS, FALLBACK_POINTS)
+    @example(BinOp("/", Sym("x"), Sym("y")), 1.0, 0.0)  # division by zero
+    @example(BinOp("^", Sym("x"), Const(-1.0)), 0.0, 1.0)  # zero raised to a negative power
+    @example(BinOp("^", Sym("x"), Const(2.0)), -1e200, 1.0)  # power overflowed
+    @example(Call("exp", Sym("x")), 710.0, 1.0)  # exp overflowed
+    @example(Call("cos", BinOp("*", Sym("x"), Sym("x"))), 1e200, 1.0)  # cmath's ValueError at inf
+    @settings(max_examples=400, deadline=None)
+    def test_a_fast_path_fallback_is_a_helper_raise(self, tree, x, y):
+        """Wherever a real kernel's fast path falls back, calling its `_h_slow`, the helper kernel
+        raises: the rule the loops' fallback rests on, which re-raises the inline error otherwise."""
+        kernel = compile_expr(tree, ("x", "y"), real=True)
+        build, calls = kernel.__globals__.get("_h_slow"), []
+        if build is None:  # no inline operation, so no fallback
+            return
+        kernel.__globals__["_h_slow"] = lambda: calls.append((x, y)) or build()
+        try:
+            kernel(x, y)
+            raised = None
+        except DomainError as err:
+            raised = err
+        finally:
+            kernel.__globals__["_h_slow"] = build
+        assert raised is not None or not calls, to_source(tree)
 
     def test_invert_falls_back_on_its_own(self):
         # f = qd + exp(q) is affine in qd; the inverse kernel `_qd_f` overflows exp inline at q = 800

@@ -19,12 +19,12 @@ from clmech.hamiltonian import (
     InversionFailure,
     PhaseState,
     UnsupportedDimension,
-    _pieces,
     flow_field,
     invert_velocity,
     k_gradients,
     legendre_H,
     mixed_partial_diagnostic,
+    pieces,
 )
 from clmech.lagrangian import ComplexLagrangian, MechState, derive_eom
 from clmech.solves import newton_solver
@@ -215,7 +215,7 @@ def newton_reference(field, t, q, p):
     qd, f = newton_solver(1)(field.eom.maps.newton, InversionFailure, t, q, p, 0.0, 0.0)
     f_q, slope, *grads = field._grads(t, q, qd)
     values = (qd, f, -f_q / slope, 1.0 / slope, *grads)
-    dh_q, dh_p, dk_q, dk_p = _pieces(p, values, field.kappa0, field.lagr.omega0)[:4]
+    dh_q, dh_p, dk_q, dk_p = pieces(p, values, field.kappa0, field.lagr.omega0)[:4]
     return *values, dh_p - field.kappa0 * dk_q, -dh_q - dk_p / field.kappa0
 
 

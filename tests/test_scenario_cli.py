@@ -423,6 +423,20 @@ class TestCliContract:
         err = capsys.readouterr().err
         assert err == "error: DomainError: exp overflowed\n"
 
+    @pytest.mark.parametrize("argv", [["simulate"], ["check", "hamiltonian"]], ids=" ".join)
+    @pytest.mark.parametrize("quartic", ["", " + 0.01*qd^4"], ids=["affine", "newton"])
+    def test_a_phase_flow_tail_overflow_exits_2(self, argv, quartic, scenario_file, capsys):
+        # dqd/dq = -1e160, and the flow's (dqd/dq)^2 overflows at the first stage, in the step's tail
+        raw = variant(
+            lagrangian=f"0.5*qd^2{quartic} + 1e160*q*qd",
+            params={},
+            initial={"q": [0.0], "p": [0.0]},
+            integrator={"h": 0.1, "t_start": 0.0, "t_end": 1.0},
+            checks=["hamiltonian"],
+        )
+        assert main([*argv, scenario_file(raw)]) == 2
+        assert capsys.readouterr().err == "error: DomainError: power overflowed\n"
+
     def test_sin_of_an_infinite_argument_exits_2(self, scenario_file, capsys):
         # q^30 overflows to inf at the finite state q = 1e11, and cmath rejects sin(inf)
         raw = variant(lagrangian=f"0.5*qd^2 - cos({'*'.join(['q'] * 30)})", initial={"q": [1e11], "qd": [0.0]})

@@ -203,15 +203,15 @@ class TestRunContext:
         assert len(derives) == 1
 
     def test_check_hamiltonian_builds_the_scenario_field_once(self, monkeypatch, tmp_path, capsys):
-        # the scenario's field inverts the initial p and runs the phase flow;
-        # the other three are the kappa0 sweep's
+        # the scenario's field inverts the initial p, runs the phase flow and
+        # gives the kappa0 sweep the values of its flows
         fields = self._calls(monkeypatch, "HamiltonianField")
         raw = corpus_scenario("damped_oscillator").to_dict()
         raw["initial"] = {"q": [1.0], "p": [0.5]}
         path = tmp_path / "p_initial.json"
         path.write_text(json.dumps(raw), encoding="utf-8")
         assert main(["check", "hamiltonian", str(path)]) == 0
-        assert len(fields) == 4
+        assert len(fields) == 1
 
     def test_derive_warning_is_a_note_of_every_suite(self, monkeypatch):
         derives = self._calls(monkeypatch, "derive_eom")
