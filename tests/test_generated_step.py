@@ -910,7 +910,7 @@ FALLBACK_TREES = st.recursive(
 
 def _counting_helper(loop, monkeypatch) -> list:
     """The first argument of each call the loop's fallback makes of the body's helper kernel `_h_slow`,
-    whose arguments are the names the body reads, sorted: q or p in the tests below."""
+    whose arguments are the names the body reads, sorted: q, q1 or p in the tests below."""
     calls, build = [], loop.__globals__["_h_slow"]
 
     def counted(*args):
