@@ -5,15 +5,20 @@ after the other; the side that goes first alternates from pair to pair, and ever
 run has PYTHONDONTWRITEBYTECODE=1. The last line of a run's output is its JSON
 record. For each end-to-end metric of BENCHMARK.json, it prints each side's median
 and quartiles and the pairs the change won (better in the metric's direction; a tie
-counts for neither), then each side's failed and attempted operations. Each pair's
-values go to standard error as the pair finishes.
+counts for neither), then each side's failed and attempted operations, then two
+checks per metric: the gain rule (the change won at least 9 pairs of 10, and its
+median beats the parent's by more than the parent's quartile spread q3 - q1) and
+the bound (the change's median is worse than the parent's by at most the metric's
+relative `bound` in BENCHMARK.json). Each pair's values go to standard error as
+the pair finishes.
 
 With --out PATH it also writes those figures as one JSON record (by convention
 bench/BENCH_<name>.json, the file a performance claim cites): each tree's commit
 and a SHA-256 of its src/clmech/*.py, the workload, seed, seconds and pairs, per
-end-to-end metric each side's q1, median and q3 and the change's wins, each
-side's failed and attempted operations, and the machine (CPU model, CPU count,
-Python and numpy versions, as perfbench reports them) and the UTC date.
+end-to-end metric each side's q1, median and q3, the change's wins and the two
+checks ("gain" and "within_bound"), each side's failed and attempted operations,
+and the machine (CPU model, CPU count, Python and numpy versions, as perfbench
+reports them) and the UTC date.
 
 Usage:  python3 scripts/bench_pairs.py PARENT_TREE CHANGE_TREE --workload W
             [--pairs 10] [--seconds 15] [--seed 9] [--out PATH]
@@ -53,15 +58,27 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def checks(row: dict, lower: bool, bound: float | None) -> dict:
+    """The two checks of one metric's row: `gain`, the change won at least 9 of 10 pairs and its
+    median is better than the parent's by more than the parent's q3 - q1; `within_bound`, its median
+    is worse than the parent's by at most `bound`, relative (None: no bound, so within)."""
+    parent, change = row["parent"], row["change"]
+    gap = parent["median"] - change["median"] if lower else change["median"] - parent["median"]
+    gain = 10 * row["change_wins"] >= 9 * row["pairs"] and gap > parent["q3"] - parent["q1"]
+    return {"gain": gain, "within_bound": bound is None or -gap <= bound * abs(parent["median"])}
+
+
 def compare(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> dict:
-    """Per end-to-end metric each side's quartiles and the change's wins, and each side's operations."""
+    """Per end-to-end metric each side's quartiles, the change's wins and the two `checks`, and each
+    side's operations."""
     metrics = {}
     for metric in end_to_end:
         name, lower = metric["name"], metric["better"] == "lower"
         got = [(p["metrics"][name]["value"], c["metrics"][name]["value"]) for p, c in pairs if name in p["metrics"]]
         if got:
             sides = {side: dict(zip(("q1", "median", "q3"), _quartiles(list(values)))) for side, values in zip(SIDES, zip(*got))}
-            metrics[name] = {**sides, "change_wins": sum(c < p if lower else c > p for p, c in got), "pairs": len(got)}
+            row = {**sides, "change_wins": sum(c < p if lower else c > p for p, c in got), "pairs": len(got)}
+            metrics[name] = {**row, **checks(row, lower, metric.get("bound"))}
     operations = {}
     for side, records in zip(SIDES, zip(*pairs)):
         failed, attempted = sum(r["failed"] for r in records), sum(r["attempted"] for r in records)
@@ -80,6 +97,16 @@ def summarise(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> str:
     for side, ops in figures["operations"].items():
         correct = ops["every_run_correct"]
         rows.append(f"{side}: {ops['failed']} of {ops['attempted']} operations failed, every run correct: {correct}")
+    return "\n".join(rows)
+
+
+def verdicts(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> str:
+    """One line per metric: whether the gain rule is met and whether the bound is kept."""
+    bounds = {m["name"]: m.get("bound") for m in end_to_end}
+    rows = []
+    for name, row in compare(pairs, end_to_end)["metrics"].items():
+        bound = "no bound" if bounds[name] is None else f"bound {bounds[name]:g} {'kept' if row['within_bound'] else 'exceeded'}"
+        rows.append(f"{name}: gain rule {'met' if row['gain'] else 'not met'}; {bound}")
     return "\n".join(rows)
 
 
@@ -132,6 +159,7 @@ def main() -> None:
         print(f"pair {k + 1}, {' then '.join(order)}: {'; '.join(values)}", file=sys.stderr)
     print(f"workload {args.workload}, seed {args.seed}, {args.seconds:g} s a run, {args.pairs} pairs")
     print(summarise(pairs, end_to_end))
+    print(verdicts(pairs, end_to_end))
     if args.out:
         args.out.write_text(json.dumps(bench_record(args, pairs, end_to_end), indent=1) + "\n")
 

@@ -16,11 +16,18 @@ caught by an audit hook on `compile` installed before clmech is imported, so
 it reads them wherever clmech builds them. Two revisions that print the same
 line generate the same sources of that kind, byte for byte.
 
+Last, on standard error, so that the digest lines stay comparable between
+revisions, one line gives per kind the number of zero products (+-0.0 times an
+operand) and of operations with an int literal operand (but the loop count
+`_n + 1`) in its sources, the waste the float literals and the zero-term pass
+of `codegen.compile_step` remove.
+
 Usage:  python3 scripts/step_sources.py [--seeds 7 41]
         (`--seeds` with no value builds the corpus's steps only)
 """
 
 import argparse
+import ast
 import builtins
 import hashlib
 import sys
@@ -68,6 +75,25 @@ def _kind(src: str) -> tuple[str, str]:
     return "list" if ", x0, y0, dt, h2, h6" in src else "float", "newton" if "_newton" in src else "no-newton"
 
 
+def _literal(x: ast.expr):
+    """The value of a literal or of a negated one, else None."""
+    if isinstance(x, ast.UnaryOp) and isinstance(x.op, ast.USub):
+        x = x.operand
+    return x.value if isinstance(x, ast.Constant) else None
+
+
+def _waste(sources) -> tuple[int, int]:
+    """The zero products and the operations with an int literal operand in the sources."""
+    products = ints = 0
+    for node in (node for src in sources for node in ast.walk(ast.parse(src))):
+        if isinstance(node, ast.BinOp):
+            values = [_literal(x) for x in (node.left, node.right)]
+            products += isinstance(node.op, ast.Mult) and any(type(v) is float and v == 0.0 for v in values)
+            count = isinstance(node.left, ast.Name) and node.left.id == "_n"  # the loop's `_n + 1`
+            ints += not count and any(type(v) is int for v in values)
+    return products, ints
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seeds", type=int, nargs="*", default=[7, 41])
@@ -87,12 +113,17 @@ def main() -> None:
     for n in range(1, 5):
         lagr = ComplexLagrangian(parse(" + ".join(f"{qd}^3" for qd in velocity_names(n))), 1.0, n)
         derive_eom(lagr, MechState(0.0, (0.0,) * n, (0.0,) * n), closure_mass=(1.0,) * n)
+    waste = []
     for kind in (("float", "no-newton"), ("float", "newton"), ("list", "no-newton"), ("list", "newton")):
         sources = sorted(src for src in SOURCES if _kind(src) == kind)
         digest = hashlib.sha256("\0".join(sources).encode()).hexdigest()
         print(f"{kind[0]:<6s} {kind[1]:<9s} {len(sources):>4d} {digest}")
+        waste.append((" ".join(kind), *_waste(sources)))
     digest = hashlib.sha256("\0".join(sorted(SOLVERS)).encode()).hexdigest()
     print(f"{'solver':<16s} {len(SOLVERS):>4d} {digest}")
+    waste.append(("solver", *_waste(SOLVERS)))
+    counts = "; ".join(f"{kind} {products} {ints}" for kind, products, ints in waste)
+    print(f"zero products, int-literal operations: {counts}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -264,6 +264,102 @@ def _fold(e: Expr, values: Mapping[str, Expr]) -> Expr:
     return r if e.op == "*" and l is ONE else e
 
 
+def _kids(e: Expr) -> list[Expr]:
+    return [x for x in vars(e).values() if isinstance(x, Expr)]
+
+
+def _closure(roots, step: Callable[[Expr], list]) -> set:
+    """Every node reached from `roots`, where `step(e)` gives the nodes that e leads to."""
+    seen, stack = set(), list(roots)
+    while stack:
+        e = stack.pop()
+        if e not in seen:
+            seen.add(e)
+            stack += step(e)
+    return seen
+
+
+def _zero_operand(e: Expr) -> Expr | None:
+    """x where `e` is a zero term, +-0.0 * x or x * +-0.0, else None."""
+    if isinstance(e, BinOp) and e.op == "*":
+        for zero, x in ((e.left, e.right), (e.right, e.left)):
+            if isinstance(zero, Const) and zero.value == 0:
+                return x
+    return None
+
+
+@lru_cache(maxsize=None)
+def _may_raise(e: Expr) -> bool:
+    """Whether plain Python can raise computing `e`: it holds `^`, `/` by other than a nonzero
+    finite real constant, or a call other than `abs`. Every other operation (+ - *, / by such a
+    constant, abs) gives a value that is not finite where an operand is not."""
+    if isinstance(e, BinOp) and e.op in "^/":
+        divisor = e.right.value if isinstance(e.right, Const) else 0.0
+        if e.op == "^" or not (divisor.real and not divisor.imag and cmath.isfinite(divisor)):
+            return True
+    return isinstance(e, Call) and e.fn != "abs" or any(map(_may_raise, _kids(e)))
+
+
+def _not_minus_zero(e: Expr) -> bool:
+    """Whether `e` is never -0.0: a constant other than -0.0, abs, a sum with such a term, or a
+    difference whose left side is such (x + y is -0.0 only where both are, x - y only where x is)."""
+    if isinstance(e, Const):
+        return e is not Const(-0.0)
+    if isinstance(e, BinOp) and e.op in "+-":
+        return _not_minus_zero(e.left) or e.op == "+" and _not_minus_zero(e.right)
+    return isinstance(e, Call) and e.fn == "abs"
+
+
+def _drop(e: Expr, zeros: frozenset) -> Expr:
+    """`e` with the zero terms in `zeros` dropped where their value +-0.0 cannot change the result:
+    s +- z and z + s to s where s is never -0.0, and abs(y +- z), abs(z +- y) to abs(y); then `_fold`."""
+    if not isinstance(e, (Neg, BinOp, Call)):
+        return e
+    if isinstance(e, Call):
+        arg = e.arg
+        if e.fn == "abs" and isinstance(arg, BinOp) and arg.op in "+-" and (arg.left in zeros or arg.right in zeros):
+            return Call("abs", _drop(arg.left if arg.right in zeros else arg.right, zeros))
+        return Call(e.fn, _drop(arg, zeros))
+    olds = _kids(e)
+    kids = [_drop(x, zeros) for x in olds]
+    if isinstance(e, BinOp) and e.op in "+-":
+        if olds[1] in zeros and _not_minus_zero(kids[0]):
+            return kids[0]
+        if e.op == "+" and olds[0] in zeros and _not_minus_zero(kids[1]):
+            return kids[1]
+    if kids == olds:  # `e` is folded already
+        return e
+    return _fold(BinOp(e.op, *kids) if isinstance(e, BinOp) else Neg(*kids), {})
+
+
+def _drop_zero_terms(pieces: list, kernel: dict, slopes: list[str], state: tuple) -> list:
+    """The folded (names, trees) `pieces` of a stage and its sample, with the zero terms z = +-0.0 * x
+    that `_fold` keeps dropped by `_drop`'s rules, which give the same float wherever x is finite.
+
+    Where x is not, z was NaN, so a term is dropped only where the run still ends as it did. Every
+    piece must be a pair, and no kernel tree (`kernel` maps each out to its tree) or pair can raise,
+    by `_may_raise` or a guard; then any value computed from a non-finite one is not finite. So z is
+    dropped where x reaches a slope outside any zero term, which is then not finite either, and the
+    next sample fails the blow-up test, and where, if the sample reads z (through the names it reads),
+    x is a state entry, finite at every sample."""
+    if any(isinstance(p, str) for p in pieces):
+        return pieces
+    terms = [e for e in _closure([e for _, values in pieces for e in values], _kids) if _zero_operand(e) is not None]
+    defs = {**kernel, **{name: e for names, values in pieces[:-1] for name, e in zip(names, values)}}
+    if not terms or any(map(_may_turn_complex, kernel.values())) or any(map(_may_raise, (*defs.values(), *pieces[-1][1]))):
+        return pieces
+    through = lambda e: [defs[e.name]] if isinstance(e, Sym) and e.name in defs else _kids(e)  # noqa: E731
+    reached = _closure(map(Sym, slopes), lambda e: [] if _zero_operand(e) is not None else through(e))
+    read = _closure(pieces[-1][1], through)
+
+    def droppable(e: Expr) -> bool:
+        x = _zero_operand(e)
+        return x in reached and (e not in read or isinstance(x, Sym) and x.name in state)
+
+    zeros = frozenset(filter(droppable, terms))
+    return [(names, tuple(_drop(e, zeros) for e in values)) for names, values in pieces] if zeros else pieces
+
+
 @lru_cache(maxsize=None)
 def compile_step(
     trees: tuple, args: tuple, outs: tuple, tail: tuple, sample, last: tuple | str = (), names: tuple = (), start: str = ""
@@ -283,11 +379,15 @@ def compile_step(
     a `tail` piece reads it), runs the real kernel body of the folded `trees` with the values bound
     to `outs`, then the `tail` pieces, which set the slope; `sample` sets s0, s1, s2 after stage 1,
     and the text `start` runs before stage 1 alone. A piece is text, or a pair (names, trees) setting
-    the names to the trees' values, folded by `_fold` and computed with plain `/` and `**` as text is.
-    With no trees a stage is its tail alone. Constant outs go into those trees (texts write their
+    the names to the trees' values, folded by `_fold` and computed with plain `/` and `**` as text is;
+    then `_drop_zero_terms` drops the pairs' zero terms +-0.0 * x where that moves no result. Every
+    literal of float arithmetic is a float (`2.0 * kx2`, `0.0 + ...`), so each operation runs on two
+    floats. With no trees a stage is its tail alone. Constant outs go into those trees (texts write their
     literals); the body assigns them only if it checks for an imaginary part, naming a map by its
     place. An out only `sample` reads, whose tree cannot raise, is computed once, at the sample. The
     last sample runs stage 1 alone, or, where `last` is text rather than (), that text, then `sample`.
+    A sample reads its time `t0 = _tg[_i]` only where the loop's text reads t0: a stage that sets t,
+    or a `last` text that names it.
     `names` pairs are bound as globals: the functions a text calls, a `compile_expr` kernel among them.
 
     The kernel body and the pairs compute with `compile_expr`'s fast path. Where one of its inline
@@ -321,7 +421,10 @@ def compile_step(
         lhs, values = piece
         return _codegen(values, reads(values), len(lhs) == 1, False, bound, f"{join(lhs)} = ", True)[0].split("\n", 1)[1]
 
+    entries = [(v, f"_{a}" if listed else "") for v in "xy" for a in range(1, n + 1)]
+    slopes = lambda k="": [f"k{v}{k}{s}" for v, s in entries]  # noqa: E731 - stage k's, or the current
     pairs, folded = list(zip(outs, trees)), [fold(piece) for piece in (*tail, sample)]
+    folded = _drop_zero_terms(folded, dict(pairs), slopes(), state)
     texts = [put(piece) for piece in folded]
     # outs only the sample reads (an f-string's prefix is no name) are computed once, at the sample,
     # unless a guard names them by place, or they can raise, so that stages 2 to 4 would skip an error
@@ -336,9 +439,7 @@ def compile_step(
     # the trees of each piece with inline arithmetic, in stage order, for its helper kernel
     candidates = [(kept, kernels), *((p[1], src) for p, src in zip(folded, texts) if not isinstance(p, str))]
     slow = [values for values, src in candidates if any(op in src for op in ("/", "**", "_c_"))]
-    entries = [(v, f"_{a}" if listed else "") for v in "xy" for a in range(1, n + 1)]
     base = [f"{v}0{s}" for v, s in entries] if listed else [f"{x}0" for x in state]
-    slopes = lambda k="": [f"k{v}{k}{s}" for v, s in entries]  # noqa: E731 - stage k's, or the current
     params = ("x0", "y0") if listed else base
     unpack = f"    {join(base[:n])} = x0\n    {join(base[n:])} = y0\n" if listed else ""
     # t is set where a tree, a guard (which names the state) or a piece of the tail reads it
@@ -349,7 +450,7 @@ def compile_step(
     for k, h in ((1, "h2"), (2, "h2"), (3, "dt")):
         point = (f"{b} + {h} * {s}" for b, s in zip(base, slopes(k)))
         rest += f"    {join(slopes(k))} = {join(slopes())}\n    {f'{t}, ' * timed}{join(state)} = {f'{t}0 + {h}, ' * timed}{join(point)}\n{stage}"
-    new = [f"{b} + h6 * ({s1} + 2 * {s2} + 2 * {s3} + {s})" for b, s1, s2, s3, s in zip(base, *map(slopes, (1, 2, 3, "")))]
+    new = [f"{b} + h6 * ({s1} + 2.0 * {s2} + 2.0 * {s3} + {s})" for b, s1, s2, s3, s in zip(base, *map(slopes, (1, 2, 3, "")))]
     rest += f"    {join(base)} = {join(new)}\n"
     sampled = f"{first}    if _i < _n:\n{indent(rest, '    ')}" if not last else (
         f"    if _i == _n:\n{indent(here + put(last) + put(folded[-1]), '    ')}    else:\n{indent(first + rest, '    ')}")
@@ -357,7 +458,8 @@ def compile_step(
     row = lambda c: join(f"_c{c}[_i, {a}]" for a in range(n)) if listed else f"_c{c}[_i]"  # noqa: E731
     within = " and ".join(f"{-BLOWUP_LIMIT!r} <= {b} <= {BLOWUP_LIMIT!r}" for b in base)  # false for NaN too
     src = f"def _loop(_tg, {join(params)}, dt, h2, h6, _c0, _c1, _c2, _c3, _n, s0):\n{unpack}    for _i in range(_n + 1):\n"
-    src += f"        {t}0 = _tg[_i]\n        if not ({within}):\n            return _i\n        {row(0)} = {join(base[:n])}\n"
+    src += f"        {t}0 = _tg[_i]\n" * bool(re.search(rf"\b{t}0\b", sampled))
+    src += f"        if not ({within}):\n            return _i\n        {row(0)} = {join(base[:n])}\n"
     if slow:
         calls = ""
         for k, values in enumerate(slow):

@@ -41,7 +41,8 @@ its stages run the one kernel's body, or call the Newton and the partials kernel
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cache, cached_property
+from typing import Callable
 
 from .codegen import compile_expr, compile_step
 from .exprcore import Call, DomainError, Sym, diff, evaluate, subs
@@ -83,6 +84,16 @@ def _degenerate(t: float, q: float, qd: float):
     raise DegenerateJacobian(f"df/dqd = 0 at (t={t!r}, q={q!r}, qd={qd!r})")
 
 
+@cache
+def _float_square() -> Callable[[float], float]:
+    return compile_expr(Sym("x") ** 2, ("x",))
+
+
+def _square(x):
+    """x^2 as a tree, or on a float by a compiled `^`, whose overflow raises the loop's DomainError."""
+    return _float_square()(x) if isinstance(x, float) else x**2
+
+
 def pieces(p, values, kappa0, omega0):
     """(dH/dq, dH/dp, dK/dq, dK/dp, qd_flow, pd_flow) from `_values`' values, each piece computed
     separately (the kappa0 factors are not cancelled): the one formula, run on floats by
@@ -92,7 +103,7 @@ def pieces(p, values, kappa0, omega0):
     dh_q, dh_p = -l_q + slack * qd_q, qd + slack * qd_p
     mm_q, mm_p = m_q + m_qd * qd_q, m_qd * qd_p  # d/dq and d/dp of M(q, qd(q, p, t), t)
     dk_q = (qd_p * mm_q - qd_q * mm_p) / (kappa0 * omega0)
-    dk_p = kappa0 * (-(qd_q / omega0) * mm_q + ((omega0 + qd_q**2 / omega0) / qd_p) * mm_p)
+    dk_p = kappa0 * (-(qd_q / omega0) * mm_q + ((omega0 + _square(qd_q) / omega0) / qd_p) * mm_p)
     return dh_q, dh_p, dk_q, dk_p, dh_p - kappa0 * dk_q, -dh_q - dk_p / kappa0
 
 

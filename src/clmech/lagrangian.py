@@ -276,7 +276,7 @@ class _Maps:
         A, f_q = ([[f"{m}{a}_{c}" for c in idx] for a in idx] for m in ("a", "fq"))
         outs = (*f, *g, *sum(A, []), *sum(f_q, []), *f_t)
         written = _written(outs, trees)
-        dot_text = lambda row, v: f"(0 + {' + '.join(f'{written(x)} * {y}' for x, y in zip(row, v))})"  # noqa: E731 - `dot`'s order
+        dot_text = lambda row, v: f"(0.0 + {' + '.join(f'{written(x)} * {y}' for x, y in zip(row, v))})"  # noqa: E731 - `dot`'s order
         # `_accel`'s right-hand side g - (df/dq) qd - df/dt as trees, so the step folds the constants in,
         # its dot product kept for the EL terms
         w_trees = tuple(sum((Sym(x) * Sym(v) for x, v in zip(row, qd)), ZERO) for row in f_q)

@@ -122,7 +122,7 @@ def _back_substitution(
     lines = []
     for k in range(n - 1, -1, -1):
         back = [f"{a[k][i]} * {out[i]}" for i in range(k + 1, n)]
-        lines.append(f"    {out[k]} = ({x[k]} - {f'({sums(back)})' if back else 0}) / {a[k][k]}")
+        lines.append(f"    {out[k]} = ({x[k]} - {f'({sums(back)})' if back else '0.0'}) / {a[k][k]}")
     r = [f"r{k}" for k in range(1, n + 1)]
     lines += [f"    {rk} = {sums([f'{v} * {o}' for v, o in zip(row, out)])} - {bk}" for rk, row, bk in zip(r, a0, b)]
     return [*lines, indent(_residual_test(r, b), "    ")]
@@ -194,7 +194,7 @@ def solve_plan(a0: list[list[float]], b: list[str], out: list[str]) -> tuple | N
     rhs = [e.name if isinstance(e, Sym) else f"e{k}" for k, e in enumerate(x)]
     ops = [(name, e) for name, e in zip(rhs, x) if not isinstance(e, Sym)]
     a, a0 = ([[repr(v) for v in row] for row in m] for m in (a, a0))
-    sums = lambda terms: f"0 + {' + '.join(terms)}"  # noqa: E731 - `dot`'s order, as the step's other sums
+    sums = lambda terms: f"0.0 + {' + '.join(terms)}"  # noqa: E731 - `dot`'s order, as the step's other sums
     text = "\n".join(_back_substitution(a, rhs, out, a0, b, sums))
     return (tuple(zip(*ops)), text) if ops else (text,)
 

@@ -759,3 +759,109 @@ def test_step_fold_moves_no_bit(tree, x):
     assert outcome(gen._fold(tree, {})) == outcome(tree)
     if x == x:  # with x put in as a constant, every operation on constants folds or stays
         assert outcome(gen._fold(tree, {"x": Const(x)})) == outcome(tree)
+
+
+# trees of + - * and abs over two names and constants, with zero terms +-0.0 * (...) among the kids
+DROP_LEAF = st.one_of(st.sampled_from((Sym("x"), Sym("y"))), st.sampled_from((0.0, -0.0, 1.0, -1.5, 2.0)).map(Const))
+DROP_TREE = st.recursive(
+    DROP_LEAF,
+    lambda kids: st.one_of(
+        kids.map(exprcore.Neg),
+        kids.map(lambda e: Call("abs", e)),
+        st.tuples(st.sampled_from("+-*"), kids, kids).map(lambda t: BinOp(*t)),
+        st.tuples(st.sampled_from((0.0, -0.0)), kids, st.booleans()).map(
+            lambda t: BinOp("*", Const(t[0]), t[1]) if t[2] else BinOp("*", t[1], Const(t[0]))
+        ),
+    ),
+    max_leaves=10,
+)
+
+
+def _run_abs_floats(e, at: dict) -> float:
+    """`e` at the names' values by Python's float operations and `abs`."""
+    if isinstance(e, Call):
+        return abs(_run_abs_floats(e.arg, at))
+    if isinstance(e, BinOp):
+        return _FLOAT[e.op](_run_abs_floats(e.left, at), _run_abs_floats(e.right, at))
+    if isinstance(e, exprcore.Neg):
+        return -_run_abs_floats(e.arg, at)
+    return at[e.name] if isinstance(e, Sym) else e.value.real
+
+
+FINITE = st.sampled_from((0.0, -0.0, 1.5, -2.0, 3.0, -0.5))
+
+
+@given(DROP_TREE, FINITE, FINITE)
+@example(BinOp("+", Const(0.0), BinOp("*", Const(0.0), Sym("x"))), -1.5, 0.0)  # +0.0 + z is +0.0
+@example(BinOp("+", BinOp("*", Sym("x"), Const(-0.0)), Const(0.0)), 2.0, 0.0)  # z + +0.0 is +0.0
+@example(BinOp("-", BinOp("+", Const(0.0), Sym("x")), BinOp("*", Const(-0.0), Sym("y"))), -0.0, -1.5)
+@example(Call("abs", BinOp("-", Sym("x"), BinOp("*", Const(0.0), Sym("y")))), -0.0, -2.0)
+@example(BinOp("+", Sym("x"), BinOp("*", Const(0.0), Sym("y"))), -0.0, 1.5)  # kept: x may be -0.0
+@example(BinOp("+", Const(-0.0), BinOp("*", Const(0.0), Sym("y"))), 0.0, 1.5)  # kept: -0.0 + +0.0 is +0.0
+@example(BinOp("+", BinOp("*", Sym("y"), Const(0.0)), Sym("x")), -0.0, 1.5)  # kept: z + x, x may be -0.0
+@settings(max_examples=400, deadline=None)
+def test_zero_term_drop_moves_no_bit(tree, x, y):
+    """`codegen._drop`, the zero-term rules beside `_fold`: with every zero term of the tree
+    dropped where a rule allows, the tree gives the same bits at finite operands, signed zeros
+    included (operands small enough that no product of the drawn trees overflows)."""
+    zeros = frozenset(e for e in gen._closure([tree], gen._kids) if gen._zero_operand(e) is not None)
+    dropped = gen._drop(tree, zeros)
+    at = {"x": x, "y": y}
+    assert struct.pack("<d", _run_abs_floats(dropped, at)) == struct.pack("<d", _run_abs_floats(tree, at))
+
+
+def _stage(ky, sample_extra=Const(0.0), kernel=None):
+    """The folded pieces of a float-state stage (slope (qd, ky)) and its sample, and its kernel."""
+    qd, g = Sym("qd"), Sym("g")
+    kernel = {"g": -Sym("q"), "f": 2.0 * qd} if kernel is None else kernel
+    sample = (("s0", "s1", "s2"), (qd, Sym("f"), Call("abs", BinOp("-", BinOp("-", g, Sym("ky")), sample_extra))))
+    return [(("kx", "ky"), (qd, ky)), sample], kernel
+
+
+class TestZeroTermPass:
+    """`codegen._drop_zero_terms` on a stage's folded pieces: it drops a zero term only where the
+    run ends where it did for a non-finite operand too, and otherwise returns the pieces as given."""
+
+    ZERO_QD = BinOp("*", Const(0.0), Sym("qd"))
+
+    def _pass(self, pieces, kernel):
+        return gen._drop_zero_terms(pieces, kernel, ["kx", "ky"], ("q", "qd"))
+
+    def test_drops_the_regular_steps_zero_terms(self):
+        pieces, kernel = _stage(BinOp("-", Sym("g"), BinOp("+", Const(0.0), self.ZERO_QD)), self.ZERO_QD)
+        (slope, sample) = self._pass(pieces, kernel)
+        assert slope == (("kx", "ky"), (Sym("qd"), Sym("g")))
+        assert sample[1][2] == Call("abs", BinOp("-", Sym("g"), Sym("ky")))
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            BinOp("/", Sym("q"), Sym("qd")),  # a divisor that can be zero
+            BinOp("^", Sym("q"), Const(2.0)),  # a power, which can overflow
+            Call("cos", Sym("q")),  # a call, which raises at an infinite argument
+            Call("sqrt", Sym("q")),  # a guard
+        ],
+        ids=["division", "power", "call", "guard"],
+    )
+    def test_a_stage_that_can_raise_comes_back_unchanged(self, g):
+        pieces, kernel = _stage(BinOp("-", Sym("g"), BinOp("+", Const(0.0), self.ZERO_QD)), self.ZERO_QD, {"g": g, "f": Sym("qd")})
+        assert self._pass(pieces, kernel) is pieces
+
+    def test_a_text_piece_leaves_the_stage_unchanged(self):
+        pieces, kernel = _stage(BinOp("-", Sym("g"), BinOp("+", Const(0.0), self.ZERO_QD)))
+        pieces.insert(0, "    r = 1.0")
+        assert self._pass(pieces, kernel) is pieces
+
+    def test_a_zero_term_whose_operand_reaches_no_slope_stays(self):
+        # m is computed from q and qd but read by no slope outside the zero term
+        kernel = {"g": -Sym("q"), "f": Sym("qd"), "m": BinOp("*", Sym("q"), Sym("qd"))}
+        ky = BinOp("-", Sym("g"), BinOp("+", Const(0.0), BinOp("*", Const(0.0), Sym("m"))))
+        pieces, _ = _stage(ky, kernel=kernel)
+        assert self._pass(pieces, kernel) == pieces
+
+    def test_a_sampled_zero_term_needs_a_state_entry(self):
+        # the sample reads 0.0 * f, and f = 2 qd, a kernel out, can overflow where qd is finite
+        kernel = {"g": -Sym("q"), "f": 2.0 * Sym("qd")}
+        ky = BinOp("+", Sym("g"), Sym("f"))
+        pieces, _ = _stage(ky, BinOp("*", Const(0.0), Sym("f")), kernel)
+        assert self._pass(pieces, kernel) == pieces

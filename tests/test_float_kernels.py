@@ -13,17 +13,23 @@ helper kernel a raise falls back to. A regression to the helpers changes no
 value either.
 """
 
+import ast
+import builtins
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
+from clmech import codegen, hamiltonian, lagrangian, solves
 from clmech.corpus import bundled_corpus
+from clmech.dynamics import IntegratorConfig
 from clmech.exprcore import subs
 from clmech.lagrangian import _constant
+from clmech.sampling import DEFAULT_SEED
 from clmech.scenario import Scenario
 from clmech.solves import solver
-from clmech.suites import RunContext
+from clmech.suites import RunContext, run_suites
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -87,3 +93,51 @@ def test_every_varying_mass_step_binds_the_one_generated_solve():
                 assert maps.step.__globals__[solve.__name__] is solve, name
                 varying.append(name)
     assert varying
+
+
+def _int_operations(src: str) -> list[str]:
+    """The operations of a generated source with an int literal operand, but the loop count `_n + 1`."""
+    found = []
+    for node in ast.walk(ast.parse(src)):
+        if isinstance(node, ast.BinOp) and not (isinstance(node.left, ast.Name) and node.left.id == "_n"):
+            if any(isinstance(x, ast.Constant) and type(x.value) is int for x in (node.left, node.right)):
+                found.append(ast.unparse(node))
+    return found
+
+
+def test_generated_sources_write_float_literals_and_read_the_grid_only_for_t0(monkeypatch):
+    """The sample loops `check all` over the corpus and the seed-7 simulate round build, as
+    scripts/step_sources.py builds them, and the generated solvers: no operation has an int literal
+    operand (CPython 3.11 runs float arithmetic with one on its generic path), and a loop reads its
+    time grid `_tg` only where its text reads the sample's time t0."""
+    built: list[str] = []
+
+    def recording_exec(src: str, ns: dict) -> None:
+        built.append(src)
+        builtins.exec(src, ns)  # noqa: S102 - the generated source about to run
+
+    for module in (codegen, solves):
+        monkeypatch.setattr(module, "exec", recording_exec, raising=False)
+    for module in (lagrangian, hamiltonian):  # past the loop cache, so that every loop is built here
+        monkeypatch.setattr(module, "compile_step", codegen.compile_step.__wrapped__)
+    for sc in bundled_corpus():
+        run_suites(sc, sc.checks, seed=DEFAULT_SEED)
+    for i in range(len(gen.SIMULATE_ROUND)):
+        sc = Scenario.from_dict(gen.simulate_spec(7, i).scenario())
+        run, cfg = RunContext(sc), IntegratorConfig(sc.h, sc.t_start, sc.t_end)
+        if sc.initial_p is not None:
+            run.phase_trajectory(cfg)
+        else:
+            run.trajectory(cfg)
+    for n in range(1, 5):  # past the solver caches too
+        solves.newton_solver.__wrapped__(n)
+        if n > 1:
+            solves.solver.__wrapped__(n)
+    loops = [src for src in built if src.startswith("def _loop(")]
+    generated = loops + [src for src in built if src.startswith(("def _solve_", "def _newton_"))]
+    generated.append(f"def _solve_scalar(a, b):\n{solves.SOLVE_SCALAR}\n    return x\n")
+    assert len(loops) >= 20 and len(generated) >= len(loops) + 8
+    assert {src.split("(")[0]: _int_operations(src) for src in generated if _int_operations(src)} == {}
+    for src in loops:
+        reads_t0 = re.search(r"\bt0\b", src.replace("t0 = _tg[_i]", ""))
+        assert ("_tg[" in src) is bool(reads_t0), src.split("\n", 1)[0]

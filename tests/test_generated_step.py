@@ -100,6 +100,14 @@ def reference_regular(eom, init: MechState, cfg: IntegratorConfig) -> Trajectory
     return Trajectory(SECOND_ORDER, dt, t_grid, q_out, qd_out, p_out, res_out)
 
 
+def _square(x: float) -> float:
+    """x**2 with `evaluate`'s `^` error: an overflow is DomainError("power overflowed")."""
+    try:
+        return x**2
+    except OverflowError:
+        raise DomainError("power overflowed") from None
+
+
 def _flow_at(field: HamiltonianField, t: float, q: float, p: float, guess: float):
     """(qd, f, qd_flow, pd_flow): `_values`, then the generators piece by piece."""
     qd, f, qd_q, qd_p, l_q, l_qd, m_q, m_qd = field._values(t, q, p, guess)
@@ -111,7 +119,7 @@ def _flow_at(field: HamiltonianField, t: float, q: float, p: float, guess: float
     mm_q = m_q + m_qd * qd_q
     mm_p = m_qd * qd_p
     dk_q = (qd_p * mm_q - qd_q * mm_p) / (k0 * w0)
-    dk_p = k0 * (-(qd_q / w0) * mm_q + ((w0 + qd_q**2 / w0) / qd_p) * mm_p)
+    dk_p = k0 * (-(qd_q / w0) * mm_q + ((w0 + _square(qd_q) / w0) / qd_p) * mm_p)
     return qd, f, dh_p - k0 * dk_q, -dh_q - dk_p / k0
 
 
@@ -211,6 +219,11 @@ def test_regular_step_matches_the_stage_loop(m, k, root, terms, q0, qd0, h):
     q0=st.floats(-1.0, 1.0),
     p0=st.floats(-2.0, 2.0),
 )
+# f = 2 qd + 1/(2 sqrt(q)) gives dqd/dq = 1/(8 q^1.5), whose square overflows below q ~ 4e-104: at the
+# first stage from q0 = 3.06e-146, in the loop's flow tail and in the reference's float flow alike
+@example(
+    kinetic=1.0, root=(1.0, 0.0), terms=[], quartic=0.0, omega0=1.0, kappa0=0.5, q0=3.0630976323205535e-146, p0=0.0
+)
 @settings(max_examples=60, deadline=None)
 def test_hamiltonian_step_matches_the_flow_loop(kinetic, root, terms, quartic, omega0, kappa0, q0, p0):
     b, shift = root
@@ -225,6 +238,18 @@ def test_hamiltonian_step_matches_the_flow_loop(kinetic, root, terms, quartic, o
         assume(False)
     assert (field._qd is None) == bool(quartic)
     assert_same_hamiltonian(field, PhaseState(0.0, q0, p0), IntegratorConfig(0.1, 0.0, 2.0))
+
+
+def test_the_float_flow_raises_the_loops_overflow_error():
+    # the case above: `pieces` on floats squares dqd/dq = 2.3e217 as the loop's flow tail does
+    lagr = ComplexLagrangian(parse("(1.0 + 0.1*i)*qd*qd + 0.0*qd^4 + 1.0*i*sqrt(q + 0.0)"), 1.0)
+    q0 = 3.0630976323205535e-146
+    field = HamiltonianField(lagr, derive_eom(lagr, MechState(0.0, (q0,), (1.0,))), kappa0=0.5)
+    loop = outcome(lambda: integrate_hamiltonian(field, PhaseState(0.0, q0, 0.0), IntegratorConfig(0.1, 0.0, 2.0)))
+    assert loop == (DomainError, "power overflowed")
+    for gradients in (field.flow, field.k_gradients):
+        with pytest.raises(DomainError, match="^power overflowed$"):
+            gradients(0.0, q0, 0.0)
 
 
 class TestErrorParity:
@@ -707,6 +732,38 @@ def test_closure_loop_starts_from_the_initial_velocity(quartic, mass, k, drift, 
     assert eom.maps.closure(eom.closure_mass)[0] is None
     got, want = _both(eom, MechState(0.0, (q0,), (qd0,)), IntegratorConfig(0.1, 0.0, 2.0))
     assert got == want
+
+
+# constant masses at two and four coordinates, sizes no benchmark workload builds; each df/dq holds
+# zero entries, so the solve's right-hand side w = (df/dq) qd keeps the zero terms 0.0 * qd_b
+FOLDED_LIST = {
+    "dim2": "0.5*m*(qd1^2 + qd2^2) + 0.2*qd1*qd2 - 0.5*k*(q1^2 + q2^2) + 0.3*q1*qd2 + 0.1*i*q1*q2",
+    "dim4": "0.5*m*(qd1^2 + qd2^2 + qd3^2 + qd4^2) + 0.2*qd1*qd2 + 0.1*qd3*qd4 - 0.5*k*(q1^2 + q2^2 + q3^2 + q4^2)"
+    " + 0.3*q1*qd2 + 0.2*q3*qd4 + 0.1*i*q2*q3",
+}
+
+
+class TestFoldedListTails:
+    """The list-state regular steps whose df/dq has zero entries, on constant masses, against the
+    list loop `_listed`: every column bit for bit."""
+
+    @pytest.mark.parametrize("name", FOLDED_LIST)
+    @pytest.mark.parametrize("signs", [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)])
+    def test_signed_zero_states(self, name, signs):
+        source, (q_sign, v_sign) = FOLDED_LIST[name], signs
+        n = int(name[-1])
+        # the zeros alternate in sign along each entry list, and start with the given sign
+        init = MechState(0.0, tuple(q_sign * (-1.0) ** a * 0.0 for a in range(n)), tuple(v_sign * (-1.0) ** a * 0.0 for a in range(n)))
+        traj = assert_same_list_state(source, PARAMS, init, IntegratorConfig(0.25, 0.0, 2.0))
+        assert isinstance(traj, Trajectory) and not _solves_at_run_time(source, PARAMS, init)
+
+    @pytest.mark.parametrize("m", [1.0, -1.0, 2.0, 0.5, 1.37])
+    @pytest.mark.parametrize("name", FOLDED_LIST)
+    def test_constant_masses(self, m, name):
+        n = int(name[-1])
+        init = MechState(0.0, tuple(0.7 - 0.3 * a for a in range(n)), tuple(-0.4 + 0.25 * a for a in range(n)))
+        traj = assert_same_list_state(FOLDED_LIST[name], {**PARAMS, "m": m}, init, IntegratorConfig(0.1, 0.0, 3.0))
+        assert isinstance(traj, Trajectory) and traj.dim == n
 
 
 class TestListErrorParity:

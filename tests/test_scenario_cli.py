@@ -437,6 +437,21 @@ class TestCliContract:
         assert main([*argv, scenario_file(raw)]) == 2
         assert capsys.readouterr().err == "error: DomainError: power overflowed\n"
 
+    def test_an_off_trajectory_flow_overflow_exits_2(self, scenario_file, capsys):
+        # q = 0 is a fixed point, where dqd/dq = 1.34e297*1e-143 squares to below the largest float;
+        # the mixed-partial diagnostic's k_gradients at q +- 1e-5 square it past that, on floats
+        raw = variant(
+            lagrangian="0.5*qd^2 + 0.5*1.3407794522134667e+297*(q - 1e-143)^2*qd",
+            params={},
+            initial={"q": [0.0], "p": [67038972610.67333]},
+            integrator={"h": 0.1, "t_start": 0.0, "t_end": 1.0},
+            checks=["hamiltonian"],
+        )
+        path = scenario_file(raw)
+        assert main(["check", "hamiltonian", path]) == 2
+        assert capsys.readouterr().err == "error: DomainError: power overflowed\n"
+        assert main(["simulate", path]) == 0
+
     def test_sin_of_an_infinite_argument_exits_2(self, scenario_file, capsys):
         # q^30 overflows to inf at the finite state q = 1e11, and cmath rejects sin(inf)
         raw = variant(lagrangian=f"0.5*qd^2 - cos({'*'.join(['q'] * 30)})", initial={"q": [1e11], "qd": [0.0]})

@@ -117,6 +117,30 @@ def test_bench_pairs_summarises_canned_records():
     assert change == "change: 1 of 30 operations failed, every run correct: False"
 
 
+def test_bench_pairs_checks_the_gain_rule_and_the_bound():
+    def record(value: float) -> dict:
+        return {"correct": True, "attempted": 10, "failed": 0, "metrics": {"pass_s": {"value": value, "unit": "s"}}}
+
+    def row(parent: list[float], change: list[float], bound=0.25) -> dict:
+        pairs = [(record(p), record(c)) for p, c in zip(parent, change)]
+        end_to_end = [{"name": "pass_s", "better": "lower", "bound": bound}]
+        return _bench_pairs().compare(pairs, end_to_end)["metrics"]["pass_s"], _bench_pairs().verdicts(pairs, end_to_end)
+
+    parent = [0.30, 0.31, 0.29, 0.30, 0.32, 0.30, 0.31, 0.30, 0.29, 0.30]  # q1 0.30, q3 0.3075
+    # 9 wins of 10, and the median gap 0.03 beats the parent's spread 0.0075
+    got, text = row(parent, [0.27] * 9 + [0.33])
+    assert (got["change_wins"], got["gain"], got["within_bound"]) == (9, True, True)
+    assert text == "pass_s: gain rule met; bound 0.25 kept"
+    # 8 wins of 10 fall short of 9, however large the gap
+    assert not row(parent, [0.2] * 8 + [0.4] * 2)[0]["gain"]
+    # 10 wins whose median gap 0.005 is inside the parent's spread
+    assert not row(parent, [p - 0.005 for p in parent])[0]["gain"]
+    # a change 30 % slower is beyond a bound of 0.25 and within one of 0.5
+    got, text = row(parent, [1.3 * p for p in parent])
+    assert (got["gain"], got["within_bound"], text) == (False, False, "pass_s: gain rule not met; bound 0.25 exceeded")
+    assert row(parent, [1.3 * p for p in parent], 0.5)[0]["within_bound"]
+
+
 def _check_bench_record(record: dict) -> None:
     """A `bench_pairs.py --out` record names a workload and end-to-end metrics of BENCHMARK.json
     and has both sides; no value is tested."""
@@ -162,6 +186,12 @@ def test_step_sources_prints_a_digest_per_state_kind():
     assert int(rows[1][2]) == int(rows[3][2]) == 0  # the bundled closures are affine
     # `_solve_scalar`, `_solve_2`..`_solve_4` and `_newton_1`..`_newton_4`
     assert solvers[:2] == ["solver", "8"] and re.fullmatch("[0-9a-f]{64}", solvers[2])
+    # on standard error, per kind: zero products, and operations with an int literal, which are none
+    head, _, counts = done.stderr.strip().partition(": ")
+    waste = {kind: (int(products), int(ints)) for kind, products, ints in (c.rsplit(" ", 2) for c in counts.split("; "))}
+    assert head == "zero products, int-literal operations" and list(waste)[-1] == "solver"
+    assert [kind.split() for kind in list(waste)[:-1]] == [row[:2] for row in rows]
+    assert all(ints == 0 for _, ints in waste.values())
 
 
 def test_scenario_files_are_the_exported_corpus(tmp_path):
