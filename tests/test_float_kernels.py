@@ -141,3 +141,31 @@ def test_generated_sources_write_float_literals_and_read_the_grid_only_for_t0(mo
     for src in loops:
         reads_t0 = re.search(r"\bt0\b", src.replace("t0 = _tg[_i]", ""))
         assert ("_tg[" in src) is bool(reads_t0), src.split("\n", 1)[0]
+
+
+def _zero_products(src: str) -> list[str]:
+    """The products of a generated source with a +-0.0 literal operand."""
+
+    def zero(x: ast.expr) -> bool:
+        return isinstance(x, ast.UnaryOp) and zero(x.operand) or isinstance(x, ast.Constant) and x.value == 0.0
+
+    products = (n for n in ast.walk(ast.parse(src)) if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult))
+    return [ast.unparse(n) for n in products if zero(n.left) or zero(n.right)]
+
+
+@pytest.mark.parametrize("name", ["free_particle", "classical_oscillator", "imaginary_ho", "damped_oscillator"])
+def test_the_regular_loops_with_a_zero_df_dq_hold_no_zero_product(name, monkeypatch):
+    """df/dq folds to 0.0 in these scenarios, so the regular loop's slope g - (0.0 + 0.0 * qd) and its
+    sample's residual held zero products before `codegen._drop_zero_terms`; the pass leaves none."""
+    built: list[str] = []
+
+    def recording_exec(src: str, ns: dict) -> None:
+        built.append(src)
+        builtins.exec(src, ns)  # noqa: S102 - the generated source about to run
+
+    monkeypatch.setattr(codegen, "exec", recording_exec, raising=False)
+    monkeypatch.setattr(lagrangian, "compile_step", codegen.compile_step.__wrapped__)  # past the loop cache
+    [sc] = [sc for sc in bundled_corpus() if sc.name == name]  # not SCENARIOS', whose maps hold their step
+    assert RunContext(sc).derived[1].maps.step
+    [loop] = [src for src in built if src.startswith("def _loop(")]
+    assert _zero_products(loop) == []
