@@ -38,6 +38,7 @@ from .lagrangian import (
     momentum,
     to_complex_phase,
     wirtinger,
+    wirtingers,
 )
 from .dynamics import (
     IntegratorConfig,

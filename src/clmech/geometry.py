@@ -28,7 +28,7 @@ import numpy as np
 
 from .dynamics import IntegratorConfig, integrate
 from .exprcore import DomainError
-from .lagrangian import ComplexLagrangian, EomSystem, MechState, momentum
+from .lagrangian import ComplexLagrangian, EomSystem, MechState, momentum, wirtingers
 from .records import record
 
 # 6th-order central first-derivative stencil on offsets -3..3, divided by 60*delta
@@ -91,10 +91,9 @@ def lie_values(eom: EomSystem, states: list[MechState]) -> list[tuple]:
 
 
 def pairing_values(lagr: ComplexLagrangian, s: MechState) -> tuple:
-    """The coefficients of `rhs_pairing_form` at s, from one call of the complex kernel: each
-    coordinate's sqrt(2) * `wirtinger`, formed as `wirtinger` forms it."""
-    d, n, rt2 = lagr._wirtinger(s.t, *s.q, *s.qd), lagr.dim, math.sqrt(2.0)
-    z = [rt2 * ((d[a] - (1j / lagr.omega0) * d[n + a]) / rt2) for a in range(n)]
+    """The coefficients of `rhs_pairing_form` at s: each coordinate's sqrt(2) * dLagr/dw_a,
+    from `wirtingers`."""
+    z = [math.sqrt(2.0) * w for w in wirtingers(lagr, s)]
     return _finite([-lagr.omega0 * x.imag for x in z], [x.real for x in z], s)
 
 

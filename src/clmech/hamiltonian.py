@@ -41,8 +41,7 @@ its stages run the one kernel's body, or call the Newton and the partials kernel
 from __future__ import annotations
 
 import math
-from functools import cache, cached_property
-from typing import Callable
+from functools import cached_property
 
 from .codegen import compile_expr, compile_step
 from .exprcore import Call, DomainError, Sym, diff, evaluate, subs
@@ -84,20 +83,18 @@ def _degenerate(t: float, q: float, qd: float):
     raise DegenerateJacobian(f"df/dqd = 0 at (t={t!r}, q={q!r}, qd={qd!r})")
 
 
-@cache
-def _float_square() -> Callable[[float], float]:
-    return compile_expr(Sym("x") ** 2, ("x",))
+_X_SQUARED = Sym("x") ** 2
 
 
 def _square(x):
-    """x^2 as a tree, or on a float by a compiled `^`, whose overflow raises the loop's DomainError."""
-    return _float_square()(x) if isinstance(x, float) else x**2
+    """x^2 as a tree, or on a float by `evaluate`'s `^`, whose overflow raises the loop's DomainError."""
+    return evaluate(_X_SQUARED, {"x": x}) if isinstance(x, float) else x**2
 
 
 def pieces(p, values, kappa0, omega0):
-    """(dH/dq, dH/dp, dK/dq, dK/dp, qd_flow, pd_flow) from `_values`' values, each piece computed
-    separately (the kappa0 factors are not cancelled): the one formula, run on floats by
-    `_gradients`, `_flow_at` and the hamiltonian suite's kappa0 sweep, and on trees by `step`."""
+    """(dH/dq, dH/dp, dK/dq, dK/dp, qd_flow, pd_flow) from `HamiltonianField.values`, each piece
+    computed separately (the kappa0 factors are not cancelled): the one formula, run on floats by
+    the field's gradients and flow and the hamiltonian suite's kappa0 sweep, and on trees by `step`."""
     qd, _, qd_q, qd_p, l_q, l_qd, m_q, m_qd = values
     slack = p - l_qd
     dh_q, dh_p = -l_q + slack * qd_q, qd + slack * qd_p
@@ -113,7 +110,7 @@ class HamiltonianField:
     parameters folded in, `_qd` the inverse tree qd(t, q, p) if A folds to a nonzero constant.
     `step` is `codegen.compile_step`'s RK4 sample loop of (q, p) giving qd, p and |f - p|. With
     `_qd`, its stages are one kernel body of (t, q, p), and its last sample calls `_qd_f`, the kernel
-    of (qd, f) alone, which serves `invert` too; without, each stage runs `_values`' Newton path as text."""
+    of (qd, f) alone, which serves `invert` too; without, each stage runs `values`' Newton path as text."""
 
     lagr: ComplexLagrangian
     eom: EomSystem
@@ -164,10 +161,10 @@ class HamiltonianField:
         qd, f, f_q, slope, *partials = map(Sym, outs)
         flow = pieces(Sym("p"), (qd, f, -f_q / slope, 1.0 / slope, *partials), self.kappa0, self.lagr.omega0)[4:]
         tail, sample = ((("kx", "ky"), flow),), (("s0", "s1", "s2"), (qd, Sym("p"), Call("abs", f - Sym("p"))))
-        if self._qd is not None:  # the slope is A, a nonzero constant here, so `_values`' test of it is never written
+        if self._qd is not None:  # the slope is A, a nonzero constant here, so `values`' test of it is never written
             last, names = "    qd, f = _qd_f(t0, q0, p0)", (("_qd_f", self._qd_f),)
             return compile_step(self._phase_trees, args, outs, tail, sample, last, names)
-        # `_values`' Newton path as text, each stage's Newton from s0, the sample's qd once stage 1 has set it
+        # `values`' Newton path as text, each stage's Newton from s0, the sample's qd once stage 1 has set it
         invert = "    qd, f = _newton_1(_kernel, InversionFailure, t, q, p, 0.0, s0)"
         grads = f"    {', '.join(outs[2:])} = _grads(t, q, qd)\n    if slope == 0.0:\n        _degenerate(t, q, qd)"
         names = (("_kernel", self.eom.maps.newton), ("_grads", self._grads), ("_degenerate", _degenerate))
@@ -185,7 +182,7 @@ class HamiltonianField:
         """(qd, f(q, qd, t)) at the qd Newton finds on (f, df/dqd)."""
         return newton_solver(1)(self.eom.maps.newton, InversionFailure, t, q, p, 0.0, float(guess))
 
-    def _values(self, t: float, q: float, p: float, guess: float) -> tuple[float, ...]:
+    def values(self, t: float, q: float, p: float, guess: float = 0.0) -> tuple[float, ...]:
         """(qd, f, dqd/dq, dqd/dp, dL/dq, dL/dqd, dM/dq, dM/dqd) at (t, q, p):
         one phase-kernel call when the momentum map is affine, else Newton
         from `guess` and `_grads`; dqd/dq and dqd/dp by the implicit-function
@@ -207,29 +204,21 @@ class HamiltonianField:
             raise DomainError(f"L took the complex value {L!r} at t={t!r}, q={q!r}, p={p!r}")
         return p * qd - L.real
 
-    def _gradients(self, t: float, q: float, p: float, guess: float) -> tuple[float, float, float, float]:
-        """(dH/dq, dH/dp, dK/dq, dK/dp) at (t, q, p)."""
-        return pieces(p, self._values(t, q, p, guess), self.kappa0, self.lagr.omega0)[:4]
+    def _pieces(self, t: float, q: float, p: float, guess: float) -> tuple[float, ...]:
+        """`pieces` at (t, q, p)."""
+        return pieces(p, self.values(t, q, p, guess), self.kappa0, self.lagr.omega0)
 
     def h_gradients(self, t: float, q: float, p: float, guess: float = 0.0) -> tuple[float, float]:
         """(dH/dq, dH/dp); a Newton inversion starts from `guess`."""
-        dh_q, dh_p, _, _ = self._gradients(t, q, p, guess)
-        return dh_q, dh_p
+        return self._pieces(t, q, p, guess)[:2]
 
     def k_gradients(self, t: float, q: float, p: float, guess: float = 0.0) -> tuple[float, float]:
         """(dK/dq, dK/dp); a Newton inversion starts from `guess`."""
-        _, _, dk_q, dk_p = self._gradients(t, q, p, guess)
-        return dk_q, dk_p
+        return self._pieces(t, q, p, guess)[2:4]
 
     def flow(self, t: float, q: float, p: float, guess: float = 0.0) -> tuple[float, float]:
         """(qd_flow, pd_flow) from the two-generator equations of motion."""
-        return self._flow_at(t, q, p, guess)[2:]
-
-    def _flow_at(self, t: float, q: float, p: float, guess: float) -> tuple[float, float, float, float]:
-        """(qd, f, qd_flow, pd_flow) at (t, q, p)."""
-        values = self._values(t, q, p, guess)
-        _, _, _, _, qd_flow, pd_flow = pieces(p, values, self.kappa0, self.lagr.omega0)
-        return values[0], values[1], qd_flow, pd_flow
+        return self._pieces(t, q, p, guess)[4:]
 
 
 def invert_velocity(
@@ -246,13 +235,6 @@ def legendre_H(field: HamiltonianField, q: float, p: float, t: float) -> float:
     return field.hamiltonian(t, q, p)
 
 
-def k_gradients(
-    field: HamiltonianField, q: float, p: float, t: float
-) -> tuple[float, float]:
-    """(dK/dq, dK/dp) reconstructed from the transformed M map."""
-    return field.k_gradients(t, q, p)
-
-
 def flow_field(field: HamiltonianField, s: PhaseState) -> tuple[float, float]:
     """The phase-space velocity (qd_flow, pd_flow) at s."""
     return field.flow(s.t, s.q, s.p)
@@ -266,8 +248,8 @@ def mixed_partial_diagnostic(field: HamiltonianField, q: float, p: float, t: flo
     gradients near (q, p); the construction itself never builds K.
     """
     delta = 1e-5
-    kq_pp = k_gradients(field, q, p + delta, t)[0]
-    kq_pm = k_gradients(field, q, p - delta, t)[0]
-    kp_qp = k_gradients(field, q + delta, p, t)[1]
-    kp_qm = k_gradients(field, q - delta, p, t)[1]
+    kq_pp = field.k_gradients(t, q, p + delta)[0]
+    kq_pm = field.k_gradients(t, q, p - delta)[0]
+    kp_qp = field.k_gradients(t, q + delta, p)[1]
+    kp_qm = field.k_gradients(t, q - delta, p)[1]
     return abs((kq_pp - kq_pm) / (2 * delta) - (kp_qp - kp_qm) / (2 * delta))

@@ -49,7 +49,7 @@ from .exprcore import (
 )
 from .records import field, record
 from .solves import SOLVE_SCALAR, SingularMass, dot, eliminate, newton_solver, pivot_message, singular
-from .solves import solve_linear, solve_plan, solver
+from .solves import SOLVE_SCALAR_RESIDUAL, solve_linear, solve_plan, solver
 
 REGULAR = "regular"
 DEGENERATE = "degenerate"
@@ -268,7 +268,7 @@ class _Maps:
             elif math.frexp(abs(m.value.real))[0] == 0.5 and abs(m.value.real) >= 1.0:
                 tail = ((("kx", "ky"), (qd, b / a)),)
             else:
-                tail = ((("a", "b", "x"), (a, b, b / a)), SOLVE_SCALAR.partition("x = b / a\n")[2] + slope)
+                tail = ((("a", "b", "x"), (a, b, b / a)), SOLVE_SCALAR_RESIDUAL + slope)
             return compile_step(trees, self._args, outs, tail, sample, names=names)
         n, join = self.dim, ", ".join
         idx, qd = range(1, n + 1), self._args[n + 1 :]
@@ -532,14 +532,16 @@ def closure_velocity(eom: EomSystem, t: float, q, guess=None) -> np.ndarray:
     return np.array(eom.maps.closure(eom.closure_mass)[1](t, q, guess))
 
 
-def wirtinger(lagr: ComplexLagrangian, s: MechState, a: int = 0) -> complex:
-    """(1/sqrt(2)) [dLagr/dqd_a - (i/omega0) dLagr/dq_a] at s, read from the
-    Lagrangian's compiled complex kernel of the two derivatives.
+def wirtingers(lagr: ComplexLagrangian, s: MechState) -> list[complex]:
+    """Every coordinate's dLagr/dw_a = (1/sqrt(2)) [dLagr/dqd_a - (i/omega0) dLagr/dq_a] at s,
+    from one call of the Lagrangian's compiled complex kernel of the derivatives."""
+    d, n = lagr._wirtinger(s.t, *s.q, *s.qd), lagr.dim
+    return [(d[a] - (1j / lagr.omega0) * d[n + a]) / math.sqrt(2.0) for a in range(n)]
 
-    Coordinate index `a` is 0-based.
-    """
-    d = lagr._wirtinger(s.t, *s.q, *s.qd)
-    return (d[a] - (1j / lagr.omega0) * d[lagr.dim + a]) / math.sqrt(2.0)
+
+def wirtinger(lagr: ComplexLagrangian, s: MechState, a: int = 0) -> complex:
+    """`wirtingers` at coordinate `a`, 0-based."""
+    return wirtingers(lagr, s)[a]
 
 
 def to_complex_phase(

@@ -201,9 +201,10 @@ def solve_plan(a0: list[list[float]], b: list[str], out: list[str]) -> tuple | N
 
 # `solve_linear` for a 1x1 system (a, b), with both of its SingularMass checks,
 # bitwise what the elimination gives: one text, run by `_solve_scalar` and
-# inlined at each stage of the generated RK4 step where `a` varies
-SOLVE_SCALAR = indent(f"s = abs(a)\n{_pivot_test('a', 's', 's')}\nx = b / a\nr = a * x - b\n", "    ")
-SOLVE_SCALAR += indent(_residual_test(["r"], ["b"]), "    ")
+# inlined at each stage of the generated RK4 step where `a` varies; its residual
+# half alone where a constant `a` passed the pivot test when the step was built
+SOLVE_SCALAR_RESIDUAL = indent(f"r = a * x - b\n{_residual_test(['r'], ['b'])}", "    ")
+SOLVE_SCALAR = indent(f"s = abs(a)\n{_pivot_test('a', 's', 's')}\nx = b / a\n", "    ") + SOLVE_SCALAR_RESIDUAL
 exec(f"def _solve_scalar(a, b):\n{SOLVE_SCALAR}\n    return x\n")  # noqa: S102 - a constant text
 
 

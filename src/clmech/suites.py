@@ -494,7 +494,7 @@ def hamiltonian_suite(run: RunContext, seed: int = DEFAULT_SEED) -> SuiteResult:
         q = float(traj_h.q[k, 0])
         p = float(traj_h.p[k, 0])
         # the values the flow integrates do not depend on kappa0: one field's give each kappa0's flow
-        values = field_._values(t, q, p, 0.0)
+        values = field_.values(t, q, p, 0.0)
         flows = [pieces(p, values, k0, lagr.omega0)[4:] for k0 in (0.5, 1.0, 2.0)]
         for fl in flows[1:]:
             kappa_worst = max(

@@ -109,8 +109,8 @@ def _square(x: float) -> float:
 
 
 def _flow_at(field: HamiltonianField, t: float, q: float, p: float, guess: float):
-    """(qd, f, qd_flow, pd_flow): `_values`, then the generators piece by piece."""
-    qd, f, qd_q, qd_p, l_q, l_qd, m_q, m_qd = field._values(t, q, p, guess)
+    """(qd, f, qd_flow, pd_flow): `values`, then the generators piece by piece."""
+    qd, f, qd_q, qd_p, l_q, l_qd, m_q, m_qd = field.values(t, q, p, guess)
     slack = p - l_qd
     dh_q = -l_q + slack * qd_q
     dh_p = qd + slack * qd_p

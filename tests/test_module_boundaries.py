@@ -4,8 +4,9 @@
 imports numpy nowhere at module level, and of the three only `lanes` imports numpy at
 module level, so the trees and the scalar code stay usable without numpy. `solves` holds
 every solve and imports numpy nowhere. No module imports another's underscore name but
-the three expression modules. Only `records` imports `dataclasses`, and importing the
-package compiles one generated source.
+the three expression modules, and no module reads another's underscore attribute: `x._y`
+on a name other than `self` or `cls` is read only in a module that defines `_y`. Only
+`records` imports `dataclasses`, and importing the package compiles one generated source.
 """
 
 import ast
@@ -88,6 +89,53 @@ def test_no_module_imports_a_private_name_of_another_but_the_expression_modules(
                 if names:
                     private.setdefault((path.stem, module), set()).update(names)
     assert private == EXPRESSION_PRIVATE_IMPORTS
+
+
+def _private_attributes_defined(tree: ast.Module) -> set[str]:
+    """The underscore names a module defines anywhere: by `def` or `class`, by assignment to a
+    name or an attribute, or as the name string of a `setattr`-like call."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            found.add(node.attr)
+        elif isinstance(node, ast.Call) and "setattr" in ast.unparse(node.func):
+            found |= {arg.value for arg in node.args[1:2] if isinstance(arg, ast.Constant)}
+    return {name for name in found if isinstance(name, str) and name.startswith("_")}
+
+
+def _foreign_private_reads(sources: dict[str, str]) -> list[str]:
+    """`module: name._attr` for each read of an underscore attribute (not a dunder) on a name
+    other than `self` or `cls`, in a module that does not define `_attr`."""
+    reads = []
+    for module, text in sorted(sources.items()):
+        tree = ast.parse(text)
+        own = _private_attributes_defined(tree)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and isinstance(node.value, ast.Name)
+                    and node.value.id not in ("self", "cls") and node.attr.startswith("_")
+                    and not node.attr.startswith("__") and node.attr not in own):
+                reads.append(f"{module}: {node.value.id}.{node.attr}")
+    return sorted(reads)
+
+
+def test_no_module_reads_a_private_attribute_of_another():
+    assert _foreign_private_reads({path.stem: path.read_text() for path in SRC.glob("*.py")}) == []
+
+
+def test_the_private_attribute_check_names_each_foreign_read():
+    # the two reads the rule removed: `lagrangian`'s kernel read in `geometry` (as `lagrangian`
+    # itself may) and `hamiltonian`'s method read in `suites`; `self`, `cls` and dunders pass
+    sources = {
+        "lagrangian": "class C:\n    def _wirtinger(self):\n        pass\n\ndef w(lagr):\n    return lagr._wirtinger()\n",
+        "hamiltonian": "class F:\n    def __init__(self):\n        object.__setattr__(self, '_qd', None)\n",
+        "geometry": "def pairing(lagr, s):\n    return lagr._wirtinger(s), lagr.__dict__, self._x, cls._y\n",
+        "suites": "def sweep(field_):\n    return field_._values(0.0), field_._qd\n",
+    }
+    assert _foreign_private_reads(sources) == ["geometry: lagr._wirtinger", "suites: field_._qd", "suites: field_._values"]
 
 
 def _defined(module: str) -> set[str]:

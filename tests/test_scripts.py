@@ -194,6 +194,33 @@ def test_step_sources_prints_a_digest_per_state_kind():
     assert all(ints == 0 for _, ints in waste.values())
 
 
+# The generated loop and solver sources, pinned as a golden: a change that means to keep every
+# generated text prints these lines, and one that moves a source re-pins them in a commit of its own.
+STEP_SOURCES_GOLDEN = {
+    (): [
+        "float  no-newton   45 e5240a9de1bba91adb3d903b2723f4e9fd961ae041640b741571c56d1fc03665",
+        "float  newton       6 2ff07682a97dc1d379db771cdc595e4983ed600396f212a02667342a9dbb4c89",
+        "list   no-newton   10 ccfc33040d0ae43a1d8d0ba7660d35df85f0b94bb0f8ae37f4c7d52489a5b4f1",
+        "list   newton       0 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "solver              8 e1ff11a8b796bdfa576f630316972081476547d24246581e97f1bf2f431708fb",
+    ],
+    ("--seeds",): [
+        "float  no-newton   11 3bba7940228df5e964a0cbaa3cc2c2655f9f940ff816f131e37d5b02ca2cf59c",
+        "float  newton       0 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "list   no-newton    0 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "list   newton       0 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "solver              8 e1ff11a8b796bdfa576f630316972081476547d24246581e97f1bf2f431708fb",
+    ],
+}
+
+
+@pytest.mark.parametrize("args", STEP_SOURCES_GOLDEN, ids=["full", "corpus-only"])
+def test_step_sources_prints_the_golden_digests(args):
+    done = run_script("step_sources.py", *args)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == STEP_SOURCES_GOLDEN[args]
+
+
 def test_scenario_files_are_the_exported_corpus(tmp_path):
     # the CLI reads scenarios/*.json and most tests read CORPUS_DICTS
     spec = importlib.util.spec_from_file_location("export_scenarios", SCRIPTS / "export_scenarios.py")

@@ -124,13 +124,13 @@ class TestHamiltonianSuiteOffCorpus:
         assert lines["hamiltonian.implicit-partials-fd"].value < 1e-9
 
     def test_wrong_dqd_dq_fails_the_fd_line(self, monkeypatch):
-        values = HamiltonianField._values
+        values = HamiltonianField.values
 
         def flipped(self, *args):
             qd, f, qd_q, *rest = values(self, *args)
             return (qd, f, -qd_q, *rest)
 
-        monkeypatch.setattr(HamiltonianField, "_values", flipped)
+        monkeypatch.setattr(HamiltonianField, "values", flipped)
         lines = self._lines()
         assert not lines["hamiltonian.implicit-partials-fd"].passed
         assert lines["hamiltonian.trajectory-agreement"].passed
