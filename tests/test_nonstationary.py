@@ -40,9 +40,9 @@ CALDIROLA_KANAI = {
 }
 
 
-def _exact_q(t: float, g: float = G) -> float:
-    wd = math.sqrt(1.0 - g * g / 4.0)
-    return math.exp(-g * t / 2.0) * (math.cos(wd * t) + g / (2.0 * wd) * math.sin(wd * t))
+def _exact_q(t: float) -> float:
+    wd = math.sqrt(1.0 - G * G / 4.0)
+    return math.exp(-G * t / 2.0) * (math.cos(wd * t) + G / (2.0 * wd) * math.sin(wd * t))
 
 
 def _final_q_error(tmp_path, h: float) -> float:
